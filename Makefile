@@ -1,5 +1,9 @@
 # Convenience targets; `make check` is the one CI should run.
 
+# Recipes use bash features (`time -p` is a bash keyword; POSIX sh such
+# as dash has no `time` builtin and may lack /usr/bin/time).
+SHELL := /bin/bash
+
 .PHONY: all build test bench bench-smoke trace-smoke shard-smoke check fuzz coverage fmt fmt-check clean
 
 all: build

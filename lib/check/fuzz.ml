@@ -169,52 +169,89 @@ let run_case ?(on_divergence = ignore) case =
     case.probes;
   (* --- 3. audited clustering at 1 vs 4 domains --- *)
   let saved = Par.default_domains () in
+  (* Metrics on, so the [pst.nodes_pruned] counter below counts. *)
+  let metrics_were_on = Obs.Metrics.is_enabled () in
+  Obs.Metrics.enable ();
   Fun.protect ~finally:(fun () ->
       Check.uninstall_auditor ();
-      Par.set_default_domains saved)
+      Par.set_default_domains saved;
+      if not metrics_were_on then Obs.Metrics.disable ())
   @@ fun () ->
   Check.install_auditor ();
-  let run_at d =
-    Par.set_default_domains d;
-    try Ok (Cluseq.run ~config:cfg db) with Check.Violation msgs -> Error msgs
-  in
-  let r1 = run_at 1 in
-  let r4 = run_at 4 in
-  (match (r1, r4) with
-  | Error msgs, _ -> add_all "auditor@1" msgs
-  | _, Error msgs -> add_all "auditor@4" msgs
-  | Ok r1, Ok r4 ->
-      add_all "result" (Check.result_invariants ~n r1);
-      if r1.clusters <> r4.clusters then err "clusters differ between 1 and 4 domains";
-      if r1.assignments <> r4.assignments then err "assignments differ between 1 and 4 domains";
-      if r1.best <> r4.best then err "best scores differ between 1 and 4 domains";
-      if r1.outliers <> r4.outliers then err "outliers differ between 1 and 4 domains";
-      if r1.final_t <> r4.final_t then
-        err "final_t %.17g (1 domain) <> %.17g (4 domains)" r1.final_t r4.final_t;
-      if r1.iterations <> r4.iterations then
-        err "iterations %d (1 domain) <> %d (4 domains)" r1.iterations r4.iterations;
-      (* Timings are wall-clock and excluded; everything else must agree. *)
-      let strip =
-        List.map (fun (st : Cluseq.iteration_stats) ->
-            ( st.iteration, st.new_clusters, st.consolidated, st.clusters, st.unclustered,
-              st.threshold, st.membership_changes ))
-      in
-      if strip r1.history <> strip r4.history then
-        err "iteration history differs between 1 and 4 domains";
-      if Array.map fst r1.models <> Array.map fst r4.models then
-        err "model ids differ between 1 and 4 domains"
-      else
-        Array.iteri
-          (fun i (id, m1) ->
-            if not (Pst.equal_structure m1 (snd r4.models.(i))) then
-              err "model %d structure differs between 1 and 4 domains" id)
+  let nodes_pruned = Obs.Metrics.counter "pst.nodes_pruned" in
+  (* One configuration at 1 and at 4 domains: the auditor replays every
+     pass, and the two runs must agree on everything but wall-clock
+     timings. Returns the 1-domain result and the PST nodes pruning
+     removed in it. *)
+  let audited_pair ~label cfg =
+    let prefix = if label = "" then "" else label ^ ": " in
+    let run_at d =
+      Par.set_default_domains d;
+      let before = Obs.Metrics.counter_value nodes_pruned in
+      let r = try Ok (Cluseq.run ~config:cfg db) with Check.Violation msgs -> Error msgs in
+      (r, Obs.Metrics.counter_value nodes_pruned - before)
+    in
+    let r1, p1 = run_at 1 in
+    let r4, p4 = run_at 4 in
+    match (r1, r4) with
+    | Error msgs, _ ->
+        add_all (prefix ^ "auditor@1") msgs;
+        None
+    | _, Error msgs ->
+        add_all (prefix ^ "auditor@4") msgs;
+        None
+    | Ok r1, Ok r4 ->
+        add_all (prefix ^ "result") (Check.result_invariants ~n r1);
+        let err fmt = Printf.ksprintf (fun m -> err "%s%s" prefix m) fmt in
+        if r1.clusters <> r4.clusters then err "clusters differ between 1 and 4 domains";
+        if r1.assignments <> r4.assignments then
+          err "assignments differ between 1 and 4 domains";
+        if r1.best <> r4.best then err "best scores differ between 1 and 4 domains";
+        if r1.outliers <> r4.outliers then err "outliers differ between 1 and 4 domains";
+        if r1.final_t <> r4.final_t then
+          err "final_t %.17g (1 domain) <> %.17g (4 domains)" r1.final_t r4.final_t;
+        if r1.iterations <> r4.iterations then
+          err "iterations %d (1 domain) <> %d (4 domains)" r1.iterations r4.iterations;
+        (* Timings are wall-clock and excluded; everything else must agree. *)
+        let strip =
+          List.map (fun (st : Cluseq.iteration_stats) ->
+              ( st.iteration, st.new_clusters, st.consolidated, st.clusters, st.unclustered,
+                st.threshold, st.membership_changes ))
+        in
+        if strip r1.history <> strip r4.history then
+          err "iteration history differs between 1 and 4 domains";
+        if Array.map fst r1.models <> Array.map fst r4.models then
+          err "model ids differ between 1 and 4 domains"
+        else
+          Array.iteri
+            (fun i (id, m1) ->
+              if not (Pst.equal_structure m1 (snd r4.models.(i))) then
+                err "model %d structure differs between 1 and 4 domains" id)
+            r1.models;
+        Array.iter
+          (fun (id, m) ->
+            let m' = Pst.of_string (Pst.to_string m) in
+            if not (Pst.equal_structure m m') then
+              err "model %d changes across a serialization round-trip" id)
           r1.models;
-      Array.iter
-        (fun (id, m) ->
-          let m' = Pst.of_string (Pst.to_string m) in
-          if not (Pst.equal_structure m m') then
-            err "model %d changes across a serialization round-trip" id)
-        r1.models;
+        if p1 <> p4 then err "PST nodes pruned: %d (1 domain) <> %d (4 domains)" p1 p4;
+        Some (r1, p1)
+  in
+  (match audited_pair ~label:"" cfg with
+  | None -> ()
+  | Some (r1, _) ->
+      (* The same case under a node budget half its largest unpruned
+         model: that model's tree must outgrow the budget on the way
+         (everything else is equal until the first prune), so PST
+         pruning provably runs inside absorbs on the apply tasks. *)
+      let biggest = Array.fold_left (fun acc (_, m) -> max acc (Pst.n_nodes m)) 0 r1.models in
+      if biggest > 1 then begin
+        match
+          audited_pair ~label:"pruned" { cfg with max_nodes = max 1 (biggest / 2) }
+        with
+        | Some (_, pruned) when pruned = 0 -> err "pruned: no PST node was pruned"
+        | _ -> ()
+      end;
       (* --- 4. classification at 1 vs 4 domains --- *)
       if r1.n_clusters > 0 && Array.length case.probes > 0 then begin
         let probes_db = Seq_database.create alphabet case.probes in

@@ -12,7 +12,10 @@
     - runs {!Cluseq.run} at 1 and at 4 domains with the
       {!Check.auditor} installed (serial reclustering replay + live
       invariants every iteration) and demands structurally identical
-      results — the determinism contract of the domain pool;
+      results — the determinism contract of the domain pool — then
+      repeats the pair under a [max_nodes] budget of half the largest
+      unpruned model, so PST pruning runs inside the per-cluster apply
+      tasks (and must remove at least one node);
     - classifies probes at both domain counts and compares verdicts;
     - round-trips every final model through the textual serialization.
 

@@ -457,6 +457,77 @@ let hard_labels (r : result) ~n =
           | Some (c, _) when List.mem c joined -> c
           | _ -> List.hd joined))
 
+(* One cluster's share of a reclustering pass, as returned by its apply
+   task ([apply_column]). *)
+type column = {
+  results : Similarity.result array;
+      (* by sequence id: the deciding score, [not_scored] where the gate
+         pruned the pair *)
+  scored : int;  (* matrix entries freshly evaluated *)
+  reused : int;  (* matrix entries served by the score-column cache *)
+  rescores : int;  (* tree-walk rescores once the cluster went dirty *)
+  fresh_joins : int;
+}
+
+(* The apply pass of reclustering (paper Sec. 4.2) for cluster [ci], run
+   as that cluster's own pool task. Within a pass a cluster's trajectory
+   depends only on the examination order, [log_t], its iteration-start
+   model and memberships, and its own earlier joiners — never on another
+   cluster — so the task walks [order] over its own matrix column and
+   absorbs each fresh joiner before the next sequence is scored. The
+   first absorb leaves the column stale ("dirty"); every later pair is
+   rescored by the tree walk against the grown model. [cl] is mutated by
+   this task only. *)
+let apply_column db ~log_background ~log_t ~order ~scores ~cache ~cache_on ~prev ci cl =
+  let results = Array.make (Array.length scores) not_scored in
+  let dirty = ref false in
+  let scored = ref 0 and reused = ref 0 and rescores = ref 0 and fresh_joins = ref 0 in
+  Array.iter
+    (fun sid ->
+      let matrix_r = scores.(sid).(ci) in
+      (* A pruned pair stays pruned even if the cluster went dirty: the
+         gate decided against the iteration-start model, and the serial
+         replay mirrors exactly that. *)
+      if matrix_r != not_scored then begin
+        (* A matrix entry physically shared with the cached column was
+           reused, not evaluated. *)
+        (match cache with
+        | Some col when col.(sid) == matrix_r -> incr reused
+        | _ -> incr scored);
+        let r : Similarity.result =
+          if !dirty then begin
+            incr rescores;
+            Cluster.similarity cl ~log_background (Seq_database.get db sid)
+          end
+          else matrix_r
+        in
+        results.(sid) <- r;
+        (* A segment updates the PST only when the sequence joins afresh:
+           re-inserting stable members every iteration would inflate
+           counts without information, making member similarities (and
+           then the threshold valley) grow without bound. *)
+        if r.log_sim >= log_t then
+          if Bitset.mem prev sid then Cluster.add_member cl sid
+          else begin
+            Cluster.absorb cl ~seq_id:sid (Seq_database.get db sid) r;
+            dirty := true;
+            incr fresh_joins
+          end
+      end)
+    order;
+  (* A cluster that stayed clean scored every pair against a model that
+     is still current, so [results] is its matrix column entry for entry
+     ([order] visits every sequence) and the next pass can reuse it. A
+     dirty cluster already dropped its cache inside [absorb]. *)
+  if cache_on && not !dirty then Cluster.set_score_cache cl results;
+  {
+    results;
+    scored = !scored;
+    reused = !reused;
+    rescores = !rescores;
+    fresh_joins = !fresh_joins;
+  }
+
 let run ?(config = default_config) db =
   let cfg = config in
   if cfg.k_init < 1 then invalid_arg "Cluseq.run: k_init must be >= 1";
@@ -587,29 +658,26 @@ let run ?(config = default_config) db =
     next_id := !next_id + List.length fresh;
     clusters := !clusters @ fresh;
     (* --- 2. sequence reclustering --- *)
-    (* Split into a read-only scoring sweep and a serial apply pass (the
-       dominant cost the paper's Sec. 6 scalability figures measure).
+    (* Three steps (the dominant cost the paper's Sec. 6 scalability
+       figures measure), two of them on the domain pool.
 
        Scoring: every (sequence, cluster) pair is scored against the
-       clusters' iteration-start PSTs, fanned out over the domain pool.
+       clusters' iteration-start PSTs, fanned out by sequence block.
        Each pair is independent and the PSTs are frozen, so the score
        matrix is bit-identical for any domain count and any chunking.
 
-       Apply: joins, membership updates, and PST segment insertions run
-       on this domain only, visiting sequences in the arranged
-       examination order — all model mutation is serial and
-       deterministic. Once a cluster's PST absorbs a fresh joiner it
-       diverges from its scored snapshot, so scores against that cluster
-       are recomputed serially from then on ("dirty" below). This keeps
-       the pass equivalent to the fully serial algorithm — a growing
+       Apply: one task per cluster ([apply_column]) visits sequences in
+       the arranged examination order, joins and absorbs against its own
+       model, and rescores by tree walk once that model has grown. This
+       is the fully serial algorithm cluster by cluster — a growing
        cluster attracts later sequences within the same iteration, which
-       the paper's incremental one-pass design depends on — while the
-       stable majority of clusters still reads the parallel matrix.
+       the paper's incremental one-pass design depends on — because no
+       cluster's decisions read another cluster's state.
 
-       A segment updates a cluster's PST only when the sequence joins it
-       afresh: re-inserting stable members every iteration would inflate
-       counts without information, making member similarities (and then
-       the threshold valley) grow without bound. *)
+       Merge: this domain folds the tasks' columns in the serial
+       algorithm's (order position, cluster index) order, rebuilding
+       assignments, best scores, threshold samples, and journal events
+       exactly as a one-domain loop would produce them. *)
     let new_best, new_assignments, samples, census0, member_scores, pending_journal, pruned_info
         =
       phase 1 @@ fun () ->
@@ -724,91 +792,55 @@ let run ?(config = default_config) db =
       let scores =
         Array.init n (fun sid -> score_blocks.(sid / scan_block).(sid mod scan_block))
       in
+      let log_t = Threshold.log_t threshold in
+      (* Apply: one task per cluster, claimed dynamically by the pool's
+         domains; a pass lasts at least as long as its heaviest cluster. *)
+      let columns =
+        Par.map_chunks (Par.get_pool ()) ~chunks:k ~n:k (fun ci ->
+            apply_column db ~log_background:lbg ~log_t ~order ~scores ~cache:caches.(ci)
+              ~cache_on ~prev:prev_arr.(ci) ci clusters_arr.(ci))
+      in
+      (* Merge: revisit the pairs in the serial algorithm's order. Every
+         decision below is a pure function of the deciding score and the
+         iteration-start membership, so the rebuilt state — assignment
+         lists, best scores, the sample list fed to the threshold, and
+         the deferred journal events — is the one-domain loop's, bit for
+         bit. *)
       let new_best = Array.make n None in
       let new_assignments = Array.make n [] in
-      let dirty = Array.make k false in
-      (* Census tallies: the parallel matrix above scored every admitted
-         (sequence, cluster) pair — all n×k when the gate is off; serial
-         rescores against dirty clusters add to that. Plain int
-         arithmetic — deterministic for any domain count, maintained
-         whether or not metrics are enabled. *)
-      let scored_base = Array.make k 0 in
-      let reused_base = Array.make k 0 in
-      let rescores = Array.make k 0 in
       let joined = ref 0 in
-      let fresh_joins = Array.make k 0 in
       let member_scores = Array.make k [] in
       let pending = ref [] in
-      let samples = ref [] and n_samples = ref 0 in
-      let log_t = Threshold.log_t threshold in
+      let samples = ref [] in
       Array.iter
         (fun sid ->
-          let s = Seq_database.get db sid in
-          Array.iteri
-            (fun ci matrix_r ->
-              (* A pruned pair stays pruned even if the cluster went
-                 dirty: the gate decided against the iteration-start
-                 model, and the serial replay mirrors exactly that. *)
-              if matrix_r != not_scored then begin
-                let cl = clusters_arr.(ci) in
-                (* A matrix entry physically shared with the cached
-                   column was reused, not evaluated; anything else was a
-                   fresh similarity call. The test is serial and
-                   pointer-based, so the tally is domain-count
-                   independent. *)
-                (match caches.(ci) with
-                | Some col when col.(sid) == matrix_r ->
-                    reused_base.(ci) <- reused_base.(ci) + 1
-                | _ -> scored_base.(ci) <- scored_base.(ci) + 1);
-                let r : Similarity.result =
-                  if dirty.(ci) then begin
-                    rescores.(ci) <- rescores.(ci) + 1;
-                    Cluster.similarity cl ~log_background:lbg s
-                  end
-                  else matrix_r
-                in
-                if Float.is_finite r.log_sim then begin
-                  samples := r.log_sim :: !samples;
-                  incr n_samples
-                end;
-                if r.log_sim >= log_t then begin
-                  incr joined;
-                  if drift_on then member_scores.(ci) <- r.log_sim :: member_scores.(ci);
-                  if Bitset.mem prev_arr.(ci) sid then Cluster.add_member cl sid
-                  else begin
-                    Cluster.absorb cl ~seq_id:sid s r;
-                    dirty.(ci) <- true;
-                    fresh_joins.(ci) <- fresh_joins.(ci) + 1;
-                    if jrn then pending := Ev_joined (sid, Cluster.id cl, r.log_sim) :: !pending
-                  end;
-                  new_assignments.(sid) <- Cluster.id cl :: new_assignments.(sid)
-                end
-                else if jrn && Bitset.mem prev_arr.(ci) sid then
-                  pending := Ev_left (sid, Cluster.id cl, r.log_sim) :: !pending;
-                match new_best.(sid) with
-                | Some (_, b) when b >= r.log_sim -> ()
-                | _ ->
-                    if Float.is_finite r.log_sim then
-                      new_best.(sid) <- Some (Cluster.id cl, r.log_sim)
-              end)
-            scores.(sid))
+          for ci = 0 to k - 1 do
+            let r = columns.(ci).results.(sid) in
+            if r != not_scored then begin
+              let cid = Cluster.id clusters_arr.(ci) in
+              if Float.is_finite r.log_sim then samples := r.log_sim :: !samples;
+              if r.log_sim >= log_t then begin
+                incr joined;
+                if drift_on then member_scores.(ci) <- r.log_sim :: member_scores.(ci);
+                if jrn && not (Bitset.mem prev_arr.(ci) sid) then
+                  pending := Ev_joined (sid, cid, r.log_sim) :: !pending;
+                new_assignments.(sid) <- cid :: new_assignments.(sid)
+              end
+              else if jrn && Bitset.mem prev_arr.(ci) sid then
+                pending := Ev_left (sid, cid, r.log_sim) :: !pending;
+              match new_best.(sid) with
+              | Some (_, b) when b >= r.log_sim -> ()
+              | _ -> if Float.is_finite r.log_sim then new_best.(sid) <- Some (cid, r.log_sim)
+            end
+          done)
         order;
       Array.iteri (fun i l -> new_assignments.(i) <- List.rev l) new_assignments;
-      (* Persist the columns of clusters that stayed clean through the
-         whole pass: their matrix scores are against a PST that is still
-         current, so the next pass can reuse them verbatim. Dirty
-         clusters already dropped their cache inside [absorb]. *)
-      if cache_on then
-        Array.iteri
-          (fun ci cl ->
-            if not dirty.(ci) then
-              Cluster.set_score_cache cl (Array.init n (fun sid -> scores.(sid).(ci))))
-          clusters_arr;
       if jrn then
         Array.iteri
           (fun ci cl ->
-            if fresh_joins.(ci) > 0 then
-              pending := Ev_grew (Cluster.id cl, fresh_joins.(ci), Cluster.size cl) :: !pending)
+            let fresh = columns.(ci).fresh_joins in
+            if fresh > 0 then
+              pending := Ev_grew (Cluster.id cl, fresh, Cluster.size cl) :: !pending)
           clusters_arr;
       (match (!auditor, snapshot) with
       | Some a, Some snap ->
@@ -819,9 +851,15 @@ let run ?(config = default_config) db =
                  clusters_arr)
             ~assignments:(Array.copy new_assignments)
       | _ -> ());
-      let total_rescores = Array.fold_left ( + ) 0 rescores in
-      let total_scored = Array.fold_left ( + ) 0 scored_base in
-      let total_reused = Array.fold_left ( + ) 0 reused_base in
+      (* Census tallies: the parallel matrix scored every admitted
+         (sequence, cluster) pair — all n×k when the gate is off; the
+         apply tasks' rescores against dirty clusters add to that. Plain
+         int arithmetic — deterministic for any domain count, maintained
+         whether or not metrics are enabled. *)
+      let sum f = Array.fold_left (fun acc c -> acc + f c) 0 columns in
+      let total_rescores = sum (fun c -> c.rescores) in
+      let total_scored = sum (fun c -> c.scored) in
+      let total_reused = sum (fun c -> c.reused) in
       let admitted = total_scored + total_reused in
       let census0 =
         {
@@ -834,7 +872,7 @@ let run ?(config = default_config) db =
           index_filtered = (match gate with Some _ -> (n * k) - admitted | None -> 0);
           score_calls =
             Array.mapi
-              (fun ci cl -> (Cluster.id cl, scored_base.(ci) + rescores.(ci)))
+              (fun ci cl -> (Cluster.id cl, columns.(ci).scored + columns.(ci).rescores))
               clusters_arr;
         }
       in
@@ -844,7 +882,7 @@ let run ?(config = default_config) db =
             Some
               ( ratio,
                 Array.mapi
-                  (fun ci cl -> (Cluster.id cl, n - scored_base.(ci) - reused_base.(ci)))
+                  (fun ci cl -> (Cluster.id cl, n - columns.(ci).scored - columns.(ci).reused))
                   clusters_arr )
         | _ -> None
       in

@@ -115,12 +115,14 @@ type phase_timings = {
 type scan_census = {
   pairs_scored : int;
       (** (sequence, cluster) similarity evaluations in this iteration's
-          reclustering pass: the full n×k parallel matrix plus serial
-          rescores against clusters whose PST absorbed a joiner. *)
+          reclustering pass: the full n×k parallel matrix plus the
+          apply tasks' rescores against clusters whose PST absorbed a
+          joiner. *)
   pairs_joined : int;  (** Evaluations at or above the join threshold. *)
   dirty_rescores : int;
-      (** Serial re-evaluations against mutated ("dirty") clusters —
-          the part of the scan the parallel matrix could not cover. *)
+      (** Tree-walk re-evaluations against mutated ("dirty")
+          clusters, run inside each cluster's apply task — the part of
+          the scan the score matrix could not cover. *)
   assignments_changed : int;
       (** Sequences whose membership set changed this iteration (equals
           [membership_changes]). *)

@@ -211,16 +211,29 @@ let run ?(config = Cluseq.default_config) ?(shards = 1)
           retention threshold under the *other* side's model. This is
           the algorithm's own membership criterion, so it needs no
           workload-dependent constant. --- *)
+    let pool = Par.get_pool () in
+    (* The cross-shard divergences are independent reads of the shard
+       models, filled on the pool; same-shard pairs stay at infinity. *)
     let d = Array.make_matrix m m infinity in
-    for i = 0 to m - 1 do
-      for j = i + 1 to m - 1 do
-        if gs.(i).g_shard <> gs.(j).g_shard then begin
-          let v = Divergence.kl_symmetric gs.(i).g_pst gs.(j).g_pst in
-          d.(i).(j) <- v;
-          d.(j).(i) <- v
-        end
-      done
-    done;
+    let cross =
+      let acc = ref [] in
+      for i = m - 1 downto 0 do
+        for j = m - 1 downto i + 1 do
+          if gs.(i).g_shard <> gs.(j).g_shard then acc := (i, j) :: !acc
+        done
+      done;
+      Array.of_list !acc
+    in
+    let kl =
+      Par.map_chunks pool ~n:(Array.length cross) (fun p ->
+          let i, j = cross.(p) in
+          Divergence.kl_symmetric gs.(i).g_pst gs.(j).g_pst)
+    in
+    Array.iteri
+      (fun p (i, j) ->
+        d.(i).(j) <- kl.(p);
+        d.(j).(i) <- kl.(p))
+      cross;
     (* [accepts a b]: do [b]'s members, by majority of a deterministic
        strided sample, clear the lenient threshold under [a]'s model? *)
     let accepts a b =
@@ -286,36 +299,55 @@ let run ?(config = Cluseq.default_config) ?(shards = 1)
        home cluster was merged are rescored (against the merged model,
        with the global database's background); everything else passes
        through untouched. --- *)
+    (* One pool task per merged component: the counts-merge and the
+       candidates' scores against the merged model. Only the shard
+       models and the database are shared, read-only. *)
+    let merged =
+      Par.map_chunks pool ~chunks:m ~n:m (fun s ->
+          match comp_members.(s) with
+          | (first :: _ :: _) as comp ->
+              let pst =
+                List.fold_left
+                  (fun acc i -> Pst.merge acc gs.(i).g_pst)
+                  gs.(first).g_pst (List.tl comp)
+              in
+              (* Lenient retention: a sequence stays if it clears the most
+                 permissive of its component's home-shard thresholds. *)
+              let log_t =
+                List.fold_left (fun acc i -> Float.min acc gs.(i).g_log_t) infinity comp
+              in
+              let cand = Hashtbl.create 64 in
+              List.iter
+                (fun i -> Array.iter (fun id -> Hashtbl.replace cand id ()) gs.(i).g_members)
+                comp;
+              let cand = List.sort compare (Hashtbl.fold (fun id () acc -> id :: acc) cand []) in
+              let score id = Similarity.score pst ~log_background:lbg (Seq_database.get db id) in
+              Some (pst, log_t, List.map (fun id -> (id, score id)) cand)
+          | _ -> None)
+    in
+    (* Memberships and [best] are applied here in component order: a
+       sequence can be a candidate of several components, and [best]
+       keeps the first of equal scores. *)
     let final = ref [] in
     for s = 0 to m - 1 do
-      match comp_members.(s) with
-      | [] -> ()
-      | [ i ] ->
+      match (comp_members.(s), merged.(s)) with
+      | [ i ], _ ->
           if Array.length gs.(i).g_members > 0 then
             final := (i, gs.(i).g_members, gs.(i).g_pst, gs.(i).g_log_t) :: !final
-      | (first :: rest) as comp ->
-          let pst =
-            List.fold_left (fun acc i -> Pst.merge acc gs.(i).g_pst) gs.(first).g_pst rest
-          in
-          (* Lenient retention: a sequence stays if it clears the most
-             permissive of its component's home-shard thresholds. *)
-          let log_t = List.fold_left (fun acc i -> Float.min acc gs.(i).g_log_t) infinity comp in
-          let cand = Hashtbl.create 64 in
-          List.iter (fun i -> Array.iter (fun id -> Hashtbl.replace cand id ()) gs.(i).g_members) comp;
-          let cand = List.sort compare (Hashtbl.fold (fun id () acc -> id :: acc) cand []) in
+      | _, None -> ()
+      | _, Some (pst, log_t, scored) ->
           let members = ref [] in
           List.iter
-            (fun id ->
+            (fun (id, (r : Similarity.result)) ->
               Obs.Metrics.incr m_fixup_rescored;
-              let r = Similarity.score pst ~log_background:lbg (Seq_database.get db id) in
-              if r.Similarity.log_sim >= log_t then members := id :: !members;
-              if Float.is_finite r.Similarity.log_sim then
+              if r.log_sim >= log_t then members := id :: !members;
+              if Float.is_finite r.log_sim then
                 best.(id) <-
                   (match best.(id) with
-                  | Some (b, _) when canon b = s -> Some (s, r.Similarity.log_sim)
-                  | Some (_, bs) when r.Similarity.log_sim > bs -> Some (s, r.Similarity.log_sim)
+                  | Some (b, _) when canon b = s -> Some (s, r.log_sim)
+                  | Some (_, bs) when r.log_sim > bs -> Some (s, r.log_sim)
                   | other -> other))
-            cand;
+            scored;
           let members = Array.of_list (List.rev !members) in
           if Array.length members > 0 then final := (s, members, pst, log_t) :: !final
     done;

@@ -5,8 +5,11 @@
 
     Sharding trades a little merge work for coarse-grained parallelism
     the intra-run pool cannot reach: each shard runs the {e whole}
-    pipeline — including the serial sections (generation, membership
-    apply, convergence) — concurrently with the others. The merge is
+    pipeline — including the serial sections (generation,
+    consolidation, convergence) — concurrently with the others. The
+    merge runs on the pool as well: the cross-shard divergences as one
+    job, then each merged component's model merge and fix-up scores as
+    one task, applied in component order. The merge is
     model-to-model: cross-shard cluster pairs are consolidated when
     they are symmetrized-KL nearest neighbours under a saturation cap
     {e and} each side's members clear the other's retention threshold

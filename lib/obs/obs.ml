@@ -6,8 +6,8 @@
    sequences through instrumented read paths (Similarity.score,
    Pst.log_prob) and any domain owning a pool may observe latencies, so
    neither increments nor bucket updates may race. Gauges, tracing, and
-   registration remain main-domain mutable state — the serial-mutate
-   side of the pipeline is the only writer. Instrumented code pays one
+   registration remain main-domain mutable state — only the
+   submitting side of the pipeline writes them. Instrumented code pays one
    [bool ref] dereference per event while disabled, so leaving call
    sites permanently instrumented is free.
 
@@ -707,7 +707,12 @@ module Resource = struct
       major_collections = after.Gc.major_collections - before.Gc.major_collections;
       compactions = after.Gc.compactions - before.Gc.compactions;
       heap_words = after.Gc.heap_words - before.Gc.heap_words;
-      top_heap_words = after.Gc.top_heap_words - before.Gc.top_heap_words;
+      (* [top_heap_words] is a high-water mark, not a counter, and the
+         OCaml 5 runtime does not keep successive readings monotone: a
+         reading after the thunk can be lower than the one before it
+         (seen with a multi-domain pool alive). A watermark cannot
+         shrink over a span, so report its growth, clamped at zero. *)
+      top_heap_words = max 0 (after.Gc.top_heap_words - before.Gc.top_heap_words);
     }
 
   let measure f =

@@ -6,12 +6,13 @@
 
     - {b Counters and histograms multicore-safe, the rest
       single-domain.} Counters are atomic because the [Par] worker
-      domains drive instrumented read paths ([Similarity.score],
-      [Pst.log_prob]); histogram buckets are atomic (and the float sum
+      domains drive instrumented paths ([Similarity.score],
+      [Pst.log_prob], and PST insertion and pruning in the per-cluster
+      reclustering apply); histogram buckets are atomic (and the float sum
       a CAS loop) because any domain owning a pool may observe
       latencies ([par.steal_wait_seconds]). Gauges, span tracing, and
       registration are plain mutable data touched only by the main
-      (serial-mutate) domain. Worker domains additionally write to
+      (submitting) domain. Worker domains additionally write to
       their own {!Recorder} rings, which are per-domain by
       construction.
     - {b Free when disabled.} Metrics, tracing, and the recorder
@@ -377,7 +378,8 @@ module Resource : sig
             that can be negative (compaction can shrink the heap). *)
     top_heap_words : int;
         (** Growth of the process-lifetime heap watermark during the
-            span. *)
+            span, clamped at zero (successive runtime readings of the
+            watermark are not guaranteed monotone). *)
   }
   (** What one measured span cost the runtime. All fields except
       [heap_words] derive from monotonic [Gc] counters and are

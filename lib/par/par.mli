@@ -2,11 +2,15 @@
 
     A persistent pool of worker domains ([Domain] + [Mutex]/[Condition])
     behind two data-parallel primitives, {!parallel_for} and
-    {!map_chunks}. The pool exists to parallelize the {e read-only} side
-    of the pipeline — similarity scoring of (sequence, cluster) pairs,
-    classifier batches, pairwise distance matrices — while all model
-    mutation (PST insertion, membership updates, threshold moves) stays
-    on the submitting domain. See DESIGN.md §7.
+    {!map_chunks}. The pool runs the {e read-only} side of the pipeline
+    — similarity scoring of (sequence, cluster) pairs, classifier
+    batches, pairwise distance matrices, the shard-merge divergences —
+    and {e ownership} tasks in which each task owns one model: the
+    reclustering apply pass (one task per cluster: its joins, PST
+    insertions and rescores) and the shard merge (one task per merged
+    component). State shared across models (assignments, threshold
+    moves, journal events) is updated on the submitting domain after
+    the job. See DESIGN.md §7.
 
     {b Determinism contract.} Both primitives produce results that are
     bit-identical for every pool size and every chunking: work items are
@@ -17,11 +21,14 @@
     pre-pool serial path.
 
     {b Threading rules.} Jobs are submitted from one domain at a time
-    (the pipeline submits only from the domain running [Cluseq.run]).
-    A body that re-enters the pool (nested submission) runs its job
-    inline on the calling domain rather than deadlocking. Worker bodies
-    must confine themselves to read-only shared data plus writes to
-    disjoint slots they own; of the {!Obs} registry they may touch
+    (the pipeline submits only from the domain running [Cluseq.run] or
+    [Shard.run]). A body that re-enters the pool (nested submission)
+    runs its job inline on the calling domain rather than deadlocking.
+    Worker bodies must confine themselves to read-only shared data plus
+    writes to data they own: disjoint result slots, and for an
+    ownership task the one model (a cluster, or a merged component's
+    fresh PST) that no other item of the job reads or writes. Of the
+    {!Obs} registry they may touch
     counters and histograms (both atomic — histograms since the
     flight-recorder PR; previously [par.steal_wait_seconds] was
     observed under a histograms-are-main-domain-only contract, which

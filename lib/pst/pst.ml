@@ -104,24 +104,44 @@ let detach t n =
         Obs.Metrics.incr ~by:sz m_nodes_pruned
       end
 
-let all_nodes_below t =
-  let acc = ref [] in
-  let rec go n = Smallmap.iter (fun _ c -> acc := c :: !acc; go c) n.children in
+(* Every node below the root, in reverse depth-first preorder (the
+   order the pruning scans have always visited them in, which fixes how
+   [Array.sort] breaks ties). *)
+let nodes_below t =
+  let arr = Array.make (t.n_nodes - 1) t.root in
+  let i = ref (Array.length arr) in
+  let rec go n =
+    Smallmap.iter
+      (fun _ c ->
+        decr i;
+        arr.(!i) <- c;
+        go c)
+      n.children
+  in
   go t.root;
-  !acc
+  assert (!i = 0);
+  arr
 
-(* Remove whole subtrees in a given priority order until under [target]. *)
-let prune_ordered t target order_key =
-  let nodes = all_nodes_below t in
-  let arr = Array.of_list nodes in
-  let keyed = Array.map (fun n -> (order_key n, n)) arr in
-  Array.sort (fun (a, _) (b, _) -> compare a b) keyed;
+(* Remove whole subtrees in [cmp] order until under [target]. *)
+let prune_ordered t target cmp =
+  let nodes = nodes_below t in
+  Array.sort cmp nodes;
   let i = ref 0 in
-  while t.n_nodes > target && !i < Array.length keyed do
-    let _, n = keyed.(!i) in
-    detach t n;
+  while t.n_nodes > target && !i < Array.length nodes do
+    detach t nodes.(!i);
     incr i
   done
+
+(* Pruning orders as direct field comparisons: smaller count first, and
+   among equal counts the deeper node first (resp. deeper first, then
+   smaller count). *)
+let by_count_then_depth a b =
+  let c = Int.compare a.count b.count in
+  if c <> 0 then c else Int.compare b.depth a.depth
+
+let by_depth_then_count a b =
+  let c = Int.compare b.depth a.depth in
+  if c <> 0 then c else Int.compare a.count b.count
 
 let raw_prob n sym =
   if n.next_total = 0 then None
@@ -143,13 +163,18 @@ let divergence_from_parent t n =
 
 let prune_expected_vector t target =
   (* Phase 1: drop insignificant nodes, smallest count first. *)
-  prune_ordered t target (fun n ->
-      if n.count < t.cfg.significance then (0, n.count, -n.depth) else (1, max_int, 0));
+  let sig_ = t.cfg.significance in
+  prune_ordered t target (fun a b ->
+      match (a.count < sig_, b.count < sig_) with
+      | true, true -> by_count_then_depth a b
+      | true, false -> -1
+      | false, true -> 1
+      | false, false -> 0);
   (* Phase 2: while still over budget, peel leaves whose distribution is
      closest to their parent's. Chunked re-scans keep this near O(n log n). *)
   while t.n_nodes > target do
     let leaves =
-      List.filter (fun n -> Smallmap.length n.children = 0) (all_nodes_below t)
+      List.filter (fun n -> Smallmap.length n.children = 0) (Array.to_list (nodes_below t))
     in
     match leaves with
     | [] -> (* only the root remains *) raise Exit
@@ -168,8 +193,8 @@ let prune_to t target =
     Obs.Metrics.incr m_prunings;
     let before = t.n_nodes in
     (match t.cfg.pruning with
-    | Pruning.Smallest_count_first -> prune_ordered t target (fun n -> (n.count, -n.depth))
-    | Pruning.Longest_label_first -> prune_ordered t target (fun n -> (-n.depth, n.count))
+    | Pruning.Smallest_count_first -> prune_ordered t target by_count_then_depth
+    | Pruning.Longest_label_first -> prune_ordered t target by_depth_then_count
     | Pruning.Expected_vector_first -> ( try prune_expected_vector t target with Exit -> ()));
     Log.debug (fun m ->
         m "pruned %d -> %d nodes (target %d, %s)" before t.n_nodes target

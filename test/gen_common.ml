@@ -68,3 +68,19 @@ let small_config =
     max_iterations = 12;
     seed = 4;
   }
+
+(* [small_config] under a PST node budget the fixture's cluster models
+   outgrow (unpruned they reach ~2700 nodes), so pruning runs inside
+   absorbs during reclustering. *)
+let small_pruned_config = { small_config with max_nodes = 1000 }
+
+(* [f ()] with metrics on, paired with the number of PST nodes pruning
+   removed meanwhile. *)
+let counting_prunes f =
+  let c = Obs.Metrics.counter "pst.nodes_pruned" in
+  let was_enabled = Obs.Metrics.is_enabled () in
+  Obs.Metrics.enable ();
+  Fun.protect ~finally:(fun () -> if not was_enabled then Obs.Metrics.disable ()) @@ fun () ->
+  let before = Obs.Metrics.counter_value c in
+  let r = f () in
+  (r, Obs.Metrics.counter_value c - before)

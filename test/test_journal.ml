@@ -121,6 +121,39 @@ let journal_of ~domains run =
 let journal_of_run ~domains =
   journal_of ~domains (fun db -> Cluseq.run ~config:Gen_common.small_config db)
 
+(* [line] with the value of its ["ts_ns"] field blanked. *)
+let blank_ts line =
+  let key = "\"ts_ns\":" in
+  let kl = String.length key and n = String.length line in
+  let rec find i =
+    if i + kl > n then None else if String.sub line i kl = key then Some i else find (i + 1)
+  in
+  match find 0 with
+  | None -> line
+  | Some i ->
+      let j = ref (i + kl) in
+      while !j < n && line.[!j] >= '0' && line.[!j] <= '9' do
+        incr j
+      done;
+      String.sub line 0 (i + kl) ^ String.sub line !j (n - !j)
+
+(* The journal bytes, line by line with timestamps blanked, of a run
+   under [Gen_common.small_pruned_config], plus the PST nodes pruning
+   removed during it. *)
+let pruned_journal_lines ~domains =
+  let db, _ = Lazy.force Gen_common.small_db_and_truth in
+  with_domains domains (fun () ->
+      Obs.reset ();
+      with_temp_journal (fun path ->
+          Obs.Journal.open_file path;
+          let _, pruned =
+            Gen_common.counting_prunes (fun () ->
+                Cluseq.run ~config:Gen_common.small_pruned_config db)
+          in
+          Obs.Journal.close ();
+          let text = In_channel.with_open_text path In_channel.input_all in
+          (List.map blank_ts (String.split_on_char '\n' text), pruned)))
+
 let test_journal_identical_across_domains () =
   let base = journal_of_run ~domains:1 in
   Alcotest.(check bool) "run journaled events" true (base <> []);
@@ -136,7 +169,27 @@ let test_journal_identical_across_domains () =
     (fun (a : Obs.Journal.entry) (b : Obs.Journal.entry) ->
       if a <> b then
         Alcotest.failf "journal diverges at record %d: %s vs %s" a.j_seq a.j_event b.j_event)
-    base par
+    base par;
+  (* Pruning inside absorbs on the per-cluster apply tasks: the journal
+     bytes must still not depend on the domain count. *)
+  let base, base_pruned = pruned_journal_lines ~domains:1 in
+  Alcotest.(check bool) "pruning ran" true (base_pruned > 0);
+  List.iter
+    (fun domains ->
+      let lines, pruned = pruned_journal_lines ~domains in
+      Alcotest.(check int)
+        (Printf.sprintf "pruned run: nodes pruned at 1 vs %d domains" domains)
+        base_pruned pruned;
+      Alcotest.(check int)
+        (Printf.sprintf "pruned run: line count at 1 vs %d domains" domains)
+        (List.length base) (List.length lines);
+      List.iteri
+        (fun i (a, b) ->
+          if a <> b then
+            Alcotest.failf "pruned run journal at %d domains diverges at line %d:\n%s\n%s"
+              domains (i + 1) a b)
+        (List.combine base lines))
+    [ 2; 4 ]
 
 (* --- sharded runs ---------------------------------------------------- *)
 

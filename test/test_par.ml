@@ -104,33 +104,56 @@ let db_and_truth = Gen_common.small_db_and_truth
 let config = Gen_common.small_config
 let with_domains = Gen_common.with_domains
 
+(* The whole result at 1 domain vs 2 and 4, once with the default node
+   budget and once with a budget small enough that PST pruning runs
+   inside absorbs on the per-cluster apply tasks. Pruning is counted
+   through metrics, which also fill the wall-clock phase timings — the
+   one field allowed to differ, so it is stripped. *)
 let test_cluseq_identical_across_domain_counts () =
   let db, truth = Lazy.force db_and_truth in
-  let run d = with_domains d (fun () -> Cluseq.run ~config db) in
-  let base = run 1 in
   let n = Seq_database.n_sequences db in
-  let base_acc =
-    let hard = Cluseq.hard_labels base ~n in
+  let accuracy r =
+    let hard = Cluseq.hard_labels r ~n in
     Metrics.accuracy ~truth ~pred_class:(Matching.relabel ~truth ~pred:hard)
   in
+  let run ~config d =
+    let (r : Cluseq.result), pruned =
+      with_domains d (fun () -> Gen_common.counting_prunes (fun () -> Cluseq.run ~config db))
+    in
+    let history =
+      List.map (fun (st : Cluseq.iteration_stats) -> { st with timings = None }) r.history
+    in
+    ({ r with history }, pruned)
+  in
   List.iter
-    (fun d ->
-      let r = run d in
-      let tag fmt = Printf.sprintf ("domains=%d: " ^^ fmt) d in
-      Alcotest.(check bool) (tag "assignments identical") true (r.assignments = base.assignments);
-      Alcotest.(check bool) (tag "clusters identical") true (r.clusters = base.clusters);
-      Alcotest.(check bool) (tag "best identical") true (r.best = base.best);
-      Alcotest.(check bool) (tag "outliers identical") true (r.outliers = base.outliers);
-      Alcotest.(check int) (tag "n_clusters") base.n_clusters r.n_clusters;
-      Alcotest.(check int) (tag "iterations") base.iterations r.iterations;
-      Alcotest.(check (float 0.0)) (tag "final_t") base.final_t r.final_t;
-      Alcotest.(check bool) (tag "history identical") true (r.history = base.history);
-      let acc =
-        let hard = Cluseq.hard_labels r ~n in
-        Metrics.accuracy ~truth ~pred_class:(Matching.relabel ~truth ~pred:hard)
-      in
-      Alcotest.(check (float 0.0)) (tag "quality headline identical") base_acc acc)
-    [ 2; 4 ]
+    (fun (label, config, must_prune) ->
+      let base, base_pruned = run ~config 1 in
+      if must_prune then Alcotest.(check bool) (label ^ ": pruning ran") true (base_pruned > 0);
+      let base_acc = accuracy base in
+      List.iter
+        (fun d ->
+          let r, pruned = run ~config d in
+          let tag fmt = Printf.sprintf ("%s, domains=%d: " ^^ fmt) label d in
+          Alcotest.(check bool)
+            (tag "assignments identical") true (r.assignments = base.assignments);
+          Alcotest.(check bool) (tag "clusters identical") true (r.clusters = base.clusters);
+          Alcotest.(check bool) (tag "best identical") true (r.best = base.best);
+          Alcotest.(check bool) (tag "outliers identical") true (r.outliers = base.outliers);
+          Alcotest.(check int) (tag "n_clusters") base.n_clusters r.n_clusters;
+          Alcotest.(check int) (tag "iterations") base.iterations r.iterations;
+          Alcotest.(check (float 0.0)) (tag "final_t") base.final_t r.final_t;
+          Alcotest.(check bool) (tag "history identical") true (r.history = base.history);
+          Alcotest.(check bool) (tag "models identical") true
+            (Array.for_all2
+               (fun (id, m) (id', m') -> id = id' && Pst.equal_structure m m')
+               base.models r.models);
+          Alcotest.(check int) (tag "nodes pruned") base_pruned pruned;
+          Alcotest.(check (float 0.0)) (tag "quality headline identical") base_acc (accuracy r))
+        [ 2; 4 ])
+    [
+      ("default budget", config, false);
+      ("max_nodes 1000", Gen_common.small_pruned_config, true);
+    ]
 
 (* The reclustering scan is now batched (one automaton over a block of
    lanes, Cluseq.scan_block sequences per task): pin down that the
