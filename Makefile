@@ -91,7 +91,8 @@ shard-smoke: build
 	echo "shard-smoke: OK"
 
 # Deterministic fuzz sweep over every correctness oracle (differential
-# PST, brute-force similarity, serial reclustering replay, 1-vs-4-domain
+# PST, brute-force similarity, the automaton kept current by in-place
+# refresh vs a fresh compile, serial reclustering replay, 1-vs-4-domain
 # determinism, sketch-gated vs full reclustering scan). A failure prints
 # a minimized workload and a replay seed; sketch-gate false negatives
 # (possible by design) are reported as notes, not failures.
@@ -111,6 +112,7 @@ check: build test fuzz fmt-check bench-smoke trace-smoke shard-smoke
 	grep -q '"pst.insertions"' $$tmp/smoke.json \
 	  && grep -q '"similarity.calls"' $$tmp/smoke.json \
 	  && grep -q '"similarity.compile_seconds"' $$tmp/smoke.json \
+	  && grep -q '"pst.refreshes"' $$tmp/smoke.json \
 	  && grep -q '"cluseq.iter.reclustering_seconds"' $$tmp/smoke.json \
 	  || { echo "check: metrics smoke test FAILED ($$tmp/smoke.json)"; exit 1; }; \
 	rm -rf $$tmp; \

@@ -185,6 +185,9 @@ let cluster_invariants clusters ~assignments =
 (* Reclustering replay oracle                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* The engine's marker for a pair the sketch gate pruned. *)
+let unscored : Similarity.result = { log_sim = Float.nan; seg_lo = -1; seg_hi = -1 }
+
 let reference_recluster (snap : Cluseq.recluster_snapshot) =
   let db = snap.snap_db in
   let n = Seq_database.n_sequences db in
@@ -212,6 +215,7 @@ let reference_recluster (snap : Cluseq.recluster_snapshot) =
   in
   let members = Array.init k (fun _ -> Bitset.create n) in
   let assignments = Array.make n [] in
+  let decided = Array.init k (fun _ -> Array.make n unscored) in
   Array.iter
     (fun sid ->
       let s = Seq_database.get db sid in
@@ -219,6 +223,7 @@ let reference_recluster (snap : Cluseq.recluster_snapshot) =
         (fun ci (id, _, before) ->
           if admit sid ~before ~ci then begin
             let r = Similarity.score psts.(ci) ~log_background:lbg s in
+            decided.(ci).(sid) <- r;
             if r.log_sim >= snap.snap_log_t then begin
               Bitset.add members.(ci) sid;
               (* Only a fresh joiner's best segment feeds the model; a
@@ -231,12 +236,16 @@ let reference_recluster (snap : Cluseq.recluster_snapshot) =
         snap.snap_before)
     snap.snap_order;
   Array.iteri (fun i l -> assignments.(i) <- List.rev l) assignments;
-  (Array.mapi (fun ci (id, _, _) -> (id, members.(ci))) snap.snap_before, assignments)
+  (Array.mapi (fun ci (id, _, _) -> (id, members.(ci))) snap.snap_before, assignments, decided)
 
-let recluster_matches (snap : Cluseq.recluster_snapshot) ~after ~assignments =
+(* Deciding-score mismatches reported per pass before the rest is only
+   counted: one wrong row in an automaton shifts many scores at once. *)
+let max_score_reports = 10
+
+let recluster_matches (snap : Cluseq.recluster_snapshot) ~after ~assignments ~decided =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errs := m :: !errs) fmt in
-  let ref_after, ref_assignments = reference_recluster snap in
+  let ref_after, ref_assignments, ref_decided = reference_recluster snap in
   if Array.length after <> Array.length ref_after then
     err "engine reports %d clusters, replay %d" (Array.length after) (Array.length ref_after)
   else
@@ -261,16 +270,44 @@ let recluster_matches (snap : Cluseq.recluster_snapshot) ~after ~assignments =
             (String.concat ";" (List.map string_of_int l))
             (String.concat ";" (List.map string_of_int rl)))
       assignments;
+  (* The deciding scores themselves: a score that moved without
+     flipping a join still moves [best] and the threshold samples. *)
+  let same_shape =
+    Array.length decided = Array.length ref_decided
+    && Array.for_all2 (fun a b -> Array.length a = Array.length b) decided ref_decided
+  in
+  if not same_shape then err "engine reports a deciding-score matrix of another shape"
+  else begin
+    let mismatches = ref 0 in
+    Array.iteri
+      (fun ci column ->
+        Array.iteri
+          (fun sid (r : Similarity.result) ->
+            let w = ref_decided.(ci).(sid) in
+            if not (Float.equal r.log_sim w.log_sim && r.seg_lo = w.seg_lo && r.seg_hi = w.seg_hi)
+            then begin
+              incr mismatches;
+              if !mismatches <= max_score_reports then
+                let id, _, _ = snap.snap_before.(ci) in
+                err "cluster %d, sequence %d: engine decided on %.17g [%d,%d], serial replay on \
+                     %.17g [%d,%d]"
+                  id sid r.log_sim r.seg_lo r.seg_hi w.log_sim w.seg_lo w.seg_hi
+            end)
+          column)
+      decided;
+    if !mismatches > max_score_reports then
+      err "… and %d more deciding scores differ" (!mismatches - max_score_reports)
+  end;
   List.rev !errs
 
 (* Compiled-vs-tree scoring oracle: the automaton must be a pure
    representation change, so every float it produces — per-position X_i
    profile, final log-similarity, and the maximizing segment bounds —
    must equal the tree walk's exactly. *)
-let psa_scoring_matches pst ~log_background probes =
+let psa_scoring_matches ?psa pst ~log_background probes =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errs := m :: !errs) fmt in
-  let psa = Psa.compile pst in
+  let psa = match psa with Some psa -> psa | None -> Psa.compile pst in
   Array.iteri
     (fun pi s ->
       let xt = Similarity.xs pst ~log_background s in
@@ -300,6 +337,32 @@ let psa_scoring_matches pst ~log_background probes =
         err "probe %d: tree score %.17g [%d,%d], compiled %.17g [%d,%d]" pi rt.log_sim
           rt.seg_lo rt.seg_hi rc.log_sim rc.seg_lo rc.seg_hi)
     probes;
+  List.rev !errs
+
+(* An automaton kept current by refresh-or-recompile against a fresh
+   compile of the same tree: the same state count and, cell for cell,
+   the same transitions, emission bits and prediction depths. *)
+let psa_tables_match ~fresh psa =
+  let errs = ref [] in
+  let err fmt = Printf.ksprintf (fun m -> errs := m :: !errs) fmt in
+  let ns = Psa.n_states psa and n = Psa.alphabet_size psa in
+  if ns <> Psa.n_states fresh || n <> Psa.alphabet_size fresh then
+    err "maintained automaton has %d states over %d symbols, fresh compile %d over %d" ns n
+      (Psa.n_states fresh) (Psa.alphabet_size fresh)
+  else
+    for u = 0 to ns - 1 do
+      if Psa.prediction_depth psa u <> Psa.prediction_depth fresh u then
+        err "state %d: prediction depth %d, fresh compile %d" u (Psa.prediction_depth psa u)
+          (Psa.prediction_depth fresh u);
+      for a = 0 to n - 1 do
+        if Psa.step psa u a <> Psa.step fresh u a then
+          err "state %d symbol %d: transition to %d, fresh compile %d" u a (Psa.step psa u a)
+            (Psa.step fresh u a);
+        let e = Psa.emission psa u a and f = Psa.emission fresh u a in
+        if Int64.bits_of_float e <> Int64.bits_of_float f then
+          err "state %d symbol %d: emission %.17g, fresh compile %.17g" u a e f
+      done
+    done;
   List.rev !errs
 
 (* Batched-vs-serial scoring oracle: [Psa.score_batch] interleaves the
@@ -403,8 +466,8 @@ let raise_if ctx = function
 let auditor () : Cluseq.auditor =
   {
     on_recluster =
-      (fun snap ~after ~assignments ->
-        raise_if "recluster" (recluster_matches snap ~after ~assignments));
+      (fun snap ~after ~assignments ~decided ->
+        raise_if "recluster" (recluster_matches snap ~after ~assignments ~decided));
     on_iteration =
       (fun ~iteration ~clusters ~assignments ->
         raise_if

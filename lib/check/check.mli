@@ -42,40 +42,57 @@ val cluster_invariants : Cluster.t list -> assignments:int list array -> string 
     every surviving cluster's PST passes {!pst_invariants}. *)
 
 val reference_recluster :
-  Cluseq.recluster_snapshot -> (int * Bitset.t) array * int list array
+  Cluseq.recluster_snapshot ->
+  (int * Bitset.t) array * int list array * Similarity.result array array
 (** Serial reference replay of one reclustering pass from its frozen
     snapshot: visit sequences in the recorded order and score each
-    against every cluster's {e current} (evolving) model copy — no
-    parallel score matrix, no dirty tracking — joining, absorbing and
-    recording assignments with the engine's exact rules. Returns the
-    per-cluster memberships and per-sequence assignment lists the pass
-    must produce. When the snapshot records an active sketch gate
-    ([snap_index_ratio]), the replay rederives the same gate from the
-    snapshot's iteration-start model copies and skips pruned pairs
-    exactly as the engine did. Because scoring and gating are
+    against every cluster's {e current} (evolving) model copy by the
+    tree walk — no parallel score matrix, no dirty tracking, no
+    automaton — joining, absorbing and recording assignments with the
+    engine's exact rules. Returns the per-cluster memberships, the
+    per-sequence assignment lists, and the per-cluster, per-sequence
+    deciding scores the pass must produce (gate-pruned pairs carry a
+    [nan] score and bounds [(-1, -1)], as in the engine). When the
+    snapshot records an active sketch gate ([snap_index_ratio]), the
+    replay rederives the same gate from the snapshot's iteration-start
+    model copies and skips pruned pairs exactly as the engine did. Because scoring and gating are
     deterministic, the engine's optimized pass (parallel matrix +
-    dirty-cluster rescoring + sketch gate) must match this replay
-    bit-for-bit. *)
+    dirty-cluster rescoring on refreshed automata + sketch gate) must
+    match this replay bit-for-bit. *)
 
 val recluster_matches :
   Cluseq.recluster_snapshot ->
   after:(int * Bitset.t) array ->
   assignments:int list array ->
+  decided:Similarity.result array array ->
   string list
 (** Compare the engine's reclustering outcome against
-    {!reference_recluster}; messages name each diverging cluster or
-    sequence. *)
+    {!reference_recluster}: memberships, assignment lists, and every
+    deciding score — [log_sim] by [Float.equal] and the segment bounds —
+    so a score that moved without flipping a join (it still moves
+    [best] and the threshold samples) is caught too. Messages name each
+    diverging cluster or sequence; score mismatches beyond the first 10
+    of a pass are counted in one closing message. *)
 
 val psa_scoring_matches :
-  Pst.t -> log_background:float array -> Sequence.t array -> string list
-(** Differential oracle for the compiled scoring automaton: compiles the
-    tree with {!Psa.compile} and demands {e exact} float equality of the
-    per-position X_i profiles ({!Similarity.xs} vs {!Similarity.xs_psa}),
-    identical maximizing segments and log-similarities
-    ({!Similarity.score} vs {!Similarity.score_psa}), and per-position
-    agreement of the automaton state's depth with
+  ?psa:Psa.t -> Pst.t -> log_background:float array -> Sequence.t array -> string list
+(** Differential oracle for the compiled scoring automaton [psa]
+    (default: {!Psa.compile} of the tree; pass one kept current by
+    {!Psa.refresh} to test that instead). Demands {e exact} float
+    equality of the per-position X_i profiles ({!Similarity.xs} vs
+    {!Similarity.xs_psa}), identical maximizing segments and
+    log-similarities ({!Similarity.score} vs {!Similarity.score_psa}),
+    and per-position agreement of the automaton state's depth with
     {!Pst.prediction_node}'s. Run by the fuzz harness on every case,
-    against both the unpruned and a pruned tree. *)
+    against both the unpruned and a pruned tree, and by check #8 on a
+    maintained automaton. *)
+
+val psa_tables_match : fresh:Psa.t -> Psa.t -> string list
+(** [psa_tables_match ~fresh psa] compares an automaton kept current by
+    refresh-or-recompile with [fresh], a new {!Psa.compile} of the same
+    tree: the same state count, and cell for cell the same transitions,
+    prediction depths and emission bits. Run by the QCheck property in
+    [test_psa.ml] and by fuzz check #8 after every insertion. *)
 
 val batch_scoring_matches :
   Pst.t -> log_background:float array -> Sequence.t array list -> string list

@@ -167,6 +167,29 @@ let run_case ?(on_divergence = ignore) case =
       if not (Float.equal a b) then
         err "merge: merged-tree score %.17g <> whole-tree score %.17g" b a)
     case.probes;
+  (* Maintained automaton (check #8): stream random segments of the
+     training sequences, twice over, into a tree whose node budget
+     forces pruning, keeping one automaton current by refresh-or-
+     recompile the way a cluster does. After every insertion it must
+     equal a fresh compile table for table and score every probe
+     exactly like the tree walk. *)
+  let live = Pst.create { pcfg with max_nodes = max 2 (Pst.n_nodes pst / 3) } in
+  let psa = ref (Psa.compile live) in
+  let seg_rng = Rng.create case.case_seed in
+  for _ = 1 to 2 do
+    Array.iter
+      (fun s ->
+        let l = Array.length s in
+        if l > 0 then begin
+          let lo = Rng.int seg_rng l in
+          Pst.insert_segment live s ~lo ~hi:(lo + Rng.int seg_rng (l - lo));
+          if not (Psa.refresh !psa live) then psa := Psa.compile live;
+          add_all "psa-maintained" (Check.psa_tables_match ~fresh:(Psa.compile live) !psa);
+          add_all "psa-maintained"
+            (Check.psa_scoring_matches ~psa:!psa live ~log_background:lbg case.probes)
+        end)
+      case.seqs
+  done;
   (* --- 3. audited clustering at 1 vs 4 domains --- *)
   let saved = Par.default_domains () in
   (* Metrics on, so the [pst.nodes_pruned] counter below counts. *)
@@ -278,7 +301,8 @@ let run_case ?(on_divergence = ignore) case =
   Par.set_default_domains 1;
   (match Check.index_agrees ~config:cfg ~ratio:Index.default_ratio db with
   | Check.Index_skipped | Check.Index_identical -> ()
-  | Check.Index_diverged report -> on_divergence report);
+  | Check.Index_diverged report -> on_divergence report
+  | exception Check.Violation msgs -> add_all "index auditor" msgs);
   dedup (List.rev !errs)
 
 let drop_at arr i =

@@ -9,8 +9,14 @@
       the tree and re-checks {!Check.pst_invariants};
     - compares the Kadane similarity scan against the O(l²) brute-force
       reference on every probe;
+    - streams segments into a tree under a node budget that forces
+      pruning while one automaton is kept current by {!Psa.refresh} or
+      recompile (check #8), and after every insertion demands equality
+      with a fresh {!Psa.compile} ({!Check.psa_tables_match}) and with
+      the tree walk ({!Check.psa_scoring_matches});
     - runs {!Cluseq.run} at 1 and at 4 domains with the
-      {!Check.auditor} installed (serial reclustering replay + live
+      {!Check.auditor} installed (a serial reclustering replay of
+      memberships, assignments and deciding scores, plus live
       invariants every iteration) and demands structurally identical
       results — the determinism contract of the domain pool — then
       repeats the pair under a [max_nodes] budget of half the largest
@@ -56,7 +62,9 @@ val run_case : ?on_divergence:(string -> unit) -> case -> string list
     than the full scan — a heuristic false negative, counted on
     [cluseq.index.false_negatives] but not treated as a failure (the
     gated run's {e engine} correctness is separately enforced by the
-    installed auditor's serial replay, which raises on mismatch). *)
+    installed auditor's serial replay; a {!Check.Violation} it raises
+    there is caught and reported among the case's messages, like the
+    audited runs'). *)
 
 val shrink : case -> still_fails:(case -> bool) -> case
 (** Greedy, budget-capped minimization: repeatedly drop a sequence or

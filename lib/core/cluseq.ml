@@ -136,7 +136,11 @@ type recluster_snapshot = {
 
 type auditor = {
   on_recluster :
-    recluster_snapshot -> after:(int * Bitset.t) array -> assignments:int list array -> unit;
+    recluster_snapshot ->
+    after:(int * Bitset.t) array ->
+    assignments:int list array ->
+    decided:Similarity.result array array ->
+    unit;
   on_iteration : iteration:int -> clusters:Cluster.t list -> assignments:int list array -> unit;
 }
 
@@ -465,7 +469,7 @@ type column = {
          pruned the pair *)
   scored : int;  (* matrix entries freshly evaluated *)
   reused : int;  (* matrix entries served by the score-column cache *)
-  rescores : int;  (* tree-walk rescores once the cluster went dirty *)
+  rescores : int;  (* rescores once the cluster went dirty *)
   fresh_joins : int;
 }
 
@@ -476,8 +480,9 @@ type column = {
    cluster — so the task walks [order] over its own matrix column and
    absorbs each fresh joiner before the next sequence is scored. The
    first absorb leaves the column stale ("dirty"); every later pair is
-   rescored by the tree walk against the grown model. [cl] is mutated by
-   this task only. *)
+   rescored against the grown model, whose automaton [Cluster.similarity]
+   refreshes (or recompiles) in place first. [cl] is mutated by this
+   task only. *)
 let apply_column db ~log_background ~log_t ~order ~scores ~cache ~cache_on ~prev ci cl =
   let results = Array.make (Array.length scores) not_scored in
   let dirty = ref false in
@@ -668,11 +673,12 @@ let run ?(config = default_config) db =
 
        Apply: one task per cluster ([apply_column]) visits sequences in
        the arranged examination order, joins and absorbs against its own
-       model, and rescores by tree walk once that model has grown. This
-       is the fully serial algorithm cluster by cluster — a growing
-       cluster attracts later sequences within the same iteration, which
-       the paper's incremental one-pass design depends on — because no
-       cluster's decisions read another cluster's state.
+       model, and rescores against its refreshed automaton once that
+       model has grown. This is the fully serial algorithm cluster by
+       cluster — a growing cluster attracts later sequences within the
+       same iteration, which the paper's incremental one-pass design
+       depends on — because no cluster's decisions read another
+       cluster's state.
 
        Merge: this domain folds the tasks' columns in the serial
        algorithm's (order position, cluster index) order, rebuilding
@@ -714,10 +720,11 @@ let run ?(config = default_config) db =
                 snap_index_ratio = gate_ratio;
               }
       in
-      (* One compiled scorer per (cluster, pass): clusters untouched since
-         their last compile keep the cache; any absorbed segment dropped
-         it, so this rebuilds exactly the stale ones — on this domain,
-         before the fan-out. Gate bitmaps share the same lifecycle. *)
+      (* One current compiled scorer per (cluster, pass): clusters whose
+         tree grew since their automaton was last brought up to date get
+         it refreshed or recompiled here — on this domain, before the
+         read-only fan-out, which never touches an automaton. Gate bitmaps
+         are rebuilt for clusters whose tree grew. *)
       Array.iter Cluster.compile clusters_arr;
       let gate =
         match gate_ratio with
@@ -850,6 +857,7 @@ let run ?(config = default_config) db =
                  (fun cl -> (Cluster.id cl, Bitset.copy (Cluster.members cl)))
                  clusters_arr)
             ~assignments:(Array.copy new_assignments)
+            ~decided:(Array.map (fun c -> c.results) columns)
       | _ -> ());
       (* Census tallies: the parallel matrix scored every admitted
          (sequence, cluster) pair — all n×k when the gate is off; the

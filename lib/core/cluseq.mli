@@ -86,9 +86,18 @@ type recluster_snapshot = {
 
 type auditor = {
   on_recluster :
-    recluster_snapshot -> after:(int * Bitset.t) array -> assignments:int list array -> unit;
+    recluster_snapshot ->
+    after:(int * Bitset.t) array ->
+    assignments:int list array ->
+    decided:Similarity.result array array ->
+    unit;
       (** Called at the end of every reclustering pass with the frozen
-          inputs and the produced memberships/assignments. *)
+          inputs and the produced memberships/assignments. [decided]
+          holds, per cluster (aligned with [snap_before]) and by
+          sequence id, the result that decided the pair — the matrix
+          score, or the rescore against the grown model once the
+          cluster absorbed. Pairs the sketch gate pruned carry a [nan]
+          [log_sim] and bounds [(-1, -1)]. Read-only. *)
   on_iteration : iteration:int -> clusters:Cluster.t list -> assignments:int list array -> unit;
       (** Called after consolidation each iteration with the surviving
           clusters and the (stripped) assignment lists. *)
@@ -120,9 +129,10 @@ type scan_census = {
           joiner. *)
   pairs_joined : int;  (** Evaluations at or above the join threshold. *)
   dirty_rescores : int;
-      (** Tree-walk re-evaluations against mutated ("dirty")
-          clusters, run inside each cluster's apply task — the part of
-          the scan the score matrix could not cover. *)
+      (** Re-evaluations against mutated ("dirty") clusters, run inside
+          each cluster's apply task on its in-place refreshed (or
+          recompiled) automaton — the tree walk only under [--no-psa] —
+          the part of the scan the score matrix could not cover. *)
   assignments_changed : int;
       (** Sequences whose membership set changed this iteration (equals
           [membership_changes]). *)

@@ -7,8 +7,9 @@
     batches, pairwise distance matrices, the shard-merge divergences —
     and {e ownership} tasks in which each task owns one model: the
     reclustering apply pass (one task per cluster: its joins, PST
-    insertions and rescores) and the shard merge (one task per merged
-    component). State shared across models (assignments, threshold
+    insertions, rescores, and the in-place refresh or recompile of its
+    compiled automaton before each rescore) and the shard merge (one
+    task per merged component). State shared across models (assignments, threshold
     moves, journal events) is updated on the submitting domain after
     the job. See DESIGN.md §7.
 
@@ -26,8 +27,9 @@
     runs its job inline on the calling domain rather than deadlocking.
     Worker bodies must confine themselves to read-only shared data plus
     writes to data they own: disjoint result slots, and for an
-    ownership task the one model (a cluster, or a merged component's
-    fresh PST) that no other item of the job reads or writes. Of the
+    ownership task the one model (a cluster with its PST and automaton,
+    or a merged component's fresh PST) that no other item of the job
+    reads or writes. Of the
     {!Obs} registry they may touch
     counters and histograms (both atomic — histograms since the
     flight-recorder PR; previously [par.steal_wait_seconds] was

@@ -31,9 +31,16 @@
    active suffix of its label — its own tree node when the label is an
    active context, else the failure chain's prediction (any active
    proper suffix is itself a trie node, hence a suffix of the failure
-   target's label). Emissions are then precomputed with
-   Pst.next_log_prob itself, so the stored floats are bit-equal to what
-   the tree walk computes at score time.
+   target's label). Emissions are then precomputed with the tree's own
+   smoothing formula (Pst.smoothed_log_prob), so the stored floats are
+   bit-equal to what the tree walk computes at score time.
+
+   Everything but the emissions is a function of the active set alone.
+   While that set holds still (Pst.active_changes unchanged), an
+   insertion only moves counts, and [refresh] brings the automaton up
+   to date by rewriting the rows of the states whose prediction node's
+   next_total moved — with the same row routine as [compile], hence
+   the same floats a fresh compile would store.
 
    The finished tables live in Bigarrays, i.e. off the OCaml heap: the
    GC neither scans nor moves them, a compiled automaton is one flat
@@ -43,6 +50,7 @@
    bit of any emission the tree walk would produce. *)
 
 let m_compilations = Obs.Metrics.counter "pst.compilations"
+let m_refreshes = Obs.Metrics.counter "pst.refreshes"
 let m_compiled_states = Obs.Metrics.counter "pst.compiled_states"
 let m_table_bytes = Obs.Metrics.counter "pst.compiled_table_bytes"
 let h_compile_seconds = Obs.Metrics.histogram "similarity.compile_seconds"
@@ -55,7 +63,10 @@ type t = {
   n_states : int;
   trans : trans_table; (* state * n + sym -> next state *)
   emit : emit_table; (* state * n + sym -> log P(sym | prediction ctx) *)
-  pred_depth : int array; (* state -> depth of its prediction node *)
+  pred : Pst.node array; (* state -> its prediction node *)
+  pred_total : int array; (* state -> that node's next_total when its row was written *)
+  source : Pst.t; (* the tree compiled *)
+  active_changes : int; (* its Pst.active_changes at compile time *)
 }
 
 let enabled_flag = ref true
@@ -65,13 +76,33 @@ let alphabet_size t = t.alphabet_size
 let n_states t = t.n_states
 let transitions t = t.trans
 let emissions t = t.emit
-let prediction_depth t i = t.pred_depth.(i)
+let prediction_depth t i = Pst.node_depth t.pred.(i)
 let step t state sym = Bigarray.Array1.get t.trans ((state * t.alphabet_size) + sym)
 let emission t state sym = Bigarray.Array1.get t.emit ((state * t.alphabet_size) + sym)
 
 let table_bytes t =
   (* 8 bytes per cell in both tables (int and float64 elements). *)
-  8 * ((Bigarray.Array1.dim t.trans + Bigarray.Array1.dim t.emit) + Array.length t.pred_depth)
+  8 * ((Bigarray.Array1.dim t.trans + Bigarray.Array1.dim t.emit) + Array.length t.pred)
+
+(* State [u]'s emission row from its prediction node [nd]: the smoothed
+   log-probability of every symbol by the tree's own formula. All
+   zero-count symbols share one value, so a row costs one [log] plus one
+   per observed symbol. The only writer of emission rows, for [compile]
+   and [refresh] alike. *)
+let write_row pst emit ~n u nd =
+  let total = Pst.next_total nd and base = u * n in
+  let unseen = Pst.smoothed_log_prob pst ~count:0 ~total in
+  for a = 0 to n - 1 do
+    Bigarray.Array1.set emit (base + a) unseen
+  done;
+  Pst.iter_next_counts nd (fun a count ->
+      Bigarray.Array1.set emit (base + a) (Pst.smoothed_log_prob pst ~count ~total))
+
+(* The trie under construction, one per domain. Automata are recompiled
+   whenever a context turns significant, on the submitting domain and
+   inside apply tasks alike; a working array allocated per call would
+   land in the major heap every time, so it is kept and reused. *)
+let trie_scratch = Domain.DLS.new_key (fun () -> ref [||])
 
 let compile pst =
   let t0 = if Obs.Metrics.is_enabled () then Timer.now_ns () else 0L in
@@ -79,28 +110,27 @@ let compile pst =
   let n = cfg.Pst.alphabet_size in
   let sigma = cfg.Pst.significance in
   (* --- 1. trie of active labels, oldest symbol first (growable) --- *)
-  let cap = ref 64 in
-  let children = ref (Array.make (!cap * n) (-1)) in
-  let anode = ref (Array.make !cap None) in
-  let count = ref 1 in
-  let grow () =
-    let cap' = 2 * !cap in
-    let c' = Array.make (cap' * n) (-1) in
-    Array.blit !children 0 c' 0 (!cap * n);
-    children := c';
-    let a' = Array.make cap' None in
-    Array.blit !anode 0 a' 0 !cap;
-    anode := a';
-    cap := cap'
+  let scratch = Domain.DLS.get trie_scratch in
+  let count = ref 0 in
+  (* A fresh trie node: its row of children starts empty. *)
+  let new_state () =
+    let id = !count in
+    if (id + 1) * n > Array.length !scratch then begin
+      let grown = Array.make (max (64 * n) (2 * Array.length !scratch)) (-1) in
+      Array.blit !scratch 0 grown 0 (id * n);
+      scratch := grown
+    end;
+    Array.fill !scratch (id * n) n (-1);
+    incr count;
+    id
   in
+  ignore (new_state () (* state 0: the root, the empty context *));
   let add_child u a =
-    let c = !children.((u * n) + a) in
+    let c = !scratch.((u * n) + a) in
     if c >= 0 then c
     else begin
-      if !count >= !cap then grow ();
-      let id = !count in
-      incr count;
-      !children.((u * n) + a) <- id;
+      let id = new_state () in
+      !scratch.((u * n) + a) <- id;
       id
     end
   in
@@ -108,16 +138,18 @@ let compile pst =
      the most recent edge at the head; PST edges prepend older symbols,
      so the head is the *oldest* context symbol — the trie consumes the
      list front to back. *)
+  let actives = ref [] in
   let rec dfs node path =
-    let u = List.fold_left add_child 0 path in
-    !anode.(u) <- Some node;
+    actives := (List.fold_left add_child 0 path, node) :: !actives;
     List.iter
       (fun (s, child) -> if Pst.node_count child >= sigma then dfs child (s :: path))
       (Pst.node_children node)
   in
   dfs (Pst.root pst) [];
   let n_states = !count in
-  let children = !children and anode = !anode in
+  let children = !scratch in
+  let anode = Array.make n_states None in
+  List.iter (fun (u, node) -> anode.(u) <- Some node) !actives;
   (* --- 2. failure links + dense transitions, BFS (parents first) --- *)
   let trans = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (n_states * n) in
   Bigarray.Array1.fill trans 0;
@@ -151,22 +183,42 @@ let compile pst =
   done;
   (* --- 3. emissions via the tree's own smoothing: bit-equal floats --- *)
   let emit = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (n_states * n) in
-  let pred_depth = Array.make n_states 0 in
-  for u = 0 to n_states - 1 do
-    let nd = pred.(u) in
-    pred_depth.(u) <- Pst.node_depth nd;
-    let base = u * n in
-    for a = 0 to n - 1 do
-      Bigarray.Array1.set emit (base + a) (Pst.next_log_prob pst nd a)
-    done
-  done;
+  let pred_total = Array.map Pst.next_total pred in
+  Array.iteri (fun u nd -> write_row pst emit ~n u nd) pred;
   Obs.Metrics.incr m_compilations;
   Obs.Metrics.incr ~by:n_states m_compiled_states;
-  let t = { alphabet_size = n; n_states; trans; emit; pred_depth } in
+  let t =
+    {
+      alphabet_size = n;
+      n_states;
+      trans;
+      emit;
+      pred;
+      pred_total;
+      source = pst;
+      active_changes = Pst.active_changes pst;
+    }
+  in
   Obs.Metrics.incr ~by:(table_bytes t) m_table_bytes;
   if Obs.Metrics.is_enabled () then
     Obs.Metrics.observe h_compile_seconds (Timer.span_s t0 (Timer.now_ns ()));
   t
+
+let refresh t pst =
+  if pst != t.source || Pst.active_changes pst <> t.active_changes then false
+  else begin
+    let n = t.alphabet_size in
+    Array.iteri
+      (fun u nd ->
+        let total = Pst.next_total nd in
+        if total <> t.pred_total.(u) then begin
+          write_row pst t.emit ~n u nd;
+          t.pred_total.(u) <- total
+        end)
+      t.pred;
+    Obs.Metrics.incr m_refreshes;
+    true
+  end
 
 (* --- batch scoring ---------------------------------------------------- *)
 

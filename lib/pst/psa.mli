@@ -12,9 +12,9 @@
     pruned tree needs — with failure links resolved into a dense
     [state × symbol → state] transition table and the smoothed
     log-probabilities of each state's prediction node precomputed with
-    the token-identical formula of {!Pst.next_log_prob}. Scoring then
-    advances one state and reads one float per symbol, with no
-    allocation and no [log].
+    the formula {!Pst.next_log_prob} itself applies
+    ({!Pst.smoothed_log_prob}). Scoring then advances one state and
+    reads one float per symbol, with no allocation and no [log].
 
     The tables are {!Bigarray.Array1} blocks, i.e. {e off the OCaml
     heap}: the GC neither scans nor moves them, so a compiled automaton
@@ -22,19 +22,22 @@
     the same flat block without copies (Bigarray payloads are unboxed C
     buffers, immune to the per-domain minor heaps). They snapshot the
     tree at compile time: any later mutation of the source PST
-    (insertion, pruning) makes the automaton stale, so callers cache one
-    automaton per frozen tree and drop it on mutation (see
-    {!Cluster.compile}).
+    (insertion, pruning) makes the automaton stale until it is brought
+    up to date — in place by {!refresh} when the mutation only moved
+    counts, by a fresh {!compile} when it changed the set of active
+    contexts (see {!Cluster.compile}).
 
     Equality contract: for every sequence, scanning the automaton yields
     {e bit-for-bit} the floats of the tree walk (same prediction node per
     position, same precomputed [log]) — a float64 Bigarray cell stores
     the exact IEEE double written into it; the property tests and the
-    fuzz harness enforce exact float equality, not within-epsilon. See
-    DESIGN.md §9 and §13. *)
+    fuzz harness enforce exact float equality, not within-epsilon. A
+    refreshed automaton is, table for table, the automaton a fresh
+    {!compile} would build. See DESIGN.md §9 and §13. *)
 
 type t
-(** An immutable compiled automaton. *)
+(** A compiled automaton. Its transition structure is immutable; only
+    {!refresh} rewrites its emission rows. *)
 
 type trans_table = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** Off-heap dense transition table. *)
@@ -46,9 +49,22 @@ val compile : Pst.t -> t
 (** [compile pst] builds the automaton for the tree's current state in
     O(states · |Σ|) time and space. Records the
     [similarity.compile_seconds] histogram and the [pst.compilations] /
-    [pst.compiled_states] / [pst.compiled_table_bytes] counters. Must be
-    called on the main domain (histograms are main-domain-only); the
-    result may be read from any domain. *)
+    [pst.compiled_states] / [pst.compiled_table_bytes] counters (all
+    atomic, so any domain may compile). The result may be read from any
+    domain. *)
+
+val refresh : t -> Pst.t -> bool
+(** [refresh t pst] brings [t] up to date with [pst] in place, provided
+    [pst] is (physically) the tree [t] was compiled from and its set of
+    active contexts has not changed since ({!Pst.active_changes}
+    unchanged). It then rewrites only the emission rows whose
+    prediction node's next-symbol counts moved, with the row routine
+    {!compile} uses, so every table equals what a fresh compile would
+    build; it bumps the [pst.refreshes] counter once and returns
+    [true]. Otherwise — another tree, a copy included, or a changed
+    active set — it touches nothing and returns [false], and the caller
+    must recompile. Costs O(states), plus O(|Σ|) per rewritten row. [t]
+    must not be scanned while it is refreshed. *)
 
 val alphabet_size : t -> int
 (** |Σ| of the source tree; symbols fed to the scan must lie in
@@ -91,8 +107,9 @@ val prediction_depth : t -> int -> int
 
 val table_bytes : t -> int
 (** Total bytes held by the automaton's flat tables (transitions +
-    emissions off-heap, plus the small prediction-depth side array) —
-    the amount of model data the GC never scans. *)
+    emissions off-heap, plus one word per state for the small
+    prediction-node side array) — essentially the model data the GC
+    never scans. *)
 
 val enabled : unit -> bool
 (** Whether call sites should compile at all (default [true]). *)

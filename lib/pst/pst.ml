@@ -35,6 +35,11 @@ type t = {
   root : node;
   mutable n_nodes : int;
   log_uniform : float;
+  (* Moves whenever the set of significant non-root nodes may have
+     changed: a count reaching [significance], or pruning detaching a
+     significant node. A compiled automaton stays structurally valid
+     while it holds still (see [Psa.refresh]). *)
+  mutable active_changes : int;
 }
 
 let default_config ~alphabet_size =
@@ -62,6 +67,7 @@ let create cfg =
     root = make_node ~sym:(-1) ~depth:0 ~parent:None;
     n_nodes = 1;
     log_uniform = -.log (float_of_int cfg.alphabet_size);
+    active_changes = 0;
   }
 
 let config t = t.cfg
@@ -71,6 +77,7 @@ let root t = t.root
 let node_count n = n.count
 let node_depth n = n.depth
 let is_significant t n = n.depth = 0 || n.count >= t.cfg.significance
+let active_changes t = t.active_changes
 
 (* ------------------------------------------------------------------ *)
 (* Pruning (paper Sec. 5.1)                                            *)
@@ -98,6 +105,9 @@ let detach t n =
   | None -> ()
   | Some p ->
       if is_attached n then begin
+        (* Only a significant subtree root can take significant nodes
+           with it: a child never outcounts its parent. *)
+        if n.count >= t.cfg.significance then t.active_changes <- t.active_changes + 1;
         Smallmap.remove p.children n.sym;
         let sz = subtree_size n in
         t.n_nodes <- t.n_nodes - sz;
@@ -243,6 +253,7 @@ let insert_segment t s ~lo ~hi =
     while !d < max_d do
       node := child_or_create t !node s.(e - !d);
       bump !node next_sym;
+      if !node.count = t.cfg.significance then t.active_changes <- t.active_changes + 1;
       incr d
     done
   done;
@@ -277,17 +288,23 @@ let prediction_node t s ~lo ~pos =
   done;
   !node
 
-let next_log_prob t node sym =
-  if sym < 0 || sym >= t.cfg.alphabet_size then invalid_arg "Pst.next_log_prob";
-  if node.next_total = 0 then t.log_uniform
+(* The one smoothing formula: every probability read, in the tree walk
+   and in a compiled automaton's emission rows, goes through it, so both
+   produce the same float from the same two counters. *)
+let smoothed_log_prob t ~count ~total =
+  if total = 0 then t.log_uniform
   else begin
-    let raw = float_of_int (Smallmap.get_int node.next sym) /. float_of_int node.next_total in
+    let raw = float_of_int count /. float_of_int total in
     let n = float_of_int t.cfg.alphabet_size in
     let p =
       if t.cfg.p_min > 0.0 then ((1.0 -. (n *. t.cfg.p_min)) *. raw) +. t.cfg.p_min else raw
     in
     if p <= 0.0 then neg_infinity else log p
   end
+
+let next_log_prob t node sym =
+  if sym < 0 || sym >= t.cfg.alphabet_size then invalid_arg "Pst.next_log_prob";
+  smoothed_log_prob t ~count:(Smallmap.get_int node.next sym) ~total:node.next_total
 
 let log_prob t s ~lo ~pos = next_log_prob t (prediction_node t s ~lo ~pos) s.(pos)
 
@@ -309,6 +326,7 @@ let find_node t label =
 
 let next_count n sym = Smallmap.get_int n.next sym
 let next_total n = n.next_total
+let iter_next_counts n f = Smallmap.iter f n.next
 
 let node_children n =
   List.rev (Smallmap.fold (fun sym child acc -> (sym, child) :: acc) n.children [])
@@ -343,7 +361,13 @@ let copy t =
     Smallmap.iter (fun sym child -> Smallmap.set n'.children sym (copy_node (Some n') child)) n.children;
     n'
   in
-  { cfg = t.cfg; root = copy_node None t.root; n_nodes = t.n_nodes; log_uniform = t.log_uniform }
+  {
+    cfg = t.cfg;
+    root = copy_node None t.root;
+    n_nodes = t.n_nodes;
+    log_uniform = t.log_uniform;
+    active_changes = t.active_changes;
+  }
 
 (* Counts-addition merge: a PST built from database A merged with one
    built from database B has exactly the counts of a PST built from

@@ -78,6 +78,15 @@ val node_depth : node -> int
 val is_significant : t -> node -> bool
 (** [count >= significance]; the root is always significant. *)
 
+val active_changes : t -> int
+(** A counter that moves whenever the tree's set of active contexts
+    (nodes whose whole root path is significant) may have changed: a
+    non-root node's count reaching [significance] during
+    {!insert_segment}, or pruning detaching a node whose count is at
+    least [significance]. While it holds still, only counts have
+    changed — the structure a compiled automaton is built from is
+    intact, so {!Psa.refresh} may rewrite its rows in place. *)
+
 val prediction_node : t -> Sequence.t -> lo:int -> pos:int -> node
 (** [prediction_node t s ~lo ~pos] is the prediction node for the context
     [s.(lo) .. s.(pos-1)]: walk backwards from [s.(pos-1)], descending only
@@ -87,7 +96,15 @@ val prediction_node : t -> Sequence.t -> lo:int -> pos:int -> node
 val next_log_prob : t -> node -> int -> float
 (** [next_log_prob t node sym] is {m \log \hat P(sym \mid label(node))}
     with the [p_min] adjustment applied. A node with no next observations
-    yields the uniform [log (1/n)]. *)
+    yields the uniform [log (1/n)]. Equal to
+    [smoothed_log_prob t ~count:(next_count node sym) ~total:(next_total node)]. *)
+
+val smoothed_log_prob : t -> count:int -> total:int -> float
+(** [smoothed_log_prob t ~count ~total] is the log of the smoothed
+    probability of a symbol observed [count] times among [total] next
+    observations ([log (1/n)] when [total = 0]) — the single formula
+    behind {!next_log_prob} and {!Psa}'s emission rows, so both produce
+    the same float from the same counters. *)
 
 val log_prob : t -> Sequence.t -> lo:int -> pos:int -> float
 (** [log_prob t s ~lo ~pos] is
@@ -104,7 +121,13 @@ val next_count : node -> int -> int
 (** [next_count node sym] is the raw count {m C(label\,sym)}. *)
 
 val next_total : node -> int
-(** Sum of next-symbol counts at the node. *)
+(** Sum of next-symbol counts at the node. Insertions only ever add to
+    it, so an unchanged [next_total] means unchanged next counters. *)
+
+val iter_next_counts : node -> (int -> int -> unit) -> unit
+(** [iter_next_counts node f] calls [f sym count] for every symbol with a
+    next-symbol counter at the node, in increasing symbol order; absent
+    symbols have count [0]. *)
 
 val node_children : node -> (int * node) list
 (** [(edge symbol, child)] pairs in increasing symbol order — the walk

@@ -100,6 +100,54 @@ let test_auditor_passes_on_real_run () =
             true (r.n_clusters > 0))
         [ 1; 4 ])
 
+(* A deciding score moved by one ulp flips no join, yet it moves [best]
+   and the threshold samples: the replay must still report it, and only
+   it. The engine's own columns must pass unchanged. *)
+let test_auditor_catches_perturbed_score () =
+  let db, _ = Lazy.force Gen_common.small_db_and_truth in
+  let clean_passes = ref 0 and reports = ref [] in
+  let perturb_first_finite decided =
+    let decided = Array.map Array.copy decided in
+    (try
+       Array.iter
+         (fun column ->
+           Array.iteri
+             (fun sid (r : Similarity.result) ->
+               if Float.is_finite r.log_sim then begin
+                 column.(sid) <- { r with log_sim = Float.succ r.log_sim };
+                 raise Exit
+               end)
+             column)
+         decided
+     with Exit -> ());
+    decided
+  in
+  Cluseq.set_auditor
+    (Some
+       {
+         Cluseq.on_recluster =
+           (fun snap ~after ~assignments ~decided ->
+             if Check.recluster_matches snap ~after ~assignments ~decided = [] then
+               incr clean_passes;
+             if !reports = [] then
+               reports :=
+                 Check.recluster_matches snap ~after ~assignments
+                   ~decided:(perturb_first_finite decided));
+         on_iteration = (fun ~iteration:_ ~clusters:_ ~assignments:_ -> ());
+       });
+  let r =
+    Fun.protect ~finally:Check.uninstall_auditor (fun () ->
+        Gen_common.with_domains 1 (fun () -> Cluseq.run ~config:Gen_common.small_config db))
+  in
+  Alcotest.(check int) "every pass clean as produced" r.iterations !clean_passes;
+  match !reports with
+  | [ msg ] ->
+      Alcotest.(check bool) "names a cluster's deciding score" true
+        (String.starts_with ~prefix:"cluster " msg)
+  | msgs ->
+      Alcotest.failf "expected exactly one report, got %d: %s" (List.length msgs)
+        (String.concat " | " msgs)
+
 (* --- fuzz harness ------------------------------------------------------ *)
 
 let test_gen_case_deterministic () =
@@ -183,7 +231,12 @@ let () =
           Alcotest.test_case "bogus assignment caught" `Quick
             test_result_invariants_catch_bogus_assignment;
         ] );
-      ("auditor", [ Alcotest.test_case "real run passes" `Quick test_auditor_passes_on_real_run ]);
+      ( "auditor",
+        [
+          Alcotest.test_case "real run passes" `Quick test_auditor_passes_on_real_run;
+          Alcotest.test_case "perturbed deciding score caught" `Quick
+            test_auditor_catches_perturbed_score;
+        ] );
       ( "fuzz",
         [
           Alcotest.test_case "generation deterministic" `Quick test_gen_case_deterministic;

@@ -41,6 +41,40 @@ let test_cluster_similarity_prefers_own_style () =
   let unlike = Cluster.similarity cl ~log_background:lbg (Sequence.of_string alpha "zqvk") in
   Alcotest.(check bool) "own style wins" true (like.log_sim > unlike.log_sim)
 
+(* The cluster's automaton follows its tree across absorbs — refreshed
+   in place, or recompiled once a context turns significant — so every
+   score after an absorb equals the tree walk on the grown model, and
+   the compile that ends the pass leaves the read-only batch path
+   current again. *)
+let test_cluster_scores_follow_absorbs () =
+  let lbg = Array.make 26 (log (1.0 /. 26.0)) in
+  let cl = Cluster.create ~id:0 ~capacity:10 pst_cfg (Sequence.of_string alpha "abcd") in
+  Cluster.compile cl;
+  let probes = List.map (Sequence.of_string alpha) [ "abcabc"; "dcba"; "aabbccdd"; "q" ] in
+  let check_all when_ =
+    List.iter
+      (fun p ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: automaton = tree walk" when_)
+          true
+          (Cluster.similarity cl ~log_background:lbg p
+          = Similarity.score (Cluster.pst cl) ~log_background:lbg p))
+      probes
+  in
+  List.iteri
+    (fun i text ->
+      let s = Sequence.of_string alpha text in
+      Cluster.absorb cl ~seq_id:i s
+        { Similarity.log_sim = 1.0; seg_lo = 0; seg_hi = Array.length s - 1 };
+      check_all (Printf.sprintf "after absorb %d" i))
+    [ "abcd"; "ab"; "abcabc"; "dd"; "abcd"; "bcbc" ];
+  Cluster.compile cl;
+  let batch = Psa.batch_create () in
+  let block = Array.of_list probes in
+  Alcotest.(check bool) "batch after compile = tree walk" true
+    (Cluster.similarity_batch cl ~log_background:lbg ~batch block
+    = Array.map (Similarity.score (Cluster.pst cl) ~log_background:lbg) block)
+
 (* --- Threshold ------------------------------------------------------- *)
 
 let test_threshold_create () =
@@ -172,6 +206,7 @@ let () =
           Alcotest.test_case "membership" `Quick test_cluster_membership;
           Alcotest.test_case "absorb updates PST" `Quick test_cluster_absorb_updates_pst;
           Alcotest.test_case "similarity" `Quick test_cluster_similarity_prefers_own_style;
+          Alcotest.test_case "scores follow absorbs" `Quick test_cluster_scores_follow_absorbs;
         ] );
       ( "threshold",
         [

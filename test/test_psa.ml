@@ -95,6 +95,35 @@ let test_batch_shapes () =
   check_block "small after large" [| seq_of "ba" |];
   Alcotest.(check bool) "scratch grew" true (Psa.batch_capacity batch >= 5)
 
+(* --- refresh: in place while the active contexts hold still --- *)
+
+let tables_equal_fresh name pst psa =
+  Alcotest.(check (list string)) name [] (Check.psa_tables_match ~fresh:(Psa.compile pst) psa)
+
+let test_refresh_lifecycle () =
+  (* Every context of "abcabc" is seen at most twice: below c = 3, so
+     the automaton is the root alone. *)
+  let pst = build_pst ~significance:3 [ "abcabc" ] in
+  let psa = Psa.compile pst in
+  Alcotest.(check int) "root only" 1 (Psa.n_states psa);
+  (* Counts move but no context reaches 3: the root row is rewritten in
+     place and the tables equal a fresh compile's. *)
+  Pst.insert_segment pst (seq_of "dd") ~lo:0 ~hi:1;
+  Alcotest.(check bool) "refreshed in place" true (Psa.refresh psa pst);
+  tables_equal_fresh "refreshed = fresh compile" pst psa;
+  (* 'a' reaches the significance count: the active set grew, so the
+     refresh refuses and leaves the automaton as it was. *)
+  let before = Psa.emission psa 0 0 in
+  Pst.insert_segment pst (seq_of "a") ~lo:0 ~hi:0;
+  Alcotest.(check bool) "refused after a crossing" false (Psa.refresh psa pst);
+  Alcotest.(check (float 0.0)) "untouched when refused" before (Psa.emission psa 0 0);
+  let psa = Psa.compile pst in
+  Alcotest.(check int) "recompile adds the context" 2 (Psa.n_states psa);
+  Alcotest.(check bool) "refused against a copy" false (Psa.refresh psa (Pst.copy pst));
+  (* Pruning that removes a significant node changes the active set too. *)
+  Pst.prune_to pst 1;
+  Alcotest.(check bool) "refused after pruning a significant node" false (Psa.refresh psa pst)
+
 (* --- properties: exact equality with the tree walk --- *)
 
 let exact_match pst probes =
@@ -143,8 +172,40 @@ let batch_prop name ?p_min ?significance ?(last = 'd') ?(prune = false) () =
       if prune then Pst.prune_to pst (max 1 (Pst.n_nodes pst / 2));
       exact_batch_match pst probes)
 
+(* A stream of segments inserted into a tree with a small significance
+   count and a node budget that forces pruning, one automaton kept
+   current by refresh-or-recompile — the cluster lifecycle. After every
+   insertion it must equal a fresh compile table for table and score
+   each probe exactly like the tree walk (X_i profile, log-similarity,
+   segment bounds, prediction depth per position). *)
+let maintained_prop name ~p_min =
+  let segment = QCheck.(triple (make (QCheck.gen (seq_gen ~max_len:20 ()))) small_nat small_nat) in
+  QCheck.Test.make ~name ~count:150
+    QCheck.(
+      triple
+        (list_of_size (Gen.int_range 1 12) segment)
+        (texts_gen ~min_seqs:1 ~max_seqs:3 ())
+        (oneofl Pruning.[ Smallest_count_first; Longest_label_first; Expected_vector_first ]))
+    (fun (stream, probes, pruning) ->
+      let pst = build_pst ~p_min ~significance:2 ~max_nodes:40 ~pruning [] in
+      let probes = Array.of_list (List.map seq_of probes) in
+      let psa = ref (Psa.compile pst) in
+      List.for_all
+        (fun (text, a, b) ->
+          let s = seq_of text in
+          let l = Array.length s in
+          let lo = a mod l in
+          Pst.insert_segment pst s ~lo ~hi:(lo + (b mod (l - lo)));
+          if not (Psa.refresh !psa pst) then psa := Psa.compile pst;
+          Check.psa_tables_match ~fresh:(Psa.compile pst) !psa = []
+          && Check.psa_scoring_matches ~psa:!psa pst ~log_background:uniform_lbg probes = [])
+        stream)
+
 let qcheck_tests =
   [
+    QCheck_alcotest.to_alcotest (maintained_prop "maintained psa = fresh = tree walk" ~p_min:0.0);
+    QCheck_alcotest.to_alcotest
+      (maintained_prop "maintained psa = fresh = tree walk (p_min = 0.01)" ~p_min:0.01);
     QCheck_alcotest.to_alcotest (prop "psa = tree walk (p_min = 0)" ~p_min:0.0 ());
     QCheck_alcotest.to_alcotest (prop "psa = tree walk (p_min = 0.02)" ~p_min:0.02 ());
     QCheck_alcotest.to_alcotest
@@ -191,6 +252,7 @@ let () =
           Alcotest.test_case "symbol out of alphabet" `Quick test_symbol_out_of_alphabet;
           Alcotest.test_case "validate_log_background" `Quick test_validate_log_background;
           Alcotest.test_case "batch block shapes" `Quick test_batch_shapes;
+          Alcotest.test_case "refresh lifecycle" `Quick test_refresh_lifecycle;
         ] );
       ("property", qcheck_tests);
     ]
