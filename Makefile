@@ -4,7 +4,7 @@
 # as dash has no `time` builtin and may lack /usr/bin/time).
 SHELL := /bin/bash
 
-.PHONY: all build test bench bench-smoke trace-smoke shard-smoke check fuzz coverage fmt fmt-check clean
+.PHONY: all build test bench bench-smoke trace-smoke shard-smoke suite-smoke check fuzz coverage fmt fmt-check clean
 
 all: build
 
@@ -93,17 +93,23 @@ shard-smoke: build
 # Deterministic fuzz sweep over every correctness oracle (differential
 # PST, brute-force similarity, the automaton kept current by in-place
 # refresh vs a fresh compile, serial reclustering replay, 1-vs-4-domain
-# determinism, sketch-gated vs full reclustering scan). A failure prints
-# a minimized workload and a replay seed; sketch-gate false negatives
-# (possible by design) are reported as notes, not failures.
+# determinism, score-column cache on vs off). A failure prints a
+# minimized workload and a replay seed.
 fuzz: build
 	dune exec bin/cluseq_cli.exe -- check --fuzz 200 --seed 42
+
+# Benchmark-of-record smoke gate: every workload of benchsuite/ at its
+# smallest size, traced and untraced. The suite's output checks (a
+# digest of results and scan census that must repeat on rerun, and
+# Check.result_invariants on every clustering) run on each job.
+suite-smoke: build
+	python3 benchsuite/run.py smoke
 
 # Full gate: build, unit tests, the fuzz sweep, the formatting check,
 # the CLI metrics smoke run (generate -> cluster --metrics -> grep),
 # the perf regression smoke gate, the flight-recorder trace smoke
-# gate, and the shard-and-merge smoke gate.
-check: build test fuzz fmt-check bench-smoke trace-smoke shard-smoke
+# gate, the shard-and-merge smoke gate, and the benchmark suite smoke.
+check: build test fuzz fmt-check bench-smoke trace-smoke shard-smoke suite-smoke
 	@tmp=$$(mktemp -d); \
 	dune exec bin/cluseq_cli.exe -- generate --kind synthetic --num 60 --len 60 \
 	  --clusters 3 -o $$tmp/smoke.tsv >/dev/null; \
@@ -113,6 +119,7 @@ check: build test fuzz fmt-check bench-smoke trace-smoke shard-smoke
 	  && grep -q '"similarity.calls"' $$tmp/smoke.json \
 	  && grep -q '"similarity.compile_seconds"' $$tmp/smoke.json \
 	  && grep -q '"pst.refreshes"' $$tmp/smoke.json \
+	  && grep -q '"cluseq.scan.pairs_reused"' $$tmp/smoke.json \
 	  && grep -q '"cluseq.iter.reclustering_seconds"' $$tmp/smoke.json \
 	  || { echo "check: metrics smoke test FAILED ($$tmp/smoke.json)"; exit 1; }; \
 	rm -rf $$tmp; \

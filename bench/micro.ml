@@ -70,15 +70,6 @@ let tests () =
       (Staged.stage (fun () -> ignore (Block_edit.distance (next_seq ()) (next_seq ()))));
     Test.make ~name:"qgram-profile-200sym"
       (Staged.stage (fun () -> ignore (Qgram.profile ~q:3 (next_seq ()))));
-    (* Candidate-index kernels: building one sequence sketch, and one
-       admit test of a 64-hash sketch against a trained cluster bitmap —
-       the per-pair cost the gate pays to skip a similarity-dp-200sym. *)
-    Test.make ~name:"index-fill-200sym"
-      (Staged.stage (fun () -> ignore (Index.sketch_of_sequence (next_seq ()))));
-    Test.make ~name:"gated-scan-admit"
-      (let cs = Index.of_pst trained in
-       let sk = Index.sketch_of_sequence probe in
-       Staged.stage (fun () -> ignore (Index.admit sk cs ~ratio:0.3)));
     Test.make ~name:"hmm-loglik-10st-200sym"
       (let m = Hmm.random (Rng.create 5) ~n_states:10 ~n_symbols:26 in
        Staged.stage (fun () -> ignore (Hmm.log_likelihood m (next_seq ()))));

@@ -1,9 +1,8 @@
-(* q-gram profiles over packed keys from the shared sketch kernel
-   (Sketch.gram_key): exact for the q <= 3 / small-code envelope every
-   workload here lives in, and a single int compares and hashes far
-   faster than the old int-list keys. Counts are stored behind a ref so
-   the hot increment path does one lookup on repeat grams instead of a
-   find_opt + replace pair. *)
+(* q-gram profiles over packed keys (Sketch.gram_key): exact for the
+   q <= 3 / small-code envelope every workload here lives in, and a
+   single int compares and hashes far faster than the old int-list keys.
+   Counts are stored behind a ref so the hot increment path does one
+   lookup on repeat grams instead of a find_opt + replace pair. *)
 
 type profile = { counts : (int, float ref) Hashtbl.t; norm : float }
 

@@ -27,8 +27,6 @@ type census = {
   dirty_rescores : int;
   assignments_changed : int;
   pairs_reused : int;
-  index_candidates : int;
-  index_filtered : int;
 }
 
 let wasted_pair_ratio c =
@@ -164,8 +162,6 @@ let capture ~id ~wall_s ~gc ~peak_heap_words ~quality =
         dirty_rescores = counter "cluseq.scan.dirty_rescores";
         assignments_changed = counter "cluseq.scan.assignments_changed";
         pairs_reused = counter "cluseq.scan.pairs_reused";
-        index_candidates = counter "cluseq.index.candidates";
-        index_filtered = counter "cluseq.index.filtered";
       };
     drift =
       {
@@ -249,8 +245,6 @@ let experiment_to_json (e : experiment) =
             ("dirty_rescores", num_i e.census.dirty_rescores);
             ("assignments_changed", num_i e.census.assignments_changed);
             ("pairs_reused", num_i e.census.pairs_reused);
-            ("index_candidates", num_i e.census.index_candidates);
-            ("index_filtered", num_i e.census.index_filtered);
             ("wasted_pair_ratio", Num (wasted_pair_ratio e.census));
           ] );
       ( "drift",
@@ -345,8 +339,6 @@ let experiment_of_json id json =
         dirty_rescores = get_i [ "census"; "dirty_rescores" ] json;
         assignments_changed = get_i [ "census"; "assignments_changed" ] json;
         pairs_reused = get_i [ "census"; "pairs_reused" ] json;
-        index_candidates = get_i [ "census"; "index_candidates" ] json;
-        index_filtered = get_i [ "census"; "index_filtered" ] json;
       };
     (* Files recorded before the drift gauges read as all-zero; compare
        treats that as "no baseline" and skips drift verdicts. *)

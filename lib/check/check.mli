@@ -51,14 +51,10 @@ val reference_recluster :
     automaton — joining, absorbing and recording assignments with the
     engine's exact rules. Returns the per-cluster memberships, the
     per-sequence assignment lists, and the per-cluster, per-sequence
-    deciding scores the pass must produce (gate-pruned pairs carry a
-    [nan] score and bounds [(-1, -1)], as in the engine). When the
-    snapshot records an active sketch gate ([snap_index_ratio]), the
-    replay rederives the same gate from the snapshot's iteration-start
-    model copies and skips pruned pairs exactly as the engine did. Because scoring and gating are
-    deterministic, the engine's optimized pass (parallel matrix +
-    dirty-cluster rescoring on refreshed automata + sketch gate) must
-    match this replay bit-for-bit. *)
+    deciding scores the pass must produce. Because scoring is
+    deterministic, the engine's optimized pass (parallel matrix with
+    cached score columns + dirty-cluster rescoring on refreshed
+    automata) must match this replay bit-for-bit. *)
 
 val recluster_matches :
   Cluseq.recluster_snapshot ->
@@ -106,29 +102,15 @@ val batch_scoring_matches :
     blocks that include the empty block, singletons, and empty
     sequences. *)
 
-type index_verdict =
-  | Index_skipped  (** The index is globally disabled (or the ratio is 0). *)
-  | Index_identical  (** Gated and full scans produced identical clusterings. *)
-  | Index_diverged of string
-      (** A sketch false negative changed the final clustering; the
-          report names the diverging ratio, the number of differing
-          assignment rows, and the largest probed ratio at which the
-          two runs agree. Divergence is a {e heuristic} miss — possible
-          by design for any ratio above 0 — not an engine bug; engine
-          bugs surface as {!Violation} from the installed auditor's
-          gated replay instead. *)
-
-val index_agrees : ?config:Cluseq.config -> ?ratio:float -> Seq_database.t -> index_verdict
-(** End-to-end oracle for the candidate index: run the full scan
-    (index disabled) and the gated scan at [ratio] (default: the
-    current runtime ratio, which starts at 0 — the fuzz harness passes
-    [Index.default_ratio] explicitly so the gate is exercised even
-    though it is opt-in) on the same database and compare the {e final}
-    clusterings — clusters, assignments, and outliers (the trajectory
-    may differ: pruned outlier pairs drop [best] entries). On
-    divergence, records it on [cluseq.index.false_negatives] and probes
-    halved ratios for the largest agreeing one. Restores the global
-    index settings on exit. *)
+val cache_agrees : ?config:Cluseq.config -> Seq_database.t -> string list
+(** Differential oracle for the score-column cache
+    ({!Cluster.score_cache}): run {!Cluseq.run} with the cache switched
+    off, then on, and demand identical clusters, assignments, [best]
+    scores, iteration counts and [final_t], and per iteration the same
+    census once [pairs_reused] is added to [pairs_scored]
+    ([score_calls], which counts fresh evaluations only, is left out).
+    Messages name each difference. Restores the cache switch on exit.
+    Run by fuzz check #5. *)
 
 val auditor : unit -> Cluseq.auditor
 (** An auditor running {!recluster_matches} after every reclustering

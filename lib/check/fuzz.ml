@@ -64,7 +64,7 @@ let dedup msgs =
       end)
     msgs
 
-let run_case ?(on_divergence = ignore) case =
+let run_case case =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errs := m :: !errs) fmt in
   let add_all prefix = List.iter (fun m -> err "%s: %s" prefix m) in
@@ -290,19 +290,14 @@ let run_case ?(on_divergence = ignore) case =
               err "classify and classify_all disagree on probe %d" i)
           v1
       end);
-  (* --- 5. sketch-gated scan vs full scan --- *)
-  (* The auditor is still installed, so these runs also exercise the
-     gated serial replay — a mismatch there is an engine bug and raises
-     {!Check.Violation}. A different final clustering, by contrast, is
-     a sketch false negative: possible by design for any ratio above 0
-     on adversarial inputs, so it is counted
-     ([cluseq.index.false_negatives]) and surfaced through
-     [on_divergence] rather than failing the case. *)
+  (* --- 5. score-column cache on vs off --- *)
+  (* The auditor is still installed, so both runs are replayed pass by
+     pass as well; a {!Check.Violation} there is reported like the
+     audited runs' above. *)
   Par.set_default_domains 1;
-  (match Check.index_agrees ~config:cfg ~ratio:Index.default_ratio db with
-  | Check.Index_skipped | Check.Index_identical -> ()
-  | Check.Index_diverged report -> on_divergence report
-  | exception Check.Violation msgs -> add_all "index auditor" msgs);
+  (match Check.cache_agrees ~config:cfg db with
+  | msgs -> add_all "cache" msgs
+  | exception Check.Violation msgs -> add_all "cache auditor" msgs);
   dedup (List.rev !errs)
 
 let drop_at arr i =
@@ -348,12 +343,12 @@ let shrink case ~still_fails =
   done;
   !current
 
-let run ?(progress = ignore) ?(on_divergence = fun _ _ -> ()) ~n ~seed () =
+let run ?(progress = ignore) ~n ~seed () =
   let rec go i =
     if i >= n then Ok n
     else begin
       let case = gen_case ~seed:(seed + i) in
-      match run_case ~on_divergence:(on_divergence (seed + i)) case with
+      match run_case case with
       | [] ->
           progress i;
           go (i + 1)

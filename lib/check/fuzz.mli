@@ -23,7 +23,10 @@
       unpruned model, so PST pruning runs inside the per-cluster apply
       tasks (and must remove at least one node);
     - classifies probes at both domain counts and compares verdicts;
-    - round-trips every final model through the textual serialization.
+    - round-trips every final model through the textual serialization;
+    - runs the audited clustering with the score-column cache off and
+      on and demands the same results and census
+      ({!Check.cache_agrees}, check #5).
 
     On failure the workload is shrunk greedily (drop whole sequences,
     then halve survivors) while it still fails, and the report carries a
@@ -53,35 +56,21 @@ val gen_case : seed:int -> case
     node budget high enough that the differential oracle's no-pruning
     requirement holds. *)
 
-val run_case : ?on_divergence:(string -> unit) -> case -> string list
+val run_case : case -> string list
 (** Run every oracle over one case; the (possibly empty) list of
     mismatch messages. Temporarily installs the {!Check} auditor and
-    switches the default domain count; both are restored on exit.
-    [on_divergence] (default [ignore]) receives the diagnostic report
-    when the sketch-gated run produces a different final clustering
-    than the full scan — a heuristic false negative, counted on
-    [cluseq.index.false_negatives] but not treated as a failure (the
-    gated run's {e engine} correctness is separately enforced by the
-    installed auditor's serial replay; a {!Check.Violation} it raises
-    there is caught and reported among the case's messages, like the
-    audited runs'). *)
+    switches the default domain count; both are restored on exit. A
+    {!Check.Violation} the auditor raises is caught and reported among
+    the messages. *)
 
 val shrink : case -> still_fails:(case -> bool) -> case
 (** Greedy, budget-capped minimization: repeatedly drop a sequence or
     halve one while the predicate still fails. *)
 
-val run :
-  ?progress:(int -> unit) ->
-  ?on_divergence:(int -> string -> unit) ->
-  n:int ->
-  seed:int ->
-  unit ->
-  (int, failure) result
+val run : ?progress:(int -> unit) -> n:int -> seed:int -> unit -> (int, failure) result
 (** [run ~n ~seed ()] executes cases [seed, seed+1, …, seed+n-1],
     stopping at the first failure (shrunk before reporting).
-    [progress] is called with each completed case index;
-    [on_divergence] with the case seed and report whenever the index
-    oracle observes a (non-failing) sketch false negative. [Ok n] when
+    [progress] is called with each completed case index. [Ok n] when
     every case passes. *)
 
 val pp_failure : Format.formatter -> failure -> unit

@@ -74,12 +74,6 @@ type recluster_snapshot = {
       (** Per cluster (in examination order of the cluster list):
           id, a private {!Pst.copy} of its model at iteration start, and
           its membership from the {e previous} iteration. *)
-  snap_index_ratio : float option;
-      (** [Some ratio] when the sketch gate was active for this pass.
-          The replay derives the same gate from [snap_before]'s model
-          copies ({!Index.of_pst}) and the database's sequence sketches
-          ({!Index.sketch_of_sequence}), so admit decisions are
-          reproducible bit-for-bit. *)
 }
 (** Everything a serial reference implementation needs to replay one
     reclustering pass independently (see [Check.reference_recluster]). *)
@@ -96,8 +90,7 @@ type auditor = {
           holds, per cluster (aligned with [snap_before]) and by
           sequence id, the result that decided the pair — the matrix
           score, or the rescore against the grown model once the
-          cluster absorbed. Pairs the sketch gate pruned carry a [nan]
-          [log_sim] and bounds [(-1, -1)]. Read-only. *)
+          cluster absorbed. Read-only. *)
   on_iteration : iteration:int -> clusters:Cluster.t list -> assignments:int list array -> unit;
       (** Called after consolidation each iteration with the surviving
           clusters and the (stripped) assignment lists. *)
@@ -124,9 +117,9 @@ type phase_timings = {
 type scan_census = {
   pairs_scored : int;
       (** (sequence, cluster) similarity evaluations in this iteration's
-          reclustering pass: the full n×k parallel matrix plus the
-          apply tasks' rescores against clusters whose PST absorbed a
-          joiner. *)
+          reclustering pass: the n×k parallel matrix less the columns
+          reused from the score-column cache, plus the apply tasks'
+          rescores against clusters whose PST absorbed a joiner. *)
   pairs_joined : int;  (** Evaluations at or above the join threshold. *)
   dirty_rescores : int;
       (** Re-evaluations against mutated ("dirty") clusters, run inside
@@ -139,20 +132,14 @@ type scan_census = {
   pairs_reused : int;
       (** Matrix entries satisfied from a clean cluster's cached score
           column instead of a fresh evaluation (bit-identical by
-          determinism — see {!Cluster.score_cache}); [0] when the index
-          is disabled. Reused pairs are {e not} in [pairs_scored]. *)
-  index_candidates : int;
-      (** Pairs the sketch gate admitted to the parallel matrix this
-          iteration (whether evaluated or reused); [0] when the gate
-          was inactive. *)
-  index_filtered : int;
-      (** Pairs the sketch gate pruned (never scored); [0] when the
-          gate was inactive. [index_candidates + index_filtered = n·k]
-          on gated iterations. *)
+          determinism — see {!Cluster.score_cache}); [0] when the cache
+          is switched off. Reused pairs are {e not} in [pairs_scored],
+          so [pairs_scored + pairs_reused] does not depend on the
+          cache. *)
   score_calls : (int * int) array;
       (** Per cluster scored this iteration: (cluster id, similarity
-          calls against it) — its admitted matrix entries plus its
-          dirty rescores. *)
+          calls against it) — its freshly evaluated matrix entries plus
+          its dirty rescores. *)
 }
 (** Scan-efficiency census of one reclustering pass (DESIGN.md §10):
     the baseline any candidate-pruning optimization must beat. Counts

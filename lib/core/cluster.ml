@@ -13,12 +13,9 @@ type t = {
   (* Whether [compile] has journaled [cluster.froze] since the tree last
      grew: the event marks each pass start that finds a changed model. *)
   mutable frozen : bool;
-  (* Candidate-index bitmap over the PST's active contexts: built lazily
-     at pass start, dropped whenever the tree mutates. *)
-  mutable sketch : Index.cluster_sketch option;
   (* Previous reclustering pass's score column against this model —
-     valid only while the tree is unchanged (same lifecycle as the
-     sketch), in which case a fresh evaluation would be bit-identical. *)
+     valid only while the tree is unchanged, in which case a fresh
+     evaluation would be bit-identical. *)
   mutable scores : Similarity.result array option;
 }
 
@@ -35,7 +32,6 @@ let create ~id ?(born = 0) ~capacity cfg seed =
     compiled = None;
     stale = false;
     frozen = false;
-    sketch = None;
     scores = None;
   }
 
@@ -74,16 +70,13 @@ let compile t =
             ])
   | _ -> ()
 
-let sketch t =
-  match t.sketch with
-  | Some s -> s
-  | None ->
-      let s = Index.of_pst t.pst in
-      t.sketch <- Some s;
-      s
-
-let score_cache t = t.scores
-let set_score_cache t col = t.scores <- Some col
+(* The score-column cache switch ([--no-index] turns it off): while off,
+   no column is kept, so every pass scores every pair afresh. *)
+let cache_flag = ref true
+let cache_enabled () = !cache_flag
+let set_cache_enabled b = cache_flag := b
+let score_cache t = if !cache_flag then t.scores else None
+let set_score_cache t col = if !cache_flag then t.scores <- Some col
 
 let similarity t ~log_background s =
   match current t with
@@ -106,6 +99,5 @@ let absorb t ~seq_id s (r : Similarity.result) =
        behind it until the next score or compile brings it current. *)
     t.stale <- Option.is_some t.compiled;
     t.frozen <- false;
-    t.sketch <- None;
     t.scores <- None
   end

@@ -47,24 +47,28 @@ val compile : t -> unit
     tree grew journals a [cluster.froze] event (with the automaton's
     state count) when {!Obs.Journal} is enabled. *)
 
-val sketch : t -> Index.cluster_sketch
-(** The candidate-index bitmap for the cluster's current PST
-    ({!Index.of_pst}), cached: built lazily on the main domain at pass
-    start, dropped by any {!absorb} that grows the tree, so it can never
-    go stale. *)
-
 val score_cache : t -> Similarity.result array option
 (** The previous reclustering pass's score column against this cluster
     (index [sid] → that sequence's {!Similarity.result}), if the PST is
     unchanged since it was computed. Because scoring is deterministic,
     a cached entry is bit-identical to a fresh evaluation against the
-    current model — the candidate index reuses it instead of rescoring.
-    Same lifecycle as {!sketch}: any {!absorb} that grows the tree
-    drops it. *)
+    current model, so the reclustering scan reuses the column instead of
+    rescoring it. Any {!absorb} that grows the tree drops it. Always
+    [None] while the cache is switched off ({!set_cache_enabled}). *)
 
 val set_score_cache : t -> Similarity.result array -> unit
 (** Install the score column computed by a just-finished pass. Callers
-    must only do this when the PST was not mutated during the pass. *)
+    must only do this when the PST was not mutated during the pass. Does
+    nothing while the cache is switched off. *)
+
+val cache_enabled : unit -> bool
+(** Whether the score-column cache is on (default [true]). *)
+
+val set_cache_enabled : bool -> unit
+(** Process-wide switch for the score-column cache ([--no-index] sets
+    [false]). Off, every reclustering pass scores every (sequence,
+    cluster) pair afresh — the reference the cache must be invisible
+    against ([Check.cache_agrees]). Set it before a run, not during one. *)
 
 val similarity : t -> log_background:float array -> Sequence.t -> Similarity.result
 (** {!Similarity.score} against this cluster's PST — via the compiled
@@ -95,5 +99,5 @@ val absorb : t -> seq_id:int -> Sequence.t -> Similarity.result -> unit
     maximizing segment [r.seg_lo .. r.seg_hi] of [s] into the PST
     (paper Sec. 4.2/4.4: only the best segment updates the tree). The
     automaton is kept but marked stale — the next {!similarity} or
-    {!compile} brings it up to date — while the gate sketch and the
-    score cache are dropped. *)
+    {!compile} brings it up to date — while the score cache is
+    dropped. *)

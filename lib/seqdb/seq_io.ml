@@ -30,23 +30,27 @@ let read_lines ic =
    with End_of_file -> ());
   List.rev !acc
 
+(* The data lines of a labeled file, each with its 1-based physical
+   line number for error messages. One trailing '\r' is stripped (CRLF
+   files); blank lines and '#' comments are skipped. *)
+let data_lines ic =
+  List.filter (fun (_, l) -> String.trim l <> "" && l.[0] <> '#')
+    (List.mapi
+       (fun i l ->
+         let n = String.length l in
+         (i + 1, if n > 0 && l.[n - 1] = '\r' then String.sub l 0 (n - 1) else l))
+       (read_lines ic))
+
+(* Split a data line at its first TAB into label and body. *)
+let split_tab ~reader (lineno, line) =
+  match String.index_opt line '\t' with
+  | None -> failwith (Printf.sprintf "Seq_io.%s: line %d: missing TAB" reader lineno)
+  | Some tab ->
+      (String.sub line 0 tab, String.sub line (tab + 1) (String.length line - tab - 1))
+
 let read_labeled ?alphabet path =
   with_in path (fun ic ->
-      let rows =
-        List.filteri (fun _ l -> String.trim l <> "" && (String.length l = 0 || l.[0] <> '#'))
-          (read_lines ic)
-      in
-      let parsed =
-        List.mapi
-          (fun i line ->
-            match String.index_opt line '\t' with
-            | None -> failwith (Printf.sprintf "Seq_io.read_labeled: line %d: missing TAB" (i + 1))
-            | Some tab ->
-                let label = String.sub line 0 tab in
-                let body = String.sub line (tab + 1) (String.length line - tab - 1) in
-                (label, body))
-          rows
-      in
+      let parsed = List.map (split_tab ~reader:"read_labeled") (data_lines ic) in
       let alpha =
         match alphabet with Some a -> a | None -> infer_alphabet (List.map snd parsed)
       in
@@ -118,23 +122,12 @@ let write_tokens path alpha rows =
 
 let read_tokens ?alphabet path =
   with_in path (fun ic ->
-      let lines =
-        List.filter (fun l -> String.trim l <> "" && (String.length l = 0 || l.[0] <> '#'))
-          (read_lines ic)
-      in
       let parsed =
-        List.mapi
-          (fun i line ->
-            match String.index_opt line '\t' with
-            | None -> failwith (Printf.sprintf "Seq_io.read_tokens: line %d: missing TAB" (i + 1))
-            | Some tab ->
-                let label = String.sub line 0 tab in
-                let body = String.sub line (tab + 1) (String.length line - tab - 1) in
-                let tokens =
-                  List.filter (fun t -> t <> "") (String.split_on_char ' ' body)
-                in
-                (label, tokens))
-          lines
+        List.map
+          (fun row ->
+            let label, body = split_tab ~reader:"read_tokens" row in
+            (label, List.filter (fun t -> t <> "") (String.split_on_char ' ' body)))
+          (data_lines ic)
       in
       let alpha =
         match alphabet with

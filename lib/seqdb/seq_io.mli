@@ -15,8 +15,10 @@ val write_labeled : string -> Alphabet.t -> (string * Sequence.t) array -> unit
 val read_labeled : ?alphabet:Alphabet.t -> string -> Alphabet.t * (string * Sequence.t) array
 (** [read_labeled path] parses [label<TAB>sequence] lines, inferring the
     alphabet from the sequence characters when none is given. Blank lines
-    and lines starting with ['#'] are skipped. Raises [Failure] on a
-    malformed line (line number included). *)
+    and lines starting with ['#'] are skipped, and one trailing ['\r'] is
+    stripped from each line, so CRLF files read like LF ones. Raises
+    [Failure] on a malformed line, naming its physical line number in
+    the file. *)
 
 val write_fasta : string -> Alphabet.t -> (string * Sequence.t) array -> unit
 (** [write_fasta path alpha rows] writes [>seq<i> label] records wrapped at
@@ -35,8 +37,10 @@ val write_tokens : string -> Alphabet.t -> (string * Sequence.t) array -> unit
 val read_tokens : ?alphabet:Alphabet.t -> string -> Alphabet.t * (string * Sequence.t) array
 (** [read_tokens path] parses [label<TAB>sym sym ...] lines; the alphabet
     is inferred from the distinct tokens (in first-appearance order) when
-    none is given. Raises [Failure] on a malformed line or (with
-    [~alphabet]) an unknown token. *)
+    none is given. Blank lines, ['#'] comments and trailing ['\r']s are
+    handled as in {!read_labeled}. Raises [Failure] on a malformed line
+    (physical line number included) or (with [~alphabet]) an unknown
+    token. *)
 
 val to_database : Alphabet.t -> (string * Sequence.t) array -> Seq_database.t * string array
 (** [to_database alpha rows] splits labeled rows into a database and the

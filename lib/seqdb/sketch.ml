@@ -1,4 +1,4 @@
-(* Shared q-gram key and sketch kernel. See mli. *)
+(* Packed q-gram keys. See mli. *)
 
 let packed_symbol_bits = 20
 let packed_symbol_limit = 1 lsl packed_symbol_bits
@@ -9,9 +9,9 @@ let packed_q_limit = 3
 (* Splitmix64-style finalizer, adapted to OCaml's 63-bit native ints
    (the multiplier constants must fit; these are < 2^62). The exact
    constants don't matter beyond avalanche quality — what matters is
-   that the function is a fixed pure permutation-ish mix, so sketches
-   are deterministic across runs, domains and processes. *)
-let hash_of_key h =
+   that the function is a fixed pure permutation-ish mix, so keys are
+   deterministic across runs, domains and processes. *)
+let mix h =
   let h = h lxor (h lsr 31) in
   let h = h * 0x2545F4914F6CDD1D in
   let h = h lxor (h lsr 29) in
@@ -20,7 +20,7 @@ let hash_of_key h =
 
 (* Fallback for grams that can't be packed exactly: fold each symbol
    through the mixer. Collisions are possible but ~2^-62 per pair. *)
-let chained_step acc sym = hash_of_key ((acc lsl 7) lxor sym)
+let chained_step acc sym = mix ((acc lsl 7) lxor sym)
 
 let gram_key s ~pos ~q =
   if q <= 0 then invalid_arg "Sketch.gram_key";
@@ -46,31 +46,4 @@ let gram_key s ~pos ~q =
       h := chained_step !h s.(j)
     done;
     !h
-  end
-
-let key_of_list ~q syms =
-  if List.length syms <> q then invalid_arg "Sketch.key_of_list";
-  gram_key (Array.of_list syms) ~pos:0 ~q
-
-let of_sequence ~q ?(max_hashes = 64) s =
-  if q <= 0 then invalid_arg "Sketch.of_sequence";
-  if max_hashes <= 0 then invalid_arg "Sketch.of_sequence";
-  let n = Array.length s - q + 1 in
-  if n <= 0 then [||]
-  else begin
-    let hs = Array.init n (fun i -> hash_of_key (gram_key s ~pos:i ~q)) in
-    Array.sort compare hs;
-    (* Sorted ascending: keeping the first [max_hashes] distinct values
-       is exactly bottom-k minhash selection. *)
-    let cap = min max_hashes n in
-    let out = Array.make cap 0 in
-    let m = ref 0 in
-    Array.iter
-      (fun h ->
-        if !m < cap && (!m = 0 || out.(!m - 1) <> h) then begin
-          out.(!m) <- h;
-          incr m
-        end)
-      hs;
-    if !m = cap then out else Array.sub out 0 !m
   end

@@ -1,9 +1,8 @@
-(** Shared q-gram key and sketch kernel.
+(** Packed q-gram keys.
 
-    Both the [Qgram] baseline (count profiles) and the core candidate
-    index (bottom-k minhash sketches, cluster Bloom gates) need the same
-    primitive: turn a length-[q] window of symbol codes into a single
-    [int] key, cheaply and deterministically.
+    The [Qgram] baseline keys its count profiles by q-gram: this module
+    turns a length-[q] window of symbol codes into a single [int] key,
+    cheaply and deterministically.
 
     Keys are {e packed} whenever they can be exact: for [q <= 3] and
     symbol codes below [2^20], the key is the base-[2^20] packing of the
@@ -25,21 +24,3 @@ val gram_key : Sequence.t -> pos:int -> q:int -> int
 (** [gram_key s ~pos ~q] is the key of the window [s.(pos) ..
     s.(pos+q-1)]. No bounds checking beyond the array's own. The result
     is non-negative. *)
-
-val key_of_list : q:int -> int list -> int
-(** [key_of_list ~q syms] is the key of the gram given as a symbol list
-    (e.g. a PST node label). Produces exactly the same key as [gram_key]
-    on the same symbols. Raises [Invalid_argument] if the list length is
-    not [q]. *)
-
-val hash_of_key : int -> int
-(** Finalizing 62-bit mix (splitmix-style). Keys are structured (packed
-    grams differ only in low bits); this spreads them uniformly for
-    Bloom indexing and bottom-k selection. Non-negative. *)
-
-val of_sequence : q:int -> ?max_hashes:int -> Sequence.t -> int array
-(** [of_sequence ~q s] is the bottom-[max_hashes] (default 64) distinct
-    mixed q-gram hashes of [s], sorted ascending — a minhash-style
-    sketch. Empty when [|s| < q]. Deterministic: depends only on the
-    sequence contents and [q]. Raises [Invalid_argument] when
-    [q <= 0]. *)

@@ -107,8 +107,6 @@ let experiment ?(id = "table2") ?(wall = 10.0) ?(cluseq_s = 8.0) ?drift:(dr = dr
         dirty_rescores = 150;
         assignments_changed = 420;
         pairs_reused = 2_500;
-        index_candidates = 9_000;
-        index_filtered = 3_500;
       };
     drift = dr;
     quality;

@@ -284,6 +284,38 @@ let test_history_consistency () =
       Alcotest.(check int) "iterations numbered from 1" (i + 1) h.iteration)
     res.history
 
+(* The score-column cache must be invisible: same results, and the same
+   census once reused pairs count as scored. The run has to reuse
+   columns for that to mean anything, so adjustment is off and a fixed
+   threshold keeps the six planted clusters apart long enough for clean
+   clusters to serve their cached columns. *)
+let test_cache_invisible () =
+  let w =
+    Workload.generate
+      {
+        Workload.default_params with
+        n_sequences = 100;
+        avg_length = 120;
+        n_clusters = 6;
+        contexts_per_cluster = 120;
+        concentration = 0.15;
+        seed = 7;
+      }
+  in
+  let config =
+    {
+      small_config with
+      adjust_threshold = false;
+      t_init = exp 10.0;
+      max_iterations = 25;
+      seed = 3;
+    }
+  in
+  Alcotest.(check (list string)) "cache on = cache off" [] (Check.cache_agrees ~config w.db);
+  let r = Cluseq.run ~config w.db in
+  Alcotest.(check bool) "cached columns were reused" true
+    (List.exists (fun (st : Cluseq.iteration_stats) -> st.census.pairs_reused > 0) r.history)
+
 (* Robustness: CLUSEQ must terminate and return a consistent result on
    arbitrary small databases — including degenerate ones with repeated,
    constant, or single-symbol sequences. *)
@@ -333,6 +365,7 @@ let () =
           Alcotest.test_case "consolidation effect" `Slow test_no_consolidation_keeps_more_clusters;
           Alcotest.test_case "fixed threshold mode" `Slow test_fixed_threshold_mode;
           Alcotest.test_case "all orders run" `Slow test_orders_all_run;
+          Alcotest.test_case "cache invisible" `Slow test_cache_invisible;
         ] );
       ("property", qcheck_tests);
       ( "edge-cases",

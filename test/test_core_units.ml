@@ -1,4 +1,5 @@
-(* Unit tests for the smaller core modules: Cluster, Threshold, Order. *)
+(* Unit tests for the smaller core modules: Cluster (and its score-column
+   cache), Threshold, Order. *)
 
 let alpha = Alphabet.lowercase
 
@@ -74,6 +75,33 @@ let test_cluster_scores_follow_absorbs () =
   Alcotest.(check bool) "batch after compile = tree walk" true
     (Cluster.similarity_batch cl ~log_background:lbg ~batch block
     = Array.map (Similarity.score (Cluster.pst cl) ~log_background:lbg) block)
+
+(* The score-column cache lives only while the tree is unchanged, and
+   holds nothing while switched off. *)
+let cached_cluster () =
+  let s = Sequence.of_string alpha "abcabcabcabc" in
+  let cl = Cluster.create ~id:0 ~capacity:4 pst_cfg s in
+  let r = Cluster.similarity cl ~log_background:(Array.make 26 (-.log 26.0)) s in
+  (cl, s, r)
+
+let test_cache_dropped_on_absorb () =
+  let cl, s, r = cached_cluster () in
+  Cluster.set_score_cache cl [| r |];
+  Alcotest.(check bool) "cache installed" true (Cluster.score_cache cl <> None);
+  Cluster.absorb cl ~seq_id:1 s r;
+  Alcotest.(check bool) "absorb drops the cache" true (Cluster.score_cache cl = None)
+
+let test_cache_switched_off () =
+  let cl, _, r = cached_cluster () in
+  Cluster.set_score_cache cl [| r |];
+  Fun.protect ~finally:(fun () -> Cluster.set_cache_enabled true) @@ fun () ->
+  Cluster.set_cache_enabled false;
+  Alcotest.(check bool) "a column installed before is hidden" true
+    (Cluster.score_cache cl = None);
+  let fresh, _, r' = cached_cluster () in
+  Cluster.set_score_cache fresh [| r' |];
+  Cluster.set_cache_enabled true;
+  Alcotest.(check bool) "nothing is installed while off" true (Cluster.score_cache fresh = None)
 
 (* --- Threshold ------------------------------------------------------- *)
 
@@ -207,6 +235,11 @@ let () =
           Alcotest.test_case "absorb updates PST" `Quick test_cluster_absorb_updates_pst;
           Alcotest.test_case "similarity" `Quick test_cluster_similarity_prefers_own_style;
           Alcotest.test_case "scores follow absorbs" `Quick test_cluster_scores_follow_absorbs;
+        ] );
+      ( "cache",
+        [
+          Alcotest.test_case "absorb invalidates" `Quick test_cache_dropped_on_absorb;
+          Alcotest.test_case "switched off" `Quick test_cache_switched_off;
         ] );
       ( "threshold",
         [

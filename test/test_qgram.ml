@@ -89,6 +89,24 @@ let test_emptied_cluster_retired () =
       r.labels
   done
 
+(* Regression for the old int-list keys: every 3-gram over an 8-symbol
+   alphabet must get a distinct packed key. *)
+let test_packed_keys_collision_free () =
+  let seen = Hashtbl.create 1024 in
+  for a = 0 to 7 do
+    for b = 0 to 7 do
+      for c = 0 to 7 do
+        let gram = String.concat "," (List.map string_of_int [ a; b; c ]) in
+        let key = Sketch.gram_key [| a; b; c |] ~pos:0 ~q:3 in
+        (match Hashtbl.find_opt seen key with
+        | Some other -> Alcotest.failf "grams %s and %s collide on key %d" gram other key
+        | None -> ());
+        Hashtbl.add seen key gram
+      done
+    done
+  done;
+  Alcotest.(check int) "512 distinct keys" 512 (Hashtbl.length seen)
+
 let seq_gen = QCheck.(string_gen_of_size (Gen.int_range 0 40) (Gen.char_range 'a' 'd'))
 
 let qcheck_tests =
@@ -124,6 +142,11 @@ let () =
           Alcotest.test_case "cluster invalid" `Quick test_cluster_invalid;
           Alcotest.test_case "degenerate unassigned" `Quick test_degenerate_stay_unassigned;
           Alcotest.test_case "emptied cluster retired" `Quick test_emptied_cluster_retired;
+        ] );
+      ( "kernel",
+        [
+          Alcotest.test_case "packed keys collision-free" `Quick
+            test_packed_keys_collision_free;
         ] );
       ("property", qcheck_tests);
     ]

@@ -269,6 +269,41 @@ let test_io_tokens_missing_tab () =
       Alcotest.(check bool) "missing TAB raises" true
         (raises_failure (fun () -> Seq_io.read_tokens path)))
 
+(* Errors name the physical line: comments and blank lines count. *)
+let test_io_missing_tab_line_number () =
+  with_tmp (fun path ->
+      write_raw path "# header\n\nA\tabc\nbad line\n";
+      List.iter
+        (fun (reader, read) ->
+          Alcotest.check_raises reader
+            (Failure (Printf.sprintf "Seq_io.%s: line 4: missing TAB" reader))
+            (fun () -> ignore (read path)))
+        [
+          ("read_labeled", fun p -> Seq_io.read_labeled p);
+          ("read_tokens", fun p -> Seq_io.read_tokens p);
+        ])
+
+(* A CRLF file reads exactly like its LF twin: no stray '\r' symbol. *)
+let test_io_crlf_equals_lf () =
+  let read_both read text =
+    let lf = with_tmp (fun path -> write_raw path text; read path) in
+    let crlf =
+      with_tmp (fun path ->
+          write_raw path (String.concat "\r\n" (String.split_on_char '\n' text));
+          read path)
+    in
+    (lf, crlf)
+  in
+  let text = "# c\nx\tabc\ny\tbca\n\nz\tcab\n" in
+  let (a, rows), (a', rows') = read_both (fun p -> Seq_io.read_labeled p) text in
+  Alcotest.(check int) "labeled: same alphabet" (Alphabet.size a) (Alphabet.size a');
+  Alcotest.(check bool) "labeled: same rows" true (rows = rows');
+  let (a, rows), (a', rows') =
+    read_both (fun p -> Seq_io.read_tokens p) "x\tgo stop\ny\tstop\n"
+  in
+  Alcotest.(check int) "tokens: same alphabet" (Alphabet.size a) (Alphabet.size a');
+  Alcotest.(check bool) "tokens: same rows" true (rows = rows')
+
 (* --- format round-trip properties -------------------------------------- *)
 
 let io_roundtrip_tests =
@@ -366,6 +401,8 @@ let () =
           Alcotest.test_case "fasta ignores preamble" `Quick test_io_fasta_ignores_preamble;
           Alcotest.test_case "tokens empty file" `Quick test_io_tokens_empty_file;
           Alcotest.test_case "tokens missing tab" `Quick test_io_tokens_missing_tab;
+          Alcotest.test_case "missing tab line number" `Quick test_io_missing_tab_line_number;
+          Alcotest.test_case "crlf reads like lf" `Quick test_io_crlf_equals_lf;
         ] );
       ( "golden",
         [
