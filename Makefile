@@ -4,7 +4,7 @@
 # as dash has no `time` builtin and may lack /usr/bin/time).
 SHELL := /bin/bash
 
-.PHONY: all build test bench bench-smoke trace-smoke shard-smoke suite-smoke check fuzz coverage fmt fmt-check clean
+.PHONY: all build test bench bench-smoke trace-smoke shard-smoke suite-smoke exit-smoke check fuzz coverage fmt fmt-check clean
 
 all: build
 
@@ -105,11 +105,35 @@ fuzz: build
 suite-smoke: build
 	python3 benchsuite/run.py smoke
 
+# CLI error-path smoke gate: an unwritable output file, a missing or
+# corrupt model, and an unreadable input must each exit 1 with a
+# `cluseq: ` line on stderr, never 125 (an uncaught exception).
+exit-smoke: build
+	@tmp=$$(mktemp -d); cli="dune exec bin/cluseq_cli.exe --"; fail=0; \
+	$$cli generate --kind synthetic --num 60 --len 60 --clusters 3 -o $$tmp/in.tsv >/dev/null; \
+	echo "not a model" > $$tmp/corrupt.model; \
+	expect_1() { \
+	  "$$@" >/dev/null 2>$$tmp/err; code=$$?; \
+	  if [ $$code -ne 1 ] || ! grep -q '^cluseq: ' $$tmp/err; then \
+	    echo "exit-smoke: exit $$code from: $${*:5}"; cat $$tmp/err; fail=1; \
+	  fi; \
+	}; \
+	expect_1 $$cli generate --num 10 -o /nonexistent/x.tsv; \
+	expect_1 $$cli cluster $$tmp/in.tsv --significance 4 -o /nonexistent/a.tsv; \
+	expect_1 $$cli train $$tmp/in.tsv --significance 4 -o /nonexistent/m; \
+	expect_1 $$cli classify $$tmp/in.tsv -m $$tmp/missing.model; \
+	expect_1 $$cli classify $$tmp/in.tsv -m $$tmp/corrupt.model; \
+	expect_1 $$cli cluster $$tmp/missing.tsv; \
+	rm -rf $$tmp; \
+	[ $$fail -eq 0 ] || exit 1; \
+	echo "exit-smoke: OK"
+
 # Full gate: build, unit tests, the fuzz sweep, the formatting check,
 # the CLI metrics smoke run (generate -> cluster --metrics -> grep),
 # the perf regression smoke gate, the flight-recorder trace smoke
-# gate, the shard-and-merge smoke gate, and the benchmark suite smoke.
-check: build test fuzz fmt-check bench-smoke trace-smoke shard-smoke suite-smoke
+# gate, the shard-and-merge smoke gate, the benchmark suite smoke, and
+# the CLI error-path smoke.
+check: build test fuzz fmt-check bench-smoke trace-smoke shard-smoke suite-smoke exit-smoke
 	@tmp=$$(mktemp -d); \
 	dune exec bin/cluseq_cli.exe -- generate --kind synthetic --num 60 --len 60 \
 	  --clusters 3 -o $$tmp/smoke.tsv >/dev/null; \

@@ -105,7 +105,7 @@ let obs_term =
       & opt ~vopt:(Some "-") (some string) None
       & info [ "metrics" ] ~docv:"FILE"
           ~doc:
-            "Record pipeline metrics (PST growth, similarity scans, per-phase timings). With \
+            "Record pipeline metrics (PST growth, similarity scans, per-phase times). With \
              no $(docv), print a summary to stderr on exit; with $(docv), write a report: \
              Prometheus text format if $(docv) ends in .prom or .txt, JSON otherwise.")
   in
@@ -209,11 +209,11 @@ let resolve_shards = function
 let file_arg p =
   Arg.(required & pos p (some string) None & info [] ~docv:"FILE" ~doc:"Sequence file (label<TAB>sequence lines).")
 
-(* Read a sequence file. A missing file or a malformed line is a problem
-   with the input, not an internal error: name the file and exit 1. *)
-let read_labeled ?alphabet file =
-  try Seq_io.read_labeled ?alphabet file with
-  | Failure msg ->
+(* A missing, unreadable, unwritable or malformed file is a problem with
+   the input, not an internal error: name the file and exit 1. *)
+let with_file file f =
+  try f file with
+  | Failure msg | Invalid_argument msg ->
       Printf.eprintf "cluseq: %s: %s\n" file msg;
       exit 1
   | Sys_error msg ->
@@ -293,7 +293,7 @@ let generate_cmd =
               (Seq_database.sequences l.db),
             Seq_database.alphabet l.db )
     in
-    Seq_io.write_labeled out alphabet rows;
+    with_file out (fun out -> Seq_io.write_labeled out alphabet rows);
     Printf.printf "wrote %d sequences to %s\n" (Array.length rows) out
   in
   let term =
@@ -345,7 +345,7 @@ let cluster_cmd =
   in
   let run vcount file config shards assignments_out =
     let shards = resolve_shards shards in
-    let alphabet, rows = read_labeled file in
+    let alphabet, rows = with_file file Seq_io.read_labeled in
     let db, _labels = Seq_io.to_database alphabet rows in
     let result, seconds = Timer.time (fun () -> Shard.run ~config ~shards db) in
     Printf.printf "clusters: %d  iterations: %d  final t: %.4g  outliers: %d  time: %.2fs\n"
@@ -359,13 +359,7 @@ let cluster_cmd =
           Printf.printf
             "           scan: pairs=%d joined=%d rescores=%d wasted=%.1f%%\n"
             h.census.pairs_scored h.census.pairs_joined h.census.dirty_rescores
-            (100.0 *. Cluseq.wasted_pair_ratio h.census);
-          match h.timings with
-          | None -> ()
-          | Some t ->
-              Printf.printf
-                "           phases: gen %.3fs recluster %.3fs consolidate %.3fs threshold %.3fs converge %.3fs\n"
-                t.generation_s t.reclustering_s t.consolidation_s t.threshold_s t.convergence_s)
+            (100.0 *. Cluseq.wasted_pair_ratio h.census))
         result.history;
     Array.iter
       (fun (id, members) -> Printf.printf "cluster %d: %d sequences\n" id (Array.length members))
@@ -373,14 +367,13 @@ let cluster_cmd =
     match assignments_out with
     | None -> ()
     | Some out ->
-        let oc = open_out out in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () ->
-            Array.iteri
-              (fun i cs ->
-                Printf.fprintf oc "%d\t%s\n" i (String.concat "," (List.map string_of_int cs)))
-              result.assignments);
+        with_file out (fun out ->
+            Out_channel.with_open_text out (fun oc ->
+                Array.iteri
+                  (fun i cs ->
+                    Printf.fprintf oc "%d\t%s\n" i
+                      (String.concat "," (List.map string_of_int cs)))
+                  result.assignments));
         Printf.printf "assignments written to %s\n" out
   in
   let term = Term.(const run $ obs_term $ file_arg 0 $ config_args $ shards_arg $ assignments_out) in
@@ -396,14 +389,14 @@ let train_cmd =
   in
   let run _vcount file config shards model_out =
     let shards = resolve_shards shards in
-    let alphabet, rows = read_labeled file in
+    let alphabet, rows = with_file file Seq_io.read_labeled in
     let db, _ = Seq_io.to_database alphabet rows in
     let result, seconds = Timer.time (fun () -> Shard.run ~config ~shards db) in
     Printf.printf "clusters: %d  final t: %.4g  time: %.2fs
 " result.n_clusters
       result.final_t seconds;
     let clf = Classifier.of_result result db in
-    Classifier.save model_out clf;
+    with_file model_out (fun out -> Classifier.save out clf);
     Printf.printf "model written to %s (%d cluster models)
 " model_out
       (Classifier.n_clusters clf)
@@ -418,10 +411,12 @@ let classify_cmd =
     Arg.(required & opt (some string) None & info [ "m"; "model" ] ~docv:"FILE" ~doc:"Classifier model from 'cluseq train'.")
   in
   let run _vcount file model =
-    let clf = Classifier.load model in
+    let clf = with_file model Classifier.load in
     (* Encode with the model's own alphabet: an independently inferred
        alphabet would permute symbol codes. *)
-    let alphabet, rows = read_labeled ?alphabet:(Classifier.alphabet clf) file in
+    let alphabet, rows =
+      with_file file (Seq_io.read_labeled ?alphabet:(Classifier.alphabet clf))
+    in
     let db, labels = Seq_io.to_database alphabet rows in
     let verdicts = Classifier.classify_all clf db in
     let outliers = ref 0 in
@@ -451,7 +446,7 @@ let classify_cmd =
 let evaluate_cmd =
   let run _vcount file config shards =
     let shards = resolve_shards shards in
-    let alphabet, rows = read_labeled file in
+    let alphabet, rows = with_file file Seq_io.read_labeled in
     let db, label_names = Seq_io.to_database alphabet rows in
     (* Ground truth: numeric labels, "-1" marking outliers. *)
     let truth =
@@ -513,7 +508,7 @@ let explain_cmd =
   let ffloat k fields = Option.bind (List.assoc_opt k fields) Bench_json.to_float in
   let run _vcount file seq_id config shards cluster_opt top =
     let shards = resolve_shards shards in
-    let alphabet, rows = read_labeled file in
+    let alphabet, rows = with_file file Seq_io.read_labeled in
     let db, _ = Seq_io.to_database alphabet rows in
     let n = Seq_database.n_sequences db in
     if seq_id < 0 || seq_id >= n then
@@ -700,7 +695,7 @@ let check_cmd =
     let shards = resolve_shards shards in
     match file with
     | Some f ->
-        let alphabet, rows = read_labeled f in
+        let alphabet, rows = with_file f Seq_io.read_labeled in
         let db, _ = Seq_io.to_database alphabet rows in
         let n = Seq_database.n_sequences db in
         (* Scale the statistical thresholds to the file like the docs
@@ -749,7 +744,7 @@ let check_cmd =
 
 let info_cmd =
   let run _vcount file =
-    let alphabet, rows = read_labeled file in
+    let alphabet, rows = with_file file Seq_io.read_labeled in
     let db, labels = Seq_io.to_database alphabet rows in
     Printf.printf "sequences: %d\n" (Seq_database.n_sequences db);
     Printf.printf "alphabet:  %d symbols\n" (Alphabet.size alphabet);

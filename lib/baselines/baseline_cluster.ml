@@ -40,8 +40,5 @@ let run_method rng ~k m db =
 
 let run rng ~k m db =
   Obs.Metrics.incr m_runs;
-  Obs.Trace.with_span ("baseline." ^ method_name m) @@ fun () ->
-  let t0 = if Obs.Metrics.is_enabled () then Timer.now_ns () else 0L in
-  let labels = run_method rng ~k m db in
-  if Obs.Metrics.is_enabled () then Obs.Metrics.observe h_run (Timer.span_s t0 (Timer.now_ns ()));
-  labels
+  Obs.Trace.with_span ~hist:h_run ("baseline." ^ method_name m) @@ fun () ->
+  run_method rng ~k m db

@@ -131,7 +131,7 @@ let collect_env ~label ~scale ~domains ~shards =
 (* Capture from the live registry                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Must match Cluseq.phase_names (asserted by the telemetry tests). *)
+(* Must match Cluseq.run's phase span names (asserted by the telemetry tests). *)
 let phase_names = [ "generation"; "reclustering"; "consolidation"; "threshold"; "convergence" ]
 
 let capture ~id ~wall_s ~gc ~peak_heap_words ~quality =

@@ -88,8 +88,7 @@ type experiment = {
   cluseq_seconds : float;  (** Wall time inside [Cluseq.run], summed. *)
   phases : (string * float) list;
       (** Per-phase seconds summed over all iterations of all runs, in
-          the order of [Cluseq.phase_timings] (generation, reclustering,
-          consolidation, threshold, convergence). *)
+          the order of {!phase_names}. *)
   sequences : int;  (** Sequences clustered (summed over runs). *)
   symbols : int;  (** Symbols in those databases (summed over runs). *)
   gc : Obs.Resource.gc_delta;  (** GC work of the whole experiment. *)
@@ -122,6 +121,11 @@ val collect_env : label:string -> scale:float -> domains:int -> shards:int -> en
     degrade to ["unknown"]. [domains] is the domain-pool size in effect
     for the run (pass [Par.default_domains ()]); [shards] the harness
     [--shards] setting (1 when unsharded). *)
+
+val phase_names : string list
+(** The phases of one CLUSEQ iteration in execution order, each the name
+    of a [Cluseq.run] span and of its [cluseq.iter.<phase>_seconds]
+    histogram. *)
 
 val capture :
   id:string ->

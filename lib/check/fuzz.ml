@@ -203,9 +203,8 @@ let run_case case =
   Check.install_auditor ();
   let nodes_pruned = Obs.Metrics.counter "pst.nodes_pruned" in
   (* One configuration at 1 and at 4 domains: the auditor replays every
-     pass, and the two runs must agree on everything but wall-clock
-     timings. Returns the 1-domain result and the PST nodes pruning
-     removed in it. *)
+     pass, and the two runs must agree on everything. Returns the
+     1-domain result and the PST nodes pruning removed in it. *)
   let audited_pair ~label cfg =
     let prefix = if label = "" then "" else label ^ ": " in
     let run_at d =
@@ -235,13 +234,8 @@ let run_case case =
           err "final_t %.17g (1 domain) <> %.17g (4 domains)" r1.final_t r4.final_t;
         if r1.iterations <> r4.iterations then
           err "iterations %d (1 domain) <> %d (4 domains)" r1.iterations r4.iterations;
-        (* Timings are wall-clock and excluded; everything else must agree. *)
-        let strip =
-          List.map (fun (st : Cluseq.iteration_stats) ->
-              ( st.iteration, st.new_clusters, st.consolidated, st.clusters, st.unclustered,
-                st.threshold, st.membership_changes ))
-        in
-        if strip r1.history <> strip r4.history then
+        (* Census and drift included: every field is deterministic. *)
+        if r1.history <> r4.history then
           err "iteration history differs between 1 and 4 domains";
         if Array.map fst r1.models <> Array.map fst r4.models then
           err "model ids differ between 1 and 4 domains"

@@ -38,7 +38,7 @@ let g_wasted_ratio = Obs.Metrics.gauge "cluseq.scan.wasted_pair_ratio"
    for scores). Sum/count recover per-run means for the BENCH [drift]
    block; the same numbers feed the journal's [iteration.drift]
    records. Computed only when metrics or the journal are on, and after
-   the phase timers, so [reclustering_s] never includes them. *)
+   the phase spans, so the reclustering time never includes them. *)
 let h_churn_rate =
   Obs.Metrics.histogram
     ~buckets:[| 0.001; 0.005; 0.01; 0.05; 0.1; 0.25; 0.5; 1.0 |]
@@ -66,8 +66,8 @@ let h_member_score =
    state column cache-resident. *)
 let scan_block = 64
 
-(* The five phases of one iteration, in execution order; indexes into
-   [h_phase] and the per-iteration timing array in [run]. *)
+(* The five phases of one iteration, in execution order: the span names
+   and, indexed alike, their [cluseq.iter.<phase>_seconds] histograms. *)
 let phase_names = [| "generation"; "reclustering"; "consolidation"; "threshold"; "convergence" |]
 
 let h_phase =
@@ -132,14 +132,6 @@ type auditor = {
 let auditor : auditor option ref = ref None
 let set_auditor a = auditor := a
 
-type phase_timings = {
-  generation_s : float;
-  reclustering_s : float;
-  consolidation_s : float;
-  threshold_s : float;
-  convergence_s : float;
-}
-
 type scan_census = {
   pairs_scored : int;
   pairs_joined : int;
@@ -163,8 +155,8 @@ type drift = {
 
 (* Journal events decided inside the timed reclustering scan. Recording
    them is one cons per decision; JSON formatting and file writes happen
-   after the phase timer stops, so journaling cannot distort the
-   reclustering_s it documents (same discipline as the drift gauges). *)
+   after the phase span closes, so journaling cannot distort the
+   reclustering time it documents (same discipline as the drift gauges). *)
 type pending_event =
   | Ev_joined of int * int * float  (* seq, cluster, deciding log_sim *)
   | Ev_left of int * int * float
@@ -179,7 +171,6 @@ type iteration_stats = {
   threshold : float;
   membership_changes : int;
   census : scan_census;
-  timings : phase_timings option;
   drift : drift option;
 }
 
@@ -715,8 +706,8 @@ let membership_changes ~n ~prev memberships =
     prev;
   Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 changed
 
-(* Quality gauges for one iteration, computed outside the phase timers
-   (so [reclustering_s] is never charged for them) and only when someone
+(* Quality gauges for one iteration, computed outside the phase spans
+   (so reclustering is never charged for them) and only when someone
    is listening. Every input is a deterministic function of the serial
    model state, so journaled drift records are bit-identical at any
    domain count. *)
@@ -812,23 +803,8 @@ let run ?(config = default_config) db =
   if not (Float.is_finite cfg.t_init && cfg.t_init >= 1.0) then
     invalid_arg "Cluseq.run: t_init must be a finite value >= 1";
   Obs.Metrics.incr m_runs;
-  let run_t0 = if Obs.Metrics.is_enabled () then Timer.now_ns () else 0L in
-  Obs.Trace.with_span "cluseq.run" @@ fun () ->
-  (* Per-iteration phase durations (seconds); only filled while metrics
-     are enabled so disabled runs skip the clock reads entirely. *)
-  let phase_s = Array.make (Array.length phase_names) 0.0 in
-  let phase idx f =
-    Obs.Trace.with_span phase_names.(idx) (fun () ->
-        if Obs.Metrics.is_enabled () then begin
-          let t0 = Timer.now_ns () in
-          let r = f () in
-          let dt = Timer.span_s t0 (Timer.now_ns ()) in
-          phase_s.(idx) <- dt;
-          Obs.Metrics.observe h_phase.(idx) dt;
-          r
-        end
-        else f ())
-  in
+  Obs.Trace.with_span ~hist:h_run_seconds "cluseq.run" @@ fun () ->
+  let phase idx f = Obs.Trace.with_span ~hist:h_phase.(idx) phase_names.(idx) f in
   let n = Seq_database.n_sequences db in
   (* Built once per database (Seq_database caches it) and validated once
      per run — never recomputed or re-checked inside a scoring call. *)
@@ -955,17 +931,6 @@ let run ?(config = default_config) db =
         threshold = Threshold.linear_t threshold;
         membership_changes = changes;
         census;
-        timings =
-          (if Obs.Metrics.is_enabled () then
-             Some
-               {
-                 generation_s = phase_s.(0);
-                 reclustering_s = phase_s.(1);
-                 consolidation_s = phase_s.(2);
-                 threshold_s = phase_s.(3);
-                 convergence_s = phase_s.(4);
-               }
-           else None);
         drift;
       }
       :: !history;
@@ -979,7 +944,6 @@ let run ?(config = default_config) db =
   if Obs.Metrics.is_enabled () then begin
     Obs.Metrics.incr ~by:n m_sequences;
     Obs.Metrics.incr ~by:(Seq_database.total_symbols db) m_symbols;
-    Obs.Metrics.observe h_run_seconds (Timer.span_s run_t0 (Timer.now_ns ()));
     let nodes = Array.fold_left (fun acc (_, (st : Pst.stats)) -> acc + st.nodes) 0 pst_stats in
     let words =
       Array.fold_left (fun acc (_, (st : Pst.stats)) -> acc + st.approx_bytes) 0 pst_stats

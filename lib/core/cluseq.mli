@@ -35,10 +35,10 @@
     the threshold), and one [iteration.drift] quality record per
     iteration. Membership events decided inside the timed reclustering
     scan are recorded as plain tuples and written (in scan order) right
-    after the phase timer stops, so journaling does not distort the
-    [reclustering_s] it documents. When the journal is disabled every
-    hook costs one [bool ref] read — the same contract as the
-    {!auditor}. *)
+    after the [reclustering] span closes, so journaling does not distort
+    the [cluseq.iter.reclustering_seconds] it documents. When the journal
+    is disabled every hook costs one [bool ref] read — the same contract
+    as the {!auditor}. *)
 
 type config = {
   k_init : int;  (** Initial number of clusters [k] (paper default 1). *)
@@ -102,17 +102,6 @@ type auditor = {
 val set_auditor : auditor option -> unit
 (** Install (or clear) the process-wide auditor. Not domain-safe: set it
     before {!run}, from the same domain. *)
-
-type phase_timings = {
-  generation_s : float;  (** New-cluster generation (Sec. 4.1). *)
-  reclustering_s : float;  (** Sequence reclustering scan (Sec. 4.2). *)
-  consolidation_s : float;  (** Cluster consolidation (Sec. 4.5). *)
-  threshold_s : float;  (** Threshold adjustment (Sec. 4.6). *)
-  convergence_s : float;  (** Membership-diff convergence test. *)
-}
-(** Wall-clock seconds spent in each phase of one iteration, measured
-    on the monotonic clock. The same durations feed the
-    [cluseq.iter.<phase>_seconds] histograms of {!Obs.Metrics}. *)
 
 type scan_census = {
   pairs_scored : int;
@@ -189,16 +178,15 @@ type iteration_stats = {
   threshold : float;  (** Linear [t] at iteration end. *)
   membership_changes : int;  (** Sequences whose membership set changed. *)
   census : scan_census;  (** Scan-efficiency census of the reclustering pass. *)
-  timings : phase_timings option;
-      (** Per-phase wall-clock breakdown; [Some] only when
-          [Obs.Metrics] was enabled during the run, so that disabled
-          runs pay no clock reads and results stay structurally equal
-          across identically-seeded runs. *)
   drift : drift option;
       (** Quality gauges; [Some] when [Obs.Metrics] or {!Obs.Journal}
-          was enabled — computed outside the phase timers, so
-          [timings] never charges for them. *)
+          was enabled — computed outside the phase spans, so no phase
+          is charged for them. *)
 }
+(** Deterministic: identically seeded runs produce equal histories at
+    any domain count. Phase wall-clock time is not kept here; each phase
+    is a span of {!run} feeding its [cluseq.iter.<phase>_seconds]
+    histogram. *)
 
 type result = {
   clusters : (int * int array) array;

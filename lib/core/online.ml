@@ -113,11 +113,10 @@ let score_against t s =
 (* Mining: run batch CLUSEQ over the buffered sequences; each discovered
    cluster becomes a live cluster, and its members leave the buffer. *)
 let mine t =
-  Obs.Trace.with_span "online.mine" @@ fun () ->
-  let t0 = if Obs.Metrics.is_enabled () then Timer.now_ns () else 0L in
   let pending = Array.of_seq (Queue.to_seq t.buffer) in
   if Array.length pending < 2 then 0
   else begin
+    Obs.Trace.with_span ~hist:h_mine "online.mine" @@ fun () ->
     let alphabet =
       if t.alphabet_size <= 26 then
         Alphabet.of_char_range 'a' (Char.chr (Char.code 'a' + t.alphabet_size - 1))
@@ -165,8 +164,6 @@ let mine t =
     Array.iteri (fun i s -> if not taken.(i) then Queue.add s t.buffer) pending;
     t.mined_clusters <- t.mined_clusters + !fresh;
     Obs.Metrics.incr ~by:!fresh m_mined_clusters;
-    if Obs.Metrics.is_enabled () then
-      Obs.Metrics.observe h_mine (Timer.span_s t0 (Timer.now_ns ()));
     Log.debug (fun m ->
         m "mined %d clusters from %d buffered sequences (%d still buffered)" !fresh
           (Array.length pending) (Queue.length t.buffer));

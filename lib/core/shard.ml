@@ -11,11 +11,6 @@ let g_shard_count = Obs.Metrics.gauge "cluseq.shard.count"
 let h_shard_run_seconds = Obs.Metrics.histogram "cluseq.shard.run_seconds"
 let h_merge_seconds = Obs.Metrics.histogram "cluseq.shard.merge_seconds"
 
-(* Flight-recorder lane: one [shard.run] duration event per shard on
-   the executing domain's ring (arg = shard index), so the Perfetto
-   export shows each shard as a block on its worker's track. *)
-let rec_shard_run = Obs.Recorder.intern "shard.run"
-
 (* The divergence PREFILTER for consolidation candidates — not the
    decision rule. Measured same-family and different-family divergence
    bands move with the per-shard sample size and overlap across
@@ -136,13 +131,11 @@ let run ?(config = Cluseq.default_config) ?(shards = 1)
           let pool = Par.get_pool () in
           Par.map_chunks pool ~chunks:k ~n:k (fun j ->
               let s, ids = live.(j) in
-              Obs.Recorder.begin_ rec_shard_run ~arg:s;
-              let t0 = Timer.now_ns () in
+              (* On a worker the span lands on that domain's ring: Perfetto
+                 shows each shard, with its phases, on its worker's track. *)
+              Obs.Trace.with_span ~hist:h_shard_run_seconds "shard.run" @@ fun () ->
               let sub = Seq_database.subset db ids in
-              let r = Cluseq.run ~config:{ config with Cluseq.seed = shard_seed seed s } sub in
-              Obs.Metrics.observe h_shard_run_seconds (Timer.span_s t0 (Timer.now_ns ()));
-              Obs.Recorder.end_ rec_shard_run;
-              r))
+              Cluseq.run ~config:{ config with Cluseq.seed = shard_seed seed s } sub))
     in
     if journal_on then
       Array.iteri
@@ -156,7 +149,7 @@ let run ?(config = Cluseq.default_config) ?(shards = 1)
                 ("final_t", Bench_json.Num r.Cluseq.final_t);
               ]))
         sub_results;
-    let merge_t0 = if Obs.Metrics.is_enabled () then Timer.now_ns () else 0L in
+    Obs.Trace.with_span ~hist:h_merge_seconds "shard.merge" @@ fun () ->
     (* --- lift per-shard clusters to the global numbering (shard-major
        order, so ids are deterministic) --- *)
     let best = Array.make n None in
@@ -446,8 +439,6 @@ let run ?(config = Cluseq.default_config) ?(shards = 1)
     in
     Obs.Metrics.set (Obs.Metrics.gauge "cluseq.pst.nodes") (float_of_int nodes);
     Obs.Metrics.set (Obs.Metrics.gauge "cluseq.pst.est_words") (float_of_int words);
-    if Obs.Metrics.is_enabled () then
-      Obs.Metrics.observe h_merge_seconds (Timer.span_s merge_t0 (Timer.now_ns ()));
     Log.info (fun m ->
         m "merged %d shard clusters into %d (threshold %.3g, %d rescored)" (Array.length gs)
           (Array.length final) merge_divergence

@@ -35,83 +35,55 @@ let num_to_string v =
     let s = Printf.sprintf "%.12g" v in
     if float_of_string s = v then s else Printf.sprintf "%.17g" v
 
-let to_string json =
-  let b = Buffer.create 4096 in
-  let pad n = Buffer.add_string b (String.make n ' ') in
+(* One printer for both layouts: [pretty] puts every array item and
+   object field on its own line, indented two spaces per level, and
+   spaces the [": "] separator; otherwise the output is a single line
+   with no whitespace — one JSONL record (Obs.Journal). *)
+let print ~pretty json =
+  let b = Buffer.create (if pretty then 4096 else 256) in
+  let newline indent =
+    if pretty then begin
+      Buffer.add_char b '\n';
+      Buffer.add_string b (String.make indent ' ')
+    end
+  in
+  let str s =
+    Buffer.add_char b '"';
+    Buffer.add_string b (escape s);
+    Buffer.add_char b '"'
+  in
   let rec go indent = function
     | Null -> Buffer.add_string b "null"
     | Bool v -> Buffer.add_string b (if v then "true" else "false")
     | Num v -> Buffer.add_string b (num_to_string v)
-    | Str s ->
-        Buffer.add_char b '"';
-        Buffer.add_string b (escape s);
-        Buffer.add_char b '"'
+    | Str s -> str s
     | Arr [] -> Buffer.add_string b "[]"
-    | Arr items ->
-        Buffer.add_string b "[\n";
-        List.iteri
-          (fun i item ->
-            if i > 0 then Buffer.add_string b ",\n";
-            pad (indent + 2);
-            go (indent + 2) item)
-          items;
-        Buffer.add_char b '\n';
-        pad indent;
-        Buffer.add_char b ']'
     | Obj [] -> Buffer.add_string b "{}"
+    | Arr items -> seq indent '[' ']' (go (indent + 2)) items
     | Obj fields ->
-        Buffer.add_string b "{\n";
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_string b ",\n";
-            pad (indent + 2);
-            Buffer.add_char b '"';
-            Buffer.add_string b (escape k);
-            Buffer.add_string b "\": ";
+        seq indent '{' '}'
+          (fun (k, v) ->
+            str k;
+            Buffer.add_string b (if pretty then ": " else ":");
             go (indent + 2) v)
-          fields;
-        Buffer.add_char b '\n';
-        pad indent;
-        Buffer.add_char b '}'
+          fields
+  and seq : 'a. int -> char -> char -> ('a -> unit) -> 'a list -> unit =
+   fun indent opening closing item items ->
+    Buffer.add_char b opening;
+    List.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_char b ',';
+        newline (indent + 2);
+        item x)
+      items;
+    newline indent;
+    Buffer.add_char b closing
   in
   go 0 json;
-  Buffer.add_char b '\n';
   Buffer.contents b
 
-(* Single-line rendering for JSONL records (Obs.Journal): no padding, no
-   trailing newline — the writer appends its own '\n' per record. *)
-let to_compact_string json =
-  let b = Buffer.create 256 in
-  let rec go = function
-    | Null -> Buffer.add_string b "null"
-    | Bool v -> Buffer.add_string b (if v then "true" else "false")
-    | Num v -> Buffer.add_string b (num_to_string v)
-    | Str s ->
-        Buffer.add_char b '"';
-        Buffer.add_string b (escape s);
-        Buffer.add_char b '"'
-    | Arr items ->
-        Buffer.add_char b '[';
-        List.iteri
-          (fun i item ->
-            if i > 0 then Buffer.add_char b ',';
-            go item)
-          items;
-        Buffer.add_char b ']'
-    | Obj fields ->
-        Buffer.add_char b '{';
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_char b ',';
-            Buffer.add_char b '"';
-            Buffer.add_string b (escape k);
-            Buffer.add_string b "\":";
-            go v)
-          fields;
-        Buffer.add_char b '}'
-  in
-  go json;
-  Buffer.contents b
+let to_string json = print ~pretty:true json ^ "\n"
+let to_compact_string json = print ~pretty:false json
 
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)

@@ -5,16 +5,17 @@
    Counters and histograms are atomic: the Par worker domains score
    sequences through instrumented read paths (Similarity.score,
    Pst.log_prob) and any domain owning a pool may observe latencies, so
-   neither increments nor bucket updates may race. Gauges, tracing, and
-   registration remain main-domain mutable state — only the
+   neither increments nor bucket updates may race. Gauges, the span tree,
+   and registration remain main-domain mutable state — only the
    submitting side of the pipeline writes them. Instrumented code pays one
    [bool ref] dereference per event while disabled, so leaving call
    sites permanently instrumented is free.
 
    The flight recorder ([Recorder]) extends visibility to the worker
    domains themselves: each domain owns a fixed-capacity event ring
-   (begin/end/instant, interned name, monotonic timestamp) written
-   without locks; the main domain merges all rings at export time. The
+   (begin/end, interned name, monotonic timestamp) written without
+   locks; the main domain merges all rings at export time. A span
+   opened on a worker domain lands on that domain's ring. The
    [Runtime_bridge] interleaves GC and domain-lifecycle events from the
    OCaml runtime into the same timeline, and [Export.to_chrome_trace]
    renders everything as Chrome trace-format JSON for Perfetto. *)
@@ -120,6 +121,13 @@ module Metrics = struct
       ignore (Atomic.fetch_and_add h.h_count 1)
     end
 
+  let time h f =
+    if not !enabled then f ()
+    else begin
+      let t0 = Timer.now_ns () in
+      Fun.protect ~finally:(fun () -> observe h (Timer.span_s t0 (Timer.now_ns ()))) f
+    end
+
   let histogram_count h = Atomic.get h.h_count
   let histogram_sum h = Atomic.get h.h_sum
   let histogram_name h = h.h_name
@@ -179,78 +187,6 @@ module Metrics = struct
   let entries () =
     Hashtbl.fold (fun name e acc -> (name, e) :: acc) registry []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
-end
-
-(* ------------------------------------------------------------------ *)
-(* Tracing                                                             *)
-(* ------------------------------------------------------------------ *)
-
-module Trace = struct
-  let enabled = ref false
-  let enable () = enabled := true
-  let disable () = enabled := false
-  let is_enabled () = !enabled
-
-  type span = {
-    span_name : string;
-    start_ns : int64;
-    mutable stop_ns : int64; (* 0 while the span is open *)
-    mutable rev_children : span list;
-  }
-
-  let roots_rev : span list ref = ref []
-  let stack : span list ref = ref []
-  let start_hooks : (span -> unit) list ref = ref []
-  let stop_hooks : (span -> unit) list ref = ref []
-
-  let on_start f = start_hooks := !start_hooks @ [ f ]
-  let on_stop f = stop_hooks := !stop_hooks @ [ f ]
-  let clear_hooks () =
-    start_hooks := [];
-    stop_hooks := []
-
-  let name sp = sp.span_name
-  let children sp = List.rev sp.rev_children
-  let start_ns sp = sp.start_ns
-
-  let duration_ns sp =
-    Int64.sub (if sp.stop_ns = 0L then Timer.now_ns () else sp.stop_ns) sp.start_ns
-
-  let duration_s sp = Int64.to_float (duration_ns sp) /. 1e9
-
-  let with_span name f =
-    (* Span state is a pair of global refs, so only the main domain may
-       record spans: a worker-domain span (e.g. inside a shard task)
-       degrades to a plain call instead of corrupting the stack. *)
-    if (not !enabled) || not (Domain.is_main_domain ()) then f ()
-    else begin
-      let sp = { span_name = name; start_ns = Timer.now_ns (); stop_ns = 0L; rev_children = [] } in
-      (match !stack with
-      | parent :: _ -> parent.rev_children <- sp :: parent.rev_children
-      | [] -> roots_rev := sp :: !roots_rev);
-      stack := sp :: !stack;
-      List.iter (fun h -> h sp) !start_hooks;
-      Fun.protect
-        ~finally:(fun () ->
-          sp.stop_ns <- Timer.now_ns ();
-          (match !stack with s :: rest when s == sp -> stack := rest | _ -> ());
-          List.iter (fun h -> h sp) !stop_hooks)
-        f
-    end
-
-  let roots () = List.rev !roots_rev
-
-  let reset () =
-    roots_rev := [];
-    stack := []
-
-  let pp ppf () =
-    let rec go indent sp =
-      Format.fprintf ppf "%s%s  %.3f ms@\n" (String.make indent ' ') sp.span_name
-        (duration_s sp *. 1e3);
-      List.iter (go (indent + 2)) (children sp)
-    in
-    List.iter (go 0) (roots ())
 end
 
 (* ------------------------------------------------------------------ *)
@@ -314,7 +250,7 @@ module Recorder = struct
     r_domain : int;
     r_cap : int;
     r_ts : int array;
-    r_kind : int array; (* 0 begin, 1 end, 2 instant *)
+    r_kind : int array; (* 0 begin, 1 end *)
     r_name : int array;
     r_arg : int array;
     mutable r_next : int; (* total events ever written; slot = next land (cap-1) *)
@@ -353,29 +289,22 @@ module Recorder = struct
 
   let dls_key : ring Domain.DLS.key = Domain.DLS.new_key make_ring
 
-  let emit kind name arg =
+  (* Write one event stamped [ts]; callers check [enabled]. *)
+  let emit_at ts kind name arg =
     let r = Domain.DLS.get dls_key in
     let i = r.r_next land (r.r_cap - 1) in
-    r.r_ts.(i) <- Int64.to_int (Timer.now_ns ());
+    r.r_ts.(i) <- Int64.to_int ts;
     r.r_kind.(i) <- kind;
     r.r_name.(i) <- name;
     r.r_arg.(i) <- arg;
     r.r_next <- r.r_next + 1
 
-  let begin_ ?(arg = 0) n = if !enabled then emit 0 n arg
-  let end_ n = if !enabled then emit 1 n 0
-  let instant ?(arg = 0) n = if !enabled then emit 2 n arg
-
-  let with_event ?arg n f =
-    if not !enabled then f ()
-    else begin
-      begin_ ?arg n;
-      Fun.protect ~finally:(fun () -> end_ n) f
-    end
+  let begin_ ?(arg = 0) n = if !enabled then emit_at (Timer.now_ns ()) 0 n arg
+  let end_ n = if !enabled then emit_at (Timer.now_ns ()) 1 n 0
 
   (* --- draining (main domain, outside parallel regions) --- *)
 
-  type kind = Begin | End | Instant
+  type kind = Begin | End
 
   type event = { domain : int; ts_ns : int64; kind : kind; ev_name : string; arg : int }
 
@@ -397,7 +326,7 @@ module Recorder = struct
           {
             domain = r.r_domain;
             ts_ns = Int64.of_int r.r_ts.(i);
-            kind = (match r.r_kind.(i) with 0 -> Begin | 1 -> End | _ -> Instant);
+            kind = (if r.r_kind.(i) = 0 then Begin else End);
             ev_name = name_string r.r_name.(i);
             arg = r.r_arg.(i);
           })
@@ -409,6 +338,83 @@ module Recorder = struct
            if c <> 0 then c else compare a.domain b.domain)
 
   let reset () = List.iter (fun r -> r.r_next <- 0) (snapshot_rings ())
+end
+
+(* ------------------------------------------------------------------ *)
+(* Tracing                                                             *)
+(* ------------------------------------------------------------------ *)
+
+module Trace = struct
+  let enabled = ref false
+  let enable () = enabled := true
+  let disable () = enabled := false
+  let is_enabled () = !enabled
+
+  type span = {
+    span_name : string;
+    start_ns : int64;
+    mutable stop_ns : int64; (* 0 while the span is open *)
+    mutable rev_children : span list;
+  }
+
+  (* The tree is a pair of global refs, so only the main domain writes
+     it; a worker-domain span goes to that domain's recorder ring. *)
+  let roots_rev : span list ref = ref []
+  let stack : span list ref = ref []
+
+  let name sp = sp.span_name
+  let children sp = List.rev sp.rev_children
+  let start_ns sp = sp.start_ns
+
+  let duration_ns sp =
+    Int64.sub (if sp.stop_ns = 0L then Timer.now_ns () else sp.stop_ns) sp.start_ns
+
+  let duration_s sp = Int64.to_float (duration_ns sp) /. 1e9
+
+  (* The one timing path: a single pair of clock reads feeds every sink
+     that is on — the tree (main domain), the calling domain's ring
+     (worker domain), and [hist]. With no span sink this is
+     [Metrics.time]; with every sink off, a plain call. *)
+  let with_span ?hist name f =
+    let main = Domain.is_main_domain () in
+    let tree = !enabled && main and ring = !Recorder.enabled && not main in
+    if not (tree || ring) then match hist with None -> f () | Some h -> Metrics.time h f
+    else begin
+      let t0 = Timer.now_ns () in
+      let sp = { span_name = name; start_ns = t0; stop_ns = 0L; rev_children = [] } in
+      if tree then begin
+        (match !stack with
+        | parent :: _ -> parent.rev_children <- sp :: parent.rev_children
+        | [] -> roots_rev := sp :: !roots_rev);
+        stack := sp :: !stack
+      end;
+      let id = if ring then Recorder.intern name else 0 in
+      if ring then Recorder.emit_at t0 0 id 0;
+      Fun.protect
+        ~finally:(fun () ->
+          let t1 = Timer.now_ns () in
+          if tree then begin
+            sp.stop_ns <- t1;
+            match !stack with s :: rest when s == sp -> stack := rest | _ -> ()
+          end;
+          if ring then Recorder.emit_at t1 1 id 0;
+          Option.iter (fun h -> Metrics.observe h (Timer.span_s t0 t1)) hist)
+        f
+    end
+
+  let roots () = List.rev !roots_rev
+
+  let reset () =
+    roots_rev := [];
+    stack := []
+
+  let pp ppf () =
+    let rec go indent sp =
+      Format.fprintf ppf "%s%s  %.3f ms@\n" (String.make indent ' ') sp.span_name
+        (duration_s sp *. 1e3);
+      List.iter (go (indent + 2)) (children sp)
+    in
+    List.iter (go 0) (roots ())
 end
 
 (* ------------------------------------------------------------------ *)
@@ -784,196 +790,143 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Export = struct
-  let json_escape s =
-    let b = Buffer.create (String.length s + 2) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\t' -> Buffer.add_string b "\\t"
-        | '\r' -> Buffer.add_string b "\\r"
-        | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
+  (* [(name, v)] for each registered instrument [f] maps to [Some v], by name. *)
+  let pick f =
+    List.filter_map
+      (fun (name, e) -> Option.map (fun v -> (name, v)) (f e))
+      (Metrics.entries ())
 
-  let json_float v =
-    if Float.is_finite v then Printf.sprintf "%.17g" v
-    else "null" (* JSON has no Inf/NaN literal *)
+  let counters () =
+    pick (function Metrics.Counter c -> Some (Metrics.counter_value c) | _ -> None)
+
+  let gauges () = pick (function Metrics.Gauge g -> Some (Metrics.gauge_value g) | _ -> None)
+  let histograms () = pick (function Metrics.Histogram h -> Some h | _ -> None)
 
   let to_json () =
-    let b = Buffer.create 4096 in
-    let comma first = if !first then first := false else Buffer.add_string b "," in
-    Buffer.add_string b "{\n  \"counters\": {";
-    let first = ref true in
-    List.iter
-      (fun (name, e) ->
-        match e with
-        | Metrics.Counter c ->
-            comma first;
-            Buffer.add_string b
-              (Printf.sprintf "\n    \"%s\": %d" (json_escape name) (Metrics.counter_value c))
-        | _ -> ())
-      (Metrics.entries ());
-    Buffer.add_string b "\n  },\n  \"gauges\": {";
-    let first = ref true in
-    List.iter
-      (fun (name, e) ->
-        match e with
-        | Metrics.Gauge g ->
-            comma first;
-            Buffer.add_string b
-              (Printf.sprintf "\n    \"%s\": %s" (json_escape name)
-                 (json_float (Metrics.gauge_value g)))
-        | _ -> ())
-      (Metrics.entries ());
-    Buffer.add_string b "\n  },\n  \"histograms\": {";
-    let first = ref true in
-    List.iter
-      (fun (name, e) ->
-        match e with
-        | Metrics.Histogram h ->
-            comma first;
-            (* An empty histogram has no rank-q observation: omit the
-               quantile keys rather than fabricate "null" estimates —
-               consumers can then distinguish "no data" from "quantile
-               happens to be unrepresentable". *)
-            let quantiles =
-              if Metrics.histogram_count h = 0 then ""
-              else
-                Printf.sprintf " \"p50\": %s, \"p95\": %s, \"p99\": %s,"
-                  (json_float (Metrics.quantile h 0.50))
-                  (json_float (Metrics.quantile h 0.95))
-                  (json_float (Metrics.quantile h 0.99))
-            in
-            Buffer.add_string b
-              (Printf.sprintf "\n    \"%s\": { \"count\": %d, \"sum\": %s,%s \"buckets\": ["
-                 (json_escape name) (Metrics.histogram_count h)
-                 (json_float (Metrics.histogram_sum h))
-                 quantiles);
-            let bfirst = ref true in
-            Array.iter
-              (fun (le, count) ->
-                comma bfirst;
-                let le_str =
-                  if Float.is_finite le then json_float le else "\"+Inf\""
-                in
-                Buffer.add_string b (Printf.sprintf "{ \"le\": %s, \"count\": %d }" le_str count))
-              (Metrics.bucket_counts h);
-            Buffer.add_string b "] }"
-        | _ -> ())
-      (Metrics.entries ());
-    Buffer.add_string b "\n  }";
-    (match Trace.roots () with
-    | [] -> ()
-    | roots ->
-        Buffer.add_string b ",\n  \"spans\": [";
-        let rec emit_span first sp =
-          comma first;
-          Buffer.add_string b
-            (Printf.sprintf "{ \"name\": \"%s\", \"duration_ns\": %Ld, \"children\": ["
-               (json_escape (Trace.name sp)) (Trace.duration_ns sp));
-          let cfirst = ref true in
-          List.iter (emit_span cfirst) (Trace.children sp);
-          Buffer.add_string b "] }"
-        in
-        let sfirst = ref true in
-        List.iter (emit_span sfirst) roots;
-        Buffer.add_string b "]");
-    Buffer.add_string b "\n}\n";
-    Buffer.contents b
+    let open Bench_json in
+    let int i = Num (float_of_int i) in
+    let histogram h =
+      (* An empty histogram has no rank-q observation: omit the quantile
+         keys rather than fabricate "null" estimates — consumers can then
+         distinguish "no data" from "quantile happens to be
+         unrepresentable". *)
+      let quantiles =
+        if Metrics.histogram_count h = 0 then []
+        else
+          List.map
+            (fun (key, q) -> (key, Num (Metrics.quantile h q)))
+            [ ("p50", 0.50); ("p95", 0.95); ("p99", 0.99) ]
+      in
+      let bucket (le, n) =
+        Obj [ ("le", if Float.is_finite le then Num le else Str "+Inf"); ("count", int n) ]
+      in
+      Obj
+        ((("count", int (Metrics.histogram_count h)) :: ("sum", Num (Metrics.histogram_sum h))
+         :: quantiles)
+        @ [ ("buckets", Arr (List.map bucket (Array.to_list (Metrics.bucket_counts h)))) ])
+    in
+    let rec span sp =
+      Obj
+        [
+          ("name", Str (Trace.name sp));
+          ("duration_ns", Num (Int64.to_float (Trace.duration_ns sp)));
+          ("children", Arr (List.map span (Trace.children sp)));
+        ]
+    in
+    let section f l = Obj (List.map (fun (name, v) -> (name, f v)) l) in
+    let spans =
+      match Trace.roots () with [] -> [] | roots -> [ ("spans", Arr (List.map span roots)) ]
+    in
+    to_string
+      (Obj
+         (("counters", section int (counters ()))
+         :: ("gauges", section (fun v -> Num v) (gauges ()))
+         :: ("histograms", section histogram (histograms ()))
+         :: spans))
 
   (* Chrome trace-format JSON (https://ui.perfetto.dev loads it): one
      merged timeline of the main-domain span tree (ph "X" complete
-     events), every domain ring's begin/end/instant events, and the
+     events), every domain ring's begin/end events, and the
      Runtime_bridge's GC/lifecycle events. All three sources timestamp
      with CLOCK_MONOTONIC ns; we rebase to the earliest event and emit
      microseconds, the format's unit. pid is always 0; tid is the OCaml
      domain id, so each domain renders as its own track. *)
   let to_chrome_trace () =
-    let rec_events = Recorder.events () in
-    let rt_events = Runtime_bridge.events () in
+    let open Bench_json in
+    let int i = Num (float_of_int i) in
+    let rec_events = Recorder.events () and rt_events = Runtime_bridge.events () in
     let spans = Trace.roots () in
-    let min64 a b = if Int64.compare a b <= 0 then a else b in
     let t0 =
-      let acc = ref Int64.max_int in
-      List.iter (fun sp -> acc := min64 !acc (Trace.start_ns sp)) spans;
-      List.iter (fun (e : Recorder.event) -> acc := min64 !acc e.ts_ns) rec_events;
-      List.iter (fun (e : Runtime_bridge.event) -> acc := min64 !acc e.rb_ts) rt_events;
-      if !acc = Int64.max_int then 0L else !acc
+      match
+        List.map Trace.start_ns spans
+        @ List.map (fun (e : Recorder.event) -> e.ts_ns) rec_events
+        @ List.map (fun (e : Runtime_bridge.event) -> e.rb_ts) rt_events
+      with
+      | [] -> 0L
+      | ts :: rest -> List.fold_left min ts rest
     in
-    let us ts = Int64.to_float (Int64.sub ts t0) /. 1e3 in
-    let b = Buffer.create 8192 in
-    Buffer.add_string b "{\"traceEvents\":[";
-    let first = ref true in
-    let comma () = if !first then first := false else Buffer.add_string b ",\n" in
-    comma ();
-    Buffer.add_string b
-      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{\"name\":\"cluseq\"}}";
+    let us ns = Num (Int64.to_float ns /. 1e3) in
+    let event ~cat ~ph ~tid name ts rest =
+      Obj
+        (("name", Str name) :: ("cat", Str cat) :: ("ph", Str ph) :: ("pid", int 0)
+        :: ("tid", int tid) :: ("ts", us (Int64.sub ts t0)) :: rest)
+    in
+    let metadata tid name value =
+      Obj
+        [
+          ("name", Str name); ("ph", Str "M"); ("pid", int 0); ("tid", int tid);
+          ("args", Obj [ ("name", Str value) ]);
+        ]
+    in
     (* One thread_name metadata record per domain that appears anywhere. *)
-    let tids = Hashtbl.create 8 in
-    Hashtbl.replace tids 0 ();
-    List.iter (fun (e : Recorder.event) -> Hashtbl.replace tids e.domain ()) rec_events;
-    List.iter (fun (e : Runtime_bridge.event) -> Hashtbl.replace tids e.rb_domain ()) rt_events;
-    Hashtbl.fold (fun tid () acc -> tid :: acc) tids []
-    |> List.sort compare
-    |> List.iter (fun tid ->
-           comma ();
-           Buffer.add_string b
-             (Printf.sprintf
-                "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
-                tid
-                (if tid = 0 then "domain 0 (main)" else Printf.sprintf "domain %d" tid)));
-    let rec emit_span sp =
-      comma ();
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"span\",\"ph\":\"X\",\"pid\":0,\"tid\":0,\"ts\":%s,\"dur\":%s}"
-           (json_escape (Trace.name sp))
-           (json_float (us (Trace.start_ns sp)))
-           (json_float (Int64.to_float (Trace.duration_ns sp) /. 1e3)));
-      List.iter emit_span (Trace.children sp)
+    let thread tid =
+      metadata tid "thread_name"
+        (if tid = 0 then "domain 0 (main)" else Printf.sprintf "domain %d" tid)
     in
-    List.iter emit_span spans;
-    List.iter
-      (fun (e : Recorder.event) ->
-        comma ();
-        let common =
-          Printf.sprintf "\"name\":\"%s\",\"cat\":\"ring\",\"pid\":0,\"tid\":%d,\"ts\":%s"
-            (json_escape e.ev_name) e.domain
-            (json_float (us e.ts_ns))
-        in
-        match e.kind with
-        | Recorder.Begin ->
-            Buffer.add_string b
-              (Printf.sprintf "{%s,\"ph\":\"B\",\"args\":{\"arg\":%d}}" common e.arg)
-        | Recorder.End -> Buffer.add_string b (Printf.sprintf "{%s,\"ph\":\"E\"}" common)
-        | Recorder.Instant ->
-            Buffer.add_string b
-              (Printf.sprintf "{%s,\"ph\":\"i\",\"s\":\"t\",\"args\":{\"arg\":%d}}" common e.arg))
-      rec_events;
-    List.iter
-      (fun (e : Runtime_bridge.event) ->
-        comma ();
-        let common =
-          Printf.sprintf "\"name\":\"%s\",\"cat\":\"runtime\",\"pid\":0,\"tid\":%d,\"ts\":%s"
-            (json_escape e.rb_name) e.rb_domain
-            (json_float (us e.rb_ts))
-        in
+    let tids =
+      List.sort_uniq compare
+        ((0 :: List.map (fun (e : Recorder.event) -> e.domain) rec_events)
+        @ List.map (fun (e : Runtime_bridge.event) -> e.rb_domain) rt_events)
+    in
+    let rec span sp =
+      event ~cat:"span" ~ph:"X" ~tid:0 (Trace.name sp) (Trace.start_ns sp)
+        [ ("dur", us (Trace.duration_ns sp)) ]
+      :: List.concat_map span (Trace.children sp)
+    in
+    let ring (e : Recorder.event) =
+      match e.kind with
+      | Recorder.Begin ->
+          event ~cat:"ring" ~ph:"B" ~tid:e.domain e.ev_name e.ts_ns
+            [ ("args", Obj [ ("arg", int e.arg) ]) ]
+      | Recorder.End -> event ~cat:"ring" ~ph:"E" ~tid:e.domain e.ev_name e.ts_ns []
+    in
+    let runtime (e : Runtime_bridge.event) =
+      let ph, rest =
         match e.rb_kind with
-        | Runtime_bridge.Begin -> Buffer.add_string b (Printf.sprintf "{%s,\"ph\":\"B\"}" common)
-        | Runtime_bridge.End -> Buffer.add_string b (Printf.sprintf "{%s,\"ph\":\"E\"}" common)
-        | Runtime_bridge.Instant ->
-            Buffer.add_string b (Printf.sprintf "{%s,\"ph\":\"i\",\"s\":\"t\"}" common))
-      rt_events;
-    Buffer.add_string b "],\n\"displayTimeUnit\":\"ms\",\n";
-    Buffer.add_string b
-      (Printf.sprintf
-         "\"otherData\":{\"clock\":\"CLOCK_MONOTONIC\",\"ring_events_dropped\":%d,\"runtime_events_dropped\":%d}}\n"
-         (Recorder.dropped ()) (Runtime_bridge.dropped ()));
-    Buffer.contents b
+        | Runtime_bridge.Begin -> ("B", [])
+        | Runtime_bridge.End -> ("E", [])
+        | Runtime_bridge.Instant -> ("i", [ ("s", Str "t") ])
+      in
+      event ~cat:"runtime" ~ph ~tid:e.rb_domain e.rb_name e.rb_ts rest
+    in
+    let events =
+      (metadata 0 "process_name" "cluseq" :: List.map thread tids)
+      @ List.concat_map span spans @ List.map ring rec_events @ List.map runtime rt_events
+    in
+    to_compact_string
+      (Obj
+         [
+           ("traceEvents", Arr events);
+           ("displayTimeUnit", Str "ms");
+           ( "otherData",
+             Obj
+               [
+                 ("clock", Str "CLOCK_MONOTONIC");
+                 ("ring_events_dropped", int (Recorder.dropped ()));
+                 ("runtime_events_dropped", int (Runtime_bridge.dropped ()));
+               ] );
+         ])
+    ^ "\n"
 
   (* Prometheus metric names must match [a-zA-Z_:][a-zA-Z0-9_:]*. *)
   let prom_name s =
@@ -1018,53 +971,29 @@ module Export = struct
     Buffer.contents b
 
   let pp_summary ppf () =
-    let entries = Metrics.entries () in
     let width =
-      List.fold_left (fun acc (name, _) -> max acc (String.length name)) 0 entries
+      List.fold_left (fun acc (name, _) -> max acc (String.length name)) 0 (Metrics.entries ())
     in
-    let counters = List.filter (fun (_, e) -> match e with Metrics.Counter _ -> true | _ -> false) entries in
-    let gauges = List.filter (fun (_, e) -> match e with Metrics.Gauge _ -> true | _ -> false) entries in
-    let histograms = List.filter (fun (_, e) -> match e with Metrics.Histogram _ -> true | _ -> false) entries in
+    let section title show = function
+      | [] -> ()
+      | lines ->
+          Format.fprintf ppf "%s:@\n" title;
+          List.iter
+            (fun (name, v) -> Format.fprintf ppf "  %-*s %s@\n" width name (show v))
+            lines
+    in
+    let histogram h =
+      let n = Metrics.histogram_count h and sum = Metrics.histogram_sum h in
+      if n = 0 then Printf.sprintf "n=0 mean=0 sum=%.6g" sum
+      else
+        Printf.sprintf "n=%d mean=%.6g sum=%.6g p50=%.6g p95=%.6g p99=%.6g" n
+          (sum /. float_of_int n) sum (Metrics.quantile h 0.50) (Metrics.quantile h 0.95)
+          (Metrics.quantile h 0.99)
+    in
     Format.fprintf ppf "== metrics ==@\n";
-    if counters <> [] then begin
-      Format.fprintf ppf "counters:@\n";
-      List.iter
-        (fun (name, e) ->
-          match e with
-          | Metrics.Counter c ->
-              Format.fprintf ppf "  %-*s %d@\n" width name (Metrics.counter_value c)
-          | _ -> ())
-        counters
-    end;
-    if gauges <> [] then begin
-      Format.fprintf ppf "gauges:@\n";
-      List.iter
-        (fun (name, e) ->
-          match e with
-          | Metrics.Gauge g ->
-              Format.fprintf ppf "  %-*s %g@\n" width name (Metrics.gauge_value g)
-          | _ -> ())
-        gauges
-    end;
-    if histograms <> [] then begin
-      Format.fprintf ppf "histograms:@\n";
-      List.iter
-        (fun (name, e) ->
-          match e with
-          | Metrics.Histogram h ->
-              let n = Metrics.histogram_count h in
-              let mean = if n = 0 then 0.0 else Metrics.histogram_sum h /. float_of_int n in
-              if n = 0 then
-                Format.fprintf ppf "  %-*s n=%d mean=%.6g sum=%.6g@\n" width name n mean
-                  (Metrics.histogram_sum h)
-              else
-                Format.fprintf ppf
-                  "  %-*s n=%d mean=%.6g sum=%.6g p50=%.6g p95=%.6g p99=%.6g@\n" width name n
-                  mean (Metrics.histogram_sum h) (Metrics.quantile h 0.50)
-                  (Metrics.quantile h 0.95) (Metrics.quantile h 0.99)
-          | _ -> ())
-        histograms
-    end;
+    section "counters" string_of_int (counters ());
+    section "gauges" (Printf.sprintf "%g") (gauges ());
+    section "histograms" histogram (histograms ());
     match Trace.roots () with
     | [] -> ()
     | _ ->

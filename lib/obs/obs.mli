@@ -10,11 +10,14 @@
       [Pst.log_prob], and PST insertion and pruning in the per-cluster
       reclustering apply); histogram buckets are atomic (and the float sum
       a CAS loop) because any domain owning a pool may observe
-      latencies ([par.steal_wait_seconds]). Gauges, span tracing, and
+      latencies ([par.steal_wait_seconds]). Gauges, the span tree, and
       registration are plain mutable data touched only by the main
-      (submitting) domain. Worker domains additionally write to
-      their own {!Recorder} rings, which are per-domain by
+      (submitting) domain. A span may open on any domain: on a worker it
+      lands on that domain's own {!Recorder} ring, which is per-domain by
       construction.
+    - {b One timing path.} {!Trace.with_span} (and {!Metrics.time}, its
+      span-less form) is the only way to time a region: one pair of
+      clock reads feeds every sink that is on.
     - {b Free when disabled.} Metrics, tracing, and the recorder
       default to disabled; an instrumented call site then costs one
       [bool ref] dereference and branch (a few ns at most), so hot
@@ -83,6 +86,12 @@ module Metrics : sig
       compare-and-set loop (unlike gauges, which remain main-domain
       writes). *)
 
+  val time : histogram -> (unit -> 'a) -> 'a
+  (** [time h f] runs [f ()] and observes its duration in seconds into
+      [h] (even if [f] raises). While metrics are disabled it is just
+      [f ()], with no clock reads. For regions too fine-grained for the
+      span tree; otherwise use {!Trace.with_span} with [~hist]. *)
+
   val histogram_count : histogram -> int
   val histogram_sum : histogram -> float
   val histogram_name : histogram -> string
@@ -118,17 +127,19 @@ module Trace : sig
   val enable : unit -> unit
   val disable : unit -> unit
   val is_enabled : unit -> bool
-  (** Tracing is off by default: {!with_span} then runs its thunk
-      directly, recording nothing. *)
+  (** Tracing is off by default: {!with_span} then records no tree
+      span. *)
 
   type span
 
-  val with_span : string -> (unit -> 'a) -> 'a
-  (** [with_span name f] runs [f ()] inside a span: the span nests
-      under the innermost open span (or becomes a root), is timed with
-      {!Timer.now_ns}, and is closed even if [f] raises. Span state is
-      main-domain-only; on a worker domain this is a plain call that
-      records nothing (use the {!Recorder} for worker-side events). *)
+  val with_span : ?hist:Metrics.histogram -> string -> (unit -> 'a) -> 'a
+  (** [with_span ?hist name f] runs [f ()] as one timed region: one pair
+      of {!Timer.now_ns} reads feeds the span tree (main domain, tracing
+      on; the span nests under the innermost open one or becomes a root),
+      the calling domain's {!Recorder} ring as a [name] begin/end pair
+      (worker domain, recorder on), and [hist] in seconds (metrics on).
+      Every sink is closed even if [f] raises; with every sink off the
+      call is just [f ()]. *)
 
   val name : span -> string
   val children : span -> span list
@@ -143,15 +154,6 @@ module Trace : sig
       far. *)
 
   val duration_s : span -> float
-
-  val on_start : (span -> unit) -> unit
-  (** Register a hook called when any span opens (after it is pushed,
-      so [duration_ns] is live). *)
-
-  val on_stop : (span -> unit) -> unit
-  (** Register a hook called when any span closes. *)
-
-  val clear_hooks : unit -> unit
 
   val roots : unit -> span list
   (** Completed-or-open root spans, oldest first. *)
@@ -174,8 +176,8 @@ end
     [Par] pool joins every chunk before a job returns, so this never
     races live writers.
 
-    {b Cost model.} When disabled, {!begin_}/{!end_}/{!instant} cost
-    one [bool ref] dereference and allocate nothing. When enabled, an
+    {b Cost model.} When disabled, {!begin_}/{!end_} cost one
+    [bool ref] dereference and allocate nothing. When enabled, an
     event writes four ints (timestamp, kind, interned name id,
     argument) into preallocated arrays — still allocation-free. When a
     ring wraps, the oldest events are overwritten and counted in
@@ -210,17 +212,9 @@ module Recorder : sig
       is by timeline order within the domain, as in the Chrome trace
       format. *)
 
-  val instant : ?arg:int -> name -> unit
-  (** A zero-duration marker on the calling domain's ring. *)
-
-  val with_event : ?arg:int -> name -> (unit -> 'a) -> 'a
-  (** [with_event n f] wraps [f ()] in {!begin_}/{!end_} (the end event
-      is emitted even if [f] raises). Runs [f] directly when
-      disabled. *)
-
   (** {1 Read side (main domain, between jobs)} *)
 
-  type kind = Begin | End | Instant
+  type kind = Begin | End
 
   type event = {
     domain : int;  (** OCaml domain id of the writer. *)
@@ -453,7 +447,7 @@ module Export : sig
   val to_chrome_trace : unit -> string
   (** Chrome trace-format JSON (open at {:https://ui.perfetto.dev}):
       the main-domain span tree (["X"] complete events), every
-      {!Recorder} ring's begin/end/instant events, and the
+      {!Recorder} ring's begin/end events, and the
       {!Runtime_bridge}'s GC/lifecycle events, merged onto one
       timeline. [tid] is the OCaml domain id; timestamps are rebased to
       the earliest event and expressed in microseconds. Callers should

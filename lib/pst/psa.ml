@@ -104,8 +104,11 @@ let write_row pst emit ~n u nd =
    land in the major heap every time, so it is kept and reused. *)
 let trie_scratch = Domain.DLS.new_key (fun () -> ref [||])
 
+(* Timed by [Metrics.time], not a span: a job compiles about once per
+   absorb that turns a context significant — far too often for the
+   span tree. *)
 let compile pst =
-  let t0 = if Obs.Metrics.is_enabled () then Timer.now_ns () else 0L in
+  Obs.Metrics.time h_compile_seconds @@ fun () ->
   let cfg = Pst.config pst in
   let n = cfg.Pst.alphabet_size in
   let sigma = cfg.Pst.significance in
@@ -200,8 +203,6 @@ let compile pst =
     }
   in
   Obs.Metrics.incr ~by:(table_bytes t) m_table_bytes;
-  if Obs.Metrics.is_enabled () then
-    Obs.Metrics.observe h_compile_seconds (Timer.span_s t0 (Timer.now_ns ()));
   t
 
 let refresh t pst =

@@ -1,39 +1,8 @@
 external now_ns : unit -> int64 = "cluseq_monotonic_clock_ns"
 
-let now_s () = Int64.to_float (now_ns ()) /. 1e9
 let span_s a b = Int64.to_float (Int64.sub b a) /. 1e9
-
-type t = { mutable acc_ns : int64; mutable started_at : int64; mutable running : bool }
-
-let create () = { acc_ns = 0L; started_at = 0L; running = false }
-
-let start t =
-  if not t.running then begin
-    t.started_at <- now_ns ();
-    t.running <- true
-  end
-
-let stop t =
-  if t.running then begin
-    t.acc_ns <- Int64.add t.acc_ns (Int64.sub (now_ns ()) t.started_at);
-    t.running <- false
-  end
-
-let reset t =
-  t.acc_ns <- 0L;
-  t.running <- false
-
-let running t = t.running
-let accumulate t ns = if ns > 0L then t.acc_ns <- Int64.add t.acc_ns ns
-
-let elapsed_ns t =
-  if t.running then Int64.add t.acc_ns (Int64.sub (now_ns ()) t.started_at) else t.acc_ns
-
-let elapsed_s t = Int64.to_float (elapsed_ns t) /. 1e9
 
 let time f =
   let start = now_ns () in
   let result = f () in
   (result, span_s start (now_ns ()))
-
-let time_s f = snd (time f)

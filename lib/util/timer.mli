@@ -1,59 +1,21 @@
-(** Monotonic timing: one-shot measurements and accumulating stopwatches.
+(** The monotonic clock.
 
     All readings come from the system monotonic clock
     ([clock_gettime(CLOCK_MONOTONIC)]), so they are immune to NTP steps
     and wall-clock adjustments; only durations are meaningful, not
-    absolute times. *)
+    absolute times. Library code times its regions with
+    [Obs.Trace.with_span] or [Obs.Metrics.time], which read this
+    clock. *)
 
 val now_ns : unit -> int64
 (** [now_ns ()] is the monotonic clock reading in nanoseconds since an
     arbitrary fixed origin (typically boot). *)
 
-val now_s : unit -> float
-(** [now_s ()] is {!now_ns} converted to seconds. *)
-
 val span_s : int64 -> int64 -> float
 (** [span_s t0 t1] is the duration [t1 - t0] in seconds, for two
     {!now_ns} readings. *)
 
-(** {1 Accumulating stopwatch}
-
-    A stopwatch accumulates elapsed time over any number of
-    start/stop intervals — the primitive under [Obs.Trace] spans. *)
-
-type t
-(** A stopwatch: stopped with zero accumulated time at creation. *)
-
-val create : unit -> t
-
-val start : t -> unit
-(** Start the stopwatch; a no-op if it is already running. *)
-
-val stop : t -> unit
-(** Stop the stopwatch, adding the current interval to the accumulated
-    total; a no-op if it is not running. *)
-
-val reset : t -> unit
-(** Stop and zero the accumulated total. *)
-
-val running : t -> bool
-
-val accumulate : t -> int64 -> unit
-(** [accumulate t ns] adds [ns] (ignored if negative) nanoseconds to the
-    accumulated total — for merging measurements taken elsewhere. *)
-
-val elapsed_ns : t -> int64
-(** Accumulated nanoseconds, including the in-flight interval if the
-    stopwatch is running. *)
-
-val elapsed_s : t -> float
-(** {!elapsed_ns} in seconds. *)
-
-(** {1 One-shot helpers} *)
-
 val time : (unit -> 'a) -> 'a * float
 (** [time f] runs [f ()] and returns its result together with the elapsed
-    monotonic time in seconds. *)
-
-val time_s : (unit -> unit) -> float
-(** [time_s f] is the elapsed monotonic seconds of [f ()]. *)
+    monotonic time in seconds — for harnesses that report a wall time
+    of their own. *)

@@ -8,6 +8,8 @@ let with_clean_obs f =
   Fun.protect
     ~finally:(fun () ->
       Obs.Metrics.disable ();
+      Obs.Trace.disable ();
+      Obs.Recorder.disable ();
       Obs.reset ())
     f
 
@@ -243,6 +245,55 @@ let test_capture_no_bleed_through () =
   Alcotest.(check (float 0.0)) "run seconds reset" 0.0 after.cluseq_seconds;
   Alcotest.(check (float 0.0)) "phases reset" 0.0
     (List.fold_left (fun acc (_, s) -> acc +. s) 0.0 after.phases)
+
+let tree_spans name =
+  let rec go sp =
+    (if Obs.Trace.name sp = name then [ sp ] else [])
+    @ List.concat_map go (Obs.Trace.children sp)
+  in
+  List.concat_map go (Obs.Trace.roots ())
+
+(* Each timed region is one pair of clock reads feeding both its span and
+   its histogram: per phase, one observation per iteration, summing to
+   the phase spans' durations. *)
+let test_spans_match_histograms () =
+  with_clean_obs @@ fun () ->
+  Obs.Trace.enable ();
+  let result = Cluseq.run ~config:tiny_config (tiny_db ()) in
+  let agree ~span ~hist ~count =
+    let spans = tree_spans span and h = Obs.Metrics.histogram hist in
+    Alcotest.(check int) (span ^ " spans") count (List.length spans);
+    Alcotest.(check int) (hist ^ " observations") count (Obs.Metrics.histogram_count h);
+    let span_ns =
+      List.fold_left (fun acc sp -> Int64.add acc (Obs.Trace.duration_ns sp)) 0L spans
+    in
+    Alcotest.(check (float (1e-9 *. float_of_int count)))
+      (hist ^ " sums the span durations")
+      (Int64.to_float span_ns /. 1e9)
+      (Obs.Metrics.histogram_sum h)
+  in
+  List.iter
+    (fun p -> agree ~span:p ~hist:("cluseq.iter." ^ p ^ "_seconds") ~count:result.iterations)
+    Bench_report.phase_names;
+  agree ~span:"cluseq.run" ~hist:"cluseq.run_seconds" ~count:1
+
+(* A span opened on a worker domain lands on that domain's ring: with
+   two shards on two domains, every iteration shows up once, in the tree
+   for the shard the main domain ran and on a worker's ring otherwise. *)
+let test_worker_spans_cover_every_iteration () =
+  with_clean_obs @@ fun () ->
+  Obs.Trace.enable ();
+  Obs.Recorder.enable ();
+  Gen_common.with_domains 2 (fun () ->
+      ignore (Shard.run ~config:tiny_config ~shards:2 (tiny_db ())));
+  let ring =
+    List.filter
+      (fun (e : Obs.Recorder.event) -> e.ev_name = "iteration" && e.kind = Obs.Recorder.Begin)
+      (Obs.Recorder.events ())
+  in
+  Alcotest.(check int) "tree + ring iterations = cluseq.iterations"
+    (Obs.Metrics.counter_value (Obs.Metrics.counter "cluseq.iterations"))
+    (List.length (tree_spans "iteration") + List.length ring)
 
 (* ------------------------------------------------------------------ *)
 (* Comparer                                                            *)
@@ -518,6 +569,10 @@ let () =
         [
           Alcotest.test_case "captures a live run" `Quick test_capture_from_run;
           Alcotest.test_case "reset stops bleed-through" `Quick test_capture_no_bleed_through;
+          Alcotest.test_case "phase spans and histograms agree" `Quick
+            test_spans_match_histograms;
+          Alcotest.test_case "worker spans cover every iteration" `Quick
+            test_worker_spans_cover_every_iteration;
         ] );
       ( "compare",
         [

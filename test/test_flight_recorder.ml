@@ -1,8 +1,9 @@
 (* Integration tests for the cross-domain flight recorder (DESIGN.md
    §10): the Chrome-trace exporter must produce JSON that parses back
-   through Bench_json with the structure Perfetto expects, and the
+   through Bench_json with the structure Perfetto expects, the
    reclustering scan census must be bit-identical for every domain
-   count and independent of whether instrumentation is enabled. *)
+   count, and the whole result must not depend on whether
+   instrumentation is enabled. *)
 
 let with_domains = Gen_common.with_domains
 
@@ -30,17 +31,11 @@ let num_field name ev =
   match field name ev with Some (Bench_json.Num n) -> Some n | _ -> None
 
 (* Record activity on several domains deterministically: one explicitly
-   spawned domain writes to its own ring, the main domain records a
-   span enclosing a small pool job (par.job ring events). *)
+   spawned domain records a span, which lands on its own ring; the main
+   domain records a tree span enclosing a small pool job (par.job ring
+   events). *)
 let record_workload () =
-  let ev = Obs.Recorder.intern "test.fr_worker" in
-  let d =
-    Domain.spawn (fun () ->
-        Obs.Recorder.begin_ ~arg:1 ev;
-        Obs.Recorder.instant ~arg:2 ev;
-        Obs.Recorder.end_ ev)
-  in
-  Domain.join d;
+  Domain.join (Domain.spawn (fun () -> Obs.Trace.with_span "test.fr_worker" (fun () -> ())));
   Obs.Trace.with_span "fr_root" (fun () ->
       let pool = Par.create ~domains:2 () in
       Fun.protect
@@ -108,28 +103,43 @@ let test_trace_parses_back () =
 
 (* --- census determinism -------------------------------------------- *)
 
-let censuses ~domains ~metrics =
+(* One run of the small fixture, with metrics, tracing and the recorder
+   all on or all off. *)
+let run_small ~domains ~instrumented =
   let db, _ = Lazy.force Gen_common.small_db_and_truth in
-  with_domains domains (fun () ->
-      Obs.reset ();
-      if metrics then Obs.Metrics.enable () else Obs.Metrics.disable ();
-      Fun.protect
-        ~finally:(fun () ->
-          Obs.Metrics.disable ();
-          Obs.reset ())
-        (fun () ->
-          let r = Cluseq.run ~config:Gen_common.small_config db in
-          List.map (fun (h : Cluseq.iteration_stats) -> h.census) r.history))
+  let run () = Cluseq.run ~config:Gen_common.small_config db in
+  with_domains domains (fun () -> if instrumented then with_flight_recorder run else run ())
+
+let census (r : Cluseq.result) =
+  List.map (fun (h : Cluseq.iteration_stats) -> h.census) r.history
 
 let test_census_identical_across_domains () =
-  let base = censuses ~domains:1 ~metrics:false in
-  Alcotest.(check bool) "run produced iterations" true (base <> []);
-  let c4 = censuses ~domains:4 ~metrics:false in
-  Alcotest.(check bool) "census identical at 1 vs 4 domains" true (base = c4);
-  (* Counts are unconditional: instrumentation being on must not change
-     them. *)
-  let instrumented = censuses ~domains:4 ~metrics:true in
-  Alcotest.(check bool) "census independent of metrics" true (base = instrumented)
+  let base = run_small ~domains:1 ~instrumented:false in
+  Alcotest.(check bool) "run produced iterations" true (census base <> []);
+  Alcotest.(check bool) "census identical at 1 vs 4 domains" true
+    (census base = census (run_small ~domains:4 ~instrumented:false));
+  (* Instrumentation observes, it never steers: the whole result is the
+     same with every sink on. The drift panel is the one part computed
+     only for a listener, and the models are compared structurally (a
+     PST's parent links make it cyclic). *)
+  let on = run_small ~domains:4 ~instrumented:true in
+  Alcotest.(check bool) "drift only with a listener" true
+    (List.for_all (fun (h : Cluseq.iteration_stats) -> h.drift = None) base.history
+    && List.for_all (fun (h : Cluseq.iteration_stats) -> h.drift <> None) on.history);
+  let comparable (r : Cluseq.result) =
+    {
+      r with
+      history =
+        List.map (fun (h : Cluseq.iteration_stats) -> { h with drift = None }) r.history;
+      models = [||];
+    }
+  in
+  Alcotest.(check bool) "result independent of instrumentation" true
+    (comparable base = comparable on);
+  Alcotest.(check bool) "models independent of instrumentation" true
+    (Array.for_all2
+       (fun (id, m) (id', m') -> id = id' && Pst.equal_structure m m')
+       base.models on.models)
 
 let test_census_internal_consistency () =
   List.iter
@@ -142,7 +152,7 @@ let test_census_internal_consistency () =
         (Array.fold_left (fun acc (_, calls) -> acc + calls) 0 c.score_calls);
       let w = Cluseq.wasted_pair_ratio c in
       Alcotest.(check bool) "wasted ratio in [0, 1]" true (w >= 0.0 && w <= 1.0))
-    (censuses ~domains:2 ~metrics:false)
+    (census (run_small ~domains:2 ~instrumented:false))
 
 let () =
   Alcotest.run "flight_recorder"

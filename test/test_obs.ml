@@ -1,5 +1,6 @@
 (* Tests for the Obs instrumentation library: metrics registry semantics,
-   span tracing, exporters, and the Timer stopwatch it is built on.
+   span tracing, the flight recorder, exporters, and the monotonic clock
+   they read.
 
    The registry is process-global, so every test starts from
    [Obs.reset ()] and restores the disabled state before returning. *)
@@ -12,7 +13,6 @@ let with_clean_obs f =
     ~finally:(fun () ->
       Obs.Metrics.disable ();
       Obs.Trace.disable ();
-      Obs.Trace.clear_hooks ();
       Obs.reset ())
     f
 
@@ -176,8 +176,9 @@ let test_span_nesting () =
 
 let test_span_timing_monotone () =
   with_clean_obs @@ fun () ->
+  let h = Obs.Metrics.histogram "test.child_seconds" in
   Obs.Trace.with_span "parent" (fun () ->
-      Obs.Trace.with_span "child" (fun () ->
+      Obs.Trace.with_span ~hist:h "child" (fun () ->
           (* burn a little time so durations are strictly positive *)
           let x = ref 0 in
           for i = 1 to 10_000 do
@@ -191,7 +192,10 @@ let test_span_timing_monotone () =
       Alcotest.(check bool) "parent >= child" true
         (Obs.Trace.duration_ns parent >= Obs.Trace.duration_ns child);
       Alcotest.(check bool) "duration_s consistent" true
-        (Obs.Trace.duration_s parent >= Obs.Trace.duration_s child)
+        (Obs.Trace.duration_s parent >= Obs.Trace.duration_s child);
+      (* One pair of clock reads: the histogram holds the span's duration. *)
+      Alcotest.(check (float 1e-12)) "histogram = child duration" (Obs.Trace.duration_s child)
+        (Obs.Metrics.histogram_sum h)
   | roots -> Alcotest.failf "expected one root, got %d" (List.length roots)
 
 let test_span_exception_safety () =
@@ -202,22 +206,20 @@ let test_span_exception_safety () =
     [ "raises"; "after" ]
     (List.map Obs.Trace.name (Obs.Trace.roots ()))
 
-let test_span_hooks () =
-  with_clean_obs @@ fun () ->
-  let events = ref [] in
-  Obs.Trace.on_start (fun s -> events := ("start " ^ Obs.Trace.name s) :: !events);
-  Obs.Trace.on_stop (fun s -> events := ("stop " ^ Obs.Trace.name s) :: !events);
-  Obs.Trace.with_span "a" (fun () -> Obs.Trace.with_span "b" (fun () -> ()));
-  Alcotest.(check (list string)) "hook order"
-    [ "start a"; "start b"; "stop b"; "stop a" ]
-    (List.rev !events)
-
 let test_span_disabled_passthrough () =
   Obs.reset ();
   Obs.Trace.disable ();
-  let r = Obs.Trace.with_span "ignored" (fun () -> 42) in
+  let h = Obs.Metrics.histogram "test.passthrough_seconds" in
+  let r = Obs.Trace.with_span ~hist:h "ignored" (fun () -> 42) in
   Alcotest.(check int) "value passes through" 42 r;
   Alcotest.(check int) "nothing recorded" 0 (List.length (Obs.Trace.roots ()));
+  Alcotest.(check int) "nothing observed" 0 (Obs.Metrics.histogram_count h);
+  (* Without a span sink the histogram still gets its observation. *)
+  Obs.Metrics.enable ();
+  Obs.Trace.with_span ~hist:h "untraced" ignore;
+  Obs.Metrics.time h ignore;
+  Alcotest.(check int) "observed without a span" 2 (Obs.Metrics.histogram_count h);
+  Obs.Metrics.disable ();
   Obs.reset ()
 
 (* ------------------------------------------------------------------ *)
@@ -229,6 +231,8 @@ let with_clean_recorder f =
   Obs.Recorder.enable ();
   Fun.protect
     ~finally:(fun () ->
+      Obs.Metrics.disable ();
+      Obs.Trace.disable ();
       Obs.Recorder.disable ();
       Obs.Recorder.set_capacity 65536;
       Obs.reset ())
@@ -238,8 +242,7 @@ let test_recorder_disabled_noop () =
   Obs.reset ();
   Obs.Recorder.disable ();
   let ev = Obs.Recorder.intern "test.rec_off" in
-  Obs.Recorder.begin_ ev;
-  Obs.Recorder.instant ~arg:9 ev;
+  Obs.Recorder.begin_ ~arg:9 ev;
   Obs.Recorder.end_ ev;
   Alcotest.(check int) "nothing recorded" 0 (List.length (Obs.Recorder.events ()));
   Alcotest.(check int) "nothing dropped" 0 (Obs.Recorder.dropped ());
@@ -248,33 +251,42 @@ let test_recorder_disabled_noop () =
 let test_recorder_roundtrip () =
   with_clean_recorder @@ fun () ->
   let a = Obs.Recorder.intern "test.rec_a" in
-  let b = Obs.Recorder.intern "test.rec_b" in
   Obs.Recorder.begin_ ~arg:7 a;
-  Obs.Recorder.instant ~arg:3 b;
   Obs.Recorder.end_ a;
   match Obs.Recorder.events () with
-  | [ e1; e2; e3 ] ->
+  | [ e1; e2 ] ->
       Alcotest.(check bool) "kinds in order" true
-        (e1.Obs.Recorder.kind = Obs.Recorder.Begin
-        && e2.Obs.Recorder.kind = Obs.Recorder.Instant
-        && e3.Obs.Recorder.kind = Obs.Recorder.End);
-      Alcotest.(check string) "begin name" "test.rec_a" e1.ev_name;
-      Alcotest.(check string) "instant name" "test.rec_b" e2.ev_name;
+        (e1.Obs.Recorder.kind = Obs.Recorder.Begin && e2.Obs.Recorder.kind = Obs.Recorder.End);
+      Alcotest.(check (list string))
+        "names" [ "test.rec_a"; "test.rec_a" ] [ e1.ev_name; e2.ev_name ];
       Alcotest.(check int) "begin arg" 7 e1.arg;
-      Alcotest.(check int) "instant arg" 3 e2.arg;
-      Alcotest.(check bool) "timestamps monotone" true
-        (e1.ts_ns <= e2.ts_ns && e2.ts_ns <= e3.ts_ns);
-      Alcotest.(check bool) "same domain" true
-        (e1.domain = e2.domain && e2.domain = e3.domain)
-  | evs -> Alcotest.failf "expected 3 events, got %d" (List.length evs)
+      Alcotest.(check bool) "timestamps monotone" true (e1.ts_ns <= e2.ts_ns);
+      Alcotest.(check bool) "same domain" true (e1.domain = e2.domain)
+  | evs -> Alcotest.failf "expected 2 events, got %d" (List.length evs)
 
-let test_recorder_with_event_exception_safe () =
+(* A span on a worker domain lands on that domain's ring — closed even
+   when its body raises — and feeds its histogram from the same two
+   clock reads; the main-domain tree never sees it. *)
+let test_worker_span_exception_safe () =
   with_clean_recorder @@ fun () ->
-  let ev = Obs.Recorder.intern "test.rec_exn" in
-  (try Obs.Recorder.with_event ev (fun () -> failwith "boom") with Failure _ -> ());
-  let kinds = List.map (fun e -> e.Obs.Recorder.kind) (Obs.Recorder.events ()) in
-  Alcotest.(check bool) "end emitted despite the raise" true
-    (kinds = [ Obs.Recorder.Begin; Obs.Recorder.End ])
+  Obs.enable_all ();
+  let h = Obs.Metrics.histogram "test.worker_span_seconds" in
+  let worker =
+    Domain.join
+      (Domain.spawn (fun () ->
+           (try Obs.Trace.with_span ~hist:h "test.worker_span" (fun () -> failwith "boom")
+            with Failure _ -> ());
+           (Domain.self () :> int)))
+  in
+  match List.filter (fun e -> e.Obs.Recorder.domain = worker) (Obs.Recorder.events ()) with
+  | [ b; e ] ->
+      Alcotest.(check bool) "begin then end despite the raise" true
+        (b.Obs.Recorder.kind = Obs.Recorder.Begin && e.Obs.Recorder.kind = Obs.Recorder.End);
+      Alcotest.(check (float 1e-12)) "histogram holds the ring's duration"
+        (Int64.to_float (Int64.sub e.ts_ns b.ts_ns) /. 1e9)
+        (Obs.Metrics.histogram_sum h);
+      Alcotest.(check int) "no main-domain span" 0 (List.length (Obs.Trace.roots ()))
+  | evs -> Alcotest.failf "expected a begin/end pair, got %d events" (List.length evs)
 
 let test_recorder_wraparound () =
   with_clean_recorder @@ fun () ->
@@ -285,7 +297,7 @@ let test_recorder_wraparound () =
     Domain.spawn (fun () ->
         let ev = Obs.Recorder.intern "test.rec_wrap" in
         for i = 0 to 39 do
-          Obs.Recorder.instant ~arg:i ev
+          Obs.Recorder.begin_ ~arg:i ev
         done)
   in
   Domain.join d;
@@ -304,10 +316,10 @@ let test_recorder_wraparound () =
 let test_recorder_multi_domain () =
   with_clean_recorder @@ fun () ->
   let ev = Obs.Recorder.intern "test.rec_md" in
-  Obs.Recorder.instant ~arg:0 ev;
+  Obs.Recorder.begin_ ~arg:0 ev;
   let spawned =
     Domain.spawn (fun () ->
-        Obs.Recorder.instant ~arg:1 ev;
+        Obs.Recorder.begin_ ~arg:1 ev;
         (Domain.self () :> int))
   in
   let worker_id = Domain.join spawned in
@@ -466,10 +478,6 @@ let test_resource_publish () =
     (Obs.Metrics.gauge_value (Obs.Metrics.gauge "test.gc.peak_heap_words") > 0.0)
 
 (* ------------------------------------------------------------------ *)
-(* Timer                                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* ------------------------------------------------------------------ *)
 (* Runtime_events bridge                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -499,27 +507,6 @@ let test_timer_monotone () =
   Alcotest.(check bool) "clock never goes back" true (b >= a);
   Alcotest.(check bool) "span_s non-negative" true (Timer.span_s a b >= 0.0)
 
-let test_stopwatch () =
-  let t = Timer.create () in
-  Alcotest.(check bool) "not running" false (Timer.running t);
-  Alcotest.(check (float 0.0)) "zero" 0.0 (Timer.elapsed_s t);
-  Timer.start t;
-  let x = ref 0 in
-  for i = 1 to 10_000 do
-    x := !x + i
-  done;
-  ignore !x;
-  Timer.stop t;
-  let once = Timer.elapsed_ns t in
-  Alcotest.(check bool) "accumulated > 0" true (once > 0L);
-  (* stopped: elapsed stays put *)
-  Alcotest.(check bool) "stable when stopped" true (Timer.elapsed_ns t = once);
-  Timer.start t;
-  Timer.stop t;
-  Alcotest.(check bool) "second interval accumulates" true (Timer.elapsed_ns t >= once);
-  Timer.reset t;
-  Alcotest.(check bool) "reset to zero" true (Timer.elapsed_ns t = 0L)
-
 let () =
   Alcotest.run "obs"
     [
@@ -538,9 +525,9 @@ let () =
       ( "recorder",
         [
           Alcotest.test_case "disabled is a no-op" `Quick test_recorder_disabled_noop;
-          Alcotest.test_case "begin/instant/end round trip" `Quick test_recorder_roundtrip;
-          Alcotest.test_case "with_event exception safety" `Quick
-            test_recorder_with_event_exception_safe;
+          Alcotest.test_case "begin/end round trip" `Quick test_recorder_roundtrip;
+          Alcotest.test_case "worker with_span exception safety" `Quick
+            test_worker_span_exception_safe;
           Alcotest.test_case "wrap-around and drop accounting" `Quick test_recorder_wraparound;
           Alcotest.test_case "per-domain rings" `Quick test_recorder_multi_domain;
         ] );
@@ -549,7 +536,6 @@ let () =
           Alcotest.test_case "nesting and order" `Quick test_span_nesting;
           Alcotest.test_case "timing monotonicity" `Quick test_span_timing_monotone;
           Alcotest.test_case "exception safety" `Quick test_span_exception_safety;
-          Alcotest.test_case "start/stop hooks" `Quick test_span_hooks;
           Alcotest.test_case "disabled passthrough" `Quick test_span_disabled_passthrough;
         ] );
       ( "export",
@@ -575,6 +561,5 @@ let () =
       ( "timer",
         [
           Alcotest.test_case "monotone clock" `Quick test_timer_monotone;
-          Alcotest.test_case "stopwatch" `Quick test_stopwatch;
         ] );
     ]

@@ -106,9 +106,8 @@ let with_domains = Gen_common.with_domains
 
 (* The whole result at 1 domain vs 2 and 4, once with the default node
    budget and once with a budget small enough that PST pruning runs
-   inside absorbs on the per-cluster apply tasks. Pruning is counted
-   through metrics, which also fill the wall-clock phase timings — the
-   one field allowed to differ, so it is stripped. *)
+   inside absorbs on the per-cluster apply tasks (counted through
+   metrics). *)
 let test_cluseq_identical_across_domain_counts () =
   let db, truth = Lazy.force db_and_truth in
   let n = Seq_database.n_sequences db in
@@ -117,13 +116,7 @@ let test_cluseq_identical_across_domain_counts () =
     Metrics.accuracy ~truth ~pred_class:(Matching.relabel ~truth ~pred:hard)
   in
   let run ~config d =
-    let (r : Cluseq.result), pruned =
-      with_domains d (fun () -> Gen_common.counting_prunes (fun () -> Cluseq.run ~config db))
-    in
-    let history =
-      List.map (fun (st : Cluseq.iteration_stats) -> { st with timings = None }) r.history
-    in
-    ({ r with history }, pruned)
+    with_domains d (fun () -> Gen_common.counting_prunes (fun () -> Cluseq.run ~config db))
   in
   List.iter
     (fun (label, config, must_prune) ->
