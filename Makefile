@@ -106,11 +106,14 @@ suite-smoke: build
 	python3 benchsuite/run.py smoke
 
 # CLI error-path smoke gate: an unwritable output file, a missing or
-# corrupt model, and an unreadable input must each exit 1 with a
-# `cluseq: ` line on stderr, never 125 (an uncaught exception).
+# corrupt model, an unreadable input, and a training run that finds no
+# clusters must each exit 1 with a `cluseq: ` line on stderr, never 125
+# (an uncaught exception). Explaining a sequence whose last-pass best
+# cluster was dismissed by the final consolidation must exit 0.
 exit-smoke: build
 	@tmp=$$(mktemp -d); cli="dune exec bin/cluseq_cli.exe --"; fail=0; \
 	$$cli generate --kind synthetic --num 60 --len 60 --clusters 3 -o $$tmp/in.tsv >/dev/null; \
+	$$cli generate --kind synthetic --num 20 --len 20 --clusters 3 -o $$tmp/tiny.tsv >/dev/null; \
 	echo "not a model" > $$tmp/corrupt.model; \
 	expect_1() { \
 	  "$$@" >/dev/null 2>$$tmp/err; code=$$?; \
@@ -118,12 +121,20 @@ exit-smoke: build
 	    echo "exit-smoke: exit $$code from: $${*:5}"; cat $$tmp/err; fail=1; \
 	  fi; \
 	}; \
+	expect_0() { \
+	  "$$@" >/dev/null 2>$$tmp/err; code=$$?; \
+	  if [ $$code -ne 0 ]; then \
+	    echo "exit-smoke: exit $$code from: $${*:5}"; cat $$tmp/err; fail=1; \
+	  fi; \
+	}; \
 	expect_1 $$cli generate --num 10 -o /nonexistent/x.tsv; \
 	expect_1 $$cli cluster $$tmp/in.tsv --significance 4 -o /nonexistent/a.tsv; \
 	expect_1 $$cli train $$tmp/in.tsv --significance 4 -o /nonexistent/m; \
+	expect_1 $$cli train $$tmp/tiny.tsv -o $$tmp/tiny.model; \
 	expect_1 $$cli classify $$tmp/in.tsv -m $$tmp/missing.model; \
 	expect_1 $$cli classify $$tmp/in.tsv -m $$tmp/corrupt.model; \
 	expect_1 $$cli cluster $$tmp/missing.tsv; \
+	expect_0 $$cli explain $$tmp/in.tsv 45 --significance 4; \
 	rm -rf $$tmp; \
 	[ $$fail -eq 0 ] || exit 1; \
 	echo "exit-smoke: OK"

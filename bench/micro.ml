@@ -76,9 +76,10 @@ let tests () =
   ]
 
 (* Direct minor-allocation measurement of the two scan shapes, in words
-   per scored symbol: the per-sequence score_psa loop (the pre-batch
-   reclustering kernel, one result record per pair) against score_batch
-   with a reused scratch. Bechamel measures time; Gc.minor_words deltas
+   per scored symbol: the per-sequence score_psa loop (each call one
+   lane of the batch kernel on its per-domain scratch, plus one result
+   record — the dirty-rescore shape) against score_batch over the whole
+   block with a reused scratch. Bechamel measures time; Gc.minor_words deltas
    are the honest unit for the off-heap claim. Reported as extra rows so
    `bench --record` folds them into the micro block (they are words, not
    ns — the name says so; the micro compare's 10 ns floor skips them, the

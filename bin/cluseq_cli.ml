@@ -51,11 +51,10 @@ let emit_chrome_trace file () =
 
 (* Returns the verbosity count; reports are emitted via [at_exit] so a
    subcommand needs no explicit teardown. *)
-let setup_obs verbosity metrics trace trace_out journal domains check no_psa no_index =
+let setup_obs verbosity metrics trace trace_out journal domains check no_index =
   let vcount = List.length verbosity in
   Obs.Logging.setup ~level:(Obs.Logging.level_of_verbosity vcount) ();
   (match domains with None -> () | Some d -> Par.set_default_domains d);
-  if no_psa then Psa.set_enabled false;
   if no_index then Cluster.set_cache_enabled false;
   if check then Check.install_auditor () else Check.install_from_env ();
   (match journal with
@@ -160,15 +159,6 @@ let obs_term =
              verified; any divergence aborts the run. Slow — for debugging and CI. Also \
              enabled by $(b,CLUSEQ_CHECK=1).")
   in
-  let no_psa =
-    Arg.(
-      value & flag
-      & info [ "no-psa" ]
-          ~doc:
-            "Disable compiling cluster PSTs into flat scoring automata and score every \
-             sequence by the tree walk instead. Results are bit-identical either way; this \
-             exists for debugging and for measuring the automaton's speedup end to end.")
-  in
   let no_index =
     Arg.(
       value & flag
@@ -181,7 +171,7 @@ let obs_term =
   in
   Term.(
     const setup_obs $ verbosity $ metrics $ trace $ trace_out $ journal $ domains $ check
-    $ no_psa $ no_index)
+    $ no_index)
 
 (* ------------------------------------------------------------------ *)
 (* Shared arguments                                                    *)
@@ -395,6 +385,10 @@ let train_cmd =
     Printf.printf "clusters: %d  final t: %.4g  time: %.2fs
 " result.n_clusters
       result.final_t seconds;
+    if result.n_clusters = 0 then begin
+      Printf.eprintf "cluseq: %s: no clusters found, nothing to train\n" file;
+      exit 1
+    end;
     let clf = Classifier.of_result result db in
     with_file model_out (fun out -> Classifier.save out clf);
     Printf.printf "model written to %s (%d cluster models)
@@ -607,25 +601,36 @@ let explain_cmd =
           (if List.length cs > 1 then "s" else "")
           (String.concat ", " (List.map string_of_int cs)));
     (* --- per-position attribution --- *)
+    let lbg = Seq_database.log_background db in
+    let s = Seq_database.get db seq_id in
     let target =
       match cluster_opt with
       | Some c -> c
       | None -> (
           match result.best.(seq_id) with
-          | Some (c, _) -> c
-          | None ->
-              die "sequence %d has no finite similarity to any final cluster; pass --cluster"
-                seq_id)
+          | Some (c, _) when Array.exists (fun (id, _) -> id = c) result.models -> c
+          | _ -> (
+              (* [best] is the last reclustering pass's winner, which the
+                 final consolidation may have dismissed: take the final
+                 model that scores the sequence highest. *)
+              let pick acc (id, pst) =
+                let v = (Similarity.score pst ~log_background:lbg s).log_sim in
+                match acc with Some (best, _) when best >= v -> acc | _ -> Some (v, id)
+              in
+              match Array.fold_left pick None result.models with
+              | Some (v, id) when Float.is_finite v -> id
+              | _ ->
+                  die
+                    "sequence %d has no finite similarity to any final cluster; pass \
+                     --cluster"
+                    seq_id))
     in
     let pst =
       match Array.find_opt (fun (id, _) -> id = target) result.models with
       | Some (_, pst) -> pst
       | None -> die "cluster %d is not among the final clusters" target
     in
-    let psa = Psa.compile pst in
-    let lbg = Seq_database.log_background db in
-    let s = Seq_database.get db seq_id in
-    let a = Similarity.score_attributed psa ~log_background:lbg s in
+    let a = Similarity.score_attributed (Psa.compile pst) ~log_background:lbg s in
     let r = a.attr_result in
     Printf.printf
       "\nsimilarity to cluster %d: log-sim %.4f (linear %.4g), maximizing segment [%d..%d] \

@@ -348,13 +348,14 @@ let psa_tables_match ~fresh psa =
     done;
   List.rev !errs
 
-(* Batched-vs-serial scoring oracle: [Psa.score_batch] interleaves the
-   lanes position-major, so the thing that can silently go wrong is
-   cross-lane state leaking (a lane reading another's accumulator or
-   automaton state, or a retired lane still advancing). Scoring the
-   block batched and each sequence serially must agree exactly — float
-   bits and segment bounds — including on empty sequences and after the
-   scratch has been resized by a previous, larger block. *)
+(* Batched-vs-serial scoring oracle: [Psa.score_batch] keeps every
+   lane's accumulators in shared scratch columns, so the thing that can
+   silently go wrong is cross-lane state leaking (a lane reading
+   another's accumulator, or a column not reset between blocks).
+   Scoring the block batched and each sequence as its own one-lane
+   block ([Similarity.score_psa]) must agree exactly — float bits and
+   segment bounds — including on empty sequences and after the scratch
+   has been resized by a previous, larger block. *)
 let batch_scoring_matches pst ~log_background blocks =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errs := m :: !errs) fmt in

@@ -94,7 +94,8 @@ val batch_scoring_matches :
   Pst.t -> log_background:float array -> Sequence.t array list -> string list
 (** Differential oracle for the batched kernel: compiles the tree and
     scores each block with {!Similarity.score_batch} against
-    {!Similarity.score_psa} per sequence, demanding {e exact} float
+    {!Similarity.score_psa} per sequence (a one-lane block on its own
+    scratch), pinning lane independence and demanding {e exact} float
     equality of every log-similarity plus identical segment bounds. All
     blocks share one scratch (created with capacity 1) so lane-reset and
     resize bugs across block boundaries are exercised too. Run by the

@@ -127,8 +127,9 @@ let run_case case =
      unpruned tree and the pruned copy (pruning reshapes the active set). *)
   add_all "psa" (Check.psa_scoring_matches pst ~log_background:lbg case.probes);
   add_all "psa-pruned" (Check.psa_scoring_matches pruned ~log_background:lbg case.probes);
-  (* Batched kernel vs serial compiled scan (check #6): one automaton
-     over whole blocks must be bit-identical lane by lane. The block
+  (* Whole blocks vs one-lane blocks (check #6): one automaton over a
+     block must score every lane bit-identically to that sequence
+     scored alone — lanes must not interact. The block
      list covers the shapes the engine produces — a full block (the
      training sequences), a small block (probes), the empty block, a
      block of one, and a block containing an empty sequence — all

@@ -1,9 +1,8 @@
 type t = {
   models : (int * Pst.t) array; (* sorted by cluster id *)
   (* Parallel to [models]: automata compiled once at construction (the
-     models never mutate), shared read-only by the classify_all workers.
-     [None] per entry when compilation is disabled (--no-psa). *)
-  compiled : Psa.t option array;
+     models never mutate), shared read-only by the classify_all workers. *)
+  compiled : Psa.t array;
   log_background : float array;
   log_t : float;
   alphabet : Alphabet.t option;
@@ -19,11 +18,7 @@ type verdict = {
    so corrupt persisted background vectors are rejected here too. *)
 let build ~models ~log_background ~log_t ~alphabet =
   Similarity.validate_log_background log_background;
-  let compiled =
-    Array.map
-      (fun (_, pst) -> if Psa.enabled () then Some (Psa.compile pst) else None)
-      models
-  in
+  let compiled = Array.map (fun (_, pst) -> Psa.compile pst) models in
   { models; compiled; log_background; log_t; alphabet }
 
 let make ~models ~log_background ~t_linear ?alphabet () =
@@ -47,12 +42,8 @@ let classify t s =
   let scores =
     Array.to_list
       (Array.mapi
-         (fun i (id, pst) ->
-           let r =
-             match t.compiled.(i) with
-             | Some psa -> Similarity.score_psa psa ~log_background:t.log_background s
-             | None -> Similarity.score pst ~log_background:t.log_background s
-           in
+         (fun i (id, _) ->
+           let r = Similarity.score_psa t.compiled.(i) ~log_background:t.log_background s in
            (id, r.Similarity.log_sim))
          t.models)
     |> List.sort (fun (_, a) (_, b) -> compare b a)
@@ -83,18 +74,12 @@ let classify_all t db =
         let batch = Psa.batch_create ~capacity:bn () in
         (* cols.(i).(j): lane j's log-similarity against model i. *)
         let cols =
-          Array.mapi
-            (fun i (_, pst) ->
-              match t.compiled.(i) with
-              | Some psa ->
-                  Array.map
-                    (fun (r : Similarity.result) -> r.log_sim)
-                    (Similarity.score_batch psa ~log_background:t.log_background ~batch sub)
-              | None ->
-                  Array.map
-                    (fun s -> (Similarity.score pst ~log_background:t.log_background s).log_sim)
-                    sub)
-            t.models
+          Array.map
+            (fun psa ->
+              Array.map
+                (fun (r : Similarity.result) -> r.log_sim)
+                (Similarity.score_batch psa ~log_background:t.log_background ~batch sub))
+            t.compiled
         in
         Array.init bn (fun j ->
             let scores =

@@ -113,8 +113,8 @@ type scan_census = {
   dirty_rescores : int;
       (** Re-evaluations against mutated ("dirty") clusters, run inside
           each cluster's apply task on its in-place refreshed (or
-          recompiled) automaton — the tree walk only under [--no-psa] —
-          the part of the scan the score matrix could not cover. *)
+          recompiled) automaton — the part of the scan the score matrix
+          could not cover. *)
   assignments_changed : int;
       (** Sequences whose membership set changed this iteration (equals
           [membership_changes]). *)
@@ -194,9 +194,11 @@ type result = {
   assignments : int list array;
       (** Per sequence: ids of every cluster it belongs to (overlap allowed). *)
   best : (int * float) option array;
-      (** Per sequence: best final cluster and its log-similarity — also set
-          for sequences below threshold (useful for diagnostics); [None]
-          only if no cluster produced a finite score. *)
+      (** Per sequence: the best-scoring cluster of the last reclustering
+          pass and its log-similarity — also set for sequences below
+          threshold (useful for diagnostics); [None] only if no cluster
+          produced a finite score. The final consolidation may have
+          dismissed that cluster, so it need not be among [clusters]. *)
   outliers : int list;  (** Sequences belonging to no cluster. *)
   n_clusters : int;  (** Final number of clusters. *)
   final_t : float;  (** Final linear threshold. *)

@@ -3,12 +3,10 @@ type t = {
   born : int;
   pst : Pst.t;
   members : Bitset.t;
-  (* One compiled automaton per cluster, kept following its tree: built
-     at the first pass start (Cluseq compiles before each read-only
-     fan-out), marked [stale] by an absorb, and brought current by
-     refresh or recompile before the next score reads it. [None] means
-     "score via the tree walk". *)
-  mutable compiled : Psa.t option;
+  (* The cluster's compiled automaton, kept following its tree: built
+     at creation, marked [stale] by an absorb, and brought current by
+     refresh or recompile before the next score reads it. *)
+  mutable compiled : Psa.t;
   mutable stale : bool;
   (* Whether [compile] has journaled [cluster.froze] since the tree last
      grew: the event marks each pass start that finds a changed model. *)
@@ -29,7 +27,7 @@ let create ~id ?(born = 0) ~capacity cfg seed =
     born;
     pst;
     members = Bitset.create capacity;
-    compiled = None;
+    compiled = Psa.compile pst;
     stale = false;
     frozen = false;
     scores = None;
@@ -49,26 +47,24 @@ let clear_members t = Bitset.clear t.members
    turned significant or was pruned. Either way the tables equal a fresh
    compile's, so scores stay bit-identical to the tree walk. *)
 let current t =
-  (match t.compiled with
-  | Some psa when t.stale ->
-      if not (Psa.refresh psa t.pst) then t.compiled <- Some (Psa.compile t.pst);
-      t.stale <- false
-  | _ -> ());
+  if t.stale then begin
+    if not (Psa.refresh t.compiled t.pst) then t.compiled <- Psa.compile t.pst;
+    t.stale <- false
+  end;
   t.compiled
 
 let compile t =
-  if Option.is_none t.compiled && Psa.enabled () then t.compiled <- Some (Psa.compile t.pst);
-  match current t with
-  | Some psa when not t.frozen ->
-      t.frozen <- true;
-      if Obs.Journal.is_enabled () then
-        Obs.Journal.emit "cluster.froze" (fun () ->
-            [
-              ("cluster", Bench_json.Num (float_of_int t.id));
-              ("n_states", Bench_json.Num (float_of_int (Psa.n_states psa)));
-              ("size", Bench_json.Num (float_of_int (Bitset.cardinal t.members)));
-            ])
-  | _ -> ()
+  let psa = current t in
+  if not t.frozen then begin
+    t.frozen <- true;
+    if Obs.Journal.is_enabled () then
+      Obs.Journal.emit "cluster.froze" (fun () ->
+          [
+            ("cluster", Bench_json.Num (float_of_int t.id));
+            ("n_states", Bench_json.Num (float_of_int (Psa.n_states psa)));
+            ("size", Bench_json.Num (float_of_int (Bitset.cardinal t.members)));
+          ])
+  end
 
 (* The score-column cache switch ([--no-index] turns it off): while off,
    no column is kept, so every pass scores every pair afresh. *)
@@ -78,17 +74,14 @@ let set_cache_enabled b = cache_flag := b
 let score_cache t = if !cache_flag then t.scores else None
 let set_score_cache t col = if !cache_flag then t.scores <- Some col
 
-let similarity t ~log_background s =
-  match current t with
-  | Some psa -> Similarity.score_psa psa ~log_background s
-  | None -> Similarity.score t.pst ~log_background s
+let similarity t ~log_background s = Similarity.score_psa (current t) ~log_background s
 
-(* Read-only: runs on the scan fan-out's worker domains, so a stale
-   automaton (never the case after [compile]) is bypassed, not refreshed. *)
+(* Read-only: runs on the scan fan-out's worker domains, which must not
+   bring an automaton up to date — [compile] does that on the submitting
+   domain before every fan-out. *)
 let similarity_batch t ~log_background ~batch seqs =
-  match t.compiled with
-  | Some psa when not t.stale -> Similarity.score_batch psa ~log_background ~batch seqs
-  | _ -> Array.map (Similarity.score t.pst ~log_background) seqs
+  if t.stale then invalid_arg "Cluster.similarity_batch: stale automaton; compile first";
+  Similarity.score_batch t.compiled ~log_background ~batch seqs
 
 let absorb t ~seq_id s (r : Similarity.result) =
   Obs.Metrics.incr m_absorbs;
@@ -97,7 +90,7 @@ let absorb t ~seq_id s (r : Similarity.result) =
     Pst.insert_segment t.pst s ~lo:r.seg_lo ~hi:r.seg_hi;
     (* The tree changed (insertion, possibly pruning): the automaton is
        behind it until the next score or compile brings it current. *)
-    t.stale <- Option.is_some t.compiled;
+    t.stale <- true;
     t.frozen <- false;
     t.scores <- None
   end

@@ -6,10 +6,11 @@ type t
 
 val create : id:int -> ?born:int -> capacity:int -> Pst.config -> Sequence.t -> t
 (** [create ~id ~capacity cfg seed] is a fresh cluster initialized from one
-    seed sequence (paper Sec. 4.1): its PST is built from the seed and the
-    seed is not yet recorded as a member (membership is decided by the
-    reclustering pass). [capacity] is the database size, fixing the member
-    bitset width. [born] (default 0) records the iteration that seeded the
+    seed sequence (paper Sec. 4.1): its PST is built from the seed and
+    compiled into the cluster's scoring automaton, and the seed is not
+    yet recorded as a member (membership is decided by the reclustering
+    pass). [capacity] is the database size, fixing the member bitset
+    width. [born] (default 0) records the iteration that seeded the
     cluster, for the drift telemetry's age histogram. *)
 
 val id : t -> int
@@ -38,14 +39,14 @@ val clear_members : t -> unit
 
 val compile : t -> unit
 (** Make the cluster's {!Psa.t} scoring automaton current for its PST:
-    build it on first use (if {!Psa.enabled}), and after an {!absorb}
-    refresh its rows in place ({!Psa.refresh}) or, once a context turned
-    significant or was pruned, recompile it. Called on the submitting
-    domain at the start of every read-only scoring sweep, so the sweep's
-    workers only ever read a current automaton. Idempotent and cheap
-    when nothing changed. The first call after creation or after the
-    tree grew journals a [cluster.froze] event (with the automaton's
-    state count) when {!Obs.Journal} is enabled. *)
+    after an {!absorb}, refresh its rows in place ({!Psa.refresh}) or,
+    once a context turned significant or was pruned, recompile it.
+    Called on the submitting domain at the start of every read-only
+    scoring sweep, so the sweep's workers only ever read a current
+    automaton ({!similarity_batch} checks). Idempotent and cheap when
+    nothing changed. The first call after creation or after the tree
+    grew journals a [cluster.froze] event (with the automaton's state
+    count) when {!Obs.Journal} is enabled. *)
 
 val score_cache : t -> Similarity.result array option
 (** The previous reclustering pass's score column against this cluster
@@ -71,13 +72,12 @@ val set_cache_enabled : bool -> unit
     against ([Check.cache_agrees]). Set it before a run, not during one. *)
 
 val similarity : t -> log_background:float array -> Sequence.t -> Similarity.result
-(** {!Similarity.score} against this cluster's PST — via the compiled
-    automaton when there is one ({!compile}), via the tree walk
-    otherwise (the [--no-psa] fallback). An automaton left stale by
-    {!absorb} is first refreshed or recompiled in place, exactly as
-    {!compile} would, so only the task that owns the cluster may call
-    this after an absorb; after {!compile} it only reads. The paths are
-    bit-for-bit equal, so the choice is invisible to callers. *)
+(** {!Similarity.score} against this cluster's PST, computed on its
+    compiled automaton ({!Similarity.score_psa}, bit-for-bit equal to
+    the tree walk). An automaton left stale by {!absorb} is first
+    refreshed or recompiled in place, exactly as {!compile} would, so
+    only the task that owns the cluster may call this after an absorb;
+    after {!compile} it only reads. *)
 
 val similarity_batch :
   t ->
@@ -85,14 +85,13 @@ val similarity_batch :
   batch:Psa.batch ->
   Sequence.t array ->
   Similarity.result array
-(** Score a whole block against this cluster in one pass — the batched
-    kernel ({!Similarity.score_batch}) over the automaton when it is
-    current, a per-sequence tree walk otherwise (the [--no-psa]
-    fallback). Never touches the automaton, so the read-only fan-out
-    may call it from any domain; call {!compile} first to get the fast
-    path. Bit-for-bit equal to mapping {!similarity} over the block
-    either way. [batch] is the caller's reusable scratch (one per
-    worker domain). *)
+(** Score a whole block against this cluster in one pass of the batched
+    kernel ({!Similarity.score_batch}); bit-for-bit equal to mapping
+    {!similarity} over the block. Never touches the automaton, so the
+    read-only fan-out may call it from any domain. Raises
+    [Invalid_argument] when an {!absorb} has left the automaton stale:
+    call {!compile} before every fan-out. [batch] is the caller's
+    reusable scratch (one per worker domain). *)
 
 val absorb : t -> seq_id:int -> Sequence.t -> Similarity.result -> unit
 (** [absorb t ~seq_id s r] adds [seq_id] as a member and inserts the

@@ -94,9 +94,7 @@ let observe_symbols t s =
   t.background_stale <- true
 
 let refresh_compiled cl =
-  match cl.compiled with
-  | Some _ -> ()
-  | None -> if Psa.enabled () then cl.compiled <- Some (Psa.compile cl.pst)
+  if Option.is_none cl.compiled then cl.compiled <- Some (Psa.compile cl.pst)
 
 let score_against t s =
   let lbg = background t in

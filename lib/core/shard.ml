@@ -72,8 +72,7 @@ type gcluster = {
   g_log_t : float; (* the home shard's final log threshold *)
 }
 
-let run ?(config = Cluseq.default_config) ?(shards = 1)
-    ?(merge_divergence = default_merge_divergence) db =
+let run ?(config = Cluseq.default_config) ?(shards = 1) db =
   let n = Seq_database.n_sequences db in
   let shards = clamp 1 64 shards in
   if shards <= 1 then Cluseq.run ~config db
@@ -192,8 +191,8 @@ let run ?(config = Cluseq.default_config) ?(shards = 1)
     (* --- cross-shard consolidation (DESIGN.md §14). Three stages,
        because the divergence bands alone cannot decide a merge:
        1. prefilter — only cross-shard pairs whose symmetrized KL is
-          under [merge_divergence] (pairs at the smoothing ceiling are
-          never the same family); same-shard pairs were already
+          under [default_merge_divergence] (pairs at the smoothing
+          ceiling are never the same family); same-shard pairs were already
           separated by their own run's consolidation pass;
        2. candidacy — a pair is considered only if one side is the
           other's nearest neighbour among that shard's clusters (the
@@ -258,7 +257,7 @@ let run ?(config = Cluseq.default_config) ?(shards = 1)
             let j = nearest i s' in
             if
               j >= 0
-              && d.(i).(j) < merge_divergence
+              && d.(i).(j) < default_merge_divergence
               && find parent i <> find parent j
               && accepts i j && accepts j i
             then union parent i j)
@@ -358,16 +357,16 @@ let run ?(config = Cluseq.default_config) ?(shards = 1)
        family. Sequences in no cluster after the merge are rescored
        against every final model (there are few of them, so this is a
        narrow sweep, not a re-scan) and join any cluster whose
-       retention threshold they clear. --- *)
-    let rescued = Array.make (Array.length final) [] in
-    for id = n - 1 downto 0 do
+       retention threshold they clear: each joins that cluster's member
+       bitset, read back ascending. --- *)
+    for id = 0 to n - 1 do
       if not (Array.exists (fun ms -> Bitset.mem ms id) member_of) then begin
         let seq = Seq_database.get db id in
         Array.iteri
           (fun fi (s, _, pst, log_t) ->
             Obs.Metrics.incr m_fixup_rescored;
             let r = Similarity.score pst ~log_background:lbg seq in
-            if r.Similarity.log_sim >= log_t then rescued.(fi) <- id :: rescued.(fi);
+            if r.Similarity.log_sim >= log_t then Bitset.add member_of.(fi) id;
             if Float.is_finite r.Similarity.log_sim then
               best.(id) <-
                 (match best.(id) with
@@ -379,27 +378,8 @@ let run ?(config = Cluseq.default_config) ?(shards = 1)
     done;
     let final =
       Array.mapi
-        (fun fi (gid, members, pst, log_t) ->
-          match rescued.(fi) with
-          | [] -> (gid, members, pst, log_t)
-          | extra ->
-              (* [extra] is ascending (built by the downward loop) and
-                 disjoint from [members]; a linear merge keeps the
-                 member list strictly increasing. *)
-              let merged = Array.make (Array.length members + List.length extra) 0 in
-              let i = ref 0 and j = ref 0 and rest = ref extra in
-              while !i < Array.length members || !rest <> [] do
-                match !rest with
-                | e :: tl when !i >= Array.length members || e < members.(!i) ->
-                    merged.(!j) <- e;
-                    incr j;
-                    rest := tl
-                | _ ->
-                    merged.(!j) <- members.(!i);
-                    incr i;
-                    incr j
-              done;
-              (gid, merged, pst, log_t))
+        (fun fi (gid, _, pst, log_t) ->
+          (gid, Array.of_list (Bitset.to_list member_of.(fi)), pst, log_t))
         final
     in
     let assignments = Array.make n [] in
@@ -441,7 +421,7 @@ let run ?(config = Cluseq.default_config) ?(shards = 1)
     Obs.Metrics.set (Obs.Metrics.gauge "cluseq.pst.est_words") (float_of_int words);
     Log.info (fun m ->
         m "merged %d shard clusters into %d (threshold %.3g, %d rescored)" (Array.length gs)
-          (Array.length final) merge_divergence
+          (Array.length final) default_merge_divergence
           (Obs.Metrics.counter_value m_fixup_rescored));
     if journal_on then begin
       Obs.Journal.emit "run.end" (fun () ->

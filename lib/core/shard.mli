@@ -51,12 +51,7 @@ val env_shards : unit -> int option
 (** A valid [CLUSEQ_SHARDS] environment value ([>= 1], clamped to 64),
     if present. *)
 
-val run :
-  ?config:Cluseq.config ->
-  ?shards:int ->
-  ?merge_divergence:float ->
-  Seq_database.t ->
-  Cluseq.result
+val run : ?config:Cluseq.config -> ?shards:int -> Seq_database.t -> Cluseq.result
 (** [run ~config ~shards db] clusters [db] with [shards] independent
     CLUSEQ runs fanned out over the {!Par} global pool, then merges.
     [shards <= 1] is exactly [Cluseq.run ~config db]. The merged result

@@ -60,52 +60,14 @@ let score pst ~log_background s =
     { log_sim = !z; seg_lo = !best_lo; seg_hi = !best_hi }
   end
 
-(* The same Kadane scan over a compiled automaton (Psa.compile of the
-   same tree): one transition + one table read per symbol, no tree walk,
-   no per-symbol [log], no allocation. The emission table stores the very
-   floats [Pst.next_log_prob] computes, and each X_i is formed with the
-   identical subtraction, so the scan is bit-for-bit equal to [score] —
-   the fuzz oracle and the qcheck properties assert exact equality. *)
-let score_psa psa ~log_background s =
-  let l = Array.length s in
-  Obs.Metrics.incr m_calls;
-  Obs.Metrics.incr ~by:l m_symbols_scanned;
-  if l = 0 then empty_result
-  else begin
-    let n = Psa.alphabet_size psa in
-    if Array.length log_background < n then
-      invalid_arg "Similarity.score_psa: log_background shorter than the alphabet";
-    let trans = Psa.transitions psa in
-    let emit = Psa.emissions psa in
-    (* Tail recursion keeps the accumulators in registers — a float [ref]
-       would box on every store. The unsafe reads are guarded by the
-       symbol range check ([state] only ever comes from [trans], whose
-       entries are states by construction). *)
-    let rec go i state y z start blo bhi =
-      if i >= l then { log_sim = z; seg_lo = blo; seg_hi = bhi }
-      else begin
-        let sym = Array.unsafe_get s i in
-        if sym < 0 || sym >= n then
-          invalid_arg "Similarity.score_psa: symbol outside the compiled alphabet";
-        let idx = (state * n) + sym in
-        let x = Bigarray.Array1.unsafe_get emit idx -. Array.unsafe_get log_background sym in
-        let extend = y >= 0.0 in
-        let y' = if extend then y +. x else x in
-        let start' = if extend then start else i in
-        let state' = Bigarray.Array1.unsafe_get trans idx in
-        if y' > z then go (i + 1) state' y' y' start' start' i
-        else go (i + 1) state' y' z start' blo bhi
-      end
-    in
-    go 0 0 neg_infinity neg_infinity 0 0 0
-  end
-
-(* Batch-first front end over [Psa.score_batch]: one automaton over a
-   whole block of sequences, reading the scratch columns back into
-   [result] records. Bit-for-bit equal to mapping [score_psa] over the
-   block (the kernel performs the identical per-lane float operations in
-   the identical order; empty lanes reproduce [empty_result]). Metrics
-   are bumped once per block — same totals as the per-sequence calls. *)
+(* Batch-first front end over [Psa.score_batch], the one Kadane scan
+   over a compiled automaton: it reads the scratch columns back into
+   [result] records. The emission table stores the very floats
+   [Pst.next_log_prob] computes and each X_i is formed with the
+   identical subtraction, so every lane is bit-for-bit equal to [score]
+   on the source tree — the fuzz oracle and the qcheck properties assert
+   exact equality. Metrics are bumped once per block — same totals as
+   per-sequence calls. *)
 let score_batch psa ~log_background ~batch seqs =
   let b = Array.length seqs in
   Obs.Metrics.incr ~by:b m_calls;
@@ -120,53 +82,55 @@ let score_batch psa ~log_background ~batch seqs =
         seg_hi = Psa.batch_seg_hi batch j;
       })
 
+(* One sequence is a one-lane block. The lane's scratch is per domain,
+   as [Psa.compile]'s trie is: dirty rescores call this from apply tasks
+   on every domain of the pool. *)
+let lane_scratch =
+  Domain.DLS.new_key (fun () -> (Psa.batch_create ~capacity:1 (), [| [||] |]))
+
+let score_psa psa ~log_background s =
+  Obs.Metrics.incr m_calls;
+  Obs.Metrics.incr ~by:(Array.length s) m_symbols_scanned;
+  let batch, lane = Domain.DLS.get lane_scratch in
+  lane.(0) <- s;
+  Psa.score_batch psa ~log_background ~batch lane;
+  {
+    log_sim = Psa.batch_log_sim batch 0;
+    seg_lo = Psa.batch_seg_lo batch 0;
+    seg_hi = Psa.batch_seg_hi batch 0;
+  }
+
+(* Per position, X_i and the depth of the context the automaton
+   predicted symbol i from, in one walk of its states. Only the explain
+   and oracle paths want the profile, so the reads are the checked
+   ones. *)
+let positions psa ~log_background s =
+  let n = Psa.alphabet_size psa in
+  let l = Array.length s in
+  let xs = Array.make l 0.0 and depths = Array.make l 0 in
+  let state = ref 0 in
+  for i = 0 to l - 1 do
+    let sym = s.(i) in
+    if sym < 0 || sym >= n then
+      invalid_arg "Similarity.xs_psa: symbol outside the compiled alphabet";
+    xs.(i) <- Psa.emission psa !state sym -. log_background.(sym);
+    depths.(i) <- Psa.prediction_depth psa !state;
+    state := Psa.step psa !state sym
+  done;
+  (xs, depths)
+
+let xs_psa psa ~log_background s = fst (positions psa ~log_background s)
+
 type attribution = { attr_result : result; attr_xs : float array; attr_depths : int array }
 
-(* [score_psa] with per-position provenance: the recursion below is a
-   verbatim copy of the one above plus two array stores per symbol, so
-   every float operation happens in the same order on the same values —
-   the totals are bit-for-bit equal (property-tested). Kept separate
-   rather than folding the stores into the hot scan: reclustering calls
-   [score_psa] n×k times per iteration and must not allocate two arrays
-   per pair. *)
+(* [score_psa]'s result plus the per-position profile behind it. The
+   profile's X_i are the floats the scan summed, so
+   [attribution_segment_sum] rebuilds [log_sim] bit for bit
+   (property-tested). *)
 let score_attributed psa ~log_background s =
-  let l = Array.length s in
-  Obs.Metrics.incr m_calls;
-  Obs.Metrics.incr ~by:l m_symbols_scanned;
-  if l = 0 then { attr_result = empty_result; attr_xs = [||]; attr_depths = [||] }
-  else begin
-    let n = Psa.alphabet_size psa in
-    if Array.length log_background < n then
-      invalid_arg "Similarity.score_attributed: log_background shorter than the alphabet";
-    let trans = Psa.transitions psa in
-    let emit = Psa.emissions psa in
-    let xs = Array.make l 0.0 in
-    let depths = Array.make l 0 in
-    let rec go i state y z start blo bhi =
-      if i >= l then
-        {
-          attr_result = { log_sim = z; seg_lo = blo; seg_hi = bhi };
-          attr_xs = xs;
-          attr_depths = depths;
-        }
-      else begin
-        let sym = Array.unsafe_get s i in
-        if sym < 0 || sym >= n then
-          invalid_arg "Similarity.score_attributed: symbol outside the compiled alphabet";
-        let idx = (state * n) + sym in
-        let x = Bigarray.Array1.unsafe_get emit idx -. Array.unsafe_get log_background sym in
-        Array.unsafe_set xs i x;
-        Array.unsafe_set depths i (Psa.prediction_depth psa state);
-        let extend = y >= 0.0 in
-        let y' = if extend then y +. x else x in
-        let start' = if extend then start else i in
-        let state' = Bigarray.Array1.unsafe_get trans idx in
-        if y' > z then go (i + 1) state' y' y' start' start' i
-        else go (i + 1) state' y' z start' blo bhi
-      end
-    in
-    go 0 0 neg_infinity neg_infinity 0 0 0
-  end
+  let attr_result = score_psa psa ~log_background s in
+  let attr_xs, attr_depths = positions psa ~log_background s in
+  { attr_result; attr_xs; attr_depths }
 
 (* Kadane never resets inside a winning segment (a reset would have moved
    [seg_lo]), so within [seg_lo .. seg_hi] the accumulator evolved as
@@ -184,27 +148,6 @@ let attribution_segment_sum a =
     done;
     !acc
   end
-
-(* Per-position X_i via the automaton; mirrors [xs] exactly (an explicit
-   loop because the scan threads the state left to right). *)
-let xs_psa psa ~log_background s =
-  let n = Psa.alphabet_size psa in
-  if Array.length log_background < n then
-    invalid_arg "Similarity.xs_psa: log_background shorter than the alphabet";
-  let trans = Psa.transitions psa in
-  let emit = Psa.emissions psa in
-  let l = Array.length s in
-  let x = Array.make l 0.0 in
-  let state = ref 0 in
-  for i = 0 to l - 1 do
-    let sym = s.(i) in
-    if sym < 0 || sym >= n then
-      invalid_arg "Similarity.xs_psa: symbol outside the compiled alphabet";
-    let idx = (!state * n) + sym in
-    x.(i) <- Bigarray.Array1.unsafe_get emit idx -. Array.unsafe_get log_background sym;
-    state := Bigarray.Array1.unsafe_get trans idx
-  done;
-  x
 
 let score_brute pst ~log_background s =
   let l = Array.length s in

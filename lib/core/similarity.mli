@@ -28,23 +28,24 @@ val score : Pst.t -> log_background:float array -> Sequence.t -> result
 
 val score_psa : Psa.t -> log_background:float array -> Sequence.t -> result
 (** [score_psa psa ~log_background s]: the same measure over a compiled
-    automaton ({!Psa.compile} of the same tree) — a single O(l) pass,
-    one transition and one table read per symbol, no allocation and no
-    per-symbol [log]. Bit-for-bit equal to {!score} on the tree the
-    automaton was compiled from (exact float equality; enforced by the
-    property tests and the fuzz oracle). Raises [Invalid_argument] on a
-    symbol outside the compiled alphabet. *)
+    automaton ({!Psa.compile} of the same tree) — [s] scored as a
+    one-lane block of {!Psa.score_batch} on a per-domain scratch: one
+    O(l) pass, one transition and one table read per symbol, no
+    per-symbol allocation and no per-symbol [log]. Bit-for-bit equal to
+    {!score} on the tree the automaton was compiled from (exact float
+    equality; enforced by the property tests and the fuzz oracle).
+    Raises [Invalid_argument] on a symbol outside the compiled
+    alphabet. *)
 
 val score_batch :
   Psa.t -> log_background:float array -> batch:Psa.batch -> Sequence.t array -> result array
 (** [score_batch psa ~log_background ~batch seqs] scores the whole block
-    in one position-major pass over the automaton ({!Psa.score_batch})
-    and returns one {!result} per sequence, in input order. Bit-for-bit
-    equal to [Array.map (score_psa psa ~log_background) seqs] — the
-    kernel performs the identical per-lane float operations in the
-    identical order, and empty sequences yield the [empty_result]
-    sentinel — while allocating nothing per symbol ([batch] holds the
-    reusable scratch columns; one per worker domain). Raises
+    in one lane-major pass over the automaton ({!Psa.score_batch}) and
+    returns one {!result} per sequence, in input order. Bit-for-bit
+    equal to [Array.map (score_psa psa ~log_background) seqs] — lanes
+    never interact, and empty sequences yield [neg_infinity] with
+    bounds [-1,-1] — while allocating nothing per symbol ([batch] holds
+    the reusable scratch columns; one per worker domain). Raises
     [Invalid_argument] on a symbol outside the compiled alphabet. *)
 
 val xs_psa : Psa.t -> log_background:float array -> Sequence.t -> float array
@@ -70,10 +71,10 @@ type attribution = {
     possible. *)
 
 val score_attributed : Psa.t -> log_background:float array -> Sequence.t -> attribution
-(** [score_attributed psa ~log_background s] is {!score_psa} plus the
-    per-position provenance above. Same float operations in the same
-    order, so [attr_result] is bit-for-bit equal to [score_psa]'s
-    result, and {!attribution_segment_sum} rebuilds [log_sim] exactly
+(** [score_attributed psa ~log_background s] is {!score_psa}'s result
+    plus one more walk of the automaton for the per-position provenance
+    above. The [attr_xs] are the floats the scan summed, so
+    {!attribution_segment_sum} rebuilds [log_sim] exactly
     (property-tested). Two O(l) arrays per call — use {!score_psa} in
     scans, this only when explaining. *)
 

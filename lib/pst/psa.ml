@@ -69,9 +69,6 @@ type t = {
   active_changes : int; (* its Pst.active_changes at compile time *)
 }
 
-let enabled_flag = ref true
-let enabled () = !enabled_flag
-let set_enabled b = enabled_flag := b
 let alphabet_size t = t.alphabet_size
 let n_states t = t.n_states
 let transitions t = t.trans
@@ -277,10 +274,13 @@ let batch_seg_hi b j = b.hi.(j)
    interleaving buys no table-row reuse and pays a lane gather per
    symbol.)
 
-   Per lane, the float operations are the ones [Similarity.score_psa]
-   performs, on the same values in the same order — lanes never interact
-   — so every output is bit-for-bit what the serial scan returns (the
-   QCheck properties and fuzz check #6 enforce exact equality). *)
+   This is the only Kadane scan over an automaton: [Similarity.score_psa]
+   scores one sequence as a one-lane block. Per lane, the float
+   operations are the ones the tree walk ([Similarity.score]) performs,
+   on the same values in the same order, and lanes never interact — so
+   every output is bit-for-bit the tree walk's, whatever the block
+   around it (the QCheck properties and the fuzz oracles enforce exact
+   equality). *)
 let score_batch t ~log_background ~batch seqs =
   let b = Array.length seqs in
   ensure_capacity batch b;
@@ -300,7 +300,7 @@ let score_batch t ~log_background ~batch seqs =
     acc_z.(j) <- neg_infinity;
     seg_start.(j) <- 0;
     (* Empty lanes keep the [empty_result] sentinel bounds; non-empty
-       lanes start at [0, 0] exactly like the serial scan. *)
+       lanes start at [0, 0] exactly like the tree walk's scan. *)
     if l = 0 then begin
       lo.(j) <- -1;
       hi.(j) <- -1

@@ -79,8 +79,8 @@ val n_states : t -> int
 val transitions : t -> trans_table
 (** The dense transition table, row-major: entry [state * n + sym] is the
     state reached after emitting [sym] — the prediction state for the
-    context extended by [sym]. Read-only; exposed for the scan kernels in
-    {!Similarity} and the microbenchmarks. *)
+    context extended by [sym]. Read-only; exposed for the table-shape
+    tests — scans go through {!score_batch}. *)
 
 val emissions : t -> emit_table
 (** The precomputed emission table, row-major: entry [state * n + sym] is
@@ -111,18 +111,6 @@ val table_bytes : t -> int
     prediction-node side array) — essentially the model data the GC
     never scans. *)
 
-val enabled : unit -> bool
-(** Whether call sites should compile at all (default [true]). *)
-
-val set_enabled : bool -> unit
-(** Global escape hatch, wired to the CLI's [--no-psa]: when disabled,
-    the caching call sites ({!Cluster.compile}, [Classifier], [Online])
-    skip compilation and every score falls back to the tree walk —
-    including all batched entry points, which detect the missing
-    automaton and take the per-sequence tree walk instead. Results are
-    identical either way — this exists for debugging and for measuring
-    the speedup end to end. *)
-
 (** {1 Batch scoring} *)
 
 type batch
@@ -146,10 +134,11 @@ val score_batch : t -> log_background:float array -> batch:batch -> Sequence.t a
     block costs zero heap words per symbol while every sequence streams
     through cache linearly. Results are read back with
     {!batch_log_sim} / {!batch_seg_lo} / {!batch_seg_hi} at the lane's
-    index in [seqs]; they are bit-for-bit identical to
-    [Similarity.score_psa] on each sequence individually (empty lanes
-    yield [neg_infinity] with bounds [-1,-1], matching
-    [Similarity.empty_result]).
+    index in [seqs]. This is the only Kadane scan over an automaton:
+    [Similarity.score_psa] scores one sequence as a one-lane block, and
+    lanes never interact, so every lane's result is bit-for-bit the
+    tree walk's ([Similarity.score]) on the same sequence. Empty lanes
+    yield [neg_infinity] with bounds [-1,-1].
 
     Raises [Invalid_argument] if any symbol lies outside
     [\[0, alphabet_size)] or [log_background] is shorter than the

@@ -44,14 +44,16 @@ let test_cluster_similarity_prefers_own_style () =
 
 (* The cluster's automaton follows its tree across absorbs — refreshed
    in place, or recompiled once a context turns significant — so every
-   score after an absorb equals the tree walk on the grown model, and
-   the compile that ends the pass leaves the read-only batch path
-   current again. *)
+   score after an absorb equals the tree walk on the grown model. The
+   read-only batch path refuses the automaton an absorb left stale, and
+   the compile that ends the pass makes it current again. *)
 let test_cluster_scores_follow_absorbs () =
   let lbg = Array.make 26 (log (1.0 /. 26.0)) in
   let cl = Cluster.create ~id:0 ~capacity:10 pst_cfg (Sequence.of_string alpha "abcd") in
   Cluster.compile cl;
   let probes = List.map (Sequence.of_string alpha) [ "abcabc"; "dcba"; "aabbccdd"; "q" ] in
+  let batch = Psa.batch_create () in
+  let block = Array.of_list probes in
   let check_all when_ =
     List.iter
       (fun p ->
@@ -62,16 +64,22 @@ let test_cluster_scores_follow_absorbs () =
           = Similarity.score (Cluster.pst cl) ~log_background:lbg p))
       probes
   in
+  let absorb i text =
+    let s = Sequence.of_string alpha text in
+    Cluster.absorb cl ~seq_id:i s
+      { Similarity.log_sim = 1.0; seg_lo = 0; seg_hi = Array.length s - 1 };
+    Alcotest.check_raises
+      (Printf.sprintf "batch after absorb %d refuses the stale automaton" i)
+      (Invalid_argument "Cluster.similarity_batch: stale automaton; compile first")
+      (fun () -> ignore (Cluster.similarity_batch cl ~log_background:lbg ~batch block))
+  in
   List.iteri
     (fun i text ->
-      let s = Sequence.of_string alpha text in
-      Cluster.absorb cl ~seq_id:i s
-        { Similarity.log_sim = 1.0; seg_lo = 0; seg_hi = Array.length s - 1 };
+      absorb i text;
       check_all (Printf.sprintf "after absorb %d" i))
     [ "abcd"; "ab"; "abcabc"; "dd"; "abcd"; "bcbc" ];
+  absorb 6 "cdcd";
   Cluster.compile cl;
-  let batch = Psa.batch_create () in
-  let block = Array.of_list probes in
   Alcotest.(check bool) "batch after compile = tree walk" true
     (Cluster.similarity_batch cl ~log_background:lbg ~batch block
     = Array.map (Similarity.score (Cluster.pst cl) ~log_background:lbg) block)

@@ -148,35 +148,24 @@ let test_cluseq_identical_across_domain_counts () =
       ("max_nodes 1000", Gen_common.small_pruned_config, true);
     ]
 
-(* The reclustering scan is now batched (one automaton over a block of
-   lanes, Cluseq.scan_block sequences per task): pin down that the
-   batched path is deterministic across domain counts AND that it equals
-   the unbatched tree walk — [--no-psa] disables compilation, so every
-   score falls back to the per-sequence tree walk, which must produce
-   the identical clustering bit for bit. *)
-let test_batched_reclustering_identical_across_domains_and_no_psa () =
+(* The reclustering scan scores one automaton over a block of lanes
+   (Cluseq.scan_block sequences per task) and the apply tasks rescore
+   dirty clusters one lane at a time: pin down that the run is
+   deterministic across domain counts with the auditor installed, so
+   every pass's deciding scores are also checked against the serial
+   tree-walk replay ([Check.reference_recluster]). *)
+let test_batched_reclustering_identical_across_domains () =
   let db, _ = Lazy.force db_and_truth in
-  let run ~psa d =
+  let run d =
     with_domains d (fun () ->
-        let saved = Psa.enabled () in
-        Psa.set_enabled psa;
-        Fun.protect
-          ~finally:(fun () -> Psa.set_enabled saved)
-          (fun () -> Cluseq.run ~config db))
+        Check.install_auditor ();
+        Fun.protect ~finally:Check.uninstall_auditor (fun () -> Cluseq.run ~config db))
   in
-  let base = run ~psa:true 1 in
   let strip (r : Cluseq.result) =
     (r.clusters, r.assignments, r.best, r.outliers, r.final_t, r.iterations)
   in
-  List.iter
-    (fun (psa, d, tag) ->
-      let r = run ~psa d in
-      Alcotest.(check bool) tag true (strip r = strip base))
-    [
-      (true, 4, "batched @4 domains = batched @1");
-      (false, 1, "tree walk @1 = batched @1");
-      (false, 4, "tree walk @4 = batched @1");
-    ]
+  let base = run 1 in
+  Alcotest.(check bool) "audited @4 domains = audited @1" true (strip (run 4) = strip base)
 
 let test_classifier_identical_across_domain_counts () =
   let db, _ = Lazy.force db_and_truth in
@@ -236,8 +225,8 @@ let () =
         [
           Alcotest.test_case "cluseq run identical" `Quick
             test_cluseq_identical_across_domain_counts;
-          Alcotest.test_case "batched reclustering identical (domains × psa)" `Quick
-            test_batched_reclustering_identical_across_domains_and_no_psa;
+          Alcotest.test_case "batched reclustering identical (domains, audited)" `Quick
+            test_batched_reclustering_identical_across_domains;
           Alcotest.test_case "classifier batch identical" `Quick
             test_classifier_identical_across_domain_counts;
           Alcotest.test_case "kmedoids identical" `Quick

@@ -51,7 +51,7 @@ let test_symbol_out_of_alphabet () =
   let psa = Psa.compile pst in
   let lbg = Array.make 26 (log (1.0 /. 26.0)) in
   Alcotest.check_raises "symbol 25 vs alphabet 4"
-    (Invalid_argument "Similarity.score_psa: symbol outside the compiled alphabet")
+    (Invalid_argument "Psa.score_batch: symbol outside the compiled alphabet")
     (fun () -> ignore (Similarity.score_psa psa ~log_background:lbg (seq_of "abz")));
   let batch = Psa.batch_create () in
   Alcotest.check_raises "batched symbol 25 vs alphabet 4"

@@ -175,10 +175,11 @@ let qcheck_tests =
       (QCheck.Test.make ~name:"attribution bit-identical to score_psa" ~count:200
          (QCheck.pair seq_gen seq_gen)
          (fun (cluster, probe) ->
-           (* [score_attributed] runs the same float operations in the
-              same order as [score_psa], and summing [attr_xs] over the
-              winning segment in the scan's own accumulation order must
-              rebuild log_sim. Both equalities are exact — no epsilon. *)
+           (* [score_attributed]'s result is [score_psa]'s, and summing
+              [attr_xs] — read by a separate walk of the automaton — over
+              the winning segment in the scan's own accumulation order
+              must rebuild log_sim. Both equalities are exact — no
+              epsilon. *)
            let t = build [ cluster ] in
            let psa = Psa.compile t in
            let s = Sequence.of_string alpha probe in
