@@ -106,7 +106,9 @@ suite-smoke: build
 	python3 benchsuite/run.py smoke
 
 # CLI error-path smoke gate: an unwritable output file, a missing or
-# corrupt model, an unreadable input, and a training run that finds no
+# corrupt model (a trained model whose root line gains a next-symbol
+# entry outside the alphabet among them, checked against the untouched
+# model loading fine), an unreadable input, and a training run that finds no
 # clusters must each exit 1 with a `cluseq: ` line on stderr, never 125
 # (an uncaught exception). Explaining a sequence whose last-pass best
 # cluster was dismissed by the final consolidation must exit 0.
@@ -115,6 +117,9 @@ exit-smoke: build
 	$$cli generate --kind synthetic --num 60 --len 60 --clusters 3 -o $$tmp/in.tsv >/dev/null; \
 	$$cli generate --kind synthetic --num 20 --len 20 --clusters 3 -o $$tmp/tiny.tsv >/dev/null; \
 	echo "not a model" > $$tmp/corrupt.model; \
+	$$cli train $$tmp/in.tsv --significance 4 -o $$tmp/good.model >/dev/null 2>&1; \
+	awk '!done && /^node - / { $$0 = $$0 " 99:5"; done = 1 } 1' $$tmp/good.model \
+	  > $$tmp/foreign-symbol.model; \
 	expect_1() { \
 	  "$$@" >/dev/null 2>$$tmp/err; code=$$?; \
 	  if [ $$code -ne 1 ] || ! grep -q '^cluseq: ' $$tmp/err; then \
@@ -133,6 +138,8 @@ exit-smoke: build
 	expect_1 $$cli train $$tmp/tiny.tsv -o $$tmp/tiny.model; \
 	expect_1 $$cli classify $$tmp/in.tsv -m $$tmp/missing.model; \
 	expect_1 $$cli classify $$tmp/in.tsv -m $$tmp/corrupt.model; \
+	expect_0 $$cli classify $$tmp/in.tsv -m $$tmp/good.model; \
+	expect_1 $$cli classify $$tmp/in.tsv -m $$tmp/foreign-symbol.model; \
 	expect_1 $$cli cluster $$tmp/missing.tsv; \
 	expect_0 $$cli explain $$tmp/in.tsv 45 --significance 4; \
 	rm -rf $$tmp; \

@@ -112,9 +112,29 @@ let alloc_rows () =
     words_per_symbol (fun () ->
         ignore (Similarity.score_batch psa ~log_background:lbg ~batch:batch_scratch seqs))
   in
+  (* Absorb into a grown tree: another cluster's members inserted into a
+     fresh copy of the trained model, so most of their contexts are new
+     nodes. The copy is taken outside the measured window. *)
+  let members =
+    List.filter_map
+      (fun i -> if w.labels.(i) = 1 then Some seqs.(i) else None)
+      (List.init (Array.length seqs) Fun.id)
+  in
+  let member_symbols = List.fold_left (fun acc s -> acc + Array.length s) 0 members in
+  let insert_words =
+    let reps = 20 and words = ref 0.0 in
+    for _ = 1 to reps do
+      let t = Pst.copy trained in
+      let before = Gc.minor_words () in
+      List.iter (Pst.insert_sequence t) members;
+      words := !words +. (Gc.minor_words () -. before)
+    done;
+    !words /. float_of_int (reps * member_symbols)
+  in
   [
     ("cluseq/alloc-psa-serial-words-per-symbol", serial);
     ("cluseq/alloc-psa-batch-words-per-symbol", batched);
+    ("cluseq/alloc-pst-insert-words-per-symbol", insert_words);
   ]
 
 (* Runs the suite, prints the table, and returns the (name, ns/run) rows

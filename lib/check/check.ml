@@ -21,14 +21,14 @@ let pst_invariants pst =
   let traversed = ref 0 in
   let rec walk node =
     incr traversed;
-    let count = Pst.node_count node and depth = Pst.node_depth node in
+    let count = Pst.node_count pst node and depth = Pst.node_depth pst node in
     let where = Printf.sprintf "depth-%d node (count %d)" depth count in
     if count < 0 then err "%s: negative count" where;
     if depth > cfg.max_depth then err "%s: exceeds max_depth %d" where cfg.max_depth;
-    let nt = Pst.next_total node in
+    let nt = Pst.next_total pst node in
     let sum_next = ref 0 in
     for sym = 0 to n - 1 do
-      let c = Pst.next_count node sym in
+      let c = Pst.next_count pst node sym in
       if c < 0 then err "%s: negative next counter for symbol %d" where sym;
       sum_next := !sum_next + c
     done;
@@ -58,18 +58,17 @@ let pst_invariants pst =
     end;
     let child_sum = ref 0 in
     let prev_sym = ref (-1) in
-    List.iter
-      (fun (sym, child) ->
+    Pst.iter_children pst node (fun sym child ->
         if sym <= !prev_sym then err "%s: child symbols not strictly increasing" where;
         prev_sym := sym;
         if sym < 0 || sym >= n then err "%s: edge symbol %d outside alphabet" where sym;
-        if Pst.node_depth child <> depth + 1 then
-          err "%s: child at depth %d, expected %d" where (Pst.node_depth child) (depth + 1);
-        if Pst.node_count child > count then
-          err "%s: child count %d exceeds parent count %d" where (Pst.node_count child) count;
-        child_sum := !child_sum + Pst.node_count child;
-        walk child)
-      (Pst.node_children node);
+        let child_depth = Pst.node_depth pst child and child_count = Pst.node_count pst child in
+        if child_depth <> depth + 1 then
+          err "%s: child at depth %d, expected %d" where child_depth (depth + 1);
+        if child_count > count then
+          err "%s: child count %d exceeds parent count %d" where child_count count;
+        child_sum := !child_sum + child_count;
+        walk child);
     if !child_sum > count then
       err "%s: children counts sum to %d, more than the parent's %d" where !child_sum count
   in
@@ -306,7 +305,7 @@ let psa_scoring_matches ?psa pst ~log_background probes =
       let state = ref 0 in
       Array.iteri
         (fun pos sym ->
-          let want = Pst.node_depth (Pst.prediction_node pst s ~lo:0 ~pos) in
+          let want = Pst.node_depth pst (Pst.prediction_node pst s ~lo:0 ~pos) in
           let got = Psa.prediction_depth psa !state in
           if want <> got then
             err "probe %d pos %d: prediction depth %d, automaton state depth %d" pi pos want got;

@@ -117,18 +117,18 @@ let diff t pst =
     (match Hashtbl.find_opt t.table label with
     | None -> err "tree node %s missing from oracle" (string_of_label label)
     | Some e ->
-        if Pst.node_count node <> e.count then
-          err "count at %s: tree %d, oracle %d" (string_of_label label) (Pst.node_count node)
-            e.count;
-        if Pst.next_total node <> e.next_total then
+        if Pst.node_count pst node <> e.count then
+          err "count at %s: tree %d, oracle %d" (string_of_label label)
+            (Pst.node_count pst node) e.count;
+        if Pst.next_total pst node <> e.next_total then
           err "next_total at %s: tree %d, oracle %d" (string_of_label label)
-            (Pst.next_total node) e.next_total;
+            (Pst.next_total pst node) e.next_total;
         for sym = 0 to t.cfg.alphabet_size - 1 do
-          if Pst.next_count node sym <> e.next.(sym) then
+          if Pst.next_count pst node sym <> e.next.(sym) then
             err "next count at %s for symbol %d: tree %d, oracle %d" (string_of_label label)
-              sym (Pst.next_count node sym) e.next.(sym)
+              sym (Pst.next_count pst node sym) e.next.(sym)
         done);
-    List.iter (fun (_, child) -> walk child) (Pst.node_children node)
+    Pst.iter_children pst node (fun _ child -> walk child)
   in
   walk (Pst.root pst);
   Hashtbl.iter

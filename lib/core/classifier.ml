@@ -170,4 +170,8 @@ let load path =
                 | None -> fail "bad model id")
             | _ -> fail "bad model line")
       in
-      build ~models:(Array.of_list (List.sort compare models)) ~log_background ~log_t ~alphabet)
+      let models = Array.of_list (List.sort (fun (a, _) (b, _) -> Int.compare a b) models) in
+      Array.iteri
+        (fun i (id, _) -> if i > 0 && fst models.(i - 1) = id then fail "repeated model id")
+        models;
+      build ~models ~log_background ~log_t ~alphabet)

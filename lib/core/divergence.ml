@@ -6,8 +6,8 @@ let check_compatible a b =
 let significant_contexts t =
   let acc = ref [] in
   Pst.iter_nodes t (fun node ->
-      if Pst.node_depth node > 0 && Pst.is_significant t node then
-        acc := (Array.of_list (Pst.node_label t node), Pst.node_count node) :: !acc);
+      if Pst.node_depth t node > 0 && Pst.is_significant t node then
+        acc := (Array.of_list (Pst.node_label t node), Pst.node_count t node) :: !acc);
   !acc
 
 (* The conditional distribution of [t] at [label], estimated as a query

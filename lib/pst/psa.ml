@@ -63,7 +63,7 @@ type t = {
   n_states : int;
   trans : trans_table; (* state * n + sym -> next state *)
   emit : emit_table; (* state * n + sym -> log P(sym | prediction ctx) *)
-  pred : Pst.node array; (* state -> its prediction node *)
+  pred : Pst.node array; (* state -> its prediction node's id (an int) *)
   pred_total : int array; (* state -> that node's next_total when its row was written *)
   source : Pst.t; (* the tree compiled *)
   active_changes : int; (* its Pst.active_changes at compile time *)
@@ -73,7 +73,7 @@ let alphabet_size t = t.alphabet_size
 let n_states t = t.n_states
 let transitions t = t.trans
 let emissions t = t.emit
-let prediction_depth t i = Pst.node_depth t.pred.(i)
+let prediction_depth t i = Pst.node_depth t.source t.pred.(i)
 let step t state sym = Bigarray.Array1.get t.trans ((state * t.alphabet_size) + sym)
 let emission t state sym = Bigarray.Array1.get t.emit ((state * t.alphabet_size) + sym)
 
@@ -87,12 +87,12 @@ let table_bytes t =
    per observed symbol. The only writer of emission rows, for [compile]
    and [refresh] alike. *)
 let write_row pst emit ~n u nd =
-  let total = Pst.next_total nd and base = u * n in
+  let total = Pst.next_total pst nd and base = u * n in
   let unseen = Pst.smoothed_log_prob pst ~count:0 ~total in
   for a = 0 to n - 1 do
     Bigarray.Array1.set emit (base + a) unseen
   done;
-  Pst.iter_next_counts nd (fun a count ->
+  Pst.iter_next_counts pst nd (fun a count ->
       Bigarray.Array1.set emit (base + a) (Pst.smoothed_log_prob pst ~count ~total))
 
 (* The trie under construction, one per domain. Automata are recompiled
@@ -141,9 +141,8 @@ let compile pst =
   let actives = ref [] in
   let rec dfs node path =
     actives := (List.fold_left add_child 0 path, node) :: !actives;
-    List.iter
-      (fun (s, child) -> if Pst.node_count child >= sigma then dfs child (s :: path))
-      (Pst.node_children node)
+    Pst.iter_children pst node (fun s child ->
+        if Pst.node_count pst child >= sigma then dfs child (s :: path))
   in
   dfs (Pst.root pst) [];
   let n_states = !count in
@@ -183,7 +182,7 @@ let compile pst =
   done;
   (* --- 3. emissions via the tree's own smoothing: bit-equal floats --- *)
   let emit = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (n_states * n) in
-  let pred_total = Array.map Pst.next_total pred in
+  let pred_total = Array.map (Pst.next_total pst) pred in
   Array.iteri (fun u nd -> write_row pst emit ~n u nd) pred;
   Obs.Metrics.incr m_compilations;
   Obs.Metrics.incr ~by:n_states m_compiled_states;
@@ -208,7 +207,7 @@ let refresh t pst =
     let n = t.alphabet_size in
     Array.iteri
       (fun u nd ->
-        let total = Pst.next_total nd in
+        let total = Pst.next_total pst nd in
         if total <> t.pred_total.(u) then begin
           write_row pst t.emit ~n u nd;
           t.pred_total.(u) <- total

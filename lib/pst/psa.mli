@@ -2,8 +2,8 @@
     into dense struct-of-arrays tables for O(L) scoring.
 
     {!Pst.log_prob} re-walks the tree from the root on every position —
-    O(depth) pointer chases through boxed {!Smallmap} nodes plus a fresh
-    smoothing computation and [log] per read. {!compile} performs that
+    O(depth) child-list scans plus a fresh smoothing computation and
+    [log] per read. {!compile} performs that
     work once: the prediction node for a history is its longest {e
     active} suffix (a node whose entire root path is significant —
     exactly what {!Pst.prediction_node}'s greedy walk returns), so the

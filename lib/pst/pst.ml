@@ -10,6 +10,7 @@ let m_node_creations = Obs.Metrics.counter "pst.node_creations"
 let m_prunings = Obs.Metrics.counter "pst.prunings"
 let m_nodes_pruned = Obs.Metrics.counter "pst.nodes_pruned"
 let m_prediction_lookups = Obs.Metrics.counter "pst.prediction_lookups"
+let h_insert_seconds = Obs.Metrics.histogram "pst.insert_seconds"
 
 type config = {
   alphabet_size : int;
@@ -20,26 +21,52 @@ type config = {
   pruning : Pruning.strategy;
 }
 
-type node = {
-  sym : int; (* edge symbol from parent; -1 at the root *)
-  depth : int;
-  parent : node option;
-  mutable count : int;
-  mutable next_total : int;
-  next : int Smallmap.t; (* symbol -> C(label · symbol) *)
-  children : node Smallmap.t; (* symbol -> child with label symbol·label *)
-}
+(* The tree is a struct of int arrays indexed by node id (a slot), so
+   inserting a symbol allocates nothing and copying a tree is a blit.
+   Slot 0 is the root. A node's children hang off [child] in a chain
+   through [sibling], sorted by edge symbol; its next-symbol counters
+   are a run of [run_len] (symbol, count) entries sorted by symbol,
+   starting at slot [run] of the entry arrays. A run's capacity is the
+   power of two at or above its length; it moves to a slot of the next
+   capacity when it fills up. Pruning returns node slots and runs to
+   free lists, and nothing is ever renumbered: a node keeps its id for
+   as long as it stays in the tree ([Psa.refresh] relies on that).
+   Every walk starts at the root, which has a child for nearly every
+   symbol, so the root's children are also indexed by symbol. *)
+type node = int
+
+let none = -1
+
+(* [parent] of a slot on the node free list. *)
+let released = -2
 
 type t = {
   cfg : config;
-  root : node;
-  mutable n_nodes : int;
   log_uniform : float;
+  mutable n_nodes : int;
   (* Moves whenever the set of significant non-root nodes may have
      changed: a count reaching [significance], or pruning detaching a
      significant node. A compiled automaton stays structurally valid
      while it holds still (see [Psa.refresh]). *)
   mutable active_changes : int;
+  mutable used : int; (* node slots handed out, released ones included *)
+  mutable free_node : int; (* released node slots, chained through [sibling] *)
+  mutable count : int array;
+  mutable next_total : int array;
+  mutable parent : int array;
+  mutable sym : int array; (* edge symbol from the parent; -1 at the root *)
+  mutable depth : int array;
+  mutable child : int array;
+  mutable sibling : int array;
+  mutable run : int array;
+  mutable run_len : int array;
+  root_child : int array; (* symbol -> the root's child along it, or [none] *)
+  mutable entries_used : int;
+  mutable entry_sym : int array;
+  mutable entry_count : int array;
+  (* Per capacity class k (runs of 2^k entries): released runs, chained
+     through their first [entry_sym] slot. *)
+  free_runs : int array;
 }
 
 let default_config ~alphabet_size =
@@ -52,8 +79,15 @@ let default_config ~alphabet_size =
     pruning = Pruning.Smallest_count_first;
   }
 
-let make_node ~sym ~depth ~parent =
-  { sym; depth; parent; count = 0; next_total = 0; next = Smallmap.create (); children = Smallmap.create () }
+(* The capacity class of a run of [len >= 1] entries. *)
+let run_class len =
+  let k = ref 0 in
+  while 1 lsl !k < len do
+    incr k
+  done;
+  !k
+
+let initial_slots = 16
 
 let create cfg =
   if cfg.alphabet_size <= 0 then invalid_arg "Pst.create: alphabet_size";
@@ -62,130 +96,394 @@ let create cfg =
   if cfg.max_nodes < 1 then invalid_arg "Pst.create: max_nodes";
   if cfg.p_min < 0.0 || cfg.p_min *. float_of_int cfg.alphabet_size >= 1.0 then
     invalid_arg "Pst.create: p_min must satisfy 0 <= n*p_min < 1";
+  let slots fill = Array.make initial_slots fill in
   {
     cfg;
-    root = make_node ~sym:(-1) ~depth:0 ~parent:None;
-    n_nodes = 1;
     log_uniform = -.log (float_of_int cfg.alphabet_size);
+    n_nodes = 1;
     active_changes = 0;
+    used = 1;
+    free_node = none;
+    count = slots 0;
+    next_total = slots 0;
+    parent = slots none;
+    sym = slots none;
+    depth = slots 0;
+    child = slots none;
+    sibling = slots none;
+    run = slots 0;
+    run_len = slots 0;
+    root_child = Array.make cfg.alphabet_size none;
+    entries_used = 0;
+    entry_sym = slots 0;
+    entry_count = slots 0;
+    free_runs = Array.make (run_class cfg.alphabet_size + 1) none;
   }
 
 let config t = t.cfg
 let n_nodes t = t.n_nodes
-let total_count t = t.root.count
-let root t = t.root
-let node_count n = n.count
-let node_depth n = n.depth
-let is_significant t n = n.depth = 0 || n.count >= t.cfg.significance
+let total_count t = t.count.(0)
+let root _ = 0
+let node_count t n = t.count.(n)
+let node_depth t n = t.depth.(n)
+let next_total t n = t.next_total.(n)
+let is_significant t n = t.depth.(n) = 0 || t.count.(n) >= t.cfg.significance
 let active_changes t = t.active_changes
+
+(* ------------------------------------------------------------------ *)
+(* Slot storage                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let grown a size fill =
+  let b = Array.make size fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* Geometric growth by half: a finished model carries at most 50% (on
+   average about 25%) spare slots. *)
+let grown_size len = max initial_slots (len * 3 / 2)
+
+let grow_nodes t =
+  let size = grown_size (Array.length t.count) in
+  t.count <- grown t.count size 0;
+  t.next_total <- grown t.next_total size 0;
+  t.parent <- grown t.parent size none;
+  t.sym <- grown t.sym size none;
+  t.depth <- grown t.depth size 0;
+  t.child <- grown t.child size none;
+  t.sibling <- grown t.sibling size none;
+  t.run <- grown t.run size 0;
+  t.run_len <- grown t.run_len size 0
+
+let new_node t ~parent ~sym =
+  let n =
+    if t.free_node <> none then begin
+      let n = t.free_node in
+      t.free_node <- t.sibling.(n);
+      n
+    end
+    else begin
+      if t.used = Array.length t.count then grow_nodes t;
+      t.used <- t.used + 1;
+      t.used - 1
+    end
+  in
+  t.count.(n) <- 0;
+  t.next_total.(n) <- 0;
+  t.parent.(n) <- parent;
+  t.sym.(n) <- sym;
+  t.depth.(n) <- t.depth.(parent) + 1;
+  t.child.(n) <- none;
+  t.sibling.(n) <- none;
+  t.run.(n) <- 0;
+  t.run_len.(n) <- 0;
+  t.n_nodes <- t.n_nodes + 1;
+  n
+
+let alloc_run t k =
+  let head = t.free_runs.(k) in
+  if head <> none then begin
+    t.free_runs.(k) <- t.entry_sym.(head);
+    head
+  end
+  else begin
+    let off = t.entries_used in
+    let needed = off + (1 lsl k) in
+    if needed > Array.length t.entry_sym then begin
+      let size = max needed (grown_size (Array.length t.entry_sym)) in
+      t.entry_sym <- grown t.entry_sym size 0;
+      t.entry_count <- grown t.entry_count size 0
+    end;
+    t.entries_used <- needed;
+    off
+  end
+
+let free_run t off len =
+  if len > 0 then begin
+    let k = run_class len in
+    t.entry_sym.(off) <- t.free_runs.(k);
+    t.free_runs.(k) <- off
+  end
+
+(* The child of [p] along [s], or [none]; [s] may be any int. *)
+let find_child t p s =
+  if p = 0 then if s >= 0 && s < Array.length t.root_child then t.root_child.(s) else none
+  else begin
+    let c = ref t.child.(p) in
+    while !c <> none && t.sym.(!c) < s do
+      c := t.sibling.(!c)
+    done;
+    if !c <> none && t.sym.(!c) = s then !c else none
+  end
+
+(* The child of [p] along the symbol [s], created in its sorted place if
+   absent; [counted] creations feed the [pst.node_creations] counter. *)
+let child_or_create ~counted t p s =
+  let indexed = if p = 0 then t.root_child.(s) else none in
+  if indexed <> none then indexed
+  else begin
+    let prev = ref none and c = ref t.child.(p) in
+    while !c <> none && t.sym.(!c) < s do
+      prev := !c;
+      c := t.sibling.(!c)
+    done;
+    if !c <> none && t.sym.(!c) = s then !c
+    else begin
+      let n = new_node t ~parent:p ~sym:s in
+      t.sibling.(n) <- !c;
+      if !prev = none then t.child.(p) <- n else t.sibling.(!prev) <- n;
+      if p = 0 then t.root_child.(s) <- n;
+      if counted then Obs.Metrics.incr m_node_creations;
+      n
+    end
+  end
+
+(* Index within [n]'s run of the first entry whose symbol is >= [s]. *)
+let seek t n s =
+  let off = t.run.(n) and len = t.run_len.(n) in
+  let i = ref 0 in
+  while !i < len && t.entry_sym.(off + !i) < s do
+    incr i
+  done;
+  !i
+
+let has_entry t n i s = i < t.run_len.(n) && t.entry_sym.(t.run.(n) + i) = s
+
+(* Move [len] entries from slot [src] to slot [dst] (runs are short:
+   a loop beats a blit's call). *)
+let move_entries t ~src ~dst len =
+  if dst < src then
+    for k = 0 to len - 1 do
+      t.entry_sym.(dst + k) <- t.entry_sym.(src + k);
+      t.entry_count.(dst + k) <- t.entry_count.(src + k)
+    done
+  else
+    for k = len - 1 downto 0 do
+      t.entry_sym.(dst + k) <- t.entry_sym.(src + k);
+      t.entry_count.(dst + k) <- t.entry_count.(src + k)
+    done
+
+(* Open a new entry (s, c) at index [i] of [n]'s run, moving the run to
+   the next capacity class when it is full (its length a power of two). *)
+let insert_entry t n i s c =
+  let len = t.run_len.(n) and off = t.run.(n) in
+  if len land (len - 1) = 0 then begin
+    let off' = alloc_run t (run_class (len + 1)) in
+    move_entries t ~src:off ~dst:off' i;
+    move_entries t ~src:(off + i) ~dst:(off' + i + 1) (len - i);
+    free_run t off len;
+    t.run.(n) <- off'
+  end
+  else move_entries t ~src:(off + i) ~dst:(off + i + 1) (len - i);
+  t.entry_sym.(t.run.(n) + i) <- s;
+  t.entry_count.(t.run.(n) + i) <- c;
+  t.run_len.(n) <- len + 1
+
+(* Add [c] observations of next symbol [s] at [n]. *)
+let add_next t n s c =
+  let i = seek t n s in
+  if has_entry t n i s then begin
+    let slot = t.run.(n) + i in
+    t.entry_count.(slot) <- t.entry_count.(slot) + c
+  end
+  else insert_entry t n i s c;
+  t.next_total.(n) <- t.next_total.(n) + c
+
+let next_count t n s =
+  let i = seek t n s in
+  if has_entry t n i s then t.entry_count.(t.run.(n) + i) else 0
+
+let iter_next_counts t n f =
+  let off = t.run.(n) in
+  for i = 0 to t.run_len.(n) - 1 do
+    f t.entry_sym.(off + i) t.entry_count.(off + i)
+  done
+
+let iter_children t n f =
+  let c = ref t.child.(n) in
+  while !c <> none do
+    f t.sym.(!c) !c;
+    c := t.sibling.(!c)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Pruning (paper Sec. 5.1)                                            *)
 (* ------------------------------------------------------------------ *)
 
-let subtree_size n =
-  let rec go n acc = Smallmap.fold (fun _ child acc -> go child acc) n.children (acc + 1) in
-  go n 0
-
-(* Whether [n] is still reachable from the root: every ancestor must
-   still list the next node on the path as its child. Checking only the
-   immediate parent is not enough — a pruning pass that already removed
-   an ancestor's subtree would otherwise "remove" [n] a second time and
-   double-subtract its subtree from [n_nodes]. *)
-let rec is_attached n =
-  match n.parent with
-  | None -> true
-  | Some p ->
-      (match Smallmap.find_opt p.children n.sym with Some c -> c == n | None -> false)
-      && is_attached p
+(* Return [n]'s subtree to the free lists; the number of nodes released.
+   A released slot's [parent] is [released], which is how a pruning scan
+   recognizes nodes whose ancestor it has already detached. *)
+let rec release t n =
+  let size = ref 1 in
+  let c = ref t.child.(n) in
+  while !c <> none do
+    let next = t.sibling.(!c) in
+    size := !size + release t !c;
+    c := next
+  done;
+  free_run t t.run.(n) t.run_len.(n);
+  t.parent.(n) <- released;
+  t.sibling.(n) <- t.free_node;
+  t.free_node <- n;
+  !size
 
 (* Detach [n] from its parent and account for the removed subtree. *)
 let detach t n =
-  match n.parent with
-  | None -> ()
-  | Some p ->
-      if is_attached n then begin
-        (* Only a significant subtree root can take significant nodes
-           with it: a child never outcounts its parent. *)
-        if n.count >= t.cfg.significance then t.active_changes <- t.active_changes + 1;
-        Smallmap.remove p.children n.sym;
-        let sz = subtree_size n in
-        t.n_nodes <- t.n_nodes - sz;
-        Obs.Metrics.incr ~by:sz m_nodes_pruned
-      end
+  let p = t.parent.(n) in
+  if p >= 0 then begin
+    (* Only a significant subtree root can take significant nodes
+       with it: a child never outcounts its parent. *)
+    if t.count.(n) >= t.cfg.significance then t.active_changes <- t.active_changes + 1;
+    if p = 0 then t.root_child.(t.sym.(n)) <- none;
+    if t.child.(p) = n then t.child.(p) <- t.sibling.(n)
+    else begin
+      let c = ref t.child.(p) in
+      while t.sibling.(!c) <> n do
+        c := t.sibling.(!c)
+      done;
+      t.sibling.(!c) <- t.sibling.(n)
+    end;
+    t.n_nodes <- t.n_nodes - release t n
+  end
 
 (* Every node below the root, in reverse depth-first preorder (the
    order the pruning scans have always visited them in, which fixes how
-   [Array.sort] breaks ties). *)
+   [sort_by_key] breaks ties). *)
 let nodes_below t =
-  let arr = Array.make (t.n_nodes - 1) t.root in
+  let arr = Array.make (t.n_nodes - 1) 0 in
   let i = ref (Array.length arr) in
   let rec go n =
-    Smallmap.iter
-      (fun _ c ->
-        decr i;
-        arr.(!i) <- c;
-        go c)
-      n.children
+    let c = ref t.child.(n) in
+    while !c <> none do
+      decr i;
+      arr.(!i) <- !c;
+      go !c;
+      c := t.sibling.(!c)
+    done
   in
-  go t.root;
+  go 0;
   assert (!i = 0);
   arr
 
-(* Remove whole subtrees in [cmp] order until under [target]. *)
-let prune_ordered t target cmp =
+(* [Array.sort]'s heapsort (stdlib array.ml) over node ids ordered by
+   [key.(id)], with the comparisons inlined and no exception raised per
+   sift. It makes the same moves on the same comparison results, so it
+   leaves equal keys in exactly the order [Array.sort] would — the tie
+   order pruning has always had. *)
+let sort_by_key (key : int array) (a : int array) =
+  (* The child of heap slot [i] with the largest key (the first of
+     equals); -1 when [i] has none below [l]. *)
+  let maxson l i =
+    let i31 = i + i + i + 1 in
+    if i31 + 2 < l then begin
+      let x = if key.(a.(i31)) < key.(a.(i31 + 1)) then i31 + 1 else i31 in
+      if key.(a.(x)) < key.(a.(i31 + 2)) then i31 + 2 else x
+    end
+    else if i31 + 1 < l && key.(a.(i31)) < key.(a.(i31 + 1)) then i31 + 1
+    else if i31 < l then i31
+    else -1
+  in
+  let rec trickle l i e =
+    let j = maxson l i in
+    if j >= 0 && key.(a.(j)) > key.(e) then begin
+      a.(i) <- a.(j);
+      trickle l j e
+    end
+    else a.(i) <- e
+  in
+  let rec bubble l i =
+    let j = maxson l i in
+    if j < 0 then i
+    else begin
+      a.(i) <- a.(j);
+      bubble l j
+    end
+  in
+  let rec trickle_up i e =
+    let father = (i - 1) / 3 in
+    if key.(a.(father)) < key.(e) then begin
+      a.(i) <- a.(father);
+      if father > 0 then trickle_up father e else a.(0) <- e
+    end
+    else a.(i) <- e
+  in
+  let l = Array.length a in
+  for i = ((l + 1) / 3) - 1 downto 0 do
+    trickle l i a.(i)
+  done;
+  for i = l - 1 downto 2 do
+    let e = a.(i) in
+    a.(i) <- a.(0);
+    trickle_up (bubble i 0) e
+  done;
+  if l > 1 then begin
+    let e = a.(1) in
+    a.(1) <- a.(0);
+    a.(0) <- e
+  end
+
+(* Pruning orders, smallest key pruned first: [`Count] by count, the
+   deeper node first among equal counts; [`Depth] deeper first, then by
+   count; [`Insignificant] like [`Count] over the insignificant nodes,
+   every significant node tied after them. *)
+let prune_keys t order nodes =
+  let dmax = ref 0 and cmax = ref 0 in
+  Array.iter
+    (fun n ->
+      dmax := Int.max !dmax t.depth.(n);
+      cmax := Int.max !cmax t.count.(n))
+    nodes;
+  let by_count c d = (c * (!dmax + 1)) + (!dmax - d) in
+  let key = Array.make t.used 0 in
+  Array.iter
+    (fun n ->
+      let c = t.count.(n) and d = t.depth.(n) in
+      key.(n) <-
+        (match order with
+        | `Count -> by_count c d
+        | `Depth -> ((!dmax - d) * (!cmax + 1)) + c
+        | `Insignificant ->
+            let sig_ = t.cfg.significance in
+            if c < sig_ then by_count c d else by_count sig_ 0))
+    nodes;
+  key
+
+(* Remove whole subtrees in [order] until under [target]. *)
+let prune_ordered t target order =
   let nodes = nodes_below t in
-  Array.sort cmp nodes;
+  sort_by_key (prune_keys t order nodes) nodes;
   let i = ref 0 in
   while t.n_nodes > target && !i < Array.length nodes do
     detach t nodes.(!i);
     incr i
   done
 
-(* Pruning orders as direct field comparisons: smaller count first, and
-   among equal counts the deeper node first (resp. deeper first, then
-   smaller count). *)
-let by_count_then_depth a b =
-  let c = Int.compare a.count b.count in
-  if c <> 0 then c else Int.compare b.depth a.depth
-
-let by_depth_then_count a b =
-  let c = Int.compare b.depth a.depth in
-  if c <> 0 then c else Int.compare a.count b.count
-
-let raw_prob n sym =
-  if n.next_total = 0 then None
-  else Some (float_of_int (Smallmap.get_int n.next sym) /. float_of_int n.next_total)
+let raw_prob t n sym =
+  if t.next_total.(n) = 0 then None
+  else Some (float_of_int (next_count t n sym) /. float_of_int t.next_total.(n))
 
 (* L1 distance between a node's conditional distribution and its parent's:
    small distance = "expected" probability vector (strategy 3). *)
 let divergence_from_parent t n =
-  match n.parent with
-  | None -> infinity
-  | Some p ->
-      let acc = ref 0.0 in
-      for sym = 0 to t.cfg.alphabet_size - 1 do
-        let pn = match raw_prob n sym with None -> 0.0 | Some x -> x in
-        let pp = match raw_prob p sym with None -> 0.0 | Some x -> x in
-        acc := !acc +. Float.abs (pn -. pp)
-      done;
-      !acc
+  let p = t.parent.(n) in
+  if p < 0 then infinity
+  else begin
+    let acc = ref 0.0 in
+    for sym = 0 to t.cfg.alphabet_size - 1 do
+      let pn = match raw_prob t n sym with None -> 0.0 | Some x -> x in
+      let pp = match raw_prob t p sym with None -> 0.0 | Some x -> x in
+      acc := !acc +. Float.abs (pn -. pp)
+    done;
+    !acc
+  end
 
 let prune_expected_vector t target =
   (* Phase 1: drop insignificant nodes, smallest count first. *)
-  let sig_ = t.cfg.significance in
-  prune_ordered t target (fun a b ->
-      match (a.count < sig_, b.count < sig_) with
-      | true, true -> by_count_then_depth a b
-      | true, false -> -1
-      | false, true -> 1
-      | false, false -> 0);
+  prune_ordered t target `Insignificant;
   (* Phase 2: while still over budget, peel leaves whose distribution is
      closest to their parent's. Chunked re-scans keep this near O(n log n). *)
   while t.n_nodes > target do
-    let leaves =
-      List.filter (fun n -> Smallmap.length n.children = 0) (Array.to_list (nodes_below t))
-    in
+    let leaves = List.filter (fun n -> t.child.(n) = none) (Array.to_list (nodes_below t)) in
     match leaves with
     | [] -> (* only the root remains *) raise Exit
     | _ ->
@@ -203,9 +501,10 @@ let prune_to t target =
     Obs.Metrics.incr m_prunings;
     let before = t.n_nodes in
     (match t.cfg.pruning with
-    | Pruning.Smallest_count_first -> prune_ordered t target by_count_then_depth
-    | Pruning.Longest_label_first -> prune_ordered t target by_depth_then_count
+    | Pruning.Smallest_count_first -> prune_ordered t target `Count
+    | Pruning.Longest_label_first -> prune_ordered t target `Depth
     | Pruning.Expected_vector_first -> ( try prune_expected_vector t target with Exit -> ()));
+    Obs.Metrics.incr ~by:(before - t.n_nodes) m_nodes_pruned;
     Log.debug (fun m ->
         m "pruned %d -> %d nodes (target %d, %s)" before t.n_nodes target
           (Pruning.to_string t.cfg.pruning))
@@ -220,41 +519,31 @@ let maybe_prune t =
 (* Insertion                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let child_or_create t parent sym =
-  let i = Smallmap.find_idx parent.children sym in
-  if i >= 0 then Smallmap.value_at parent.children i
-  else begin
-    let n = make_node ~sym ~depth:(parent.depth + 1) ~parent:(Some parent) in
-    Smallmap.set parent.children sym n;
-    t.n_nodes <- t.n_nodes + 1;
-    Obs.Metrics.incr m_node_creations;
-    n
-  end
-
-let bump node next_sym =
-  node.count <- node.count + 1;
-  if next_sym >= 0 then begin
-    Smallmap.add_int node.next next_sym 1;
-    node.next_total <- node.next_total + 1
-  end
+let bump t n next_sym =
+  t.count.(n) <- t.count.(n) + 1;
+  if next_sym >= 0 then add_next t n next_sym 1
 
 let insert_segment t s ~lo ~hi =
   let len = Array.length s in
   if lo < 0 || hi >= len || lo > hi then invalid_arg "Pst.insert_segment";
+  let n = t.cfg.alphabet_size in
+  for e = lo to hi do
+    if s.(e) < 0 || s.(e) >= n then
+      invalid_arg "Pst.insert_segment: symbol outside the alphabet"
+  done;
+  Obs.Metrics.time h_insert_seconds @@ fun () ->
   Obs.Metrics.incr m_insertions;
   Obs.Metrics.incr ~by:(hi - lo + 1) m_symbols_inserted;
+  let sig_ = t.cfg.significance in
   for e = lo to hi do
     let next_sym = if e < hi then s.(e + 1) else -1 in
-    bump t.root next_sym;
+    bump t 0 next_sym;
     (* Walk the reversed context s.(e), s.(e-1), ... down to [max_depth]. *)
-    let node = ref t.root in
-    let d = ref 0 in
-    let max_d = min t.cfg.max_depth (e - lo + 1) in
-    while !d < max_d do
-      node := child_or_create t !node s.(e - !d);
-      bump !node next_sym;
-      if !node.count = t.cfg.significance then t.active_changes <- t.active_changes + 1;
-      incr d
+    let node = ref 0 in
+    for d = 0 to min t.cfg.max_depth (e - lo + 1) - 1 do
+      node := child_or_create ~counted:true t !node s.(e - d);
+      bump t !node next_sym;
+      if t.count.(!node) = sig_ then t.active_changes <- t.active_changes + 1
     done
   done;
   maybe_prune t
@@ -269,20 +558,15 @@ let insert_sequence t s =
 let prediction_node t s ~lo ~pos =
   (* Descend along s.(pos-1), s.(pos-2), ..., only into significant nodes. *)
   Obs.Metrics.incr m_prediction_lookups;
-  let node = ref t.root in
+  let node = ref 0 in
   let d = ref 0 in
   let max_d = min t.cfg.max_depth (pos - lo) in
   let continue_ = ref true in
   while !continue_ && !d < max_d do
-    let sym = s.(pos - 1 - !d) in
-    let i = Smallmap.find_idx !node.children sym in
-    if i >= 0 then begin
-      let child = Smallmap.value_at !node.children i in
-      if child.count >= t.cfg.significance then begin
-        node := child;
-        incr d
-      end
-      else continue_ := false
+    let child = find_child t !node s.(pos - 1 - !d) in
+    if child <> none && t.count.(child) >= t.cfg.significance then begin
+      node := child;
+      incr d
     end
     else continue_ := false
   done;
@@ -302,9 +586,9 @@ let smoothed_log_prob t ~count ~total =
     if p <= 0.0 then neg_infinity else log p
   end
 
-let next_log_prob t node sym =
+let next_log_prob t n sym =
   if sym < 0 || sym >= t.cfg.alphabet_size then invalid_arg "Pst.next_log_prob";
-  smoothed_log_prob t ~count:(Smallmap.get_int node.next sym) ~total:node.next_total
+  smoothed_log_prob t ~count:(next_count t n sym) ~total:t.next_total.(n)
 
 let log_prob t s ~lo ~pos = next_log_prob t (prediction_node t s ~lo ~pos) s.(pos)
 
@@ -315,21 +599,13 @@ let log_prob t s ~lo ~pos = next_log_prob t (prediction_node t s ~lo ~pos) s.(po
 let find_node t label =
   (* The node labeled s_j..s_{i-1} hangs off the path s_{i-1}, ..., s_j. *)
   let len = Array.length label in
-  let rec go node d =
-    if d = len then Some node
+  let rec go n d =
+    if d = len then Some n
     else
-      match Smallmap.find_opt node.children label.(len - 1 - d) with
-      | None -> None
-      | Some child -> go child (d + 1)
+      let c = find_child t n label.(len - 1 - d) in
+      if c = none then None else go c (d + 1)
   in
-  go t.root 0
-
-let next_count n sym = Smallmap.get_int n.next sym
-let next_total n = n.next_total
-let iter_next_counts n f = Smallmap.iter f n.next
-
-let node_children n =
-  List.rev (Smallmap.fold (fun sym child acc -> (sym, child) :: acc) n.children [])
+  go 0 0
 
 let next_distribution t n =
   Array.init t.cfg.alphabet_size (fun sym -> exp (next_log_prob t n sym))
@@ -337,67 +613,60 @@ let next_distribution t n =
 let iter_nodes t f =
   let rec go n =
     f n;
-    Smallmap.iter (fun _ c -> go c) n.children
+    let c = ref t.child.(n) in
+    while !c <> none do
+      go !c;
+      c := t.sibling.(!c)
+    done
   in
-  go t.root
+  go 0
 
-let node_label _t n =
+let node_label t n =
   (* Climbing to the root yields the path in root-to-node order, which
      spells the label reversed (the tree is built on reversed contexts);
      reverse once more for the original symbol order. *)
-  let rec go n acc = match n.parent with None -> acc | Some p -> go p (n.sym :: acc) in
+  let rec go n acc = if n = 0 then acc else go t.parent.(n) (t.sym.(n) :: acc) in
   List.rev (go n [])
 
-(* Deep structural copy: same counts, same Smallmap storage order, so
-   every downstream operation (scoring, pruning scans) behaves
-   bit-identically on the copy — the property the Check oracles rely on
-   when snapshotting cluster models. *)
+(* A blit of every slot in use: the copy has the same ids, runs and free
+   lists, so every later operation (scoring, insertion, pruning) behaves
+   bit-identically on it — the property the Check oracles rely on when
+   snapshotting cluster models. *)
 let copy t =
-  let rec copy_node parent n =
-    let n' =
-      { sym = n.sym; depth = n.depth; parent; count = n.count; next_total = n.next_total;
-        next = Smallmap.copy n.next; children = Smallmap.create () }
-    in
-    Smallmap.iter (fun sym child -> Smallmap.set n'.children sym (copy_node (Some n') child)) n.children;
-    n'
-  in
+  let nodes a = Array.sub a 0 t.used and entries a = Array.sub a 0 t.entries_used in
   {
-    cfg = t.cfg;
-    root = copy_node None t.root;
-    n_nodes = t.n_nodes;
-    log_uniform = t.log_uniform;
-    active_changes = t.active_changes;
+    t with
+    count = nodes t.count;
+    next_total = nodes t.next_total;
+    parent = nodes t.parent;
+    sym = nodes t.sym;
+    depth = nodes t.depth;
+    child = nodes t.child;
+    sibling = nodes t.sibling;
+    run = nodes t.run;
+    run_len = nodes t.run_len;
+    entry_sym = entries t.entry_sym;
+    entry_count = entries t.entry_count;
+    root_child = Array.copy t.root_child;
+    free_runs = Array.copy t.free_runs;
   }
 
 (* Counts-addition merge: a PST built from database A merged with one
    built from database B has exactly the counts of a PST built from
    A @ B (up to pruning), because every field is a sum of per-position
-   observations. Smallmap keeps keys sorted, so the merged structure is
-   independent of argument order — merge is commutative and associative
-   under [equal_structure] as long as neither side has pruned. *)
+   observations. Children and runs are kept sorted by symbol, so the
+   merged structure is independent of argument order — merge is
+   commutative and associative under [equal_structure] as long as
+   neither side has pruned. *)
 let merge a b =
   if a.cfg <> b.cfg then invalid_arg "Pst.merge: configs differ";
   let t = copy a in
   let rec add dst src =
-    dst.count <- dst.count + src.count;
-    dst.next_total <- dst.next_total + src.next_total;
-    Smallmap.iter (fun sym c -> Smallmap.add_int dst.next sym c) src.next;
-    Smallmap.iter
-      (fun sym child ->
-        let dst_child =
-          match Smallmap.find_opt dst.children sym with
-          | Some c -> c
-          | None ->
-              let c = make_node ~sym ~depth:(dst.depth + 1) ~parent:(Some dst) in
-              Smallmap.set dst.children sym c;
-              t.n_nodes <- t.n_nodes + 1;
-              Obs.Metrics.incr m_node_creations;
-              c
-        in
-        add dst_child child)
-      src.children
+    t.count.(dst) <- t.count.(dst) + b.count.(src);
+    iter_next_counts b src (add_next t dst);
+    iter_children b src (fun s c -> add (child_or_create ~counted:true t dst s) c)
   in
-  add t.root b.root;
+  add 0 0;
   maybe_prune t;
   t
 
@@ -419,18 +688,19 @@ let write_to emit t =
   (* One line per node: the root-to-node edge path (reversed label),
      count, and next-symbol counters. Parents precede children in DFS
      order, so reconstruction can create nodes along the path. *)
-  let rec emit_node path node =
+  let rec emit_node path n =
     let buf = Buffer.create 64 in
     Buffer.add_string buf
       (Printf.sprintf "node %s %d"
          (if path = [] then "-" else String.concat "," (List.rev_map string_of_int path))
-         node.count);
-    Smallmap.iter (fun sym cnt -> Buffer.add_string buf (Printf.sprintf " %d:%d" sym cnt)) node.next;
+         t.count.(n));
+    iter_next_counts t n (fun sym cnt ->
+        Buffer.add_string buf (Printf.sprintf " %d:%d" sym cnt));
     Buffer.add_char buf '\n';
     emit (Buffer.contents buf);
-    Smallmap.iter (fun sym child -> emit_node (sym :: path) child) node.children
+    iter_children t n (fun sym child -> emit_node (sym :: path) child)
   in
-  emit_node [] t.root;
+  emit_node [] 0;
   emit "end\n"
 
 let to_channel oc t = write_to (output_string oc) t
@@ -460,18 +730,14 @@ let read_from next_line =
         | _ -> fail "bad config")
     | _ -> fail "bad config line"
   in
-  (* Walk a root-to-node edge path, creating nodes without counting. *)
-  let node_at path =
-    List.fold_left
-      (fun node sym ->
-        match Smallmap.find_opt node.children sym with
-        | Some child -> child
-        | None ->
-            let child = make_node ~sym ~depth:(node.depth + 1) ~parent:(Some node) in
-            Smallmap.set node.children sym child;
-            t.n_nodes <- t.n_nodes + 1;
-            child)
-      t.root path
+  (* Symbols index the tree's per-symbol reads; counts are occurrences. *)
+  let symbol what x =
+    match int_of_string_opt x with
+    | Some v when v >= 0 && v < t.cfg.alphabet_size -> v
+    | _ -> fail what
+  in
+  let occurrences what x =
+    match int_of_string_opt x with Some v when v >= 0 -> v | _ -> fail what
   in
   let finished = ref false in
   while not !finished do
@@ -480,24 +746,19 @@ let read_from next_line =
     | "node" :: path :: count :: next ->
         let path_syms =
           if path = "-" then []
-          else
-            List.map
-              (fun x -> match int_of_string_opt x with Some v -> v | None -> fail "bad path")
-              (String.split_on_char ',' path)
+          else List.map (symbol "bad path") (String.split_on_char ',' path)
         in
-        let node = node_at path_syms in
-        (match int_of_string_opt count with
-        | Some c -> node.count <- c
-        | None -> fail "bad count");
+        (* Walk the root-to-node edge path, creating nodes without counting. *)
+        let node = List.fold_left (child_or_create ~counted:false t) 0 path_syms in
+        t.count.(node) <- occurrences "bad count" count;
         List.iter
           (fun pair ->
             match String.split_on_char ':' pair with
-            | [ sym; cnt ] -> (
-                match (int_of_string_opt sym, int_of_string_opt cnt) with
-                | Some sym, Some cnt ->
-                    Smallmap.set node.next sym cnt;
-                    node.next_total <- node.next_total + cnt
-                | _ -> fail "bad next entry")
+            | [ sym; cnt ] ->
+                let sym = symbol "bad next entry" sym
+                and cnt = occurrences "bad next entry" cnt in
+                if has_entry t node (seek t node sym) sym then fail "repeated next entry";
+                add_next t node sym cnt
             | _ -> fail "bad next entry")
           next
     | _ -> fail "unexpected line"
@@ -516,48 +777,49 @@ let of_string s =
           Some l)
 
 let equal_structure a b =
-  let rec eq na nb =
-    na.count = nb.count && na.next_total = nb.next_total
-    && Smallmap.keys na.next = Smallmap.keys nb.next
-    && Array.for_all (fun sym -> Smallmap.get_int na.next sym = Smallmap.get_int nb.next sym)
-         (Smallmap.keys na.next)
-    && Smallmap.keys na.children = Smallmap.keys nb.children
-    && Array.for_all
-         (fun sym ->
-           match (Smallmap.find_opt na.children sym, Smallmap.find_opt nb.children sym) with
-           | Some ca, Some cb -> eq ca cb
-           | _ -> false)
-         (Smallmap.keys na.children)
+  let rec same_runs na nb i =
+    i = a.run_len.(na)
+    || a.entry_sym.(a.run.(na) + i) = b.entry_sym.(b.run.(nb) + i)
+       && a.entry_count.(a.run.(na) + i) = b.entry_count.(b.run.(nb) + i)
+       && same_runs na nb (i + 1)
   in
-  a.cfg = b.cfg && eq a.root b.root
+  let rec same_children ca cb =
+    if ca = none || cb = none then ca = cb
+    else a.sym.(ca) = b.sym.(cb) && eq ca cb && same_children a.sibling.(ca) b.sibling.(cb)
+  and eq na nb =
+    a.count.(na) = b.count.(nb)
+    && a.next_total.(na) = b.next_total.(nb)
+    && a.run_len.(na) = b.run_len.(nb)
+    && same_runs na nb 0
+    && same_children a.child.(na) b.child.(nb)
+  in
+  a.cfg = b.cfg && eq 0 0
 
 let pp ?(max_depth = 3) ?(min_count = 1) ~symbol fmt t =
-  let rec render node =
-    if node.depth <= max_depth && (node.depth = 0 || node.count >= min_count) then begin
-      let label = node_label t node in
-      Format.fprintf fmt "%s" (String.make (2 * node.depth) ' ');
-      if node.depth = 0 then Format.fprintf fmt "(root)"
-      else List.iter (fun sym -> symbol fmt sym) label;
-      Format.fprintf fmt "  C=%d%s" node.count (if is_significant t node then "*" else "");
-      if node.next_total > 0 then begin
+  let rec render n =
+    let depth = t.depth.(n) and count = t.count.(n) in
+    if depth <= max_depth && (depth = 0 || count >= min_count) then begin
+      Format.fprintf fmt "%s" (String.make (2 * depth) ' ');
+      if depth = 0 then Format.fprintf fmt "(root)"
+      else List.iter (fun sym -> symbol fmt sym) (node_label t n);
+      Format.fprintf fmt "  C=%d%s" count (if is_significant t n then "*" else "");
+      let total = t.next_total.(n) in
+      if total > 0 then begin
         (* Show the conditional distribution, most probable symbols first. *)
-        let entries =
-          Smallmap.fold (fun sym c acc -> (c, sym) :: acc) node.next []
-          |> List.sort (fun a b -> compare b a)
-        in
+        let entries = ref [] in
+        iter_next_counts t n (fun sym c -> entries := (c, sym) :: !entries);
         Format.fprintf fmt "  P(next):";
         List.iteri
           (fun i (c, sym) ->
             if i < 4 then
-              Format.fprintf fmt " %a=%.3f" symbol sym
-                (float_of_int c /. float_of_int node.next_total))
-          entries
+              Format.fprintf fmt " %a=%.3f" symbol sym (float_of_int c /. float_of_int total))
+          (List.sort (fun a b -> compare b a) !entries)
       end;
       Format.fprintf fmt "@.";
-      Smallmap.iter (fun _ child -> render child) node.children
+      iter_children t n (fun _ child -> render child)
     end
   in
-  render t.root
+  render 0
 
 type stats = {
   nodes : int;
@@ -566,12 +828,21 @@ type stats = {
   approx_bytes : int;
 }
 
+(* The heap words of the store's arrays, spare capacity included. *)
+let store_words t =
+  let block a = Array.length a + 1 in
+  (9 * block t.count)
+  + block t.root_child + block t.entry_sym + block t.entry_count + block t.free_runs
+
 let stats t =
-  let nodes = ref 0 and sig_nodes = ref 0 and maxd = ref 0 and bytes = ref 0 in
+  let nodes = ref 0 and sig_nodes = ref 0 and maxd = ref 0 in
   iter_nodes t (fun n ->
       incr nodes;
       if is_significant t n then incr sig_nodes;
-      if n.depth > !maxd then maxd := n.depth;
-      (* record fields + two smallmaps (2 arrays each) *)
-      bytes := !bytes + 64 + (16 * (Smallmap.length n.next + Smallmap.length n.children)));
-  { nodes = !nodes; significant_nodes = !sig_nodes; max_depth_used = !maxd; approx_bytes = !bytes }
+      if t.depth.(n) > !maxd then maxd := t.depth.(n));
+  {
+    nodes = !nodes;
+    significant_nodes = !sig_nodes;
+    max_depth_used = !maxd;
+    approx_bytes = store_words t * (Sys.word_size / 8);
+  }

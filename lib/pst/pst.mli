@@ -37,8 +37,11 @@ val default_config : alphabet_size:int -> config
 type t
 (** A mutable probabilistic suffix tree. *)
 
-type node
-(** A node of the tree (opaque; obtained from walks or lookups). *)
+type node = private int
+(** A node's id: its slot in the tree's storage, valid only with the tree
+    it came from (obtained from walks or lookups). A node keeps its id
+    for as long as it stays in the tree; pruning hands the slots of the
+    nodes it removes to later insertions. *)
 
 val create : config -> t
 (** An empty tree (root only, count 0). Raises [Invalid_argument] on
@@ -64,15 +67,18 @@ val insert_segment : t -> Sequence.t -> lo:int -> hi:int -> unit
 (** [insert_segment t s ~lo ~hi] inserts the segment [s.(lo) .. s.(hi)]
     (inclusive) as if it were a standalone sequence — the cluster-update
     primitive of paper Sec. 4.4 (only the best-matching segment of a joining
-    sequence is inserted). Raises [Invalid_argument] on bad bounds. *)
+    sequence is inserted). Allocates nothing per symbol; records the
+    [pst.insert_seconds] histogram (pruning included). Raises
+    [Invalid_argument], leaving the tree untouched, on bad bounds or a
+    symbol outside [\[0, alphabet_size)]. *)
 
 val root : t -> node
 (** The root node (empty label). *)
 
-val node_count : node -> int
+val node_count : t -> node -> int
 (** Occurrence count {m C} of the node's label. *)
 
-val node_depth : node -> int
+val node_depth : t -> node -> int
 (** Label length. *)
 
 val is_significant : t -> node -> bool
@@ -97,7 +103,7 @@ val next_log_prob : t -> node -> int -> float
 (** [next_log_prob t node sym] is {m \log \hat P(sym \mid label(node))}
     with the [p_min] adjustment applied. A node with no next observations
     yields the uniform [log (1/n)]. Equal to
-    [smoothed_log_prob t ~count:(next_count node sym) ~total:(next_total node)]. *)
+    [smoothed_log_prob t ~count:(next_count t node sym) ~total:(next_total t node)]. *)
 
 val smoothed_log_prob : t -> count:int -> total:int -> float
 (** [smoothed_log_prob t ~count ~total] is the log of the smoothed
@@ -117,38 +123,41 @@ val find_node : t -> Sequence.t -> node option
     without the significance restriction); intended for tests and
     inspection. *)
 
-val next_count : node -> int -> int
-(** [next_count node sym] is the raw count {m C(label\,sym)}. *)
+val next_count : t -> node -> int -> int
+(** [next_count t node sym] is the raw count {m C(label\,sym)}. *)
 
-val next_total : node -> int
+val next_total : t -> node -> int
 (** Sum of next-symbol counts at the node. Insertions only ever add to
     it, so an unchanged [next_total] means unchanged next counters. *)
 
-val iter_next_counts : node -> (int -> int -> unit) -> unit
-(** [iter_next_counts node f] calls [f sym count] for every symbol with a
-    next-symbol counter at the node, in increasing symbol order; absent
+val iter_next_counts : t -> node -> (int -> int -> unit) -> unit
+(** [iter_next_counts t node f] calls [f sym count] for every symbol with
+    a next-symbol counter at the node, in increasing symbol order; absent
     symbols have count [0]. *)
 
-val node_children : node -> (int * node) list
-(** [(edge symbol, child)] pairs in increasing symbol order — the walk
-    primitive of the {!module:Check}-style invariant checkers (a child's
-    label is [symbol · label(parent)]). *)
+val iter_children : t -> node -> (int -> node -> unit) -> unit
+(** [iter_children t node f] calls [f sym child] for every child in
+    increasing edge-symbol order — the walk primitive of the
+    {!module:Check}-style invariant checkers and of {!Psa.compile} (a
+    child's label is [sym · label(node)]). *)
 
 val copy : t -> t
-(** [copy t] is a deep, independent copy with identical structure,
-    counts, and internal storage order: every subsequent operation
-    (scoring, pruning) behaves bit-identically on the copy. Used by the
-    correctness oracles to snapshot a model before replaying mutations. *)
+(** [copy t] is an independent copy made by blitting the tree's storage:
+    same node ids, counts and free slots, so every subsequent operation
+    (scoring, insertion, pruning) behaves bit-identically on the copy.
+    Used by the correctness oracles to snapshot a model before replaying
+    mutations. *)
 
 val merge : t -> t -> t
-(** [merge a b] is a new tree (inputs untouched) whose counts are the
-    node-by-node sum of [a] and [b] over the union of their node sets —
+(** [merge a b] is a new tree (inputs untouched): a {!copy} of [a] into
+    which a walk of [b] adds every node's counts, creating the nodes [a]
+    lacks — the node-by-node sum over the union of both node sets, i.e.
     the counts a single tree would have accumulated had it seen both
-    databases, up to pruning. Because node storage is key-sorted, the
-    result is independent of argument order: merge is commutative and
-    associative under {!equal_structure} when no pruning fires. The
-    merged tree re-prunes itself if the union exceeds [max_nodes].
-    Raises [Invalid_argument] when the configs differ. *)
+    databases, up to pruning. Children and next counters are kept in
+    symbol order, so the result is independent of argument order: merge
+    is commutative and associative under {!equal_structure} when no
+    pruning fires. The merged tree re-prunes itself if the union exceeds
+    [max_nodes]. Raises [Invalid_argument] when the configs differ. *)
 
 val next_distribution : t -> node -> float array
 (** The full smoothed probability vector at a node (length |Σ|). *)
@@ -161,7 +170,9 @@ type stats = {
   nodes : int;
   significant_nodes : int;
   max_depth_used : int;
-  approx_bytes : int;  (** Rough in-memory footprint estimate. *)
+  approx_bytes : int;
+      (** Heap bytes of the tree's storage arrays, spare capacity
+          included. *)
 }
 
 val stats : t -> stats
@@ -180,7 +191,9 @@ val to_channel : out_channel -> t -> unit
 
 val of_channel : in_channel -> t
 (** [of_channel ic] reads a tree written by {!to_channel}. Raises
-    [Failure] on malformed input or an unsupported version. *)
+    [Failure] on malformed input or an unsupported version, including a
+    symbol outside the configured alphabet (in a path or a next entry),
+    a negative count, or a next symbol listed twice on one node. *)
 
 val to_string : t -> string
 (** In-memory {!to_channel}: the same line-based format as a string. *)

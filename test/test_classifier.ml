@@ -49,16 +49,62 @@ let test_pst_roundtrip_empty () =
   Alcotest.(check bool) "empty tree roundtrips" true (Pst.equal_structure t t')
 
 let test_pst_bad_input () =
+  let raises text =
+    with_tmp (fun path ->
+        Out_channel.with_open_bin path (fun oc -> output_string oc text);
+        In_channel.with_open_bin path (fun ic ->
+            try
+              ignore (Pst.of_channel ic);
+              false
+            with Failure _ -> true))
+  in
+  Alcotest.(check bool) "bad header raises" true (raises "not a pst\n");
+  (* Tampered copies of a valid 26-symbol tree: out-of-alphabet data or
+     negative counts must not load as a different model. *)
+  let good = Pst.to_string (build [ "ababab"; "abcabc" ]) in
+  Alcotest.(check bool) "valid tree loads" false (raises good);
+  let lines = String.split_on_char '\n' good in
+  let root_line = List.find (fun l -> String.starts_with ~prefix:"node - " l) lines in
+  let tamper f =
+    String.concat "\n" (List.map (fun l -> if l = root_line then f l else l) lines)
+  in
+  Alcotest.(check bool) "next symbol 99 raises" true (raises (tamper (fun l -> l ^ " 99:5")));
+  Alcotest.(check bool) "negative next symbol raises" true
+    (raises (tamper (fun l -> l ^ " -1:5")));
+  Alcotest.(check bool) "negative next count raises" true
+    (raises (tamper (fun l -> String.sub l 0 (String.index_from l 7 ' ') ^ " 0:-3")));
+  Alcotest.(check bool) "repeated next symbol raises" true
+    (raises (tamper (fun l -> String.sub l 0 (String.index_from l 7 ' ') ^ " 0:1 0:2")));
+  Alcotest.(check bool) "negative count raises" true (raises (tamper (fun _ -> "node - -5")));
+  let with_node node =
+    String.concat "\n" (List.filter (( <> ) "end") lines) ^ node ^ "\nend\n"
+  in
+  Alcotest.(check bool) "edge symbol 27 raises" true (raises (with_node "node 27 1"));
+  Alcotest.(check bool) "edge symbol 27 deeper raises" true (raises (with_node "node 0,27 1"));
+  Alcotest.(check bool) "edge symbol 25 loads" false (raises (with_node "node 25 1"));
+  (* A classifier file naming one model id twice. *)
+  let clf =
+    Classifier.make
+      ~models:[ (0, build [ "ababab" ]); (1, build [ "cdcdcd" ]) ]
+      ~log_background:(Array.make 26 (log (1.0 /. 26.0)))
+      ~t_linear:2.0 ()
+  in
   with_tmp (fun path ->
-      let oc = open_out path in
-      output_string oc "not a pst\n";
-      close_out oc;
-      let ic = open_in path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          Alcotest.(check bool) "bad header raises" true
-            (try ignore (Pst.of_channel ic); false with Failure _ -> true)))
+      Classifier.save path clf;
+      Alcotest.(check int) "saved classifier loads" 2
+        (Classifier.n_clusters (Classifier.load path));
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      let rec find i = if String.sub text i 8 = "model 1\n" then i else find (i + 1) in
+      let i = find 0 in
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (String.sub text 0 i);
+          output_string oc "model 0\n";
+          output_string oc (String.sub text (i + 8) (String.length text - i - 8)));
+      Alcotest.(check bool) "repeated model id raises" true
+        (try
+           ignore (Classifier.load path);
+           false
+         with Failure _ -> true))
 
 (* --- Classifier ------------------------------------------------------- *)
 

@@ -30,7 +30,8 @@ let test_node_counts_match_occurrences () =
         0 texts
     in
     match Pst.find_node t pattern with
-    | Some node -> Alcotest.(check int) (Printf.sprintf "count of %S" label) expected (Pst.node_count node)
+    | Some node ->
+        Alcotest.(check int) (Printf.sprintf "count of %S" label) expected (Pst.node_count t node)
     | None -> Alcotest.(check int) (Printf.sprintf "%S absent means zero" label) expected 0
   in
   List.iter check_label [ "a"; "b"; "ab"; "ba"; "bb"; "aba"; "abab"; "z"; "aa" ]
@@ -49,13 +50,14 @@ let test_next_counts_are_extension_counts () =
   match Pst.find_node t (Sequence.of_string alpha "ab") with
   | None -> Alcotest.fail "node ab must exist"
   | Some node ->
-      Alcotest.(check int) "C(abc)" (count "abc") (Pst.next_count node (Alphabet.code_exn alpha "c"));
-      Alcotest.(check int) "C(aba)" (count "aba") (Pst.next_count node (Alphabet.code_exn alpha "a"))
+      let next sym = Pst.next_count t node (Alphabet.code_exn alpha sym) in
+      Alcotest.(check int) "C(abc)" (count "abc") (next "c");
+      Alcotest.(check int) "C(aba)" (count "aba") (next "a")
 
 let test_probability_vector_sums_to_one () =
   let t = build ~p_min:0.001 [ "abcabcbca"; "cabcab" ] in
   Pst.iter_nodes t (fun node ->
-      if Pst.next_total node > 0 then begin
+      if Pst.next_total t node > 0 then begin
         let dist = Pst.next_distribution t node in
         let s = Array.fold_left ( +. ) 0.0 dist in
         Alcotest.(check (float 1e-6)) "distribution sums to 1" 1.0 s
@@ -99,7 +101,7 @@ let test_prediction_node_is_longest_significant_suffix () =
   (* Context = "abab" (positions 0..3), predict position 4. The walk
      descends while counts >= 4: "b" (4), "ab" (4), "bab" (3 <- stop). *)
   let node = Pst.prediction_node t s ~lo:0 ~pos:4 in
-  Alcotest.(check int) "depth stops at ab" 2 (Pst.node_depth node);
+  Alcotest.(check int) "depth stops at ab" 2 (Pst.node_depth t node);
   Alcotest.(check (list int)) "label is ab"
     [ Alphabet.code_exn alpha "a"; Alphabet.code_exn alpha "b" ]
     (Pst.node_label t node)
@@ -108,13 +110,13 @@ let test_prediction_node_empty_context () =
   let t = build [ "abc" ] in
   let s = Sequence.of_string alpha "abc" in
   let node = Pst.prediction_node t s ~lo:0 ~pos:0 in
-  Alcotest.(check int) "root for empty context" 0 (Pst.node_depth node)
+  Alcotest.(check int) "root for empty context" 0 (Pst.node_depth t node)
 
 let test_prediction_respects_max_depth () =
   let t = build ~max_depth:3 ~significance:1 [ "aaaaaaaaaa" ] in
   let s = Sequence.of_string alpha "aaaaaaa" in
   let node = Pst.prediction_node t s ~lo:0 ~pos:6 in
-  Alcotest.(check bool) "depth capped" true (Pst.node_depth node <= 3)
+  Alcotest.(check bool) "depth capped" true (Pst.node_depth t node <= 3)
 
 let test_log_prob_uniform_on_empty () =
   let t = Pst.create (cfg ~alphabet_size:4 ()) in
@@ -136,12 +138,12 @@ let test_insert_segment_matches_sub_sequence_insert () =
       match Pst.find_node t2 label with
       | None -> Alcotest.fail "node missing in reference tree"
       | Some node2 ->
-          Alcotest.(check int) "same count" (Pst.node_count node2) (Pst.node_count node))
+          Alcotest.(check int) "same count" (Pst.node_count t2 node2) (Pst.node_count t1 node))
 
 let test_max_depth_limits_nodes () =
   let t = build ~max_depth:2 [ "abcdefgh" ] in
   Pst.iter_nodes t (fun node ->
-      Alcotest.(check bool) "no node deeper than 2" true (Pst.node_depth node <= 2))
+      Alcotest.(check bool) "no node deeper than 2" true (Pst.node_depth t node <= 2))
 
 let test_pruning_budget_respected () =
   let t = build ~max_nodes:50 [ String.concat "" (List.init 40 (fun i -> Printf.sprintf "%c%c" (Char.chr (97 + (i mod 26))) (Char.chr (97 + ((i * 7) mod 26))))) ] in
@@ -180,13 +182,13 @@ let test_longest_label_pruning_removes_deep_first () =
   let t = build ~pruning:Pruning.Longest_label_first ~significance:2 [ "abcdefabcdef" ] in
   let max_depth_before =
     let d = ref 0 in
-    Pst.iter_nodes t (fun n -> if Pst.node_depth n > !d then d := Pst.node_depth n);
+    Pst.iter_nodes t (fun n -> if Pst.node_depth t n > !d then d := Pst.node_depth t n);
     !d
   in
   Pst.prune_to t (Pst.n_nodes t / 2);
   let max_depth_after =
     let d = ref 0 in
-    Pst.iter_nodes t (fun n -> if Pst.node_depth n > !d then d := Pst.node_depth n);
+    Pst.iter_nodes t (fun n -> if Pst.node_depth t n > !d then d := Pst.node_depth t n);
     !d
   in
   Alcotest.(check bool) "max depth reduced" true (max_depth_after < max_depth_before)
@@ -221,6 +223,98 @@ let test_create_validation () =
   Alcotest.(check bool) "max_depth 0" true (bad (fun () -> cfg ~max_depth:0 ()));
   Alcotest.(check bool) "p_min too big" true (bad (fun () -> cfg ~p_min:0.2 ~alphabet_size:26 ()))
 
+let test_insert_rejects_foreign_symbols () =
+  (* A symbol outside [0, alphabet_size) must fail at insertion, before
+     the tree is touched — not later, in a compile that indexes tables
+     by symbol. *)
+  let t = Pst.create (cfg ~alphabet_size:4 ()) in
+  let raises s =
+    try
+      Pst.insert_segment t s ~lo:0 ~hi:(Array.length s - 1);
+      false
+    with Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "symbol 7 rejected" true (raises [| 0; 1; 2; 7; 3; 0; 1 |]);
+  Alcotest.(check bool) "symbol -1 rejected" true (raises [| 0; -1; 2 |]);
+  Alcotest.(check int) "tree untouched" 1 (Pst.n_nodes t);
+  Alcotest.(check int) "no symbol counted" 0 (Pst.total_count t);
+  Pst.insert_segment t [| 0; 1; 2; 7; 3; 0; 1 |] ~lo:4 ~hi:6;
+  Alcotest.(check int) "a segment avoiding it inserts" 3 (Pst.total_count t)
+
+(* ------------------------------------------------------------------ *)
+(* Storage: ids, free slots, copies                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The golden fixture [pst_golden.txt] holds the serializations of four
+   trees built from these texts by the record-per-node implementation
+   that preceded the flat store: one per pruning strategy with a budget
+   that prunes repeatedly, then a merge of two halves. Rebuilding them
+   byte for byte pins child order, next-entry order, the pruning
+   tie-breaks and merge. *)
+let golden_texts =
+  List.init 12 (fun i ->
+      String.init (40 + (5 * i)) (fun j -> "abcdef".[(i + 1) * (j + 3) * (j + 7) / 5 mod 6]))
+
+let golden_trees () =
+  let build strategy texts = build ~max_depth:6 ~max_nodes:120 ~pruning:strategy texts in
+  List.map (fun st -> build st golden_texts) Pruning.all
+  @ [
+      Pst.merge
+        (build Pruning.Smallest_count_first (List.filteri (fun i _ -> i < 6) golden_texts))
+        (build Pruning.Smallest_count_first (List.filteri (fun i _ -> i >= 6) golden_texts));
+    ]
+
+let test_golden_serialization () =
+  let fixture = In_channel.with_open_bin "pst_golden.txt" In_channel.input_all in
+  let trees = golden_trees () in
+  Alcotest.(check string) "same bytes" fixture
+    (String.concat "" (List.map Pst.to_string trees));
+  let sections =
+    String.split_on_char '\n' fixture
+    |> List.fold_left
+         (fun (cur, acc) l ->
+           if l = "end" then ([], List.rev ("end" :: cur) :: acc) else (l :: cur, acc))
+         ([], [])
+    |> snd |> List.rev
+  in
+  Alcotest.(check int) "four trees" (List.length trees) (List.length sections);
+  List.iter2
+    (fun tree lines ->
+      Alcotest.(check bool) "parses to the rebuilt tree" true
+        (Pst.equal_structure tree (Pst.of_string (String.concat "\n" lines))))
+    trees sections
+
+let texts_gen = Gen_common.texts_gen ~max_seqs:6 ~max_len:40 ()
+
+let storage_qcheck_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"inserts after pruning = inserts into its reloaded copy" ~count:60
+         (QCheck.triple texts_gen texts_gen (QCheck.int_range 1 60))
+         (fun (xs, ys, target) ->
+           (* Pruning frees slots that later insertions reuse; a reloaded
+              tree has fresh compact ids. The two must not be told apart. *)
+           let t = build ~max_nodes:150 xs in
+           Pst.prune_to t target;
+           let reloaded = Pst.of_string (Pst.to_string t) in
+           List.iter
+             (fun s ->
+               let s = Sequence.of_string alpha s in
+               Pst.insert_sequence t s;
+               Pst.insert_sequence reloaded s)
+             ys;
+           Pst.equal_structure t reloaded && Pst.n_nodes t = Pst.n_nodes reloaded));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"inserting into a copy leaves the original" ~count:60
+         (QCheck.pair texts_gen texts_gen)
+         (fun (xs, ys) ->
+           let t = build ~max_nodes:80 xs in
+           let before = Pst.to_string t in
+           let c = Pst.copy t in
+           List.iter (fun s -> Pst.insert_sequence c (Sequence.of_string alpha s)) ys;
+           Pst.to_string t = before));
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -241,9 +335,9 @@ let qcheck_tests =
            let s = Sequence.of_string alpha text in
            let ok = ref true in
            Pst.iter_nodes t (fun node ->
-               if Pst.node_depth node > 0 then begin
+               if Pst.node_depth t node > 0 then begin
                  let label = Array.of_list (Pst.node_label t node) in
-                 if Pst.node_count node <> Sequence.count_occurrences s ~pattern:label then
+                 if Pst.node_count t node <> Sequence.count_occurrences s ~pattern:label then
                    ok := false
                end);
            !ok));
@@ -259,7 +353,7 @@ let qcheck_tests =
              let label = Array.of_list (Pst.node_label t node) in
              let context = Array.sub s 0 pos in
              if not (Sequence.is_suffix_of label context) then ok := false;
-             if Pst.node_depth node > 0 && Pst.node_count node < c then ok := false
+             if Pst.node_depth t node > 0 && Pst.node_count t node < c then ok := false
            done;
            !ok));
     QCheck_alcotest.to_alcotest
@@ -282,13 +376,13 @@ let qcheck_tests =
            let t = build texts in
            let ok = ref true in
            Pst.iter_nodes t (fun node ->
-               let c = Pst.node_count node in
+               let c = Pst.node_count t node in
                let label = Array.of_list (Pst.node_label t node) in
                (* every extension of the label by one front symbol *)
                for sym = 0 to 3 do
                  let ext = Array.append [| sym |] label in
                  match Pst.find_node t ext with
-                 | Some child -> if Pst.node_count child > c then ok := false
+                 | Some child -> if Pst.node_count t child > c then ok := false
                  | None -> ()
                done);
            !ok));
@@ -386,7 +480,11 @@ let () =
           Alcotest.test_case "stats" `Quick test_stats;
           Alcotest.test_case "config validation" `Quick test_create_validation;
           Alcotest.test_case "pretty printer" `Quick test_pp_renders;
+          Alcotest.test_case "foreign symbols rejected" `Quick test_insert_rejects_foreign_symbols;
         ] );
+      ( "storage",
+        Alcotest.test_case "golden serialization" `Quick test_golden_serialization
+        :: storage_qcheck_tests );
       ( "prediction",
         [
           Alcotest.test_case "longest significant suffix" `Quick
