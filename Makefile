@@ -92,9 +92,10 @@ shard-smoke: build
 
 # Deterministic fuzz sweep over every correctness oracle (differential
 # PST, brute-force similarity, the automaton kept current by in-place
-# refresh vs a fresh compile, serial reclustering replay, 1-vs-4-domain
-# determinism, score-column cache on vs off). A failure prints a
-# minimized workload and a replay seed.
+# refresh vs a fresh compile, divergence profiles vs the tree walk,
+# serial reclustering replay, 1-vs-4-domain determinism, score-column
+# cache on vs off). A failure prints a minimized workload and a replay
+# seed.
 fuzz: build
 	dune exec bin/cluseq_cli.exe -- check --fuzz 200 --seed 42
 
@@ -111,7 +112,11 @@ suite-smoke: build
 # model loading fine), an unreadable input, and a training run that finds no
 # clusters must each exit 1 with a `cluseq: ` line on stderr, never 125
 # (an uncaught exception). Explaining a sequence whose last-pass best
-# cluster was dismissed by the final consolidation must exit 0.
+# cluster was dismissed by the final consolidation must exit 0. An
+# out-of-range model option (a zero significance, depth, node budget or
+# initial cluster count, a threshold below 1 or not finite, a negative
+# residual or iteration cap) must exit 1 naming the option, on every
+# command that clusters.
 exit-smoke: build
 	@tmp=$$(mktemp -d); cli="dune exec bin/cluseq_cli.exe --"; fail=0; \
 	$$cli generate --kind synthetic --num 60 --len 60 --clusters 3 -o $$tmp/in.tsv >/dev/null; \
@@ -142,6 +147,14 @@ exit-smoke: build
 	expect_1 $$cli classify $$tmp/in.tsv -m $$tmp/foreign-symbol.model; \
 	expect_1 $$cli cluster $$tmp/missing.tsv; \
 	expect_0 $$cli explain $$tmp/in.tsv 45 --significance 4; \
+	for bad in "--significance 0" "--depth 0" "--max-nodes 0" "--k-init 0" \
+	  "--threshold 0.5" "--threshold nan" "--threshold inf" \
+	  "--min-residual=-1" "--max-iterations=-1"; do \
+	  expect_1 $$cli cluster $$tmp/in.tsv $$bad; \
+	done; \
+	expect_1 $$cli train $$tmp/in.tsv --significance 0 -o $$tmp/bad.model; \
+	expect_1 $$cli evaluate $$tmp/in.tsv --threshold nan; \
+	expect_1 $$cli explain $$tmp/in.tsv 45 --max-nodes 0; \
 	rm -rf $$tmp; \
 	[ $$fail -eq 0 ] || exit 1; \
 	echo "exit-smoke: OK"
@@ -163,6 +176,7 @@ check: build test fuzz fmt-check bench-smoke trace-smoke shard-smoke suite-smoke
 	  && grep -q '"pst.refreshes"' $$tmp/smoke.json \
 	  && grep -q '"cluseq.scan.pairs_reused"' $$tmp/smoke.json \
 	  && grep -q '"cluseq.iter.reclustering_seconds"' $$tmp/smoke.json \
+	  && grep -q '"cluseq.drift_seconds"' $$tmp/smoke.json \
 	  || { echo "check: metrics smoke test FAILED ($$tmp/smoke.json)"; exit 1; }; \
 	rm -rf $$tmp; \
 	echo "check: OK"

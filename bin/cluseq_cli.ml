@@ -312,7 +312,26 @@ let config_args =
       & info [ "order" ] ~docv:"ORDER" ~doc:"Sequence examination order.")
   in
   let iters = Arg.(value & opt int 50 & info [ "max-iterations" ] ~docv:"M" ~doc:"Iteration cap.") in
+  (* Out-of-range values are a usage problem, not an internal error:
+     name the option and exit 1 before any command reads the file. *)
+  let at_least option lo v =
+    if v < lo then begin
+      Printf.eprintf "cluseq: %s must be at least %d (got %d)\n" option lo v;
+      exit 1
+    end
+  in
   let make k_init c t depth max_nodes residual no_adjust order iters seed =
+    at_least "--k-init" 1 k_init;
+    at_least "--significance" 1 c;
+    at_least "--depth" 1 depth;
+    at_least "--max-nodes" 1 max_nodes;
+    Option.iter (at_least "--min-residual" 0) residual;
+    at_least "--max-iterations" 0 iters;
+    (* [not (>= 1.0)] rather than [< 1.0]: the latter lets NaN through. *)
+    if not (Float.is_finite t && t >= 1.0) then begin
+      Printf.eprintf "cluseq: --threshold must be a finite value >= 1 (got %g)\n" t;
+      exit 1
+    end;
     {
       Cluseq.default_config with
       k_init;

@@ -379,6 +379,25 @@ let batch_scoring_matches pst ~log_background blocks =
     blocks;
   List.rev !errs
 
+(* Profile-vs-tree-walk divergence oracle: a pair of profiles must
+   reproduce the tree walk's value to the last bit — the same context
+   union, summed in the same order, over the same distributions — in
+   both argument orders, which sum differently. *)
+let divergence_matches a b =
+  let errs = ref [] in
+  let pa = Divergence.profile a and pb = Divergence.profile b in
+  let compare name fast reference =
+    if Int64.bits_of_float fast <> Int64.bits_of_float reference then
+      errs := Printf.sprintf "%s: profiles %.17g, tree walk %.17g" name fast reference :: !errs
+  in
+  List.iter
+    (fun (order, x, y, px, py) ->
+      compare ("variational " ^ order) (Divergence.variational_profiles px py)
+        (Ref_divergence.variational x y);
+      compare ("kl " ^ order) (Divergence.kl_profiles px py) (Ref_divergence.kl_symmetric x y))
+    [ ("a,b", a, b, pa, pb); ("b,a", b, a, pb, pa) ];
+  List.rev !errs
+
 (* ------------------------------------------------------------------ *)
 (* Score-column cache oracle                                           *)
 (* ------------------------------------------------------------------ *)

@@ -103,6 +103,14 @@ val batch_scoring_matches :
     blocks that include the empty block, singletons, and empty
     sequences. *)
 
+val divergence_matches : Pst.t -> Pst.t -> string list
+(** Differential oracle for {!Divergence}'s profiles: for both argument
+    orders, {!Divergence.variational_profiles} and
+    {!Divergence.kl_profiles} over the two trees' profiles must equal
+    {!Ref_divergence}'s tree walk bit for bit. Run by fuzz check #9 on
+    every pair of a case's full, pruned, merged and budget-bound
+    trees. *)
+
 val cache_agrees : ?config:Cluseq.config -> Seq_database.t -> string list
 (** Differential oracle for the score-column cache
     ({!Cluster.score_cache}): run {!Cluseq.run} with the cache switched

@@ -191,6 +191,18 @@ let run_case case =
         end)
       case.seqs
   done;
+  (* Divergence profiles (check #9): every pair of the trees above — the
+     full tree, its pruned copy, the merge, and the budget-bound tree
+     whose pruning leaves contexts to the prediction fallback — must
+     measure bit for bit like the tree walk, in both orders. *)
+  let trees = [ ("pst", pst); ("pruned", pruned); ("merged", merged); ("live", live) ] in
+  List.iteri
+    (fun i (na, a) ->
+      List.iteri
+        (fun j (nb, b) ->
+          if j >= i then add_all ("divergence " ^ na ^ "/" ^ nb) (Check.divergence_matches a b))
+        trees)
+    trees;
   (* --- 3. audited clustering at 1 vs 4 domains --- *)
   let saved = Par.default_domains () in
   (* Metrics on, so the [pst.nodes_pruned] counter below counts. *)

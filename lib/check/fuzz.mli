@@ -14,6 +14,10 @@
       recompile (check #8), and after every insertion demands equality
       with a fresh {!Psa.compile} ({!Check.psa_tables_match}) and with
       the tree walk ({!Check.psa_scoring_matches});
+    - measures every pair of the full, pruned, merged and budget-bound
+      trees with {!Divergence}'s profiles and demands the tree-walk
+      reference's floats bit for bit ({!Check.divergence_matches},
+      check #9);
     - runs {!Cluseq.run} at 1 and at 4 domains with the
       {!Check.auditor} installed (a serial reclustering replay of
       memberships, assignments and deciding scores, plus live

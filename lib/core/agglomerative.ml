@@ -17,16 +17,22 @@ let cluster ?(linkage = Average) ?(measure = Variational) ?pst_config ~k db =
         t)
       (Seq_database.sequences db)
   in
-  let dist_fn = match measure with Variational -> Divergence.variational | Kl_symmetric -> Divergence.kl_symmetric in
-  (* O(N²) model-divergence matrix: rows fan out over the domain pool
-     (each worker writes only its own row's upper triangle), the mirror
-     fill stays serial. Divergence evaluation is read-only on the
-     models, and each cell is computed exactly once, so the matrix is
+  let dist_fn =
+    match measure with
+    | Variational -> Divergence.variational_profiles
+    | Kl_symmetric -> Divergence.kl_profiles
+  in
+  (* O(N²) model-divergence matrix over N profiles built once: rows fan
+     out over the domain pool (each worker writes only its own row's
+     upper triangle), the mirror fill stays serial. Profiles are
+     read-only, and each cell is computed exactly once, so the matrix is
      identical for any domain count. *)
+  let pool = Par.get_pool () in
+  let profiles = Par.map_chunks pool ~n (fun i -> Divergence.profile models.(i)) in
   let dist = Array.make_matrix n n 0.0 in
-  Par.parallel_for (Par.get_pool ()) ~lo:0 ~hi:n (fun i ->
+  Par.parallel_for pool ~lo:0 ~hi:n (fun i ->
       for j = i + 1 to n - 1 do
-        dist.(i).(j) <- dist_fn models.(i) models.(j)
+        dist.(i).(j) <- dist_fn profiles.(i) profiles.(j)
       done);
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do

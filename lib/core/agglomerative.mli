@@ -15,8 +15,8 @@ type linkage =
   | Average  (** Mean pairwise distance (UPGMA). *)
 
 type measure =
-  | Variational  (** {!Divergence.variational}. *)
-  | Kl_symmetric  (** {!Divergence.kl_symmetric}. *)
+  | Variational  (** {!Divergence.variational_profiles}. *)
+  | Kl_symmetric  (** {!Divergence.kl_profiles}. *)
 
 val cluster :
   ?linkage:linkage ->

@@ -57,6 +57,10 @@ let h_member_score =
     ~buckets:[| 0.25; 0.5; 1.0; 2.0; 4.0; 8.0; 16.0; 32.0 |]
     "cluseq.drift.member_score"
 
+(* The drift panel's own time, one observation per iteration: the one
+   per-iteration cost outside the five phase spans. *)
+let h_drift_seconds = Obs.Metrics.histogram "cluseq.drift_seconds"
+
 (* Scoring fan-out granularity: sequences are scored in blocks of this
    many lanes so one compiled automaton streams over a whole block per
    call ({!Psa.score_batch}) instead of being re-entered per sequence.
@@ -710,8 +714,10 @@ let membership_changes ~n ~prev memberships =
    (so reclustering is never charged for them) and only when someone
    is listening. Every input is a deterministic function of the serial
    model state, so journaled drift records are bit-identical at any
-   domain count. *)
-let drift_panel ~iter ~n ~changes live member_scores =
+   domain count. [kl_memo] holds the previous panel's pair divergences
+   with the two profiles each came from: a pair is recomputed only when
+   either cluster's profile was rebuilt (an absorb grew its tree). *)
+let drift_panel ~iter ~n ~changes ~kl_memo live member_scores =
   let jrn = Obs.Journal.is_enabled () in
   if not (jrn || Obs.Metrics.is_enabled ()) then None
   else begin
@@ -726,15 +732,26 @@ let drift_panel ~iter ~n ~changes live member_scores =
        panel at the first 8 live clusters (id order — the longest-lived,
        hence most informative, models). *)
     let panel = List.filteri (fun i _ -> i < 8) live in
+    let memo = Hashtbl.create 32 in
+    let kl a b =
+      let key = (Cluster.id a, Cluster.id b) in
+      let pa = Cluster.profile a and pb = Cluster.profile b in
+      let v =
+        match Hashtbl.find_opt !kl_memo key with
+        | Some (qa, qb, v) when qa == pa && qb == pb -> v
+        | _ -> Divergence.kl_profiles pa pb
+      in
+      Hashtbl.replace memo key (pa, pb, v);
+      v
+    in
     let kls =
       let rec pairs = function
         | [] -> []
-        | a :: rest ->
-            List.map (fun b -> Divergence.kl_symmetric (Cluster.pst a) (Cluster.pst b)) rest
-            @ pairs rest
+        | a :: rest -> List.map (kl a) rest @ pairs rest
       in
       pairs panel
     in
+    kl_memo := memo;
     let mean_kl =
       match kls with
       | [] -> 0.0
@@ -830,7 +847,11 @@ let run ?(config = default_config) db =
   let prev_k_n = ref 0 and prev_k_c = ref 0 in
   let history = ref [] in
   let iterations = ref 0 in
-  let converged = ref false in
+  let kl_memo = ref (Hashtbl.create 1) in
+  (* An empty database has nothing to iterate on: 0 iterations and the
+     initial threshold as given, as the sharded path reports ([exp (log
+     t)] need not give [t] back). *)
+  let converged = ref (n = 0) in
   while (not !converged) && !iterations < cfg.max_iterations do
     incr iterations;
     Obs.Metrics.incr m_iterations;
@@ -913,7 +934,10 @@ let run ?(config = default_config) db =
     Obs.Metrics.incr ~by:changes m_assignments_changed;
     Obs.Metrics.incr ~by:census.pairs_reused m_pairs_reused;
     Obs.Metrics.set g_wasted_ratio (wasted_pair_ratio census);
-    let drift = drift_panel ~iter ~n ~changes !clusters pass.member_scores in
+    let drift =
+      Obs.Trace.with_span ~hist:h_drift_seconds "cluseq.drift" @@ fun () ->
+      drift_panel ~iter ~n ~changes ~kl_memo !clusters pass.member_scores
+    in
     Log.debug (fun m ->
         m
           "iter %d: new=%d consolidated=%d clusters=%d unclustered=%d t=%.4g changes=%d \
@@ -936,8 +960,9 @@ let run ?(config = default_config) db =
       :: !history;
     if stable then converged := true
   done;
+  let final_t = if n = 0 then cfg.t_init else Threshold.linear_t threshold in
   Obs.Metrics.set g_clusters (float_of_int (List.length !clusters));
-  Obs.Metrics.set g_final_t (Threshold.linear_t threshold);
+  Obs.Metrics.set g_final_t final_t;
   let pst_stats =
     Array.of_list (List.map (fun cl -> (Cluster.id cl, Pst.stats (Cluster.pst cl))) !clusters)
   in
@@ -956,7 +981,7 @@ let run ?(config = default_config) db =
   end;
   Log.info (fun m ->
       m "done: %d clusters in %d iterations (final t = %.4g)" (List.length !clusters)
-        !iterations (Threshold.linear_t threshold));
+        !iterations final_t);
   let outliers =
     List.filter (fun i -> !assignments.(i) = []) (List.init n Fun.id)
   in
@@ -965,7 +990,7 @@ let run ?(config = default_config) db =
         [
           ("clusters", Bench_json.Num (float_of_int (List.length !clusters)));
           ("iterations", Bench_json.Num (float_of_int !iterations));
-          ("final_t", Bench_json.Num (Threshold.linear_t threshold));
+          ("final_t", Bench_json.Num final_t);
           ("outliers", Bench_json.Num (float_of_int (List.length outliers)));
         ]);
     (* A run boundary is a natural sync point for offline readers. *)
@@ -981,7 +1006,7 @@ let run ?(config = default_config) db =
     best = !best;
     outliers;
     n_clusters = List.length !clusters;
-    final_t = Threshold.linear_t threshold;
+    final_t;
     iterations = !iterations;
     history = List.rev !history;
     pst_stats;

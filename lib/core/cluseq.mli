@@ -153,9 +153,11 @@ type drift = {
           low values mean clusters churn (seeded and dismissed) instead
           of maturing. *)
   mean_intercluster_kl : float;
-      (** Mean pairwise {!Divergence.kl_symmetric} over (a panel of up
-          to 8 of) the live cluster models. Falling values mean the
-          models are blending together. *)
+      (** Mean pairwise symmetrized KL ({!Divergence.kl_profiles} over
+          each cluster's cached {!Cluster.profile}) over (a panel of up
+          to 8 of) the live cluster models; a pair is recomputed only
+          when either model changed since the previous iteration.
+          Falling values mean the models are blending together. *)
   mean_member_score : float;
       (** Mean log-similarity over every (member, cluster) join of the
           reclustering pass, restricted to clusters that survived
@@ -167,7 +169,9 @@ type drift = {
     bit-identical at any domain count. Also published to the
     [cluseq.drift.*] histograms of {!Obs.Metrics} and journaled as
     [iteration.drift] records (with per-cluster score sketches) when
-    {!Obs.Journal} is enabled. *)
+    {!Obs.Journal} is enabled. Computed only when metrics or the
+    journal are on, under the [cluseq.drift] span, which feeds the
+    [cluseq.drift_seconds] histogram once per iteration. *)
 
 type iteration_stats = {
   iteration : int;  (** 1-based iteration number. *)
@@ -226,7 +230,8 @@ val scaled_config : ?base:config -> expected_cluster_size:int -> unit -> config
 
 val run : ?config:config -> Seq_database.t -> result
 (** [run ?config db] executes CLUSEQ on [db]. Deterministic for a fixed
-    [config.seed]. *)
+    [config.seed]. An empty [db] returns at once: no clusters, 0
+    iterations and an empty history, as the sharded path reports. *)
 
 val hard_labels : result -> n:int -> int array
 (** [hard_labels r ~n] flattens the overlapping clustering into one label

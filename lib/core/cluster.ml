@@ -15,6 +15,9 @@ type t = {
      valid only while the tree is unchanged, in which case a fresh
      evaluation would be bit-identical. *)
   mutable scores : Similarity.result array option;
+  (* The tree's divergence profile, built on first use and dropped with
+     [scores] by an absorb that grows the tree. *)
+  mutable profile : Divergence.profile option;
 }
 
 let m_absorbs = Obs.Metrics.counter "cluster.absorbs"
@@ -31,6 +34,7 @@ let create ~id ?(born = 0) ~capacity cfg seed =
     stale = false;
     frozen = false;
     scores = None;
+    profile = None;
   }
 
 let id t = t.id
@@ -74,6 +78,14 @@ let set_cache_enabled b = cache_flag := b
 let score_cache t = if !cache_flag then t.scores else None
 let set_score_cache t col = if !cache_flag then t.scores <- Some col
 
+let profile t =
+  match t.profile with
+  | Some p -> p
+  | None ->
+      let p = Divergence.profile t.pst in
+      t.profile <- Some p;
+      p
+
 let similarity t ~log_background s = Similarity.score_psa (current t) ~log_background s
 
 (* Read-only: runs on the scan fan-out's worker domains, which must not
@@ -92,5 +104,6 @@ let absorb t ~seq_id s (r : Similarity.result) =
        behind it until the next score or compile brings it current. *)
     t.stale <- true;
     t.frozen <- false;
-    t.scores <- None
+    t.scores <- None;
+    t.profile <- None
   end

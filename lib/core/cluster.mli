@@ -71,6 +71,14 @@ val set_cache_enabled : bool -> unit
     cluster) pair afresh — the reference the cache must be invisible
     against ([Check.cache_agrees]). Set it before a run, not during one. *)
 
+val profile : t -> Divergence.profile
+(** The PST's {!Divergence.profile}, built on first use and kept until an
+    {!absorb} grows the tree, so a caller comparing models across
+    iterations (the drift panel) rebuilds only the profiles of clusters
+    that changed, and can tell by physical equality whether one was
+    rebuilt. Like the score column, the cache is a plain field: only the
+    domain that owns the cluster may call this. *)
+
 val similarity : t -> log_background:float array -> Sequence.t -> Similarity.result
 (** {!Similarity.score} against this cluster's PST, computed on its
     compiled automaton ({!Similarity.score_psa}, bit-for-bit equal to
@@ -98,5 +106,5 @@ val absorb : t -> seq_id:int -> Sequence.t -> Similarity.result -> unit
     maximizing segment [r.seg_lo .. r.seg_hi] of [s] into the PST
     (paper Sec. 4.2/4.4: only the best segment updates the tree). The
     automaton is kept but marked stale — the next {!similarity} or
-    {!compile} brings it up to date — while the score cache is
-    dropped. *)
+    {!compile} brings it up to date — while the score cache and the
+    divergence {!profile} are dropped. *)

@@ -10,6 +10,7 @@ let m_fixup_rescored = Obs.Metrics.counter "cluseq.shard.fixup_rescored"
 let g_shard_count = Obs.Metrics.gauge "cluseq.shard.count"
 let h_shard_run_seconds = Obs.Metrics.histogram "cluseq.shard.run_seconds"
 let h_merge_seconds = Obs.Metrics.histogram "cluseq.shard.merge_seconds"
+let h_prefilter_seconds = Obs.Metrics.histogram "cluseq.shard.prefilter_seconds"
 
 (* The divergence PREFILTER for consolidation candidates — not the
    decision rule. Measured same-family and different-family divergence
@@ -204,28 +205,37 @@ let run ?(config = Cluseq.default_config) ?(shards = 1) db =
           the algorithm's own membership criterion, so it needs no
           workload-dependent constant. --- *)
     let pool = Par.get_pool () in
-    (* The cross-shard divergences are independent reads of the shard
-       models, filled on the pool; same-shard pairs stay at infinity. *)
-    let d = Array.make_matrix m m infinity in
-    let cross =
-      let acc = ref [] in
-      for i = m - 1 downto 0 do
-        for j = m - 1 downto i + 1 do
-          if gs.(i).g_shard <> gs.(j).g_shard then acc := (i, j) :: !acc
-        done
-      done;
-      Array.of_list !acc
+    (* The prefilter: one divergence profile per shard model, then the
+       cross-shard divergences between them — both read-only, filled on
+       the pool; same-shard pairs stay at infinity. *)
+    let profiles, d =
+      Obs.Trace.with_span ~hist:h_prefilter_seconds "shard.prefilter" @@ fun () ->
+      let profiles = Par.map_chunks pool ~n:m (fun i -> Divergence.profile gs.(i).g_pst) in
+      let d = Array.make_matrix m m infinity in
+      let cross =
+        let acc = ref [] in
+        for i = m - 1 downto 0 do
+          for j = m - 1 downto i + 1 do
+            if gs.(i).g_shard <> gs.(j).g_shard then acc := (i, j) :: !acc
+          done
+        done;
+        Array.of_list !acc
+      in
+      let kl =
+        Par.map_chunks pool ~n:(Array.length cross) (fun p ->
+            let i, j = cross.(p) in
+            Divergence.kl_profiles profiles.(i) profiles.(j))
+      in
+      Array.iteri
+        (fun p (i, j) ->
+          d.(i).(j) <- kl.(p);
+          d.(j).(i) <- kl.(p))
+        cross;
+      (profiles, d)
     in
-    let kl =
-      Par.map_chunks pool ~n:(Array.length cross) (fun p ->
-          let i, j = cross.(p) in
-          Divergence.kl_symmetric gs.(i).g_pst gs.(j).g_pst)
-    in
-    Array.iteri
-      (fun p (i, j) ->
-        d.(i).(j) <- kl.(p);
-        d.(j).(i) <- kl.(p))
-      cross;
+    (* Every shard model scores through its compiled automaton, which
+       equals the tree walk bit for bit: compiled once each, on the pool. *)
+    let psa = Par.map_chunks pool ~n:m (fun i -> Psa.compile gs.(i).g_pst) in
     (* [accepts a b]: do [b]'s members, by majority of a deterministic
        strided sample, clear the lenient threshold under [a]'s model? *)
     let accepts a b =
@@ -236,7 +246,7 @@ let run ?(config = Cluseq.default_config) ?(shards = 1) db =
       let ok = ref 0 in
       for q = 0 to take - 1 do
         let id = members.(q * len / take) in
-        let r = Similarity.score gs.(a).g_pst ~log_background:lbg (Seq_database.get db id) in
+        let r = Similarity.score_psa psa.(a) ~log_background:lbg (Seq_database.get db id) in
         if r.Similarity.log_sim >= lt then incr ok
       done;
       2 * !ok >= take
@@ -283,7 +293,7 @@ let run ?(config = Cluseq.default_config) ?(shards = 1) db =
                 ("into", Bench_json.Num (float_of_int s));
                 ("shard", Bench_json.Num (float_of_int gs.(i).g_shard));
                 ( "divergence",
-                  Bench_json.Num (Divergence.kl_symmetric gs.(s).g_pst gs.(i).g_pst) );
+                  Bench_json.Num (Divergence.kl_profiles profiles.(s) profiles.(i)) );
               ])
       end
     done;
@@ -291,9 +301,9 @@ let run ?(config = Cluseq.default_config) ?(shards = 1) db =
        home cluster was merged are rescored (against the merged model,
        with the global database's background); everything else passes
        through untouched. --- *)
-    (* One pool task per merged component: the counts-merge and the
-       candidates' scores against the merged model. Only the shard
-       models and the database are shared, read-only. *)
+    (* One pool task per merged component: the counts-merge, its
+       compile, and the candidates' scores against the merged model.
+       Only the shard models and the database are shared, read-only. *)
     let merged =
       Par.map_chunks pool ~chunks:m ~n:m (fun s ->
           match comp_members.(s) with
@@ -313,8 +323,9 @@ let run ?(config = Cluseq.default_config) ?(shards = 1) db =
                 (fun i -> Array.iter (fun id -> Hashtbl.replace cand id ()) gs.(i).g_members)
                 comp;
               let cand = List.sort compare (Hashtbl.fold (fun id () acc -> id :: acc) cand []) in
-              let score id = Similarity.score pst ~log_background:lbg (Seq_database.get db id) in
-              Some (pst, log_t, List.map (fun id -> (id, score id)) cand)
+              let psa = Psa.compile pst in
+              let score id = Similarity.score_psa psa ~log_background:lbg (Seq_database.get db id) in
+              Some (pst, psa, log_t, List.map (fun id -> (id, score id)) cand)
           | _ -> None)
     in
     (* Memberships and [best] are applied here in component order: a
@@ -325,9 +336,9 @@ let run ?(config = Cluseq.default_config) ?(shards = 1) db =
       match (comp_members.(s), merged.(s)) with
       | [ i ], _ ->
           if Array.length gs.(i).g_members > 0 then
-            final := (i, gs.(i).g_members, gs.(i).g_pst, gs.(i).g_log_t) :: !final
+            final := (i, gs.(i).g_members, gs.(i).g_pst, psa.(i), gs.(i).g_log_t) :: !final
       | _, None -> ()
-      | _, Some (pst, log_t, scored) ->
+      | _, Some (pst, psa, log_t, scored) ->
           let members = ref [] in
           List.iter
             (fun (id, (r : Similarity.result)) ->
@@ -341,7 +352,7 @@ let run ?(config = Cluseq.default_config) ?(shards = 1) db =
                   | other -> other))
             scored;
           let members = Array.of_list (List.rev !members) in
-          if Array.length members > 0 then final := (s, members, pst, log_t) :: !final
+          if Array.length members > 0 then final := (s, members, pst, psa, log_t) :: !final
     done;
     let final = Array.of_list (List.rev !final) in
     (* Remap surviving best entries through the union-find so no entry
@@ -350,7 +361,9 @@ let run ?(config = Cluseq.default_config) ?(shards = 1) db =
     for id = 0 to n - 1 do
       best.(id) <- Option.map (fun (b, score) -> (canon b, score)) best.(id)
     done;
-    let member_of = Array.map (fun (_, members, _, _) -> Bitset.of_list n (Array.to_list members)) final in
+    let member_of =
+      Array.map (fun (_, members, _, _, _) -> Bitset.of_list n (Array.to_list members)) final
+    in
     (* --- outlier rescue: a sequence can be an outlier in its shard yet
        belong to a cluster once that cluster's model has absorbed the
        other shards' counts — the shard simply never saw enough of the
@@ -363,9 +376,9 @@ let run ?(config = Cluseq.default_config) ?(shards = 1) db =
       if not (Array.exists (fun ms -> Bitset.mem ms id) member_of) then begin
         let seq = Seq_database.get db id in
         Array.iteri
-          (fun fi (s, _, pst, log_t) ->
+          (fun fi (s, _, _, psa, log_t) ->
             Obs.Metrics.incr m_fixup_rescored;
-            let r = Similarity.score pst ~log_background:lbg seq in
+            let r = Similarity.score_psa psa ~log_background:lbg seq in
             if r.Similarity.log_sim >= log_t then Bitset.add member_of.(fi) id;
             if Float.is_finite r.Similarity.log_sim then
               best.(id) <-
@@ -378,7 +391,7 @@ let run ?(config = Cluseq.default_config) ?(shards = 1) db =
     done;
     let final =
       Array.mapi
-        (fun fi (gid, _, pst, log_t) ->
+        (fun fi (gid, _, pst, _, log_t) ->
           (gid, Array.of_list (Bitset.to_list member_of.(fi)), pst, log_t))
         final
     in

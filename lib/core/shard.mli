@@ -9,7 +9,11 @@
     consolidation, convergence) — concurrently with the others. The
     merge runs on the pool as well: the cross-shard divergences as one
     job, then each merged component's model merge and fix-up scores as
-    one task, applied in component order. The merge is
+    one task, applied in component order. Each model is prepared once:
+    one {!Divergence.profile} per shard model for the divergences (the
+    [shard.prefilter] span), and one compiled automaton per model for
+    every score ({!Similarity.score_psa}, bit-identical to the tree
+    walk). The merge is
     model-to-model: cross-shard cluster pairs are consolidated when
     they are symmetrized-KL nearest neighbours under a saturation cap
     {e and} each side's members clear the other's retention threshold
@@ -36,7 +40,7 @@
 
 val default_merge_divergence : float
 (** Symmetrized-KL {e prefilter} cap for consolidation candidates (see
-    {!Divergence.kl_symmetric}): pairs at or past it are saturated near
+    {!Divergence.kl_profiles}): pairs at or past it are saturated near
     the smoothing ceiling (log(1/p_min) ≈ 6.9) and are never the same
     family. It is not the merge decision — that is the mutual
     cross-acceptance score test (DESIGN.md §14), which carries no

@@ -275,7 +275,29 @@ let test_spans_match_histograms () =
   List.iter
     (fun p -> agree ~span:p ~hist:("cluseq.iter." ^ p ^ "_seconds") ~count:result.iterations)
     Bench_report.phase_names;
+  agree ~span:"cluseq.drift" ~hist:"cluseq.drift_seconds" ~count:result.iterations;
   agree ~span:"cluseq.run" ~hist:"cluseq.run_seconds" ~count:1
+
+(* The drift panel runs after the five phases, under its own span: one
+   observation per iteration with metrics on, and with every sink off
+   neither an observation nor a panel. *)
+let test_drift_timed_once_per_iteration () =
+  with_clean_obs @@ fun () ->
+  let h = Obs.Metrics.histogram "cluseq.drift_seconds" in
+  let drifts (r : Cluseq.result) =
+    List.length (List.filter (fun (s : Cluseq.iteration_stats) -> s.drift <> None) r.history)
+  in
+  let on = Cluseq.run ~config:tiny_config (tiny_db ()) in
+  Alcotest.(check bool) "the run iterates" true (on.iterations > 1);
+  Alcotest.(check int) "one observation per iteration" on.iterations
+    (Obs.Metrics.histogram_count h);
+  Alcotest.(check int) "a panel per iteration" on.iterations (drifts on);
+  Obs.Metrics.disable ();
+  Obs.reset ();
+  let off = Cluseq.run ~config:tiny_config (tiny_db ()) in
+  Alcotest.(check int) "same iterations" on.iterations off.iterations;
+  Alcotest.(check int) "no observation with every sink off" 0 (Obs.Metrics.histogram_count h);
+  Alcotest.(check int) "no panel with every sink off" 0 (drifts off)
 
 (* A span opened on a worker domain lands on that domain's ring: with
    two shards on two domains, every iteration shows up once, in the tree
@@ -569,6 +591,8 @@ let () =
         [
           Alcotest.test_case "captures a live run" `Quick test_capture_from_run;
           Alcotest.test_case "reset stops bleed-through" `Quick test_capture_no_bleed_through;
+          Alcotest.test_case "drift timed once per iteration" `Quick
+            test_drift_timed_once_per_iteration;
           Alcotest.test_case "phase spans and histograms agree" `Quick
             test_spans_match_histograms;
           Alcotest.test_case "worker spans cover every iteration" `Quick

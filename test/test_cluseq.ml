@@ -264,6 +264,71 @@ let test_single_sequence () =
   in
   Alcotest.(check bool) "single sequence runs" true (res.iterations >= 1)
 
+(* An empty database has nothing to iterate on: the plain and the
+   sharded paths both return at once, with identical results — the
+   final threshold included, at a [t_init] that [exp (log t)] does not
+   give back exactly. *)
+let test_empty_database () =
+  let db = Seq_database.of_strings Alphabet.lowercase [] in
+  let config = { small_config with t_init = 3.0 } in
+  let plain = Cluseq.run ~config db in
+  let sharded = Shard.run ~config ~shards:2 db in
+  Alcotest.(check int) "no iterations" 0 plain.iterations;
+  Alcotest.(check int) "history empty" 0 (List.length plain.history);
+  Alcotest.(check int) "sharded: no iterations" 0 sharded.iterations;
+  Alcotest.(check int) "same cluster count" sharded.n_clusters plain.n_clusters;
+  Alcotest.(check bool) "same clusters" true (plain.clusters = sharded.clusters);
+  Alcotest.(check bool) "same outliers" true (plain.outliers = sharded.outliers);
+  Alcotest.(check (float 0.0)) "same final t" sharded.final_t plain.final_t;
+  Alcotest.(check (float 0.0)) "final t as given" 3.0 plain.final_t
+
+(* The drift panel keeps its pair divergences across iterations and
+   recomputes a pair only once either model changed: every iteration's
+   mean must still equal the tree walk over that iteration's models,
+   bit for bit. The models are read by the audit hook after
+   consolidation, the state the panel measures. *)
+let test_drift_kl_matches_tree_walk () =
+  let w = small_workload ~n:120 () in
+  let expected = ref [] in
+  let on_iteration ~iteration:_ ~clusters ~assignments:_ =
+    let panel = List.filteri (fun i _ -> i < 8) clusters in
+    let rec pairs = function
+      | [] -> []
+      | a :: rest ->
+          List.map (fun b -> Ref_divergence.kl_symmetric (Cluster.pst a) (Cluster.pst b)) rest
+          @ pairs rest
+    in
+    let kls = pairs panel in
+    let mean =
+      match kls with
+      | [] -> 0.0
+      | _ -> List.fold_left ( +. ) 0.0 kls /. float_of_int (List.length kls)
+    in
+    expected := mean :: !expected
+  in
+  Obs.Metrics.enable ();
+  Cluseq.set_auditor
+    (Some
+       { Cluseq.on_recluster = (fun _ ~after:_ ~assignments:_ ~decided:_ -> ()); on_iteration });
+  let res =
+    Fun.protect
+      ~finally:(fun () ->
+        Cluseq.set_auditor None;
+        Obs.Metrics.disable ())
+      (fun () -> Cluseq.run ~config:small_config w.db)
+  in
+  Alcotest.(check int) "one panel per iteration" res.iterations (List.length !expected);
+  List.iter2
+    (fun (h : Cluseq.iteration_stats) want ->
+      match h.drift with
+      | None -> Alcotest.fail "drift panel missing with metrics on"
+      | Some d ->
+          Alcotest.(check int64)
+            (Printf.sprintf "iteration %d mean KL bits" h.iteration)
+            (Int64.bits_of_float want)
+            (Int64.bits_of_float d.mean_intercluster_kl))
+    res.history (List.rev !expected)
+
 let test_hard_labels () =
   let w, res = run_small () in
   let n = Seq_database.n_sequences w.db in
@@ -366,6 +431,8 @@ let () =
           Alcotest.test_case "fixed threshold mode" `Slow test_fixed_threshold_mode;
           Alcotest.test_case "all orders run" `Slow test_orders_all_run;
           Alcotest.test_case "cache invisible" `Slow test_cache_invisible;
+          Alcotest.test_case "drift KL matches the tree walk" `Slow
+            test_drift_kl_matches_tree_walk;
         ] );
       ("property", qcheck_tests);
       ( "edge-cases",
@@ -374,6 +441,7 @@ let () =
           Alcotest.test_case "scaled config" `Quick test_scaled_config;
           Alcotest.test_case "tiny database" `Quick test_tiny_database;
           Alcotest.test_case "single sequence" `Quick test_single_sequence;
+          Alcotest.test_case "empty database" `Quick test_empty_database;
           Alcotest.test_case "hard labels" `Slow test_hard_labels;
           Alcotest.test_case "history consistency" `Slow test_history_consistency;
         ] );

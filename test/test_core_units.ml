@@ -99,6 +99,24 @@ let test_cache_dropped_on_absorb () =
   Cluster.absorb cl ~seq_id:1 s r;
   Alcotest.(check bool) "absorb drops the cache" true (Cluster.score_cache cl = None)
 
+(* The divergence profile is cached until an absorb grows the tree; the
+   one built after it describes the grown tree. *)
+let test_profile_dropped_on_absorb () =
+  let cl, s, r = cached_cluster () in
+  let other = Pst.create pst_cfg in
+  Pst.insert_sequence other (Sequence.of_string alpha "abcbcbca");
+  let kl () = Divergence.kl_profiles (Cluster.profile cl) (Divergence.profile other) in
+  let before = Cluster.profile cl in
+  Alcotest.(check bool) "profile cached" true (Cluster.profile cl == before);
+  let kl_before = kl () in
+  Cluster.absorb cl ~seq_id:1 s { r with seg_lo = 0; seg_hi = 5 };
+  Cluster.absorb cl ~seq_id:2 (Sequence.of_string alpha "cbcbcbcb")
+    { r with seg_lo = 0; seg_hi = 7 };
+  Alcotest.(check bool) "absorb drops the profile" true (Cluster.profile cl != before);
+  Alcotest.(check (float 0.0)) "the new profile is the grown tree's"
+    (Divergence.kl_symmetric (Cluster.pst cl) other) (kl ());
+  Alcotest.(check bool) "the grown tree measures differently" true (kl () <> kl_before)
+
 let test_cache_switched_off () =
   let cl, _, r = cached_cluster () in
   Cluster.set_score_cache cl [| r |];
@@ -248,6 +266,8 @@ let () =
         [
           Alcotest.test_case "absorb invalidates" `Quick test_cache_dropped_on_absorb;
           Alcotest.test_case "switched off" `Quick test_cache_switched_off;
+          Alcotest.test_case "absorb drops the divergence profile" `Quick
+            test_profile_dropped_on_absorb;
         ] );
       ( "threshold",
         [

@@ -52,6 +52,41 @@ let test_empty_trees () =
 
 let seq_gen = QCheck.(string_gen_of_size (Gen.int_range 5 40) (Gen.char_range 'a' 'd'))
 
+(* Two random trees over one alphabet, each with its own depth,
+   significance and smoothing floor, and a node budget that is often
+   small enough to prune — which leaves contexts whose exact node is
+   gone or insignificant, so lookups take the prediction fallback. *)
+let tree_pair_gen =
+  let open QCheck.Gen in
+  let tree sigma =
+    let* max_depth = int_range 1 5 in
+    let* significance = int_range 1 4 in
+    let* p_min = oneofl [ 0.0; 1e-3; 0.01 ] in
+    let* max_nodes = oneofl [ 3; 8; 20; 100_000 ] in
+    let* pruning =
+      oneofl
+        [ Pruning.Smallest_count_first; Pruning.Longest_label_first; Pruning.Expected_vector_first ]
+    in
+    let* seqs = list_size (int_range 1 5) (array_size (int_range 0 30) (int_bound (sigma - 1))) in
+    return
+      ( { Pst.alphabet_size = sigma; max_depth; significance; max_nodes; p_min; pruning },
+        seqs )
+  in
+  let* sigma = int_range 2 5 in
+  pair (tree sigma) (tree sigma)
+
+let build_tree (cfg, seqs) =
+  let t = Pst.create cfg in
+  List.iter (Pst.insert_sequence t) seqs;
+  t
+
+(* The profile pass must reproduce the tree walk it replaced to the last
+   bit, in both argument orders (the orders sum differently), and
+   against itself. *)
+let profiles_match_reference (a, b) =
+  let a = build_tree a and b = build_tree b in
+  Check.divergence_matches a b = [] && Check.divergence_matches a a = []
+
 let qcheck_tests =
   [
     QCheck_alcotest.to_alcotest
@@ -68,6 +103,9 @@ let qcheck_tests =
            let a = build [ s ] in
            let self = Divergence.kl_symmetric a a in
            self >= 0.0 && self < 1e-9));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"profiles equal the tree-walk reference bit for bit" ~count:500
+         (QCheck.make tree_pair_gen) profiles_match_reference);
   ]
 
 let () =
