@@ -92,7 +92,7 @@ shard-smoke: build
 
 # Deterministic fuzz sweep over every correctness oracle (differential
 # PST, brute-force similarity, the automaton kept current by in-place
-# refresh vs a fresh compile, divergence profiles vs the tree walk,
+# refresh and patching vs a fresh compile, divergence profiles vs the tree walk,
 # serial reclustering replay, 1-vs-4-domain determinism, score-column
 # cache on vs off). A failure prints a minimized workload and a replay
 # seed.
@@ -174,6 +174,8 @@ check: build test fuzz fmt-check bench-smoke trace-smoke shard-smoke suite-smoke
 	  && grep -q '"similarity.calls"' $$tmp/smoke.json \
 	  && grep -q '"similarity.compile_seconds"' $$tmp/smoke.json \
 	  && grep -q '"pst.refreshes"' $$tmp/smoke.json \
+	  && grep -q '"pst.patches"' $$tmp/smoke.json \
+	  && grep -q '"similarity.refresh_seconds"' $$tmp/smoke.json \
 	  && grep -q '"cluseq.scan.pairs_reused"' $$tmp/smoke.json \
 	  && grep -q '"cluseq.iter.reclustering_seconds"' $$tmp/smoke.json \
 	  && grep -q '"cluseq.drift_seconds"' $$tmp/smoke.json \

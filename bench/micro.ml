@@ -137,6 +137,51 @@ let alloc_rows () =
     ("cluseq/alloc-pst-insert-words-per-symbol", insert_words);
   ]
 
+(* One crossing brought into a trained cluster's automaton: the model of
+   [tests] without its last member gets the shortest leading segment of
+   that member which makes exactly one context significant. The tree is
+   copied and compiled and the segment inserted outside the timed
+   window; the row times the [Psa.refresh] that patches the context in —
+   the work a crossing costs a cluster instead of a [psa-compile]. Timed
+   directly (ns per refresh, like the Bechamel rows) because every run
+   needs a fresh tree and automaton. *)
+let patch_row () =
+  let w = mk_workload () in
+  let seqs = Seq_database.sequences w.db in
+  let pst_cfg = { (Pst.default_config ~alphabet_size:26) with significance = 8 } in
+  let members =
+    List.filter (fun i -> w.labels.(i) = 0) (List.init (Array.length seqs) Fun.id)
+  in
+  let held_out = seqs.(List.nth members (List.length members - 1)) in
+  let trained = Pst.create pst_cfg in
+  List.iter
+    (fun i -> if seqs.(i) != held_out then Pst.insert_sequence trained seqs.(i))
+    members;
+  (* The tree and automaton before the crossing, the segment inserted. *)
+  let crossing hi =
+    let t = Pst.copy trained in
+    let psa = Psa.compile t in
+    Pst.insert_segment t held_out ~lo:0 ~hi;
+    (t, psa)
+  in
+  let added (t, psa) =
+    let states = Psa.n_states psa in
+    if Psa.refresh psa t then Psa.n_states psa - states else -1
+  in
+  let hi = ref 0 in
+  while added (crossing !hi) <> 1 do
+    incr hi;
+    if !hi = Array.length held_out then failwith "psa-patch: no segment crosses once"
+  done;
+  let reps = 200 and ns = ref 0L in
+  for _ = 1 to reps do
+    let t, psa = crossing !hi in
+    let t0 = Timer.now_ns () in
+    ignore (Psa.refresh psa t);
+    ns := Int64.add !ns (Int64.sub (Timer.now_ns ()) t0)
+  done;
+  ("cluseq/psa-patch", Int64.to_float !ns /. float_of_int reps)
+
 (* Runs the suite, prints the table, and returns the (name, ns/run) rows
    so `bench --record` can fold them into the BENCH_*.json under "micro". *)
 let run () =
@@ -157,7 +202,7 @@ let run () =
       in
       rows := (name, ns) :: !rows)
     results;
-  let rows = List.sort compare !rows in
+  let rows = List.sort compare (patch_row () :: !rows) in
   List.iter (fun (name, ns) -> Printf.printf "  %-40s %12.0f ns/run\n" name ns) rows;
   let alloc = alloc_rows () in
   Printf.printf "\n== Scan allocation (Gc.minor_words deltas) ==\n%!";

@@ -321,9 +321,14 @@ let psa_scoring_matches ?psa pst ~log_background probes =
     probes;
   List.rev !errs
 
-(* An automaton kept current by refresh-or-recompile against a fresh
-   compile of the same tree: the same state count and, cell for cell,
-   the same transitions, emission bits and prediction depths. *)
+(* An automaton kept current by refresh, patch or recompile against a
+   fresh compile of the same tree. A patch numbers its new states in the
+   order they were added, a compile in trie order, so the two are
+   compared up to renumbering: both are walked from state 0 at once,
+   pairing the states reached by the same symbols. The pairing must be
+   a bijection that every transition respects and that reaches every
+   state, and paired states must predict at the same depth with the
+   same emission bits. *)
 let psa_tables_match ~fresh psa =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errs := m :: !errs) fmt in
@@ -331,20 +336,36 @@ let psa_tables_match ~fresh psa =
   if ns <> Psa.n_states fresh || n <> Psa.alphabet_size fresh then
     err "maintained automaton has %d states over %d symbols, fresh compile %d over %d" ns n
       (Psa.n_states fresh) (Psa.alphabet_size fresh)
-  else
-    for u = 0 to ns - 1 do
-      if Psa.prediction_depth psa u <> Psa.prediction_depth fresh u then
-        err "state %d: prediction depth %d, fresh compile %d" u (Psa.prediction_depth psa u)
-          (Psa.prediction_depth fresh u);
+  else begin
+    let to_fresh = Array.make ns (-1) and of_fresh = Array.make ns (-1) in
+    let q = Queue.create () in
+    let pair u f =
+      to_fresh.(u) <- f;
+      of_fresh.(f) <- u;
+      Queue.add u q;
+      if Psa.prediction_depth psa u <> Psa.prediction_depth fresh f then
+        err "state %d (fresh %d): prediction depth %d, fresh compile %d" u f
+          (Psa.prediction_depth psa u) (Psa.prediction_depth fresh f);
       for a = 0 to n - 1 do
-        if Psa.step psa u a <> Psa.step fresh u a then
-          err "state %d symbol %d: transition to %d, fresh compile %d" u a (Psa.step psa u a)
-            (Psa.step fresh u a);
-        let e = Psa.emission psa u a and f = Psa.emission fresh u a in
-        if Int64.bits_of_float e <> Int64.bits_of_float f then
-          err "state %d symbol %d: emission %.17g, fresh compile %.17g" u a e f
+        let e = Psa.emission psa u a and e' = Psa.emission fresh f a in
+        if Int64.bits_of_float e <> Int64.bits_of_float e' then
+          err "state %d (fresh %d) symbol %d: emission %.17g, fresh compile %.17g" u f a e e'
+      done
+    in
+    pair 0 0;
+    while not (Queue.is_empty q) do
+      let u = Queue.pop q in
+      let f = to_fresh.(u) in
+      for a = 0 to n - 1 do
+        let v = Psa.step psa u a and g = Psa.step fresh f a in
+        if to_fresh.(v) < 0 && of_fresh.(g) < 0 then pair v g
+        else if to_fresh.(v) <> g then
+          err "state %d (fresh %d) symbol %d: transition to %d (fresh %d), paired with %d (%d)"
+            u f a v g to_fresh.(v) of_fresh.(g)
       done
     done;
+    Array.iteri (fun u f -> if f < 0 then err "state %d is unreachable from state 0" u) to_fresh
+  end;
   List.rev !errs
 
 (* Batched-vs-serial scoring oracle: [Psa.score_batch] keeps every

@@ -85,10 +85,15 @@ val psa_scoring_matches :
 
 val psa_tables_match : fresh:Psa.t -> Psa.t -> string list
 (** [psa_tables_match ~fresh psa] compares an automaton kept current by
-    refresh-or-recompile with [fresh], a new {!Psa.compile} of the same
-    tree: the same state count, and cell for cell the same transitions,
-    prediction depths and emission bits. Run by the QCheck property in
-    [test_psa.ml] and by fuzz check #8 after every insertion. *)
+    refresh, patch or recompile with [fresh], a new {!Psa.compile} of
+    the same tree, up to the numbering of states (a patch numbers the
+    states it adds in the order it adds them). Walking both from state
+    0 at once pairs the states reached by the same symbols; the check
+    demands the same state count, a pairing that is a bijection
+    reaching every state and respected by every transition, and paired
+    states with the same prediction depth and bit-equal emission rows.
+    Run by the QCheck properties in [test_psa.ml] and by fuzz check #8
+    after every insertion. *)
 
 val batch_scoring_matches :
   Pst.t -> log_background:float array -> Sequence.t array list -> string list

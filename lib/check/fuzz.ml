@@ -169,13 +169,22 @@ let run_case case =
         err "merge: merged-tree score %.17g <> whole-tree score %.17g" b a)
     case.probes;
   (* Maintained automaton (check #8): stream random segments of the
-     training sequences, twice over, into a tree whose node budget
-     forces pruning, keeping one automaton current by refresh-or-
-     recompile the way a cluster does. After every insertion it must
-     equal a fresh compile table for table and score every probe
-     exactly like the tree walk. *)
+     training sequences, twice over, into two trees, keeping one
+     automaton per tree current by refresh-or-recompile the way a
+     cluster does. The first tree's node budget forces pruning, so its
+     refreshes refuse and it recompiles; the second never reaches its
+     budget, so every crossing must be patched and its refresh must
+     never refuse. After every insertion each automaton must equal a
+     fresh compile up to state numbering and score every probe exactly
+     like the tree walk. *)
   let live = Pst.create { pcfg with max_nodes = max 2 (Pst.n_nodes pst / 3) } in
-  let psa = ref (Psa.compile live) in
+  let growing = Pst.create pcfg in
+  let maintained =
+    [
+      ("psa-maintained", live, ref (Psa.compile live));
+      ("psa-patched", growing, ref (Psa.compile growing));
+    ]
+  in
   let seg_rng = Rng.create case.case_seed in
   for _ = 1 to 2 do
     Array.iter
@@ -183,11 +192,19 @@ let run_case case =
         let l = Array.length s in
         if l > 0 then begin
           let lo = Rng.int seg_rng l in
-          Pst.insert_segment live s ~lo ~hi:(lo + Rng.int seg_rng (l - lo));
-          if not (Psa.refresh !psa live) then psa := Psa.compile live;
-          add_all "psa-maintained" (Check.psa_tables_match ~fresh:(Psa.compile live) !psa);
-          add_all "psa-maintained"
-            (Check.psa_scoring_matches ~psa:!psa live ~log_background:lbg case.probes)
+          let hi = lo + Rng.int seg_rng (l - lo) in
+          List.iter
+            (fun (name, tree, psa) ->
+              Pst.insert_segment tree s ~lo ~hi;
+              if not (Psa.refresh !psa tree) then begin
+                if tree == growing then
+                  err "%s: refresh refused on a tree that never pruned" name;
+                psa := Psa.compile tree
+              end;
+              add_all name (Check.psa_tables_match ~fresh:(Psa.compile tree) !psa);
+              add_all name
+                (Check.psa_scoring_matches ~psa:!psa tree ~log_background:lbg case.probes))
+            maintained
         end)
       case.seqs
   done;

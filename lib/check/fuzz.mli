@@ -9,11 +9,14 @@
       the tree and re-checks {!Check.pst_invariants};
     - compares the Kadane similarity scan against the O(l²) brute-force
       reference on every probe;
-    - streams segments into a tree under a node budget that forces
-      pruning while one automaton is kept current by {!Psa.refresh} or
-      recompile (check #8), and after every insertion demands equality
-      with a fresh {!Psa.compile} ({!Check.psa_tables_match}) and with
-      the tree walk ({!Check.psa_scoring_matches});
+    - streams segments into two trees, one under a node budget that
+      forces pruning and one that never prunes, while one automaton per
+      tree is kept current by {!Psa.refresh} or recompile (check #8).
+      On the tree that never prunes every crossing must be patched, so
+      a refused refresh fails the case. After every insertion each
+      automaton must equal a fresh {!Psa.compile} up to state numbering
+      ({!Check.psa_tables_match}) and score like the tree walk
+      ({!Check.psa_scoring_matches});
     - measures every pair of the full, pruned, merged and budget-bound
       trees with {!Divergence}'s profiles and demands the tree-walk
       reference's floats bit for bit ({!Check.divergence_matches},

@@ -5,7 +5,8 @@ type t = {
   members : Bitset.t;
   (* The cluster's compiled automaton, kept following its tree: built
      at creation, marked [stale] by an absorb, and brought current by
-     refresh or recompile before the next score reads it. *)
+     refresh (patching in new contexts) or recompile before the next
+     score reads it. *)
   mutable compiled : Psa.t;
   mutable stale : bool;
   (* Whether [compile] has journaled [cluster.froze] since the tree last
@@ -47,9 +48,11 @@ let add_member t i = Bitset.add t.members i
 let clear_members t = Bitset.clear t.members
 
 (* The automaton, brought up to date with the tree: rows rewritten in
-   place while the active contexts hold still, a fresh compile once one
-   turned significant or was pruned. Either way the tables equal a fresh
-   compile's, so scores stay bit-identical to the tree walk. *)
+   place while the active contexts hold still, states patched in when
+   contexts turned significant, a fresh compile when one was pruned (or
+   the automaton has closure states). Every way the tables equal a fresh
+   compile's up to state numbering, so scores stay bit-identical to the
+   tree walk. *)
 let current t =
   if t.stale then begin
     if not (Psa.refresh t.compiled t.pst) then t.compiled <- Psa.compile t.pst;

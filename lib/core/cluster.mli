@@ -39,9 +39,10 @@ val clear_members : t -> unit
 
 val compile : t -> unit
 (** Make the cluster's {!Psa.t} scoring automaton current for its PST:
-    after an {!absorb}, refresh its rows in place ({!Psa.refresh}) or,
-    once a context turned significant or was pruned, recompile it.
-    Called on the submitting domain at the start of every read-only
+    after an {!absorb}, refresh it in place ({!Psa.refresh}: rewrite the
+    rows that moved, and add a state for each context that turned
+    significant) or, once a significant context was pruned, recompile
+    it. Called on the submitting domain at the start of every read-only
     scoring sweep, so the sweep's workers only ever read a current
     automaton ({!similarity_batch} checks). Idempotent and cheap when
     nothing changed. The first call after creation or after the tree
@@ -83,7 +84,7 @@ val similarity : t -> log_background:float array -> Sequence.t -> Similarity.res
 (** {!Similarity.score} against this cluster's PST, computed on its
     compiled automaton ({!Similarity.score_psa}, bit-for-bit equal to
     the tree walk). An automaton left stale by {!absorb} is first
-    refreshed or recompiled in place, exactly as {!compile} would, so
+    refreshed, patched or recompiled, exactly as {!compile} would, so
     only the task that owns the cluster may call this after an absorb;
     after {!compile} it only reads. *)
 

@@ -201,12 +201,13 @@ let feed t s =
           if r.seg_lo >= 0 && r.seg_hi >= r.seg_lo then begin
             Pst.insert_segment cl.pst s ~lo:r.seg_lo ~hi:r.seg_hi;
             (* Dropped, not kept current as [Cluster] keeps its automaton
-               (Psa.refresh, or a recompile once a context turns
+               (Psa.refresh, which patches in the contexts that turn
                significant): a feed scores each cluster once, so no later
                score in the same feed would repay the upkeep. Measured on
-               the online-stream benchmark, recompiling at every crossing
-               took feed latency from 0.54-0.64 ms to 0.94-0.96 ms, and
-               refreshing until the first crossing gained nothing. *)
+               the online-stream benchmark before crossings were patched,
+               recompiling at every crossing took feed latency from
+               0.54-0.64 ms to 0.94-0.96 ms, and refreshing until the
+               first crossing gained nothing. *)
             cl.compiled <- None
           end;
           match !best with

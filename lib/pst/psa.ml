@@ -42,6 +42,28 @@
    next_total moved — with the same row routine as [compile], hence
    the same floats a fresh compile would store.
 
+   When the set only grew — contexts turned significant and no
+   significant node was pruned — [refresh] patches the automaton
+   instead of leaving it to a recompile, provided it has no closure
+   states (every state predicts from its own node, so states = active
+   nodes). A new context L = l1..lm gets a state u. Its trie children
+   l1..lm·a have no states yet (a state's label minus its newest symbol
+   is a state; a new L·a is deeper and patched later), so u's
+   transitions are its failure link's: those of L's tree parent
+   l2..lm. And every state whose label ends in L' = l1..l(m-1) — the
+   states of L''s active subtree — now reaches u on lm, since the
+   longest active suffix of its label·lm is L: a longer one would be an
+   extension x·L, active only after L. No other transition and no
+   prediction node changes. New contexts are patched shallowest first,
+   so L's parent and L' already have states, and u is registered before
+   the sweep because L lies in L''s subtree when it is one repeated
+   symbol (then u reaches itself on lm). The result is the automaton a
+   fresh compile would build, up to the numbering of its states. A
+   crossing whose L' is not active (pruning since the compile took L'
+   and it came back with a lower count) would need a closure state, and
+   then [refresh] refuses, as it does after a significant node was
+   pruned, and the caller recompiles.
+
    The finished tables live in Bigarrays, i.e. off the OCaml heap: the
    GC neither scans nor moves them, a compiled automaton is one flat
    malloc'd block per table, and Par worker domains read them without
@@ -51,42 +73,61 @@
 
 let m_compilations = Obs.Metrics.counter "pst.compilations"
 let m_refreshes = Obs.Metrics.counter "pst.refreshes"
+let m_patches = Obs.Metrics.counter "pst.patches"
 let m_compiled_states = Obs.Metrics.counter "pst.compiled_states"
 let m_table_bytes = Obs.Metrics.counter "pst.compiled_table_bytes"
 let h_compile_seconds = Obs.Metrics.histogram "similarity.compile_seconds"
+let h_refresh_seconds = Obs.Metrics.histogram "similarity.refresh_seconds"
 
 type trans_table = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 type emit_table = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
+(* States [0, n_states) are in use. A compile sizes every table for
+   exactly those; a patch grows them by half, so rows past [n_states]
+   may be spare. *)
 type t = {
   alphabet_size : int;
-  n_states : int;
-  trans : trans_table; (* state * n + sym -> next state *)
-  emit : emit_table; (* state * n + sym -> log P(sym | prediction ctx) *)
-  pred : Pst.node array; (* state -> its prediction node's id (an int) *)
-  pred_total : int array; (* state -> that node's next_total when its row was written *)
+  mutable n_states : int;
+  mutable trans : trans_table; (* state * n + sym -> next state *)
+  mutable emit : emit_table; (* state * n + sym -> log P(sym | prediction ctx) *)
+  mutable pred : Pst.node array; (* state -> its prediction node's id (an int) *)
+  mutable pred_total : int array; (* state -> that node's next_total when its row was written *)
   source : Pst.t; (* the tree compiled *)
-  active_changes : int; (* its Pst.active_changes at compile time *)
+  mutable active_changes : int; (* its Pst.active_changes when last brought current *)
 }
 
 let alphabet_size t = t.alphabet_size
 let n_states t = t.n_states
-let transitions t = t.trans
-let emissions t = t.emit
-let prediction_depth t i = Pst.node_depth t.source t.pred.(i)
-let step t state sym = Bigarray.Array1.get t.trans ((state * t.alphabet_size) + sym)
-let emission t state sym = Bigarray.Array1.get t.emit ((state * t.alphabet_size) + sym)
+let transitions t = Bigarray.Array1.sub t.trans 0 (t.n_states * t.alphabet_size)
+let emissions t = Bigarray.Array1.sub t.emit 0 (t.n_states * t.alphabet_size)
 
-let table_bytes t =
-  (* 8 bytes per cell in both tables (int and float64 elements). *)
-  8 * ((Bigarray.Array1.dim t.trans + Bigarray.Array1.dim t.emit) + Array.length t.pred)
+let check_state t state =
+  if state < 0 || state >= t.n_states then invalid_arg "Psa: state out of range"
+
+let prediction_depth t i =
+  check_state t i;
+  Pst.node_depth t.source t.pred.(i)
+
+let cell t state sym =
+  check_state t state;
+  if sym < 0 || sym >= t.alphabet_size then invalid_arg "Psa: symbol out of range";
+  (state * t.alphabet_size) + sym
+
+let step t state sym = Bigarray.Array1.get t.trans (cell t state sym)
+let emission t state sym = Bigarray.Array1.get t.emit (cell t state sym)
+
+(* 8 bytes per cell of both tables (int and float64 elements) and per
+   entry of the two side arrays, over the states in use. *)
+let table_bytes t = 8 * t.n_states * ((2 * t.alphabet_size) + 2)
 
 (* State [u]'s emission row from its prediction node [nd]: the smoothed
    log-probability of every symbol by the tree's own formula. All
    zero-count symbols share one value, so a row costs one [log] plus one
-   per observed symbol. The only writer of emission rows, for [compile]
-   and [refresh] alike. *)
-let write_row pst emit ~n u nd =
+   per observed symbol. The only writer of emission rows, for [compile],
+   [patch] and [refresh] alike. [emit]'s type is spelled out so the
+   writes compile to direct float64 stores rather than calls to the
+   generic Bigarray primitive with a boxed float. *)
+let write_row pst (emit : emit_table) ~n u nd =
   let total = Pst.next_total pst nd and base = u * n in
   let unseen = Pst.smoothed_log_prob pst ~count:0 ~total in
   for a = 0 to n - 1 do
@@ -95,15 +136,14 @@ let write_row pst emit ~n u nd =
   Pst.iter_next_counts pst nd (fun a count ->
       Bigarray.Array1.set emit (base + a) (Pst.smoothed_log_prob pst ~count ~total))
 
-(* The trie under construction, one per domain. Automata are recompiled
-   whenever a context turns significant, on the submitting domain and
-   inside apply tasks alike; a working array allocated per call would
-   land in the major heap every time, so it is kept and reused. *)
+(* The trie under construction, one per domain. Automata are compiled
+   on the submitting domain and inside apply tasks alike; a working
+   array allocated per call would land in the major heap every time, so
+   it is kept and reused. *)
 let trie_scratch = Domain.DLS.new_key (fun () -> ref [||])
 
-(* Timed by [Metrics.time], not a span: a job compiles about once per
-   absorb that turns a context significant — far too often for the
-   span tree. *)
+(* Timed by [Metrics.time], not a span: clusters compile at creation and
+   whenever a refresh cannot patch — far too often for the span tree. *)
 let compile pst =
   Obs.Metrics.time h_compile_seconds @@ fun () ->
   let cfg = Pst.config pst in
@@ -201,21 +241,134 @@ let compile pst =
   Obs.Metrics.incr ~by:(table_bytes t) m_table_bytes;
   t
 
-let refresh t pst =
-  if pst != t.source || Pst.active_changes pst <> t.active_changes then false
-  else begin
-    let n = t.alphabet_size in
-    Array.iteri
-      (fun u nd ->
-        let total = Pst.next_total pst nd in
-        if total <> t.pred_total.(u) then begin
-          write_row pst t.emit ~n u nd;
-          t.pred_total.(u) <- total
-        end)
-      t.pred;
-    Obs.Metrics.incr m_refreshes;
-    true
+(* Room for [more] states past [n_states]: every table and side array
+   grows by half, so a patched state costs O(|Σ|) amortized. *)
+let reserve t more =
+  let needed = t.n_states + more in
+  if needed > Array.length t.pred then begin
+    let n = t.alphabet_size and cap = max needed (Array.length t.pred * 3 / 2) in
+    let used = t.n_states * n in
+    let grown_table kind old =
+      let table = Bigarray.Array1.create kind Bigarray.c_layout (cap * n) in
+      Bigarray.Array1.blit (Bigarray.Array1.sub old 0 used) (Bigarray.Array1.sub table 0 used);
+      table
+    in
+    let grown a fill =
+      let b = Array.make cap fill in
+      Array.blit a 0 b 0 t.n_states;
+      b
+    in
+    t.trans <- grown_table Bigarray.int t.trans;
+    t.emit <- grown_table Bigarray.float64 t.emit;
+    t.pred <- grown t.pred (Pst.root t.source);
+    t.pred_total <- grown t.pred_total 0
   end
+
+(* Node id -> state for [patch], one per domain like the trie scratch;
+   every entry is -1 between uses. *)
+let state_scratch = Domain.DLS.new_key (fun () -> ref [||])
+
+(* Adds a state for every context that turned active since [t] was last
+   brought current (see the header). Returns [false], touching nothing,
+   when that takes a full compile: a significant node was pruned, [t]
+   has closure states, or a new context's label minus its newest symbol
+   is not active. *)
+let patch t pst =
+  Pst.grew_only pst ~since:t.active_changes
+  &&
+  let sigma = (Pst.config pst).Pst.significance and n = t.alphabet_size in
+  let scratch = Domain.DLS.get state_scratch in
+  let bound = Pst.node_id_bound pst in
+  if Array.length !scratch < bound then
+    scratch := Array.make (max bound (2 * Array.length !scratch)) (-1);
+  let state = !scratch and slot (nd : Pst.node) = (nd :> int) in
+  (* [pred] inverted. A closure state predicts from the node of its
+     longest active suffix, which has a state of its own, so the
+     automaton is closure-free exactly when no node is claimed twice. *)
+  let closure_free = ref true in
+  for u = 0 to t.n_states - 1 do
+    let i = slot t.pred.(u) in
+    if state.(i) >= 0 then closure_free := false else state.(i) <- u
+  done;
+  Fun.protect ~finally:(fun () ->
+      for u = 0 to t.n_states - 1 do
+        state.(slot t.pred.(u)) <- -1
+      done)
+  @@ fun () ->
+  !closure_free
+  &&
+  (* The active nodes without a state, each with its tree parent. *)
+  let fresh = ref [] in
+  let rec walk parent nd =
+    if state.(slot nd) < 0 then fresh := (nd, parent) :: !fresh;
+    Pst.iter_children pst nd (fun _ c -> if Pst.node_count pst c >= sigma then walk nd c)
+  in
+  walk (Pst.root pst) (Pst.root pst);
+  (* Shallowest first, each with L' (its label minus the newest symbol,
+     if that is a node) and the newest symbol. *)
+  let fresh =
+    List.stable_sort
+      (fun (a, _) (b, _) -> Int.compare (Pst.node_depth pst a) (Pst.node_depth pst b))
+      !fresh
+    |> List.map (fun (nd, parent) ->
+           match List.rev (Pst.node_label pst nd) with
+           | newest :: older ->
+               (nd, parent, Pst.find_node pst (Array.of_list (List.rev older)), newest)
+           | [] -> invalid_arg "Psa.patch: the root always has a state")
+  in
+  (* A child never outcounts its parent, so a significant L' is active. *)
+  List.for_all
+    (fun (_, _, prefix, _) ->
+      match prefix with Some p -> Pst.is_significant pst p | None -> false)
+    fresh
+  && begin
+       reserve t (List.length fresh);
+       let trans = t.trans in
+       List.iter
+         (fun (nd, parent, prefix, newest) ->
+           let u = t.n_states and p = state.(slot parent) in
+           t.n_states <- u + 1;
+           t.pred.(u) <- nd;
+           state.(slot nd) <- u;
+           for a = 0 to n - 1 do
+             Bigarray.Array1.set trans ((u * n) + a) (Bigarray.Array1.get trans ((p * n) + a))
+           done;
+           write_row pst t.emit ~n u nd;
+           t.pred_total.(u) <- Pst.next_total pst nd;
+           (* The states of L''s active subtree; a node without a state
+              there is new and deeper than L, and so is all below it. *)
+           let rec sweep nd =
+             let v = state.(slot nd) in
+             if v >= 0 then begin
+               Bigarray.Array1.set trans ((v * n) + newest) u;
+               Pst.iter_children pst nd (fun _ c ->
+                   if Pst.node_count pst c >= sigma then sweep c)
+             end
+           in
+           sweep (Option.get prefix))
+         fresh;
+       if fresh <> [] then Obs.Metrics.incr m_patches;
+       true
+     end
+
+let refresh t pst =
+  pst == t.source
+  && Obs.Metrics.time h_refresh_seconds (fun () ->
+         (Pst.active_changes pst = t.active_changes || patch t pst)
+         && begin
+              t.active_changes <- Pst.active_changes pst;
+              let n = t.alphabet_size in
+              for u = 0 to t.n_states - 1 do
+                let nd = t.pred.(u) in
+                let total = Pst.next_total pst nd in
+                if total <> t.pred_total.(u) then begin
+                  write_row pst t.emit ~n u nd;
+                  t.pred_total.(u) <- total
+                end
+              done;
+              Obs.Metrics.incr m_refreshes;
+              true
+            end)
 
 (* --- batch scoring ---------------------------------------------------- *)
 

@@ -24,8 +24,8 @@
     tree at compile time: any later mutation of the source PST
     (insertion, pruning) makes the automaton stale until it is brought
     up to date — in place by {!refresh} when the mutation only moved
-    counts, by a fresh {!compile} when it changed the set of active
-    contexts (see {!Cluster.compile}).
+    counts or added active contexts, by a fresh {!compile} when it
+    removed one (see {!Cluster.compile}).
 
     Equality contract: for every sequence, scanning the automaton yields
     {e bit-for-bit} the floats of the tree walk (same prediction node per
@@ -33,11 +33,13 @@
     the exact IEEE double written into it; the property tests and the
     fuzz harness enforce exact float equality, not within-epsilon. A
     refreshed automaton is, table for table, the automaton a fresh
-    {!compile} would build. See DESIGN.md §9 and §13. *)
+    {!compile} would build, up to the numbering of its states. See
+    DESIGN.md §9 and §13. *)
 
 type t
-(** A compiled automaton. Its transition structure is immutable; only
-    {!refresh} rewrites its emission rows. *)
+(** A compiled automaton. Only {!refresh} mutates it: it rewrites
+    emission rows and may add states, growing the tables, together
+    with the transitions into the new states. *)
 
 type trans_table = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** Off-heap dense transition table. *)
@@ -50,47 +52,67 @@ val compile : Pst.t -> t
     O(states · |Σ|) time and space. Records the
     [similarity.compile_seconds] histogram and the [pst.compilations] /
     [pst.compiled_states] / [pst.compiled_table_bytes] counters (all
-    atomic, so any domain may compile). The result may be read from any
-    domain. *)
+    atomic, so any domain may compile), which count full compiles only:
+    states a {!refresh} patches in are not. The result may be read from
+    any domain. *)
 
 val refresh : t -> Pst.t -> bool
 (** [refresh t pst] brings [t] up to date with [pst] in place, provided
     [pst] is (physically) the tree [t] was compiled from and its set of
-    active contexts has not changed since ({!Pst.active_changes}
-    unchanged). It then rewrites only the emission rows whose
-    prediction node's next-symbol counts moved, with the row routine
-    {!compile} uses, so every table equals what a fresh compile would
-    build; it bumps the [pst.refreshes] counter once and returns
-    [true]. Otherwise — another tree, a copy included, or a changed
-    active set — it touches nothing and returns [false], and the caller
-    must recompile. Costs O(states), plus O(|Σ|) per rewritten row. [t]
-    must not be scanned while it is refreshed. *)
+    active contexts has at most grown since:
+    - If the set held still ({!Pst.active_changes} unchanged), only
+      counts moved.
+    - If contexts turned active, none was pruned ({!Pst.grew_only}), [t]
+      has no closure states and every new context's label minus its
+      newest symbol is active, [refresh] {e patches} [t]: it adds one
+      state per new context, shallowest first, and redirects the
+      transitions that now reach them (DESIGN.md §9). That walks the
+      active nodes once and, per new state, copies a row and sweeps
+      one subtree; it bumps the [pst.patches] counter once.
+
+    It then rewrites the emission rows whose prediction node's
+    next-symbol counts moved, with the row routine {!compile} uses, so
+    the automaton equals what a fresh compile would build up to the
+    numbering of its states (the new states come last); it bumps the
+    [pst.refreshes] counter once and returns [true]. Otherwise — another
+    tree, a copy included, a pruned significant node, or a new context
+    that would need a closure state — it touches nothing and returns
+    [false], and the caller must recompile. Costs O(states), plus
+    O(|Σ|) per rewritten row; timed into the
+    [similarity.refresh_seconds] histogram. [t] must not be scanned
+    while it is refreshed. *)
 
 val alphabet_size : t -> int
 (** |Σ| of the source tree; symbols fed to the scan must lie in
     [\[0, n)]. *)
 
 val n_states : t -> int
-(** Number of automaton states (reported by the [pst.compiled_states]
-    counter): exactly the active node count for a never-pruned tree;
-    pruning can add closure states for contexts whose own node was
-    removed while a longer extension survived. *)
+(** Number of automaton states (a compile reports it in the
+    [pst.compiled_states] counter): the active node count, plus on a
+    pruned tree the closure states for contexts whose own node was
+    removed while a longer extension survived. A patch adds one state
+    per new active context. *)
 
 val transitions : t -> trans_table
-(** The dense transition table, row-major: entry [state * n + sym] is the
-    state reached after emitting [sym] — the prediction state for the
-    context extended by [sym]. Read-only; exposed for the table-shape
-    tests — scans go through {!score_batch}. *)
+(** The dense transition table over the [n_states] states in use, as a
+    view of the automaton's table (a patched table carries spare rows),
+    row-major: entry [state * n + sym] is the state reached after
+    emitting [sym] — the prediction state for the context extended by
+    [sym]. Read-only; exposed for the table-shape tests — scans go
+    through {!score_batch}. *)
 
 val emissions : t -> emit_table
-(** The precomputed emission table, row-major: entry [state * n + sym] is
+(** The precomputed emission table over the states in use, a view like
+    {!transitions}, row-major: entry [state * n + sym] is
     {!Pst.next_log_prob} of the state's tree node for [sym] — bit-equal
-    to what the tree walk would return. Background subtraction is {e not}
-    folded in, so one automaton stays valid across background-vector
-    refreshes (the streaming mode re-estimates its background). *)
+    to what the tree walk would return. Background subtraction is {e
+    not} folded in, so one automaton stays valid across
+    background-vector refreshes (the streaming mode re-estimates its
+    background). *)
 
 val step : t -> int -> int -> int
-(** [step t state sym] is the bounds-checked single transition
+(** [step t state sym] is the bounds-checked ([Invalid_argument] outside
+    [n_states] or the alphabet) single transition
     [transitions t].{[state * n + sym]} — the convenience read for tests
     and oracles that re-walk the automaton one symbol at a time. *)
 
@@ -106,10 +128,10 @@ val prediction_depth : t -> int -> int
     tracks the tree walk exactly. *)
 
 val table_bytes : t -> int
-(** Total bytes held by the automaton's flat tables (transitions +
-    emissions off-heap, plus one word per state for the small
-    prediction-node side array) — essentially the model data the GC
-    never scans. *)
+(** Bytes the automaton's states in use hold: transitions and emissions
+    off-heap, plus one word per state in each of the two side arrays
+    (prediction node, and its next-symbol total when the row was
+    written). Spare rows a patch left are not counted. *)
 
 (** {1 Batch scoring} *)
 

@@ -45,9 +45,10 @@ type t = {
   log_uniform : float;
   mutable n_nodes : int;
   (* Moves whenever the set of significant non-root nodes may have
-     changed: a count reaching [significance], or pruning detaching a
-     significant node. A compiled automaton stays structurally valid
-     while it holds still (see [Psa.refresh]). *)
+     changed: by one when a count reaches [significance], by
+     [removal_step] when pruning detaches a significant node. A compiled
+     automaton stays structurally valid while it holds still, and can be
+     patched while its removal part does (see [Psa.refresh]). *)
   mutable active_changes : int;
   mutable used : int; (* node slots handed out, released ones included *)
   mutable free_node : int; (* released node slots, chained through [sibling] *)
@@ -129,6 +130,15 @@ let node_depth t n = t.depth.(n)
 let next_total t n = t.next_total.(n)
 let is_significant t n = t.depth.(n) = 0 || t.count.(n) >= t.cfg.significance
 let active_changes t = t.active_changes
+
+(* [active_changes] counts crossings in its low bits and removals above
+   them: a second counter would add a word to every model. Crossings
+   would have to reach 2^31 (on 64-bit) to carry into the removal part,
+   and a carry only reads as a removal, which costs a recompile. *)
+let removal_shift = Sys.int_size / 2
+let removal_step = 1 lsl removal_shift
+let grew_only t ~since = t.active_changes lsr removal_shift = since lsr removal_shift
+let node_id_bound t = t.used
 
 (* ------------------------------------------------------------------ *)
 (* Slot storage                                                        *)
@@ -333,7 +343,8 @@ let detach t n =
   if p >= 0 then begin
     (* Only a significant subtree root can take significant nodes
        with it: a child never outcounts its parent. *)
-    if t.count.(n) >= t.cfg.significance then t.active_changes <- t.active_changes + 1;
+    if t.count.(n) >= t.cfg.significance then
+      t.active_changes <- t.active_changes + removal_step;
     if p = 0 then t.root_child.(t.sym.(n)) <- none;
     if t.child.(p) = n then t.child.(p) <- t.sibling.(n)
     else begin

@@ -89,9 +89,20 @@ val active_changes : t -> int
     (nodes whose whole root path is significant) may have changed: a
     non-root node's count reaching [significance] during
     {!insert_segment}, or pruning detaching a node whose count is at
-    least [significance]. While it holds still, only counts have
-    changed — the structure a compiled automaton is built from is
-    intact, so {!Psa.refresh} may rewrite its rows in place. *)
+    least [significance] (see {!grew_only}). While it holds still, only
+    counts have changed — the structure a compiled automaton is built
+    from is intact, so {!Psa.refresh} may rewrite its rows in place. *)
+
+val grew_only : t -> since:int -> bool
+(** [grew_only t ~since:c], for a value [c] that {!active_changes}
+    returned earlier, is [true] when pruning has detached no significant
+    node since: the active set can only have gained contexts, which
+    {!Psa.refresh} follows by adding states. *)
+
+val node_id_bound : t -> int
+(** An exclusive upper bound on the ids of the tree's nodes: every
+    [node] obtained from the tree, cast to [int], lies in
+    [\[0, node_id_bound t)]. Sizes arrays indexed by node id. *)
 
 val prediction_node : t -> Sequence.t -> lo:int -> pos:int -> node
 (** [prediction_node t s ~lo ~pos] is the prediction node for the context
@@ -120,8 +131,9 @@ val log_prob : t -> Sequence.t -> lo:int -> pos:int -> float
 
 val find_node : t -> Sequence.t -> node option
 (** [find_node t label] locates the node with exactly this label (walking
-    without the significance restriction); intended for tests and
-    inspection. *)
+    without the significance restriction); for tests, inspection, and
+    {!Psa.refresh}'s patch, which looks up a new context's label minus
+    its newest symbol. *)
 
 val next_count : t -> node -> int -> int
 (** [next_count t node sym] is the raw count {m C(label\,sym)}. *)

@@ -43,10 +43,10 @@ let test_cluster_similarity_prefers_own_style () =
   Alcotest.(check bool) "own style wins" true (like.log_sim > unlike.log_sim)
 
 (* The cluster's automaton follows its tree across absorbs — refreshed
-   in place, or recompiled once a context turns significant — so every
-   score after an absorb equals the tree walk on the grown model. The
-   read-only batch path refuses the automaton an absorb left stale, and
-   the compile that ends the pass makes it current again. *)
+   in place, with states patched in once a context turns significant —
+   so every score after an absorb equals the tree walk on the grown
+   model. The read-only batch path refuses the automaton an absorb left
+   stale, and the compile that ends the pass makes it current again. *)
 let test_cluster_scores_follow_absorbs () =
   let lbg = Array.make 26 (log (1.0 /. 26.0)) in
   let cl = Cluster.create ~id:0 ~capacity:10 pst_cfg (Sequence.of_string alpha "abcd") in

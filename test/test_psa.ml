@@ -111,18 +111,38 @@ let test_refresh_lifecycle () =
   Pst.insert_segment pst (seq_of "dd") ~lo:0 ~hi:1;
   Alcotest.(check bool) "refreshed in place" true (Psa.refresh psa pst);
   tables_equal_fresh "refreshed = fresh compile" pst psa;
-  (* 'a' reaches the significance count: the active set grew, so the
-     refresh refuses and leaves the automaton as it was. *)
-  let before = Psa.emission psa 0 0 in
+  (* 'a' reaches the significance count: the active set grew, and the
+     refresh patches a state in for it. *)
   Pst.insert_segment pst (seq_of "a") ~lo:0 ~hi:0;
-  Alcotest.(check bool) "refused after a crossing" false (Psa.refresh psa pst);
-  Alcotest.(check (float 0.0)) "untouched when refused" before (Psa.emission psa 0 0);
-  let psa = Psa.compile pst in
-  Alcotest.(check int) "recompile adds the context" 2 (Psa.n_states psa);
+  Alcotest.(check bool) "patched after a crossing" true (Psa.refresh psa pst);
+  Alcotest.(check int) "the patch adds the context" 2 (Psa.n_states psa);
+  tables_equal_fresh "patched = fresh compile" pst psa;
   Alcotest.(check bool) "refused against a copy" false (Psa.refresh psa (Pst.copy pst));
-  (* Pruning that removes a significant node changes the active set too. *)
+  (* Pruning that removes a significant node shrinks the active set,
+     which only a recompile follows: the refresh leaves the automaton
+     as it was. *)
+  let before = Psa.emission psa 1 0 in
   Pst.prune_to pst 1;
-  Alcotest.(check bool) "refused after pruning a significant node" false (Psa.refresh psa pst)
+  Alcotest.(check bool) "refused after pruning a significant node" false (Psa.refresh psa pst);
+  Alcotest.(check int) "states untouched when refused" 2 (Psa.n_states psa);
+  Alcotest.(check (float 0.0)) "rows untouched when refused" before (Psa.emission psa 1 0)
+
+(* One repeated symbol, inserted as ever longer prefixes of "aaaaaaaa"
+   under c = 2: a, aa, aaa, ... cross one insertion at a time. Each new
+   context's parent is its label minus the newest symbol, and the
+   context lies in that node's subtree, so its state must reach itself
+   on 'a' — the case that needs the state registered before the
+   transitions into it are swept. *)
+let test_patch_repeated_symbol () =
+  let pst = build_pst ~significance:2 [] in
+  let psa = Psa.compile pst in
+  let s = seq_of "aaaaaaaa" in
+  for hi = 0 to Array.length s - 1 do
+    Pst.insert_segment pst s ~lo:0 ~hi;
+    Alcotest.(check bool) "patched" true (Psa.refresh psa pst);
+    Alcotest.(check int) "one new context per insertion" (hi + 1) (Psa.n_states psa);
+    tables_equal_fresh (Printf.sprintf "prefix %d: patched = fresh compile" hi) pst psa
+  done
 
 (* --- properties: exact equality with the tree walk --- *)
 
@@ -173,13 +193,19 @@ let batch_prop name ?p_min ?significance ?(last = 'd') ?(prune = false) () =
       exact_batch_match pst probes)
 
 (* A stream of segments inserted into a tree with a small significance
-   count and a node budget that forces pruning, one automaton kept
-   current by refresh-or-recompile — the cluster lifecycle. After every
-   insertion it must equal a fresh compile table for table and score
-   each probe exactly like the tree walk (X_i profile, log-similarity,
-   segment bounds, prediction depth per position). *)
-let maintained_prop name ~p_min =
+   count, one automaton kept current by refresh-or-recompile — the
+   cluster lifecycle. After every insertion it must equal a fresh
+   compile (up to state numbering) and score each probe exactly like
+   the tree walk (X_i profile, log-similarity, segment bounds,
+   prediction depth per position), and [pst.patches] must have counted
+   the refresh if, and only if, it added states. [~pruned:true] sets a
+   node budget that forces pruning, so refreshes refuse and recompiles
+   happen. Under [~pruned:false] the budget is never reached, and then
+   every crossing must be patched: the refresh never refuses. *)
+let maintained_prop name ~p_min ~pruned =
+  let max_nodes = if pruned then 40 else 100_000 in
   let segment = QCheck.(triple (make (QCheck.gen (seq_gen ~max_len:20 ()))) small_nat small_nat) in
+  let patches = Obs.Metrics.counter "pst.patches" in
   QCheck.Test.make ~name ~count:150
     QCheck.(
       triple
@@ -187,7 +213,11 @@ let maintained_prop name ~p_min =
         (texts_gen ~min_seqs:1 ~max_seqs:3 ())
         (oneofl Pruning.[ Smallest_count_first; Longest_label_first; Expected_vector_first ]))
     (fun (stream, probes, pruning) ->
-      let pst = build_pst ~p_min ~significance:2 ~max_nodes:40 ~pruning [] in
+      let metrics_were_on = Obs.Metrics.is_enabled () in
+      Obs.Metrics.enable ();
+      Fun.protect ~finally:(fun () -> if not metrics_were_on then Obs.Metrics.disable ())
+      @@ fun () ->
+      let pst = build_pst ~p_min ~significance:2 ~max_nodes ~pruning [] in
       let probes = Array.of_list (List.map seq_of probes) in
       let psa = ref (Psa.compile pst) in
       List.for_all
@@ -196,16 +226,26 @@ let maintained_prop name ~p_min =
           let l = Array.length s in
           let lo = a mod l in
           Pst.insert_segment pst s ~lo ~hi:(lo + (b mod (l - lo)));
-          if not (Psa.refresh !psa pst) then psa := Psa.compile pst;
-          Check.psa_tables_match ~fresh:(Psa.compile pst) !psa = []
+          let states = Psa.n_states !psa and counted = Obs.Metrics.counter_value patches in
+          let refreshed = Psa.refresh !psa pst in
+          let patched = refreshed && Psa.n_states !psa > states in
+          if not refreshed then psa := Psa.compile pst;
+          (refreshed || pruned)
+          && Obs.Metrics.counter_value patches - counted = Bool.to_int patched
+          && Check.psa_tables_match ~fresh:(Psa.compile pst) !psa = []
           && Check.psa_scoring_matches ~psa:!psa pst ~log_background:uniform_lbg probes = [])
         stream)
 
 let qcheck_tests =
   [
-    QCheck_alcotest.to_alcotest (maintained_prop "maintained psa = fresh = tree walk" ~p_min:0.0);
     QCheck_alcotest.to_alcotest
-      (maintained_prop "maintained psa = fresh = tree walk (p_min = 0.01)" ~p_min:0.01);
+      (maintained_prop "maintained psa = fresh = tree walk" ~p_min:0.0 ~pruned:true);
+    QCheck_alcotest.to_alcotest
+      (maintained_prop "maintained psa = fresh = tree walk (p_min = 0.01)" ~p_min:0.01
+         ~pruned:true);
+    QCheck_alcotest.to_alcotest
+      (maintained_prop "maintained psa = fresh = tree walk (never pruned, all patched)"
+         ~p_min:0.0 ~pruned:false);
     QCheck_alcotest.to_alcotest (prop "psa = tree walk (p_min = 0)" ~p_min:0.0 ());
     QCheck_alcotest.to_alcotest (prop "psa = tree walk (p_min = 0.02)" ~p_min:0.02 ());
     QCheck_alcotest.to_alcotest
@@ -253,6 +293,7 @@ let () =
           Alcotest.test_case "validate_log_background" `Quick test_validate_log_background;
           Alcotest.test_case "batch block shapes" `Quick test_batch_shapes;
           Alcotest.test_case "refresh lifecycle" `Quick test_refresh_lifecycle;
+          Alcotest.test_case "patch a repeated symbol" `Quick test_patch_repeated_symbol;
         ] );
       ("property", qcheck_tests);
     ]
