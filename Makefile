@@ -4,7 +4,7 @@
 # as dash has no `time` builtin and may lack /usr/bin/time).
 SHELL := /bin/bash
 
-.PHONY: all build test bench bench-smoke trace-smoke shard-smoke suite-smoke exit-smoke check fuzz coverage fmt fmt-check clean
+.PHONY: all build test bench bench-smoke trace-smoke shard-smoke suite-smoke exit-smoke examples-smoke check fuzz coverage fmt fmt-check clean
 
 all: build
 
@@ -159,12 +159,25 @@ exit-smoke: build
 	[ $$fail -eq 0 ] || exit 1; \
 	echo "exit-smoke: OK"
 
+# Examples smoke gate: run every program under examples/ (a few
+# seconds together) and require exit 0. `dune build` only compiles
+# them; this catches an example that raises or fails when run.
+examples-smoke: build
+	@fail=0; \
+	for src in examples/*.ml; do \
+	  ex=$$(basename $$src .ml); \
+	  dune exec examples/$$ex.exe >/dev/null 2>&1 \
+	    || { echo "examples-smoke: examples/$$ex.exe exited $$?"; fail=1; }; \
+	done; \
+	[ $$fail -eq 0 ] || exit 1; \
+	echo "examples-smoke: OK"
+
 # Full gate: build, unit tests, the fuzz sweep, the formatting check,
 # the CLI metrics smoke run (generate -> cluster --metrics -> grep),
 # the perf regression smoke gate, the flight-recorder trace smoke
-# gate, the shard-and-merge smoke gate, the benchmark suite smoke, and
-# the CLI error-path smoke.
-check: build test fuzz fmt-check bench-smoke trace-smoke shard-smoke suite-smoke exit-smoke
+# gate, the shard-and-merge smoke gate, the benchmark suite smoke, the
+# CLI error-path smoke, and a run of every example program.
+check: build test fuzz fmt-check bench-smoke trace-smoke shard-smoke suite-smoke exit-smoke examples-smoke
 	@tmp=$$(mktemp -d); \
 	dune exec bin/cluseq_cli.exe -- generate --kind synthetic --num 60 --len 60 \
 	  --clusters 3 -o $$tmp/smoke.tsv >/dev/null; \

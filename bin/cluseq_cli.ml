@@ -633,7 +633,9 @@ let explain_cmd =
                  final consolidation may have dismissed: take the final
                  model that scores the sequence highest. *)
               let pick acc (id, pst) =
-                let v = (Similarity.score pst ~log_background:lbg s).log_sim in
+                let v =
+                  (Similarity.score_psa (Psa.compile pst) ~log_background:lbg s).log_sim
+                in
                 match acc with Some (best, _) when best >= v -> acc | _ -> Some (v, id)
               in
               match Array.fold_left pick None result.models with

@@ -48,19 +48,17 @@ let () =
 
   (* Show the similarity margin for a few sequences of each kind. *)
   let lbg = Seq_database.log_background data.db in
+  let pst_config = { (Pst.default_config ~alphabet_size:26) with significance = 8 } in
   let clusters =
     Array.map
       (fun (id, members) ->
-        let pst =
-          Pst.create { (Pst.default_config ~alphabet_size:26) with significance = 8 }
-        in
-        Array.iter (fun i -> Pst.insert_sequence pst (Seq_database.get data.db i)) members;
-        (id, pst))
+        let seqs = Array.map (Seq_database.get data.db) members in
+        Cluster.create ~id ~capacity:0 pst_config seqs)
       result.clusters
   in
   let best_logsim s =
     Array.fold_left
-      (fun acc (_, pst) -> Float.max acc (Similarity.score pst ~log_background:lbg s).log_sim)
+      (fun acc cl -> Float.max acc (Cluster.similarity cl ~log_background:lbg s).log_sim)
       neg_infinity clusters
   in
   Format.printf "@.sample similarity margins (log SIM of best cluster):@.";

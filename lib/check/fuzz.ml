@@ -64,8 +64,8 @@ let dedup msgs =
       end)
     msgs
 
-let run_case case =
-  let errs = ref [] in
+(* Every oracle over one case; [stage] names the check under way. *)
+let run_checks case ~errs ~stage =
   let err fmt = Printf.ksprintf (fun m -> errs := m :: !errs) fmt in
   let add_all prefix = List.iter (fun m -> err "%s: %s" prefix m) in
   let cfg = case.cluseq_cfg in
@@ -76,6 +76,7 @@ let run_case case =
   let n = Seq_database.n_sequences db in
   let lbg = Seq_database.log_background db in
   (* --- 1. PST vs brute-force reference on an identical history --- *)
+  stage := "pst-diff";
   let pcfg : Pst.config =
     {
       alphabet_size = case.alphabet_size;
@@ -116,6 +117,7 @@ let run_case case =
   Pst.prune_to pruned (max 1 (Pst.n_nodes pruned / 2));
   add_all "post-prune invariants" (Check.pst_invariants pruned);
   (* --- 2. Kadane scan vs O(l²) reference --- *)
+  stage := "similarity";
   Array.iter
     (fun s ->
       let fast = Similarity.score pst ~log_background:lbg s in
@@ -125,6 +127,7 @@ let run_case case =
     case.probes;
   (* Compiled-automaton scan vs tree walk — exact equality, on both the
      unpruned tree and the pruned copy (pruning reshapes the active set). *)
+  stage := "psa";
   add_all "psa" (Check.psa_scoring_matches pst ~log_background:lbg case.probes);
   add_all "psa-pruned" (Check.psa_scoring_matches pruned ~log_background:lbg case.probes);
   (* Whole blocks vs one-lane blocks (check #6): one automaton over a
@@ -134,6 +137,7 @@ let run_case case =
      training sequences), a small block (probes), the empty block, a
      block of one, and a block containing an empty sequence — all
      through one shared scratch so cross-block reuse is exercised. *)
+  stage := "batch";
   let batch_blocks =
     [
       case.seqs;
@@ -150,6 +154,7 @@ let run_case case =
      built over the whole set exactly — structure, counts, and the scores
      derived from them (the shard-and-merge contract, DESIGN.md §14).
      Holds because max_nodes is far above these workloads: no pruning. *)
+  stage := "merge";
   let half = Array.length case.seqs / 2 in
   let build_half lo hi =
     let t = Pst.create pcfg in
@@ -177,6 +182,7 @@ let run_case case =
      never refuse. After every insertion each automaton must equal a
      fresh compile up to state numbering and score every probe exactly
      like the tree walk. *)
+  stage := "psa-maintained";
   let live = Pst.create { pcfg with max_nodes = max 2 (Pst.n_nodes pst / 3) } in
   let growing = Pst.create pcfg in
   let maintained =
@@ -212,6 +218,7 @@ let run_case case =
      full tree, its pruned copy, the merge, and the budget-bound tree
      whose pruning leaves contexts to the prediction fallback — must
      measure bit for bit like the tree walk, in both orders. *)
+  stage := "divergence";
   let trees = [ ("pst", pst); ("pruned", pruned); ("merged", merged); ("live", live) ] in
   List.iteri
     (fun i (na, a) ->
@@ -221,6 +228,7 @@ let run_case case =
         trees)
     trees;
   (* --- 3. audited clustering at 1 vs 4 domains --- *)
+  stage := "audited clustering";
   let saved = Par.default_domains () in
   (* Metrics on, so the [pst.nodes_pruned] counter below counts. *)
   let metrics_were_on = Obs.Metrics.is_enabled () in
@@ -300,6 +308,7 @@ let run_case case =
         | _ -> ()
       end;
       (* --- 4. classification at 1 vs 4 domains --- *)
+      stage := "classify";
       if r1.n_clusters > 0 && Array.length case.probes > 0 then begin
         let probes_db = Seq_database.create alphabet case.probes in
         let clf = Classifier.of_result r1 db in
@@ -318,10 +327,19 @@ let run_case case =
   (* The auditor is still installed, so both runs are replayed pass by
      pass as well; a {!Check.Violation} there is reported like the
      audited runs' above. *)
+  stage := "cache";
   Par.set_default_domains 1;
-  (match Check.cache_agrees ~config:cfg db with
+  match Check.cache_agrees ~config:cfg db with
   | msgs -> add_all "cache" msgs
-  | exception Check.Violation msgs -> add_all "cache auditor" msgs);
+  | exception Check.Violation msgs -> add_all "cache auditor" msgs
+
+(* An exception is its check's failure, so the sweep still shrinks the
+   case and prints a replay seed. *)
+let run_case case =
+  let errs = ref [] and stage = ref "setup" in
+  (try run_checks case ~errs ~stage with
+  | (Out_of_memory | Sys.Break) as e -> raise e
+  | e -> errs := Printf.sprintf "%s: raised %s" !stage (Printexc.to_string e) :: !errs);
   dedup (List.rev !errs)
 
 let drop_at arr i =

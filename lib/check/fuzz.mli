@@ -68,7 +68,8 @@ val run_case : case -> string list
     mismatch messages. Temporarily installs the {!Check} auditor and
     switches the default domain count; both are restored on exit. A
     {!Check.Violation} the auditor raises is caught and reported among
-    the messages. *)
+    the messages; any other exception but [Out_of_memory] and
+    [Sys.Break] ends the case with a message naming the check and it. *)
 
 val shrink : case -> still_fails:(case -> bool) -> case
 (** Greedy, budget-capped minimization: repeatedly drop a sequence or

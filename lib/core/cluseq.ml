@@ -289,7 +289,7 @@ let generate_new_clusters cfg db rng ~iter ~next_id ~clusters ~unclustered ~k_n 
         let cl =
           Cluster.create ~id:!id ~born:iter ~capacity:(Seq_database.n_sequences db)
             (pst_config cfg ~alphabet_size:(Alphabet.size (Seq_database.alphabet db)))
-            seed_seq
+            [| seed_seq |]
         in
         if jrn then
           Obs.Journal.emit "cluster.seeded" (fun () ->
@@ -467,13 +467,14 @@ let apply_column db ~log_background ~log_t ~order ~prev scores cl =
          re-inserting stable members every iteration would inflate
          counts without information, making member similarities (and
          then the threshold valley) grow without bound. *)
-      if r.log_sim >= log_t then
-        if Bitset.mem prev sid then Cluster.add_member cl sid
-        else begin
-          Cluster.absorb cl ~seq_id:sid (Seq_database.get db sid) r;
+      if r.log_sim >= log_t then begin
+        Cluster.add_member cl sid;
+        if not (Bitset.mem prev sid) then begin
+          Cluster.absorb cl (Seq_database.get db sid) r;
           dirty := true;
           incr fresh_joins
-        end)
+        end
+      end)
     order;
   (* A cluster that stayed clean still has the model its column was
      scored against, so the next pass can reuse [results]. A dirty

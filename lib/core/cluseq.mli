@@ -66,6 +66,10 @@ val default_config : config
     on, fixed order, [sample_factor = 5], [max_iterations = 50],
     [seed = 42]. *)
 
+val pst_config : config -> alphabet_size:int -> Pst.config
+(** The PST configuration of every cluster a run builds, with [p_min]
+    capped below the [1 / alphabet_size] that {!Pst.create} rejects. *)
+
 type recluster_snapshot = {
   snap_db : Seq_database.t;  (** The database being clustered. *)
   snap_log_t : float;  (** The log threshold the pass joined against. *)

@@ -23,9 +23,9 @@ type t = {
 
 let m_absorbs = Obs.Metrics.counter "cluster.absorbs"
 
-let create ~id ?(born = 0) ~capacity cfg seed =
+let create ~id ?(born = 0) ~capacity cfg seeds =
   let pst = Pst.create cfg in
-  Pst.insert_sequence pst seed;
+  Array.iter (Pst.insert_sequence pst) seeds;
   {
     id;
     born;
@@ -98,9 +98,8 @@ let similarity_batch t ~log_background ~batch seqs =
   if t.stale then invalid_arg "Cluster.similarity_batch: stale automaton; compile first";
   Similarity.score_batch t.compiled ~log_background ~batch seqs
 
-let absorb t ~seq_id s (r : Similarity.result) =
+let absorb t s (r : Similarity.result) =
   Obs.Metrics.incr m_absorbs;
-  add_member t seq_id;
   if r.seg_lo >= 0 && r.seg_hi >= r.seg_lo then begin
     Pst.insert_segment t.pst s ~lo:r.seg_lo ~hi:r.seg_hi;
     (* The tree changed (insertion, possibly pruning): the automaton is

@@ -4,14 +4,14 @@
 type t
 (** A mutable cluster. *)
 
-val create : id:int -> ?born:int -> capacity:int -> Pst.config -> Sequence.t -> t
-(** [create ~id ~capacity cfg seed] is a fresh cluster initialized from one
-    seed sequence (paper Sec. 4.1): its PST is built from the seed and
-    compiled into the cluster's scoring automaton, and the seed is not
-    yet recorded as a member (membership is decided by the reclustering
-    pass). [capacity] is the database size, fixing the member bitset
-    width. [born] (default 0) records the iteration that seeded the
-    cluster, for the drift telemetry's age histogram. *)
+val create : id:int -> ?born:int -> capacity:int -> Pst.config -> Sequence.t array -> t
+(** [create ~id ~capacity cfg seeds] is a fresh cluster whose PST holds
+    the [seeds], each inserted whole and in order, compiled once into its
+    scoring automaton: batch CLUSEQ's one seed (paper Sec. 4.1), or a
+    mining run's members for {!Online}. No seed becomes a member.
+    [capacity] fixes the member bitset width: the database size, or 0
+    for a caller that records no ids. [born] (default 0) records the
+    seeding iteration, for the drift telemetry's age histogram. *)
 
 val id : t -> int
 (** Stable identifier assigned at creation. *)
@@ -84,9 +84,9 @@ val similarity : t -> log_background:float array -> Sequence.t -> Similarity.res
 (** {!Similarity.score} against this cluster's PST, computed on its
     compiled automaton ({!Similarity.score_psa}, bit-for-bit equal to
     the tree walk). An automaton left stale by {!absorb} is first
-    refreshed, patched or recompiled, exactly as {!compile} would, so
-    only the task that owns the cluster may call this after an absorb;
-    after {!compile} it only reads. *)
+    brought current as by {!compile}, minus its journal record, so only
+    the task that owns the cluster may call this after an absorb; after
+    {!compile} it only reads. *)
 
 val similarity_batch :
   t ->
@@ -102,10 +102,10 @@ val similarity_batch :
     call {!compile} before every fan-out. [batch] is the caller's
     reusable scratch (one per worker domain). *)
 
-val absorb : t -> seq_id:int -> Sequence.t -> Similarity.result -> unit
-(** [absorb t ~seq_id s r] adds [seq_id] as a member and inserts the
-    maximizing segment [r.seg_lo .. r.seg_hi] of [s] into the PST
-    (paper Sec. 4.2/4.4: only the best segment updates the tree). The
+val absorb : t -> Sequence.t -> Similarity.result -> unit
+(** [absorb t s r] inserts the maximizing segment [r.seg_lo .. r.seg_hi]
+    of [s] into the PST (paper Sec. 4.2/4.4: only the best segment
+    updates the tree); membership is the caller's ({!add_member}). The
     automaton is kept but marked stale — the next {!similarity} or
     {!compile} brings it up to date — while the score cache and the
     divergence {!profile} are dropped. *)

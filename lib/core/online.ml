@@ -8,18 +8,6 @@ let m_mined_clusters = Obs.Metrics.counter "online.mined_clusters"
 let m_dropped_outliers = Obs.Metrics.counter "online.dropped_outliers"
 let h_mine = Obs.Metrics.histogram "online.mine_seconds"
 
-type live_cluster = {
-  id : int;
-  pst : Pst.t;
-  mutable absorbed : int;
-  (* Automaton for the current tree, [None] while stale. Emissions do not
-     fold in the background, so a cached automaton survives the lazy
-     background rebuilds; only tree mutation (feed absorption) drops it.
-     Rebuilt at mine time and on [classify] — not inside [feed], where a
-     joining stream would force a recompile per absorbed sequence. *)
-  mutable compiled : Psa.t option;
-}
-
 type stats = {
   fed : int;
   assigned : int;
@@ -34,7 +22,7 @@ type t = {
   alphabet_size : int;
   buffer_capacity : int;
   mine_at : int;
-  mutable clusters : live_cluster list; (* ascending id *)
+  mutable clusters : (Cluster.t * int ref) list; (* ascending id; absorbed count *)
   mutable next_id : int;
   buffer : Sequence.t Queue.t;
   symbol_counts : int array;
@@ -93,20 +81,11 @@ let observe_symbols t s =
   t.total_symbols <- t.total_symbols + Array.length s;
   t.background_stale <- true
 
-let refresh_compiled cl =
-  if Option.is_none cl.compiled then cl.compiled <- Some (Psa.compile cl.pst)
-
+(* [Cluster.similarity] brings a stale automaton current; emissions do
+   not fold in the background, so its lazy rebuilds never stale one. *)
 let score_against t s =
   let lbg = background t in
-  List.map
-    (fun cl ->
-      let r =
-        match cl.compiled with
-        | Some psa -> Similarity.score_psa psa ~log_background:lbg s
-        | None -> Similarity.score cl.pst ~log_background:lbg s
-      in
-      (cl, r))
-    t.clusters
+  List.map (fun ((cl, _) as c) -> (c, Cluster.similarity cl ~log_background:lbg s)) t.clusters
 
 (* Mining: run batch CLUSEQ over the buffered sequences; each discovered
    cluster becomes a live cluster, and its members leave the buffer. *)
@@ -124,33 +103,19 @@ let mine t =
     let result = Cluseq.run ~config:t.config db in
     let taken = Array.make (Array.length pending) false in
     let fresh = ref 0 in
+    let cfg = Cluseq.pst_config t.config ~alphabet_size:t.alphabet_size in
     Array.iter
       (fun (_, members) ->
         if Array.length members > 0 then begin
-          let pst =
-            Pst.create
-              {
-                Pst.alphabet_size = t.alphabet_size;
-                max_depth = t.config.Cluseq.max_depth;
-                significance = t.config.Cluseq.significance;
-                max_nodes = t.config.Cluseq.max_nodes;
-                p_min =
-                  Float.min t.config.Cluseq.p_min (0.99 /. float_of_int t.alphabet_size);
-                pruning = t.config.Cluseq.pruning;
-              }
+          Array.iter (fun i -> taken.(i) <- true) members;
+          let cl =
+            Cluster.create ~id:t.next_id ~capacity:0 cfg (Array.map (Array.get pending) members)
           in
-          Array.iter
-            (fun i ->
-              Pst.insert_sequence pst pending.(i);
-              taken.(i) <- true)
-            members;
-          let cl = { id = t.next_id; pst; absorbed = Array.length members; compiled = None } in
-          refresh_compiled cl;
-          t.clusters <- t.clusters @ [ cl ];
+          t.clusters <- t.clusters @ [ (cl, ref (Array.length members)) ];
           if Obs.Journal.is_enabled () then
             Obs.Journal.emit "online.mined" (fun () ->
                 [
-                  ("cluster", Bench_json.Num (float_of_int cl.id));
+                  ("cluster", Bench_json.Num (float_of_int (Cluster.id cl)));
                   ("members", Bench_json.Num (float_of_int (Array.length members)));
                 ]);
           t.next_id <- t.next_id + 1;
@@ -196,23 +161,12 @@ let feed t s =
          best. *)
       let best = ref None in
       List.iter
-        (fun (cl, (r : Similarity.result)) ->
-          cl.absorbed <- cl.absorbed + 1;
-          if r.seg_lo >= 0 && r.seg_hi >= r.seg_lo then begin
-            Pst.insert_segment cl.pst s ~lo:r.seg_lo ~hi:r.seg_hi;
-            (* Dropped, not kept current as [Cluster] keeps its automaton
-               (Psa.refresh, which patches in the contexts that turn
-               significant): a feed scores each cluster once, so no later
-               score in the same feed would repay the upkeep. Measured on
-               the online-stream benchmark before crossings were patched,
-               recompiling at every crossing took feed latency from
-               0.54-0.64 ms to 0.94-0.96 ms, and refreshing until the
-               first crossing gained nothing. *)
-            cl.compiled <- None
-          end;
+        (fun ((cl, absorbed), (r : Similarity.result)) ->
+          incr absorbed;
+          Cluster.absorb cl s r;
           match !best with
           | Some (_, b) when b >= r.log_sim -> ()
-          | _ -> best := Some (cl.id, r.log_sim))
+          | _ -> best := Some (Cluster.id cl, r.log_sim))
         joined;
       (match (!best, Obs.Journal.is_enabled ()) with
       | Some (id, score), true ->
@@ -227,19 +181,16 @@ let feed t s =
       Option.map fst !best
 
 let classify t s =
-  (* Query path: worth an automaton per cluster (classify is typically
-     called many times between mutations; feed keeps whatever is fresh). *)
-  List.iter refresh_compiled t.clusters;
   match score_against t s with
   | [] -> None
   | scored ->
-      let cl, (r : Similarity.result) =
+      let (cl, _), (r : Similarity.result) =
         List.fold_left
           (fun ((_, (ra : Similarity.result)) as a) ((_, rb) as b) ->
             if rb.Similarity.log_sim > ra.log_sim then b else a)
           (List.hd scored) (List.tl scored)
       in
-      if r.log_sim >= log_t t then Some (cl.id, r.log_sim) else None
+      if r.log_sim >= log_t t then Some (Cluster.id cl, r.log_sim) else None
 
 let stats t =
   {
@@ -251,4 +202,4 @@ let stats t =
     n_clusters = List.length t.clusters;
   }
 
-let cluster_sizes t = List.map (fun cl -> (cl.id, cl.absorbed)) t.clusters
+let cluster_sizes t = List.map (fun (cl, absorbed) -> (Cluster.id cl, !absorbed)) t.clusters

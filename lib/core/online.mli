@@ -8,14 +8,16 @@
     - each arriving sequence is scored against the current cluster models
       (the paper's similarity measure) and {e absorbed} into every cluster
       it clears the threshold for (best-segment PST update, Sec. 4.4);
+      the models are {!Cluster.t}s, whose automata the next score brings
+      current after an absorb;
     - sequences matching nothing are {e buffered}; when the buffer fills,
       a batch CLUSEQ run mines it for new clusters, which join the live
       model set;
     - the background distribution is maintained incrementally over all
       symbols seen;
-    - memory stays bounded: per-cluster PSTs by their node budget, the
-      buffer by [buffer_capacity] (oldest unmatched sequences are dropped
-      and counted as outliers).
+    - memory stays bounded: per-cluster PSTs by their node budget (no
+      member ids are kept), the buffer by [buffer_capacity] (oldest
+      unmatched sequences are dropped and counted as outliers).
 
     When {!Obs.Journal} is enabled the stream's decisions are journaled
     as [online.assigned] (best cluster + deciding score),
@@ -66,7 +68,8 @@ val mine : t -> int
 
 val classify : t -> Sequence.t -> (int * float) option
 (** [classify t s] is the best (cluster, log-similarity) if it clears the
-    threshold — read-only, no state update. *)
+    threshold. It may bring cluster automata current, but changes no
+    observable state (the refresh metrics aside). *)
 
 val stats : t -> stats
 (** Current counters. *)

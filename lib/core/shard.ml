@@ -432,6 +432,23 @@ let run ?(config = Cluseq.default_config) ?(shards = 1) db =
     in
     Obs.Metrics.set (Obs.Metrics.gauge "cluseq.pst.nodes") (float_of_int nodes);
     Obs.Metrics.set (Obs.Metrics.gauge "cluseq.pst.est_words") (float_of_int words);
+    (* The scan gauge likewise, over the shards' last-iteration censuses
+       summed. *)
+    let lasts =
+      Array.to_list sub_results
+      |> List.concat_map (fun (r : Cluseq.result) ->
+             match List.rev r.history with [] -> [] | last :: _ -> [ last.Cluseq.census ])
+    in
+    let sum f = List.fold_left (fun acc c -> acc + f c) 0 lasts in
+    if lasts <> [] then
+      Obs.Metrics.set
+        (Obs.Metrics.gauge "cluseq.scan.wasted_pair_ratio")
+        (Cluseq.wasted_pair_ratio
+           {
+             (List.hd lasts) with
+             pairs_scored = sum (fun c -> c.pairs_scored);
+             pairs_joined = sum (fun c -> c.pairs_joined);
+           });
     Log.info (fun m ->
         m "merged %d shard clusters into %d (threshold %.3g, %d rescored)" (Array.length gs)
           (Array.length final) default_merge_divergence

@@ -22,9 +22,11 @@ type result = {
 
 val score : Pst.t -> log_background:float array -> Sequence.t -> result
 (** [score pst ~log_background s] evaluates {m SIM} of [s] against the
-    cluster modeled by [pst]. [log_background] is the database-wide
-    {m \log p(s)} vector ({!Seq_database.log_background}). O(l · L) where
-    L is the PST's max context depth. *)
+    cluster modeled by [pst] by the tree walk: the reference the oracles
+    hold every automaton scan to, with no production caller.
+    [log_background] is the database-wide {m \log p(s)} vector
+    ({!Seq_database.log_background}). O(l · L) where L is the PST's max
+    context depth. *)
 
 val score_psa : Psa.t -> log_background:float array -> Sequence.t -> result
 (** [score_psa psa ~log_background s]: the same measure over a compiled
@@ -93,13 +95,13 @@ val validate_log_background : float array -> unit
 
 val score_brute : Pst.t -> log_background:float array -> Sequence.t -> result
 (** Reference implementation: explicitly maximizes over all O(l²) segments.
-    Exposed for property tests; do not use on long sequences. *)
+    Exposed for property tests and the fuzz harness; do not use on long
+    sequences. *)
 
 val xs : Pst.t -> log_background:float array -> Sequence.t -> float array
-(** [xs pst ~log_background s] is the per-position {m X_i} array the DP
-    maximizes over — the same kernel {!score} scans, exposed so tests can
-    check the two never drift apart (and for callers that need the raw
-    profile, e.g. threshold histograms). *)
+(** [xs pst ~log_background s] is the tree walk's per-position {m X_i}
+    array, the kernel {!score} scans: a reference with no production
+    caller, exposed so the oracles can check the two never drift apart. *)
 
 val log_of_linear : float -> float
 (** [log_of_linear t] converts a user-facing linear similarity threshold

@@ -176,6 +176,16 @@ let test_shrink_minimizes () =
   Alcotest.(check bool) "surviving sequences were halved" true
     (total shrunk.Fuzz.seqs < total case.Fuzz.seqs)
 
+let test_raising_case_reported () =
+  (* Symbol 99 lies outside every generated alphabet, so the case's
+     setup raises; the harness must report that as a failure, not let
+     it end the sweep, and leave the domain count as it found it. *)
+  let domains = Par.default_domains () in
+  let case = { (Fuzz.gen_case ~seed:5) with Fuzz.seqs = [| [| 99 |] |] } in
+  let msgs = Fuzz.run_case case in
+  Alcotest.(check bool) "the exception is a reported failure" true (msgs <> []);
+  Alcotest.(check int) "domain count restored" domains (Par.default_domains ())
+
 (* --- properties -------------------------------------------------------- *)
 
 let texts_gen = Gen_common.texts_gen ~min_seqs:1 ~max_seqs:5 ~min_len:0 ~max_len:30 ()
@@ -242,6 +252,7 @@ let () =
           Alcotest.test_case "generation deterministic" `Quick test_gen_case_deterministic;
           Alcotest.test_case "20-case regression" `Slow test_fuzz_regression;
           Alcotest.test_case "shrink minimizes" `Quick test_shrink_minimizes;
+          Alcotest.test_case "raising case reported" `Quick test_raising_case_reported;
         ] );
       ("property", qcheck_tests);
     ]

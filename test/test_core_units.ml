@@ -10,13 +10,29 @@ let pst_cfg : Pst.config =
 
 let test_cluster_create () =
   let seed = Sequence.of_string alpha "ababab" in
-  let cl = Cluster.create ~id:7 ~capacity:10 pst_cfg seed in
+  let cl = Cluster.create ~id:7 ~capacity:10 pst_cfg [| seed |] in
   Alcotest.(check int) "id" 7 (Cluster.id cl);
   Alcotest.(check int) "no members yet" 0 (Cluster.size cl);
   Alcotest.(check int) "PST holds the seed" 6 (Pst.total_count (Cluster.pst cl))
 
+let test_cluster_create_from_many () =
+  (* A cluster built from several sequences holds exactly the tree their
+     whole insertions in order build, and scores like its tree walk. *)
+  let seqs = Array.map (Sequence.of_string alpha) [| "abcabcab"; "bcbcbc"; "cabbac" |] in
+  let cl = Cluster.create ~id:0 ~capacity:0 pst_cfg seqs in
+  let tree = Pst.create pst_cfg in
+  Array.iter (Pst.insert_sequence tree) seqs;
+  Alcotest.(check bool) "same tree" true (Pst.equal_structure tree (Cluster.pst cl));
+  let lbg = Array.make 26 (log (1.0 /. 26.0)) in
+  Array.iter
+    (fun p ->
+      Alcotest.(check bool) "automaton = tree walk" true
+        (Cluster.similarity cl ~log_background:lbg p
+        = Similarity.score tree ~log_background:lbg p))
+    (Array.append seqs [| Sequence.of_string alpha "abcbcab"; [||] |])
+
 let test_cluster_membership () =
-  let cl = Cluster.create ~id:0 ~capacity:10 pst_cfg (Sequence.of_string alpha "ab") in
+  let cl = Cluster.create ~id:0 ~capacity:10 pst_cfg [| Sequence.of_string alpha "ab" |] in
   Cluster.add_member cl 3;
   Cluster.add_member cl 5;
   Alcotest.(check int) "size" 2 (Cluster.size cl);
@@ -26,18 +42,20 @@ let test_cluster_membership () =
   Alcotest.(check bool) "PST survives clear" true (Pst.total_count (Cluster.pst cl) > 0)
 
 let test_cluster_absorb_updates_pst () =
-  let cl = Cluster.create ~id:0 ~capacity:10 pst_cfg (Sequence.of_string alpha "ababab") in
+  let cl = Cluster.create ~id:0 ~capacity:10 pst_cfg [| Sequence.of_string alpha "ababab" |] in
   let before = Pst.total_count (Cluster.pst cl) in
   let s = Sequence.of_string alpha "ccababcc" in
   (* Pretend the best segment is positions 2..5 ("abab"). *)
-  Cluster.absorb cl ~seq_id:1 s { Similarity.log_sim = 1.0; seg_lo = 2; seg_hi = 5 };
-  Alcotest.(check bool) "member added" true (Cluster.mem cl 1);
+  Cluster.absorb cl s { Similarity.log_sim = 1.0; seg_lo = 2; seg_hi = 5 };
+  Alcotest.(check bool) "records no member" false (Cluster.mem cl 1);
   Alcotest.(check int) "only the segment inserted" (before + 4)
     (Pst.total_count (Cluster.pst cl))
 
 let test_cluster_similarity_prefers_own_style () =
   let lbg = Array.make 26 (log (1.0 /. 26.0)) in
-  let cl = Cluster.create ~id:0 ~capacity:10 pst_cfg (Sequence.of_string alpha "abababababab") in
+  let cl =
+    Cluster.create ~id:0 ~capacity:10 pst_cfg [| Sequence.of_string alpha "abababababab" |]
+  in
   let like = Cluster.similarity cl ~log_background:lbg (Sequence.of_string alpha "abab") in
   let unlike = Cluster.similarity cl ~log_background:lbg (Sequence.of_string alpha "zqvk") in
   Alcotest.(check bool) "own style wins" true (like.log_sim > unlike.log_sim)
@@ -49,7 +67,7 @@ let test_cluster_similarity_prefers_own_style () =
    stale, and the compile that ends the pass makes it current again. *)
 let test_cluster_scores_follow_absorbs () =
   let lbg = Array.make 26 (log (1.0 /. 26.0)) in
-  let cl = Cluster.create ~id:0 ~capacity:10 pst_cfg (Sequence.of_string alpha "abcd") in
+  let cl = Cluster.create ~id:0 ~capacity:10 pst_cfg [| Sequence.of_string alpha "abcd" |] in
   Cluster.compile cl;
   let probes = List.map (Sequence.of_string alpha) [ "abcabc"; "dcba"; "aabbccdd"; "q" ] in
   let batch = Psa.batch_create () in
@@ -66,8 +84,7 @@ let test_cluster_scores_follow_absorbs () =
   in
   let absorb i text =
     let s = Sequence.of_string alpha text in
-    Cluster.absorb cl ~seq_id:i s
-      { Similarity.log_sim = 1.0; seg_lo = 0; seg_hi = Array.length s - 1 };
+    Cluster.absorb cl s { Similarity.log_sim = 1.0; seg_lo = 0; seg_hi = Array.length s - 1 };
     Alcotest.check_raises
       (Printf.sprintf "batch after absorb %d refuses the stale automaton" i)
       (Invalid_argument "Cluster.similarity_batch: stale automaton; compile first")
@@ -88,7 +105,7 @@ let test_cluster_scores_follow_absorbs () =
    holds nothing while switched off. *)
 let cached_cluster () =
   let s = Sequence.of_string alpha "abcabcabcabc" in
-  let cl = Cluster.create ~id:0 ~capacity:4 pst_cfg s in
+  let cl = Cluster.create ~id:0 ~capacity:4 pst_cfg [| s |] in
   let r = Cluster.similarity cl ~log_background:(Array.make 26 (-.log 26.0)) s in
   (cl, s, r)
 
@@ -96,7 +113,7 @@ let test_cache_dropped_on_absorb () =
   let cl, s, r = cached_cluster () in
   Cluster.set_score_cache cl [| r |];
   Alcotest.(check bool) "cache installed" true (Cluster.score_cache cl <> None);
-  Cluster.absorb cl ~seq_id:1 s r;
+  Cluster.absorb cl s r;
   Alcotest.(check bool) "absorb drops the cache" true (Cluster.score_cache cl = None)
 
 (* The divergence profile is cached until an absorb grows the tree; the
@@ -109,8 +126,8 @@ let test_profile_dropped_on_absorb () =
   let before = Cluster.profile cl in
   Alcotest.(check bool) "profile cached" true (Cluster.profile cl == before);
   let kl_before = kl () in
-  Cluster.absorb cl ~seq_id:1 s { r with seg_lo = 0; seg_hi = 5 };
-  Cluster.absorb cl ~seq_id:2 (Sequence.of_string alpha "cbcbcbcb")
+  Cluster.absorb cl s { r with seg_lo = 0; seg_hi = 5 };
+  Cluster.absorb cl (Sequence.of_string alpha "cbcbcbcb")
     { r with seg_lo = 0; seg_hi = 7 };
   Alcotest.(check bool) "absorb drops the profile" true (Cluster.profile cl != before);
   Alcotest.(check (float 0.0)) "the new profile is the grown tree's"
@@ -257,6 +274,8 @@ let () =
       ( "cluster",
         [
           Alcotest.test_case "create" `Quick test_cluster_create;
+          Alcotest.test_case "create from several sequences" `Quick
+            test_cluster_create_from_many;
           Alcotest.test_case "membership" `Quick test_cluster_membership;
           Alcotest.test_case "absorb updates PST" `Quick test_cluster_absorb_updates_pst;
           Alcotest.test_case "similarity" `Quick test_cluster_similarity_prefers_own_style;

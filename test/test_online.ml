@@ -143,6 +143,43 @@ let test_forced_mine () =
   Alcotest.(check bool) (Printf.sprintf "mining found clusters (%d)" fresh) true (fresh >= 2);
   Alcotest.(check bool) "buffer shrank" true ((Online.stats t).buffered < 80)
 
+(* The golden fixture [online_golden.txt] holds one stream's decisions:
+   every feed result of the 300-sequence workload above at [mine_at]
+   60, the final stats and cluster sizes, and [classify] on 60 held-out
+   sequences, each log-similarity printed in [%h] so it is pinned bit
+   for bit. It was recorded while absorbed clusters were scored by the
+   tree walk, so it holds the tree walk's answers, which the clusters'
+   automata must reproduce. *)
+let golden_transcript () =
+  let w = mk_workload () in
+  let t = mk_state () in
+  let b = Buffer.create 8192 in
+  let line fmt = Printf.bprintf b (fmt ^^ "\n") in
+  Seq_database.iteri
+    (fun i s ->
+      match Online.feed t s with
+      | Some c -> line "feed %d %d" i c
+      | None -> line "feed %d -" i)
+    w.db;
+  let st = Online.stats t in
+  line "stats fed=%d assigned=%d mined=%d buffered=%d dropped=%d clusters=%d" st.fed
+    st.assigned st.mined_clusters st.buffered st.dropped_outliers st.n_clusters;
+  line "sizes %s"
+    (String.concat " "
+       (List.map (fun (c, n) -> Printf.sprintf "%d:%d" c n) (Online.cluster_sizes t)));
+  let held_out = Workload.resample w ~n_sequences:60 ~seed:77 in
+  Seq_database.iteri
+    (fun i s ->
+      match Online.classify t s with
+      | Some (c, v) -> line "classify %d %d %h" i c v
+      | None -> line "classify %d -" i)
+    held_out.db;
+  Buffer.contents b
+
+let test_golden_transcript () =
+  let fixture = In_channel.with_open_bin "online_golden.txt" In_channel.input_all in
+  Alcotest.(check string) "same decisions" fixture (golden_transcript ())
+
 let () =
   Alcotest.run "online"
     [
@@ -158,5 +195,6 @@ let () =
         [
           Alcotest.test_case "discovers clusters" `Slow test_stream_discovers_clusters;
           Alcotest.test_case "held-out purity" `Slow test_stream_assignments_pure;
+          Alcotest.test_case "golden decisions" `Slow test_golden_transcript;
         ] );
     ]

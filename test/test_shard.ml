@@ -129,6 +129,24 @@ let test_sharded_quality () =
   let ari = Metrics.adjusted_rand_index ~truth ~pred in
   Alcotest.(check bool) (Printf.sprintf "ari %.3f >= 0.9" ari) true (ari >= 0.9)
 
+let test_wasted_ratio_deterministic () =
+  (* Every shard's run writes the scan gauge from whichever domain runs
+     it; the merge must leave one value, the same at any domain count. *)
+  let g = Obs.Metrics.gauge "cluseq.scan.wasted_pair_ratio" in
+  let was_on = Obs.Metrics.is_enabled () in
+  Obs.Metrics.enable ();
+  Fun.protect ~finally:(fun () -> if not was_on then Obs.Metrics.disable ()) @@ fun () ->
+  let read domains =
+    Obs.Metrics.set g (-1.0);
+    ignore (run_sharded ~shards:3 ~domains ());
+    Obs.Metrics.gauge_value g
+  in
+  match List.map read [ 1; 1; 1; 4; 4; 4 ] with
+  | [] -> ()
+  | first :: _ as values ->
+      Alcotest.(check bool) (Printf.sprintf "a ratio (%g)" first) true (first >= 0.0);
+      List.iter (Alcotest.(check (float 0.0)) "one value every run" first) values
+
 let () =
   Alcotest.run "shard"
     [
@@ -141,5 +159,7 @@ let () =
           Alcotest.test_case "shards invariant to domains" `Slow test_shards_invariant_to_domains;
           Alcotest.test_case "merged result invariants" `Quick test_merged_result_invariants;
           Alcotest.test_case "sharded quality" `Quick test_sharded_quality;
+          Alcotest.test_case "wasted-pair ratio deterministic" `Slow
+            test_wasted_ratio_deterministic;
         ] );
     ]
