@@ -4,7 +4,7 @@
 # as dash has no `time` builtin and may lack /usr/bin/time).
 SHELL := /bin/bash
 
-.PHONY: all build test bench bench-smoke trace-smoke shard-smoke suite-smoke exit-smoke examples-smoke check fuzz coverage fmt fmt-check clean
+.PHONY: all build test bench bench-smoke trace-smoke shard-smoke suite-smoke exit-smoke examples-smoke check identity fuzz coverage fmt fmt-check clean
 
 all: build
 
@@ -108,9 +108,10 @@ suite-smoke: build
 
 # CLI error-path smoke gate: an unwritable output file, a missing or
 # corrupt model (a trained model whose root line gains a next-symbol
-# entry outside the alphabet among them, checked against the untouched
-# model loading fine), an unreadable input, and a training run that finds no
-# clusters must each exit 1 with a `cluseq: ` line on stderr, never 125
+# entry outside the alphabet, whose background loses its last entry, or
+# whose alphabet line gains a symbol, among them, checked against the
+# untouched model loading fine), an unreadable input, and a training run
+# that finds no clusters must each exit 1 with a `cluseq: ` line on stderr, never 125
 # (an uncaught exception). Explaining a sequence whose last-pass best
 # cluster was dismissed by the final consolidation must exit 0. An
 # out-of-range model option (a zero significance, depth, node budget or
@@ -125,6 +126,9 @@ exit-smoke: build
 	$$cli train $$tmp/in.tsv --significance 4 -o $$tmp/good.model >/dev/null 2>&1; \
 	awk '!done && /^node - / { $$0 = $$0 " 99:5"; done = 1 } 1' $$tmp/good.model \
 	  > $$tmp/foreign-symbol.model; \
+	awk '/^background / { sub(/ [^ ]*$$/, "") } 1' $$tmp/good.model \
+	  > $$tmp/short-background.model; \
+	awk '/^alphabet\t/ { $$0 = $$0 "\tA" } 1' $$tmp/good.model > $$tmp/wide-alphabet.model; \
 	expect_1() { \
 	  "$$@" >/dev/null 2>$$tmp/err; code=$$?; \
 	  if [ $$code -ne 1 ] || ! grep -q '^cluseq: ' $$tmp/err; then \
@@ -145,6 +149,8 @@ exit-smoke: build
 	expect_1 $$cli classify $$tmp/in.tsv -m $$tmp/corrupt.model; \
 	expect_0 $$cli classify $$tmp/in.tsv -m $$tmp/good.model; \
 	expect_1 $$cli classify $$tmp/in.tsv -m $$tmp/foreign-symbol.model; \
+	expect_1 $$cli classify $$tmp/in.tsv -m $$tmp/short-background.model; \
+	expect_1 $$cli classify $$tmp/in.tsv -m $$tmp/wide-alphabet.model; \
 	expect_1 $$cli cluster $$tmp/missing.tsv; \
 	expect_0 $$cli explain $$tmp/in.tsv 45 --significance 4; \
 	for bad in "--significance 0" "--depth 0" "--max-nodes 0" "--k-init 0" \
@@ -195,6 +201,21 @@ check: build test fuzz fmt-check bench-smoke trace-smoke shard-smoke suite-smoke
 	  || { echo "check: metrics smoke test FAILED ($$tmp/smoke.json)"; exit 1; }; \
 	rm -rf $$tmp; \
 	echo "check: OK"
+
+# Byte-identity against a parent build, for a change that must not move
+# any output. Not part of `check`: it needs a second, built checkout.
+#   git archive <rev> | tar -x -C DIR
+#   (cd DIR && dune build --root . bin/cluseq_cli.exe)
+#   make identity PARENT=DIR
+# scripts/identity.py runs 88 `cluster`, 8 `train` + `classify` and 21
+# `explain` runs with both CLIs and exits 1 if any exit status, stdout
+# (less its `time:`), -o file, model, classify output or journal (less
+# its timestamps) differs. Differing --metrics counters and gauges are
+# printed as notes (gc.*, par.domain_busy_ratio* and histograms are not
+# compared).
+identity: build
+	@[ -n "$(PARENT)" ] || { echo "identity: set PARENT=DIR, a built parent checkout"; exit 1; }
+	python3 scripts/identity.py "$(PARENT)"
 
 # Requires ocamlformat (pinned in .ocamlformat); not installed in every
 # environment. `fmt` rewrites in place; `fmt-check` only diffs (no

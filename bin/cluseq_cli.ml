@@ -622,36 +622,37 @@ let explain_cmd =
     (* --- per-position attribution --- *)
     let lbg = Seq_database.log_background db in
     let s = Seq_database.get db seq_id in
-    let target =
+    let compiled target =
+      match Array.find_opt (fun (id, _) -> id = target) result.models with
+      | Some (_, pst) -> Psa.compile pst
+      | None -> die "cluster %d is not among the final clusters" target
+    in
+    let target, psa =
       match cluster_opt with
-      | Some c -> c
+      | Some c -> (c, compiled c)
       | None -> (
           match result.best.(seq_id) with
-          | Some (c, _) when Array.exists (fun (id, _) -> id = c) result.models -> c
+          | Some (c, _) when Array.exists (fun (id, _) -> id = c) result.models -> (c, compiled c)
           | _ -> (
               (* [best] is the last reclustering pass's winner, which the
                  final consolidation may have dismissed: take the final
-                 model that scores the sequence highest. *)
+                 model that scores the sequence highest (the first of
+                 equal scores), keeping the automaton that scored it for
+                 the attribution. *)
               let pick acc (id, pst) =
-                let v =
-                  (Similarity.score_psa (Psa.compile pst) ~log_background:lbg s).log_sim
-                in
-                match acc with Some (best, _) when best >= v -> acc | _ -> Some (v, id)
+                let psa = Psa.compile pst in
+                let v = (Similarity.score_psa psa ~log_background:lbg s).log_sim in
+                match acc with Some (best, _, _) when best >= v -> acc | _ -> Some (v, id, psa)
               in
               match Array.fold_left pick None result.models with
-              | Some (v, id) when Float.is_finite v -> id
+              | Some (v, id, psa) when Float.is_finite v -> (id, psa)
               | _ ->
                   die
                     "sequence %d has no finite similarity to any final cluster; pass \
                      --cluster"
                     seq_id))
     in
-    let pst =
-      match Array.find_opt (fun (id, _) -> id = target) result.models with
-      | Some (_, pst) -> pst
-      | None -> die "cluster %d is not among the final clusters" target
-    in
-    let a = Similarity.score_attributed (Psa.compile pst) ~log_background:lbg s in
+    let a = Similarity.score_attributed psa ~log_background:lbg s in
     let r = a.attr_result in
     Printf.printf
       "\nsimilarity to cluster %d: log-sim %.4f (linear %.4g), maximizing segment [%d..%d] \

@@ -1,8 +1,8 @@
 type t = {
-  models : (int * Pst.t) array; (* sorted by cluster id *)
-  (* Parallel to [models]: automata compiled once at construction (the
-     models never mutate), shared read-only by the classify_all workers. *)
-  compiled : Psa.t array;
+  (* Sorted by cluster id. Each model is compiled once, at construction,
+     and never absorbs, so its automaton stays current and the
+     classify_all workers only read it. *)
+  models : Cluster.t array;
   log_background : float array;
   log_t : float;
   alphabet : Alphabet.t option;
@@ -15,11 +15,12 @@ type verdict = {
 }
 
 (* Shared by [make] and [load]; the one place classifier state is built,
-   so corrupt persisted background vectors are rejected here too. *)
+   so corrupt persisted background vectors are rejected here too. A
+   classifier records no members, so its clusters have capacity 0. *)
 let build ~models ~log_background ~log_t ~alphabet =
   Similarity.validate_log_background log_background;
-  let compiled = Array.map (fun (_, pst) -> Psa.compile pst) models in
-  { models; compiled; log_background; log_t; alphabet }
+  let models = Array.map (fun (id, pst) -> Cluster.of_pst ~id ~capacity:0 pst) models in
+  { models; log_background; log_t; alphabet }
 
 let make ~models ~log_background ~t_linear ?alphabet () =
   if models = [] then invalid_arg "Classifier.make: no models";
@@ -38,26 +39,24 @@ let of_result (result : Cluseq.result) db =
 
 let alphabet t = t.alphabet
 
-let classify t s =
-  let scores =
-    Array.to_list
-      (Array.mapi
-         (fun i (id, _) ->
-           let r = Similarity.score_psa t.compiled.(i) ~log_background:t.log_background s in
-           (id, r.Similarity.log_sim))
-         t.models)
-    |> List.sort (fun (_, a) (_, b) -> compare b a)
-  in
-  match scores with
+(* The verdict on one sequence from its log-similarity to each model, in
+   model order; the sort is stable, so equal scores keep that order. *)
+let verdict t scores =
+  match List.sort (fun (_, a) (_, b) -> compare b a) scores with
   | [] -> assert false
-  | (best, score) :: _ ->
+  | (best, score) :: _ as scores ->
       { cluster = (if score >= t.log_t then Some best else None); log_sim = score; scores }
+
+let classify t s =
+  let sim cl = Cluster.similarity cl ~log_background:t.log_background s in
+  let score cl = (Cluster.id cl, (sim cl).Similarity.log_sim) in
+  verdict t (Array.to_list (Array.map score t.models))
 
 (* Batch scoring is read-only against the stored models, so verdicts fan
    out over the domain pool; results are gathered by sequence index, so
    the output is identical for any domain count. Each task owns a block
    of sequences and scores it model-major — one batched automaton pass
-   per (model, block) via [Similarity.score_batch] — then assembles each
+   per (model, block) via [Cluster.similarity_batch] — then builds each
    lane's verdict from the same per-model score list, in the same model
    order, that [classify] builds, so the sorted verdicts are identical
    to the per-sequence path (the fuzz harness cross-checks the two). *)
@@ -72,28 +71,14 @@ let classify_all t db =
         let bn = min block (n - lo) in
         let sub = Array.sub seqs lo bn in
         let batch = Psa.batch_create ~capacity:bn () in
-        (* cols.(i).(j): lane j's log-similarity against model i. *)
+        (* cols.(i).(j): lane j's result against model i. *)
         let cols =
           Array.map
-            (fun psa ->
-              Array.map
-                (fun (r : Similarity.result) -> r.log_sim)
-                (Similarity.score_batch psa ~log_background:t.log_background ~batch sub))
-            t.compiled
+            (fun cl -> Cluster.similarity_batch cl ~log_background:t.log_background ~batch sub)
+            t.models
         in
-        Array.init bn (fun j ->
-            let scores =
-              Array.to_list (Array.mapi (fun i (id, _) -> (id, cols.(i).(j))) t.models)
-              |> List.sort (fun (_, a) (_, b) -> compare b a)
-            in
-            match scores with
-            | [] -> assert false
-            | (best, score) :: _ ->
-                {
-                  cluster = (if score >= t.log_t then Some best else None);
-                  log_sim = score;
-                  scores;
-                }))
+        let score j i cl = (Cluster.id cl, cols.(i).(j).Similarity.log_sim) in
+        Array.init bn (fun j -> verdict t (Array.to_list (Array.mapi (score j) t.models))))
   in
   Array.init n (fun i -> blocks.(i / block).(i mod block))
 
@@ -120,9 +105,9 @@ let save path t =
       | None -> Printf.fprintf oc "alphabet\t-\n");
       Printf.fprintf oc "models %d\n" (Array.length t.models);
       Array.iter
-        (fun (id, pst) ->
-          Printf.fprintf oc "model %d\n" id;
-          Pst.to_channel oc pst)
+        (fun cl ->
+          Printf.fprintf oc "model %d\n" (Cluster.id cl);
+          Pst.to_channel oc (Cluster.pst cl))
         t.models)
 
 let load path =
@@ -174,4 +159,16 @@ let load path =
       Array.iteri
         (fun i (id, _) -> if i > 0 && fst models.(i - 1) = id then fail "repeated model id")
         models;
+      (* Every model, the background and the alphabet must agree on the
+         number of symbols, or scoring would index past one of them. *)
+      let width = Array.length log_background in
+      let agree what k =
+        if k <> width then
+          fail (Printf.sprintf "%s has %d symbols, the background %d" what k width)
+      in
+      Array.iter
+        (fun (id, pst) ->
+          agree (Printf.sprintf "model %d" id) (Pst.config pst).Pst.alphabet_size)
+        models;
+      Option.iter (fun a -> agree "the alphabet" (Alphabet.size a)) alphabet;
       build ~models ~log_background ~log_t ~alphabet)

@@ -57,4 +57,6 @@ val save : string -> t -> unit
 
 val load : string -> t
 (** [load path] restores a classifier written by {!save}. Raises
-    [Failure] on malformed input. *)
+    [Failure] on malformed input, including a file whose sizes disagree:
+    a model over a different number of symbols than the background has
+    entries, or an alphabet line of another length. *)

@@ -814,6 +814,82 @@ let drift_panel ~iter ~n ~changes ~kl_memo live member_scores =
       }
   end
 
+(* A sharded run's [run.start] and [run.end] records end with the shard
+   count; a plain run's have no such field. *)
+let shards_field =
+  Option.fold ~none:[] ~some:(fun s -> [ ("shards", Bench_json.Num (float_of_int s)) ])
+
+let journal_start ?shards cfg ~n =
+  if Obs.Journal.is_enabled () then
+    Obs.Journal.emit "run.start" (fun () ->
+        [
+          ("sequences", Bench_json.Num (float_of_int n));
+          ("k_init", Bench_json.Num (float_of_int cfg.k_init));
+          ("t_init", Bench_json.Num cfg.t_init);
+          ("seed", Bench_json.Num (float_of_int cfg.seed));
+          ("max_iterations", Bench_json.Num (float_of_int cfg.max_iterations));
+        ]
+        @ shards_field shards)
+
+(* Nodes and estimated words over a run's final models. *)
+let pst_totals pst_stats =
+  let nodes = Array.fold_left (fun acc (_, (st : Pst.stats)) -> acc + st.nodes) 0 pst_stats in
+  let words =
+    Array.fold_left (fun acc (_, (st : Pst.stats)) -> acc + st.approx_bytes) 0 pst_stats
+    / (Sys.word_size / 8)
+  in
+  (nodes, words)
+
+let finish ?shards ~n ~best ~final_t ~iterations ~history clusters =
+  let k = List.length clusters in
+  let pst_stats =
+    Array.of_list (List.map (fun cl -> (Cluster.id cl, Pst.stats (Cluster.pst cl))) clusters)
+  in
+  let nodes, words = pst_totals pst_stats in
+  Obs.Metrics.set g_clusters (float_of_int k);
+  Obs.Metrics.set g_final_t final_t;
+  Obs.Metrics.set g_pst_nodes (float_of_int nodes);
+  Obs.Metrics.set g_pst_words (float_of_int words);
+  Log.info (fun m ->
+      m "done: %d clusters in %d iterations (final t = %.4g)" k iterations final_t);
+  (* Consing over the clusters in descending id order leaves each list
+     ascending. *)
+  let assignments = Array.make n [] in
+  List.iter
+    (fun cl ->
+      let id = Cluster.id cl in
+      Bitset.iter (fun i -> assignments.(i) <- id :: assignments.(i)) (Cluster.members cl))
+    (List.rev clusters);
+  let outliers = List.filter (fun i -> assignments.(i) = []) (List.init n Fun.id) in
+  if Obs.Journal.is_enabled () then begin
+    Obs.Journal.emit "run.end" (fun () ->
+        [
+          ("clusters", Bench_json.Num (float_of_int k));
+          ("iterations", Bench_json.Num (float_of_int iterations));
+          ("final_t", Bench_json.Num final_t);
+          ("outliers", Bench_json.Num (float_of_int (List.length outliers)));
+        ]
+        @ shards_field shards);
+    (* A run boundary is a natural sync point for offline readers. *)
+    Obs.Journal.flush ()
+  end;
+  {
+    clusters =
+      Array.of_list
+        (List.map
+           (fun cl -> (Cluster.id cl, Array.of_list (Bitset.to_list (Cluster.members cl))))
+           clusters);
+    assignments;
+    best;
+    outliers;
+    n_clusters = k;
+    final_t;
+    iterations;
+    history;
+    pst_stats;
+    models = Array.of_list (List.map (fun cl -> (Cluster.id cl, Cluster.pst cl)) clusters);
+  }
+
 let run ?(config = default_config) db =
   let cfg = config in
   if cfg.k_init < 1 then invalid_arg "Cluseq.run: k_init must be >= 1";
@@ -829,15 +905,7 @@ let run ?(config = default_config) db =
   let lbg = Seq_database.log_background db in
   Similarity.validate_log_background lbg;
   let rng = Rng.create cfg.seed in
-  if Obs.Journal.is_enabled () then
-    Obs.Journal.emit "run.start" (fun () ->
-        [
-          ("sequences", Bench_json.Num (float_of_int n));
-          ("k_init", Bench_json.Num (float_of_int cfg.k_init));
-          ("t_init", Bench_json.Num cfg.t_init);
-          ("seed", Bench_json.Num (float_of_int cfg.seed));
-          ("max_iterations", Bench_json.Num (float_of_int cfg.max_iterations));
-        ]);
+  journal_start cfg ~n;
   let threshold = Threshold.create ~t_init:cfg.t_init in
   let min_residual = match cfg.min_residual with Some v -> v | None -> cfg.significance in
   let clusters = ref [] in
@@ -962,55 +1030,16 @@ let run ?(config = default_config) db =
     if stable then converged := true
   done;
   let final_t = if n = 0 then cfg.t_init else Threshold.linear_t threshold in
-  Obs.Metrics.set g_clusters (float_of_int (List.length !clusters));
-  Obs.Metrics.set g_final_t final_t;
-  let pst_stats =
-    Array.of_list (List.map (fun cl -> (Cluster.id cl, Pst.stats (Cluster.pst cl))) !clusters)
+  let r =
+    finish ~n ~best:!best ~final_t ~iterations:!iterations ~history:(List.rev !history)
+      !clusters
   in
+  (* Work done, counted per run: a sharded run counts each shard's. *)
   if Obs.Metrics.is_enabled () then begin
+    let nodes, words = pst_totals r.pst_stats in
     Obs.Metrics.incr ~by:n m_sequences;
     Obs.Metrics.incr ~by:(Seq_database.total_symbols db) m_symbols;
-    let nodes = Array.fold_left (fun acc (_, (st : Pst.stats)) -> acc + st.nodes) 0 pst_stats in
-    let words =
-      Array.fold_left (fun acc (_, (st : Pst.stats)) -> acc + st.approx_bytes) 0 pst_stats
-      / (Sys.word_size / 8)
-    in
     Obs.Metrics.incr ~by:nodes m_pst_nodes_built;
-    Obs.Metrics.incr ~by:words m_pst_words_built;
-    Obs.Metrics.set g_pst_nodes (float_of_int nodes);
-    Obs.Metrics.set g_pst_words (float_of_int words)
+    Obs.Metrics.incr ~by:words m_pst_words_built
   end;
-  Log.info (fun m ->
-      m "done: %d clusters in %d iterations (final t = %.4g)" (List.length !clusters)
-        !iterations final_t);
-  let outliers =
-    List.filter (fun i -> !assignments.(i) = []) (List.init n Fun.id)
-  in
-  if Obs.Journal.is_enabled () then begin
-    Obs.Journal.emit "run.end" (fun () ->
-        [
-          ("clusters", Bench_json.Num (float_of_int (List.length !clusters)));
-          ("iterations", Bench_json.Num (float_of_int !iterations));
-          ("final_t", Bench_json.Num final_t);
-          ("outliers", Bench_json.Num (float_of_int (List.length outliers)));
-        ]);
-    (* A run boundary is a natural sync point for offline readers. *)
-    Obs.Journal.flush ()
-  end;
-  {
-    clusters =
-      Array.of_list
-        (List.map
-           (fun cl -> (Cluster.id cl, Array.of_list (Bitset.to_list (Cluster.members cl))))
-           !clusters);
-    assignments = !assignments;
-    best = !best;
-    outliers;
-    n_clusters = List.length !clusters;
-    final_t;
-    iterations = !iterations;
-    history = List.rev !history;
-    pst_stats;
-    models =
-      Array.of_list (List.map (fun cl -> (Cluster.id cl, Cluster.pst cl)) !clusters);
-  }
+  r

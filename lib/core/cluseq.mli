@@ -237,6 +237,29 @@ val run : ?config:config -> Seq_database.t -> result
     [config.seed]. An empty [db] returns at once: no clusters, 0
     iterations and an empty history, as the sharded path reports. *)
 
+val journal_start : ?shards:int -> config -> n:int -> unit
+(** Journal a run's [run.start] record, when {!Obs.Journal} is enabled.
+    A sharded run passes [shards], the record's last field. *)
+
+val finish :
+  ?shards:int ->
+  n:int ->
+  best:(int * float) option array ->
+  final_t:float ->
+  iterations:int ->
+  history:iteration_stats list ->
+  Cluster.t list ->
+  result
+(** [finish ~n ~best ~final_t ~iterations ~history clusters] is the
+    result of a run over [n] sequences whose final clusters, ascending by
+    id, are [clusters]; {!run} and [Shard.run] both return through it.
+    Each sequence's [assignments] (ascending ids) and the [outliers] are
+    read from the member sets, which every reclustering pass keeps equal
+    to the assignment lists. It sets the final-model gauges
+    ([cluseq.clusters], [cluseq.final_t], [cluseq.pst.nodes],
+    [cluseq.pst.est_words]) and journals [run.end], ending with [shards]
+    as in {!journal_start}. *)
+
 val hard_labels : result -> n:int -> int array
 (** [hard_labels r ~n] flattens the overlapping clustering into one label
     per sequence: the sequence's best cluster id among the clusters it

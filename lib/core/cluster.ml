@@ -23,9 +23,7 @@ type t = {
 
 let m_absorbs = Obs.Metrics.counter "cluster.absorbs"
 
-let create ~id ?(born = 0) ~capacity cfg seeds =
-  let pst = Pst.create cfg in
-  Array.iter (Pst.insert_sequence pst) seeds;
+let of_pst ~id ?(born = 0) ~capacity pst =
   {
     id;
     born;
@@ -37,6 +35,11 @@ let create ~id ?(born = 0) ~capacity cfg seeds =
     scores = None;
     profile = None;
   }
+
+let create ~id ?born ~capacity cfg seeds =
+  let pst = Pst.create cfg in
+  Array.iter (Pst.insert_sequence pst) seeds;
+  of_pst ~id ?born ~capacity pst
 
 let id t = t.id
 let born t = t.born

@@ -7,11 +7,19 @@ type t
 val create : id:int -> ?born:int -> capacity:int -> Pst.config -> Sequence.t array -> t
 (** [create ~id ~capacity cfg seeds] is a fresh cluster whose PST holds
     the [seeds], each inserted whole and in order, compiled once into its
-    scoring automaton: batch CLUSEQ's one seed (paper Sec. 4.1), or a
-    mining run's members for {!Online}. No seed becomes a member.
+    scoring automaton ({!of_pst} of that tree): batch CLUSEQ's one seed
+    (paper Sec. 4.1), or a mining run's members for {!Online}. No seed
+    becomes a member.
     [capacity] fixes the member bitset width: the database size, or 0
     for a caller that records no ids. [born] (default 0) records the
     seeding iteration, for the drift telemetry's age histogram. *)
+
+val of_pst : id:int -> ?born:int -> capacity:int -> Pst.t -> t
+(** [of_pst ~id ~capacity pst] is a memberless cluster whose model is
+    [pst], compiled once: a shard's model lifted into the merge, a merged
+    model, or a trained one ({!Classifier}). The cluster owns [pst]: an
+    {!absorb} grows it in place. [capacity] and [born] are as for
+    {!create}. *)
 
 val id : t -> int
 (** Stable identifier assigned at creation. *)

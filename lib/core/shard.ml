@@ -33,28 +33,23 @@ let env_shards () =
       | Some v when v >= 1 -> Some (clamp 1 64 v)
       | _ -> None)
 
-(* SplitMix64 finalizer: the same mixer [Rng] builds on, used here as a
-   stateless hash so shard membership is a pure function of (seed, id). *)
-let mix64 z =
-  let open Int64 in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94d049bb133111ebL in
-  logxor z (shift_right_logical z 31)
-
-let golden = 0x9e3779b97f4a7c15L
-
+(* Stateless SplitMix64 hashes ([Rng]'s mixer and step), so shard
+   membership is a pure function of (seed, id). *)
 let shard_of_id ~seed ~shards id =
   if shards <= 1 then 0
   else
-    let h = mix64 Int64.(add (mul (of_int seed) golden) (of_int (id + 1))) in
+    let h = Rng.mix Int64.(add (mul (of_int seed) Rng.golden) (of_int (id + 1))) in
     Int64.to_int (Int64.unsigned_rem h (Int64.of_int shards))
 
 (* Per-shard RNG seed: a function of (run seed, shard index) only, so a
    shard's run is independent of how many other shards exist and of the
-   order they execute in. Shifted right so the int is non-negative. *)
+   order they execute in. It is the hash's top 63 bits read as a signed
+   int, so it may be negative. *)
 let shard_seed seed s =
   Int64.to_int
-    (Int64.shift_right_logical (mix64 Int64.(logxor (of_int seed) (mul (of_int (s + 1)) golden))) 1)
+    (Int64.shift_right_logical
+       (Rng.mix Int64.(logxor (of_int seed) (mul (of_int (s + 1)) Rng.golden)))
+       1)
 
 (* Union-find over global cluster indices with the minimum index as
    root, so each merged component's survivor is its smallest global id
@@ -65,12 +60,12 @@ let union parent i j =
   let ri = find parent i and rj = find parent j in
   if ri <> rj then parent.(max ri rj) <- min ri rj
 
-(* One per-shard cluster lifted to the global numbering. *)
+(* One per-shard cluster lifted to the global numbering: its id is its
+   global index and its members are global sequence ids. *)
 type gcluster = {
   g_shard : int;
-  g_members : int array; (* global sequence ids, strictly increasing *)
-  g_pst : Pst.t;
   g_log_t : float; (* the home shard's final log threshold *)
+  g_cl : Cluster.t;
 }
 
 let run ?(config = Cluseq.default_config) ?(shards = 1) db =
@@ -79,16 +74,7 @@ let run ?(config = Cluseq.default_config) ?(shards = 1) db =
   if shards <= 1 then Cluseq.run ~config db
   else begin
     let journal_on = Obs.Journal.is_enabled () in
-    if journal_on then
-      Obs.Journal.emit "run.start" (fun () ->
-          [
-            ("sequences", Bench_json.Num (float_of_int n));
-            ("k_init", Bench_json.Num (float_of_int config.Cluseq.k_init));
-            ("t_init", Bench_json.Num config.Cluseq.t_init);
-            ("seed", Bench_json.Num (float_of_int config.Cluseq.seed));
-            ("max_iterations", Bench_json.Num (float_of_int config.Cluseq.max_iterations));
-            ("shards", Bench_json.Num (float_of_int shards));
-          ]);
+    Cluseq.journal_start ~shards config ~n;
     (* --- partition: hash-of-id, empty shards dropped --- *)
     let seed = config.Cluseq.seed in
     let owner = Array.init n (fun i -> shard_of_id ~seed ~shards i) in
@@ -153,7 +139,7 @@ let run ?(config = Cluseq.default_config) ?(shards = 1) db =
     (* --- lift per-shard clusters to the global numbering (shard-major
        order, so ids are deterministic) --- *)
     let best = Array.make n None in
-    let gs = ref [] in
+    let lifted = ref [] in
     let n_g = ref 0 in
     Array.iteri
       (fun j (r : Cluseq.result) ->
@@ -169,14 +155,7 @@ let run ?(config = Cluseq.default_config) ?(shards = 1) db =
             (* clusters and models are index-aligned (same id order) *)
             let mid, pst = r.Cluseq.models.(ci) in
             assert (mid = lid);
-            gs :=
-              {
-                g_shard = s;
-                g_members = Array.map (fun l -> ids.(l)) lmembers;
-                g_pst = pst;
-                g_log_t = log_t;
-              }
-              :: !gs)
+            lifted := (s, log_t, pst, Array.map (fun l -> ids.(l)) lmembers) :: !lifted)
           r.Cluseq.clusters;
         n_g := base + Array.length r.Cluseq.clusters;
         Array.iteri
@@ -186,9 +165,20 @@ let run ?(config = Cluseq.default_config) ?(shards = 1) db =
                   Option.map (fun g -> (g, score)) (Hashtbl.find_opt local_gid lid)))
           r.Cluseq.best)
       sub_results;
-    let gs = Array.of_list (List.rev !gs) in
-    let m = Array.length gs in
+    let lifted = Array.of_list (List.rev !lifted) in
+    let m = Array.length lifted in
     let lbg = Seq_database.log_background db in
+    let pool = Par.get_pool () in
+    (* Each shard model becomes a cluster, compiled once, on the pool.
+       Every score below runs on these automata, which equal the tree
+       walk bit for bit. *)
+    let gs =
+      Par.map_chunks pool ~n:m (fun i ->
+          let g_shard, g_log_t, pst, members = lifted.(i) in
+          let g_cl = Cluster.of_pst ~id:i ~capacity:n pst in
+          Array.iter (Cluster.add_member g_cl) members;
+          { g_shard; g_log_t; g_cl })
+    in
     (* --- cross-shard consolidation (DESIGN.md §14). Three stages,
        because the divergence bands alone cannot decide a merge:
        1. prefilter — only cross-shard pairs whose symmetrized KL is
@@ -204,13 +194,13 @@ let run ?(config = Cluseq.default_config) ?(shards = 1) db =
           retention threshold under the *other* side's model. This is
           the algorithm's own membership criterion, so it needs no
           workload-dependent constant. --- *)
-    let pool = Par.get_pool () in
-    (* The prefilter: one divergence profile per shard model, then the
-       cross-shard divergences between them — both read-only, filled on
-       the pool; same-shard pairs stay at infinity. *)
+    (* The prefilter: one divergence profile per cluster, each built by
+       the one task that owns it, then the cross-shard divergences
+       between them — both on the pool; same-shard pairs stay at
+       infinity. *)
     let profiles, d =
       Obs.Trace.with_span ~hist:h_prefilter_seconds "shard.prefilter" @@ fun () ->
-      let profiles = Par.map_chunks pool ~n:m (fun i -> Divergence.profile gs.(i).g_pst) in
+      let profiles = Par.map_chunks pool ~n:m (fun i -> Cluster.profile gs.(i).g_cl) in
       let d = Array.make_matrix m m infinity in
       let cross =
         let acc = ref [] in
@@ -233,20 +223,17 @@ let run ?(config = Cluseq.default_config) ?(shards = 1) db =
         cross;
       (profiles, d)
     in
-    (* Every shard model scores through its compiled automaton, which
-       equals the tree walk bit for bit: compiled once each, on the pool. *)
-    let psa = Par.map_chunks pool ~n:m (fun i -> Psa.compile gs.(i).g_pst) in
     (* [accepts a b]: do [b]'s members, by majority of a deterministic
        strided sample, clear the lenient threshold under [a]'s model? *)
     let accepts a b =
       let lt = Float.min gs.(a).g_log_t gs.(b).g_log_t in
-      let members = gs.(b).g_members in
+      let members = Array.of_list (Bitset.to_list (Cluster.members gs.(b).g_cl)) in
       let len = Array.length members in
       let take = min 16 len in
       let ok = ref 0 in
       for q = 0 to take - 1 do
         let id = members.(q * len / take) in
-        let r = Similarity.score_psa psa.(a) ~log_background:lbg (Seq_database.get db id) in
+        let r = Cluster.similarity gs.(a).g_cl ~log_background:lbg (Seq_database.get db id) in
         if r.Similarity.log_sim >= lt then incr ok
       done;
       2 * !ok >= take
@@ -302,30 +289,32 @@ let run ?(config = Cluseq.default_config) ?(shards = 1) db =
        with the global database's background); everything else passes
        through untouched. --- *)
     (* One pool task per merged component: the counts-merge, its
-       compile, and the candidates' scores against the merged model.
-       Only the shard models and the database are shared, read-only. *)
+       cluster (compiled once), and the candidates' scores against it.
+       A task reads only the shared database and its own component's
+       lifted clusters, which no other task touches. *)
     let merged =
       Par.map_chunks pool ~chunks:m ~n:m (fun s ->
           match comp_members.(s) with
           | (first :: _ :: _) as comp ->
               let pst =
                 List.fold_left
-                  (fun acc i -> Pst.merge acc gs.(i).g_pst)
-                  gs.(first).g_pst (List.tl comp)
+                  (fun acc i -> Pst.merge acc (Cluster.pst gs.(i).g_cl))
+                  (Cluster.pst gs.(first).g_cl) (List.tl comp)
               in
               (* Lenient retention: a sequence stays if it clears the most
                  permissive of its component's home-shard thresholds. *)
               let log_t =
                 List.fold_left (fun acc i -> Float.min acc gs.(i).g_log_t) infinity comp
               in
-              let cand = Hashtbl.create 64 in
+              let cand = Bitset.create n in
               List.iter
-                (fun i -> Array.iter (fun id -> Hashtbl.replace cand id ()) gs.(i).g_members)
+                (fun i -> Bitset.union_into ~dst:cand (Cluster.members gs.(i).g_cl))
                 comp;
-              let cand = List.sort compare (Hashtbl.fold (fun id () acc -> id :: acc) cand []) in
-              let psa = Psa.compile pst in
-              let score id = Similarity.score_psa psa ~log_background:lbg (Seq_database.get db id) in
-              Some (pst, psa, log_t, List.map (fun id -> (id, score id)) cand)
+              let cl = Cluster.of_pst ~id:s ~capacity:n pst in
+              let score id =
+                Cluster.similarity cl ~log_background:lbg (Seq_database.get db id)
+              in
+              Some (cl, log_t, List.map (fun id -> (id, score id)) (Bitset.to_list cand))
           | _ -> None)
     in
     (* Memberships and [best] are applied here in component order: a
@@ -335,15 +324,13 @@ let run ?(config = Cluseq.default_config) ?(shards = 1) db =
     for s = 0 to m - 1 do
       match (comp_members.(s), merged.(s)) with
       | [ i ], _ ->
-          if Array.length gs.(i).g_members > 0 then
-            final := (i, gs.(i).g_members, gs.(i).g_pst, psa.(i), gs.(i).g_log_t) :: !final
+          if Cluster.size gs.(i).g_cl > 0 then final := (gs.(i).g_cl, gs.(i).g_log_t) :: !final
       | _, None -> ()
-      | _, Some (pst, psa, log_t, scored) ->
-          let members = ref [] in
+      | _, Some (cl, log_t, scored) ->
           List.iter
             (fun (id, (r : Similarity.result)) ->
               Obs.Metrics.incr m_fixup_rescored;
-              if r.log_sim >= log_t then members := id :: !members;
+              if r.log_sim >= log_t then Cluster.add_member cl id;
               if Float.is_finite r.log_sim then
                 best.(id) <-
                   (match best.(id) with
@@ -351,8 +338,7 @@ let run ?(config = Cluseq.default_config) ?(shards = 1) db =
                   | Some (_, bs) when r.log_sim > bs -> Some (s, r.log_sim)
                   | other -> other))
             scored;
-          let members = Array.of_list (List.rev !members) in
-          if Array.length members > 0 then final := (s, members, pst, psa, log_t) :: !final
+          if Cluster.size cl > 0 then final := (cl, log_t) :: !final
     done;
     let final = Array.of_list (List.rev !final) in
     (* Remap surviving best entries through the union-find so no entry
@@ -361,79 +347,49 @@ let run ?(config = Cluseq.default_config) ?(shards = 1) db =
     for id = 0 to n - 1 do
       best.(id) <- Option.map (fun (b, score) -> (canon b, score)) best.(id)
     done;
-    let member_of =
-      Array.map (fun (_, members, _, _, _) -> Bitset.of_list n (Array.to_list members)) final
-    in
     (* --- outlier rescue: a sequence can be an outlier in its shard yet
        belong to a cluster once that cluster's model has absorbed the
        other shards' counts — the shard simply never saw enough of the
        family. Sequences in no cluster after the merge are rescored
        against every final model (there are few of them, so this is a
        narrow sweep, not a re-scan) and join any cluster whose
-       retention threshold they clear: each joins that cluster's member
-       bitset, read back ascending. --- *)
+       retention threshold they clear. --- *)
     for id = 0 to n - 1 do
-      if not (Array.exists (fun ms -> Bitset.mem ms id) member_of) then begin
+      if not (Array.exists (fun (cl, _) -> Cluster.mem cl id) final) then begin
         let seq = Seq_database.get db id in
-        Array.iteri
-          (fun fi (s, _, _, psa, log_t) ->
+        Array.iter
+          (fun (cl, log_t) ->
             Obs.Metrics.incr m_fixup_rescored;
-            let r = Similarity.score_psa psa ~log_background:lbg seq in
-            if r.Similarity.log_sim >= log_t then Bitset.add member_of.(fi) id;
+            let r = Cluster.similarity cl ~log_background:lbg seq in
+            if r.Similarity.log_sim >= log_t then Cluster.add_member cl id;
             if Float.is_finite r.Similarity.log_sim then
               best.(id) <-
                 (match best.(id) with
-                | Some (_, bs) when r.Similarity.log_sim > bs -> Some (s, r.Similarity.log_sim)
-                | None -> Some (s, r.Similarity.log_sim)
+                | Some (_, bs) when r.Similarity.log_sim > bs ->
+                    Some (Cluster.id cl, r.Similarity.log_sim)
+                | None -> Some (Cluster.id cl, r.Similarity.log_sim)
                 | other -> other))
           final
       end
     done;
-    let final =
-      Array.mapi
-        (fun fi (gid, _, pst, _, log_t) ->
-          (gid, Array.of_list (Bitset.to_list member_of.(fi)), pst, log_t))
-        final
-    in
-    let assignments = Array.make n [] in
-    Array.iter
-      (fun (gid, members, _, _) ->
-        Array.iter (fun id -> assignments.(id) <- gid :: assignments.(id)) members)
-      final;
-    (* Cons order above leaves each list descending by gid; restore
-       ascending order to match the unsharded path's presentation. *)
-    let assignments = Array.map List.rev assignments in
-    let outliers = List.filter (fun i -> assignments.(i) = []) (List.init n Fun.id) in
-    let pst_stats = Array.map (fun (gid, _, pst, _) -> (gid, Pst.stats pst)) final in
-    let models = Array.map (fun (gid, _, pst, _) -> (gid, pst)) final in
-    let total_seqs = Array.fold_left (fun acc (_, ids) -> acc + Array.length ids) 0 live in
     let final_t =
-      if total_seqs = 0 then config.Cluseq.t_init
+      if n = 0 then config.Cluseq.t_init
       else
         Array.to_list sub_results
         |> List.mapi (fun j (r : Cluseq.result) ->
                r.Cluseq.final_t *. float_of_int (Array.length (snd live.(j))))
         |> List.fold_left ( +. ) 0.0
-        |> fun sum -> sum /. float_of_int total_seqs
+        |> fun sum -> sum /. float_of_int n
     in
     let iterations =
       Array.fold_left (fun acc (r : Cluseq.result) -> max acc r.Cluseq.iterations) 0 sub_results
     in
-    (* Final-model gauges: per-shard runs raced on these from worker
-       domains (benign, but nondeterministic) — re-set them here from
-       the merged result so exported values are deterministic. *)
+    (* Per-shard runs raced on the gauges from worker domains (benign,
+       but nondeterministic): re-set the shard count and the scan gauge
+       here, and let [Cluseq.finish] re-set the final-model ones, so
+       exported values are deterministic. The scan gauge is over the
+       shards' last-iteration censuses summed. *)
     Obs.Metrics.set g_shard_count (float_of_int k);
-    Obs.Metrics.set (Obs.Metrics.gauge "cluseq.clusters") (float_of_int (Array.length final));
-    Obs.Metrics.set (Obs.Metrics.gauge "cluseq.final_t") final_t;
-    let nodes = Array.fold_left (fun acc (_, (st : Pst.stats)) -> acc + st.Pst.nodes) 0 pst_stats in
-    let words =
-      Array.fold_left (fun acc (_, (st : Pst.stats)) -> acc + st.Pst.approx_bytes) 0 pst_stats
-      / (Sys.word_size / 8)
-    in
-    Obs.Metrics.set (Obs.Metrics.gauge "cluseq.pst.nodes") (float_of_int nodes);
-    Obs.Metrics.set (Obs.Metrics.gauge "cluseq.pst.est_words") (float_of_int words);
-    (* The scan gauge likewise, over the shards' last-iteration censuses
-       summed. *)
     let lasts =
       Array.to_list sub_results
       |> List.concat_map (fun (r : Cluseq.result) ->
@@ -453,27 +409,6 @@ let run ?(config = Cluseq.default_config) ?(shards = 1) db =
         m "merged %d shard clusters into %d (threshold %.3g, %d rescored)" (Array.length gs)
           (Array.length final) default_merge_divergence
           (Obs.Metrics.counter_value m_fixup_rescored));
-    if journal_on then begin
-      Obs.Journal.emit "run.end" (fun () ->
-          [
-            ("clusters", Bench_json.Num (float_of_int (Array.length final)));
-            ("iterations", Bench_json.Num (float_of_int iterations));
-            ("final_t", Bench_json.Num final_t);
-            ("outliers", Bench_json.Num (float_of_int (List.length outliers)));
-            ("shards", Bench_json.Num (float_of_int shards));
-          ]);
-      Obs.Journal.flush ()
-    end;
-    {
-      Cluseq.clusters = Array.map (fun (gid, members, _, _) -> (gid, members)) final;
-      assignments;
-      best;
-      outliers;
-      n_clusters = Array.length final;
-      final_t;
-      iterations;
-      history = [];
-      pst_stats;
-      models;
-    }
+    Cluseq.finish ~shards ~n ~best ~final_t ~iterations ~history:[]
+      (Array.to_list (Array.map fst final))
   end

@@ -9,11 +9,13 @@
     consolidation, convergence) — concurrently with the others. The
     merge runs on the pool as well: the cross-shard divergences as one
     job, then each merged component's model merge and fix-up scores as
-    one task, applied in component order. Each model is prepared once:
-    one {!Divergence.profile} per shard model for the divergences (the
-    [shard.prefilter] span), and one compiled automaton per model for
-    every score ({!Similarity.score_psa}, bit-identical to the tree
-    walk). The merge is
+    one task, applied in component order. Every model the merge scores
+    is a {!Cluster.t} ({!Cluster.of_pst}), compiled once: each shard
+    model, lifted to the global numbering with its members, and each
+    merged component's model. Each lifted cluster builds its
+    {!Cluster.profile} once for the divergences (the [shard.prefilter]
+    span), and every score is {!Cluster.similarity} on its automaton,
+    bit-identical to the tree walk. The merge is
     model-to-model: cross-shard cluster pairs are consolidated when
     they are symmetrized-KL nearest neighbours under a saturation cap
     {e and} each side's members clear the other's retention threshold
@@ -34,9 +36,10 @@
     in the {!Obs.Recorder} (per-domain rings) and feed the atomic
     counters/histograms; the {!Obs.Journal} (a main-domain single
     writer) is suspended around the fan-out, and the orchestrator
-    journals [run.start], [shard.started]/[shard.merged],
-    [shard.consolidated] (absorbed cluster, surviving cluster,
-    divergence) and [run.end] from the main domain. *)
+    journals [run.start] ({!Cluseq.journal_start}),
+    [shard.started]/[shard.merged], [shard.consolidated] (absorbed
+    cluster, surviving cluster, divergence) and [run.end]
+    ({!Cluseq.finish}) from the main domain. *)
 
 val default_merge_divergence : float
 (** Symmetrized-KL {e prefilter} cap for consolidation candidates (see
@@ -61,7 +64,8 @@ val run : ?config:Cluseq.config -> ?shards:int -> Seq_database.t -> Cluseq.resul
     [shards <= 1] is exactly [Cluseq.run ~config db]. The merged result
     satisfies every {!Check.result_invariants} property: cluster ids
     are globally renumbered shard-major, member lists stay sorted,
-    [assignments]/[outliers]/[best] are rebuilt over the whole
-    database. [final_t] is the sequence-weighted mean of the shard
+    [best] is rebuilt over the whole database, and
+    [assignments]/[outliers] are read from the final clusters' member
+    sets by {!Cluseq.finish}. [final_t] is the sequence-weighted mean of the shard
     thresholds, [iterations] the maximum over shards, and [history] is
     empty (per-shard histories do not compose). *)

@@ -9,6 +9,15 @@
 type t
 (** Mutable generator state. *)
 
+val golden : int64
+(** SplitMix64's step, [0x9E3779B97F4A7C15] (2{^ 64} over the golden
+    ratio): each draw adds it to the state. *)
+
+val mix : int64 -> int64
+(** SplitMix64's finalizer: the bijective mixer applied to the state on
+    each draw. As a stateless hash it gives pure functions of their
+    inputs, such as a sequence's shard. *)
+
 val create : int -> t
 (** [create seed] returns a fresh generator determined by [seed]. *)
 

@@ -84,3 +84,19 @@ let counting_prunes f =
   let before = Obs.Metrics.counter_value c in
   let r = f () in
   (r, Obs.Metrics.counter_value c - before)
+
+(* [line] with the value of its ["ts_ns"] field blanked. *)
+let blank_ts line =
+  let key = "\"ts_ns\":" in
+  let kl = String.length key and n = String.length line in
+  let rec find i =
+    if i + kl > n then None else if String.sub line i kl = key then Some i else find (i + 1)
+  in
+  match find 0 with
+  | None -> line
+  | Some i ->
+      let j = ref (i + kl) in
+      while !j < n && line.[!j] >= '0' && line.[!j] <= '9' do
+        incr j
+      done;
+      String.sub line 0 (i + kl) ^ String.sub line !j (n - !j)

@@ -246,6 +246,40 @@ let test_classifier_make_validation () =
        false
      with Invalid_argument _ -> true)
 
+(* A model file whose sizes disagree is corrupt: a background one entry
+   short of the models' symbols, or an alphabet line one symbol wider
+   than the background, must fail to load instead of raising later in
+   scoring. *)
+let test_classifier_load_size_mismatch () =
+  let clf =
+    Classifier.make
+      ~models:[ (0, build [ "ababab" ]); (1, build [ "cdcdcd" ]) ]
+      ~log_background:(Array.make 26 (log (1.0 /. 26.0)))
+      ~t_linear:2.0 ~alphabet:alpha ()
+  in
+  (* [path] with every line that starts with [prefix] passed through [f]. *)
+  let rewrite path prefix f =
+    let text = In_channel.with_open_bin path In_channel.input_all in
+    let lines =
+      List.map
+        (fun l -> if String.starts_with ~prefix l then f l else l)
+        (String.split_on_char '\n' text)
+    in
+    Out_channel.with_open_bin path (fun oc -> output_string oc (String.concat "\n" lines))
+  in
+  let loads path =
+    match Classifier.load path with _ -> true | exception Failure _ -> false
+  in
+  with_tmp (fun path ->
+      Classifier.save path clf;
+      Alcotest.(check bool) "saved classifier loads" true (loads path);
+      rewrite path "background " (fun l -> String.sub l 0 (String.rindex l ' '));
+      Alcotest.(check bool) "short background fails" false (loads path));
+  with_tmp (fun path ->
+      Classifier.save path clf;
+      rewrite path "alphabet\t" (fun l -> l ^ "\tA");
+      Alcotest.(check bool) "wide alphabet fails" false (loads path))
+
 let () =
   Alcotest.run "classifier"
     [
@@ -264,5 +298,6 @@ let () =
           Alcotest.test_case "verdict shape" `Slow test_classifier_verdict_shape;
           Alcotest.test_case "save/load" `Slow test_classifier_save_load;
           Alcotest.test_case "make validation" `Quick test_classifier_make_validation;
+          Alcotest.test_case "load size mismatch" `Quick test_classifier_load_size_mismatch;
         ] );
     ]

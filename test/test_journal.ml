@@ -121,22 +121,6 @@ let journal_of ~domains run =
 let journal_of_run ~domains =
   journal_of ~domains (fun db -> Cluseq.run ~config:Gen_common.small_config db)
 
-(* [line] with the value of its ["ts_ns"] field blanked. *)
-let blank_ts line =
-  let key = "\"ts_ns\":" in
-  let kl = String.length key and n = String.length line in
-  let rec find i =
-    if i + kl > n then None else if String.sub line i kl = key then Some i else find (i + 1)
-  in
-  match find 0 with
-  | None -> line
-  | Some i ->
-      let j = ref (i + kl) in
-      while !j < n && line.[!j] >= '0' && line.[!j] <= '9' do
-        incr j
-      done;
-      String.sub line 0 (i + kl) ^ String.sub line !j (n - !j)
-
 (* The journal bytes, line by line with timestamps blanked, of a run
    under [Gen_common.small_pruned_config], plus the PST nodes pruning
    removed during it. *)
@@ -152,7 +136,7 @@ let pruned_journal_lines ~domains =
           in
           Obs.Journal.close ();
           let text = In_channel.with_open_text path In_channel.input_all in
-          (List.map blank_ts (String.split_on_char '\n' text), pruned)))
+          (List.map Gen_common.blank_ts (String.split_on_char '\n' text), pruned)))
 
 let test_journal_identical_across_domains () =
   let base = journal_of_run ~domains:1 in

@@ -147,6 +147,54 @@ let test_wasted_ratio_deterministic () =
       Alcotest.(check bool) (Printf.sprintf "a ratio (%g)" first) true (first >= 0.0);
       List.iter (Alcotest.(check (float 0.0)) "one value every run" first) values
 
+(* The golden fixture [shard_golden.txt] pins one sharded run bit for
+   bit: 3 shards at one domain over the database above, with its
+   journal. It holds the result's counts and [final_t], every cluster's
+   members, every sequence's assignments and best cluster, each model's
+   node count, and the journal records with timestamps blanked; floats
+   print in [%h]. It was recorded while the merge kept its models,
+   automata and member lists in parallel arrays, so it holds that
+   path's answers, which the merge's clusters must reproduce. *)
+let golden_transcript () =
+  let path = Filename.temp_file "cluseq-shard" ".jsonl" in
+  let r, journal =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Journal.close ();
+        if Sys.file_exists path then Sys.remove path)
+    @@ fun () ->
+    Obs.Journal.open_file path;
+    let r = run_sharded ~shards:3 ~domains:1 () in
+    Obs.Journal.close ();
+    (r, In_channel.with_open_text path In_channel.input_all)
+  in
+  let b = Buffer.create 65536 in
+  let line fmt = Printf.bprintf b (fmt ^^ "\n") in
+  let ints l = String.concat " " (List.map string_of_int l) in
+  line "n_clusters %d iterations %d final_t %h" r.Cluseq.n_clusters r.Cluseq.iterations
+    r.Cluseq.final_t;
+  Array.iter
+    (fun (id, members) -> line "cluster %d: %s" id (ints (Array.to_list members)))
+    r.Cluseq.clusters;
+  Array.iteri
+    (fun i cs ->
+      match r.Cluseq.best.(i) with
+      | Some (c, v) -> line "seq %d [%s] best %d %h" i (ints cs) c v
+      | None -> line "seq %d [%s] best -" i (ints cs))
+    r.Cluseq.assignments;
+  line "outliers %s" (ints r.Cluseq.outliers);
+  Array.iter
+    (fun (id, (st : Pst.stats)) -> line "model %d nodes %d" id st.Pst.nodes)
+    r.Cluseq.pst_stats;
+  List.iter
+    (fun l -> if l <> "" then line "%s" (Gen_common.blank_ts l))
+    (String.split_on_char '\n' journal);
+  Buffer.contents b
+
+let test_golden_transcript () =
+  let fixture = In_channel.with_open_bin "shard_golden.txt" In_channel.input_all in
+  Alcotest.(check string) "same sharded result" fixture (golden_transcript ())
+
 let () =
   Alcotest.run "shard"
     [
@@ -161,5 +209,6 @@ let () =
           Alcotest.test_case "sharded quality" `Quick test_sharded_quality;
           Alcotest.test_case "wasted-pair ratio deterministic" `Slow
             test_wasted_ratio_deterministic;
+          Alcotest.test_case "golden sharded run" `Slow test_golden_transcript;
         ] );
     ]
