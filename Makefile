@@ -117,7 +117,10 @@ suite-smoke: build
 # out-of-range model option (a zero significance, depth, node budget or
 # initial cluster count, a threshold below 1 or not finite, a negative
 # residual or iteration cap) must exit 1 naming the option, on every
-# command that clusters.
+# command that clusters; so must an out-of-range `generate` option (no
+# sequences, clusters or symbols, an outlier fraction outside [0, 1),
+# too few proteins per family or protein length 0, fewer than one
+# sentence per language).
 exit-smoke: build
 	@tmp=$$(mktemp -d); cli="dune exec bin/cluseq_cli.exe --"; fail=0; \
 	$$cli generate --kind synthetic --num 60 --len 60 --clusters 3 -o $$tmp/in.tsv >/dev/null; \
@@ -161,6 +164,10 @@ exit-smoke: build
 	expect_1 $$cli train $$tmp/in.tsv --significance 0 -o $$tmp/bad.model; \
 	expect_1 $$cli evaluate $$tmp/in.tsv --threshold nan; \
 	expect_1 $$cli explain $$tmp/in.tsv 45 --max-nodes 0; \
+	for bad in "--num 0" "--clusters 0" "--sigma 0" "--outliers 1.5" \
+	  "--kind protein --num 0" "--kind protein --len 0" "--kind language --num 2"; do \
+	  expect_1 $$cli generate $$bad -o $$tmp/bad.tsv; \
+	done; \
 	rm -rf $$tmp; \
 	[ $$fail -eq 0 ] || exit 1; \
 	echo "exit-smoke: OK"
@@ -207,12 +214,12 @@ check: build test fuzz fmt-check bench-smoke trace-smoke shard-smoke suite-smoke
 #   git archive <rev> | tar -x -C DIR
 #   (cd DIR && dune build --root . bin/cluseq_cli.exe)
 #   make identity PARENT=DIR
-# scripts/identity.py runs 88 `cluster`, 8 `train` + `classify` and 21
-# `explain` runs with both CLIs and exits 1 if any exit status, stdout
-# (less its `time:`), -o file, model, classify output or journal (less
-# its timestamps) differs. Differing --metrics counters and gauges are
-# printed as notes (gc.*, par.domain_busy_ratio* and histograms are not
-# compared).
+# scripts/identity.py runs 88 `cluster`, 8 `train` (each model
+# classified back at 1 and at 4 domains) and 21 `explain` runs with
+# both CLIs and exits 1 if any exit status, stdout (less its `time:`),
+# -o file, model, classify output or journal (less its timestamps)
+# differs. Differing --metrics counters and gauges are printed as notes
+# (gc.*, par.domain_busy_ratio* and histograms are not compared).
 identity: build
 	@[ -n "$(PARENT)" ] || { echo "identity: set PARENT=DIR, a built parent checkout"; exit 1; }
 	python3 scripts/identity.py "$(PARENT)"

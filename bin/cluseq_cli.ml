@@ -56,7 +56,7 @@ let setup_obs verbosity metrics trace trace_out journal domains check no_index =
   Obs.Logging.setup ~level:(Obs.Logging.level_of_verbosity vcount) ();
   (match domains with None -> () | Some d -> Par.set_default_domains d);
   if no_index then Cluster.set_cache_enabled false;
-  if check then Check.install_auditor () else Check.install_from_env ();
+  if check then Check.install_auditor ();
   (match journal with
   | None -> ()
   | Some file -> (
@@ -156,8 +156,7 @@ let obs_term =
           ~doc:
             "Install the runtime correctness auditor: every reclustering pass is replayed by \
              a serial reference implementation and every iteration's cluster invariants are \
-             verified; any divergence aborts the run. Slow — for debugging and CI. Also \
-             enabled by $(b,CLUSEQ_CHECK=1).")
+             verified; any divergence aborts the run. Slow — for debugging and CI.")
   in
   let no_index =
     Arg.(
@@ -183,21 +182,30 @@ let seed_arg =
 let shards_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt int 1
     & info [ "shards" ] ~docv:"N"
         ~doc:
           "Partition the database into $(docv) deterministic shards, run the full CLUSEQ \
            loop per shard concurrently on the domain pool, and merge the per-shard models \
            into consolidated clusters (counts-added PSTs; cross-shard cluster pairs under a \
            symmetrized-KL threshold are unioned — see DESIGN.md §14). 1 is exactly the \
-           unsharded run. Defaults to the $(b,CLUSEQ_SHARDS) environment variable, or 1.")
-
-let resolve_shards = function
-  | Some s -> s
-  | None -> Option.value ~default:1 (Shard.env_shards ())
+           unsharded run.")
 
 let file_arg p =
   Arg.(required & pos p (some string) None & info [] ~docv:"FILE" ~doc:"Sequence file (label<TAB>sequence lines).")
+
+(* Out-of-range option values are a usage problem, not an internal
+   error: name the option and exit 1 before any command reads or writes
+   a file. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "cluseq: %s\n" msg;
+      exit 1)
+    fmt
+
+let at_least option lo v =
+  if v < lo then usage_error "%s must be at least %d (got %d)" option lo v
 
 (* A missing, unreadable, unwritable or malformed file is a problem with
    the input, not an internal error: name the file and exit 1. *)
@@ -237,6 +245,24 @@ let generate_cmd =
   in
   let out = Arg.(required & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output file.") in
   let run _vcount kind n len k sigma outliers contexts concentration seed out =
+    (* Only the options the chosen kind reads are checked. *)
+    (match kind with
+    | `Synthetic ->
+        at_least "--num" 1 n;
+        at_least "--clusters" 1 k;
+        at_least "--sigma" 1 sigma;
+        (* [not (... && ...)] rather than [< 0. || >= 1.]: the latter lets NaN through. *)
+        if not (outliers >= 0.0 && outliers < 1.0) then
+          usage_error "--outliers must be at least 0 and below 1 (got %g)" outliers
+    | `Protein ->
+        at_least "--clusters" 1 k;
+        if n < 2 * k then
+          usage_error "--num must be at least 2 per family, %d for --clusters %d (got %d)"
+            (2 * k) k n;
+        at_least "--len" 1 len
+    | `Language ->
+        (* One third of the sequences per language. *)
+        at_least "--num" 3 n);
     let rows, alphabet =
       match kind with
       | `Synthetic ->
@@ -312,14 +338,6 @@ let config_args =
       & info [ "order" ] ~docv:"ORDER" ~doc:"Sequence examination order.")
   in
   let iters = Arg.(value & opt int 50 & info [ "max-iterations" ] ~docv:"M" ~doc:"Iteration cap.") in
-  (* Out-of-range values are a usage problem, not an internal error:
-     name the option and exit 1 before any command reads the file. *)
-  let at_least option lo v =
-    if v < lo then begin
-      Printf.eprintf "cluseq: %s must be at least %d (got %d)\n" option lo v;
-      exit 1
-    end
-  in
   let make k_init c t depth max_nodes residual no_adjust order iters seed =
     at_least "--k-init" 1 k_init;
     at_least "--significance" 1 c;
@@ -328,10 +346,8 @@ let config_args =
     Option.iter (at_least "--min-residual" 0) residual;
     at_least "--max-iterations" 0 iters;
     (* [not (>= 1.0)] rather than [< 1.0]: the latter lets NaN through. *)
-    if not (Float.is_finite t && t >= 1.0) then begin
-      Printf.eprintf "cluseq: --threshold must be a finite value >= 1 (got %g)\n" t;
-      exit 1
-    end;
+    if not (Float.is_finite t && t >= 1.0) then
+      usage_error "--threshold must be a finite value >= 1 (got %g)" t;
     {
       Cluseq.default_config with
       k_init;
@@ -353,7 +369,6 @@ let cluster_cmd =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write per-sequence assignments (id, clusters) to FILE.")
   in
   let run vcount file config shards assignments_out =
-    let shards = resolve_shards shards in
     let alphabet, rows = with_file file Seq_io.read_labeled in
     let db, _labels = Seq_io.to_database alphabet rows in
     let result, seconds = Timer.time (fun () -> Shard.run ~config ~shards db) in
@@ -397,7 +412,6 @@ let train_cmd =
     Arg.(required & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write the trained classifier model to FILE.")
   in
   let run _vcount file config shards model_out =
-    let shards = resolve_shards shards in
     let alphabet, rows = with_file file Seq_io.read_labeled in
     let db, _ = Seq_io.to_database alphabet rows in
     let result, seconds = Timer.time (fun () -> Shard.run ~config ~shards db) in
@@ -458,7 +472,6 @@ let classify_cmd =
 
 let evaluate_cmd =
   let run _vcount file config shards =
-    let shards = resolve_shards shards in
     let alphabet, rows = with_file file Seq_io.read_labeled in
     let db, label_names = Seq_io.to_database alphabet rows in
     (* Ground truth: numeric labels, "-1" marking outliers. *)
@@ -520,7 +533,6 @@ let explain_cmd =
   let fint k fields = Option.bind (List.assoc_opt k fields) Bench_json.to_int in
   let ffloat k fields = Option.bind (List.assoc_opt k fields) Bench_json.to_float in
   let run _vcount file seq_id config shards cluster_opt top =
-    let shards = resolve_shards shards in
     let alphabet, rows = with_file file Seq_io.read_labeled in
     let db, _ = Seq_io.to_database alphabet rows in
     let n = Seq_database.n_sequences db in
@@ -719,7 +731,6 @@ let check_cmd =
              result.")
   in
   let run _vcount fuzz_n seed shards file =
-    let shards = resolve_shards shards in
     match file with
     | Some f ->
         let alphabet, rows = with_file f Seq_io.read_labeled in

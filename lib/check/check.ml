@@ -490,10 +490,3 @@ let auditor () : Cluseq.auditor =
 
 let install_auditor () = Cluseq.set_auditor (Some (auditor ()))
 let uninstall_auditor () = Cluseq.set_auditor None
-
-let env_enabled () =
-  match Sys.getenv_opt "CLUSEQ_CHECK" with
-  | None | Some ("" | "0" | "false" | "no") -> false
-  | Some _ -> true
-
-let install_from_env () = if env_enabled () then install_auditor ()

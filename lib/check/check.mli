@@ -6,7 +6,7 @@
     into a {!Violation}. The {!install_auditor} entry point wires the
     live checkers into {!Cluseq.run}'s audit hooks; production runs pay
     a single ref read per iteration unless the auditor is installed
-    (the [--check] CLI flag or [CLUSEQ_CHECK=1]). *)
+    (the [--check] CLI flag). *)
 
 exception Violation of string list
 (** Raised by the installed auditor when a checker reports violations.
@@ -136,10 +136,3 @@ val install_auditor : unit -> unit
 
 val uninstall_auditor : unit -> unit
 (** Clear the hook; runs go back to paying one ref read per iteration. *)
-
-val env_enabled : unit -> bool
-(** Whether [CLUSEQ_CHECK] is set to anything but [0]/[false]/[no]/empty. *)
-
-val install_from_env : unit -> unit
-(** {!install_auditor} iff {!env_enabled}; the CLI calls this at startup
-    so [CLUSEQ_CHECK=1 cluseq cluster …] audits any run. *)

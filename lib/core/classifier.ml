@@ -52,35 +52,19 @@ let classify t s =
   let score cl = (Cluster.id cl, (sim cl).Similarity.log_sim) in
   verdict t (Array.to_list (Array.map score t.models))
 
-(* Batch scoring is read-only against the stored models, so verdicts fan
-   out over the domain pool; results are gathered by sequence index, so
-   the output is identical for any domain count. Each task owns a block
-   of sequences and scores it model-major — one batched automaton pass
-   per (model, block) via [Cluster.similarity_batch] — then builds each
-   lane's verdict from the same per-model score list, in the same model
-   order, that [classify] builds, so the sorted verdicts are identical
-   to the per-sequence path (the fuzz harness cross-checks the two). *)
+(* Batch scoring is read-only against the stored models, so the scores
+   fan out over the domain pool ({!Cluster.score_columns}); each
+   sequence's verdict is then built from the same per-model score list,
+   in the same model order, that [classify] builds, so the verdicts are
+   identical to the per-sequence path for any domain count (the fuzz
+   harness cross-checks the two). *)
 let classify_all t db =
-  let seqs = Seq_database.sequences db in
-  let n = Array.length seqs in
-  let block = 64 in
-  let nb = (n + block - 1) / block in
-  let blocks =
-    Par.map_chunks (Par.get_pool ()) ~n:nb (fun b ->
-        let lo = b * block in
-        let bn = min block (n - lo) in
-        let sub = Array.sub seqs lo bn in
-        let batch = Psa.batch_create ~capacity:bn () in
-        (* cols.(i).(j): lane j's result against model i. *)
-        let cols =
-          Array.map
-            (fun cl -> Cluster.similarity_batch cl ~log_background:t.log_background ~batch sub)
-            t.models
-        in
-        let score j i cl = (Cluster.id cl, cols.(i).(j).Similarity.log_sim) in
-        Array.init bn (fun j -> verdict t (Array.to_list (Array.mapi (score j) t.models))))
+  let columns =
+    Cluster.score_columns ~log_background:t.log_background t.models (Seq_database.sequences db)
   in
-  Array.init n (fun i -> blocks.(i / block).(i mod block))
+  let score j i cl = (Cluster.id cl, columns.(i).(j).Similarity.log_sim) in
+  Array.init (Seq_database.n_sequences db) (fun j ->
+      verdict t (Array.to_list (Array.mapi (score j) t.models)))
 
 let n_clusters t = Array.length t.models
 let threshold t = exp t.log_t

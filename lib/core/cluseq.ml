@@ -61,15 +61,6 @@ let h_member_score =
    per-iteration cost outside the five phase spans. *)
 let h_drift_seconds = Obs.Metrics.histogram "cluseq.drift_seconds"
 
-(* Scoring fan-out granularity: sequences are scored in blocks of this
-   many lanes so one compiled automaton streams over a whole block per
-   call ({!Psa.score_batch}) instead of being re-entered per sequence.
-   Each parallel task owns one block and its own scratch columns; the
-   per-pair results are independent of the block split, so any block
-   size yields the same bits. 64 lanes keep the scratch (~4 KiB) and the
-   state column cache-resident. *)
-let scan_block = 64
-
 (* The five phases of one iteration, in execution order: the span names
    and, indexed alike, their [cluseq.iter.<phase>_seconds] histograms. *)
 let phase_names = [| "generation"; "reclustering"; "consolidation"; "threshold"; "convergence" |]
@@ -201,15 +192,6 @@ let pst_config (cfg : config) ~alphabet_size : Pst.config =
     pruning = cfg.pruning;
   }
 
-(* The blocked fan-out shared by the generation sweeps and the
-   reclustering scan: [f ~lo ~len] runs as one pool task per block of
-   [scan_block] consecutive indices of [0, n), and the per-block results
-   come back in block order. *)
-let map_blocks ~n f =
-  Par.map_chunks (Par.get_pool ()) ~n:((n + scan_block - 1) / scan_block) (fun b ->
-      let lo = b * scan_block in
-      f ~lo ~len:(min scan_block (n - lo)))
-
 (* Number of new clusters to seed this iteration (paper Sec. 4.1): [k_init]
    at first, then [k' · f] where [f] is the share of last iteration's
    seeds that survived consolidation. *)
@@ -246,31 +228,19 @@ let generate_new_clusters cfg db rng ~iter ~next_id ~clusters ~unclustered ~k_n 
     let m = min (cfg.sample_factor * k_n) (Array.length pool) in
     let chosen = Rng.sample_without_replacement rng ~k:m ~n:(Array.length pool) in
     let samples = Array.map (fun i -> pool.(i)) chosen in
-    (* Compile the frozen models on this domain before fanning out; the
-       automata are immutable and shared read-only by the workers. *)
+    let sample_seqs = Array.map (Seq_database.get db) samples in
+    (* Each sample's max similarity to the existing clusters; the greedy
+       loop only adds similarities to freshly created clusters. The
+       per-sample [Float.max] fold visits clusters in list order. *)
     List.iter Cluster.compile clusters;
-    let clusters_arr = Array.of_list clusters in
-    (* Each sample's max similarity to the existing clusters, scored
-       cluster-major over blocks of samples with one batched automaton
-       pass per (cluster, block); the greedy loop only adds similarities
-       to freshly created clusters. The per-sample [Float.max] fold
-       visits clusters in list order, so the maxima do not depend on the
-       block split. *)
+    let columns =
+      Cluster.score_columns ~log_background:lbg (Array.of_list clusters) sample_seqs
+    in
     let max_sim =
-      Array.concat
-        (Array.to_list
-           (map_blocks ~n:m (fun ~lo ~len ->
-                let seqs = Array.init len (fun j -> Seq_database.get db samples.(lo + j)) in
-                let batch = Psa.batch_create ~capacity:len () in
-                let acc = Array.make len neg_infinity in
-                Array.iter
-                  (fun cl ->
-                    let res = Cluster.similarity_batch cl ~log_background:lbg ~batch seqs in
-                    for j = 0 to len - 1 do
-                      acc.(j) <- Float.max acc.(j) res.(j).Similarity.log_sim
-                    done)
-                  clusters_arr;
-                acc)))
+      Array.init m (fun j ->
+          Array.fold_left
+            (fun acc column -> Float.max acc column.(j).Similarity.log_sim)
+            neg_infinity columns)
     in
     let taken = Array.make m false in
     let new_clusters = ref [] in
@@ -285,11 +255,10 @@ let generate_new_clusters cfg db rng ~iter ~next_id ~clusters ~unclustered ~k_n 
       if !best >= 0 then begin
         let j = !best in
         taken.(j) <- true;
-        let seed_seq = Seq_database.get db samples.(j) in
         let cl =
           Cluster.create ~id:!id ~born:iter ~capacity:(Seq_database.n_sequences db)
             (pst_config cfg ~alphabet_size:(Alphabet.size (Seq_database.alphabet db)))
-            [| seed_seq |]
+            [| sample_seqs.(j) |]
         in
         if jrn then
           Obs.Journal.emit "cluster.seeded" (fun () ->
@@ -301,33 +270,20 @@ let generate_new_clusters cfg db rng ~iter ~next_id ~clusters ~unclustered ~k_n 
         incr id;
         Cluster.compile cl;
         new_clusters := cl :: !new_clusters;
-        (* Update remaining samples' max similarity with the new cluster:
-           one batched pass of its automaton per block over the
-           still-untaken lanes ([taken] is read-only during the sweep),
-           element-wise maxima serially. *)
-        let sims =
-          Array.concat
-            (Array.to_list
-               (map_blocks ~n:m (fun ~lo ~len ->
-                    let out = Array.make len neg_infinity in
-                    let pending =
-                      List.init len Fun.id
-                      |> List.filter (fun j -> not taken.(lo + j))
-                      |> Array.of_list
-                    in
-                    if Array.length pending > 0 then begin
-                      let seqs =
-                        Array.map (fun j -> Seq_database.get db samples.(lo + j)) pending
-                      in
-                      let batch = Psa.batch_create ~capacity:(Array.length pending) () in
-                      let res = Cluster.similarity_batch cl ~log_background:lbg ~batch seqs in
-                      Array.iteri (fun p j -> out.(j) <- res.(p).Similarity.log_sim) pending
-                    end;
-                    out)))
+        (* Raise the untaken samples' max similarity to the new
+           cluster's scores, sample by sample. *)
+        let untaken =
+          Array.of_list (List.filter (fun j -> not taken.(j)) (List.init m Fun.id))
         in
-        for j' = 0 to m - 1 do
-          if (not taken.(j')) && sims.(j') > max_sim.(j') then max_sim.(j') <- sims.(j')
-        done
+        let column =
+          (Cluster.score_columns ~log_background:lbg [| cl |]
+             (Array.map (fun j -> sample_seqs.(j)) untaken)).(0)
+        in
+        Array.iteri
+          (fun p j ->
+            let sim = column.(p).Similarity.log_sim in
+            if sim > max_sim.(j) then max_sim.(j) <- sim)
+          untaken
       end
     done;
     List.rev !new_clusters
@@ -338,29 +294,23 @@ let generate_new_clusters cfg db rng ~iter ~next_id ~clusters ~unclustered ~k_n 
    cluster indexed by sequence id. A clean cluster's column is its
    cached one from the previous pass ({!Cluster.score_cache}): scoring
    is deterministic and the model did not change, so it equals a fresh
-   evaluation bit for bit. Every other column comes whole from one
-   batched automaton pass per block, each block a pool task that scores
-   cluster-major. The workers only read the automata compiled before
-   the fan-out, so the matrix is the same for any domain count and any
-   block split. *)
+   evaluation bit for bit. The other clusters are scored in one
+   {!Cluster.score_columns} fan-out. [caches] is left as it is: the
+   census reads it to count the pairs evaluated afresh. *)
 let score_matrix db ~log_background ~caches clusters =
-  let n = Seq_database.n_sequences db in
-  let blocks =
-    map_blocks ~n (fun ~lo ~len ->
-        let seqs = Array.init len (fun j -> Seq_database.get db (lo + j)) in
-        let batch = Psa.batch_create ~capacity:len () in
-        Array.mapi
-          (fun ci cl ->
-            match caches.(ci) with
-            | Some _ -> [||]
-            | None -> Cluster.similarity_batch cl ~log_background ~batch seqs)
-          clusters)
+  let uncached =
+    List.filteri (fun ci _ -> Option.is_none caches.(ci)) (Array.to_list clusters)
   in
-  Array.mapi
-    (fun ci cache ->
-      match cache with
+  let fresh =
+    Cluster.score_columns ~log_background (Array.of_list uncached) (Seq_database.sequences db)
+  in
+  let next = ref 0 in
+  Array.map
+    (function
       | Some column -> column
-      | None -> Array.concat (Array.to_list (Array.map (fun block -> block.(ci)) blocks)))
+      | None ->
+          incr next;
+          fresh.(!next - 1))
     caches
 
 (* Consolidation (paper Sec. 4.5): examine clusters in ascending size order

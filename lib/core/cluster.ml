@@ -94,12 +94,32 @@ let profile t =
 
 let similarity t ~log_background s = Similarity.score_psa (current t) ~log_background s
 
-(* Read-only: runs on the scan fan-out's worker domains, which must not
-   bring an automaton up to date — [compile] does that on the submitting
-   domain before every fan-out. *)
-let similarity_batch t ~log_background ~batch seqs =
-  if t.stale then invalid_arg "Cluster.similarity_batch: stale automaton; compile first";
-  Similarity.score_batch t.compiled ~log_background ~batch seqs
+(* Scoring fan-out granularity: sequences are scored in blocks of this
+   many lanes so one automaton streams over a whole block per call
+   ({!Psa.score_batch}) instead of being re-entered per sequence. Lanes
+   never interact, so any block size yields the same bits; 64 lanes keep
+   a task's scratch (~4 KiB) and the state column cache-resident. *)
+let block = 64
+
+(* One pool task per block, each with its own scratch, scoring its block
+   cluster-major. The workers only read the automata, so none may be
+   stale: [compile] brings them current on the submitting domain, and
+   this checks it there once, before the fan-out. *)
+let score_columns ~log_background clusters seqs =
+  if Array.exists (fun t -> t.stale) clusters then
+    invalid_arg "Cluster.score_columns: stale automaton; compile first";
+  let n = Array.length seqs in
+  let blocks =
+    Par.map_chunks (Par.get_pool ()) ~n:((n + block - 1) / block) (fun b ->
+        let lanes = Array.sub seqs (b * block) (min block (n - (b * block))) in
+        let batch = Psa.batch_create ~capacity:(Array.length lanes) () in
+        Array.map
+          (fun t -> Similarity.score_batch t.compiled ~log_background ~batch lanes)
+          clusters)
+  in
+  Array.mapi
+    (fun ci _ -> Array.concat (List.map (fun b -> b.(ci)) (Array.to_list blocks)))
+    clusters
 
 let absorb t s (r : Similarity.result) =
   Obs.Metrics.incr m_absorbs;

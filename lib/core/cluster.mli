@@ -52,7 +52,7 @@ val compile : t -> unit
     significant) or, once a significant context was pruned, recompile
     it. Called on the submitting domain at the start of every read-only
     scoring sweep, so the sweep's workers only ever read a current
-    automaton ({!similarity_batch} checks). Idempotent and cheap when
+    automaton ({!score_columns} checks). Idempotent and cheap when
     nothing changed. The first call after creation or after the tree
     grew journals a [cluster.froze] event (with the automaton's state
     count) when {!Obs.Journal} is enabled. *)
@@ -96,19 +96,20 @@ val similarity : t -> log_background:float array -> Sequence.t -> Similarity.res
     the task that owns the cluster may call this after an absorb; after
     {!compile} it only reads. *)
 
-val similarity_batch :
-  t ->
-  log_background:float array ->
-  batch:Psa.batch ->
-  Sequence.t array ->
-  Similarity.result array
-(** Score a whole block against this cluster in one pass of the batched
-    kernel ({!Similarity.score_batch}); bit-for-bit equal to mapping
-    {!similarity} over the block. Never touches the automaton, so the
-    read-only fan-out may call it from any domain. Raises
-    [Invalid_argument] when an {!absorb} has left the automaton stale:
-    call {!compile} before every fan-out. [batch] is the caller's
-    reusable scratch (one per worker domain). *)
+val score_columns :
+  log_background:float array -> t array -> Sequence.t array -> Similarity.result array array
+(** [score_columns ~log_background clusters seqs] scores every sequence
+    against every cluster on the {!Par} global pool and returns one
+    column per cluster: [(score_columns ~log_background clusters seqs).(c).(i)]
+    is bit-for-bit [similarity clusters.(c) ~log_background seqs.(i)].
+    The sequences are cut into blocks of 64, one pool task each; a task
+    scores its block cluster-major, one {!Similarity.score_batch} pass
+    per (cluster, block) on its own scratch. The tasks only read the
+    automata, so the result is the same for any pool size. The one
+    scoring fan-out of the batch loop's seed sweeps and reclustering
+    scan and of {!Classifier.classify_all}. Raises [Invalid_argument],
+    before any scoring, when an {!absorb} has left an automaton stale:
+    call {!compile} first. *)
 
 val absorb : t -> Sequence.t -> Similarity.result -> unit
 (** [absorb t s r] inserts the maximizing segment [r.seg_lo .. r.seg_hi]

@@ -25,14 +25,6 @@ let default_merge_divergence = 6.5
 
 let clamp lo hi v = max lo (min hi v)
 
-let env_shards () =
-  match Sys.getenv_opt "CLUSEQ_SHARDS" with
-  | None -> None
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some v when v >= 1 -> Some (clamp 1 64 v)
-      | _ -> None)
-
 (* Stateless SplitMix64 hashes ([Rng]'s mixer and step), so shard
    membership is a pure function of (seed, id). *)
 let shard_of_id ~seed ~shards id =
@@ -103,7 +95,8 @@ let run ?(config = Cluseq.default_config) ?(shards = 1) db =
               [
                 ("shard", Bench_json.Num (float_of_int s));
                 ("sequences", Bench_json.Num (float_of_int (Array.length ids)));
-                ("seed", Bench_json.Num (float_of_int (shard_seed seed s)));
+                (* A string: a double cannot hold every 63-bit seed. *)
+                ("seed", Bench_json.Str (string_of_int (shard_seed seed s)));
               ]))
         live;
     Log.info (fun m -> m "fanning out %d shards over %d sequences" k n);

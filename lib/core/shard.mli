@@ -36,10 +36,12 @@
     in the {!Obs.Recorder} (per-domain rings) and feed the atomic
     counters/histograms; the {!Obs.Journal} (a main-domain single
     writer) is suspended around the fan-out, and the orchestrator
-    journals [run.start] ({!Cluseq.journal_start}),
-    [shard.started]/[shard.merged], [shard.consolidated] (absorbed
-    cluster, surviving cluster, divergence) and [run.end]
-    ({!Cluseq.finish}) from the main domain. *)
+    journals [run.start] ({!Cluseq.journal_start}), [shard.started]
+    (with the shard's RNG seed as an exact decimal string, so one
+    shard's run can be repeated alone), [shard.merged],
+    [shard.consolidated] (absorbed cluster, surviving cluster,
+    divergence) and [run.end] ({!Cluseq.finish}) from the main
+    domain. *)
 
 val default_merge_divergence : float
 (** Symmetrized-KL {e prefilter} cap for consolidation candidates (see
@@ -53,10 +55,6 @@ val shard_of_id : seed:int -> shards:int -> int -> int
 (** [shard_of_id ~seed ~shards id] is the deterministic shard of a
     sequence id: a SplitMix64 hash of (seed, id) mod [shards]. Exposed
     for the partitioning tests. *)
-
-val env_shards : unit -> int option
-(** A valid [CLUSEQ_SHARDS] environment value ([>= 1], clamped to 64),
-    if present. *)
 
 val run : ?config:Cluseq.config -> ?shards:int -> Seq_database.t -> Cluseq.result
 (** [run ~config ~shards db] clusters [db] with [shards] independent

@@ -18,9 +18,10 @@ The matrix: two generated inputs (240 synthetic sequences of length 80,
 240 protein sequences of length 150); `cluster` under eleven option sets
 x `--domains 1/4` x default/`--significance 6` on each (88 runs);
 `train` under default/`--shards 3` x default/`--significance 6` on each,
-each model classified back on its input (8 runs); `explain` of five
-sequences x each input x `--shards 1/2`, plus the case whose best
-cluster the final consolidation dismissed (21 runs).
+each model classified back on its input at `--domains 1/4` (8 runs, 16
+`classify`); `explain` of five sequences x each input x `--shards 1/2`,
+plus the case whose best cluster the final consolidation dismissed (21
+runs).
 
 Usage:
   python3 scripts/identity.py PARENT_DIR [--cli PATH] [--keep DIR]
@@ -180,7 +181,10 @@ def main():
                         "train",
                         [
                             (["train", inp] + shards + sig + ["-o", "model"] + obs, ["model"], ["j.jsonl"], "m.json"),
-                            (["classify", inp, "-m", "model", "--metrics=c.json"], [], [], "c.json"),
+                        ]
+                        + [
+                            (["classify", inp, "-m", "model", "--domains", d, "--metrics=c.json"], [], [], "c.json")
+                            for d in ("1", "4")
                         ],
                     )
         for inp in INPUTS:

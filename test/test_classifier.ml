@@ -216,6 +216,25 @@ let test_classifier_verdict_shape () =
       List.iter (fun (_, x) -> Alcotest.(check bool) "sorted desc" true (x <= first)) rest
   | [] -> Alcotest.fail "no scores")
 
+(* The batch path cuts the database into 64-sequence blocks; over 150
+   sequences (two full blocks and a partial one) every verdict must
+   still be the per-sequence one, at any pool size. *)
+let test_classify_all_matches_classify () =
+  let w, _, clf = trained_setup () in
+  let seqs = Seq_database.sequences w.db in
+  let expected = Array.map (Classifier.classify clf) seqs in
+  List.iter
+    (fun d ->
+      let got = Gen_common.with_domains d (fun () -> Classifier.classify_all clf w.db) in
+      Alcotest.(check int) "one verdict per sequence" (Array.length seqs) (Array.length got);
+      Array.iteri
+        (fun i v ->
+          Alcotest.(check bool)
+            (Printf.sprintf "domains %d, sequence %d" d i)
+            true (v = expected.(i)))
+        got)
+    [ 1; 4 ]
+
 let test_classifier_save_load () =
   let w, _, clf = trained_setup () in
   with_tmp (fun path ->
@@ -296,6 +315,8 @@ let () =
           Alcotest.test_case "generalizes" `Slow test_classifier_generalizes;
           Alcotest.test_case "outlier flagging" `Slow test_classifier_outlier_flagging;
           Alcotest.test_case "verdict shape" `Slow test_classifier_verdict_shape;
+          Alcotest.test_case "classify_all = classify across blocks" `Slow
+            test_classify_all_matches_classify;
           Alcotest.test_case "save/load" `Slow test_classifier_save_load;
           Alcotest.test_case "make validation" `Quick test_classifier_make_validation;
           Alcotest.test_case "load size mismatch" `Quick test_classifier_load_size_mismatch;

@@ -63,14 +63,13 @@ let test_cluster_similarity_prefers_own_style () =
 (* The cluster's automaton follows its tree across absorbs — refreshed
    in place, with states patched in once a context turns significant —
    so every score after an absorb equals the tree walk on the grown
-   model. The read-only batch path refuses the automaton an absorb left
+   model. The scoring fan-out refuses the automaton an absorb left
    stale, and the compile that ends the pass makes it current again. *)
 let test_cluster_scores_follow_absorbs () =
   let lbg = Array.make 26 (log (1.0 /. 26.0)) in
   let cl = Cluster.create ~id:0 ~capacity:10 pst_cfg [| Sequence.of_string alpha "abcd" |] in
   Cluster.compile cl;
   let probes = List.map (Sequence.of_string alpha) [ "abcabc"; "dcba"; "aabbccdd"; "q" ] in
-  let batch = Psa.batch_create () in
   let block = Array.of_list probes in
   let check_all when_ =
     List.iter
@@ -86,9 +85,9 @@ let test_cluster_scores_follow_absorbs () =
     let s = Sequence.of_string alpha text in
     Cluster.absorb cl s { Similarity.log_sim = 1.0; seg_lo = 0; seg_hi = Array.length s - 1 };
     Alcotest.check_raises
-      (Printf.sprintf "batch after absorb %d refuses the stale automaton" i)
-      (Invalid_argument "Cluster.similarity_batch: stale automaton; compile first")
-      (fun () -> ignore (Cluster.similarity_batch cl ~log_background:lbg ~batch block))
+      (Printf.sprintf "fan-out after absorb %d refuses the stale automaton" i)
+      (Invalid_argument "Cluster.score_columns: stale automaton; compile first")
+      (fun () -> ignore (Cluster.score_columns ~log_background:lbg [| cl |] block))
   in
   List.iteri
     (fun i text ->
@@ -97,9 +96,63 @@ let test_cluster_scores_follow_absorbs () =
     [ "abcd"; "ab"; "abcabc"; "dd"; "abcd"; "bcbc" ];
   absorb 6 "cdcd";
   Cluster.compile cl;
-  Alcotest.(check bool) "batch after compile = tree walk" true
-    (Cluster.similarity_batch cl ~log_background:lbg ~batch block
-    = Array.map (Similarity.score (Cluster.pst cl) ~log_background:lbg) block)
+  Alcotest.(check bool) "fan-out after compile = tree walk" true
+    (Cluster.score_columns ~log_background:lbg [| cl |] block
+    = [| Array.map (Similarity.score (Cluster.pst cl) ~log_background:lbg) block |])
+
+(* [Cluster.score_columns] against the per-sequence path: clusters grown
+   by absorbs and then compiled, sequence arrays on either side of the
+   64-lane block split with empty sequences mixed in, and pool sizes 1
+   and 4. Every cell must be [Cluster.similarity] bit for bit. *)
+let score_columns_arb =
+  let open QCheck.Gen in
+  let text = string_size ~gen:(char_range 'a' 'd') (int_range 1 30) in
+  let cluster = pair (list_size (int_range 1 3) text) (list_size (int_range 0 4) text) in
+  let lane = frequency [ (1, return ""); (5, text) ] in
+  let lanes = oneofl [ 0; 1; 63; 64; 65; 129 ] >>= fun n -> array_size (return n) lane in
+  QCheck.make
+    ~print:(fun (cls, seqs) ->
+      Printf.sprintf "%d clusters, %d sequences" (List.length cls) (Array.length seqs))
+    (pair (list_size (int_range 1 3) cluster) lanes)
+
+let prop_score_columns_match_similarity =
+  QCheck.Test.make ~name:"score_columns = similarity, cell by cell" ~count:60 score_columns_arb
+    (fun (specs, texts) ->
+      let lbg = Gen_common.uniform_lbg in
+      let seq = Sequence.of_string alpha in
+      let grow id (seeds, absorbs) =
+        let cl = Cluster.create ~id ~capacity:0 pst_cfg (Array.of_list (List.map seq seeds)) in
+        List.iter
+          (fun t ->
+            let s = seq t in
+            Cluster.absorb cl s
+              { Similarity.log_sim = 1.0; seg_lo = 0; seg_hi = Array.length s - 1 })
+          absorbs;
+        Cluster.compile cl;
+        cl
+      in
+      let clusters = Array.of_list (List.mapi grow specs) in
+      let seqs = Array.map seq texts in
+      let expected =
+        Array.map
+          (fun cl -> Array.map (Cluster.similarity cl ~log_background:lbg) seqs)
+          clusters
+      in
+      let same (a : Similarity.result) (b : Similarity.result) =
+        Int64.bits_of_float a.log_sim = Int64.bits_of_float b.log_sim
+        && a.seg_lo = b.seg_lo && a.seg_hi = b.seg_hi
+      in
+      List.for_all
+        (fun d ->
+          let got =
+            Gen_common.with_domains d (fun () ->
+                Cluster.score_columns ~log_background:lbg clusters seqs)
+          in
+          Array.length got = Array.length clusters
+          && Array.for_all2
+               (fun e g -> Array.length g = Array.length e && Array.for_all2 same e g)
+               expected got)
+        [ 1; 4 ])
 
 (* The score-column cache lives only while the tree is unchanged, and
    holds nothing while switched off. *)
@@ -280,6 +333,7 @@ let () =
           Alcotest.test_case "absorb updates PST" `Quick test_cluster_absorb_updates_pst;
           Alcotest.test_case "similarity" `Quick test_cluster_similarity_prefers_own_style;
           Alcotest.test_case "scores follow absorbs" `Quick test_cluster_scores_follow_absorbs;
+          QCheck_alcotest.to_alcotest prop_score_columns_match_similarity;
         ] );
       ( "cache",
         [

@@ -149,8 +149,8 @@ let test_cluseq_identical_across_domain_counts () =
     ]
 
 (* The reclustering scan scores one automaton over a block of lanes
-   (Cluseq.scan_block sequences per task) and the apply tasks rescore
-   dirty clusters one lane at a time: pin down that the run is
+   (Cluster.score_columns: 64 sequences per task) and the apply tasks
+   rescore dirty clusters one lane at a time: pin down that the run is
    deterministic across domain counts with the auditor installed, so
    every pass's deciding scores are also checked against the serial
    tree-walk replay ([Check.reference_recluster]). *)

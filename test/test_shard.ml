@@ -155,19 +155,21 @@ let test_wasted_ratio_deterministic () =
    print in [%h]. It was recorded while the merge kept its models,
    automata and member lists in parallel arrays, so it holds that
    path's answers, which the merge's clusters must reproduce. *)
+let journaled_run =
+  lazy
+    (let path = Filename.temp_file "cluseq-shard" ".jsonl" in
+     Fun.protect
+       ~finally:(fun () ->
+         Obs.Journal.close ();
+         if Sys.file_exists path then Sys.remove path)
+     @@ fun () ->
+     Obs.Journal.open_file path;
+     let r = run_sharded ~shards:3 ~domains:1 () in
+     Obs.Journal.close ();
+     (r, In_channel.with_open_text path In_channel.input_all))
+
 let golden_transcript () =
-  let path = Filename.temp_file "cluseq-shard" ".jsonl" in
-  let r, journal =
-    Fun.protect
-      ~finally:(fun () ->
-        Obs.Journal.close ();
-        if Sys.file_exists path then Sys.remove path)
-    @@ fun () ->
-    Obs.Journal.open_file path;
-    let r = run_sharded ~shards:3 ~domains:1 () in
-    Obs.Journal.close ();
-    (r, In_channel.with_open_text path In_channel.input_all)
-  in
+  let r, journal = Lazy.force journaled_run in
   let b = Buffer.create 65536 in
   let line fmt = Printf.bprintf b (fmt ^^ "\n") in
   let ints l = String.concat " " (List.map string_of_int l) in
@@ -195,6 +197,50 @@ let test_golden_transcript () =
   let fixture = In_channel.with_open_bin "shard_golden.txt" In_channel.input_all in
   Alcotest.(check string) "same sharded result" fixture (golden_transcript ())
 
+(* Each [shard.started] record carries its shard's RNG seed exactly, so
+   one shard's run can be repeated alone: [Cluseq.run] with that seed
+   over the shard's sequences ([Shard.shard_of_id]) must end as the
+   matching [shard.merged] record says. *)
+let test_journaled_seeds_repeat_shards () =
+  let db, _ = Lazy.force db_and_truth in
+  let _, journal = Lazy.force journaled_run in
+  let records =
+    List.filter_map
+      (fun l -> if l = "" then None else Result.to_option (Bench_json.parse l))
+      (String.split_on_char '\n' journal)
+  in
+  let field k conv r = Option.get (Option.bind (Bench_json.member k r) conv) in
+  let event e r = Bench_json.member "event" r = Some (Bench_json.Str e) in
+  let started = List.filter (event "shard.started") records in
+  Alcotest.(check int) "one record per shard" 3 (List.length started);
+  List.iter
+    (fun st ->
+      let shard = field "shard" Bench_json.to_int st in
+      let seed = int_of_string (field "seed" Bench_json.to_str st) in
+      let ids =
+        List.filter
+          (fun i -> Shard.shard_of_id ~seed:config.Cluseq.seed ~shards:3 i = shard)
+          (List.init (Seq_database.n_sequences db) Fun.id)
+      in
+      let r =
+        Gen_common.with_domains 1 (fun () ->
+            Cluseq.run ~config:{ config with Cluseq.seed }
+              (Seq_database.subset db (Array.of_list ids)))
+      in
+      let merged =
+        List.find
+          (fun m -> event "shard.merged" m && field "shard" Bench_json.to_int m = shard)
+          records
+      in
+      let tag = Printf.sprintf "shard %d %s" shard in
+      Alcotest.(check int)
+        (tag "clusters") (field "clusters" Bench_json.to_int merged) r.Cluseq.n_clusters;
+      Alcotest.(check int)
+        (tag "iterations") (field "iterations" Bench_json.to_int merged) r.Cluseq.iterations;
+      Alcotest.(check (float 0.0))
+        (tag "final_t") (field "final_t" Bench_json.to_float merged) r.Cluseq.final_t)
+    started
+
 let () =
   Alcotest.run "shard"
     [
@@ -210,5 +256,7 @@ let () =
           Alcotest.test_case "wasted-pair ratio deterministic" `Slow
             test_wasted_ratio_deterministic;
           Alcotest.test_case "golden sharded run" `Slow test_golden_transcript;
+          Alcotest.test_case "journaled seeds repeat the shards" `Slow
+            test_journaled_seeds_repeat_shards;
         ] );
     ]
