@@ -92,10 +92,10 @@ shard-smoke: build
 
 # Deterministic fuzz sweep over every correctness oracle (differential
 # PST, brute-force similarity, the automaton kept current by in-place
-# refresh and patching vs a fresh compile, divergence profiles vs the tree walk,
-# serial reclustering replay, 1-vs-4-domain determinism, score-column
-# cache on vs off). A failure prints a minimized workload and a replay
-# seed.
+# refresh and patching vs a fresh compile, divergence profiles vs the
+# tree walk, a tree with PST tails vs its all-slot reload, serial
+# reclustering replay, 1-vs-4-domain determinism, score-column cache
+# on vs off). A failure prints a minimized workload and a replay seed.
 fuzz: build
 	dune exec bin/cluseq_cli.exe -- check --fuzz 200 --seed 42
 
@@ -119,8 +119,9 @@ suite-smoke: build
 # residual or iteration cap) must exit 1 naming the option, on every
 # command that clusters; so must an out-of-range `generate` option (no
 # sequences, clusters or symbols, an outlier fraction outside [0, 1),
-# too few proteins per family or protein length 0, fewer than one
-# sentence per language).
+# length 0, a separation that is not finite and above 0, a negative
+# context count, too few proteins per family, fewer than one sentence
+# per language).
 exit-smoke: build
 	@tmp=$$(mktemp -d); cli="dune exec bin/cluseq_cli.exe --"; fail=0; \
 	$$cli generate --kind synthetic --num 60 --len 60 --clusters 3 -o $$tmp/in.tsv >/dev/null; \
@@ -164,7 +165,8 @@ exit-smoke: build
 	expect_1 $$cli train $$tmp/in.tsv --significance 0 -o $$tmp/bad.model; \
 	expect_1 $$cli evaluate $$tmp/in.tsv --threshold nan; \
 	expect_1 $$cli explain $$tmp/in.tsv 45 --max-nodes 0; \
-	for bad in "--num 0" "--clusters 0" "--sigma 0" "--outliers 1.5" \
+	for bad in "--num 0" "--clusters 0" "--sigma 0" "--outliers 1.5" "--len 0" \
+	  "--separation nan" "--separation 0" "--separation=-1" "--contexts=-1" \
 	  "--kind protein --num 0" "--kind protein --len 0" "--kind language --num 2"; do \
 	  expect_1 $$cli generate $$bad -o $$tmp/bad.tsv; \
 	done; \
@@ -214,9 +216,10 @@ check: build test fuzz fmt-check bench-smoke trace-smoke shard-smoke suite-smoke
 #   git archive <rev> | tar -x -C DIR
 #   (cd DIR && dune build --root . bin/cluseq_cli.exe)
 #   make identity PARENT=DIR
-# scripts/identity.py runs 88 `cluster`, 8 `train` (each model
-# classified back at 1 and at 4 domains) and 21 `explain` runs with
-# both CLIs and exits 1 if any exit status, stdout (less its `time:`),
+# scripts/identity.py runs 96 `cluster` (8 of them at significance 2,
+# the smallest with PST tails, and 1, where tails are off), 8 `train`
+# (each model classified back at 1 and at 4 domains) and 21 `explain`
+# runs with both CLIs and exits 1 if any exit status, stdout (less its `time:`),
 # -o file, model, classify output or journal (less its timestamps)
 # differs. Differing --metrics counters and gauges are printed as notes
 # (gc.*, par.domain_busy_ratio* and histograms are not compared).

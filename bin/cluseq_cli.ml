@@ -251,9 +251,13 @@ let generate_cmd =
         at_least "--num" 1 n;
         at_least "--clusters" 1 k;
         at_least "--sigma" 1 sigma;
+        at_least "--len" 1 len;
+        at_least "--contexts" 0 contexts;
         (* [not (... && ...)] rather than [< 0. || >= 1.]: the latter lets NaN through. *)
         if not (outliers >= 0.0 && outliers < 1.0) then
-          usage_error "--outliers must be at least 0 and below 1 (got %g)" outliers
+          usage_error "--outliers must be at least 0 and below 1 (got %g)" outliers;
+        if not (Float.is_finite concentration && concentration > 0.0) then
+          usage_error "--separation must be finite and above 0 (got %g)" concentration
     | `Protein ->
         at_least "--clusters" 1 k;
         if n < 2 * k then

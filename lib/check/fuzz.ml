@@ -227,6 +227,73 @@ let run_checks case ~errs ~stage =
           if j >= i then add_all ("divergence " ^ na ^ "/" ^ nb) (Check.divergence_matches a b))
         trees)
     trees;
+  (* Tails against slots (check #10): a tree built from random segments
+     under a node budget small enough to prune keeps the contexts seen
+     once as tails, while its reload from the serialization holds every
+     node as a slot. Fed the same segments, and merged both ways with a
+     third tree, the two must stay one tree: the same serialization, the
+     same node count and the same moves of [active_changes]. The
+     significance is at least 2, where tails exist. *)
+  stage := "tails";
+  let nonempty = Array.of_list (List.filter (fun s -> s <> [||]) (Array.to_list case.seqs)) in
+  if nonempty <> [||] then begin
+    let tcfg =
+      {
+        pcfg with
+        significance = max 2 cfg.significance;
+        max_nodes = max 2 (Pst.n_nodes pst / 3);
+      }
+    in
+    let rng = Rng.create case.case_seed in
+    let segments k =
+      List.init k (fun _ ->
+          let s = Rng.pick rng nonempty in
+          let lo = Rng.int rng (Array.length s) in
+          (s, lo, lo + Rng.int rng (Array.length s - lo)))
+    in
+    let insert t (s, lo, hi) = Pst.insert_segment t s ~lo ~hi in
+    let build segs =
+      let t = Pst.create tcfg in
+      List.iter (insert t) segs;
+      t
+    in
+    let agree what (t, t0) (r, r0) =
+      if Pst.to_string t <> Pst.to_string r then
+        err "tails: %s: the tree and its reload serialize differently" what;
+      if Pst.n_nodes t <> Pst.n_nodes r then
+        err "tails: %s: %d nodes with tails, %d as slots" what (Pst.n_nodes t) (Pst.n_nodes r);
+      let dt = Pst.active_changes t - t0 and dr = Pst.active_changes r - r0 in
+      if dt <> dr then err "tails: %s: active_changes moved %d with tails, %d as slots" what dt dr
+    in
+    let feed what t r segs =
+      List.iter
+        (fun seg ->
+          let t0 = Pst.active_changes t and r0 = Pst.active_changes r in
+          insert t seg;
+          insert r seg;
+          agree what (t, t0) (r, r0))
+        segs
+    in
+    let tree = build (segments 8) in
+    let reload = Pst.of_string (Pst.to_string tree) in
+    agree "reload" (tree, Pst.active_changes tree) (reload, 0);
+    feed "insertion" tree reload (segments 8);
+    add_all "tails: invariants" (Check.pst_invariants tree);
+    let x = build (segments 8) in
+    (* A merge's counter is its first argument's until it prunes. *)
+    List.iter
+      (fun (what, (mt, t0), (mr, r0)) ->
+        agree what (mt, t0) (mr, r0);
+        feed (what ^ ", then insertion") mt mr (segments 4))
+      [
+        ( "merge into",
+          (Pst.merge tree x, Pst.active_changes tree),
+          (Pst.merge reload x, Pst.active_changes reload) );
+        ( "merge from",
+          (Pst.merge x tree, Pst.active_changes x),
+          (Pst.merge x reload, Pst.active_changes x) );
+      ]
+  end;
   (* --- 3. audited clustering at 1 vs 4 domains --- *)
   stage := "audited clustering";
   let saved = Par.default_domains () in

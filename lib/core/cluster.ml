@@ -104,22 +104,26 @@ let block = 64
 (* One pool task per block, each with its own scratch, scoring its block
    cluster-major. The workers only read the automata, so none may be
    stale: [compile] brings them current on the submitting domain, and
-   this checks it there once, before the fan-out. *)
+   this checks it there once, before the fan-out. With no clusters there
+   is nothing to fan out. *)
 let score_columns ~log_background clusters seqs =
   if Array.exists (fun t -> t.stale) clusters then
     invalid_arg "Cluster.score_columns: stale automaton; compile first";
-  let n = Array.length seqs in
-  let blocks =
-    Par.map_chunks (Par.get_pool ()) ~n:((n + block - 1) / block) (fun b ->
-        let lanes = Array.sub seqs (b * block) (min block (n - (b * block))) in
-        let batch = Psa.batch_create ~capacity:(Array.length lanes) () in
-        Array.map
-          (fun t -> Similarity.score_batch t.compiled ~log_background ~batch lanes)
-          clusters)
-  in
-  Array.mapi
-    (fun ci _ -> Array.concat (List.map (fun b -> b.(ci)) (Array.to_list blocks)))
-    clusters
+  if Array.length clusters = 0 then [||]
+  else begin
+    let n = Array.length seqs in
+    let blocks =
+      Par.map_chunks (Par.get_pool ()) ~n:((n + block - 1) / block) (fun b ->
+          let lanes = Array.sub seqs (b * block) (min block (n - (b * block))) in
+          let batch = Psa.batch_create ~capacity:(Array.length lanes) () in
+          Array.map
+            (fun t -> Similarity.score_batch t.compiled ~log_background ~batch lanes)
+            clusters)
+    in
+    Array.mapi
+      (fun ci _ -> Array.concat (List.map (fun b -> b.(ci)) (Array.to_list blocks)))
+      clusters
+  end
 
 let absorb t s (r : Similarity.result) =
   Obs.Metrics.incr m_absorbs;

@@ -29,10 +29,26 @@ type config = {
    starting at slot [run] of the entry arrays. A run's capacity is the
    power of two at or above its length; it moves to a slot of the next
    capacity when it fills up. Pruning returns node slots and runs to
-   free lists, and nothing is ever renumbered: a node keeps its id for
+   free lists, and nothing is ever renumbered: a slot keeps its id for
    as long as it stays in the tree ([Psa.refresh] relies on that).
    Every walk starts at the root, which has a child for nearly every
-   symbol, so the root's children are also indexed by symbol. *)
+   symbol, so the root's children are also indexed by symbol.
+
+   A node seen once has a subtree that is one chain, the rest of that
+   one occurrence, every node of it with count 1 and the occurrence's
+   next symbol. Insertion keeps such a chain as a tail (a suffix tree's
+   leaf edge): its first node, the head, is a slot whose [child] is
+   [-2 - off], where [pool.(off)] is the tail's length L and
+   [pool.(off + 1 .. off + L)] its edge symbols, newest first (the
+   order the insertion walk reads them). The tail's nodes share the
+   head's count and next counters, and each has an id past every slot:
+   [used + head * max_depth + (k - 1)] for the node k edges below the
+   head, valid until the tree next changes. A second occurrence splits
+   the tail one node at a time as its walk goes down the shared part.
+   Tails are made only when significance is at least 2, so no tail node
+   is significant and the prediction walk and its automaton never enter
+   one. [n_nodes] counts tail nodes, so every observable — the node
+   budget, pruning, serialization — is that of the tree of slots. *)
 type node = int
 
 let none = -1
@@ -43,7 +59,7 @@ let released = -2
 type t = {
   cfg : config;
   log_uniform : float;
-  mutable n_nodes : int;
+  mutable n_nodes : int; (* slots in the tree plus tail nodes *)
   (* Moves whenever the set of significant non-root nodes may have
      changed: by one when a count reaches [significance], by
      [removal_step] when pruning detaches a significant node. A compiled
@@ -57,7 +73,7 @@ type t = {
   mutable parent : int array;
   mutable sym : int array; (* edge symbol from the parent; -1 at the root *)
   mutable depth : int array;
-  mutable child : int array;
+  mutable child : int array; (* first child, [none], or [-2 - off] at a head *)
   mutable sibling : int array;
   mutable run : int array;
   mutable run_len : int array;
@@ -68,6 +84,9 @@ type t = {
   (* Per capacity class k (runs of 2^k entries): released runs, chained
      through their first [entry_sym] slot. *)
   free_runs : int array;
+  mutable pool : int array; (* tails: a length, then that many edge symbols *)
+  mutable pool_used : int;
+  mutable pool_garbage : int; (* words below [pool_used] that no tail holds *)
 }
 
 let default_config ~alphabet_size =
@@ -119,16 +138,33 @@ let create cfg =
     entry_sym = slots 0;
     entry_count = slots 0;
     free_runs = Array.make (run_class cfg.alphabet_size + 1) none;
+    pool = [||];
+    pool_used = 0;
+    pool_garbage = 0;
   }
 
+(* A head's tail: [pool.(tail_off t h)] is its length, the symbols follow. *)
+let is_head t n = t.child.(n) < none
+let tail_off t h = -2 - t.child.(h)
+let tail_len t h = t.pool.(tail_off t h)
+
+(* The id of the node [k >= 1] edges below head [h] on its tail, and
+   back: the head and [k] of a tail node. Tail ids start at [used], so
+   they are valid only until a slot is handed out. *)
+let tail_id t h k = t.used + (h * t.cfg.max_depth) + (k - 1)
+let head_of t n = (n - t.used) / t.cfg.max_depth
+let pos_of t n = ((n - t.used) mod t.cfg.max_depth) + 1
+
+(* The slot holding [n]'s counts: [n] itself, or the head of its tail. *)
+let slot_of t n = if n < t.used then n else head_of t n
 let config t = t.cfg
 let n_nodes t = t.n_nodes
 let total_count t = t.count.(0)
 let root _ = 0
-let node_count t n = t.count.(n)
-let node_depth t n = t.depth.(n)
-let next_total t n = t.next_total.(n)
-let is_significant t n = t.depth.(n) = 0 || t.count.(n) >= t.cfg.significance
+let node_count t n = t.count.(slot_of t n)
+let node_depth t n = if n < t.used then t.depth.(n) else t.depth.(head_of t n) + pos_of t n
+let next_total t n = t.next_total.(slot_of t n)
+let is_significant t n = node_depth t n = 0 || node_count t n >= t.cfg.significance
 let active_changes t = t.active_changes
 
 (* [active_changes] counts crossings in its low bits and removals above
@@ -144,9 +180,14 @@ let node_id_bound t = t.used
 (* Slot storage                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let grown a size fill =
+(* A loop rather than [Array.blit]: the fresh array lives in the major
+   heap, where a blit goes through the write barrier for every element,
+   ints included. *)
+let grown (a : int array) size fill =
   let b = Array.make size fill in
-  Array.blit a 0 b 0 (Array.length a);
+  for i = 0 to Array.length a - 1 do
+    Array.unsafe_set b i (Array.unsafe_get a i)
+  done;
   b
 
 (* Geometric growth by half: a finished model carries at most 50% (on
@@ -165,7 +206,9 @@ let grow_nodes t =
   t.run <- grown t.run size 0;
   t.run_len <- grown t.run_len size 0
 
-let new_node t ~parent ~sym =
+(* A fresh slot below [parent] along [sym], neither linked nor counted
+   in [n_nodes]. *)
+let new_slot t ~parent ~sym =
   let n =
     if t.free_node <> none then begin
       let n = t.free_node in
@@ -187,7 +230,6 @@ let new_node t ~parent ~sym =
   t.sibling.(n) <- none;
   t.run.(n) <- 0;
   t.run_len.(n) <- 0;
-  t.n_nodes <- t.n_nodes + 1;
   n
 
 let alloc_run t k =
@@ -215,8 +257,51 @@ let free_run t off len =
     t.free_runs.(k) <- off
   end
 
-(* The child of [p] along [s], or [none]; [s] may be any int. *)
-let find_child t p s =
+(* Copy every live tail to the front of a fresh pool of [size] words. *)
+let compact_pool t size =
+  let pool = Array.make size 0 and used = ref 0 in
+  for h = 1 to t.used - 1 do
+    if t.parent.(h) <> released && is_head t h then begin
+      let off = tail_off t h in
+      let len = t.pool.(off) in
+      for j = 0 to len do
+        pool.(!used + j) <- t.pool.(off + j)
+      done;
+      t.child.(h) <- -2 - !used;
+      used := !used + len + 1
+    end
+  done;
+  t.pool <- pool;
+  t.pool_used <- !used;
+  t.pool_garbage <- 0
+
+(* [words] pool words for a new tail. A full pool compacts instead of
+   growing when more than half of it is garbage (split, cut or released
+   tails). *)
+let alloc_pool t words =
+  let len = Array.length t.pool in
+  if t.pool_used + words > len then begin
+    if 2 * t.pool_garbage > t.pool_used then
+      compact_pool t (max len (t.pool_used - t.pool_garbage + words))
+    else t.pool <- grown t.pool (max (t.pool_used + words) (grown_size len)) 0
+  end;
+  let off = t.pool_used in
+  t.pool_used <- off + words;
+  off
+
+(* Hang [len >= 1] edge symbols, [arr.(i)], [arr.(i + step)], ..., from
+   the childless slot [h] as its tail. *)
+let hang_tail t h arr i step len =
+  let off = alloc_pool t (len + 1) in
+  t.pool.(off) <- len;
+  for j = 1 to len do
+    t.pool.(off + j) <- arr.(i + ((j - 1) * step))
+  done;
+  t.child.(h) <- -2 - off
+
+(* The slot child of [p] along [s], or [none]; [p] is not a head, and
+   [s] may be any int. *)
+let slot_child t p s =
   if p = 0 then if s >= 0 && s < Array.length t.root_child then t.root_child.(s) else none
   else begin
     let c = ref t.child.(p) in
@@ -226,26 +311,30 @@ let find_child t p s =
     if !c <> none && t.sym.(!c) = s then !c else none
   end
 
-(* The child of [p] along the symbol [s], created in its sorted place if
-   absent; [counted] creations feed the [pst.node_creations] counter. *)
+(* A new node below [p] (not a head) along [s], linked in its sorted
+   place and counted in [n_nodes]. *)
+let link_child t p s =
+  let prev = ref none and c = ref t.child.(p) in
+  while !c <> none && t.sym.(!c) < s do
+    prev := !c;
+    c := t.sibling.(!c)
+  done;
+  let n = new_slot t ~parent:p ~sym:s in
+  t.sibling.(n) <- !c;
+  if !prev = none then t.child.(p) <- n else t.sibling.(!prev) <- n;
+  if p = 0 then t.root_child.(s) <- n;
+  t.n_nodes <- t.n_nodes + 1;
+  n
+
+(* The child of [p] (not a head) along the symbol [s], created in its
+   sorted place if absent; [counted] creations feed the
+   [pst.node_creations] counter. *)
 let child_or_create ~counted t p s =
-  let indexed = if p = 0 then t.root_child.(s) else none in
-  if indexed <> none then indexed
+  let c = slot_child t p s in
+  if c <> none then c
   else begin
-    let prev = ref none and c = ref t.child.(p) in
-    while !c <> none && t.sym.(!c) < s do
-      prev := !c;
-      c := t.sibling.(!c)
-    done;
-    if !c <> none && t.sym.(!c) = s then !c
-    else begin
-      let n = new_node t ~parent:p ~sym:s in
-      t.sibling.(n) <- !c;
-      if !prev = none then t.child.(p) <- n else t.sibling.(!prev) <- n;
-      if p = 0 then t.root_child.(s) <- n;
-      if counted then Obs.Metrics.incr m_node_creations;
-      n
-    end
+    if counted then Obs.Metrics.incr m_node_creations;
+    link_child t p s
   end
 
 (* Index within [n]'s run of the first entry whose symbol is >= [s]. *)
@@ -289,7 +378,7 @@ let insert_entry t n i s c =
   t.entry_count.(t.run.(n) + i) <- c;
   t.run_len.(n) <- len + 1
 
-(* Add [c] observations of next symbol [s] at [n]. *)
+(* Add [c] observations of next symbol [s] at the slot [n]. *)
 let add_next t n s c =
   let i = seek t n s in
   if has_entry t n i s then begin
@@ -300,87 +389,160 @@ let add_next t n s c =
   t.next_total.(n) <- t.next_total.(n) + c
 
 let next_count t n s =
+  let n = slot_of t n in
   let i = seek t n s in
   if has_entry t n i s then t.entry_count.(t.run.(n) + i) else 0
 
 let iter_next_counts t n f =
+  let n = slot_of t n in
   let off = t.run.(n) in
   for i = 0 to t.run_len.(n) - 1 do
     f t.entry_sym.(off + i) t.entry_count.(off + i)
   done
 
 let iter_children t n f =
-  let c = ref t.child.(n) in
-  while !c <> none do
-    f t.sym.(!c) !c;
-    c := t.sibling.(!c)
-  done
+  if n >= t.used then begin
+    let off = tail_off t (head_of t n) and k = pos_of t n in
+    if k < t.pool.(off) then f t.pool.(off + k + 1) (n + 1)
+  end
+  else if is_head t n then f t.pool.(tail_off t n + 1) (tail_id t n 1)
+  else begin
+    let c = ref t.child.(n) in
+    while !c <> none do
+      f t.sym.(!c) !c;
+      c := t.sibling.(!c)
+    done
+  end
+
+(* The child of any node [p] along [s], or [none]; [s] may be any int. *)
+let find_child t p s =
+  if p < t.used && not (is_head t p) then slot_child t p s
+  else begin
+    let h = slot_of t p and k = if p < t.used then 0 else pos_of t p in
+    let off = tail_off t h in
+    if k < t.pool.(off) && t.pool.(off + k + 1) = s then tail_id t h (k + 1) else none
+  end
+
+(* Make the first node of head [h]'s tail a slot — the head of the rest
+   of the tail, if any — so that [h] can take another occurrence. The
+   new slot gets [h]'s count and its next entry (a head has count 1, so
+   it has at most one); the rest of the tail stays where it was. *)
+let split_head t h =
+  let off = tail_off t h in
+  let len = t.pool.(off) in
+  let c = new_slot t ~parent:h ~sym:t.pool.(off + 1) in
+  t.child.(h) <- c;
+  t.count.(c) <- t.count.(h);
+  if t.run_len.(h) > 0 then add_next t c t.entry_sym.(t.run.(h)) t.entry_count.(t.run.(h));
+  if len > 1 then begin
+    t.pool.(off + 1) <- len - 1;
+    t.child.(c) <- -2 - (off + 1);
+    t.pool_garbage <- t.pool_garbage + 1
+  end
+  else t.pool_garbage <- t.pool_garbage + 2
 
 (* ------------------------------------------------------------------ *)
 (* Pruning (paper Sec. 5.1)                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Return [n]'s subtree to the free lists; the number of nodes released.
-   A released slot's [parent] is [released], which is how a pruning scan
-   recognizes nodes whose ancestor it has already detached. *)
+(* Return [n]'s subtree to the free lists; the number of nodes released,
+   a head's tail included. A released slot's [parent] is [released],
+   which is how a pruning scan recognizes nodes whose ancestor it has
+   already detached. *)
 let rec release t n =
   let size = ref 1 in
-  let c = ref t.child.(n) in
-  while !c <> none do
-    let next = t.sibling.(!c) in
-    size := !size + release t !c;
-    c := next
-  done;
+  if is_head t n then begin
+    let len = tail_len t n in
+    size := 1 + len;
+    t.pool_garbage <- t.pool_garbage + len + 1
+  end
+  else begin
+    let c = ref t.child.(n) in
+    while !c <> none do
+      let next = t.sibling.(!c) in
+      size := !size + release t !c;
+      c := next
+    done
+  end;
   free_run t t.run.(n) t.run_len.(n);
   t.parent.(n) <- released;
   t.sibling.(n) <- t.free_node;
   t.free_node <- n;
   !size
 
-(* Detach [n] from its parent and account for the removed subtree. *)
+(* Detach [n] from its parent and account for the removed subtree. A
+   tail node cuts its tail above it; a tail cut to nothing leaves its
+   head a plain leaf. A node an earlier detach already took is skipped. *)
 let detach t n =
-  let p = t.parent.(n) in
-  if p >= 0 then begin
-    (* Only a significant subtree root can take significant nodes
-       with it: a child never outcounts its parent. *)
-    if t.count.(n) >= t.cfg.significance then
-      t.active_changes <- t.active_changes + removal_step;
-    if p = 0 then t.root_child.(t.sym.(n)) <- none;
-    if t.child.(p) = n then t.child.(p) <- t.sibling.(n)
-    else begin
-      let c = ref t.child.(p) in
-      while t.sibling.(!c) <> n do
-        c := t.sibling.(!c)
-      done;
-      t.sibling.(!c) <- t.sibling.(n)
-    end;
-    t.n_nodes <- t.n_nodes - release t n
+  if n >= t.used then begin
+    let h = head_of t n and k = pos_of t n in
+    if t.parent.(h) <> released && is_head t h then begin
+      let off = tail_off t h in
+      let len = t.pool.(off) in
+      if k <= len then begin
+        t.n_nodes <- t.n_nodes - (len - k + 1);
+        if k = 1 then begin
+          t.child.(h) <- none;
+          t.pool_garbage <- t.pool_garbage + len + 1
+        end
+        else begin
+          t.pool.(off) <- k - 1;
+          t.pool_garbage <- t.pool_garbage + (len - k + 1)
+        end
+      end
+    end
+  end
+  else begin
+    let p = t.parent.(n) in
+    if p >= 0 then begin
+      (* Only a significant subtree root can take significant nodes
+         with it: a child never outcounts its parent. *)
+      if t.count.(n) >= t.cfg.significance then
+        t.active_changes <- t.active_changes + removal_step;
+      if p = 0 then t.root_child.(t.sym.(n)) <- none;
+      if t.child.(p) = n then t.child.(p) <- t.sibling.(n)
+      else begin
+        let c = ref t.child.(p) in
+        while t.sibling.(!c) <> n do
+          c := t.sibling.(!c)
+        done;
+        t.sibling.(!c) <- t.sibling.(n)
+      end;
+      t.n_nodes <- t.n_nodes - release t n
+    end
   end
 
-(* Every node below the root, in reverse depth-first preorder (the
-   order the pruning scans have always visited them in, which fixes how
-   [sort_by_key] breaks ties). *)
+(* Every node below the root, tail nodes included, in reverse
+   depth-first preorder (the order the pruning scans have always visited
+   them in, which fixes how [sort_by_key] breaks ties). *)
 let nodes_below t =
   let arr = Array.make (t.n_nodes - 1) 0 in
   let i = ref (Array.length arr) in
   let rec go n =
-    let c = ref t.child.(n) in
-    while !c <> none do
-      decr i;
-      arr.(!i) <- !c;
-      go !c;
-      c := t.sibling.(!c)
-    done
+    if is_head t n then
+      for k = 1 to tail_len t n do
+        decr i;
+        arr.(!i) <- tail_id t n k
+      done
+    else begin
+      let c = ref t.child.(n) in
+      while !c <> none do
+        decr i;
+        arr.(!i) <- !c;
+        go !c;
+        c := t.sibling.(!c)
+      done
+    end
   in
   go 0;
   assert (!i = 0);
   arr
 
-(* [Array.sort]'s heapsort (stdlib array.ml) over node ids ordered by
-   [key.(id)], with the comparisons inlined and no exception raised per
-   sift. It makes the same moves on the same comparison results, so it
-   leaves equal keys in exactly the order [Array.sort] would — the tie
-   order pruning has always had. *)
+(* [Array.sort]'s heapsort (stdlib array.ml) over the ints of [a]
+   ordered by [key.(x)], with the comparisons inlined and no exception
+   raised per sift. It makes the same moves on the same comparison
+   results, so it leaves equal keys in exactly the order [Array.sort]
+   would — the tie order pruning has always had. *)
 let sort_by_key (key : int array) (a : int array) =
   (* The child of heap slot [i] with the largest key (the first of
      equals); -1 when [i] has none below [l]. *)
@@ -436,36 +598,38 @@ let sort_by_key (key : int array) (a : int array) =
 (* Pruning orders, smallest key pruned first: [`Count] by count, the
    deeper node first among equal counts; [`Depth] deeper first, then by
    count; [`Insignificant] like [`Count] over the insignificant nodes,
-   every significant node tied after them. *)
+   every significant node tied after them. One key per position of
+   [nodes]. *)
 let prune_keys t order nodes =
   let dmax = ref 0 and cmax = ref 0 in
   Array.iter
     (fun n ->
-      dmax := Int.max !dmax t.depth.(n);
-      cmax := Int.max !cmax t.count.(n))
+      dmax := Int.max !dmax (node_depth t n);
+      cmax := Int.max !cmax (node_count t n))
     nodes;
   let by_count c d = (c * (!dmax + 1)) + (!dmax - d) in
-  let key = Array.make t.used 0 in
-  Array.iter
+  Array.map
     (fun n ->
-      let c = t.count.(n) and d = t.depth.(n) in
-      key.(n) <-
-        (match order with
-        | `Count -> by_count c d
-        | `Depth -> ((!dmax - d) * (!cmax + 1)) + c
-        | `Insignificant ->
-            let sig_ = t.cfg.significance in
-            if c < sig_ then by_count c d else by_count sig_ 0))
-    nodes;
-  key
+      let c = node_count t n and d = node_depth t n in
+      match order with
+      | `Count -> by_count c d
+      | `Depth -> ((!dmax - d) * (!cmax + 1)) + c
+      | `Insignificant ->
+          let sig_ = t.cfg.significance in
+          if c < sig_ then by_count c d else by_count sig_ 0)
+    nodes
 
-(* Remove whole subtrees in [order] until under [target]. *)
+(* Remove whole subtrees in [order] until under [target]. The sort moves
+   positions of [nodes_below], which makes the moves sorting the nodes
+   themselves would. *)
 let prune_ordered t target order =
   let nodes = nodes_below t in
-  sort_by_key (prune_keys t order nodes) nodes;
+  let key = prune_keys t order nodes in
+  let at = Array.init (Array.length nodes) Fun.id in
+  sort_by_key key at;
   let i = ref 0 in
-  while t.n_nodes > target && !i < Array.length nodes do
-    detach t nodes.(!i);
+  while t.n_nodes > target && !i < Array.length at do
+    detach t nodes.(at.(!i));
     incr i
   done
 
@@ -488,7 +652,18 @@ let divergence_from_parent t n =
     !acc
   end
 
+(* Every tail turned into slots, which strategy 3 reads slot by slot. *)
+let expand_tails t =
+  for h = 1 to t.used - 1 do
+    let n = ref h in
+    while t.parent.(!n) <> released && is_head t !n do
+      split_head t !n;
+      n := t.child.(!n)
+    done
+  done
+
 let prune_expected_vector t target =
+  expand_tails t;
   (* Phase 1: drop insignificant nodes, smallest count first. *)
   prune_ordered t target `Insignificant;
   (* Phase 2: while still over budget, peel leaves whose distribution is
@@ -534,6 +709,38 @@ let bump t n next_sym =
   t.count.(n) <- t.count.(n) + 1;
   if next_sym >= 0 then add_next t n next_sym 1
 
+(* The insertion walk below the slot [node], which has just taken this
+   occurrence: [len] more edges, the k-th (from 0) along
+   [arr.(i + k * step)], each node bumped with [next_sym] and its
+   crossing counted. A head met on the way is split first; a node the
+   walk creates takes the rest of the walk as its tail (significance 2
+   and up). Returns the number of nodes created. *)
+let descend t node arr i step len next_sym =
+  let sig_ = t.cfg.significance in
+  let node = ref node and k = ref 0 and created = ref 0 in
+  while !k < len do
+    let s = arr.(i + (!k * step)) in
+    let c = slot_child t !node s in
+    let fresh = c = none in
+    let c = if fresh then link_child t !node s else c in
+    if is_head t c then split_head t c;
+    bump t c next_sym;
+    if t.count.(c) = sig_ then t.active_changes <- t.active_changes + 1;
+    node := c;
+    incr k;
+    if fresh then begin
+      incr created;
+      let rest = len - !k in
+      if sig_ >= 2 && rest > 0 then begin
+        hang_tail t c arr (i + (!k * step)) step rest;
+        t.n_nodes <- t.n_nodes + rest;
+        created := !created + rest;
+        k := len
+      end
+    end
+  done;
+  !created
+
 let insert_segment t s ~lo ~hi =
   let len = Array.length s in
   if lo < 0 || hi >= len || lo > hi then invalid_arg "Pst.insert_segment";
@@ -545,18 +752,14 @@ let insert_segment t s ~lo ~hi =
   Obs.Metrics.time h_insert_seconds @@ fun () ->
   Obs.Metrics.incr m_insertions;
   Obs.Metrics.incr ~by:(hi - lo + 1) m_symbols_inserted;
-  let sig_ = t.cfg.significance in
+  let created = ref 0 in
   for e = lo to hi do
     let next_sym = if e < hi then s.(e + 1) else -1 in
     bump t 0 next_sym;
     (* Walk the reversed context s.(e), s.(e-1), ... down to [max_depth]. *)
-    let node = ref 0 in
-    for d = 0 to min t.cfg.max_depth (e - lo + 1) - 1 do
-      node := child_or_create ~counted:true t !node s.(e - d);
-      bump t !node next_sym;
-      if t.count.(!node) = sig_ then t.active_changes <- t.active_changes + 1
-    done
+    created := !created + descend t 0 s e (-1) (min t.cfg.max_depth (e - lo + 1)) next_sym
   done;
+  Obs.Metrics.incr ~by:!created m_node_creations;
   maybe_prune t
 
 let insert_sequence t s =
@@ -567,14 +770,15 @@ let insert_sequence t s =
 (* ------------------------------------------------------------------ *)
 
 let prediction_node t s ~lo ~pos =
-  (* Descend along s.(pos-1), s.(pos-2), ..., only into significant nodes. *)
+  (* Descend along s.(pos-1), s.(pos-2), ..., only into significant
+     nodes: slots that are not heads. *)
   Obs.Metrics.incr m_prediction_lookups;
   let node = ref 0 in
   let d = ref 0 in
   let max_d = min t.cfg.max_depth (pos - lo) in
   let continue_ = ref true in
   while !continue_ && !d < max_d do
-    let child = find_child t !node s.(pos - 1 - !d) in
+    let child = slot_child t !node s.(pos - 1 - !d) in
     if child <> none && t.count.(child) >= t.cfg.significance then begin
       node := child;
       incr d
@@ -599,7 +803,7 @@ let smoothed_log_prob t ~count ~total =
 
 let next_log_prob t n sym =
   if sym < 0 || sym >= t.cfg.alphabet_size then invalid_arg "Pst.next_log_prob";
-  smoothed_log_prob t ~count:(next_count t n sym) ~total:t.next_total.(n)
+  smoothed_log_prob t ~count:(next_count t n sym) ~total:(next_total t n)
 
 let log_prob t s ~lo ~pos = next_log_prob t (prediction_node t s ~lo ~pos) s.(pos)
 
@@ -624,25 +828,38 @@ let next_distribution t n =
 let iter_nodes t f =
   let rec go n =
     f n;
-    let c = ref t.child.(n) in
-    while !c <> none do
-      go !c;
-      c := t.sibling.(!c)
-    done
+    if is_head t n then
+      for k = 1 to tail_len t n do
+        f (tail_id t n k)
+      done
+    else begin
+      let c = ref t.child.(n) in
+      while !c <> none do
+        go !c;
+        c := t.sibling.(!c)
+      done
+    end
   in
   go 0
 
 let node_label t n =
   (* Climbing to the root yields the path in root-to-node order, which
      spells the label reversed (the tree is built on reversed contexts);
-     reverse once more for the original symbol order. *)
+     reverse once more for the original symbol order. A tail node's
+     edges below its head spell older symbols still. *)
   let rec go n acc = if n = 0 then acc else go t.parent.(n) (t.sym.(n) :: acc) in
-  List.rev (go n [])
+  if n < t.used then List.rev (go n [])
+  else begin
+    let h = head_of t n and k = pos_of t n in
+    let off = tail_off t h in
+    let rec tail j acc = if j > k then acc else tail (j + 1) (t.pool.(off + j) :: acc) in
+    tail 1 [] @ List.rev (go h [])
+  end
 
-(* A blit of every slot in use: the copy has the same ids, runs and free
-   lists, so every later operation (scoring, insertion, pruning) behaves
-   bit-identically on it — the property the Check oracles rely on when
-   snapshotting cluster models. *)
+(* A blit of every slot and pool word in use: the copy has the same ids,
+   runs, tails and free lists, so every later operation (scoring,
+   insertion, pruning) behaves bit-identically on it — the property the
+   Check oracles rely on when snapshotting cluster models. *)
 let copy t =
   let nodes a = Array.sub a 0 t.used and entries a = Array.sub a 0 t.entries_used in
   {
@@ -660,6 +877,7 @@ let copy t =
     entry_count = entries t.entry_count;
     root_child = Array.copy t.root_child;
     free_runs = Array.copy t.free_runs;
+    pool = Array.sub t.pool 0 t.pool_used;
   }
 
 (* Counts-addition merge: a PST built from database A merged with one
@@ -668,16 +886,40 @@ let copy t =
    observations. Children and runs are kept sorted by symbol, so the
    merged structure is independent of argument order — merge is
    commutative and associative under [equal_structure] as long as
-   neither side has pruned. *)
+   neither side has pruned.
+
+   A head of [b] and its tail are one occurrence: below a node new to
+   the merge the tail is copied as it is, below any other node it is
+   walked in like an insertion. A head of [a]'s copy splits before it
+   takes counts. Merged counts are not crossings: [active_changes] is
+   [a]'s until the merged tree prunes. *)
 let merge a b =
   if a.cfg <> b.cfg then invalid_arg "Pst.merge: configs differ";
   let t = copy a in
+  let created = ref 0 in
   let rec add dst src =
+    let fresh = t.count.(dst) = 0 && t.run_len.(dst) = 0 && t.child.(dst) = none in
+    if is_head t dst then split_head t dst;
     t.count.(dst) <- t.count.(dst) + b.count.(src);
     iter_next_counts b src (add_next t dst);
-    iter_children b src (fun s c -> add (child_or_create ~counted:true t dst s) c)
+    if is_head b src then begin
+      let off = tail_off b src and len = tail_len b src in
+      if fresh then begin
+        hang_tail t dst b.pool (off + 1) 1 len;
+        t.n_nodes <- t.n_nodes + len;
+        created := !created + len
+      end
+      else begin
+        let next_sym = if b.run_len.(src) > 0 then b.entry_sym.(b.run.(src)) else -1 in
+        created := !created + descend t dst b.pool (off + 1) 1 len next_sym
+      end
+    end
+    else iter_children b src (fun s c -> add (child_or_create ~counted:true t dst s) c)
   in
+  let changes = t.active_changes in
   add 0 0;
+  t.active_changes <- changes;
+  Obs.Metrics.incr ~by:!created m_node_creations;
   maybe_prune t;
   t
 
@@ -704,7 +946,7 @@ let write_to emit t =
     Buffer.add_string buf
       (Printf.sprintf "node %s %d"
          (if path = [] then "-" else String.concat "," (List.rev_map string_of_int path))
-         t.count.(n));
+         (node_count t n));
     iter_next_counts t n (fun sym cnt ->
         Buffer.add_string buf (Printf.sprintf " %d:%d" sym cnt));
     Buffer.add_char buf '\n';
@@ -759,7 +1001,8 @@ let read_from next_line =
           if path = "-" then []
           else List.map (symbol "bad path") (String.split_on_char ',' path)
         in
-        (* Walk the root-to-node edge path, creating nodes without counting. *)
+        (* Walk the root-to-node edge path, creating slots without
+           counting: a loaded tree has no tails. *)
         let node = List.fold_left (child_or_create ~counted:false t) 0 path_syms in
         t.count.(node) <- occurrences "bad count" count;
         List.iter
@@ -787,34 +1030,35 @@ let of_string s =
           lines := rest;
           Some l)
 
+(* Node by node through the accessors, so a tail and its slots compare
+   equal. *)
 let equal_structure a b =
-  let rec same_runs na nb i =
-    i = a.run_len.(na)
-    || a.entry_sym.(a.run.(na) + i) = b.entry_sym.(b.run.(nb) + i)
-       && a.entry_count.(a.run.(na) + i) = b.entry_count.(b.run.(nb) + i)
-       && same_runs na nb (i + 1)
+  let entries t n =
+    let acc = ref [] in
+    iter_next_counts t n (fun sym c -> acc := (sym, c) :: !acc);
+    !acc
+  and children t n =
+    let acc = ref [] in
+    iter_children t n (fun sym c -> acc := (sym, c) :: !acc);
+    List.rev !acc
   in
-  let rec same_children ca cb =
-    if ca = none || cb = none then ca = cb
-    else a.sym.(ca) = b.sym.(cb) && eq ca cb && same_children a.sibling.(ca) b.sibling.(cb)
-  and eq na nb =
-    a.count.(na) = b.count.(nb)
-    && a.next_total.(na) = b.next_total.(nb)
-    && a.run_len.(na) = b.run_len.(nb)
-    && same_runs na nb 0
-    && same_children a.child.(na) b.child.(nb)
+  let rec eq na nb =
+    node_count a na = node_count b nb
+    && next_total a na = next_total b nb
+    && entries a na = entries b nb
+    && List.equal (fun (sa, ca) (sb, cb) -> sa = sb && eq ca cb) (children a na) (children b nb)
   in
   a.cfg = b.cfg && eq 0 0
 
 let pp ?(max_depth = 3) ?(min_count = 1) ~symbol fmt t =
   let rec render n =
-    let depth = t.depth.(n) and count = t.count.(n) in
+    let depth = node_depth t n and count = node_count t n in
     if depth <= max_depth && (depth = 0 || count >= min_count) then begin
       Format.fprintf fmt "%s" (String.make (2 * depth) ' ');
       if depth = 0 then Format.fprintf fmt "(root)"
       else List.iter (fun sym -> symbol fmt sym) (node_label t n);
       Format.fprintf fmt "  C=%d%s" count (if is_significant t n then "*" else "");
-      let total = t.next_total.(n) in
+      let total = next_total t n in
       if total > 0 then begin
         (* Show the conditional distribution, most probable symbols first. *)
         let entries = ref [] in
@@ -844,13 +1088,14 @@ let store_words t =
   let block a = Array.length a + 1 in
   (9 * block t.count)
   + block t.root_child + block t.entry_sym + block t.entry_count + block t.free_runs
+  + block t.pool
 
 let stats t =
   let nodes = ref 0 and sig_nodes = ref 0 and maxd = ref 0 in
   iter_nodes t (fun n ->
       incr nodes;
       if is_significant t n then incr sig_nodes;
-      if t.depth.(n) > !maxd then maxd := t.depth.(n));
+      if node_depth t n > !maxd then maxd := node_depth t n);
   {
     nodes = !nodes;
     significant_nodes = !sig_nodes;

@@ -38,10 +38,17 @@ type t
 (** A mutable probabilistic suffix tree. *)
 
 type node = private int
-(** A node's id: its slot in the tree's storage, valid only with the tree
-    it came from (obtained from walks or lookups). A node keeps its id
-    for as long as it stays in the tree; pruning hands the slots of the
-    nodes it removes to later insertions. *)
+(** A node's id, valid only with the tree it came from (obtained from
+    walks or lookups). Most nodes are slots of the tree's storage: a slot
+    keeps its id for as long as it stays in the tree, and pruning hands
+    the slots of the nodes it removes to later insertions. A context seen
+    once is kept with the rest of its occurrence as one {e tail} hanging
+    from a slot (its head), and a node on a tail has an id past every
+    slot, derived from its head and its place below it: such an id is
+    valid only until the tree next changes. Tails exist only when
+    [significance >= 2], so a significant node, and with it every node
+    {!prediction_node} returns or an automaton predicts from, is always a
+    slot. Every accessor answers for both kinds alike. *)
 
 val create : config -> t
 (** An empty tree (root only, count 0). Raises [Invalid_argument] on
@@ -67,8 +74,11 @@ val insert_segment : t -> Sequence.t -> lo:int -> hi:int -> unit
 (** [insert_segment t s ~lo ~hi] inserts the segment [s.(lo) .. s.(hi)]
     (inclusive) as if it were a standalone sequence — the cluster-update
     primitive of paper Sec. 4.4 (only the best-matching segment of a joining
-    sequence is inserted). Allocates nothing per symbol; records the
-    [pst.insert_seconds] histogram (pruning included). Raises
+    sequence is inserted). Allocates nothing per symbol (a walk that
+    creates a node keeps the rest of the walk as a tail, and one that
+    meets a tail splits it only along the part it shares); records the
+    [pst.insert_seconds] histogram (pruning included), and counts every
+    node it creates, tail nodes included, in [pst.node_creations]. Raises
     [Invalid_argument], leaving the tree untouched, on bad bounds or a
     symbol outside [\[0, alphabet_size)]. *)
 
@@ -100,9 +110,10 @@ val grew_only : t -> since:int -> bool
     {!Psa.refresh} follows by adding states. *)
 
 val node_id_bound : t -> int
-(** An exclusive upper bound on the ids of the tree's nodes: every
-    [node] obtained from the tree, cast to [int], lies in
-    [\[0, node_id_bound t)]. Sizes arrays indexed by node id. *)
+(** An exclusive upper bound on the tree's slot ids: every slot, cast to
+    [int], lies in [\[0, node_id_bound t)]; tail nodes lie above it.
+    Sizes arrays indexed by the ids of significant nodes, which are all
+    slots ({!Psa.refresh}'s patch indexes nothing else). *)
 
 val prediction_node : t -> Sequence.t -> lo:int -> pos:int -> node
 (** [prediction_node t s ~lo ~pos] is the prediction node for the context
@@ -151,12 +162,14 @@ val iter_children : t -> node -> (int -> node -> unit) -> unit
 (** [iter_children t node f] calls [f sym child] for every child in
     increasing edge-symbol order — the walk primitive of the
     {!module:Check}-style invariant checkers and of {!Psa.compile} (a
-    child's label is [sym · label(node)]). *)
+    child's label is [sym · label(node)]). A head's one child, and a tail
+    node's, is the next node of its tail; [f] must not change the tree. *)
 
 val copy : t -> t
 (** [copy t] is an independent copy made by blitting the tree's storage:
-    same node ids, counts and free slots, so every subsequent operation
-    (scoring, insertion, pruning) behaves bit-identically on the copy.
+    same node ids, counts, tails and free slots, so every subsequent
+    operation (scoring, insertion, pruning) behaves bit-identically on
+    the copy.
     Used by the correctness oracles to snapshot a model before replaying
     mutations. *)
 
@@ -169,14 +182,19 @@ val merge : t -> t -> t
     symbol order, so the result is independent of argument order: merge
     is commutative and associative under {!equal_structure} when no
     pruning fires. The merged tree re-prunes itself if the union exceeds
-    [max_nodes]. Raises [Invalid_argument] when the configs differ. *)
+    [max_nodes]. A tail of [b] is copied whole below a node the merge
+    creates, and walked in like an insertion elsewhere. Merged counts
+    are not crossings: the result's {!active_changes} is [a]'s until it
+    prunes. Raises [Invalid_argument] when the configs differ. *)
 
 val next_distribution : t -> node -> float array
 (** The full smoothed probability vector at a node (length |Σ|). *)
 
 val prune_to : t -> int -> unit
 (** [prune_to t target] prunes nodes (never the root) until
-    [n_nodes t <= target], using the configured strategy. *)
+    [n_nodes t <= target], using the configured strategy. Removing a
+    tail node cuts its tail above it; the nodes removed are those of the
+    same tree held as slots. *)
 
 type stats = {
   nodes : int;

@@ -16,8 +16,10 @@ are the `gc.*` and `par.domain_busy_ratio*` gauges.
 
 The matrix: two generated inputs (240 synthetic sequences of length 80,
 240 protein sequences of length 150); `cluster` under eleven option sets
-x `--domains 1/4` x default/`--significance 6` on each (88 runs);
-`train` under default/`--shards 3` x default/`--significance 6` on each,
+x `--domains 1/4` x default/`--significance 6` on each (88 runs), and
+with `--max-nodes 300` at `--significance 2` (the smallest at which the
+tree keeps contexts seen once as tails) and `--significance 1` (no
+tails) x `--domains 1/4` on each (8 runs); `train` under default/`--shards 3` x default/`--significance 6` on each,
 each model classified back on its input at `--domains 1/4` (8 runs, 16
 `classify`); `explain` of five sequences x each input x `--shards 1/2`,
 plus the case whose best cluster the final consolidation dismissed (21
@@ -67,6 +69,13 @@ CLUSTER_OPTIONS = [
 ]
 
 SIGNIFICANCES = [[], ["--significance", "6"]]
+
+# Small significances under a node budget that prunes: 2 is the
+# smallest at which PST tails exist, 1 runs with them off.
+TAIL_OPTIONS = [
+    ["--significance", "2", "--max-nodes", "300"],
+    ["--significance", "1", "--max-nodes", "300"],
+]
 EXPLAIN_IDS = ["0", "45", "99", "150", "239"]
 
 
@@ -174,6 +183,10 @@ def main():
                     for sig in SIGNIFICANCES:
                         args = ["cluster", inp] + opts + ["--domains", domains] + sig
                         m.case("cluster", [(args + ["-o", "out.tsv"] + obs, ["out.tsv"], ["j.jsonl"], "m.json")])
+            for opts in TAIL_OPTIONS:
+                for domains in ("1", "4"):
+                    args = ["cluster", inp] + opts + ["--domains", domains]
+                    m.case("cluster", [(args + ["-o", "out.tsv"] + obs, ["out.tsv"], ["j.jsonl"], "m.json")])
         for inp in INPUTS:
             for shards in ([], ["--shards", "3"]):
                 for sig in SIGNIFICANCES:

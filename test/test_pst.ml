@@ -286,6 +286,97 @@ let test_golden_serialization () =
 
 let texts_gen = Gen_common.texts_gen ~max_seqs:6 ~max_len:40 ()
 
+(* The insertion walk allocates nothing per symbol (pst.mli): a long
+   segment into a grown tree — most of its contexts new, so it hangs
+   tails, splits them and grows the storage — costs a few words in all,
+   whatever its length. *)
+let test_insert_allocates_nothing_per_symbol () =
+  let rng = Random.State.make [| 3 |] in
+  let random_seq len = Array.init len (fun _ -> Random.State.int rng 26) in
+  List.iter
+    (fun significance ->
+      let t = Pst.create (cfg ~significance ()) in
+      for _ = 1 to 200 do
+        Pst.insert_sequence t (random_seq 100)
+      done;
+      let s = random_seq 50_000 in
+      let before = Gc.minor_words () in
+      Pst.insert_segment t s ~lo:0 ~hi:(Array.length s - 1);
+      let words = (Gc.minor_words () -. before) /. float_of_int (Array.length s) in
+      Alcotest.(check bool)
+        (Printf.sprintf "significance %d: %.4f minor words per symbol" significance words)
+        true (words < 0.1))
+    [ 1; 2 ]
+
+(* Tails against slots: a tree reloaded from its serialization holds
+   every node as a slot, while the tree itself keeps the contexts seen
+   once as tails. Fed the same insertions — under a node budget small
+   enough to prune, with every strategy — and merged both ways with a
+   third tree, the two must stay the same tree: same serialization, same
+   node count, and the same moves of [active_changes]. *)
+let tails_case_gen =
+  let open QCheck.Gen in
+  let segment = triple (array_size (int_range 1 30) (int_range 0 3)) nat nat in
+  let segments = list_size (int_range 0 8) segment in
+  tup4
+    (triple (oneofl [ 2; 3; 5 ]) (int_range 1 6) (int_range 2 60))
+    (oneofl Pruning.all)
+    (pair segments segments)
+    (pair segments segments)
+
+let tails_match_slots ((significance, max_depth, max_nodes), pruning, (first, more), (other, after)) =
+  let cfg = cfg ~alphabet_size:4 ~significance ~max_depth ~max_nodes ~pruning () in
+  let insert t (s, a, b) =
+    let lo = a mod Array.length s in
+    Pst.insert_segment t s ~lo ~hi:(lo + (b mod (Array.length s - lo)))
+  in
+  let build segs =
+    let t = Pst.create cfg in
+    List.iter (insert t) segs;
+    t
+  in
+  let tree = build first in
+  let reload = Pst.of_string (Pst.to_string tree) in
+  let agree (t, t0) (r, r0) =
+    Pst.to_string t = Pst.to_string r
+    && Pst.n_nodes t = Pst.n_nodes r
+    && Pst.active_changes t - t0 = Pst.active_changes r - r0
+  in
+  let feed t r segs =
+    List.for_all
+      (fun seg ->
+        let t0 = Pst.active_changes t and r0 = Pst.active_changes r in
+        insert t seg;
+        insert r seg;
+        agree (t, t0) (r, r0))
+      segs
+  in
+  (* A merge's counter is its first argument's until it prunes. *)
+  let merged_agree (mt, t0) (mr, r0) = agree (mt, t0) (mr, r0) && feed mt mr after in
+  agree (tree, Pst.active_changes tree) (reload, 0)
+  && feed tree reload more
+  &&
+  let x = build other in
+  let x0 = Pst.active_changes x in
+  merged_agree
+    (Pst.merge tree x, Pst.active_changes tree)
+    (Pst.merge reload x, Pst.active_changes reload)
+  && merged_agree (Pst.merge x tree, x0) (Pst.merge x reload, x0)
+
+let print_tails_case ((significance, max_depth, max_nodes), pruning, (first, more), (other, after)) =
+  let segs l =
+    String.concat "; "
+      (List.map
+         (fun (s, a, b) ->
+           Printf.sprintf "[%s] %d %d"
+             (String.concat "," (List.map string_of_int (Array.to_list s)))
+             a b)
+         l)
+  in
+  Printf.sprintf "significance %d, max_depth %d, max_nodes %d, %s\nfirst: %s\nmore: %s\nother: %s\nafter: %s"
+    significance max_depth max_nodes (Pruning.to_string pruning) (segs first) (segs more)
+    (segs other) (segs after)
+
 let storage_qcheck_tests =
   [
     QCheck_alcotest.to_alcotest
@@ -304,6 +395,10 @@ let storage_qcheck_tests =
                Pst.insert_sequence reloaded s)
              ys;
            Pst.equal_structure t reloaded && Pst.n_nodes t = Pst.n_nodes reloaded));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"tails = slots: a tree and its reload stay one tree" ~count:300
+         (QCheck.make ~print:print_tails_case tails_case_gen)
+         tails_match_slots);
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"inserting into a copy leaves the original" ~count:60
          (QCheck.pair texts_gen texts_gen)
@@ -484,6 +579,8 @@ let () =
         ] );
       ( "storage",
         Alcotest.test_case "golden serialization" `Quick test_golden_serialization
+        :: Alcotest.test_case "insertion allocates nothing per symbol" `Quick
+             test_insert_allocates_nothing_per_symbol
         :: storage_qcheck_tests );
       ( "prediction",
         [
