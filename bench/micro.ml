@@ -141,10 +141,14 @@ let alloc_rows () =
    [tests] without its last member gets the shortest leading segment of
    that member which makes exactly one context significant. The tree is
    copied and compiled and the segment inserted outside the timed
-   window; the row times the [Psa.refresh] that patches the context in —
-   the work a crossing costs a cluster instead of a [psa-compile]. Timed
-   directly (ns per refresh, like the Bechamel rows) because every run
-   needs a fresh tree and automaton. *)
+   window, reporting its crossing to a buffer; the row times the
+   [Psa.refresh] that patches the context in from that buffer — the
+   work a crossing costs a cluster instead of a [psa-compile]. No part
+   of the tree is walked to find the context: the time is the
+   closure-free check and the row scan over every state, the one
+   state's row copy and sweep, and rewriting the rows the segment's
+   counts moved. Timed directly (ns per refresh, like the Bechamel
+   rows) because every run needs a fresh tree and automaton. *)
 let patch_row () =
   let w = mk_workload () in
   let seqs = Seq_database.sequences w.db in
@@ -159,14 +163,14 @@ let patch_row () =
     members;
   (* The tree and automaton before the crossing, the segment inserted. *)
   let crossing hi =
-    let t = Pst.copy trained in
+    let t = Pst.copy trained and crossings = Pst.Crossings.create () in
     let psa = Psa.compile t in
-    Pst.insert_segment t held_out ~lo:0 ~hi;
-    (t, psa)
+    Pst.insert_segment ~crossings t held_out ~lo:0 ~hi;
+    (t, psa, crossings)
   in
-  let added (t, psa) =
+  let added (t, psa, crossings) =
     let states = Psa.n_states psa in
-    if Psa.refresh psa t then Psa.n_states psa - states else -1
+    if Psa.refresh ~crossings psa t then Psa.n_states psa - states else -1
   in
   let hi = ref 0 in
   while added (crossing !hi) <> 1 do
@@ -175,9 +179,9 @@ let patch_row () =
   done;
   let reps = 200 and ns = ref 0L in
   for _ = 1 to reps do
-    let t, psa = crossing !hi in
+    let t, psa, crossings = crossing !hi in
     let t0 = Timer.now_ns () in
-    ignore (Psa.refresh psa t);
+    ignore (Psa.refresh ~crossings psa t);
     ns := Int64.add !ns (Int64.sub (Timer.now_ns ()) t0)
   done;
   ("cluseq/psa-patch", Int64.to_float !ns /. float_of_int reps)

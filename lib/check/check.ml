@@ -368,6 +368,55 @@ let psa_tables_match ~fresh psa =
   end;
   List.rev !errs
 
+(* The reference for the crossings an insertion reports: a walk of the
+   active part of the tree (the root and every node whose whole root
+   path is significant), the walk [Psa.refresh]'s patch made to find
+   new contexts before insertions reported them. Ids, root first in
+   preorder. *)
+let active_nodes pst =
+  let sigma = (Pst.config pst).Pst.significance in
+  let acc = ref [] in
+  let rec walk (nd : Pst.node) =
+    acc := (nd :> int) :: !acc;
+    Pst.iter_children pst nd (fun _ c -> if Pst.node_count pst c >= sigma then walk c)
+  in
+  walk (Pst.root pst);
+  List.rev !acc
+
+(* Reported crossings against the walk: as sets of ids, the buffer must
+   be the active nodes now less those [before], with no id twice. An id
+   keeps naming its node only while no significant node is pruned, so
+   the comparison holds only then. *)
+let crossings_match ~before pst crossings =
+  let errs = ref [] in
+  let err fmt = Printf.ksprintf (fun m -> errs := m :: !errs) fmt in
+  let set ids =
+    let h = Hashtbl.create 64 in
+    List.iter (fun nd -> Hashtbl.replace h nd ()) ids;
+    h
+  in
+  let reported =
+    List.init (Pst.Crossings.length crossings) (fun i -> (Pst.Crossings.get crossings i :> int))
+  in
+  let old = set before and seen = set reported in
+  if Hashtbl.length seen <> List.length reported then
+    err "a crossing is reported twice: [%s]" (String.concat "; " (List.map string_of_int reported));
+  let fresh = List.filter (fun nd -> not (Hashtbl.mem old nd)) (active_nodes pst) in
+  List.iter
+    (fun nd ->
+      if not (Hashtbl.mem seen nd) then err "node %d turned active but was not reported" nd)
+    fresh;
+  let fresh = set fresh in
+  List.iter
+    (fun nd ->
+      if not (Hashtbl.mem fresh nd) then
+        err "node %d was reported but %s" nd
+          (if nd >= Pst.node_id_bound pst then "is not a slot"
+           else if Hashtbl.mem old nd then "was active before"
+           else "is not active"))
+    (List.sort_uniq Int.compare reported);
+  List.rev !errs
+
 (* Batched-vs-serial scoring oracle: [Psa.score_batch] keeps every
    lane's accumulators in shared scratch columns, so the thing that can
    silently go wrong is cross-lane state leaking (a lane reading

@@ -95,6 +95,24 @@ val psa_tables_match : fresh:Psa.t -> Psa.t -> string list
     Run by the QCheck properties in [test_psa.ml] and by fuzz check #8
     after every insertion. *)
 
+val active_nodes : Pst.t -> int list
+(** The reference for reported crossings: the ids of the tree's active
+    nodes (the root and every node whose whole root path is
+    significant), root first in preorder, found by walking the active
+    part of the tree — the walk {!Psa.refresh} made for new contexts
+    before {!Pst.insert_segment} reported them. *)
+
+val crossings_match : before:int list -> Pst.t -> Pst.Crossings.t -> string list
+(** [crossings_match ~before pst crossings], where [before] is
+    {!active_nodes} taken when [crossings] was last empty, demands that
+    the buffer hold exactly the nodes active now that were not then,
+    each once. Messages name the nodes missed, reported twice, reported
+    while active before, or reported but not active (a tail id among
+    them). Valid only while {!Pst.grew_only} holds since [before] was
+    taken: otherwise ids may have been released and handed out again.
+    Run by the crossings property in [test_pst.ml] and by fuzz check #8
+    after every insertion. *)
+
 val batch_scoring_matches :
   Pst.t -> log_background:float array -> Sequence.t array list -> string list
 (** Differential oracle for the batched kernel: compiles the tree and

@@ -176,19 +176,21 @@ let run_checks case ~errs ~stage =
   (* Maintained automaton (check #8): stream random segments of the
      training sequences, twice over, into two trees, keeping one
      automaton per tree current by refresh-or-recompile the way a
-     cluster does. The first tree's node budget forces pruning, so its
+     cluster does, each insertion reporting its crossings to the tree's
+     buffer. The first tree's node budget forces pruning, so its
      refreshes refuse and it recompiles; the second never reaches its
      budget, so every crossing must be patched and its refresh must
-     never refuse. After every insertion each automaton must equal a
-     fresh compile up to state numbering and score every probe exactly
-     like the tree walk. *)
+     never refuse. After every insertion that pruned no significant
+     node, the buffer must hold exactly the nodes the active-tree walk
+     finds new; and each automaton must equal a fresh compile up to
+     state numbering and score every probe exactly like the tree walk. *)
   stage := "psa-maintained";
   let live = Pst.create { pcfg with max_nodes = max 2 (Pst.n_nodes pst / 3) } in
   let growing = Pst.create pcfg in
   let maintained =
     [
-      ("psa-maintained", live, ref (Psa.compile live));
-      ("psa-patched", growing, ref (Psa.compile growing));
+      ("psa-maintained", live, ref (Psa.compile live), Pst.Crossings.create ());
+      ("psa-patched", growing, ref (Psa.compile growing), Pst.Crossings.create ());
     ]
   in
   let seg_rng = Rng.create case.case_seed in
@@ -200,13 +202,17 @@ let run_checks case ~errs ~stage =
           let lo = Rng.int seg_rng l in
           let hi = lo + Rng.int seg_rng (l - lo) in
           List.iter
-            (fun (name, tree, psa) ->
-              Pst.insert_segment tree s ~lo ~hi;
-              if not (Psa.refresh !psa tree) then begin
+            (fun (name, tree, psa, crossings) ->
+              let before = Check.active_nodes tree and since = Pst.active_changes tree in
+              Pst.insert_segment ~crossings tree s ~lo ~hi;
+              if Pst.grew_only tree ~since then
+                add_all name (Check.crossings_match ~before tree crossings);
+              if not (Psa.refresh ~crossings !psa tree) then begin
                 if tree == growing then
                   err "%s: refresh refused on a tree that never pruned" name;
                 psa := Psa.compile tree
               end;
+              Pst.Crossings.clear crossings;
               add_all name (Check.psa_tables_match ~fresh:(Psa.compile tree) !psa);
               add_all name
                 (Check.psa_scoring_matches ~psa:!psa tree ~log_background:lbg case.probes))

@@ -11,12 +11,15 @@
       reference on every probe;
     - streams segments into two trees, one under a node budget that
       forces pruning and one that never prunes, while one automaton per
-      tree is kept current by {!Psa.refresh} or recompile (check #8).
+      tree is kept current by {!Psa.refresh} or recompile (check #8),
+      each insertion reporting its crossings to a buffer per tree.
       On the tree that never prunes every crossing must be patched, so
-      a refused refresh fails the case. After every insertion each
-      automaton must equal a fresh {!Psa.compile} up to state numbering
-      ({!Check.psa_tables_match}) and score like the tree walk
-      ({!Check.psa_scoring_matches});
+      a refused refresh fails the case. After every insertion that
+      pruned no significant node, the buffer must hold exactly the
+      nodes the active-tree walk finds new ({!Check.crossings_match});
+      and each automaton must equal a fresh {!Psa.compile} up to state
+      numbering ({!Check.psa_tables_match}) and score like the tree
+      walk ({!Check.psa_scoring_matches});
     - measures every pair of the full, pruned, merged and budget-bound
       trees with {!Divergence}'s profiles and demands the tree-walk
       reference's floats bit for bit ({!Check.divergence_matches},

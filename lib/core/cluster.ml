@@ -9,6 +9,10 @@ type t = {
      score reads it. *)
   mutable compiled : Psa.t;
   mutable stale : bool;
+  (* The contexts the absorbs since then made significant, for refresh
+     to patch in: a buffer kept from the first absorb that reports a
+     crossing until the automaton is current again. *)
+  mutable crossings : Pst.Crossings.t option;
   (* Whether [compile] has journaled [cluster.froze] since the tree last
      grew: the event marks each pass start that finds a changed model. *)
   mutable frozen : bool;
@@ -31,6 +35,7 @@ let of_pst ~id ?(born = 0) ~capacity pst =
     members = Bitset.create capacity;
     compiled = Psa.compile pst;
     stale = false;
+    crossings = None;
     frozen = false;
     scores = None;
     profile = None;
@@ -51,20 +56,23 @@ let add_member t i = Bitset.add t.members i
 let clear_members t = Bitset.clear t.members
 
 (* The automaton, brought up to date with the tree: rows rewritten in
-   place while the active contexts hold still, states patched in when
-   contexts turned significant, a fresh compile when one was pruned (or
-   the automaton has closure states). Every way the tables equal a fresh
-   compile's up to state numbering, so scores stay bit-identical to the
-   tree walk. *)
-let current t =
+   place while the active contexts hold still, the crossings the absorbs
+   reported patched in when contexts turned significant, a fresh compile
+   when one was pruned (or the automaton has closure states). Every way
+   the tables equal a fresh compile's up to state numbering, so scores
+   stay bit-identical to the tree walk, and every way the buffer is
+   spent. *)
+let automaton t =
   if t.stale then begin
-    if not (Psa.refresh t.compiled t.pst) then t.compiled <- Psa.compile t.pst;
+    if not (Psa.refresh ?crossings:t.crossings t.compiled t.pst) then
+      t.compiled <- Psa.compile t.pst;
+    t.crossings <- None;
     t.stale <- false
   end;
   t.compiled
 
 let compile t =
-  let psa = current t in
+  let psa = automaton t in
   if not t.frozen then begin
     t.frozen <- true;
     if Obs.Journal.is_enabled () then
@@ -92,7 +100,7 @@ let profile t =
       t.profile <- Some p;
       p
 
-let similarity t ~log_background s = Similarity.score_psa (current t) ~log_background s
+let similarity t ~log_background s = Similarity.score_psa (automaton t) ~log_background s
 
 (* Scoring fan-out granularity: sequences are scored in blocks of this
    many lanes so one automaton streams over a whole block per call
@@ -128,7 +136,10 @@ let score_columns ~log_background clusters seqs =
 let absorb t s (r : Similarity.result) =
   Obs.Metrics.incr m_absorbs;
   if r.seg_lo >= 0 && r.seg_hi >= r.seg_lo then begin
-    Pst.insert_segment t.pst s ~lo:r.seg_lo ~hi:r.seg_hi;
+    let crossings = match t.crossings with Some b -> b | None -> Pst.Crossings.create () in
+    Pst.insert_segment ~crossings t.pst s ~lo:r.seg_lo ~hi:r.seg_hi;
+    if t.crossings = None && Pst.Crossings.length crossings > 0 then
+      t.crossings <- Some crossings;
     (* The tree changed (insertion, possibly pruning): the automaton is
        behind it until the next score or compile brings it current. *)
     t.stale <- true;

@@ -49,13 +49,20 @@ val compile : t -> unit
 (** Make the cluster's {!Psa.t} scoring automaton current for its PST:
     after an {!absorb}, refresh it in place ({!Psa.refresh}: rewrite the
     rows that moved, and add a state for each context that turned
-    significant) or, once a significant context was pruned, recompile
-    it. Called on the submitting domain at the start of every read-only
+    significant, as reported by the absorbs' insertions) or, once a
+    significant context was pruned, recompile it. Either way the
+    cluster's buffer of reported crossings is emptied. Called on the submitting domain at the start of every read-only
     scoring sweep, so the sweep's workers only ever read a current
     automaton ({!score_columns} checks). Idempotent and cheap when
     nothing changed. The first call after creation or after the tree
     grew journals a [cluster.froze] event (with the automaton's state
     count) when {!Obs.Journal} is enabled. *)
+
+val automaton : t -> Psa.t
+(** The cluster's scoring automaton, brought current as by {!compile}
+    minus its journal record: the same owner rule as {!similarity}
+    applies. For tests and oracles that compare it with a fresh
+    {!Psa.compile} of {!pst}. *)
 
 val score_cache : t -> Similarity.result array option
 (** The previous reclustering pass's score column against this cluster
@@ -115,6 +122,9 @@ val absorb : t -> Sequence.t -> Similarity.result -> unit
 (** [absorb t s r] inserts the maximizing segment [r.seg_lo .. r.seg_hi]
     of [s] into the PST (paper Sec. 4.2/4.4: only the best segment
     updates the tree); membership is the caller's ({!add_member}). The
-    automaton is kept but marked stale — the next {!similarity} or
-    {!compile} brings it up to date — while the score cache and the
-    divergence {!profile} are dropped. *)
+    insertion reports the contexts it makes significant to a buffer the
+    cluster keeps until its automaton is current again (a cluster with
+    no crossing pending holds none). The automaton is kept but marked stale —
+    the next {!similarity} or {!compile} brings it up to date, patching
+    those contexts in — while the score cache and the divergence
+    {!profile} are dropped. *)

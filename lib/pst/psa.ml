@@ -46,7 +46,11 @@
    significant node was pruned — [refresh] patches the automaton
    instead of leaving it to a recompile, provided it has no closure
    states (every state predicts from its own node, so states = active
-   nodes). A new context L = l1..lm gets a state u. Its trie children
+   nodes). The new contexts are the slots the insertions reported as
+   they crossed (Pst.Crossings), which the caller hands over; there must
+   be as many as Pst.active_changes moved by, so nothing the insertions
+   did goes unseen and no part of the tree is walked to find them. A
+   new context L = l1..lm gets a state u. Its trie children
    l1..lm·a have no states yet (a state's label minus its newest symbol
    is a state; a new L·a is deeper and patched later), so u's
    transitions are its failure link's: those of L's tree parent
@@ -268,13 +272,27 @@ let reserve t more =
    every entry is -1 between uses. *)
 let state_scratch = Domain.DLS.new_key (fun () -> ref [||])
 
+(* What [refresh] reads when its caller reported no crossings; never
+   written, so every domain may share it. *)
+let no_crossings = Pst.Crossings.create ()
+
+(* The newest symbol of [nd]'s label: the edge below the root on its
+   path. *)
+let rec newest_symbol pst nd =
+  if Pst.node_depth pst nd <= 1 then Pst.edge_symbol pst nd
+  else newest_symbol pst (Pst.parent pst nd)
+
 (* Adds a state for every context that turned active since [t] was last
-   brought current (see the header). Returns [false], touching nothing,
-   when that takes a full compile: a significant node was pruned, [t]
-   has closure states, or a new context's label minus its newest symbol
-   is not active. *)
-let patch t pst =
+   brought current: the slots [crossings] holds, which must be all of
+   them — as many as [Pst.active_changes] moved by (see the header).
+   Returns [false], touching nothing, when that takes a full compile: a
+   significant node was pruned, the buffer does not account for every
+   crossing, [t] has closure states, or a new context's label minus its
+   newest symbol is not active. *)
+let patch t pst crossings =
+  let k = Pst.Crossings.length crossings in
   Pst.grew_only pst ~since:t.active_changes
+  && k = Pst.active_changes pst - t.active_changes
   &&
   let sigma = (Pst.config pst).Pst.significance and n = t.alphabet_size in
   let scratch = Domain.DLS.get state_scratch in
@@ -297,64 +315,61 @@ let patch t pst =
   @@ fun () ->
   !closure_free
   &&
-  (* The active nodes without a state, each with its tree parent. *)
-  let fresh = ref [] in
-  let rec walk parent nd =
-    if state.(slot nd) < 0 then fresh := (nd, parent) :: !fresh;
-    Pst.iter_children pst nd (fun _ c -> if Pst.node_count pst c >= sigma then walk nd c)
-  in
-  walk (Pst.root pst) (Pst.root pst);
-  (* Shallowest first, each with L' (its label minus the newest symbol,
-     if that is a node) and the newest symbol. *)
-  let fresh =
-    List.stable_sort
-      (fun (a, _) (b, _) -> Int.compare (Pst.node_depth pst a) (Pst.node_depth pst b))
-      !fresh
-    |> List.map (fun (nd, parent) ->
-           match List.rev (Pst.node_label pst nd) with
-           | newest :: older ->
-               (nd, parent, Pst.find_node pst (Array.of_list (List.rev older)), newest)
-           | [] -> invalid_arg "Psa.patch: the root always has a state")
-  in
-  (* A child never outcounts its parent, so a significant L' is active. *)
-  List.for_all
-    (fun (_, _, prefix, _) ->
-      match prefix with Some p -> Pst.is_significant pst p | None -> false)
-    fresh
+  (* Each new context's L' (its label minus the newest symbol) must be
+     active; a child never outcounts its parent, so a significant L' is.
+     The depths bound the shallowest-first sweep below. *)
+  let prefixes_active = ref true and dmin = ref max_int and dmax = ref 0 in
+  for i = 0 to k - 1 do
+    let nd = Pst.Crossings.get crossings i in
+    (match Pst.drop_newest pst nd with
+    | Some p when Pst.is_significant pst p -> ()
+    | _ -> prefixes_active := false);
+    let d = Pst.node_depth pst nd in
+    dmin := min !dmin d;
+    dmax := max !dmax d
+  done;
+  !prefixes_active
   && begin
-       reserve t (List.length fresh);
+       reserve t k;
        let trans = t.trans in
-       List.iter
-         (fun (nd, parent, prefix, newest) ->
-           let u = t.n_states and p = state.(slot parent) in
-           t.n_states <- u + 1;
-           t.pred.(u) <- nd;
-           state.(slot nd) <- u;
-           for a = 0 to n - 1 do
-             Bigarray.Array1.set trans ((u * n) + a) (Bigarray.Array1.get trans ((p * n) + a))
-           done;
-           write_row pst t.emit ~n u nd;
-           t.pred_total.(u) <- Pst.next_total pst nd;
-           (* The states of L''s active subtree; a node without a state
-              there is new and deeper than L, and so is all below it. *)
-           let rec sweep nd =
-             let v = state.(slot nd) in
-             if v >= 0 then begin
-               Bigarray.Array1.set trans ((v * n) + newest) u;
-               Pst.iter_children pst nd (fun _ c ->
-                   if Pst.node_count pst c >= sigma then sweep c)
-             end
-           in
-           sweep (Option.get prefix))
-         fresh;
-       if fresh <> [] then Obs.Metrics.incr m_patches;
+       let add nd =
+         let u = t.n_states and p = state.(slot (Pst.parent pst nd)) in
+         t.n_states <- u + 1;
+         t.pred.(u) <- nd;
+         state.(slot nd) <- u;
+         for a = 0 to n - 1 do
+           Bigarray.Array1.set trans ((u * n) + a) (Bigarray.Array1.get trans ((p * n) + a))
+         done;
+         write_row pst t.emit ~n u nd;
+         t.pred_total.(u) <- Pst.next_total pst nd;
+         (* The states of L''s active subtree; a node without a state
+            there is new and deeper than L, and so is all below it. *)
+         let newest = newest_symbol pst nd in
+         let rec sweep nd =
+           let v = state.(slot nd) in
+           if v >= 0 then begin
+             Bigarray.Array1.set trans ((v * n) + newest) u;
+             Pst.iter_children pst nd (fun _ c -> if Pst.node_count pst c >= sigma then sweep c)
+           end
+         in
+         sweep (Option.get (Pst.drop_newest pst nd))
+       in
+       (* Shallowest first; the order among equal depths only numbers
+          the states. *)
+       for d = !dmin to !dmax do
+         for i = 0 to k - 1 do
+           let nd = Pst.Crossings.get crossings i in
+           if Pst.node_depth pst nd = d then add nd
+         done
+       done;
+       Obs.Metrics.incr m_patches;
        true
      end
 
-let refresh t pst =
+let refresh ?(crossings = no_crossings) t pst =
   pst == t.source
   && Obs.Metrics.time h_refresh_seconds (fun () ->
-         (Pst.active_changes pst = t.active_changes || patch t pst)
+         (Pst.active_changes pst = t.active_changes || patch t pst crossings)
          && begin
               t.active_changes <- Pst.active_changes pst;
               let n = t.alphabet_size in

@@ -56,31 +56,38 @@ val compile : Pst.t -> t
     states a {!refresh} patches in are not. The result may be read from
     any domain. *)
 
-val refresh : t -> Pst.t -> bool
-(** [refresh t pst] brings [t] up to date with [pst] in place, provided
-    [pst] is (physically) the tree [t] was compiled from and its set of
-    active contexts has at most grown since:
+val refresh : ?crossings:Pst.Crossings.t -> t -> Pst.t -> bool
+(** [refresh ?crossings t pst] brings [t] up to date with [pst] in
+    place, provided [pst] is (physically) the tree [t] was compiled from
+    and its set of active contexts has at most grown since:
     - If the set held still ({!Pst.active_changes} unchanged), only
-      counts moved.
-    - If contexts turned active, none was pruned ({!Pst.grew_only}), [t]
-      has no closure states and every new context's label minus its
-      newest symbol is active, [refresh] {e patches} [t]: it adds one
-      state per new context, shallowest first, and redirects the
-      transitions that now reach them (DESIGN.md §9). That walks the
-      active nodes once and, per new state, copies a row and sweeps
-      one subtree; it bumps the [pst.patches] counter once.
+      counts moved, and [crossings] is not read.
+    - If contexts turned active, [crossings] must hold them: every
+      crossing the insertions into [pst] reported since [t] was last
+      brought current (by {!compile} or a successful [refresh]), and
+      nothing else — the caller passes one buffer to each of those
+      {!Pst.insert_segment}s and empties it once [t] is current again,
+      whatever this returns (default: an empty buffer). If none was
+      pruned ({!Pst.grew_only}), the buffer holds as many crossings as
+      {!Pst.active_changes} moved by, [t] has no closure states and
+      every new context's label minus its newest symbol is active,
+      [refresh] {e patches} [t]: it adds one state per crossing,
+      shallowest first, and redirects the transitions that now reach
+      them (DESIGN.md §9). Per new state that copies a row and sweeps
+      one subtree; no other part of the tree is walked. It bumps the
+      [pst.patches] counter once.
 
     It then rewrites the emission rows whose prediction node's
     next-symbol counts moved, with the row routine {!compile} uses, so
     the automaton equals what a fresh compile would build up to the
     numbering of its states (the new states come last); it bumps the
     [pst.refreshes] counter once and returns [true]. Otherwise — another
-    tree, a copy included, a pruned significant node, or a new context
-    that would need a closure state — it touches nothing and returns
-    [false], and the caller must recompile. Costs O(states), plus
-    O(|Σ|) per rewritten row; timed into the
-    [similarity.refresh_seconds] histogram. [t] must not be scanned
-    while it is refreshed. *)
+    tree, a copy included, a pruned significant node, a buffer that
+    misses crossings, or a new context that would need a closure state —
+    it touches nothing and returns [false], and the caller must
+    recompile. Costs O(states), plus O(|Σ|) per rewritten row; timed
+    into the [similarity.refresh_seconds] histogram. [t] must not be
+    scanned while it is refreshed. *)
 
 val alphabet_size : t -> int
 (** |Σ| of the source tree; symbols fed to the scan must lie in

@@ -11,6 +11,7 @@ let m_prunings = Obs.Metrics.counter "pst.prunings"
 let m_nodes_pruned = Obs.Metrics.counter "pst.nodes_pruned"
 let m_prediction_lookups = Obs.Metrics.counter "pst.prediction_lookups"
 let h_insert_seconds = Obs.Metrics.histogram "pst.insert_seconds"
+let h_prune_seconds = Obs.Metrics.histogram "pst.prune_seconds"
 
 type config = {
   alphabet_size : int;
@@ -193,6 +194,27 @@ let grown (a : int array) size fill =
 (* Geometric growth by half: a finished model carries at most 50% (on
    average about 25%) spare slots. *)
 let grown_size len = max initial_slots (len * 3 / 2)
+
+(* The slots whose count reached [significance] during the insertions
+   given the buffer, in the order they crossed. Its array is made at the
+   first crossing, so a buffer that saw none holds no storage. *)
+module Crossings = struct
+  type t = { mutable ids : int array; mutable len : int }
+
+  let create () = { ids = [||]; len = 0 }
+  let length b = b.len
+
+  let get b i =
+    if i < 0 || i >= b.len then invalid_arg "Pst.Crossings.get";
+    b.ids.(i)
+
+  let clear b = b.len <- 0
+
+  let push b n =
+    if b.len = Array.length b.ids then b.ids <- grown b.ids (max 8 (2 * b.len)) 0;
+    b.ids.(b.len) <- n;
+    b.len <- b.len + 1
+end
 
 let grow_nodes t =
   let size = grown_size (Array.length t.count) in
@@ -684,6 +706,7 @@ let prune_expected_vector t target =
 let prune_to t target =
   let target = max 1 target in
   if t.n_nodes > target then begin
+    Obs.Metrics.time h_prune_seconds @@ fun () ->
     Obs.Metrics.incr m_prunings;
     let before = t.n_nodes in
     (match t.cfg.pruning with
@@ -712,10 +735,11 @@ let bump t n next_sym =
 (* The insertion walk below the slot [node], which has just taken this
    occurrence: [len] more edges, the k-th (from 0) along
    [arr.(i + k * step)], each node bumped with [next_sym] and its
-   crossing counted. A head met on the way is split first; a node the
-   walk creates takes the rest of the walk as its tail (significance 2
-   and up). Returns the number of nodes created. *)
-let descend t node arr i step len next_sym =
+   crossing counted, and reported to [crossings] if given. A head met on
+   the way is split first, so the node that crosses is always a slot; a
+   node the walk creates takes the rest of the walk as its tail
+   (significance 2 and up). Returns the number of nodes created. *)
+let descend t crossings node arr i step len next_sym =
   let sig_ = t.cfg.significance in
   let node = ref node and k = ref 0 and created = ref 0 in
   while !k < len do
@@ -725,7 +749,10 @@ let descend t node arr i step len next_sym =
     let c = if fresh then link_child t !node s else c in
     if is_head t c then split_head t c;
     bump t c next_sym;
-    if t.count.(c) = sig_ then t.active_changes <- t.active_changes + 1;
+    if t.count.(c) = sig_ then begin
+      t.active_changes <- t.active_changes + 1;
+      match crossings with Some b -> Crossings.push b c | None -> ()
+    end;
     node := c;
     incr k;
     if fresh then begin
@@ -741,7 +768,7 @@ let descend t node arr i step len next_sym =
   done;
   !created
 
-let insert_segment t s ~lo ~hi =
+let insert_segment ?crossings t s ~lo ~hi =
   let len = Array.length s in
   if lo < 0 || hi >= len || lo > hi then invalid_arg "Pst.insert_segment";
   let n = t.cfg.alphabet_size in
@@ -757,7 +784,8 @@ let insert_segment t s ~lo ~hi =
     let next_sym = if e < hi then s.(e + 1) else -1 in
     bump t 0 next_sym;
     (* Walk the reversed context s.(e), s.(e-1), ... down to [max_depth]. *)
-    created := !created + descend t 0 s e (-1) (min t.cfg.max_depth (e - lo + 1)) next_sym
+    created :=
+      !created + descend t crossings 0 s e (-1) (min t.cfg.max_depth (e - lo + 1)) next_sym
   done;
   Obs.Metrics.incr ~by:!created m_node_creations;
   maybe_prune t
@@ -821,6 +849,31 @@ let find_node t label =
       if c = none then None else go c (d + 1)
   in
   go 0 0
+
+let parent t n =
+  if n = 0 then 0
+  else if n < t.used then t.parent.(n)
+  else if pos_of t n = 1 then head_of t n
+  else n - 1
+
+let edge_symbol t n =
+  if n < t.used then t.sym.(n) else t.pool.(tail_off t (head_of t n) + pos_of t n)
+
+(* Climbing from [n], the edges spell its label oldest symbol first, so
+   the label one newest symbol shorter is that of the parent's shortened
+   node extended along [n]'s own edge; the root at depth 1, [none] where
+   a node on the way is missing. *)
+let rec shortened t n =
+  if node_depth t n <= 1 then 0
+  else
+    let p = shortened t (parent t n) in
+    if p = none then none else find_child t p (edge_symbol t n)
+
+let drop_newest t n =
+  if n = 0 then None
+  else
+    let p = shortened t n in
+    if p = none then None else Some p
 
 let next_distribution t n =
   Array.init t.cfg.alphabet_size (fun sym -> exp (next_log_prob t n sym))
@@ -892,7 +945,7 @@ let copy t =
    the merge the tail is copied as it is, below any other node it is
    walked in like an insertion. A head of [a]'s copy splits before it
    takes counts. Merged counts are not crossings: [active_changes] is
-   [a]'s until the merged tree prunes. *)
+   [a]'s until the merged tree prunes, and the walk reports none. *)
 let merge a b =
   if a.cfg <> b.cfg then invalid_arg "Pst.merge: configs differ";
   let t = copy a in
@@ -911,7 +964,7 @@ let merge a b =
       end
       else begin
         let next_sym = if b.run_len.(src) > 0 then b.entry_sym.(b.run.(src)) else -1 in
-        created := !created + descend t dst b.pool (off + 1) 1 len next_sym
+        created := !created + descend t None dst b.pool (off + 1) 1 len next_sym
       end
     end
     else iter_children b src (fun s c -> add (child_or_create ~counted:true t dst s) c)

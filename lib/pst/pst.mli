@@ -70,7 +70,37 @@ val insert_sequence : t -> Sequence.t -> unit
     its next-symbol observation, updating counts and probability vectors
     incrementally. May trigger pruning. *)
 
-val insert_segment : t -> Sequence.t -> lo:int -> hi:int -> unit
+(** A buffer of {e crossings}, owned by the caller of {!insert_segment}:
+    the nodes whose count reached [significance] during the insertions it
+    was given to, in the order they crossed, each once. Every one is a
+    slot (a walk splits a head before it bumps it, so the node that
+    crosses may be a slot the split has just made; no tail node is ever
+    significant). An id stays valid while {!grew_only} holds since the
+    buffer was last emptied: a crossed node is significant, and only
+    pruning a significant node can release it. The buffer grows its
+    storage at the first crossing, so one that saw none holds none.
+    {!Psa.refresh} reads it to patch the new contexts into an automaton;
+    [Cluster] keeps one per cluster, and only the task that mutates the
+    cluster's tree touches it. *)
+module Crossings : sig
+  type t
+
+  val create : unit -> t
+  (** An empty buffer. *)
+
+  val length : t -> int
+  (** The number of crossings reported since it was created or last
+      {!clear}ed. *)
+
+  val get : t -> int -> node
+  (** [get b i] is the [i]-th crossing, oldest first. Raises
+      [Invalid_argument] outside [\[0, length b)]. *)
+
+  val clear : t -> unit
+  (** Forget every crossing, keeping the storage. *)
+end
+
+val insert_segment : ?crossings:Crossings.t -> t -> Sequence.t -> lo:int -> hi:int -> unit
 (** [insert_segment t s ~lo ~hi] inserts the segment [s.(lo) .. s.(hi)]
     (inclusive) as if it were a standalone sequence — the cluster-update
     primitive of paper Sec. 4.4 (only the best-matching segment of a joining
@@ -78,9 +108,13 @@ val insert_segment : t -> Sequence.t -> lo:int -> hi:int -> unit
     creates a node keeps the rest of the walk as a tail, and one that
     meets a tail splits it only along the part it shares); records the
     [pst.insert_seconds] histogram (pruning included), and counts every
-    node it creates, tail nodes included, in [pst.node_creations]. Raises
-    [Invalid_argument], leaving the tree untouched, on bad bounds or a
-    symbol outside [\[0, alphabet_size)]. *)
+    node it creates, tail nodes included, in [pst.node_creations]. Each
+    node whose count reaches [significance] bumps {!active_changes} and,
+    when [crossings] is given, is appended to it at that moment: the
+    buffer holds slot ids, valid while {!grew_only} holds (pruning at the
+    end of the insertion may already have released them otherwise).
+    Raises [Invalid_argument], leaving the tree untouched, on bad bounds
+    or a symbol outside [\[0, alphabet_size)]. *)
 
 val root : t -> node
 (** The root node (empty label). *)
@@ -142,9 +176,22 @@ val log_prob : t -> Sequence.t -> lo:int -> pos:int -> float
 
 val find_node : t -> Sequence.t -> node option
 (** [find_node t label] locates the node with exactly this label (walking
-    without the significance restriction); for tests, inspection, and
-    {!Psa.refresh}'s patch, which looks up a new context's label minus
-    its newest symbol. *)
+    without the significance restriction); for tests and inspection. *)
+
+val parent : t -> node -> node
+(** The tree parent: the node whose label is this one's minus its
+    {e oldest} symbol. The root is its own parent. *)
+
+val edge_symbol : t -> node -> int
+(** The symbol on the edge from the parent, which is the label's oldest
+    symbol; [-1] at the root. *)
+
+val drop_newest : t -> node -> node option
+(** [drop_newest t n] is the node whose label is [n]'s minus its
+    {e newest} symbol — the root when [n] has depth 1 — if the tree holds
+    it; [None] at the root. Found by climbing from [n] and descending
+    back, in O(depth) child lookups, allocation-free but for the
+    option; {!Psa.refresh}'s patch reads it for each new context. *)
 
 val next_count : t -> node -> int -> int
 (** [next_count t node sym] is the raw count {m C(label\,sym)}. *)
@@ -185,7 +232,8 @@ val merge : t -> t -> t
     [max_nodes]. A tail of [b] is copied whole below a node the merge
     creates, and walked in like an insertion elsewhere. Merged counts
     are not crossings: the result's {!active_changes} is [a]'s until it
-    prunes. Raises [Invalid_argument] when the configs differ. *)
+    prunes, and no {!Crossings} buffer hears of them (compile the result
+    afresh). Raises [Invalid_argument] when the configs differ. *)
 
 val next_distribution : t -> node -> float array
 (** The full smoothed probability vector at a node (length |Σ|). *)
@@ -194,7 +242,9 @@ val prune_to : t -> int -> unit
 (** [prune_to t target] prunes nodes (never the root) until
     [n_nodes t <= target], using the configured strategy. Removing a
     tail node cuts its tail above it; the nodes removed are those of the
-    same tree held as slots. *)
+    same tree held as slots. Each pruning that removes anything is timed
+    into the [pst.prune_seconds] histogram, including the ones
+    {!insert_segment} and {!merge} run when over budget. *)
 
 type stats = {
   nodes : int;

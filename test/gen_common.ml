@@ -74,16 +74,18 @@ let small_config =
    absorbs during reclustering. *)
 let small_pruned_config = { small_config with max_nodes = 1000 }
 
-(* [f ()] with metrics on, paired with the number of PST nodes pruning
-   removed meanwhile. *)
-let counting_prunes f =
-  let c = Obs.Metrics.counter "pst.nodes_pruned" in
+(* [f ()] with metrics on, paired with how far the counter [c] moved
+   meanwhile. *)
+let counting c f =
   let was_enabled = Obs.Metrics.is_enabled () in
   Obs.Metrics.enable ();
   Fun.protect ~finally:(fun () -> if not was_enabled then Obs.Metrics.disable ()) @@ fun () ->
   let before = Obs.Metrics.counter_value c in
   let r = f () in
   (r, Obs.Metrics.counter_value c - before)
+
+(* [f ()] paired with the number of PST nodes pruning removed meanwhile. *)
+let counting_prunes f = counting (Obs.Metrics.counter "pst.nodes_pruned") f
 
 (* [line] with the value of its ["ts_ns"] field blanked. *)
 let blank_ts line =

@@ -154,6 +154,41 @@ let prop_score_columns_match_similarity =
                expected got)
         [ 1; 4 ])
 
+(* A significant node pruned between an absorb and the refresh: the
+   refresh refuses and the cluster recompiles, spending the crossings
+   the absorb reported. A buffer left holding them would make the next
+   crossing's refresh refuse too, since it would no longer account for
+   exactly the crossings since the compile; instead that one patches. *)
+let test_cluster_recompile_empties_crossings () =
+  let compilations = Obs.Metrics.counter "pst.compilations"
+  and patches = Obs.Metrics.counter "pst.patches" in
+  let seq = Sequence.of_string alpha in
+  let cl = Cluster.create ~id:0 ~capacity:0 pst_cfg [| seq "abcabc" |] in
+  let absorb text =
+    let s = seq text in
+    Cluster.absorb cl s { Similarity.log_sim = 1.0; seg_lo = 0; seg_hi = Array.length s - 1 }
+  in
+  let tables_equal_fresh name =
+    Alcotest.(check (list string)) name []
+      (Check.psa_tables_match ~fresh:(Psa.compile (Cluster.pst cl)) (Cluster.automaton cl))
+  in
+  let since = Pst.active_changes (Cluster.pst cl) in
+  absorb "xyxy";
+  Alcotest.(check bool) "the absorb crossed" true (Pst.active_changes (Cluster.pst cl) > since);
+  Pst.prune_to (Cluster.pst cl) 1;
+  Alcotest.(check bool) "a significant node pruned" false
+    (Pst.grew_only (Cluster.pst cl) ~since);
+  let current () = ignore (Cluster.automaton cl) in
+  Alcotest.(check int) "refused: recompiled" 1 (snd (Gen_common.counting compilations current));
+  tables_equal_fresh "recompiled = fresh compile";
+  absorb "zz";
+  let ((), patched), compiled =
+    Gen_common.counting compilations (fun () -> Gen_common.counting patches current)
+  in
+  Alcotest.(check int) "the next crossing patches" 0 compiled;
+  Alcotest.(check int) "one patch" 1 patched;
+  tables_equal_fresh "patched = fresh compile"
+
 (* The score-column cache lives only while the tree is unchanged, and
    holds nothing while switched off. *)
 let cached_cluster () =
@@ -333,6 +368,8 @@ let () =
           Alcotest.test_case "absorb updates PST" `Quick test_cluster_absorb_updates_pst;
           Alcotest.test_case "similarity" `Quick test_cluster_similarity_prefers_own_style;
           Alcotest.test_case "scores follow absorbs" `Quick test_cluster_scores_follow_absorbs;
+          Alcotest.test_case "a recompile empties the crossings" `Quick
+            test_cluster_recompile_empties_crossings;
           QCheck_alcotest.to_alcotest prop_score_columns_match_similarity;
         ] );
       ( "cache",

@@ -112,9 +112,15 @@ let test_refresh_lifecycle () =
   Alcotest.(check bool) "refreshed in place" true (Psa.refresh psa pst);
   tables_equal_fresh "refreshed = fresh compile" pst psa;
   (* 'a' reaches the significance count: the active set grew, and the
-     refresh patches a state in for it. *)
-  Pst.insert_segment pst (seq_of "a") ~lo:0 ~hi:0;
-  Alcotest.(check bool) "patched after a crossing" true (Psa.refresh psa pst);
+     refresh patches a state in for the crossing the insertion reported.
+     Without the report it refuses: the buffer must account for every
+     crossing. *)
+  let crossings = Pst.Crossings.create () in
+  Pst.insert_segment ~crossings pst (seq_of "a") ~lo:0 ~hi:0;
+  Alcotest.(check int) "one crossing reported" 1 (Pst.Crossings.length crossings);
+  Alcotest.(check bool) "refused without the crossing" false (Psa.refresh psa pst);
+  Alcotest.(check int) "states untouched without the crossing" 1 (Psa.n_states psa);
+  Alcotest.(check bool) "patched after a crossing" true (Psa.refresh ~crossings psa pst);
   Alcotest.(check int) "the patch adds the context" 2 (Psa.n_states psa);
   tables_equal_fresh "patched = fresh compile" pst psa;
   Alcotest.(check bool) "refused against a copy" false (Psa.refresh psa (Pst.copy pst));
@@ -136,13 +142,105 @@ let test_refresh_lifecycle () =
 let test_patch_repeated_symbol () =
   let pst = build_pst ~significance:2 [] in
   let psa = Psa.compile pst in
-  let s = seq_of "aaaaaaaa" in
+  let s = seq_of "aaaaaaaa" and crossings = Pst.Crossings.create () in
   for hi = 0 to Array.length s - 1 do
-    Pst.insert_segment pst s ~lo:0 ~hi;
-    Alcotest.(check bool) "patched" true (Psa.refresh psa pst);
+    Pst.Crossings.clear crossings;
+    Pst.insert_segment ~crossings pst s ~lo:0 ~hi;
+    Alcotest.(check bool) "patched" true (Psa.refresh ~crossings psa pst);
     Alcotest.(check int) "one new context per insertion" (hi + 1) (Psa.n_states psa);
     tables_equal_fresh (Printf.sprintf "prefix %d: patched = fresh compile" hi) pst psa
   done
+
+(* One insertion of [text], its crossings checked against the
+   active-tree walk; the automaton's state count and the active nodes
+   before it. *)
+let insert_checked pst psa crossings text =
+  let before = Check.active_nodes pst and states = Psa.n_states psa in
+  let s = seq_of text in
+  Pst.insert_segment ~crossings pst s ~lo:0 ~hi:(Array.length s - 1);
+  Alcotest.(check (list string)) (text ^ ": crossings = new active nodes") []
+    (Check.crossings_match ~before pst crossings);
+  (states, before)
+
+(* At c = 2 a context seen once is a tail node. Its second occurrence
+   splits the tail one node at a time as the walk goes down, so the
+   node that crosses is a slot the split has just made, and that slot's
+   id is the one reported. *)
+let test_crossing_on_split_slot () =
+  let pst = build_pst ~significance:2 [ "ab" ] in
+  let psa = Psa.compile pst and crossings = Pst.Crossings.create () in
+  let tail = Option.get (Pst.find_node pst (seq_of "ab")) in
+  Alcotest.(check bool) "\"ab\" starts on a tail" true ((tail :> int) >= Pst.node_id_bound pst);
+  let states, _ = insert_checked pst psa crossings "ab" in
+  let ab = Option.get (Pst.find_node pst (seq_of "ab")) in
+  Alcotest.(check bool) "\"ab\" is now a slot" true ((ab :> int) < Pst.node_id_bound pst);
+  Alcotest.(check (list int)) "a, b, then the split's slot"
+    (List.map
+       (fun l -> (Option.get (Pst.find_node pst (seq_of l)) :> int))
+       [ "a"; "b"; "ab" ])
+    (List.init (Pst.Crossings.length crossings) (fun i ->
+         (Pst.Crossings.get crossings i :> int)));
+  Alcotest.(check bool) "patched" true (Psa.refresh ~crossings psa pst);
+  Alcotest.(check int) "three new states" (states + 3) (Psa.n_states psa);
+  tables_equal_fresh "patched = fresh compile" pst psa
+
+(* Two absorbs before one refresh: the buffer keeps the crossings of
+   both, and one patch adds them all. *)
+let test_crossings_accumulate () =
+  let pst = build_pst ~significance:2 [ "ab"; "cd" ] in
+  let psa = Psa.compile pst and crossings = Pst.Crossings.create () in
+  let states, before = insert_checked pst psa crossings "ab" in
+  let first = Pst.Crossings.length crossings in
+  let cd = seq_of "cd" in
+  Pst.insert_segment ~crossings pst cd ~lo:0 ~hi:1;
+  Alcotest.(check (list string)) "both insertions' crossings" []
+    (Check.crossings_match ~before pst crossings);
+  Alcotest.(check bool) "both crossed" true
+    (first > 0 && Pst.Crossings.length crossings > first);
+  Alcotest.(check bool) "patched" true (Psa.refresh ~crossings psa pst);
+  Alcotest.(check int) "one state per crossing" (states + Pst.Crossings.length crossings)
+    (Psa.n_states psa);
+  tables_equal_fresh "patched = fresh compile" pst psa
+
+(* Pruning that takes only insignificant nodes between the insertion
+   and the refresh leaves every reported id naming its node, so the
+   patch still applies. *)
+let test_patch_after_insignificant_pruning () =
+  let pst = build_pst ~significance:2 [ "abcabd"; "dcba" ] in
+  let psa = Psa.compile pst and crossings = Pst.Crossings.create () in
+  let since = Pst.active_changes pst in
+  let states, _ = insert_checked pst psa crossings "abcx" in
+  Alcotest.(check bool) "crossed" true (Pst.Crossings.length crossings > 0);
+  let nodes = Pst.n_nodes pst in
+  Pst.prune_to pst (nodes - 3);
+  Alcotest.(check bool) "pruned" true (Pst.n_nodes pst < nodes);
+  Alcotest.(check bool) "no significant node pruned" true (Pst.grew_only pst ~since);
+  Alcotest.(check bool) "patched" true (Psa.refresh ~crossings psa pst);
+  Alcotest.(check int) "one state per crossing" (states + Pst.Crossings.length crossings)
+    (Psa.n_states psa);
+  tables_equal_fresh "patched = fresh compile" pst psa
+
+(* Pruning can take L' = "x" while L = "xy" survives (here loaded from a
+   serialization: "y" seen 3 times, "xy" once, no "x"). Then "xy"
+   crosses before "x" does, and the buffer holds them deepest first;
+   the patch must still add "x" first, or the sweep below "x" finds no
+   state and "x" never reaches "xy" on 'y'. *)
+let test_patch_in_depth_order () =
+  let pst =
+    Pst.of_string
+      "pst 1\nconfig 26 10 2 100000 0 smallest-count\nnode - 4\nnode 24 3\nnode 24,23 1\nend\n"
+  in
+  let psa = Psa.compile pst and crossings = Pst.Crossings.create () in
+  let states, before = insert_checked pst psa crossings "xy" in
+  Pst.insert_segment ~crossings pst (seq_of "x") ~lo:0 ~hi:0;
+  Alcotest.(check (list string)) "both crossings" [] (Check.crossings_match ~before pst crossings);
+  Alcotest.(check (list int)) "\"xy\" crossed before \"x\""
+    (List.map (fun l -> (Option.get (Pst.find_node pst (seq_of l)) :> int)) [ "xy"; "x" ])
+    (List.init (Pst.Crossings.length crossings) (fun i ->
+         (Pst.Crossings.get crossings i :> int)));
+  Alcotest.(check bool) "patched" true (Psa.refresh ~crossings psa pst);
+  Alcotest.(check int) "two new states" (states + 2) (Psa.n_states psa);
+  tables_equal_fresh "patched = fresh compile" pst psa
 
 (* --- properties: exact equality with the tree walk --- *)
 
@@ -219,17 +317,18 @@ let maintained_prop name ~p_min ~pruned =
       @@ fun () ->
       let pst = build_pst ~p_min ~significance:2 ~max_nodes ~pruning [] in
       let probes = Array.of_list (List.map seq_of probes) in
-      let psa = ref (Psa.compile pst) in
+      let psa = ref (Psa.compile pst) and crossings = Pst.Crossings.create () in
       List.for_all
         (fun (text, a, b) ->
           let s = seq_of text in
           let l = Array.length s in
           let lo = a mod l in
-          Pst.insert_segment pst s ~lo ~hi:(lo + (b mod (l - lo)));
+          Pst.insert_segment ~crossings pst s ~lo ~hi:(lo + (b mod (l - lo)));
           let states = Psa.n_states !psa and counted = Obs.Metrics.counter_value patches in
-          let refreshed = Psa.refresh !psa pst in
+          let refreshed = Psa.refresh ~crossings !psa pst in
           let patched = refreshed && Psa.n_states !psa > states in
           if not refreshed then psa := Psa.compile pst;
+          Pst.Crossings.clear crossings;
           (refreshed || pruned)
           && Obs.Metrics.counter_value patches - counted = Bool.to_int patched
           && Check.psa_tables_match ~fresh:(Psa.compile pst) !psa = []
@@ -294,6 +393,12 @@ let () =
           Alcotest.test_case "batch block shapes" `Quick test_batch_shapes;
           Alcotest.test_case "refresh lifecycle" `Quick test_refresh_lifecycle;
           Alcotest.test_case "patch a repeated symbol" `Quick test_patch_repeated_symbol;
+          Alcotest.test_case "crossing on a slot a split made" `Quick test_crossing_on_split_slot;
+          Alcotest.test_case "crossings of two insertions accumulate" `Quick
+            test_crossings_accumulate;
+          Alcotest.test_case "patch after insignificant pruning" `Quick
+            test_patch_after_insignificant_pruning;
+          Alcotest.test_case "patch in depth order" `Quick test_patch_in_depth_order;
         ] );
       ("property", qcheck_tests);
     ]

@@ -377,6 +377,34 @@ let print_tails_case ((significance, max_depth, max_nodes), pruning, (first, mor
     significance max_depth max_nodes (Pruning.to_string pruning) (segs first) (segs more)
     (segs other) (segs after)
 
+(* Crossings against the walk: random segment streams under node
+   budgets small enough to prune, with every strategy. After each
+   insertion that pruned no significant node, the buffer must hold
+   exactly the nodes active after it that were not before; a tail id or
+   a missed crossing fails. *)
+let crossings_case_gen =
+  let open QCheck.Gen in
+  let segment = triple (array_size (int_range 1 30) (int_range 0 3)) nat nat in
+  triple
+    (triple (oneofl [ 2; 3; 5 ]) (int_range 1 6) (int_range 2 100))
+    (oneofl Pruning.all)
+    (list_size (int_range 1 20) segment)
+
+let crossings_match_walk ((significance, max_depth, max_nodes), pruning, segments) =
+  let t = Pst.create (cfg ~alphabet_size:4 ~significance ~max_depth ~max_nodes ~pruning ()) in
+  let crossings = Pst.Crossings.create () in
+  List.for_all
+    (fun (s, a, b) ->
+      let before = Check.active_nodes t and since = Pst.active_changes t in
+      let lo = a mod Array.length s in
+      Pst.Crossings.clear crossings;
+      Pst.insert_segment ~crossings t s ~lo ~hi:(lo + (b mod (Array.length s - lo)));
+      (not (Pst.grew_only t ~since)) || Check.crossings_match ~before t crossings = [])
+    segments
+
+let print_crossings_case ((significance, max_depth, max_nodes), pruning, segments) =
+  print_tails_case ((significance, max_depth, max_nodes), pruning, (segments, []), ([], []))
+
 let storage_qcheck_tests =
   [
     QCheck_alcotest.to_alcotest
@@ -399,6 +427,10 @@ let storage_qcheck_tests =
       (QCheck.Test.make ~name:"tails = slots: a tree and its reload stay one tree" ~count:300
          (QCheck.make ~print:print_tails_case tails_case_gen)
          tails_match_slots);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"crossings reported = nodes turned active" ~count:300
+         (QCheck.make ~print:print_crossings_case crossings_case_gen)
+         crossings_match_walk);
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"inserting into a copy leaves the original" ~count:60
          (QCheck.pair texts_gen texts_gen)
@@ -559,6 +591,23 @@ let test_merge_reprunes_over_budget () =
     (Printf.sprintf "budget held (%d <= 40)" (Pst.n_nodes m))
     true (Pst.n_nodes m <= 40)
 
+(* Every pruning is timed into [pst.prune_seconds] once, those inside
+   insertions and merges included. *)
+let test_prune_timed_once_per_prune () =
+  let timed = Obs.Metrics.histogram "pst.prune_seconds" in
+  let observed, p =
+    Gen_common.counting (Obs.Metrics.counter "pst.prunings") (fun () ->
+        let h0 = Obs.Metrics.histogram_count timed in
+        let a = build ~max_nodes:30 [ "abcdefghij"; "abcabcabcabc"; "jihgfedcba" ] in
+        let b = build ~max_nodes:30 [ "klmnopqrst"; "tsrqponmlk" ] in
+        ignore (Pst.merge a b);
+        Pst.prune_to a 5;
+        Pst.prune_to a 5;
+        Obs.Metrics.histogram_count timed - h0)
+  in
+  Alcotest.(check bool) (Printf.sprintf "pruned (%d times)" p) true (p > 2);
+  Alcotest.(check int) "one observation per pruning" p observed
+
 let () =
   Alcotest.run "pst"
     [
@@ -598,6 +647,7 @@ let () =
           Alcotest.test_case "all strategies" `Quick test_pruning_strategies_all_respect_target;
           Alcotest.test_case "longest-label removes deep" `Quick
             test_longest_label_pruning_removes_deep_first;
+          Alcotest.test_case "timed once per prune" `Quick test_prune_timed_once_per_prune;
         ] );
       ("property", qcheck_tests);
       ( "merge",
