@@ -186,6 +186,33 @@ let patch_row () =
   done;
   ("cluseq/psa-patch", Int64.to_float !ns /. float_of_int reps)
 
+(* One pruning of a grown tree: the micro workload's sequences inserted,
+   under [tests]' config with no node budget, until the tree holds just
+   over the default budget of [Pst.default_config]; the row times the
+   [Pst.prune_to] down to 80% of that budget which [Pst.maybe_prune]
+   runs there. Each run prunes a fresh copy, taken outside the timed
+   window. Timed directly (ns per pruning), like psa-patch. *)
+let prune_row () =
+  let w = mk_workload () in
+  let seqs = Seq_database.sequences w.db in
+  let default = Pst.default_config ~alphabet_size:26 in
+  let budget = default.max_nodes in
+  let grown = Pst.create { default with significance = 8; max_nodes = max_int } in
+  let i = ref 0 in
+  while Pst.n_nodes grown <= budget do
+    if !i = Array.length seqs then failwith "pst-prune: the workload never fills the budget";
+    Pst.insert_sequence grown seqs.(!i);
+    incr i
+  done;
+  let reps = 50 and ns = ref 0L in
+  for _ = 1 to reps do
+    let t = Pst.copy grown in
+    let t0 = Timer.now_ns () in
+    Pst.prune_to t (budget * 4 / 5);
+    ns := Int64.add !ns (Int64.sub (Timer.now_ns ()) t0)
+  done;
+  ("cluseq/pst-prune", Int64.to_float !ns /. float_of_int reps)
+
 (* Runs the suite, prints the table, and returns the (name, ns/run) rows
    so `bench --record` can fold them into the BENCH_*.json under "micro". *)
 let run () =
@@ -206,7 +233,7 @@ let run () =
       in
       rows := (name, ns) :: !rows)
     results;
-  let rows = List.sort compare (patch_row () :: !rows) in
+  let rows = List.sort compare (patch_row () :: prune_row () :: !rows) in
   List.iter (fun (name, ns) -> Printf.printf "  %-40s %12.0f ns/run\n" name ns) rows;
   let alloc = alloc_rows () in
   Printf.printf "\n== Scan allocation (Gc.minor_words deltas) ==\n%!";

@@ -111,11 +111,15 @@ let run_checks case ~errs ~stage =
             (String.concat "," (List.map string_of_int lb))
       done)
     case.probes;
-  (* Pruning must preserve the structural invariants (on a copy, so the
-     unpruned tree keeps serving the similarity checks below). *)
-  let pruned = Pst.copy pst in
-  Pst.prune_to pruned (max 1 (Pst.n_nodes pruned / 2));
+  (* Pruning must preserve the structural invariants and remove the
+     nodes the reference order names (on a copy, so the unpruned tree
+     keeps serving the similarity checks below). *)
+  let pruned = Pst.copy pst and target = max 1 (Pst.n_nodes pst / 2) in
+  Pst.prune_to pruned target;
   add_all "post-prune invariants" (Check.pst_invariants pruned);
+  if Pst.to_string pruned <> Ref_prune.prune (Pst.to_string pst) ~target then
+    err "pruning to %d of %d nodes: the tree differs from the reference order" target
+      (Pst.n_nodes pst);
   (* --- 2. Kadane scan vs O(l²) reference --- *)
   stage := "similarity";
   Array.iter

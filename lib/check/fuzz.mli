@@ -6,7 +6,9 @@
 
     - builds a {!Pst} and a {!Ref_pst} from the same insertions and
       demands exact structural and probability agreement, then prunes
-      the tree and re-checks {!Check.pst_invariants};
+      a copy of the tree to half its nodes, re-checks
+      {!Check.pst_invariants} and demands that the copy's serialization
+      equal {!Ref_prune.prune} of the unpruned tree's;
     - compares the Kadane similarity scan against the O(l²) brute-force
       reference on every probe;
     - streams segments into two trees, one under a node budget that

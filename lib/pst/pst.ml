@@ -469,8 +469,7 @@ let split_head t h =
 
 (* Return [n]'s subtree to the free lists; the number of nodes released,
    a head's tail included. A released slot's [parent] is [released],
-   which is how a pruning scan recognizes nodes whose ancestor it has
-   already detached. *)
+   which is how [compact_pool] tells a free slot from a head. *)
 let rec release t n =
   let size = ref 1 in
   if is_head t n then begin
@@ -494,213 +493,150 @@ let rec release t n =
 
 (* Detach [n] from its parent and account for the removed subtree. A
    tail node cuts its tail above it; a tail cut to nothing leaves its
-   head a plain leaf. A node an earlier detach already took is skipped. *)
+   head a plain leaf. *)
 let detach t n =
   if n >= t.used then begin
     let h = head_of t n and k = pos_of t n in
-    if t.parent.(h) <> released && is_head t h then begin
-      let off = tail_off t h in
-      let len = t.pool.(off) in
-      if k <= len then begin
-        t.n_nodes <- t.n_nodes - (len - k + 1);
-        if k = 1 then begin
-          t.child.(h) <- none;
-          t.pool_garbage <- t.pool_garbage + len + 1
-        end
-        else begin
-          t.pool.(off) <- k - 1;
-          t.pool_garbage <- t.pool_garbage + (len - k + 1)
-        end
-      end
+    let off = tail_off t h in
+    let len = t.pool.(off) in
+    t.n_nodes <- t.n_nodes - (len - k + 1);
+    if k = 1 then begin
+      t.child.(h) <- none;
+      t.pool_garbage <- t.pool_garbage + len + 1
+    end
+    else begin
+      t.pool.(off) <- k - 1;
+      t.pool_garbage <- t.pool_garbage + (len - k + 1)
     end
   end
   else begin
     let p = t.parent.(n) in
-    if p >= 0 then begin
-      (* Only a significant subtree root can take significant nodes
-         with it: a child never outcounts its parent. *)
-      if t.count.(n) >= t.cfg.significance then
-        t.active_changes <- t.active_changes + removal_step;
-      if p = 0 then t.root_child.(t.sym.(n)) <- none;
-      if t.child.(p) = n then t.child.(p) <- t.sibling.(n)
-      else begin
-        let c = ref t.child.(p) in
-        while t.sibling.(!c) <> n do
-          c := t.sibling.(!c)
-        done;
-        t.sibling.(!c) <- t.sibling.(n)
-      end;
-      t.n_nodes <- t.n_nodes - release t n
-    end
-  end
-
-(* Every node below the root, tail nodes included, in reverse
-   depth-first preorder (the order the pruning scans have always visited
-   them in, which fixes how [sort_by_key] breaks ties). *)
-let nodes_below t =
-  let arr = Array.make (t.n_nodes - 1) 0 in
-  let i = ref (Array.length arr) in
-  let rec go n =
-    if is_head t n then
-      for k = 1 to tail_len t n do
-        decr i;
-        arr.(!i) <- tail_id t n k
-      done
+    (* Only a significant subtree root can take significant nodes with
+       it: a child never outcounts its parent. *)
+    if t.count.(n) >= t.cfg.significance then
+      t.active_changes <- t.active_changes + removal_step;
+    if p = 0 then t.root_child.(t.sym.(n)) <- none;
+    if t.child.(p) = n then t.child.(p) <- t.sibling.(n)
     else begin
-      let c = ref t.child.(n) in
-      while !c <> none do
-        decr i;
-        arr.(!i) <- !c;
-        go !c;
+      let c = ref t.child.(p) in
+      while t.sibling.(!c) <> n do
         c := t.sibling.(!c)
-      done
-    end
-  in
-  go 0;
-  assert (!i = 0);
-  arr
+      done;
+      t.sibling.(!c) <- t.sibling.(n)
+    end;
+    t.n_nodes <- t.n_nodes - release t n
+  end
 
-(* [Array.sort]'s heapsort (stdlib array.ml) over the ints of [a]
-   ordered by [key.(x)], with the comparisons inlined and no exception
-   raised per sift. It makes the same moves on the same comparison
-   results, so it leaves equal keys in exactly the order [Array.sort]
-   would — the tie order pruning has always had. *)
-let sort_by_key (key : int array) (a : int array) =
-  (* The child of heap slot [i] with the largest key (the first of
-     equals); -1 when [i] has none below [l]. *)
-  let maxson l i =
-    let i31 = i + i + i + 1 in
-    if i31 + 2 < l then begin
-      let x = if key.(a.(i31)) < key.(a.(i31 + 1)) then i31 + 1 else i31 in
-      if key.(a.(x)) < key.(a.(i31 + 2)) then i31 + 2 else x
+(* The pruning order is canonical: it depends on the tree's contents,
+   not on its history or its slot ids. Each node below the root has a
+   key, smallest pruned first (smallest-count: by count, the deeper node
+   first among equal counts; longest-label: deeper first, then by
+   count; expected-vector: like smallest-count over the insignificant
+   nodes, every significant node tied after them), and among equal keys
+   the node later in depth-first preorder (children by symbol: the line
+   order of [to_string]) goes first. A child never outcounts its
+   parent, is deeper and comes later, so under every key it goes before
+   its parent: any first stretch of the order is closed under
+   descendants, and removing it deepest first detaches one node at a
+   time.
+
+   A node's place is its position in reverse preorder (position 0 is the
+   last node of the preorder), and [(key lsl bits) lor position], with
+   [2^bits] at or above the number of positions, orders nodes exactly as
+   the pruning does. [max_depth] and the root's count bound every depth
+   and count, so they scale the keys in place of the observed maxima;
+   every key is below [(root count + 1) * (max_depth + 1)], and packing
+   stays exact while that times [2^bits] fits in an int: with
+   [max_depth] under 64 and under 2^21 nodes, up to a root count of 2^35
+   symbols on 64-bit. *)
+let prune_key t =
+  let d_max = t.cfg.max_depth and c_max = t.count.(0) and sig_ = t.cfg.significance in
+  let by_count c d = (c * (d_max + 1)) + (d_max - d) in
+  match t.cfg.pruning with
+  | Pruning.Smallest_count_first -> by_count
+  | Pruning.Longest_label_first -> fun c d -> ((d_max - d) * (c_max + 1)) + c
+  | Pruning.Expected_vector_first ->
+      fun c d -> if c < sig_ then by_count c d else by_count sig_ 0
+
+(* One reverse-preorder walk writing each position's node to [node] and
+   its packed key to [packed]. [go n d i] writes the nodes below [n], at
+   depth [d], at the positions below [i] and returns the lowest it
+   wrote. A tail node has its head's count and is [k] deeper than the
+   head. *)
+let prune_walk t ~bits node packed =
+  let key = prune_key t in
+  let rec go n d i =
+    let c = t.child.(n) in
+    if c < none then begin
+      let count = t.count.(n) and len = tail_len t n in
+      for k = 1 to len do
+        node.(i - k) <- tail_id t n k;
+        packed.(i - k) <- (key count (d + k) lsl bits) lor (i - k)
+      done;
+      i - len
     end
-    else if i31 + 1 < l && key.(a.(i31)) < key.(a.(i31 + 1)) then i31 + 1
-    else if i31 < l then i31
-    else -1
-  in
-  let rec trickle l i e =
-    let j = maxson l i in
-    if j >= 0 && key.(a.(j)) > key.(e) then begin
-      a.(i) <- a.(j);
-      trickle l j e
-    end
-    else a.(i) <- e
-  in
-  let rec bubble l i =
-    let j = maxson l i in
-    if j < 0 then i
+    else siblings c (d + 1) i
+  and siblings c d i =
+    if c = none then i
     else begin
-      a.(i) <- a.(j);
-      bubble l j
+      let i = i - 1 in
+      node.(i) <- c;
+      packed.(i) <- (key t.count.(c) d lsl bits) lor i;
+      siblings t.sibling.(c) d (go c d i)
     end
   in
-  let rec trickle_up i e =
-    let father = (i - 1) / 3 in
-    if key.(a.(father)) < key.(e) then begin
-      a.(i) <- a.(father);
-      if father > 0 then trickle_up father e else a.(0) <- e
-    end
-    else a.(i) <- e
-  in
-  let l = Array.length a in
-  for i = ((l + 1) / 3) - 1 downto 0 do
-    trickle l i a.(i)
-  done;
-  for i = l - 1 downto 2 do
-    let e = a.(i) in
-    a.(i) <- a.(0);
-    trickle_up (bubble i 0) e
-  done;
-  if l > 1 then begin
-    let e = a.(1) in
-    a.(1) <- a.(0);
-    a.(0) <- e
-  end
+  let i = go 0 0 (Array.length node) in
+  assert (i = 0)
 
-(* Pruning orders, smallest key pruned first: [`Count] by count, the
-   deeper node first among equal counts; [`Depth] deeper first, then by
-   count; [`Insignificant] like [`Count] over the insignificant nodes,
-   every significant node tied after them. One key per position of
-   [nodes]. *)
-let prune_keys t order nodes =
-  let dmax = ref 0 and cmax = ref 0 in
-  Array.iter
-    (fun n ->
-      dmax := Int.max !dmax (node_depth t n);
-      cmax := Int.max !cmax (node_count t n))
-    nodes;
-  let by_count c d = (c * (!dmax + 1)) + (!dmax - d) in
-  Array.map
-    (fun n ->
-      let c = node_count t n and d = node_depth t n in
-      match order with
-      | `Count -> by_count c d
-      | `Depth -> ((!dmax - d) * (!cmax + 1)) + c
-      | `Insignificant ->
-          let sig_ = t.cfg.significance in
-          if c < sig_ then by_count c d else by_count sig_ 0)
-    nodes
+let median3 (a : int) b c =
+  if a < b then if b < c then b else if a < c then c else a
+  else if a < c then a
+  else if b < c then c
+  else b
 
-(* Remove whole subtrees in [order] until under [target]. The sort moves
-   positions of [nodes_below], which makes the moves sorting the nodes
-   themselves would. *)
-let prune_ordered t target order =
-  let nodes = nodes_below t in
-  let key = prune_keys t order nodes in
-  let at = Array.init (Array.length nodes) Fun.id in
-  sort_by_key key at;
-  let i = ref 0 in
-  while t.n_nodes > target && !i < Array.length at do
-    detach t nodes.(at.(!i));
-    incr i
-  done
-
-let raw_prob t n sym =
-  if t.next_total.(n) = 0 then None
-  else Some (float_of_int (next_count t n sym) /. float_of_int t.next_total.(n))
-
-(* L1 distance between a node's conditional distribution and its parent's:
-   small distance = "expected" probability vector (strategy 3). *)
-let divergence_from_parent t n =
-  let p = t.parent.(n) in
-  if p < 0 then infinity
-  else begin
-    let acc = ref 0.0 in
-    for sym = 0 to t.cfg.alphabet_size - 1 do
-      let pn = match raw_prob t n sym with None -> 0.0 | Some x -> x in
-      let pp = match raw_prob t p sym with None -> 0.0 | Some x -> x in
-      acc := !acc +. Float.abs (pn -. pp)
+(* Hoare's FIND: rearrange the distinct values of [a] so that [a.(k)] is
+   the one sorting would put there, with every smaller value before it
+   and every larger one after it. Expected O(n), in place. *)
+let select (a : int array) k =
+  let lo = ref 0 and hi = ref (Array.length a - 1) in
+  while !lo < !hi do
+    let x = median3 a.(!lo) a.((!lo + !hi) / 2) a.(!hi) in
+    let i = ref !lo and j = ref !hi in
+    while !i <= !j do
+      while a.(!i) < x do
+        incr i
+      done;
+      while x < a.(!j) do
+        decr j
+      done;
+      if !i <= !j then begin
+        let v = a.(!i) in
+        a.(!i) <- a.(!j);
+        a.(!j) <- v;
+        incr i;
+        decr j
+      end
     done;
-    !acc
-  end
-
-(* Every tail turned into slots, which strategy 3 reads slot by slot. *)
-let expand_tails t =
-  for h = 1 to t.used - 1 do
-    let n = ref h in
-    while t.parent.(!n) <> released && is_head t !n do
-      split_head t !n;
-      n := t.child.(!n)
-    done
+    if !j < k then lo := !i;
+    if k < !i then hi := !j
   done
 
-let prune_expected_vector t target =
-  expand_tails t;
-  (* Phase 1: drop insignificant nodes, smallest count first. *)
-  prune_ordered t target `Insignificant;
-  (* Phase 2: while still over budget, peel leaves whose distribution is
-     closest to their parent's. Chunked re-scans keep this near O(n log n). *)
-  while t.n_nodes > target do
-    let leaves = List.filter (fun n -> t.child.(n) = none) (Array.to_list (nodes_below t)) in
-    match leaves with
-    | [] -> (* only the root remains *) raise Exit
-    | _ ->
-        let keyed =
-          List.map (fun n -> (divergence_from_parent t n, n)) leaves
-          |> List.sort (fun (a, _) (b, _) -> compare a b)
-        in
-        let excess = t.n_nodes - target in
-        List.iteri (fun i (_, n) -> if i < excess then detach t n) keyed
+(* Remove the first [n_nodes - target] nodes of the order: select them,
+   mark their positions, and detach them by ascending position, which
+   puts descendants first. *)
+let prune_ordered t target =
+  let m = t.n_nodes - 1 and victims = t.n_nodes - target in
+  let bits = run_class m in
+  let node = Array.make m 0 and packed = Array.make m 0 in
+  prune_walk t ~bits node packed;
+  select packed (victims - 1);
+  let mask = (1 lsl bits) - 1 in
+  for j = 0 to victims - 1 do
+    let i = packed.(j) land mask in
+    node.(i) <- lnot node.(i)
+  done;
+  for i = 0 to m - 1 do
+    if node.(i) < 0 then detach t (lnot node.(i))
   done
 
 let prune_to t target =
@@ -709,10 +645,7 @@ let prune_to t target =
     Obs.Metrics.time h_prune_seconds @@ fun () ->
     Obs.Metrics.incr m_prunings;
     let before = t.n_nodes in
-    (match t.cfg.pruning with
-    | Pruning.Smallest_count_first -> prune_ordered t target `Count
-    | Pruning.Longest_label_first -> prune_ordered t target `Depth
-    | Pruning.Expected_vector_first -> ( try prune_expected_vector t target with Exit -> ()));
+    prune_ordered t target;
     Obs.Metrics.incr ~by:(before - t.n_nodes) m_nodes_pruned;
     Log.debug (fun m ->
         m "pruned %d -> %d nodes (target %d, %s)" before t.n_nodes target

@@ -239,12 +239,17 @@ val next_distribution : t -> node -> float array
 (** The full smoothed probability vector at a node (length |Σ|). *)
 
 val prune_to : t -> int -> unit
-(** [prune_to t target] prunes nodes (never the root) until
-    [n_nodes t <= target], using the configured strategy. Removing a
-    tail node cuts its tail above it; the nodes removed are those of the
-    same tree held as slots. Each pruning that removes anything is timed
-    into the [pst.prune_seconds] histogram, including the ones
-    {!insert_segment} and {!merge} run when over budget. *)
+(** [prune_to t target] removes the first [n_nodes t - max 1 target]
+    nodes below the root in the configured strategy's order (see
+    {!Pruning}: its key, then the later node in depth-first preorder
+    first), leaving exactly [max 1 target] nodes when there were more.
+    A child always comes before its parent in that order, so the removed
+    nodes are whole subtrees. The order depends only on the tree's
+    contents: the nodes removed are those of the same tree held as
+    slots, and those [Ref_prune] finds on its serialization. Each
+    pruning that removes anything is timed into the [pst.prune_seconds]
+    histogram, including the ones {!insert_segment} and {!merge} run
+    when over budget. *)
 
 type stats = {
   nodes : int;

@@ -14,6 +14,11 @@ gauges that differ are printed as notes only, because a change may
 legitimately do less work; histograms are timings and are skipped, as
 are the `gc.*` and `par.domain_busy_ratio*` gauges.
 
+Each difference line ends with the parent's `pst.prunings` for its run
+(summed over the run's commands that write metrics), and the last line
+counts the differing runs whose parent never pruned: a change to the
+pruning order alone may move only runs that pruned.
+
 The matrix: two generated inputs (240 synthetic sequences of length 80,
 240 protein sequences of length 150); `cluster` under eleven option sets
 x `--domains 1/4` x default/`--significance 6` on each (88 runs), and
@@ -130,11 +135,15 @@ class Matrix:
         self.runs = {}
         self.failures = []
         self.notes = []
+        self.differing = 0
+        self.differing_unpruned = 0
 
     def case(self, label, steps):
         """Run [steps], a list of (args, files, journals, metrics) with
         file names relative to each side's directory, on both sides."""
         self.runs[label] = self.runs.get(label, 0) + 1
+        diffs = []
+        prunings = 0
         for args, files, journals, metrics in steps:
             outputs = files + journals + ([metrics] if metrics else [])
             for side in (self.parent, self.change):
@@ -143,18 +152,23 @@ class Matrix:
             c_code, c_out = self.change.run(args)
             what = " ".join(args)
             if p_code != c_code:
-                self.failures.append(f"{label}: exit {p_code} -> {c_code}: {what}")
+                diffs.append(f"{label}: exit {p_code} -> {c_code}: {what}")
             if p_out != c_out:
-                self.failures.append(f"{label}: stdout differs: {what}")
+                diffs.append(f"{label}: stdout differs: {what}")
             for name in files + journals:
                 j = name in journals
                 if self.parent.read(name, j) != self.change.read(name, j):
-                    self.failures.append(f"{label}: {name} differs: {what}")
+                    diffs.append(f"{label}: {name} differs: {what}")
             if metrics:
                 pm, cm = self.parent.metrics(metrics), self.change.metrics(metrics)
+                prunings += pm.get("pst.prunings", 0)
                 for k in sorted(set(pm) | set(cm)):
                     if pm.get(k) != cm.get(k):
                         self.notes.append(f"{label}: {k} {pm.get(k)} -> {cm.get(k)}")
+        if diffs:
+            self.differing += 1
+            self.differing_unpruned += prunings == 0
+            self.failures += [f"{d} (parent pst.prunings {prunings})" for d in diffs]
 
 
 def main():
@@ -213,6 +227,7 @@ def main():
         runs = ", ".join(f"{n} {label}" for label, n in m.runs.items())
         if m.failures:
             print(f"identity: {len(m.failures)} differences over {runs}")
+            print(f"identity: {m.differing} runs differ, {m.differing_unpruned} of them never pruned at the parent")
             return 1
         print(f"identity: identical over {runs} ({len(m.notes)} metric notes)")
         return 0

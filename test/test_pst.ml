@@ -193,6 +193,56 @@ let test_longest_label_pruning_removes_deep_first () =
   in
   Alcotest.(check bool) "max depth reduced" true (max_depth_after < max_depth_before)
 
+(* The tie rule, pinned by hand: "abcd" at depth 2 is eight nodes, every
+   one below the root of count 1, in the lines "-", "0", "1", "1,0", "2",
+   "2,1", "3", "3,2". Among equal keys the later line goes first, so
+   pruning to three nodes keeps the root, "0" and "1" under every
+   strategy, with tails (significance 2) and without. *)
+let test_pruning_ties_later_lines_first () =
+  let paths t =
+    String.split_on_char '\n' (Pst.to_string t)
+    |> List.filter_map (fun l ->
+           match String.split_on_char ' ' l with "node" :: path :: _ -> Some path | _ -> None)
+  in
+  List.iter
+    (fun (pruning, significance) ->
+      let t = build ~max_depth:2 ~significance ~pruning [ "abcd" ] in
+      let what = Printf.sprintf "%s, significance %d" (Pruning.to_string pruning) significance in
+      Alcotest.(check (list string))
+        (what ^ ": built") [ "-"; "0"; "1"; "1,0"; "2"; "2,1"; "3"; "3,2" ] (paths t);
+      Pst.prune_to t 3;
+      Alcotest.(check (list string)) (what ^ ": pruned") [ "-"; "0"; "1" ] (paths t))
+    (List.concat_map (fun p -> [ (p, 1); (p, 2) ]) Pruning.all)
+
+(* Segment [(s, a, b)] of a random stream: [s] from [a mod |s|] on, at
+   most [b mod] the rest long. *)
+let insert_random_segment ?crossings t (s, a, b) =
+  let lo = a mod Array.length s in
+  Pst.insert_segment ?crossings t s ~lo ~hi:(lo + (b mod (Array.length s - lo)))
+
+(* Pruning against its reference on the serialization: random segment
+   streams over 4 symbols at significance 1 to 5 (tails off and on),
+   under a node budget that may prune along the way, with every
+   strategy. A copy pruned to a random target must read as
+   [Ref_prune.prune] says and hold exactly [target] nodes. *)
+let prune_case_gen =
+  let open QCheck.Gen in
+  let segment = triple (array_size (int_range 1 30) (int_range 0 3)) nat nat in
+  quad
+    (triple (int_range 1 5) (int_range 1 6) (int_range 2 200))
+    (oneofl Pruning.all)
+    (list_size (int_range 1 12) segment)
+    nat
+
+let prune_matches_reference ((significance, max_depth, max_nodes), pruning, segments, target) =
+  let t = Pst.create (cfg ~alphabet_size:4 ~significance ~max_depth ~max_nodes ~pruning ()) in
+  List.iter (insert_random_segment t) segments;
+  let target = 1 + (target mod Pst.n_nodes t) in
+  let pruned = Pst.copy t in
+  Pst.prune_to pruned target;
+  Pst.to_string pruned = Ref_prune.prune (Pst.to_string t) ~target
+  && Pst.n_nodes pruned = target
+
 let test_stats () =
   let t = build ~significance:3 [ "ababababab" ] in
   let st = Pst.stats t in
@@ -246,11 +296,13 @@ let test_insert_rejects_foreign_symbols () =
 (* ------------------------------------------------------------------ *)
 
 (* The golden fixture [pst_golden.txt] holds the serializations of four
-   trees built from these texts by the record-per-node implementation
-   that preceded the flat store: one per pruning strategy with a budget
+   trees built from these texts: one per pruning strategy with a budget
    that prunes repeatedly, then a merge of two halves. Rebuilding them
-   byte for byte pins child order, next-entry order, the pruning
-   tie-breaks and merge. *)
+   byte for byte pins child order, next-entry order, the canonical
+   pruning order and merge. The pruned sections were written by the
+   code they check; the "pruned = the reference order" property checks
+   that order independently, against [Ref_prune]'s sort of serialized
+   lines. *)
 let golden_texts =
   List.init 12 (fun i ->
       String.init (40 + (5 * i)) (fun j -> "abcdef".[(i + 1) * (j + 3) * (j + 7) / 5 mod 6]))
@@ -326,13 +378,9 @@ let tails_case_gen =
 
 let tails_match_slots ((significance, max_depth, max_nodes), pruning, (first, more), (other, after)) =
   let cfg = cfg ~alphabet_size:4 ~significance ~max_depth ~max_nodes ~pruning () in
-  let insert t (s, a, b) =
-    let lo = a mod Array.length s in
-    Pst.insert_segment t s ~lo ~hi:(lo + (b mod (Array.length s - lo)))
-  in
   let build segs =
     let t = Pst.create cfg in
-    List.iter (insert t) segs;
+    List.iter (insert_random_segment t) segs;
     t
   in
   let tree = build first in
@@ -346,8 +394,8 @@ let tails_match_slots ((significance, max_depth, max_nodes), pruning, (first, mo
     List.for_all
       (fun seg ->
         let t0 = Pst.active_changes t and r0 = Pst.active_changes r in
-        insert t seg;
-        insert r seg;
+        insert_random_segment t seg;
+        insert_random_segment r seg;
         agree (t, t0) (r, r0))
       segs
   in
@@ -394,16 +442,20 @@ let crossings_match_walk ((significance, max_depth, max_nodes), pruning, segment
   let t = Pst.create (cfg ~alphabet_size:4 ~significance ~max_depth ~max_nodes ~pruning ()) in
   let crossings = Pst.Crossings.create () in
   List.for_all
-    (fun (s, a, b) ->
+    (fun seg ->
       let before = Check.active_nodes t and since = Pst.active_changes t in
-      let lo = a mod Array.length s in
       Pst.Crossings.clear crossings;
-      Pst.insert_segment ~crossings t s ~lo ~hi:(lo + (b mod (Array.length s - lo)));
+      insert_random_segment ~crossings t seg;
       (not (Pst.grew_only t ~since)) || Check.crossings_match ~before t crossings = [])
     segments
 
 let print_crossings_case ((significance, max_depth, max_nodes), pruning, segments) =
   print_tails_case ((significance, max_depth, max_nodes), pruning, (segments, []), ([], []))
+
+let print_prune_case (params, pruning, segments, target) =
+  Printf.sprintf "%s\ntarget (mod n_nodes, + 1): %d"
+    (print_tails_case (params, pruning, (segments, []), ([], [])))
+    target
 
 let storage_qcheck_tests =
   [
@@ -648,6 +700,11 @@ let () =
           Alcotest.test_case "longest-label removes deep" `Quick
             test_longest_label_pruning_removes_deep_first;
           Alcotest.test_case "timed once per prune" `Quick test_prune_timed_once_per_prune;
+          Alcotest.test_case "ties: later lines first" `Quick test_pruning_ties_later_lines_first;
+          QCheck_alcotest.to_alcotest
+            (QCheck.Test.make ~name:"pruned = the reference order" ~count:500
+               (QCheck.make ~print:print_prune_case prune_case_gen)
+               prune_matches_reference);
         ] );
       ("property", qcheck_tests);
       ( "merge",
