@@ -181,6 +181,18 @@ let cluster_invariants clusters ~assignments =
   List.rev !errs
 
 (* ------------------------------------------------------------------ *)
+(* Exact equality                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* [Float.equal] and [=] take -0.0 for +0.0, and -0.0 is a real score
+   (an empty tree over one symbol emits -0.0), so the exact oracles
+   compare bits. *)
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_result (a : Similarity.result) (b : Similarity.result) =
+  same_bits a.log_sim b.log_sim && a.seg_lo = b.seg_lo && a.seg_hi = b.seg_hi
+
+(* ------------------------------------------------------------------ *)
 (* Reclustering replay oracle                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -266,8 +278,7 @@ let recluster_matches (snap : Cluseq.recluster_snapshot) ~after ~assignments ~de
         Array.iteri
           (fun sid (r : Similarity.result) ->
             let w = ref_decided.(ci).(sid) in
-            if not (Float.equal r.log_sim w.log_sim && r.seg_lo = w.seg_lo && r.seg_hi = w.seg_hi)
-            then begin
+            if not (same_result r w) then begin
               incr mismatches;
               if !mismatches <= max_score_reports then
                 let id, _, _ = snap.snap_before.(ci) in
@@ -296,7 +307,7 @@ let psa_scoring_matches ?psa pst ~log_background probes =
       let xc = Similarity.xs_psa psa ~log_background s in
       Array.iteri
         (fun i a ->
-          if not (Float.equal a xc.(i)) then
+          if not (same_bits a xc.(i)) then
             err "probe %d pos %d: tree X_i %.17g, compiled %.17g" pi i a xc.(i))
         xt;
       (* The prediction state must track the prediction node depth-wise:
@@ -313,9 +324,7 @@ let psa_scoring_matches ?psa pst ~log_background probes =
         s;
       let rt = Similarity.score pst ~log_background s in
       let rc = Similarity.score_psa psa ~log_background s in
-      if not (Float.equal rt.log_sim rc.log_sim)
-         || rt.seg_lo <> rc.seg_lo || rt.seg_hi <> rc.seg_hi
-      then
+      if not (same_result rt rc) then
         err "probe %d: tree score %.17g [%d,%d], compiled %.17g [%d,%d]" pi rt.log_sim
           rt.seg_lo rt.seg_hi rc.log_sim rc.seg_lo rc.seg_hi)
     probes;
@@ -348,7 +357,7 @@ let psa_tables_match ~fresh psa =
           (Psa.prediction_depth psa u) (Psa.prediction_depth fresh f);
       for a = 0 to n - 1 do
         let e = Psa.emission psa u a and e' = Psa.emission fresh f a in
-        if Int64.bits_of_float e <> Int64.bits_of_float e' then
+        if not (same_bits e e') then
           err "state %d (fresh %d) symbol %d: emission %.17g, fresh compile %.17g" u f a e e'
       done
     in
@@ -417,14 +426,17 @@ let crossings_match ~before pst crossings =
     (List.sort_uniq Int.compare reported);
   List.rev !errs
 
-(* Batched-vs-serial scoring oracle: [Psa.score_batch] keeps every
-   lane's accumulators in shared scratch columns, so the thing that can
-   silently go wrong is cross-lane state leaking (a lane reading
-   another's accumulator, or a column not reset between blocks).
-   Scoring the block batched and each sequence as its own one-lane
-   block ([Similarity.score_psa]) must agree exactly — float bits and
-   segment bounds — including on empty sequences and after the scratch
-   has been resized by a previous, larger block. *)
+(* Batched scoring oracle: [Psa.score_batch] runs every lane of a block
+   through one loop with results in shared output columns, so the thing
+   that can silently go wrong is cross-lane state leaking (a lane
+   starting from the previous lane's accumulators, or a column not
+   reset between blocks).
+   Scoring the block batched and each sequence as its own one-lane block
+   ([Similarity.score_psa]) must agree exactly — float bits and segment
+   bounds — including on empty sequences and after the scratch has been
+   resized by a previous, larger block. Both sides run the same loop,
+   so every lane must also equal the tree walk ([Similarity.score]),
+   which shares no code with it. *)
 let batch_scoring_matches pst ~log_background blocks =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errs := m :: !errs) fmt in
@@ -437,14 +449,16 @@ let batch_scoring_matches pst ~log_background blocks =
       let batched = Similarity.score_batch psa ~log_background ~batch block in
       Array.iteri
         (fun j s ->
-          let serial = Similarity.score_psa psa ~log_background s in
           let b = batched.(j) in
-          if not (Float.equal serial.Similarity.log_sim b.Similarity.log_sim)
-             || serial.seg_lo <> b.seg_lo || serial.seg_hi <> b.seg_hi
-          then
-            err "block %d lane %d (len %d): serial %.17g [%d,%d], batched %.17g [%d,%d]" bi j
-              (Array.length s) serial.log_sim serial.seg_lo serial.seg_hi b.log_sim b.seg_lo
-              b.seg_hi)
+          List.iter
+            (fun (name, (r : Similarity.result)) ->
+              if not (same_result r b) then
+                err "block %d lane %d (len %d): %s %.17g [%d,%d], batched %.17g [%d,%d]" bi j
+                  (Array.length s) name r.log_sim r.seg_lo r.seg_hi b.log_sim b.seg_lo b.seg_hi)
+            [
+              ("serial", Similarity.score_psa psa ~log_background s);
+              ("tree walk", Similarity.score pst ~log_background s);
+            ])
         block)
     blocks;
   List.rev !errs
@@ -457,7 +471,7 @@ let divergence_matches a b =
   let errs = ref [] in
   let pa = Divergence.profile a and pb = Divergence.profile b in
   let compare name fast reference =
-    if Int64.bits_of_float fast <> Int64.bits_of_float reference then
+    if not (same_bits fast reference) then
       errs := Printf.sprintf "%s: profiles %.17g, tree walk %.17g" name fast reference :: !errs
   in
   List.iter

@@ -41,6 +41,16 @@ val cluster_invariants : Cluster.t list -> assignments:int list array -> string 
     particular no dismissed cluster id survives in any assignment — and
     every surviving cluster's PST passes {!pst_invariants}. *)
 
+val same_bits : float -> float -> bool
+(** [same_bits a b] iff [a] and [b] have the same IEEE bits: the
+    equality of every exact oracle here. Unlike [Float.equal] and [=],
+    it tells -0.0 from +0.0, which a score can be (an empty tree over
+    a one-symbol alphabet emits -0.0). *)
+
+val same_result : Similarity.result -> Similarity.result -> bool
+(** The same [log_sim] bits ({!same_bits}) and the same segment
+    bounds. *)
+
 val reference_recluster :
   Cluseq.recluster_snapshot ->
   (int * Bitset.t) array * int list array * Similarity.result array array
@@ -64,7 +74,7 @@ val recluster_matches :
   string list
 (** Compare the engine's reclustering outcome against
     {!reference_recluster}: memberships, assignment lists, and every
-    deciding score — [log_sim] by [Float.equal] and the segment bounds —
+    deciding score ({!same_result}: [log_sim] bits and segment bounds) —
     so a score that moved without flipping a join (it still moves
     [best] and the threshold samples) is caught too. Messages name each
     diverging cluster or sequence; score mismatches beyond the first 10
@@ -74,10 +84,10 @@ val psa_scoring_matches :
   ?psa:Psa.t -> Pst.t -> log_background:float array -> Sequence.t array -> string list
 (** Differential oracle for the compiled scoring automaton [psa]
     (default: {!Psa.compile} of the tree; pass one kept current by
-    {!Psa.refresh} to test that instead). Demands {e exact} float
-    equality of the per-position X_i profiles ({!Similarity.xs} vs
-    {!Similarity.xs_psa}), identical maximizing segments and
-    log-similarities ({!Similarity.score} vs {!Similarity.score_psa}),
+    {!Psa.refresh} to test that instead). Demands the same bits
+    ({!same_bits}) in the per-position X_i profiles ({!Similarity.xs}
+    vs {!Similarity.xs_psa}), the same maximizing segments and
+    log-similarity bits ({!Similarity.score} vs {!Similarity.score_psa}),
     and per-position agreement of the automaton state's depth with
     {!Pst.prediction_node}'s. Run by the fuzz harness on every case,
     against both the unpruned and a pruned tree, and by check #8 on a
@@ -116,15 +126,16 @@ val crossings_match : before:int list -> Pst.t -> Pst.Crossings.t -> string list
 val batch_scoring_matches :
   Pst.t -> log_background:float array -> Sequence.t array list -> string list
 (** Differential oracle for the batched kernel: compiles the tree and
-    scores each block with {!Similarity.score_batch} against
-    {!Similarity.score_psa} per sequence (a one-lane block on its own
-    scratch), pinning lane independence and demanding {e exact} float
-    equality of every log-similarity plus identical segment bounds. All
-    blocks share one scratch (created with capacity 1) so lane-reset and
-    resize bugs across block boundaries are exercised too. Run by the
-    fuzz harness (check #6) on both the unpruned and a pruned tree, with
-    blocks that include the empty block, singletons, and empty
-    sequences. *)
+    scores each block with {!Similarity.score_batch}, then each lane
+    against {!Similarity.score_psa} (a one-lane block on its own
+    scratch), pinning lane independence, and against the tree walk
+    {!Similarity.score}, since both automaton sides run the same loop.
+    It demands {!same_result}: the same log-similarity bits and segment
+    bounds. All blocks share one scratch (created with capacity 1) so
+    lane-reset and resize bugs across block boundaries are exercised
+    too. Run by the fuzz harness (check #6) on both the unpruned and a
+    pruned tree, with blocks that include the empty block, singletons,
+    and empty sequences. *)
 
 val divergence_matches : Pst.t -> Pst.t -> string list
 (** Differential oracle for {!Divergence}'s profiles: for both argument

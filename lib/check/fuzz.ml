@@ -134,9 +134,10 @@ let run_checks case ~errs ~stage =
   stage := "psa";
   add_all "psa" (Check.psa_scoring_matches pst ~log_background:lbg case.probes);
   add_all "psa-pruned" (Check.psa_scoring_matches pruned ~log_background:lbg case.probes);
-  (* Whole blocks vs one-lane blocks (check #6): one automaton over a
-     block must score every lane bit-identically to that sequence
-     scored alone — lanes must not interact. The block
+  (* Whole blocks vs one-lane blocks and the tree walk (check #6): one
+     automaton over a block must score every lane bit-identically to
+     that sequence scored alone — lanes must not interact — and to the
+     tree walk, since both automaton sides run one loop. The block
      list covers the shapes the engine produces — a full block (the
      training sequences), a small block (probes), the empty block, a
      block of one, and a block containing an empty sequence — all

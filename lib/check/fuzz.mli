@@ -11,6 +11,11 @@
       equal {!Ref_prune.prune} of the unpruned tree's;
     - compares the Kadane similarity scan against the O(l²) brute-force
       reference on every probe;
+    - on the unpruned tree and the pruned copy, scores every probe by
+      the compiled automaton and by the tree walk
+      ({!Check.psa_scoring_matches}), and scores blocks batched against
+      one-lane blocks and the tree walk ({!Check.batch_scoring_matches},
+      check #6);
     - streams segments into two trees, one under a node budget that
       forces pruning and one that never prunes, while one automaton per
       tree is kept current by {!Psa.refresh} or recompile (check #8),

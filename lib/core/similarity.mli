@@ -32,10 +32,14 @@ val score_psa : Psa.t -> log_background:float array -> Sequence.t -> result
 (** [score_psa psa ~log_background s]: the same measure over a compiled
     automaton ({!Psa.compile} of the same tree) — [s] scored as a
     one-lane block of {!Psa.score_batch} on a per-domain scratch: one
-    O(l) pass, one transition and one table read per symbol, no
-    per-symbol allocation and no per-symbol [log]. Bit-for-bit equal to
-    {!score} on the tree the automaton was compiled from (exact float
-    equality; enforced by the property tests and the fuzz oracle).
+    O(l) pass of its C loop, one transition and one table read per
+    symbol, no per-symbol allocation or [log], and no branch on the
+    scores. Bit-for-bit equal to {!score} on the tree the automaton was
+    compiled from, the sign of a zero included ([Check.same_result];
+    enforced by the property tests and the fuzz oracles), whenever
+    [log_background] passes {!validate_log_background}, as the
+    backgrounds of runs, classifiers and [Online] do; with a NaN or
+    [-inf] entry the two may differ ({!Psa.score_batch}).
     Raises [Invalid_argument] on a symbol outside the compiled
     alphabet. *)
 
@@ -44,10 +48,12 @@ val score_batch :
 (** [score_batch psa ~log_background ~batch seqs] scores the whole block
     in one lane-major pass over the automaton ({!Psa.score_batch}) and
     returns one {!result} per sequence, in input order. Bit-for-bit
-    equal to [Array.map (score_psa psa ~log_background) seqs] — lanes
-    never interact, and empty sequences yield [neg_infinity] with
-    bounds [-1,-1] — while allocating nothing per symbol ([batch] holds
-    the reusable scratch columns; one per worker domain). Raises
+    equal to [Array.map (score_psa psa ~log_background) seqs], and so
+    to [Array.map (score pst ~log_background) seqs] under the same
+    condition on [log_background] — lanes never
+    interact, and empty sequences yield [neg_infinity] with bounds
+    [-1,-1] — while allocating nothing per symbol ([batch] holds the
+    reusable output columns; one per worker domain). Raises
     [Invalid_argument] on a symbol outside the compiled alphabet. *)
 
 val xs_psa : Psa.t -> log_background:float array -> Sequence.t -> float array

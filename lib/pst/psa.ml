@@ -387,31 +387,21 @@ let refresh ?(crossings = no_crossings) t pst =
 
 (* --- batch scoring ---------------------------------------------------- *)
 
-(* Reusable scratch for [score_batch]: one slot per lane (= sequence in
-   the block) across five parallel columns. All columns are plain
-   pre-sized OCaml arrays — the float columns are unboxed float arrays —
-   so a scan performs zero heap allocation per symbol or per lane; the
-   only per-call allocation is whatever the caller does with the
-   results. *)
+(* Reusable output columns for [score_batch], one slot per lane (=
+   sequence in the block): the log-similarity in an unboxed float array
+   and the segment bounds in two int arrays, pre-sized so a scan
+   allocates nothing per symbol or per lane. The Kadane accumulators
+   live in the scan's registers. *)
 type batch = {
   mutable cap : int;
-  mutable acc_y : float array; (* Kadane running-segment accumulator *)
-  mutable acc_z : float array; (* best log-similarity so far (output) *)
-  mutable seg_start : int array; (* start of the running segment *)
-  mutable lo : int array; (* winning segment bounds (outputs) *)
+  mutable log_sim : float array;
+  mutable lo : int array;
   mutable hi : int array;
 }
 
 let batch_create ?(capacity = 64) () =
   let cap = max 1 capacity in
-  {
-    cap;
-    acc_y = Array.make cap neg_infinity;
-    acc_z = Array.make cap neg_infinity;
-    seg_start = Array.make cap 0;
-    lo = Array.make cap 0;
-    hi = Array.make cap 0;
-  }
+  { cap; log_sim = Array.make cap neg_infinity; lo = Array.make cap 0; hi = Array.make cap 0 }
 
 let batch_capacity b = b.cap
 
@@ -419,83 +409,51 @@ let ensure_capacity b n =
   if n > b.cap then begin
     let cap = max n (2 * b.cap) in
     b.cap <- cap;
-    b.acc_y <- Array.make cap neg_infinity;
-    b.acc_z <- Array.make cap neg_infinity;
-    b.seg_start <- Array.make cap 0;
+    b.log_sim <- Array.make cap neg_infinity;
     b.lo <- Array.make cap 0;
     b.hi <- Array.make cap 0
   end
 
-let batch_log_sim b j = b.acc_z.(j)
+let batch_log_sim b j = b.log_sim.(j)
 let batch_seg_lo b j = b.lo.(j)
 let batch_seg_hi b j = b.hi.(j)
 
+(* The per-lane loop of [score_batch], in psa_stubs.c: it writes lane
+   j's results at index j of the three columns and returns -1, or the
+   first lane holding a symbol outside [0, n). *)
+external scan :
+  trans_table ->
+  emit_table ->
+  int ->
+  float array ->
+  Sequence.t array ->
+  float array ->
+  int array ->
+  int array ->
+  int = "cluseq_psa_scan_bytecode" "cluseq_psa_scan"
+[@@noalloc]
+
 (* One automaton over a block of sequences, lane-major: each lane is
-   scanned to completion with the automaton state in an immediate
-   (unallocated) ref and the Kadane floats in the unboxed scratch
-   columns above — the whole block costs zero heap words per symbol,
-   while each sequence streams through cache linearly exactly like the
-   serial scan. (A position-major variant — all lanes advancing one
-   symbol per step against a state column — was measured ~25% slower:
-   automaton states diverge across lanes within a few symbols, so
-   interleaving buys no table-row reuse and pays a lane gather per
-   symbol.)
+   scanned to completion with the automaton state and the Kadane
+   accumulators in registers, so the block costs zero heap words per
+   symbol while each sequence streams through cache linearly. (A
+   position-major variant — all lanes advancing one symbol per step
+   against a state column — was measured ~25% slower: automaton states
+   diverge across lanes within a few symbols, so interleaving buys no
+   table-row reuse and pays a lane gather per symbol.)
 
    This is the only Kadane scan over an automaton: [Similarity.score_psa]
-   scores one sequence as a one-lane block. Per lane, the float
-   operations are the ones the tree walk ([Similarity.score]) performs,
-   on the same values in the same order, and lanes never interact — so
+   scores one sequence as a one-lane block. Per lane, the stub's float
+   operations give the bits of the tree walk's ([Similarity.score]), on
+   the same values in the same order (see psa_stubs.c for why its
+   selects equal the walk's branches), and lanes never interact — so
    every output is bit-for-bit the tree walk's, whatever the block
    around it (the QCheck properties and the fuzz oracles enforce exact
-   equality). *)
+   equality). The stub writes below the block size only, which
+   [ensure_capacity] provides. *)
 let score_batch t ~log_background ~batch seqs =
-  let b = Array.length seqs in
-  ensure_capacity batch b;
-  let n = t.alphabet_size in
-  if Array.length log_background < n then
+  ensure_capacity batch (Array.length seqs);
+  if Array.length log_background < t.alphabet_size then
     invalid_arg "Psa.score_batch: log_background shorter than the alphabet";
-  let acc_y = batch.acc_y
-  and acc_z = batch.acc_z
-  and seg_start = batch.seg_start
-  and lo = batch.lo
-  and hi = batch.hi in
-  let trans = t.trans and emit = t.emit in
-  for j = 0 to b - 1 do
-    let s = Array.unsafe_get seqs j in
-    let l = Array.length s in
-    acc_y.(j) <- neg_infinity;
-    acc_z.(j) <- neg_infinity;
-    seg_start.(j) <- 0;
-    (* Empty lanes keep the [empty_result] sentinel bounds; non-empty
-       lanes start at [0, 0] exactly like the tree walk's scan. *)
-    if l = 0 then begin
-      lo.(j) <- -1;
-      hi.(j) <- -1
-    end
-    else begin
-      lo.(j) <- 0;
-      hi.(j) <- 0;
-      let state = ref 0 in
-      for i = 0 to l - 1 do
-        let sym = Array.unsafe_get s i in
-        if sym < 0 || sym >= n then
-          invalid_arg "Psa.score_batch: symbol outside the compiled alphabet";
-        let idx = (!state * n) + sym in
-        let x =
-          Bigarray.Array1.unsafe_get emit idx -. Array.unsafe_get log_background sym
-        in
-        let y = Array.unsafe_get acc_y j in
-        let extend = y >= 0.0 in
-        let y' = if extend then y +. x else x in
-        let start' = if extend then Array.unsafe_get seg_start j else i in
-        state := Bigarray.Array1.unsafe_get trans idx;
-        Array.unsafe_set acc_y j y';
-        Array.unsafe_set seg_start j start';
-        if y' > Array.unsafe_get acc_z j then begin
-          Array.unsafe_set acc_z j y';
-          Array.unsafe_set lo j start';
-          Array.unsafe_set hi j i
-        end
-      done
-    end
-  done
+  if scan t.trans t.emit t.alphabet_size log_background seqs batch.log_sim batch.lo batch.hi >= 0
+  then invalid_arg "Psa.score_batch: symbol outside the compiled alphabet"

@@ -143,9 +143,10 @@ val table_bytes : t -> int
 (** {1 Batch scoring} *)
 
 type batch
-(** Reusable scratch columns for {!score_batch}: per-lane Kadane
-    accumulators and segment bounds, held in pre-sized unboxed arrays
-    so a scan allocates nothing per symbol or per lane. One [batch] is
+(** Reusable output columns for {!score_batch}: per lane, the
+    log-similarity and the segment bounds, held in pre-sized unboxed
+    arrays so a scan allocates nothing per symbol or per lane (the
+    Kadane accumulators live in the scan's registers). One [batch] is
     single-owner mutable state — use one per worker domain (e.g. one
     per [Par.map_chunks] chunk), never shared concurrently. *)
 
@@ -159,14 +160,20 @@ val batch_capacity : batch -> int
 val score_batch : t -> log_background:float array -> batch:batch -> Sequence.t array -> unit
 (** [score_batch t ~log_background ~batch seqs] runs the automaton over
     every sequence of the block, lane-major: each lane is scanned to
-    completion with its accumulators in the scratch columns, so the
-    block costs zero heap words per symbol while every sequence streams
-    through cache linearly. Results are read back with
-    {!batch_log_sim} / {!batch_seg_lo} / {!batch_seg_hi} at the lane's
-    index in [seqs]. This is the only Kadane scan over an automaton:
+    completion by one C loop ([psa_stubs.c]) that keeps the state and
+    the Kadane accumulators in registers and replaces the scan's two
+    branches by selects, so the block costs zero heap words and no
+    branch on the scores per symbol while every sequence streams
+    through cache linearly. Results are read back with {!batch_log_sim} /
+    {!batch_seg_lo} / {!batch_seg_hi} at the lane's index in [seqs].
+    This is the only Kadane scan over an automaton:
     [Similarity.score_psa] scores one sequence as a one-lane block, and
     lanes never interact, so every lane's result is bit-for-bit the
-    tree walk's ([Similarity.score]) on the same sequence. Empty lanes
+    tree walk's ([Similarity.score]) on the same sequence, signed zeros
+    included, whenever [log_background] passes
+    [Similarity.validate_log_background] (DESIGN.md §13): a NaN X_i,
+    which only an invalid background can produce, sticks in the
+    running sum here where the tree walk resets past it. Empty lanes
     yield [neg_infinity] with bounds [-1,-1].
 
     Raises [Invalid_argument] if any symbol lies outside

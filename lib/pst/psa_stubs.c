@@ -1,0 +1,106 @@
+/* The Kadane scan of Psa.score_batch: every lane of a block run over one
+   compiled automaton, with no branch on the scores.
+
+   Per symbol the tree walk's recurrence (Similarity.score) is
+     y' = if y >= 0 then y + x else x;     start' = if y >= 0 then start else i
+     if y' > z then (z, lo, hi) <- (y', start', i)
+   and both tests depend on the data, so as branches they mispredict
+   often enough to cost most of each symbol. Here they become selects:
+     y' = max(-0.0, y) + x     z' = max(y', z)
+   where max(a, b) is MAXSD's a > b ? a : b, which returns its second
+   operand on ties; start, lo and hi take integer selects on the same two
+   comparisons. The bits are the tree walk's for every input that is not
+   NaN:
+   - when y < 0, max(-0.0, y) is -0.0, and -0.0 (not +0.0) is the exact
+     identity of IEEE addition in every sign of zero: -0.0 + x = x;
+   - when y >= 0, -0.0 included, max(-0.0, y) is y itself;
+   - y' = z keeps the older z and its bounds, as the walk's [>] does.
+   No NaN reaches the scan: emissions are finite or -inf and the
+   background is validated finite, so neither x nor y is ever NaN.
+   The exactness needs add, subtract and compare exactly as written, so
+   this file must not be built with -ffast-math or similar flags (there
+   is no multiply for -ffp-contract to fuse).
+
+   The stub reads the Bigarray tables, the background and the lanes in
+   place and allocates nothing, hence [@@noalloc]: no GC can run while
+   it does, and no value moves under it. It relies on flat float arrays
+   (the configure option flat_float_array, on by default): a [float
+   array] is a block of unboxed doubles, read and written as one. On a
+   toolchain without them the build stops at the #error below. */
+
+#include <caml/mlvalues.h>
+#include <caml/bigarray.h>
+#include <math.h>
+#ifndef FLAT_FLOAT_ARRAY
+#error "psa_stubs.c needs flat float arrays (configure option flat_float_array)"
+#endif
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
+/* a > b ? a : b, with b on ties. The intrinsic is what keeps the select
+   a select: gcc 12 -O2 compiles the plain ?: on x86-64 into the branches
+   this file exists to remove (it folds -0.0 + x into x and merges the z
+   select with the bounds' test), and that build read 6.4-9.9 ns per
+   symbol in traced benchmark runs against 3.7-4.9 ns with MAXSD (DESIGN.md
+   section 13). The ?: stays for targets without SSE2, where it gives the
+   same bits. */
+static inline double select_max(double a, double b)
+{
+#if defined(__SSE2__)
+  return _mm_cvtsd_f64(_mm_max_sd(_mm_set_sd(a), _mm_set_sd(b)));
+#else
+  return a > b ? a : b;
+#endif
+}
+
+/* Scans every lane of [seqs]; lane j's log-similarity and segment bounds
+   go to [log_sim], [lo] and [hi] at index j, which the caller sized to
+   the block. Returns -1, or the first lane holding a symbol outside
+   [0, n) (lanes from there on are left unwritten). */
+CAMLprim value cluseq_psa_scan(value v_trans, value v_emit, value v_n, value v_log_background,
+                               value v_seqs, value v_log_sim, value v_lo, value v_hi)
+{
+  const intnat *trans = (const intnat *) Caml_ba_data_val(v_trans);
+  const double *emit = (const double *) Caml_ba_data_val(v_emit);
+  const double *log_background = (const double *) v_log_background;
+  const uintnat n = Long_val(v_n);
+  const mlsize_t lanes = Wosize_val(v_seqs);
+  for (mlsize_t j = 0; j < lanes; j++) {
+    const value seq = Field(v_seqs, j);
+    const value *s = (const value *) Op_val(seq);
+    const intnat l = Wosize_val(seq);
+    double y = -INFINITY, z = -INFINITY;
+    intnat state = 0, start = 0, lo = 0, hi = 0;
+    /* Empty lanes keep the [-1, -1] bounds of Similarity's empty
+       result; the others start at [0, 0], as the tree walk does. */
+    if (l == 0) lo = hi = -1;
+    for (intnat i = 0; i < l; i++) {
+      /* One unsigned compare catches negative symbols too. */
+      const uintnat sym = (uintnat) Long_val(s[i]);
+      if (sym >= n) return Val_long(j);
+      const uintnat idx = (uintnat) state * n + sym;
+      const double x = emit[idx] - log_background[sym];
+      const int extend = y >= 0.0;
+      y = select_max(-0.0, y) + x;
+      start = extend ? start : i;
+      state = trans[idx];
+      const int better = y > z;
+      z = select_max(y, z);
+      lo = better ? start : lo;
+      hi = better ? i : hi;
+    }
+    Store_double_flat_field(v_log_sim, j, z);
+    /* Immediate integers: no write barrier needed. */
+    Field(v_lo, j) = Val_long(lo);
+    Field(v_hi, j) = Val_long(hi);
+  }
+  return Val_long(-1);
+}
+
+CAMLprim value cluseq_psa_scan_bytecode(value *argv, int argn)
+{
+  (void) argn;
+  return cluseq_psa_scan(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5], argv[6],
+                         argv[7]);
+}

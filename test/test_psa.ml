@@ -57,7 +57,18 @@ let test_symbol_out_of_alphabet () =
   Alcotest.check_raises "batched symbol 25 vs alphabet 4"
     (Invalid_argument "Psa.score_batch: symbol outside the compiled alphabet")
     (fun () ->
-      ignore (Similarity.score_batch psa ~log_background:lbg ~batch [| seq_of "abz" |]))
+      ignore (Similarity.score_batch psa ~log_background:lbg ~batch [| seq_of "abz" |]));
+  (* Symbols just outside [0, n) on either side, in the last lane of a
+     block whose other lanes are valid. *)
+  List.iter
+    (fun bad ->
+      Alcotest.check_raises
+        (Printf.sprintf "symbol %d in lane 2" bad)
+        (Invalid_argument "Psa.score_batch: symbol outside the compiled alphabet")
+        (fun () ->
+          Psa.score_batch psa ~log_background:lbg ~batch
+            [| [| 0; 1; 2 |]; [| 3; 2 |]; [| 1; bad; 0 |] |]))
+    [ -1; 4 ]
 
 let test_validate_log_background () =
   Similarity.validate_log_background uniform_lbg;
@@ -81,7 +92,7 @@ let test_batch_shapes () =
   let check_block name block =
     let got = Similarity.score_batch psa ~log_background:uniform_lbg ~batch block in
     let want = Array.map score_serial block in
-    Alcotest.(check bool) name true (got = want)
+    Alcotest.(check bool) name true (Array.for_all2 Check.same_result got want)
   in
   check_block "empty block" [||];
   check_block "singleton block" [| seq_of "abcab" |];
@@ -94,6 +105,42 @@ let test_batch_shapes () =
      one checks stale columns are re-initialized. *)
   check_block "small after large" [| seq_of "ba" |];
   Alcotest.(check bool) "scratch grew" true (Psa.batch_capacity batch >= 5)
+
+(* --- kernel edge cases: signed zeros and ties --- *)
+
+(* A one-symbol alphabet whose background is [|0.0|], so each X_i is
+   the emission itself. *)
+let one_symbol_lbg = [| 0.0 |]
+
+(* Floats compared by their bits, printed in hex: -0x0p+0 vs 0x0p+0. *)
+let bits = Alcotest.testable (fun ppf x -> Format.fprintf ppf "%h" x) Check.same_bits
+let check_bits name want got = Alcotest.check bits name want got
+
+(* An empty tree emits log_uniform = -. log 1 = -0.0 for the one
+   symbol. The first X_i starts the segment: the scan must add it to
+   an identity that keeps its sign, and -0.0 + -0.0 = -0.0 after it. *)
+let test_kernel_negative_zero () =
+  let pst = build_pst ~alphabet_size:1 [] in
+  let psa = Psa.compile pst and s = seq_of "aaaa" in
+  Array.iter (check_bits "X_i" (-0.0)) (Similarity.xs_psa psa ~log_background:one_symbol_lbg s);
+  let r = Similarity.score_psa psa ~log_background:one_symbol_lbg s in
+  check_bits "log_sim" (-0.0) r.log_sim;
+  Alcotest.(check (pair int int)) "segment" (0, 0) (r.seg_lo, r.seg_hi);
+  Alcotest.(check bool) "= tree walk" true
+    (Check.same_result r (Similarity.score pst ~log_background:one_symbol_lbg s))
+
+(* Trained at p_min 0, every context predicts its one symbol with
+   probability 1, so every X_i is +0.0: the running segment only ties
+   the best, and a tie keeps the older segment. *)
+let test_kernel_tie () =
+  let pst = build_pst ~alphabet_size:1 ~p_min:0.0 [ "aaaaaaaa" ] in
+  let psa = Psa.compile pst and s = seq_of "aaaa" in
+  Array.iter (check_bits "X_i" 0.0) (Similarity.xs_psa psa ~log_background:one_symbol_lbg s);
+  let r = Similarity.score_psa psa ~log_background:one_symbol_lbg s in
+  check_bits "log_sim" 0.0 r.log_sim;
+  Alcotest.(check (pair int int)) "segment" (0, 0) (r.seg_lo, r.seg_hi);
+  Alcotest.(check bool) "= tree walk" true
+    (Check.same_result r (Similarity.score pst ~log_background:one_symbol_lbg s))
 
 (* --- refresh: in place while the active contexts hold still --- *)
 
@@ -252,14 +299,15 @@ let exact_match pst probes =
       let ref_xs = Similarity.xs pst ~log_background:uniform_lbg s in
       let got_xs = Similarity.xs_psa psa ~log_background:uniform_lbg s in
       Array.length ref_xs = Array.length got_xs
-      && Array.for_all2 Float.equal ref_xs got_xs
-      && Similarity.score pst ~log_background:uniform_lbg s
-         = Similarity.score_psa psa ~log_background:uniform_lbg s)
+      && Array.for_all2 Check.same_bits ref_xs got_xs
+      && Check.same_result
+           (Similarity.score pst ~log_background:uniform_lbg s)
+           (Similarity.score_psa psa ~log_background:uniform_lbg s))
     probes
 
 (* The whole probe list scored as ONE block must reproduce both the
-   serial compiled scan and the tree walk, record for record — the
-   [result] records carry the float bits, so [=] is exact equality. *)
+   serial compiled scan and the tree walk, record for record, to the
+   bit: [=] would take -0.0 for +0.0. *)
 let exact_batch_match pst probes =
   let psa = Psa.compile pst in
   let block = Array.of_list (List.map seq_of probes) in
@@ -267,7 +315,7 @@ let exact_batch_match pst probes =
   let batched = Similarity.score_batch psa ~log_background:uniform_lbg ~batch block in
   let serial = Array.map (Similarity.score_psa psa ~log_background:uniform_lbg) block in
   let tree = Array.map (Similarity.score pst ~log_background:uniform_lbg) block in
-  batched = serial && batched = tree
+  Array.for_all2 Check.same_result batched serial && Array.for_all2 Check.same_result batched tree
 
 let arb_texts_and_probes ?last () =
   QCheck.pair (texts_gen ~max_seqs:4 ()) (texts_gen ~min_seqs:1 ~max_seqs:3 ?last ())
@@ -391,6 +439,8 @@ let () =
           Alcotest.test_case "symbol out of alphabet" `Quick test_symbol_out_of_alphabet;
           Alcotest.test_case "validate_log_background" `Quick test_validate_log_background;
           Alcotest.test_case "batch block shapes" `Quick test_batch_shapes;
+          Alcotest.test_case "kernel: -0.0 stays -0.0" `Quick test_kernel_negative_zero;
+          Alcotest.test_case "kernel: a tie keeps the segment" `Quick test_kernel_tie;
           Alcotest.test_case "refresh lifecycle" `Quick test_refresh_lifecycle;
           Alcotest.test_case "patch a repeated symbol" `Quick test_patch_repeated_symbol;
           Alcotest.test_case "crossing on a slot a split made" `Quick test_crossing_on_split_slot;
