@@ -54,14 +54,27 @@ let tests () =
        Staged.stage (fun () ->
            ignore (Similarity.score_psa psa ~log_background:lbg (next_seq ()))));
     (* The batched kernel over the whole 64-sequence block (~12.8k
-       symbols per run), reusing one scratch — the shape Cluseq
-       reclustering drives per (cluster, block) task. Compare per
-       symbol against similarity-psa-200sym × 64. *)
+       symbols per run), reusing one scratch — the shape of one
+       (cluster, block) task of Cluster.score_columns. Compare per
+       symbol against similarity-psa-200sym × 64. The lanes are all of
+       about one length, so the kernel's lane pairs rarely run a tail
+       alone; the mixed row beside it has an odd lane count and lengths
+       from 0 to 200, as blocks of real inputs do. *)
     Test.make ~name:"psa-batch-scan"
       (let psa = Psa.compile trained in
        let batch = Psa.batch_create ~capacity:(Array.length seqs) () in
        Staged.stage (fun () ->
            ignore (Similarity.score_batch psa ~log_background:lbg ~batch seqs)));
+    Test.make ~name:"psa-batch-scan-mixed"
+      (let psa = Psa.compile trained in
+       let lengths = [| 0; 1; 200; 13; 120; 64; 180; 7; 95 |] in
+       let mixed =
+         Array.init (Array.length seqs - 1) (fun i ->
+             Array.sub seqs.(i) 0 (min (Array.length seqs.(i)) lengths.(i mod 9)))
+       in
+       let batch = Psa.batch_create ~capacity:(Array.length mixed) () in
+       Staged.stage (fun () ->
+           ignore (Similarity.score_batch psa ~log_background:lbg ~batch mixed)));
     Test.make ~name:"psa-compile"
       (Staged.stage (fun () -> ignore (Psa.compile trained)));
     Test.make ~name:"edit-distance-200x200"

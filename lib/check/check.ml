@@ -426,17 +426,23 @@ let crossings_match ~before pst crossings =
     (List.sort_uniq Int.compare reported);
   List.rev !errs
 
-(* Batched scoring oracle: [Psa.score_batch] runs every lane of a block
-   through one loop with results in shared output columns, so the thing
-   that can silently go wrong is cross-lane state leaking (a lane
-   starting from the previous lane's accumulators, or a column not
-   reset between blocks).
-   Scoring the block batched and each sequence as its own one-lane block
-   ([Similarity.score_psa]) must agree exactly — float bits and segment
-   bounds — including on empty sequences and after the scratch has been
-   resized by a previous, larger block. Both sides run the same loop,
-   so every lane must also equal the tree walk ([Similarity.score]),
-   which shares no code with it. *)
+(* Batched scoring oracle: [Psa.score_into] runs the lanes of a block
+   two at a time through one loop and writes them at an offset of
+   columns the caller owns, so what can silently go wrong is a lane
+   leaking into another (starting from the previous lane's
+   accumulators, or stopped with its shorter partner), a longer lane's
+   tail or an odd last lane left unscanned, a write outside the block's
+   cells, or a symbol check that one lane of a pair skips.
+   Each block is scored through one reused scratch and into a column at
+   an offset, between cells holding a sentinel. Both must agree exactly
+   — float bits and segment bounds — with each sequence scored as its
+   own one-lane block ([Similarity.score_psa]), including on empty
+   sequences and after the scratch has been resized by a previous,
+   larger block; the sentinels must survive. Every side runs the same
+   loop, so every lane must also equal the tree walk
+   ([Similarity.score]), which shares no code with it. Then each lane's
+   last symbol in turn becomes -1 and the alphabet size: the block must
+   raise. *)
 let batch_scoring_matches pst ~log_background blocks =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errs := m :: !errs) fmt in
@@ -444,9 +450,21 @@ let batch_scoring_matches pst ~log_background blocks =
   (* One scratch across all blocks, deliberately starting tiny: block
      boundaries must fully reset every reused column. *)
   let batch = Psa.batch_create ~capacity:1 () in
+  let sentinel : Similarity.result = { log_sim = Float.nan; seg_lo = -2; seg_hi = -2 } in
+  let at = 3 in
   List.iteri
     (fun bi block ->
+      let lanes = Array.length block in
       let batched = Similarity.score_batch psa ~log_background ~batch block in
+      let column = Similarity.column (at + lanes + 2) in
+      Array.fill column.log_sims 0 (at + lanes + 2) sentinel.log_sim;
+      Array.fill column.seg_los 0 (at + lanes + 2) sentinel.seg_lo;
+      Array.fill column.seg_his 0 (at + lanes + 2) sentinel.seg_hi;
+      Similarity.score_block psa ~log_background column ~at block;
+      for i = 0 to at + lanes + 1 do
+        if (i < at || i >= at + lanes) && not (same_result (Similarity.cell column i) sentinel)
+        then err "block %d: cell %d, outside the block's [%d, %d), was written" bi i at (at + lanes)
+      done;
       Array.iteri
         (fun j s ->
           let b = batched.(j) in
@@ -456,9 +474,24 @@ let batch_scoring_matches pst ~log_background blocks =
                 err "block %d lane %d (len %d): %s %.17g [%d,%d], batched %.17g [%d,%d]" bi j
                   (Array.length s) name r.log_sim r.seg_lo r.seg_hi b.log_sim b.seg_lo b.seg_hi)
             [
+              ("at an offset", Similarity.cell column (at + j));
               ("serial", Similarity.score_psa psa ~log_background s);
               ("tree walk", Similarity.score pst ~log_background s);
             ])
+        block;
+      Array.iteri
+        (fun j s ->
+          let l = Array.length s in
+          if l > 0 then
+            List.iter
+              (fun bad ->
+                let corrupt = Array.copy block in
+                corrupt.(j) <- Array.copy s;
+                corrupt.(j).(l - 1) <- bad;
+                match Similarity.score_block psa ~log_background column ~at corrupt with
+                | () -> err "block %d lane %d: symbol %d at %d did not raise" bi j bad (l - 1)
+                | exception Invalid_argument _ -> ())
+              [ -1; Psa.alphabet_size psa ])
         block)
     blocks;
   List.rev !errs

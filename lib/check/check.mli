@@ -126,16 +126,21 @@ val crossings_match : before:int list -> Pst.t -> Pst.Crossings.t -> string list
 val batch_scoring_matches :
   Pst.t -> log_background:float array -> Sequence.t array list -> string list
 (** Differential oracle for the batched kernel: compiles the tree and
-    scores each block with {!Similarity.score_batch}, then each lane
-    against {!Similarity.score_psa} (a one-lane block on its own
-    scratch), pinning lane independence, and against the tree walk
-    {!Similarity.score}, since both automaton sides run the same loop.
-    It demands {!same_result}: the same log-similarity bits and segment
-    bounds. All blocks share one scratch (created with capacity 1) so
-    lane-reset and resize bugs across block boundaries are exercised
-    too. Run by the fuzz harness (check #6) on both the unpruned and a
-    pruned tree, with blocks that include the empty block, singletons,
-    and empty sequences. *)
+    scores each block twice, with {!Similarity.score_batch} and with
+    {!Similarity.score_block} into a column at an offset, between cells
+    holding a sentinel that must survive; then each lane against
+    {!Similarity.score_psa} (a one-lane block on its own scratch),
+    pinning lane independence within the kernel's lane pairs, and
+    against the tree walk {!Similarity.score}, since every automaton
+    side runs the same loop. It demands {!same_result}: the same
+    log-similarity bits and segment bounds. All blocks share one scratch
+    (created with capacity 1) so lane-reset and resize bugs across block
+    boundaries are exercised too. Last, each nonempty lane in turn gets
+    the symbol -1 and then the alphabet size as its last symbol, and
+    scoring the block must raise [Invalid_argument]. Run by the fuzz
+    harness (check #6) on both the unpruned and a pruned tree, with
+    blocks that include the empty block, singletons, empty sequences,
+    lane pairs of unequal and zero lengths and odd lane counts. *)
 
 val divergence_matches : Pst.t -> Pst.t -> string list
 (** Differential oracle for {!Divergence}'s profiles: for both argument

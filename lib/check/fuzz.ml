@@ -15,7 +15,9 @@ type failure = {
 
 let gen_case ~seed =
   let rng = Rng.create seed in
-  let alphabet_size = 2 + Rng.int rng 4 in
+  (* One symbol included: its background is log 1 = 0.0, so an empty
+     tree's X_i are -0.0, the sign the kernel's reset must keep. *)
+  let alphabet_size = 1 + Rng.int rng 5 in
   let max_depth = 1 + Rng.int rng 4 in
   let significance = 1 + Rng.int rng 5 in
   let p_min = [| 0.0; 1e-3; 0.01 |].(Rng.int rng 3) in
@@ -137,12 +139,24 @@ let run_checks case ~errs ~stage =
   (* Whole blocks vs one-lane blocks and the tree walk (check #6): one
      automaton over a block must score every lane bit-identically to
      that sequence scored alone — lanes must not interact — and to the
-     tree walk, since both automaton sides run one loop. The block
-     list covers the shapes the engine produces — a full block (the
-     training sequences), a small block (probes), the empty block, a
-     block of one, and a block containing an empty sequence — all
-     through one shared scratch so cross-block reuse is exercised. *)
+     tree walk, since both automaton sides run one loop; a symbol out of
+     the alphabet in any lane must raise. The block list covers the
+     shapes the engine produces — a full block (the training
+     sequences), a small block (probes), the empty block, a block of
+     one, and a block containing an empty sequence — and the kernel's
+     lane pairs: each probe paired with the empty lane and with its own
+     first half, in both orders, with an even and an odd lane count,
+     all through one shared scratch so cross-block reuse is
+     exercised. *)
   stage := "batch";
+  let pairs =
+    Array.concat
+      (List.map
+         (fun p ->
+           let half = Array.sub p 0 (Array.length p / 2) in
+           [| p; [||]; [||]; p; half; p; p; half |])
+         (Array.to_list case.probes))
+  in
   let batch_blocks =
     [
       case.seqs;
@@ -150,6 +164,8 @@ let run_checks case ~errs ~stage =
       [||];
       [| [||] |];
       (if Array.length case.probes > 0 then Array.sub case.probes 0 1 else [||]);
+      pairs;
+      (if Array.length pairs > 0 then Array.sub pairs 0 (Array.length pairs - 1) else [||]);
     ]
   in
   add_all "batch" (Check.batch_scoring_matches pst ~log_background:lbg batch_blocks);

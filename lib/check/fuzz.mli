@@ -13,9 +13,11 @@
       reference on every probe;
     - on the unpruned tree and the pruned copy, scores every probe by
       the compiled automaton and by the tree walk
-      ({!Check.psa_scoring_matches}), and scores blocks batched against
-      one-lane blocks and the tree walk ({!Check.batch_scoring_matches},
-      check #6);
+      ({!Check.psa_scoring_matches}), and scores blocks batched, and
+      into a column at an offset, against one-lane blocks and the tree
+      walk, among them lane pairs of unequal and zero lengths and odd
+      lane counts, and demands that a symbol out of the alphabet in any
+      lane raise ({!Check.batch_scoring_matches}, check #6);
     - streams segments into two trees, one under a node budget that
       forces pruning and one that never prunes, while one automaton per
       tree is kept current by {!Psa.refresh} or recompile (check #8),
@@ -74,7 +76,9 @@ type failure = {
 }
 
 val gen_case : seed:int -> case
-(** Deterministically generate a case from its seed: alphabet size 2–5,
+(** Deterministically generate a case from its seed: alphabet size 1–5
+    (one symbol makes an empty tree's X_i −0.0, the kernel's
+    signed-zero edge),
     4–16 sequences of length 0–24 (empty sequences included, to exercise
     the [empty_result] paths), small PST/clustering parameters, and a
     node budget high enough that the differential oracle's no-pruning

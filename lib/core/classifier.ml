@@ -53,16 +53,17 @@ let classify t s =
   verdict t (Array.to_list (Array.map score t.models))
 
 (* Batch scoring is read-only against the stored models, so the scores
-   fan out over the domain pool ({!Cluster.score_columns}); each
-   sequence's verdict is then built from the same per-model score list,
-   in the same model order, that [classify] builds, so the verdicts are
-   identical to the per-sequence path for any domain count (the fuzz
-   harness cross-checks the two). *)
+   fan out over the domain pool ({!Cluster.score_columns}), one
+   log-similarity column per model; each sequence's verdict is then
+   built from the same per-model score list, in the same model order,
+   that [classify] builds, so the verdicts are identical to the
+   per-sequence path for any domain count (the fuzz harness
+   cross-checks the two). *)
 let classify_all t db =
   let columns =
     Cluster.score_columns ~log_background:t.log_background t.models (Seq_database.sequences db)
   in
-  let score j i cl = (Cluster.id cl, columns.(i).(j).Similarity.log_sim) in
+  let score j i cl = (Cluster.id cl, columns.(i).Similarity.log_sims.(j)) in
   Array.init (Seq_database.n_sequences db) (fun j ->
       verdict t (Array.to_list (Array.mapi (score j) t.models)))
 

@@ -43,7 +43,11 @@ val classify : t -> Sequence.t -> verdict
     [Some] of the argmax only when its similarity clears the threshold. *)
 
 val classify_all : t -> Seq_database.t -> verdict array
-(** Classify every sequence of a database. *)
+(** Classify every sequence of a database: every sequence is scored
+    against every model in one {!Cluster.score_columns} fan-out on the
+    {!Par} global pool, one log-similarity column per model, and each
+    verdict is built from its row of the columns. Element [i] equals
+    [classify t] of sequence [i], for any pool size. *)
 
 val n_clusters : t -> int
 (** Number of cluster models. *)

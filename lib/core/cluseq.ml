@@ -239,7 +239,7 @@ let generate_new_clusters cfg db rng ~iter ~next_id ~clusters ~unclustered ~k_n 
     let max_sim =
       Array.init m (fun j ->
           Array.fold_left
-            (fun acc column -> Float.max acc column.(j).Similarity.log_sim)
+            (fun acc (c : Similarity.column) -> Float.max acc c.log_sims.(j))
             neg_infinity columns)
     in
     let taken = Array.make m false in
@@ -281,7 +281,7 @@ let generate_new_clusters cfg db rng ~iter ~next_id ~clusters ~unclustered ~k_n 
         in
         Array.iteri
           (fun p j ->
-            let sim = column.(p).Similarity.log_sim in
+            let sim = column.log_sims.(p) in
             if sim > max_sim.(j) then max_sim.(j) <- sim)
           untaken
       end
@@ -387,56 +387,57 @@ let hard_labels (r : result) ~n =
 (* One cluster's share of a reclustering pass, as returned by its apply
    task ([apply_column]). *)
 type column = {
-  results : Similarity.result array;  (* by sequence id: the deciding score *)
+  decided : Similarity.column;  (* by sequence id: the deciding score *)
   rescores : int;  (* rescores once the cluster went dirty *)
   fresh_joins : int;
 }
 
 (* The apply pass of reclustering (paper Sec. 4.2) for one cluster, run
-   as that cluster's own pool task over its matrix column [scores].
-   Within a pass a cluster's trajectory depends only on the examination
-   order, [log_t], its iteration-start model and memberships, and its
-   own earlier joiners — never on another cluster — so the task walks
-   [order] and absorbs each fresh joiner before the next sequence is
-   scored. The first absorb leaves the column stale ("dirty"); every
-   later pair is rescored against the grown model, whose automaton
-   [Cluster.similarity] refreshes (or recompiles) in place first. [cl]
+   as that cluster's own pool task over its matrix column [scores],
+   which it owns for the pass and turns into the deciding scores in
+   place. Within a pass a cluster's trajectory depends only on the
+   examination order, [log_t], its iteration-start model and
+   memberships, and its own earlier joiners — never on another cluster
+   — so the task walks [order] and absorbs each fresh joiner before the
+   next sequence is scored. The first absorb leaves the column stale
+   ("dirty"); every later pair is rescored into its cell against the
+   grown model, whose automaton [Cluster.rescore] refreshes (or
+   recompiles) in place first. A column taken from the score cache can
+   be overwritten so because that first absorb dropped the cache. [cl]
    is mutated by this task only. *)
-let apply_column db ~log_background ~log_t ~order ~prev scores cl =
-  let results = Array.copy scores in
+let apply_column db ~log_background ~log_t ~order ~prev (scores : Similarity.column) cl =
   let dirty = ref false in
   let rescores = ref 0 and fresh_joins = ref 0 in
   Array.iter
     (fun sid ->
       if !dirty then begin
         incr rescores;
-        results.(sid) <- Cluster.similarity cl ~log_background (Seq_database.get db sid)
+        Cluster.rescore cl ~log_background scores sid (Seq_database.get db sid)
       end;
-      let r : Similarity.result = results.(sid) in
       (* A segment updates the PST only when the sequence joins afresh:
          re-inserting stable members every iteration would inflate
          counts without information, making member similarities (and
          then the threshold valley) grow without bound. *)
-      if r.log_sim >= log_t then begin
+      if scores.log_sims.(sid) >= log_t then begin
         Cluster.add_member cl sid;
         if not (Bitset.mem prev sid) then begin
-          Cluster.absorb cl (Seq_database.get db sid) r;
+          Cluster.absorb cl (Seq_database.get db sid) (Similarity.cell scores sid);
           dirty := true;
           incr fresh_joins
         end
       end)
     order;
   (* A cluster that stayed clean still has the model its column was
-     scored against, so the next pass can reuse [results]. A dirty
+     scored against, so the next pass can reuse the column. A dirty
      cluster already dropped its cache inside [absorb]. *)
-  if not !dirty then Cluster.set_score_cache cl results;
-  { results; rescores = !rescores; fresh_joins = !fresh_joins }
+  if not !dirty then Cluster.set_score_cache cl scores;
+  { decided = scores; rescores = !rescores; fresh_joins = !fresh_joins }
 
 (* What one reclustering pass hands to the rest of the iteration. *)
 type pass = {
   new_best : (int * float) option array;
   new_assignments : int list array;
-  samples : float list;  (* finite deciding scores, for the threshold valley *)
+  samples : float array;  (* every deciding score, for the threshold valley *)
   pass_census : scan_census;  (* [assignments_changed] is left at 0 *)
   member_scores : (int * float list) array;  (* per cluster id: its joins' scores *)
   events : pending_event list;  (* deferred journal events, in scan order *)
@@ -518,25 +519,23 @@ let recluster cfg db rng ~log_t ~best clusters =
   let joined = ref 0 in
   let member_scores = Array.make k [] in
   let events = ref [] in
-  let samples = ref [] in
   Array.iter
     (fun sid ->
       for ci = 0 to k - 1 do
-        let r = columns.(ci).results.(sid) in
+        let log_sim = columns.(ci).decided.log_sims.(sid) in
         let cid = Cluster.id clusters_arr.(ci) in
-        if Float.is_finite r.log_sim then samples := r.log_sim :: !samples;
-        if r.log_sim >= log_t then begin
+        if log_sim >= log_t then begin
           incr joined;
-          if drift_on then member_scores.(ci) <- r.log_sim :: member_scores.(ci);
+          if drift_on then member_scores.(ci) <- log_sim :: member_scores.(ci);
           if jrn && not (Bitset.mem prev_arr.(ci) sid) then
-            events := Ev_joined (sid, cid, r.log_sim) :: !events;
+            events := Ev_joined (sid, cid, log_sim) :: !events;
           new_assignments.(sid) <- cid :: new_assignments.(sid)
         end
         else if jrn && Bitset.mem prev_arr.(ci) sid then
-          events := Ev_left (sid, cid, r.log_sim) :: !events;
+          events := Ev_left (sid, cid, log_sim) :: !events;
         match new_best.(sid) with
-        | Some (_, b) when b >= r.log_sim -> ()
-        | _ -> if Float.is_finite r.log_sim then new_best.(sid) <- Some (cid, r.log_sim)
+        | Some (_, b) when b >= log_sim -> ()
+        | _ -> if Float.is_finite log_sim then new_best.(sid) <- Some (cid, log_sim)
       done)
     order;
   Array.iteri (fun i l -> new_assignments.(i) <- List.rev l) new_assignments;
@@ -552,7 +551,7 @@ let recluster cfg db rng ~log_t ~best clusters =
         ~after:
           (Array.map (fun cl -> (Cluster.id cl, Bitset.copy (Cluster.members cl))) clusters_arr)
         ~assignments:(Array.copy new_assignments)
-        ~decided:(Array.map (fun c -> c.results) columns)
+        ~decided:(Array.map (fun c -> Array.init n (Similarity.cell c.decided)) columns)
   | _ -> ());
   (* Census tallies: the matrix evaluated every pair of the clusters
      without a cached column and reused the cached columns whole; the
@@ -567,7 +566,8 @@ let recluster cfg db rng ~log_t ~best clusters =
   {
     new_best;
     new_assignments;
-    samples = !samples;
+    (* The valley histogram ignores order, so the columns go whole. *)
+    samples = Array.concat (Array.to_list (Array.map (fun c -> c.decided.log_sims) columns));
     pass_census =
       {
         pairs_scored = total_evaluated + total_rescores;
@@ -643,23 +643,25 @@ let consolidation cfg ~iter ~min_residual clusters assignments =
 
 (* Sequences whose membership set differs between two iterations'
    (cluster id, members) lists, counting every member of a cluster that
-   disappeared. *)
+   disappeared. One pass per list: [mark.(i)] is -1 once [i] changed,
+   and while the [c]-th cluster is compared [2c + 1] says [i] was among
+   its old members, [2c + 2] that it is among both. *)
 let membership_changes ~n ~prev memberships =
   let prev_tbl = Hashtbl.create 16 in
   List.iter (fun (id, ms) -> Hashtbl.replace prev_tbl id ms) prev;
-  let changed = Array.make n false in
-  List.iter
-    (fun (id, ms) ->
+  let mark = Array.make n 0 in
+  let changed i = mark.(i) <- -1 in
+  List.iteri
+    (fun c (id, ms) ->
       let old = Option.value ~default:[] (Hashtbl.find_opt prev_tbl id) in
-      let mark l l' = List.iter (fun i -> if not (List.mem i l') then changed.(i) <- true) l in
-      mark ms old;
-      mark old ms)
+      Hashtbl.remove prev_tbl id;
+      let was = (2 * c) + 1 in
+      List.iter (fun i -> if mark.(i) >= 0 then mark.(i) <- was) old;
+      List.iter (fun i -> if mark.(i) = was then mark.(i) <- was + 1 else changed i) ms;
+      List.iter (fun i -> if mark.(i) = was then changed i) old)
     memberships;
-  List.iter
-    (fun (id, ms) ->
-      if not (List.mem_assoc id memberships) then List.iter (fun i -> changed.(i) <- true) ms)
-    prev;
-  Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 changed
+  Hashtbl.iter (fun _ ms -> List.iter changed ms) prev_tbl;
+  Array.fold_left (fun acc m -> if m < 0 then acc + 1 else acc) 0 mark
 
 (* Quality gauges for one iteration, computed outside the phase spans
    (so reclustering is never charged for them) and only when someone
@@ -910,7 +912,7 @@ let run ?(config = default_config) db =
     phase 3 (fun () ->
         if cfg.adjust_threshold then begin
           let old_t = Threshold.linear_t threshold in
-          Threshold.adjust threshold (Array.of_list pass.samples);
+          Threshold.adjust threshold pass.samples;
           if Obs.Journal.is_enabled () then
             Obs.Journal.emit "threshold.adjusted" (fun () ->
                 [

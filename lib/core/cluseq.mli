@@ -94,7 +94,8 @@ type auditor = {
           holds, per cluster (aligned with [snap_before]) and by
           sequence id, the result that decided the pair — the matrix
           score, or the rescore against the grown model once the
-          cluster absorbed. Read-only. *)
+          cluster absorbed — boxed from the pass's score columns, which
+          happens only while an auditor is installed. Read-only. *)
   on_iteration : iteration:int -> clusters:Cluster.t list -> assignments:int list array -> unit;
       (** Called after consolidation each iteration with the surviving
           clusters and the (stripped) assignment lists. *)

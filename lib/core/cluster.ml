@@ -19,7 +19,7 @@ type t = {
   (* Previous reclustering pass's score column against this model —
      valid only while the tree is unchanged, in which case a fresh
      evaluation would be bit-identical. *)
-  mutable scores : Similarity.result array option;
+  mutable scores : Similarity.column option;
   (* The tree's divergence profile, built on first use and dropped with
      [scores] by an absorb that grows the tree. *)
   mutable profile : Divergence.profile option;
@@ -101,37 +101,35 @@ let profile t =
       p
 
 let similarity t ~log_background s = Similarity.score_psa (automaton t) ~log_background s
+let rescore t ~log_background column i s =
+  Similarity.score_cell (automaton t) ~log_background column i s
 
 (* Scoring fan-out granularity: sequences are scored in blocks of this
    many lanes so one automaton streams over a whole block per call
-   ({!Psa.score_batch}) instead of being re-entered per sequence. Lanes
+   ({!Psa.score_into}) instead of being re-entered per sequence. Lanes
    never interact, so any block size yields the same bits; 64 lanes keep
-   a task's scratch (~4 KiB) and the state column cache-resident. *)
+   a task's output cells (~1.5 KiB per cluster) cache-resident. *)
 let block = 64
 
-(* One pool task per block, each with its own scratch, scoring its block
-   cluster-major. The workers only read the automata, so none may be
-   stale: [compile] brings them current on the submitting domain, and
-   this checks it there once, before the fan-out. With no clusters there
-   is nothing to fan out. *)
+(* One pool task per block, scoring its block cluster-major into every
+   column at the block's offset: the tasks write disjoint cells, so the
+   columns need no gathering. The workers only read the automata, so
+   none may be stale: [compile] brings them current on the submitting
+   domain, and this checks it there once, before the fan-out. With no
+   clusters there is nothing to fan out. *)
 let score_columns ~log_background clusters seqs =
   if Array.exists (fun t -> t.stale) clusters then
     invalid_arg "Cluster.score_columns: stale automaton; compile first";
-  if Array.length clusters = 0 then [||]
-  else begin
-    let n = Array.length seqs in
-    let blocks =
-      Par.map_chunks (Par.get_pool ()) ~n:((n + block - 1) / block) (fun b ->
-          let lanes = Array.sub seqs (b * block) (min block (n - (b * block))) in
-          let batch = Psa.batch_create ~capacity:(Array.length lanes) () in
-          Array.map
-            (fun t -> Similarity.score_batch t.compiled ~log_background ~batch lanes)
-            clusters)
-    in
-    Array.mapi
-      (fun ci _ -> Array.concat (List.map (fun b -> b.(ci)) (Array.to_list blocks)))
-      clusters
-  end
+  let n = Array.length seqs in
+  let columns = Array.map (fun _ -> Similarity.column n) clusters in
+  if clusters <> [||] then
+    Par.parallel_for (Par.get_pool ()) ~lo:0 ~hi:((n + block - 1) / block) (fun b ->
+        let at = b * block in
+        let lanes = Array.sub seqs at (min block (n - at)) in
+        Array.iteri
+          (fun ci t -> Similarity.score_block t.compiled ~log_background columns.(ci) ~at lanes)
+          clusters);
+  columns
 
 let absorb t s (r : Similarity.result) =
   Obs.Metrics.incr m_absorbs;

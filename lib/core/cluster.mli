@@ -64,16 +64,17 @@ val automaton : t -> Psa.t
     applies. For tests and oracles that compare it with a fresh
     {!Psa.compile} of {!pst}. *)
 
-val score_cache : t -> Similarity.result array option
+val score_cache : t -> Similarity.column option
 (** The previous reclustering pass's score column against this cluster
-    (index [sid] → that sequence's {!Similarity.result}), if the PST is
-    unchanged since it was computed. Because scoring is deterministic,
-    a cached entry is bit-identical to a fresh evaluation against the
-    current model, so the reclustering scan reuses the column instead of
-    rescoring it. Any {!absorb} that grows the tree drops it. Always
-    [None] while the cache is switched off ({!set_cache_enabled}). *)
+    (cell [sid] → that sequence's score), if the PST is unchanged since
+    it was computed. Because scoring is deterministic, a cached cell is
+    bit-identical to a fresh evaluation against the current model, so
+    the reclustering scan reuses the column instead of rescoring it. Any
+    {!absorb} that grows the tree drops it, so a pass may go on writing
+    its rescores into the column it took from here. Always [None] while
+    the cache is switched off ({!set_cache_enabled}). *)
 
-val set_score_cache : t -> Similarity.result array -> unit
+val set_score_cache : t -> Similarity.column -> unit
 (** Install the score column computed by a just-finished pass. Callers
     must only do this when the PST was not mutated during the pass. Does
     nothing while the cache is switched off. *)
@@ -103,20 +104,28 @@ val similarity : t -> log_background:float array -> Sequence.t -> Similarity.res
     the task that owns the cluster may call this after an absorb; after
     {!compile} it only reads. *)
 
+val rescore : t -> log_background:float array -> Similarity.column -> int -> Sequence.t -> unit
+(** [rescore t ~log_background column i s] writes [similarity t
+    ~log_background s] into cell [i] of [column], with no record
+    ({!Similarity.score_cell}): a dirty rescore of the batch loop's
+    apply pass. The owner rule of {!similarity} applies. *)
+
 val score_columns :
-  log_background:float array -> t array -> Sequence.t array -> Similarity.result array array
+  log_background:float array -> t array -> Sequence.t array -> Similarity.column array
 (** [score_columns ~log_background clusters seqs] scores every sequence
     against every cluster on the {!Par} global pool and returns one
-    column per cluster: [(score_columns ~log_background clusters seqs).(c).(i)]
-    is bit-for-bit [similarity clusters.(c) ~log_background seqs.(i)].
-    The sequences are cut into blocks of 64, one pool task each; a task
-    scores its block cluster-major, one {!Similarity.score_batch} pass
-    per (cluster, block) on its own scratch. The tasks only read the
-    automata, so the result is the same for any pool size. The one
-    scoring fan-out of the batch loop's seed sweeps and reclustering
-    scan and of {!Classifier.classify_all}. Raises [Invalid_argument],
-    before any scoring, when an {!absorb} has left an automaton stale:
-    call {!compile} first. *)
+    column per cluster: cell [i] of [(score_columns ~log_background
+    clusters seqs).(c)] is bit-for-bit [similarity clusters.(c)
+    ~log_background seqs.(i)]. The sequences are cut into blocks of 64,
+    one pool task each; a task scores its block cluster-major, one
+    {!Similarity.score_block} pass per (cluster, block), writing straight
+    into each column at the block's offset, so no per-sequence record
+    is built and no block is copied back. The tasks only read the
+    automata and write disjoint cells, so the result is the same for any
+    pool size. The one scoring fan-out of the batch loop's seed sweeps
+    and reclustering scan and of {!Classifier.classify_all}. Raises
+    [Invalid_argument], before any scoring, when an {!absorb} has left
+    an automaton stale: call {!compile} first. *)
 
 val absorb : t -> Sequence.t -> Similarity.result -> unit
 (** [absorb t s r] inserts the maximizing segment [r.seg_lo .. r.seg_hi]

@@ -60,45 +60,59 @@ let score pst ~log_background s =
     { log_sim = !z; seg_lo = !best_lo; seg_hi = !best_hi }
   end
 
-(* Batch-first front end over [Psa.score_batch], the one Kadane scan
-   over a compiled automaton: it reads the scratch columns back into
-   [result] records. The emission table stores the very floats
+type column = { log_sims : float array; seg_los : int array; seg_his : int array }
+
+let column n =
+  { log_sims = Array.make n neg_infinity; seg_los = Array.make n (-1); seg_his = Array.make n (-1) }
+
+let cell c i = { log_sim = c.log_sims.(i); seg_lo = c.seg_los.(i); seg_hi = c.seg_his.(i) }
+
+(* The front ends over [Psa.score_into], the one Kadane scan over a
+   compiled automaton. The emission table stores the very floats
    [Pst.next_log_prob] computes and each X_i is formed with the
    identical subtraction, so every lane is bit-for-bit equal to [score]
    on the source tree — the fuzz oracle and the qcheck properties assert
    exact equality. Metrics are bumped once per block — same totals as
    per-sequence calls. *)
-let score_batch psa ~log_background ~batch seqs =
-  let b = Array.length seqs in
-  Obs.Metrics.incr ~by:b m_calls;
+let count_block seqs =
+  Obs.Metrics.incr ~by:(Array.length seqs) m_calls;
   Obs.Metrics.incr
     ~by:(Array.fold_left (fun acc s -> acc + Array.length s) 0 seqs)
-    m_symbols_scanned;
+    m_symbols_scanned
+
+let score_block psa ~log_background c ~at seqs =
+  count_block seqs;
+  Psa.score_into psa ~log_background seqs ~at ~log_sim:c.log_sims ~seg_lo:c.seg_los
+    ~seg_hi:c.seg_his
+
+let score_batch psa ~log_background ~batch seqs =
+  count_block seqs;
   Psa.score_batch psa ~log_background ~batch seqs;
-  Array.init b (fun j ->
+  Array.init (Array.length seqs) (fun j ->
       {
         log_sim = Psa.batch_log_sim batch j;
         seg_lo = Psa.batch_seg_lo batch j;
         seg_hi = Psa.batch_seg_hi batch j;
       })
 
-(* One sequence is a one-lane block. The lane's scratch is per domain,
-   as [Psa.compile]'s trie is: dirty rescores call this from apply tasks
-   on every domain of the pool. *)
-let lane_scratch =
-  Domain.DLS.new_key (fun () -> (Psa.batch_create ~capacity:1 (), [| [||] |]))
+(* One sequence is a one-lane block. The lane array and the one-cell
+   column [score_psa] reads back are per domain, as [Psa.compile]'s
+   trie is: dirty rescores run in apply tasks on every domain of the
+   pool. *)
+let lane_scratch = Domain.DLS.new_key (fun () -> ([| [||] |], column 1))
 
-let score_psa psa ~log_background s =
+let score_cell psa ~log_background c i s =
   Obs.Metrics.incr m_calls;
   Obs.Metrics.incr ~by:(Array.length s) m_symbols_scanned;
-  let batch, lane = Domain.DLS.get lane_scratch in
+  let lane, _ = Domain.DLS.get lane_scratch in
   lane.(0) <- s;
-  Psa.score_batch psa ~log_background ~batch lane;
-  {
-    log_sim = Psa.batch_log_sim batch 0;
-    seg_lo = Psa.batch_seg_lo batch 0;
-    seg_hi = Psa.batch_seg_hi batch 0;
-  }
+  Psa.score_into psa ~log_background lane ~at:i ~log_sim:c.log_sims ~seg_lo:c.seg_los
+    ~seg_hi:c.seg_his
+
+let score_psa psa ~log_background s =
+  let _, c = Domain.DLS.get lane_scratch in
+  score_cell psa ~log_background c 0 s;
+  cell c 0
 
 (* Per position, X_i and the depth of the context the automaton
    predicted symbol i from, in one walk of its states. Only the explain

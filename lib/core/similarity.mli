@@ -28,10 +28,27 @@ val score : Pst.t -> log_background:float array -> Sequence.t -> result
     ({!Seq_database.log_background}). O(l · L) where L is the PST's max
     context depth. *)
 
+type column = {
+  log_sims : float array;  (** Cell [i]: sequence [i]'s {!result.log_sim}. *)
+  seg_los : int array;  (** Cell [i]: its {!result.seg_lo}. *)
+  seg_his : int array;  (** Cell [i]: its {!result.seg_hi}. *)
+}
+(** One model's scores over a sequence array, held as three unboxed
+    columns instead of one boxed {!result} per sequence: what
+    [Cluster.score_columns] fills block by block and the batch loop,
+    its score cache and [Classifier.classify_all] read. *)
+
+val column : int -> column
+(** [column n] is a column of [n] cells, each holding the empty
+    sequence's result ([neg_infinity], bounds [-1,-1]) until scored. *)
+
+val cell : column -> int -> result
+(** [cell c i] is cell [i] boxed as a {!result}. *)
+
 val score_psa : Psa.t -> log_background:float array -> Sequence.t -> result
 (** [score_psa psa ~log_background s]: the same measure over a compiled
     automaton ({!Psa.compile} of the same tree) — [s] scored as a
-    one-lane block of {!Psa.score_batch} on a per-domain scratch: one
+    one-lane block of {!Psa.score_into} on a per-domain scratch: one
     O(l) pass of its C loop, one transition and one table read per
     symbol, no per-symbol allocation or [log], and no branch on the
     scores. Bit-for-bit equal to {!score} on the tree the automaton was
@@ -39,22 +56,35 @@ val score_psa : Psa.t -> log_background:float array -> Sequence.t -> result
     enforced by the property tests and the fuzz oracles), whenever
     [log_background] passes {!validate_log_background}, as the
     backgrounds of runs, classifiers and [Online] do; with a NaN or
-    [-inf] entry the two may differ ({!Psa.score_batch}).
+    [-inf] entry the two may differ ({!Psa.score_into}).
     Raises [Invalid_argument] on a symbol outside the compiled
     alphabet. *)
 
+val score_cell : Psa.t -> log_background:float array -> column -> int -> Sequence.t -> unit
+(** [score_cell psa ~log_background c i s] writes [score_psa psa
+    ~log_background s] into cell [i] of [c], with no record: a one-lane
+    block at offset [i]. Raises [Invalid_argument] as {!score_psa}
+    does, or when [i] is outside [c]. *)
+
+val score_block :
+  Psa.t -> log_background:float array -> column -> at:int -> Sequence.t array -> unit
+(** [score_block psa ~log_background c ~at seqs] scores the whole block
+    in one lane-major pass over the automaton ({!Psa.score_into}) and
+    writes sequence [j]'s result into cell [at + j] of [c], touching no
+    other cell, so tasks on disjoint ranges may fill one column at once.
+    Every cell is bit-for-bit what {!score_cell} writes, and so
+    {!score_psa}'s result, whatever the block around it. Raises
+    [Invalid_argument] as {!Psa.score_into} does. *)
+
 val score_batch :
   Psa.t -> log_background:float array -> batch:Psa.batch -> Sequence.t array -> result array
-(** [score_batch psa ~log_background ~batch seqs] scores the whole block
-    in one lane-major pass over the automaton ({!Psa.score_batch}) and
-    returns one {!result} per sequence, in input order. Bit-for-bit
-    equal to [Array.map (score_psa psa ~log_background) seqs], and so
-    to [Array.map (score pst ~log_background) seqs] under the same
-    condition on [log_background] — lanes never
-    interact, and empty sequences yield [neg_infinity] with bounds
-    [-1,-1] — while allocating nothing per symbol ([batch] holds the
-    reusable output columns; one per worker domain). Raises
-    [Invalid_argument] on a symbol outside the compiled alphabet. *)
+(** [score_batch psa ~log_background ~batch seqs] scores the block
+    through [batch], a reusable scratch ({!Psa.score_batch}), and
+    returns one {!result} per sequence, in input order: bit-for-bit
+    [Array.map (score_psa psa ~log_background) seqs], boxed. For timing
+    probes and oracles; the batch loop scores into columns
+    ({!score_block}). Raises [Invalid_argument] on a symbol outside the
+    compiled alphabet. *)
 
 val xs_psa : Psa.t -> log_background:float array -> Sequence.t -> float array
 (** The per-position {m X_i} profile via the automaton; bit-for-bit equal

@@ -16,8 +16,16 @@ let freeze_epsilon = 0.01
 
 let adjust ?(n_buckets = 50) t log_sims =
   if not t.frozen then begin
-    let finite = Array.of_seq (Seq.filter Float.is_finite (Array.to_seq log_sims)) in
-    if Array.length finite >= 10 then begin
+    let count = Array.fold_left (fun k x -> if Float.is_finite x then k + 1 else k) 0 log_sims in
+    if count >= 10 then begin
+      let finite = Array.make count 0.0 and k = ref 0 in
+      Array.iter
+        (fun x ->
+          if Float.is_finite x then begin
+            finite.(!k) <- x;
+            incr k
+          end)
+        log_sims;
       let hist = Histogram.of_samples ~n_buckets finite in
       match Histogram.valley_log hist with
       | None -> ()

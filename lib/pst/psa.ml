@@ -418,42 +418,53 @@ let batch_log_sim b j = b.log_sim.(j)
 let batch_seg_lo b j = b.lo.(j)
 let batch_seg_hi b j = b.hi.(j)
 
-(* The per-lane loop of [score_batch], in psa_stubs.c: it writes lane
-   j's results at index j of the three columns and returns -1, or the
-   first lane holding a symbol outside [0, n). *)
+(* The lane loop of [score_into], in psa_stubs.c: it writes lane j's
+   results at index [at + j] of the three columns, two lanes per loop,
+   and returns [false] if some lane holds a symbol outside [0, n). *)
 external scan :
   trans_table ->
   emit_table ->
   int ->
   float array ->
   Sequence.t array ->
+  int ->
   float array ->
   int array ->
   int array ->
-  int = "cluseq_psa_scan_bytecode" "cluseq_psa_scan"
+  bool = "cluseq_psa_scan_bytecode" "cluseq_psa_scan"
 [@@noalloc]
 
 (* One automaton over a block of sequences, lane-major: each lane is
    scanned to completion with the automaton state and the Kadane
    accumulators in registers, so the block costs zero heap words per
-   symbol while each sequence streams through cache linearly. (A
-   position-major variant — all lanes advancing one symbol per step
-   against a state column — was measured ~25% slower: automaton states
-   diverge across lanes within a few symbols, so interleaving buys no
-   table-row reuse and pays a lane gather per symbol.)
+   symbol while each sequence streams through cache linearly. Lanes go
+   in pairs through one loop, so two independent dependency chains
+   overlap (four lanes measured no better than two). (A position-major
+   variant — all lanes advancing one symbol per step against a state
+   column — was measured ~25% slower: automaton states diverge across
+   lanes within a few symbols, so interleaving buys no table-row reuse
+   and pays a lane gather per symbol.)
 
-   This is the only Kadane scan over an automaton: [Similarity.score_psa]
-   scores one sequence as a one-lane block. Per lane, the stub's float
-   operations give the bits of the tree walk's ([Similarity.score]), on
-   the same values in the same order (see psa_stubs.c for why its
-   selects equal the walk's branches), and lanes never interact — so
-   every output is bit-for-bit the tree walk's, whatever the block
-   around it (the QCheck properties and the fuzz oracles enforce exact
-   equality). The stub writes below the block size only, which
-   [ensure_capacity] provides. *)
-let score_batch t ~log_background ~batch seqs =
-  ensure_capacity batch (Array.length seqs);
+   This is the only Kadane scan over an automaton: [score_batch] is a
+   block written at offset 0 of a scratch, and [Similarity.score_psa]
+   one lane. Per lane, the stub's float operations give the bits of the
+   tree walk's ([Similarity.score]), on the same values in the same
+   order (see psa_stubs.c for why its selects equal the walk's
+   branches), and lanes never interact — so every output is bit-for-bit
+   the tree walk's, whatever the block around it or the lane it is
+   paired with (the QCheck properties and the fuzz oracles enforce
+   exact equality). The stub writes inside [at, at + lanes) only, which
+   the checks below guarantee lie in all three columns. *)
+let score_into t ~log_background seqs ~at ~log_sim ~seg_lo ~seg_hi =
+  let last = at + Array.length seqs in
+  if at < 0 || last > Array.length log_sim || last > Array.length seg_lo
+     || last > Array.length seg_hi
+  then invalid_arg "Psa.score_into: columns shorter than at + lanes";
   if Array.length log_background < t.alphabet_size then
     invalid_arg "Psa.score_batch: log_background shorter than the alphabet";
-  if scan t.trans t.emit t.alphabet_size log_background seqs batch.log_sim batch.lo batch.hi >= 0
+  if not (scan t.trans t.emit t.alphabet_size log_background seqs at log_sim seg_lo seg_hi)
   then invalid_arg "Psa.score_batch: symbol outside the compiled alphabet"
+
+let score_batch t ~log_background ~batch seqs =
+  ensure_capacity batch (Array.length seqs);
+  score_into t ~log_background seqs ~at:0 ~log_sim:batch.log_sim ~seg_lo:batch.lo ~seg_hi:batch.hi

@@ -106,7 +106,7 @@ val transitions : t -> trans_table
     row-major: entry [state * n + sym] is the state reached after
     emitting [sym] — the prediction state for the context extended by
     [sym]. Read-only; exposed for the table-shape tests — scans go
-    through {!score_batch}. *)
+    through {!score_into}. *)
 
 val emissions : t -> emit_table
 (** The precomputed emission table over the states in use, a view like
@@ -142,13 +142,48 @@ val table_bytes : t -> int
 
 (** {1 Batch scoring} *)
 
+val score_into :
+  t ->
+  log_background:float array ->
+  Sequence.t array ->
+  at:int ->
+  log_sim:float array ->
+  seg_lo:int array ->
+  seg_hi:int array ->
+  unit
+(** [score_into t ~log_background seqs ~at ~log_sim ~seg_lo ~seg_hi]
+    runs the automaton over every sequence of the block and writes lane
+    [j]'s log-similarity and winning segment bounds at index [at + j] of
+    the three columns the caller owns, touching no other index. Each
+    lane is scanned to completion by one C loop ([psa_stubs.c]) that
+    keeps the state and the Kadane accumulators in registers and
+    replaces the scan's two branches by selects, so the block costs zero
+    heap words and no branch on the scores per symbol while every
+    sequence streams through cache linearly; lanes go two at a time
+    through one loop, so that their dependency chains overlap, each
+    with its own operations in the one-lane order. This is the only
+    Kadane scan over an automaton ({!score_batch} and
+    [Similarity.score_psa] run through it), and lanes never interact,
+    so every lane's result is bit-for-bit the tree walk's
+    ([Similarity.score]) on the same sequence, signed zeros included,
+    whatever its offset, block or partner lane, whenever
+    [log_background] passes [Similarity.validate_log_background]
+    (DESIGN.md §13): a NaN X_i, which only an invalid background can
+    produce, sticks in the running sum here where the tree walk resets
+    past it. Empty lanes yield [neg_infinity] with bounds [-1,-1].
+    Disjoint offsets may be written from several domains at once.
+
+    Raises [Invalid_argument] if [at < 0] or a column is shorter than
+    [at + Array.length seqs] (before any write), if [log_background] is
+    shorter than the alphabet, or if any symbol lies outside
+    [\[0, alphabet_size)] (the columns are then written only in
+    part). *)
+
 type batch
-(** Reusable output columns for {!score_batch}: per lane, the
-    log-similarity and the segment bounds, held in pre-sized unboxed
-    arrays so a scan allocates nothing per symbol or per lane (the
-    Kadane accumulators live in the scan's registers). One [batch] is
-    single-owner mutable state — use one per worker domain (e.g. one
-    per [Par.map_chunks] chunk), never shared concurrently. *)
+(** A reusable scratch for {!score_batch}: per lane, the log-similarity
+    and the segment bounds, held in pre-sized unboxed arrays so a scan
+    allocates nothing per symbol or per lane. One [batch] is
+    single-owner mutable state — never shared concurrently. *)
 
 val batch_create : ?capacity:int -> unit -> batch
 (** A fresh scratch sized for [capacity] lanes (default 64); grows
@@ -158,27 +193,11 @@ val batch_capacity : batch -> int
 (** Current lane capacity (for tests). *)
 
 val score_batch : t -> log_background:float array -> batch:batch -> Sequence.t array -> unit
-(** [score_batch t ~log_background ~batch seqs] runs the automaton over
-    every sequence of the block, lane-major: each lane is scanned to
-    completion by one C loop ([psa_stubs.c]) that keeps the state and
-    the Kadane accumulators in registers and replaces the scan's two
-    branches by selects, so the block costs zero heap words and no
-    branch on the scores per symbol while every sequence streams
-    through cache linearly. Results are read back with {!batch_log_sim} /
-    {!batch_seg_lo} / {!batch_seg_hi} at the lane's index in [seqs].
-    This is the only Kadane scan over an automaton:
-    [Similarity.score_psa] scores one sequence as a one-lane block, and
-    lanes never interact, so every lane's result is bit-for-bit the
-    tree walk's ([Similarity.score]) on the same sequence, signed zeros
-    included, whenever [log_background] passes
-    [Similarity.validate_log_background] (DESIGN.md §13): a NaN X_i,
-    which only an invalid background can produce, sticks in the
-    running sum here where the tree walk resets past it. Empty lanes
-    yield [neg_infinity] with bounds [-1,-1].
-
-    Raises [Invalid_argument] if any symbol lies outside
-    [\[0, alphabet_size)] or [log_background] is shorter than the
-    alphabet. *)
+(** [score_batch t ~log_background ~batch seqs] is {!score_into} at
+    offset 0 of [batch], grown first to the block's size if needed.
+    Results are read back with {!batch_log_sim} / {!batch_seg_lo} /
+    {!batch_seg_hi} at the lane's index in [seqs]. Raises
+    [Invalid_argument] as {!score_into} does. *)
 
 val batch_log_sim : batch -> int -> float
 (** [batch_log_sim b j] is the log-similarity of lane [j] from the last

@@ -96,9 +96,10 @@ let test_cluster_scores_follow_absorbs () =
     [ "abcd"; "ab"; "abcabc"; "dd"; "abcd"; "bcbc" ];
   absorb 6 "cdcd";
   Cluster.compile cl;
+  let column = (Cluster.score_columns ~log_background:lbg [| cl |] block).(0) in
   Alcotest.(check bool) "fan-out after compile = tree walk" true
-    (Cluster.score_columns ~log_background:lbg [| cl |] block
-    = [| Array.map (Similarity.score (Cluster.pst cl) ~log_background:lbg) block |])
+    (Array.init (Array.length block) (Similarity.cell column)
+    = Array.map (Similarity.score (Cluster.pst cl) ~log_background:lbg) block)
 
 (* [Cluster.score_columns] against the per-sequence path: clusters grown
    by absorbs and then compiled, sequence arrays on either side of the
@@ -138,10 +139,7 @@ let prop_score_columns_match_similarity =
           (fun cl -> Array.map (Cluster.similarity cl ~log_background:lbg) seqs)
           clusters
       in
-      let same (a : Similarity.result) (b : Similarity.result) =
-        Int64.bits_of_float a.log_sim = Int64.bits_of_float b.log_sim
-        && a.seg_lo = b.seg_lo && a.seg_hi = b.seg_hi
-      in
+      let n = Array.length seqs in
       List.for_all
         (fun d ->
           let got =
@@ -150,7 +148,10 @@ let prop_score_columns_match_similarity =
           in
           Array.length got = Array.length clusters
           && Array.for_all2
-               (fun e g -> Array.length g = Array.length e && Array.for_all2 same e g)
+               (fun e (g : Similarity.column) ->
+                 Array.length g.log_sims = n && Array.length g.seg_los = n
+                 && Array.length g.seg_his = n
+                 && Array.for_all2 Check.same_result e (Array.init n (Similarity.cell g)))
                expected got)
         [ 1; 4 ])
 
@@ -194,20 +195,22 @@ let test_cluster_recompile_empties_crossings () =
 let cached_cluster () =
   let s = Sequence.of_string alpha "abcabcabcabc" in
   let cl = Cluster.create ~id:0 ~capacity:4 pst_cfg [| s |] in
-  let r = Cluster.similarity cl ~log_background:(Array.make 26 (-.log 26.0)) s in
-  (cl, s, r)
+  let column = Similarity.column 1 in
+  Cluster.rescore cl ~log_background:(Array.make 26 (-.log 26.0)) column 0 s;
+  (cl, s, column)
 
 let test_cache_dropped_on_absorb () =
-  let cl, s, r = cached_cluster () in
-  Cluster.set_score_cache cl [| r |];
+  let cl, s, column = cached_cluster () in
+  Cluster.set_score_cache cl column;
   Alcotest.(check bool) "cache installed" true (Cluster.score_cache cl <> None);
-  Cluster.absorb cl s r;
+  Cluster.absorb cl s (Similarity.cell column 0);
   Alcotest.(check bool) "absorb drops the cache" true (Cluster.score_cache cl = None)
 
 (* The divergence profile is cached until an absorb grows the tree; the
    one built after it describes the grown tree. *)
 let test_profile_dropped_on_absorb () =
-  let cl, s, r = cached_cluster () in
+  let cl, s, column = cached_cluster () in
+  let r = Similarity.cell column 0 in
   let other = Pst.create pst_cfg in
   Pst.insert_sequence other (Sequence.of_string alpha "abcbcbca");
   let kl () = Divergence.kl_profiles (Cluster.profile cl) (Divergence.profile other) in
@@ -223,14 +226,14 @@ let test_profile_dropped_on_absorb () =
   Alcotest.(check bool) "the grown tree measures differently" true (kl () <> kl_before)
 
 let test_cache_switched_off () =
-  let cl, _, r = cached_cluster () in
-  Cluster.set_score_cache cl [| r |];
+  let cl, _, column = cached_cluster () in
+  Cluster.set_score_cache cl column;
   Fun.protect ~finally:(fun () -> Cluster.set_cache_enabled true) @@ fun () ->
   Cluster.set_cache_enabled false;
   Alcotest.(check bool) "a column installed before is hidden" true
     (Cluster.score_cache cl = None);
-  let fresh, _, r' = cached_cluster () in
-  Cluster.set_score_cache fresh [| r' |];
+  let fresh, _, column' = cached_cluster () in
+  Cluster.set_score_cache fresh column';
   Cluster.set_cache_enabled true;
   Alcotest.(check bool) "nothing is installed while off" true (Cluster.score_cache fresh = None)
 

@@ -58,17 +58,40 @@ let test_symbol_out_of_alphabet () =
     (Invalid_argument "Psa.score_batch: symbol outside the compiled alphabet")
     (fun () ->
       ignore (Similarity.score_batch psa ~log_background:lbg ~batch [| seq_of "abz" |]));
-  (* Symbols just outside [0, n) on either side, in the last lane of a
-     block whose other lanes are valid. *)
+  (* Symbols just outside [0, n) on either side, in each lane of a
+     block whose other lanes are valid: either lane of the pair the
+     kernel scans together (inside their common length, and in the
+     longer lane's tail) and the odd last lane, which runs alone. *)
+  let valid = [| [| 0; 1; 2 |]; [| 3; 2 |]; [| 1; 3; 0 |] |] in
   List.iter
     (fun bad ->
+      List.iter
+        (fun (lane, pos) ->
+          let block = Array.map Array.copy valid in
+          block.(lane).(pos) <- bad;
+          Alcotest.check_raises
+            (Printf.sprintf "symbol %d in lane %d at %d" bad lane pos)
+            (Invalid_argument "Psa.score_batch: symbol outside the compiled alphabet")
+            (fun () -> Psa.score_batch psa ~log_background:lbg ~batch block))
+        [ (0, 0); (0, 2); (1, 1); (2, 1) ])
+    [ -1; 4 ];
+  (* The columns must hold the block at its offset, checked before any
+     write. *)
+  let column n = (Array.make n 0.0, Array.make n 0, Array.make n 0) in
+  List.iter
+    (fun (at, (log_sim, seg_lo, seg_hi)) ->
       Alcotest.check_raises
-        (Printf.sprintf "symbol %d in lane 2" bad)
-        (Invalid_argument "Psa.score_batch: symbol outside the compiled alphabet")
+        (Printf.sprintf "two lanes at %d of %d cells" at (Array.length log_sim))
+        (Invalid_argument "Psa.score_into: columns shorter than at + lanes")
         (fun () ->
-          Psa.score_batch psa ~log_background:lbg ~batch
-            [| [| 0; 1; 2 |]; [| 3; 2 |]; [| 1; bad; 0 |] |]))
-    [ -1; 4 ]
+          Psa.score_into psa ~log_background:lbg (Array.sub valid 0 2) ~at ~log_sim ~seg_lo
+            ~seg_hi))
+    [
+      (-1, column 4);
+      (3, column 4);
+      (0, (Array.make 1 0.0, Array.make 2 0, Array.make 2 0));
+      (0, (Array.make 2 0.0, Array.make 2 0, Array.make 1 0));
+    ]
 
 let test_validate_log_background () =
   Similarity.validate_log_background uniform_lbg;
@@ -141,6 +164,57 @@ let test_kernel_tie () =
   Alcotest.(check (pair int int)) "segment" (0, 0) (r.seg_lo, r.seg_hi);
   Alcotest.(check bool) "= tree walk" true
     (Check.same_result r (Similarity.score pst ~log_background:one_symbol_lbg s))
+
+(* --- the kernel at an offset --- *)
+
+(* A block of 0-9 lanes (odd counts included), each of 0-40 symbols over
+   an alphabet of 1-6, scored into columns at a random offset: lane j
+   must land at [at + j] bit for bit as the lane scanned alone (and as
+   the tree walk), and every index outside [at, at + lanes) must keep
+   its sentinel. *)
+let offset_block_arb =
+  let open QCheck.Gen in
+  let gen =
+    int_range 1 6 >>= fun k ->
+    let seq = array_size (int_range 0 40) (int_range 0 (k - 1)) in
+    map
+      (fun ((texts, block), (at, pad)) -> (k, texts, block, at, pad))
+      (pair
+         (pair (list_size (int_range 0 4) seq) (array_size (int_range 0 9) seq))
+         (pair (int_range 0 70) (int_range 0 3)))
+  in
+  QCheck.make
+    ~print:(fun (k, texts, block, at, pad) ->
+      let lengths = Array.to_list (Array.map (fun s -> string_of_int (Array.length s)) block) in
+      Printf.sprintf "alphabet %d, %d training sequences, lanes of lengths [%s] at %d (+%d)" k
+        (List.length texts) (String.concat ";" lengths) at pad)
+    gen
+
+let prop_offset_block =
+  QCheck.Test.make ~name:"block at an offset = one-lane scans, nothing written outside" ~count:300
+    offset_block_arb (fun (k, texts, block, at, pad) ->
+      let pst = build_pst ~alphabet_size:k [] in
+      List.iter (Pst.insert_sequence pst) texts;
+      let psa = Psa.compile pst in
+      let lbg = Array.make k (log (1.0 /. float_of_int k)) in
+      let lanes = Array.length block in
+      let size = at + lanes + pad in
+      let sentinel : Similarity.result = { log_sim = Float.nan; seg_lo = -2; seg_hi = -2 } in
+      let log_sim = Array.make size sentinel.log_sim
+      and seg_lo = Array.make size sentinel.seg_lo
+      and seg_hi = Array.make size sentinel.seg_hi in
+      Psa.score_into psa ~log_background:lbg block ~at ~log_sim ~seg_lo ~seg_hi;
+      List.for_all
+        (fun i ->
+          let got : Similarity.result =
+            { log_sim = log_sim.(i); seg_lo = seg_lo.(i); seg_hi = seg_hi.(i) }
+          in
+          if i < at || i >= at + lanes then Check.same_result got sentinel
+          else
+            let s = block.(i - at) in
+            Check.same_result got (Similarity.score_psa psa ~log_background:lbg s)
+            && Check.same_result got (Similarity.score pst ~log_background:lbg s))
+        (List.init size Fun.id))
 
 (* --- refresh: in place while the active contexts hold still --- *)
 
@@ -426,6 +500,7 @@ let qcheck_tests =
            let probes = Array.of_list (List.map seq_of probes) in
            let blocks = [ [||]; probes; [| [||] |]; Array.sub probes 0 1 ] in
            Check.batch_scoring_matches pst ~log_background:uniform_lbg blocks = []));
+    QCheck_alcotest.to_alcotest prop_offset_block;
   ]
 
 let () =
