@@ -117,7 +117,9 @@ suite-smoke: build
 # out-of-range model option (a zero significance, depth, node budget or
 # initial cluster count, a threshold below 1 or not finite, a negative
 # residual or iteration cap) must exit 1 naming the option, on every
-# command that clusters; so must an out-of-range `generate` option (no
+# command that clusters, and so must a shard or domain count outside
+# 1-64 (which would otherwise run silently clamped); so must an
+# out-of-range `generate` option (no
 # sequences, clusters or symbols, an outlier fraction outside [0, 1),
 # length 0, a separation that is not finite and above 0, a negative
 # context count, too few proteins per family, fewer than one sentence
@@ -159,7 +161,8 @@ exit-smoke: build
 	expect_0 $$cli explain $$tmp/in.tsv 45 --significance 4; \
 	for bad in "--significance 0" "--depth 0" "--max-nodes 0" "--k-init 0" \
 	  "--threshold 0.5" "--threshold nan" "--threshold inf" \
-	  "--min-residual=-1" "--max-iterations=-1"; do \
+	  "--min-residual=-1" "--max-iterations=-1" \
+	  "--shards 0" "--shards 65" "--domains 0"; do \
 	  expect_1 $$cli cluster $$tmp/in.tsv $$bad; \
 	done; \
 	expect_1 $$cli train $$tmp/in.tsv --significance 0 -o $$tmp/bad.model; \
@@ -218,7 +221,8 @@ check: build test fuzz fmt-check bench-smoke trace-smoke shard-smoke suite-smoke
 #   (cd DIR && dune build --root . bin/cluseq_cli.exe)
 #   make identity PARENT=DIR
 # scripts/identity.py runs 96 `cluster` (8 of them at significance 2,
-# the smallest with PST tails, and 1, where tails are off), 8 `train`
+# the smallest with PST tails, and 1, where tails are off; all with -v,
+# so every iteration's stats lines are compared), 8 `train`
 # (each model classified back at 1 and at 4 domains) and 21 `explain`
 # runs with both CLIs and exits 1 if any exit status, stdout (less its `time:`),
 # -o file, model, classify output or journal (less its timestamps)

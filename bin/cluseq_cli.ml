@@ -49,9 +49,31 @@ let emit_chrome_trace file () =
     Printf.eprintf "trace written to %s (open at https://ui.perfetto.dev)\n" file
   with Sys_error msg -> Printf.eprintf "cluseq: cannot write trace: %s\n" msg
 
+(* Out-of-range option values are a usage problem, not an internal
+   error: name the option and exit 1 before any command reads or writes
+   a file. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "cluseq: %s\n" msg;
+      exit 1)
+    fmt
+
+let at_least option lo v =
+  if v < lo then usage_error "%s must be at least %d (got %d)" option lo v
+
+(* The domain pool and [Shard.run] clamp to this many domains and
+   shards; a value past it would run silently clamped. *)
+let max_parallel = 64
+
+let in_parallel_range option v =
+  if v < 1 || v > max_parallel then
+    usage_error "%s must be between 1 and %d (got %d)" option max_parallel v
+
 (* Returns the verbosity count; reports are emitted via [at_exit] so a
    subcommand needs no explicit teardown. *)
 let setup_obs verbosity metrics trace trace_out journal domains check no_index =
+  Option.iter (in_parallel_range "--domains") domains;
   let vcount = List.length verbosity in
   Obs.Logging.setup ~level:(Obs.Logging.level_of_verbosity vcount) ();
   (match domains with None -> () | Some d -> Par.set_default_domains d);
@@ -145,9 +167,9 @@ let obs_term =
       & opt (some int) None
       & info [ "domains" ] ~docv:"N"
           ~doc:
-            "Size of the scoring domain pool; 1 runs fully serial. Results are identical \
-             for any value. Defaults to the $(b,CLUSEQ_DOMAINS) environment variable, or \
-             the machine's recommended domain count.")
+            "Size of the scoring domain pool, 1 to 64; 1 runs fully serial. Results are \
+             identical for any value. Defaults to the $(b,CLUSEQ_DOMAINS) environment \
+             variable, or the machine's recommended domain count.")
   in
   let check =
     Arg.(
@@ -180,32 +202,26 @@ let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"PRNG seed.")
 
 let shards_arg =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "shards" ] ~docv:"N"
-        ~doc:
-          "Partition the database into $(docv) deterministic shards, run the full CLUSEQ \
-           loop per shard concurrently on the domain pool, and merge the per-shard models \
-           into consolidated clusters (counts-added PSTs; cross-shard cluster pairs under a \
-           symmetrized-KL threshold are unioned — see DESIGN.md §14). 1 is exactly the \
-           unsharded run.")
+  let shards =
+    Arg.(
+      value
+      & opt int 1
+      & info [ "shards" ] ~docv:"N"
+          ~doc:
+            "Partition the database into $(docv) deterministic shards (1 to 64), run the \
+             full CLUSEQ loop per shard concurrently on the domain pool, and merge the \
+             per-shard models into consolidated clusters (counts-added PSTs; cross-shard \
+             cluster pairs under a symmetrized-KL threshold are unioned — see DESIGN.md \
+             §14). 1 is exactly the unsharded run.")
+  in
+  Term.(
+    const (fun v ->
+        in_parallel_range "--shards" v;
+        v)
+    $ shards)
 
 let file_arg p =
   Arg.(required & pos p (some string) None & info [] ~docv:"FILE" ~doc:"Sequence file (label<TAB>sequence lines).")
-
-(* Out-of-range option values are a usage problem, not an internal
-   error: name the option and exit 1 before any command reads or writes
-   a file. *)
-let usage_error fmt =
-  Printf.ksprintf
-    (fun msg ->
-      Printf.eprintf "cluseq: %s\n" msg;
-      exit 1)
-    fmt
-
-let at_least option lo v =
-  if v < lo then usage_error "%s must be at least %d (got %d)" option lo v
 
 (* A missing, unreadable, unwritable or malformed file is a problem with
    the input, not an internal error: name the file and exit 1. *)

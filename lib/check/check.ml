@@ -146,38 +146,20 @@ let result_invariants ~n (r : Cluseq.result) =
     r.models;
   List.rev !errs
 
-let cluster_invariants clusters ~assignments =
+let cluster_invariants ~n clusters =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errs := m :: !errs) fmt in
-  let n = Array.length assignments in
   let ids = Hashtbl.create 16 in
   List.iter
     (fun cl ->
       let id = Cluster.id cl in
       if Hashtbl.mem ids id then err "duplicate live cluster id %d" id;
-      Hashtbl.replace ids id (Cluster.members cl);
-      let members = Cluster.members cl in
-      if Bitset.capacity members <> n then
-        err "cluster %d: bitset capacity %d <> database size %d" id (Bitset.capacity members) n
-      else
-        Bitset.iter
-          (fun sid ->
-            if not (List.mem id assignments.(sid)) then
-              err "cluster %d holds member %d missing from its assignments" id sid)
-          members;
+      Hashtbl.replace ids id ();
+      let capacity = Bitset.capacity (Cluster.members cl) in
+      if capacity <> n then
+        err "cluster %d: bitset capacity %d <> database size %d" id capacity n;
       List.iter (err "cluster %d PST: %s" id) (pst_invariants (Cluster.pst cl)))
     clusters;
-  Array.iteri
-    (fun sid l ->
-      List.iter
-        (fun id ->
-          match Hashtbl.find_opt ids id with
-          | None -> err "sequence %d still assigned to dismissed cluster %d" sid id
-          | Some members ->
-              if not (Bitset.mem members sid) then
-                err "sequence %d assigned to cluster %d without bitset membership" sid id)
-        l)
-    assignments;
   List.rev !errs
 
 (* ------------------------------------------------------------------ *)
@@ -210,13 +192,12 @@ let reference_recluster (snap : Cluseq.recluster_snapshot) =
      always against the same counts the engine saw. *)
   let psts = Array.map (fun (_, pst, _) -> Pst.copy pst) snap.snap_before in
   let members = Array.init k (fun _ -> Bitset.create n) in
-  let assignments = Array.make n [] in
   let decided = Array.init k (fun _ -> Array.make n unscored) in
   Array.iter
     (fun sid ->
       let s = Seq_database.get db sid in
       Array.iteri
-        (fun ci (id, _, before) ->
+        (fun ci (_, _, before) ->
           let r = Similarity.score psts.(ci) ~log_background:lbg s in
           decided.(ci).(sid) <- r;
           if r.log_sim >= snap.snap_log_t then begin
@@ -224,22 +205,20 @@ let reference_recluster (snap : Cluseq.recluster_snapshot) =
             (* Only a fresh joiner's best segment feeds the model; a
                returning member must not inflate the counts. *)
             if not (Bitset.mem before sid) then
-              Pst.insert_segment psts.(ci) s ~lo:r.seg_lo ~hi:r.seg_hi;
-            assignments.(sid) <- id :: assignments.(sid)
+              Pst.insert_segment psts.(ci) s ~lo:r.seg_lo ~hi:r.seg_hi
           end)
         snap.snap_before)
     snap.snap_order;
-  Array.iteri (fun i l -> assignments.(i) <- List.rev l) assignments;
-  (Array.mapi (fun ci (id, _, _) -> (id, members.(ci))) snap.snap_before, assignments, decided)
+  (Array.mapi (fun ci (id, _, _) -> (id, members.(ci))) snap.snap_before, decided)
 
 (* Deciding-score mismatches reported per pass before the rest is only
    counted: one wrong row in an automaton shifts many scores at once. *)
 let max_score_reports = 10
 
-let recluster_matches (snap : Cluseq.recluster_snapshot) ~after ~assignments ~decided =
+let recluster_matches (snap : Cluseq.recluster_snapshot) ~after ~decided =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errs := m :: !errs) fmt in
-  let ref_after, ref_assignments, ref_decided = reference_recluster snap in
+  let ref_after, ref_decided = reference_recluster snap in
   if Array.length after <> Array.length ref_after then
     err "engine reports %d clusters, replay %d" (Array.length after) (Array.length ref_after)
   else
@@ -252,32 +231,24 @@ let recluster_matches (snap : Cluseq.recluster_snapshot) ~after ~assignments ~de
             (String.concat "," (List.map string_of_int (Bitset.to_list members)))
             (String.concat "," (List.map string_of_int (Bitset.to_list rmembers))))
       after;
-  if Array.length assignments <> Array.length ref_assignments then
-    err "engine reports %d assignment rows, replay %d" (Array.length assignments)
-      (Array.length ref_assignments)
-  else
-    Array.iteri
-      (fun sid l ->
-        let rl = ref_assignments.(sid) in
-        if l <> rl then
-          err "sequence %d: engine assignments [%s] but serial replay says [%s]" sid
-            (String.concat ";" (List.map string_of_int l))
-            (String.concat ";" (List.map string_of_int rl)))
-      assignments;
   (* The deciding scores themselves: a score that moved without
      flipping a join still moves [best] and the threshold samples. *)
   let same_shape =
     Array.length decided = Array.length ref_decided
-    && Array.for_all2 (fun a b -> Array.length a = Array.length b) decided ref_decided
+    && Array.for_all2
+         (fun (c : Similarity.column) r ->
+           List.for_all (( = ) (Array.length r))
+             [ Array.length c.log_sims; Array.length c.seg_los; Array.length c.seg_his ])
+         decided ref_decided
   in
-  if not same_shape then err "engine reports a deciding-score matrix of another shape"
+  if not same_shape then err "engine reports deciding-score columns of another shape"
   else begin
     let mismatches = ref 0 in
     Array.iteri
       (fun ci column ->
         Array.iteri
-          (fun sid (r : Similarity.result) ->
-            let w = ref_decided.(ci).(sid) in
+          (fun sid w ->
+            let r = Similarity.cell column sid in
             if not (same_result r w) then begin
               incr mismatches;
               if !mismatches <= max_score_reports then
@@ -286,7 +257,7 @@ let recluster_matches (snap : Cluseq.recluster_snapshot) ~after ~assignments ~de
                      %.17g [%d,%d]"
                   id sid r.log_sim r.seg_lo r.seg_hi w.log_sim w.seg_lo w.seg_hi
             end)
-          column)
+          ref_decided.(ci))
       decided;
     if !mismatches > max_score_reports then
       err "… and %d more deciding scores differ" (!mismatches - max_score_reports)
@@ -523,8 +494,7 @@ let divergence_matches a b =
    fresh evaluation of the same pairs, so a run with it must equal the
    uncached run in everything but where each matrix entry came from:
    the same results and, iteration by iteration, the same census once
-   reused pairs count as scored. [score_calls] counts fresh evaluations
-   only, so it is left out. *)
+   reused pairs count as scored, and the same membership changes. *)
 let cache_agrees ?config db =
   let enabled0 = Cluster.cache_enabled () in
   let run_with on =
@@ -549,7 +519,7 @@ let cache_agrees ?config db =
     err "final_t: %.17g with the cache on, %.17g without" on.final_t off.final_t;
   let census (st : Cluseq.iteration_stats) =
     let c = st.census in
-    (c.pairs_scored + c.pairs_reused, c.pairs_joined, c.dirty_rescores, c.assignments_changed)
+    (c.pairs_scored + c.pairs_reused, c.pairs_joined, c.dirty_rescores, st.membership_changes)
   in
   List.iteri
     (fun i st ->
@@ -575,13 +545,11 @@ let raise_if ctx = function
 let auditor () : Cluseq.auditor =
   {
     on_recluster =
-      (fun snap ~after ~assignments ~decided ->
-        raise_if "recluster" (recluster_matches snap ~after ~assignments ~decided));
+      (fun snap ~after ~decided ->
+        raise_if "recluster" (recluster_matches snap ~after ~decided));
     on_iteration =
-      (fun ~iteration ~clusters ~assignments ->
-        raise_if
-          (Printf.sprintf "iteration %d" iteration)
-          (cluster_invariants clusters ~assignments));
+      (fun ~iteration ~n ~clusters ->
+        raise_if (Printf.sprintf "iteration %d" iteration) (cluster_invariants ~n clusters));
   }
 
 let install_auditor () = Cluseq.set_auditor (Some (auditor ()))

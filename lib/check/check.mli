@@ -35,11 +35,11 @@ val result_invariants : n:int -> Cluseq.result -> string list
     sequences; [best] entries are finite; [models] / [pst_stats] ids
     match the clusters; every final model passes {!pst_invariants}. *)
 
-val cluster_invariants : Cluster.t list -> assignments:int list array -> string list
-(** Live variant used by the auditor after each consolidation: bitset
-    membership must mirror the assignment lists in both directions — in
-    particular no dismissed cluster id survives in any assignment — and
-    every surviving cluster's PST passes {!pst_invariants}. *)
+val cluster_invariants : n:int -> Cluster.t list -> string list
+(** Live variant used by the auditor after each consolidation over a
+    database of [n] sequences: cluster ids are unique, every member set
+    has capacity [n], and every surviving cluster's PST passes
+    {!pst_invariants}. *)
 
 val same_bits : float -> float -> bool
 (** [same_bits a b] iff [a] and [b] have the same IEEE bits: the
@@ -52,33 +52,31 @@ val same_result : Similarity.result -> Similarity.result -> bool
     bounds. *)
 
 val reference_recluster :
-  Cluseq.recluster_snapshot ->
-  (int * Bitset.t) array * int list array * Similarity.result array array
+  Cluseq.recluster_snapshot -> (int * Bitset.t) array * Similarity.result array array
 (** Serial reference replay of one reclustering pass from its frozen
     snapshot: visit sequences in the recorded order and score each
     against every cluster's {e current} (evolving) model copy by the
     tree walk — no parallel score matrix, no dirty tracking, no
-    automaton — joining, absorbing and recording assignments with the
-    engine's exact rules. Returns the per-cluster memberships, the
-    per-sequence assignment lists, and the per-cluster, per-sequence
-    deciding scores the pass must produce. Because scoring is
-    deterministic, the engine's optimized pass (parallel matrix with
+    automaton — joining and absorbing with the engine's exact rules.
+    Returns the per-cluster memberships and the per-cluster,
+    per-sequence deciding scores the pass must produce. Because scoring
+    is deterministic, the engine's optimized pass (parallel matrix with
     cached score columns + dirty-cluster rescoring on refreshed
     automata) must match this replay bit-for-bit. *)
 
 val recluster_matches :
   Cluseq.recluster_snapshot ->
   after:(int * Bitset.t) array ->
-  assignments:int list array ->
-  decided:Similarity.result array array ->
+  decided:Similarity.column array ->
   string list
-(** Compare the engine's reclustering outcome against
-    {!reference_recluster}: memberships, assignment lists, and every
-    deciding score ({!same_result}: [log_sim] bits and segment bounds) —
-    so a score that moved without flipping a join (it still moves
-    [best] and the threshold samples) is caught too. Messages name each
-    diverging cluster or sequence; score mismatches beyond the first 10
-    of a pass are counted in one closing message. *)
+(** Compare the engine's reclustering outcome — its member sets and its
+    score columns — against {!reference_recluster}: every member set,
+    and every deciding score ({!same_result}: [log_sim] bits and
+    segment bounds), so a score that moved without flipping a join (it
+    still moves [best] and the threshold samples) is caught too.
+    Messages name each diverging cluster or (cluster, sequence) pair;
+    score mismatches beyond the first 10 of a pass are counted in one
+    closing message. *)
 
 val psa_scoring_matches :
   ?psa:Psa.t -> Pst.t -> log_background:float array -> Sequence.t array -> string list
@@ -155,9 +153,8 @@ val cache_agrees : ?config:Cluseq.config -> Seq_database.t -> string list
     ({!Cluster.score_cache}): run {!Cluseq.run} with the cache switched
     off, then on, and demand identical clusters, assignments, [best]
     scores, iteration counts and [final_t], and per iteration the same
-    census once [pairs_reused] is added to [pairs_scored]
-    ([score_calls], which counts fresh evaluations only, is left out).
-    Messages name each difference. Restores the cache switch on exit.
+    census once [pairs_reused] is added to [pairs_scored], and the same
+    [membership_changes]. Messages name each difference. Restores the cache switch on exit.
     Run by fuzz check #5. *)
 
 val auditor : unit -> Cluseq.auditor

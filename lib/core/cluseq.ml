@@ -116,10 +116,9 @@ type auditor = {
   on_recluster :
     recluster_snapshot ->
     after:(int * Bitset.t) array ->
-    assignments:int list array ->
-    decided:Similarity.result array array ->
+    decided:Similarity.column array ->
     unit;
-  on_iteration : iteration:int -> clusters:Cluster.t list -> assignments:int list array -> unit;
+  on_iteration : iteration:int -> n:int -> clusters:Cluster.t list -> unit;
 }
 
 (* A single ref deref per iteration when no auditor is installed — the
@@ -131,9 +130,7 @@ type scan_census = {
   pairs_scored : int;
   pairs_joined : int;
   dirty_rescores : int;
-  assignments_changed : int;
   pairs_reused : int;
-  score_calls : (int * int) array;
 }
 
 let wasted_pair_ratio c =
@@ -433,13 +430,17 @@ let apply_column db ~log_background ~log_t ~order ~prev (scores : Similarity.col
   if not !dirty then Cluster.set_score_cache cl scores;
   { decided = scores; rescores = !rescores; fresh_joins = !fresh_joins }
 
+(* A cluster a reclustering pass began with, as the pass hands it on:
+   its iteration-start members, and its joins' scores (latest first)
+   when the drift panel is on. *)
+type started = { cluster : Cluster.t; before : Bitset.t; joins : float list }
+
 (* What one reclustering pass hands to the rest of the iteration. *)
 type pass = {
   new_best : (int * float) option array;
-  new_assignments : int list array;
   samples : float array;  (* every deciding score, for the threshold valley *)
-  pass_census : scan_census;  (* [assignments_changed] is left at 0 *)
-  member_scores : (int * float list) array;  (* per cluster id: its joins' scores *)
+  census : scan_census;
+  started : started array;  (* in cluster-list order *)
   events : pending_event list;  (* deferred journal events, in scan order *)
 }
 
@@ -459,9 +460,10 @@ type pass = {
    no cluster's decisions read another cluster's state.
 
    Merge: this domain folds the tasks' columns in the serial algorithm's
-   (order position, cluster index) order, rebuilding assignments, best
-   scores, threshold samples, and journal events exactly as a one-domain
-   loop would produce them. *)
+   (order position, cluster index) order, rebuilding best scores,
+   threshold samples, drift scores and journal events exactly as a
+   one-domain loop would produce them. Membership itself is the tasks'
+   work: it lives only in the clusters' member sets. *)
 let recluster cfg db rng ~log_t ~best clusters =
   let n = Seq_database.n_sequences db in
   let lbg = Seq_database.log_background db in
@@ -511,12 +513,10 @@ let recluster cfg db rng ~log_t ~best clusters =
   in
   (* Merge: revisit the pairs in the serial algorithm's order. Every
      decision below is a pure function of the deciding score and the
-     iteration-start membership, so the rebuilt state — assignment
-     lists, best scores, the sample list fed to the threshold, and the
+     iteration-start membership, so the rebuilt state — best scores,
+     the sample list fed to the threshold, the drift scores and the
      deferred journal events — is the one-domain loop's, bit for bit. *)
   let new_best = Array.make n None in
-  let new_assignments = Array.make n [] in
-  let joined = ref 0 in
   let member_scores = Array.make k [] in
   let events = ref [] in
   Array.iter
@@ -525,11 +525,9 @@ let recluster cfg db rng ~log_t ~best clusters =
         let log_sim = columns.(ci).decided.log_sims.(sid) in
         let cid = Cluster.id clusters_arr.(ci) in
         if log_sim >= log_t then begin
-          incr joined;
           if drift_on then member_scores.(ci) <- log_sim :: member_scores.(ci);
           if jrn && not (Bitset.mem prev_arr.(ci) sid) then
-            events := Ev_joined (sid, cid, log_sim) :: !events;
-          new_assignments.(sid) <- cid :: new_assignments.(sid)
+            events := Ev_joined (sid, cid, log_sim) :: !events
         end
         else if jrn && Bitset.mem prev_arr.(ci) sid then
           events := Ev_left (sid, cid, log_sim) :: !events;
@@ -538,7 +536,6 @@ let recluster cfg db rng ~log_t ~best clusters =
         | _ -> if Float.is_finite log_sim then new_best.(sid) <- Some (cid, log_sim)
       done)
     order;
-  Array.iteri (fun i l -> new_assignments.(i) <- List.rev l) new_assignments;
   if jrn then
     Array.iteri
       (fun ci cl ->
@@ -550,34 +547,32 @@ let recluster cfg db rng ~log_t ~best clusters =
       a.on_recluster snap
         ~after:
           (Array.map (fun cl -> (Cluster.id cl, Bitset.copy (Cluster.members cl))) clusters_arr)
-        ~assignments:(Array.copy new_assignments)
-        ~decided:(Array.map (fun c -> Array.init n (Similarity.cell c.decided)) columns)
+        ~decided:(Array.map (fun c -> c.decided) columns)
   | _ -> ());
   (* Census tallies: the matrix evaluated every pair of the clusters
      without a cached column and reused the cached columns whole; the
-     apply tasks' rescores against dirty clusters add to that. Plain int
+     apply tasks' rescores against dirty clusters add to that, and every
+     join left its sequence in the cluster's member set. Plain int
      arithmetic — deterministic for any domain count, maintained whether
      or not metrics are enabled. *)
-  let evaluated ci = if Option.is_some caches.(ci) then 0 else n in
-  let calls ci = evaluated ci + columns.(ci).rescores in
   let total f = Array.fold_left ( + ) 0 (Array.init k f) in
-  let total_evaluated = total evaluated in
+  let total_evaluated = total (fun ci -> if Option.is_some caches.(ci) then 0 else n) in
   let total_rescores = total (fun ci -> columns.(ci).rescores) in
   {
     new_best;
-    new_assignments;
     (* The valley histogram ignores order, so the columns go whole. *)
     samples = Array.concat (Array.to_list (Array.map (fun c -> c.decided.log_sims) columns));
-    pass_census =
+    census =
       {
         pairs_scored = total_evaluated + total_rescores;
-        pairs_joined = !joined;
+        pairs_joined = total (fun ci -> Cluster.size clusters_arr.(ci));
         dirty_rescores = total_rescores;
-        assignments_changed = 0;
         pairs_reused = (n * k) - total_evaluated;
-        score_calls = Array.mapi (fun ci cl -> (Cluster.id cl, calls ci)) clusters_arr;
       };
-    member_scores = Array.mapi (fun ci cl -> (Cluster.id cl, member_scores.(ci))) clusters_arr;
+    started =
+      Array.mapi
+        (fun ci cluster -> { cluster; before = prev_arr.(ci); joins = member_scores.(ci) })
+        clusters_arr;
     events = List.rev !events;
   }
 
@@ -609,10 +604,10 @@ let emit_pass_events ~iter ~log_t events =
               ]))
     events
 
-(* Consolidation phase: dismiss covered clusters (when enabled), journal
-   each dismissal, and strip dismissed ids from [assignments] in place.
-   Returns the retained clusters and the number dismissed. *)
-let consolidation cfg ~iter ~min_residual clusters assignments =
+(* Consolidation phase: dismiss covered clusters (when enabled) and
+   journal each dismissal. Returns the retained clusters and the number
+   dismissed. *)
+let consolidation cfg ~iter ~min_residual clusters =
   let jrn = Obs.Journal.is_enabled () in
   let retained, dismissed =
     if cfg.consolidate then consolidate ~min_residual ~with_absorbers:jrn clusters
@@ -631,37 +626,32 @@ let consolidation cfg ~iter ~min_residual clusters assignments =
                   (List.map (fun a -> Bench_json.Num (float_of_int a)) absorbers) );
             ]))
       dismissed;
-  (* Alive ids go into a hash set first: filtering each assignment list
-     against an alive *list* is O(n·k²) at scale (every sequence × every
-     assignment × every alive cluster). *)
-  if dismissed <> [] then begin
-    let alive = Hashtbl.create (2 * List.length retained) in
-    List.iter (fun cl -> Hashtbl.replace alive (Cluster.id cl) ()) retained;
-    Array.iteri (fun i l -> assignments.(i) <- List.filter (Hashtbl.mem alive) l) assignments
-  end;
   (retained, List.length dismissed)
 
-(* Sequences whose membership set differs between two iterations'
-   (cluster id, members) lists, counting every member of a cluster that
-   disappeared. One pass per list: [mark.(i)] is -1 once [i] changed,
-   and while the [c]-th cluster is compared [2c + 1] says [i] was among
-   its old members, [2c + 2] that it is among both. *)
-let membership_changes ~n ~prev memberships =
-  let prev_tbl = Hashtbl.create 16 in
-  List.iter (fun (id, ms) -> Hashtbl.replace prev_tbl id ms) prev;
-  let mark = Array.make n 0 in
-  let changed i = mark.(i) <- -1 in
-  List.iteri
-    (fun c (id, ms) ->
-      let old = Option.value ~default:[] (Hashtbl.find_opt prev_tbl id) in
-      Hashtbl.remove prev_tbl id;
-      let was = (2 * c) + 1 in
-      List.iter (fun i -> if mark.(i) >= 0 then mark.(i) <- was) old;
-      List.iter (fun i -> if mark.(i) = was then mark.(i) <- was + 1 else changed i) ms;
-      List.iter (fun i -> if mark.(i) = was then changed i) old)
-    memberships;
-  Hashtbl.iter (fun _ ms -> List.iter changed ms) prev_tbl;
-  Array.fold_left (fun acc m -> if m < 0 then acc + 1 else acc) 0 mark
+(* Sequences whose set of clusters the iteration changed: the members
+   each cluster the pass began with gained or lost. A cluster seeded
+   this iteration started empty, and one consolidation dismissed ends
+   empty. *)
+let membership_changes ~n started retained =
+  let changed = Bitset.create n in
+  let add_diff a b =
+    Bitset.iter (fun i -> if not (Bitset.mem b i) then Bitset.add changed i) a
+  in
+  Array.iter
+    (fun { cluster; before; _ } ->
+      let after =
+        if List.memq cluster retained then Cluster.members cluster else Bitset.create n
+      in
+      add_diff before after;
+      add_diff after before)
+    started;
+  Bitset.cardinal changed
+
+(* The sequences in no cluster, ascending. *)
+let unclustered ~n clusters =
+  let covered = Bitset.create n in
+  List.iter (fun cl -> Bitset.union_into ~dst:covered (Cluster.members cl)) clusters;
+  List.filter (fun i -> not (Bitset.mem covered i)) (List.init n Fun.id)
 
 (* Quality gauges for one iteration, computed outside the phase spans
    (so reclustering is never charged for them) and only when someone
@@ -670,7 +660,7 @@ let membership_changes ~n ~prev memberships =
    domain count. [kl_memo] holds the previous panel's pair divergences
    with the two profiles each came from: a pair is recomputed only when
    either cluster's profile was rebuilt (an absorb grew its tree). *)
-let drift_panel ~iter ~n ~changes ~kl_memo live member_scores =
+let drift_panel ~iter ~n ~changes ~kl_memo live started =
   let jrn = Obs.Journal.is_enabled () in
   if not (jrn || Obs.Metrics.is_enabled ()) then None
   else begin
@@ -710,10 +700,11 @@ let drift_panel ~iter ~n ~changes ~kl_memo live member_scores =
       | [] -> 0.0
       | _ -> List.fold_left ( +. ) 0.0 kls /. float_of_int (List.length kls)
     in
-    let alive = Hashtbl.create (2 * k_live) in
-    List.iter (fun cl -> Hashtbl.replace alive (Cluster.id cl) ()) live;
     let live_scores =
-      List.filter (fun (id, _) -> Hashtbl.mem alive id) (Array.to_list member_scores)
+      List.filter_map
+        (fun s ->
+          if List.memq s.cluster live then Some (Cluster.id s.cluster, s.joins) else None)
+        (Array.to_list started)
     in
     let scored_members =
       List.fold_left (fun acc (_, ss) -> acc + List.length ss) 0 live_scores
@@ -812,7 +803,7 @@ let finish ?shards ~n ~best ~final_t ~iterations ~history clusters =
       let id = Cluster.id cl in
       Bitset.iter (fun i -> assignments.(i) <- id :: assignments.(i)) (Cluster.members cl))
     (List.rev clusters);
-  let outliers = List.filter (fun i -> assignments.(i) = []) (List.init n Fun.id) in
+  let outliers = unclustered ~n clusters in
   if Obs.Journal.is_enabled () then begin
     Obs.Journal.emit "run.end" (fun () ->
         [
@@ -842,12 +833,15 @@ let finish ?shards ~n ~best ~final_t ~iterations ~history clusters =
     models = Array.of_list (List.map (fun cl -> (Cluster.id cl, Cluster.pst cl)) clusters);
   }
 
-let run ?(config = default_config) db =
-  let cfg = config in
+let validate_config cfg =
   if cfg.k_init < 1 then invalid_arg "Cluseq.run: k_init must be >= 1";
   (* [not (>= 1.0)] rather than [< 1.0]: the latter lets NaN through. *)
   if not (Float.is_finite cfg.t_init && cfg.t_init >= 1.0) then
-    invalid_arg "Cluseq.run: t_init must be a finite value >= 1";
+    invalid_arg "Cluseq.run: t_init must be a finite value >= 1"
+
+let run ?(config = default_config) db =
+  let cfg = config in
+  validate_config cfg;
   Obs.Metrics.incr m_runs;
   Obs.Trace.with_span ~hist:h_run_seconds "cluseq.run" @@ fun () ->
   let phase idx f = Obs.Trace.with_span ~hist:h_phase.(idx) phase_names.(idx) f in
@@ -863,8 +857,6 @@ let run ?(config = default_config) db =
   let clusters = ref [] in
   let next_id = ref 0 in
   let best = ref (Array.make n None) in
-  let assignments = ref (Array.make n []) in
-  let prev_memberships : (int * int list) list ref = ref [] in
   let prev_k_n = ref 0 and prev_k_c = ref 0 in
   let history = ref [] in
   let iterations = ref 0 in
@@ -878,13 +870,13 @@ let run ?(config = default_config) db =
     Obs.Metrics.incr m_iterations;
     Obs.Trace.with_span "iteration" @@ fun () ->
     let iter = !iterations in
+    let k = List.length !clusters in
     (* --- 1. new cluster generation --- *)
     let fresh =
       phase 0 @@ fun () ->
-      let unclustered = List.filter (fun i -> !assignments.(i) = []) (List.init n Fun.id) in
+      let unclustered = unclustered ~n !clusters in
       let k_n =
-        seeds_wanted cfg ~iter ~k:(List.length !clusters) ~prev_k_n:!prev_k_n
-          ~prev_k_c:!prev_k_c ~unclustered
+        seeds_wanted cfg ~iter ~k ~prev_k_n:!prev_k_n ~prev_k_c:!prev_k_c ~unclustered
       in
       generate_new_clusters cfg db rng ~iter ~next_id:!next_id ~clusters:!clusters ~unclustered
         ~k_n
@@ -898,15 +890,12 @@ let run ?(config = default_config) db =
     (* --- 3. consolidation --- *)
     let dropped =
       phase 2 @@ fun () ->
-      let retained, dropped =
-        consolidation cfg ~iter ~min_residual !clusters pass.new_assignments
-      in
+      let retained, dropped = consolidation cfg ~iter ~min_residual !clusters in
       clusters := retained;
       dropped
     in
     (match !auditor with
-    | Some a ->
-        a.on_iteration ~iteration:iter ~clusters:!clusters ~assignments:pass.new_assignments
+    | Some a -> a.on_iteration ~iteration:iter ~n ~clusters:!clusters
     | None -> ());
     (* --- 4. threshold adjustment --- *)
     phase 3 (fun () ->
@@ -923,32 +912,21 @@ let run ?(config = default_config) db =
                 ])
         end);
     (* --- 5. convergence test --- *)
-    let memberships, changes, stable =
+    let changes, stable =
       phase 4 @@ fun () ->
-      let memberships =
-        List.map (fun cl -> (Cluster.id cl, Bitset.to_list (Cluster.members cl))) !clusters
-      in
-      let changes = membership_changes ~n ~prev:!prev_memberships memberships in
+      let changes = membership_changes ~n pass.started !clusters in
       (* The clustering is final only once the threshold has also settled:
          t moves halfway toward the valley each iteration, so an unchanged
          membership under a still-moving t is not yet a fixed point. *)
       let threshold_settled = (not cfg.adjust_threshold) || Threshold.frozen threshold in
-      let stable =
-        iter > 1 && changes = 0
-        && List.length memberships = List.length !prev_memberships
-        && threshold_settled
-      in
-      (memberships, changes, stable)
+      let stable = iter > 1 && changes = 0 && List.length !clusters = k && threshold_settled in
+      (changes, stable)
     in
-    prev_memberships := memberships;
     prev_k_n := List.length fresh;
     prev_k_c := dropped;
     best := pass.new_best;
-    assignments := pass.new_assignments;
-    let unclustered_now =
-      Array.fold_left (fun acc l -> if l = [] then acc + 1 else acc) 0 !assignments
-    in
-    let census = { pass.pass_census with assignments_changed = changes } in
+    let unclustered_now = List.length (unclustered ~n !clusters) in
+    let census = pass.census in
     Obs.Metrics.incr ~by:census.pairs_scored m_pairs_scored;
     Obs.Metrics.incr ~by:census.pairs_joined m_pairs_joined;
     Obs.Metrics.incr ~by:census.dirty_rescores m_dirty_rescores;
@@ -957,7 +935,7 @@ let run ?(config = default_config) db =
     Obs.Metrics.set g_wasted_ratio (wasted_pair_ratio census);
     let drift =
       Obs.Trace.with_span ~hist:h_drift_seconds "cluseq.drift" @@ fun () ->
-      drift_panel ~iter ~n ~changes ~kl_memo !clusters pass.member_scores
+      drift_panel ~iter ~n ~changes ~kl_memo !clusters pass.started
     in
     Log.debug (fun m ->
         m

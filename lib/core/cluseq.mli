@@ -86,19 +86,19 @@ type auditor = {
   on_recluster :
     recluster_snapshot ->
     after:(int * Bitset.t) array ->
-    assignments:int list array ->
-    decided:Similarity.result array array ->
+    decided:Similarity.column array ->
     unit;
       (** Called at the end of every reclustering pass with the frozen
-          inputs and the produced memberships/assignments. [decided]
-          holds, per cluster (aligned with [snap_before]) and by
-          sequence id, the result that decided the pair — the matrix
-          score, or the rescore against the grown model once the
-          cluster absorbed — boxed from the pass's score columns, which
-          happens only while an auditor is installed. Read-only. *)
-  on_iteration : iteration:int -> clusters:Cluster.t list -> assignments:int list array -> unit;
-      (** Called after consolidation each iteration with the surviving
-          clusters and the (stripped) assignment lists. *)
+          inputs and the produced memberships. [decided] is the pass's
+          own score columns, one per cluster (aligned with
+          [snap_before]), holding by sequence id the result that
+          decided the pair — the matrix score, or the rescore against
+          the grown model once the cluster absorbed. Read-only: a clean
+          cluster keeps its column as its score cache. *)
+  on_iteration : iteration:int -> n:int -> clusters:Cluster.t list -> unit;
+      (** Called after consolidation each iteration with the database
+          size and the surviving clusters, whose member sets are the
+          run's only record of membership. *)
 }
 (** Correctness hooks for the [cluseq.check] subsystem. Installed hooks
     may raise to abort the run (e.g. [Check.Violation]); when none is
@@ -120,9 +120,6 @@ type scan_census = {
           each cluster's apply task on its in-place refreshed (or
           recompiled) automaton — the part of the scan the score matrix
           could not cover. *)
-  assignments_changed : int;
-      (** Sequences whose membership set changed this iteration (equals
-          [membership_changes]). *)
   pairs_reused : int;
       (** Matrix entries satisfied from a clean cluster's cached score
           column instead of a fresh evaluation (bit-identical by
@@ -130,16 +127,14 @@ type scan_census = {
           is switched off. Reused pairs are {e not} in [pairs_scored],
           so [pairs_scored + pairs_reused] does not depend on the
           cache. *)
-  score_calls : (int * int) array;
-      (** Per cluster scored this iteration: (cluster id, similarity
-          calls against it) — its freshly evaluated matrix entries plus
-          its dirty rescores. *)
 }
 (** Scan-efficiency census of one reclustering pass (DESIGN.md §10):
     the baseline any candidate-pruning optimization must beat. Counts
     are pure arithmetic — no clock reads — so they are bit-identical
     for every domain count and independent of whether [Obs.Metrics] is
-    enabled. Accumulated run-wide in the [cluseq.scan.*] counters. *)
+    enabled. Accumulated run-wide in the [cluseq.scan.*] counters,
+    with the iteration's [membership_changes] in
+    [cluseq.scan.assignments_changed]. *)
 
 val wasted_pair_ratio : scan_census -> float
 (** Fraction of scored pairs that did not produce a join:
@@ -183,9 +178,13 @@ type iteration_stats = {
   new_clusters : int;  (** Clusters seeded this iteration ({m k_n}). *)
   consolidated : int;  (** Clusters dismissed this iteration ({m k_c}). *)
   clusters : int;  (** Clusters alive at iteration end. *)
-  unclustered : int;  (** Sequences in no cluster. *)
+  unclustered : int;  (** Sequences in no cluster at iteration end. *)
   threshold : float;  (** Linear [t] at iteration end. *)
-  membership_changes : int;  (** Sequences whose membership set changed. *)
+  membership_changes : int;
+      (** Sequences whose set of clusters changed, read from the member
+          sets at iteration start and end: the members each cluster
+          gained or lost, and every iteration-start member of a cluster
+          consolidation dismissed. *)
   census : scan_census;  (** Scan-efficiency census of the reclustering pass. *)
   drift : drift option;
       (** Quality gauges; [Some] when [Obs.Metrics] or {!Obs.Journal}
@@ -233,10 +232,16 @@ val scaled_config : ?base:config -> expected_cluster_size:int -> unit -> config
     consolidation. [expected_cluster_size] is a rough guess of N/k; it
     only needs to be the right order of magnitude. *)
 
+val validate_config : config -> unit
+(** Raises [Invalid_argument] (["Cluseq.run: ..."]) unless [k_init >= 1]
+    and [t_init] is a finite value [>= 1]: the configs {!run} rejects,
+    checked before it reads the database. *)
+
 val run : ?config:config -> Seq_database.t -> result
 (** [run ?config db] executes CLUSEQ on [db]. Deterministic for a fixed
     [config.seed]. An empty [db] returns at once: no clusters, 0
-    iterations and an empty history, as the sharded path reports. *)
+    iterations and an empty history, as the sharded path reports.
+    Raises [Invalid_argument] on a config {!validate_config} rejects. *)
 
 val journal_start : ?shards:int -> config -> n:int -> unit
 (** Journal a run's [run.start] record, when {!Obs.Journal} is enabled.
@@ -255,8 +260,8 @@ val finish :
     result of a run over [n] sequences whose final clusters, ascending by
     id, are [clusters]; {!run} and [Shard.run] both return through it.
     Each sequence's [assignments] (ascending ids) and the [outliers] are
-    read from the member sets, which every reclustering pass keeps equal
-    to the assignment lists. It sets the final-model gauges
+    read from the member sets, the run's only record of membership. It
+    sets the final-model gauges
     ([cluseq.clusters], [cluseq.final_t], [cluseq.pst.nodes],
     [cluseq.pst.est_words]) and journals [run.end], ending with [shards]
     as in {!journal_start}. *)

@@ -19,6 +19,7 @@ type stats = {
 
 type t = {
   config : Cluseq.config;
+  log_t : float;  (* the decision threshold, [config.t_init] in log space *)
   alphabet_size : int;
   buffer_capacity : int;
   mine_at : int;
@@ -41,8 +42,12 @@ let create ?(config = Cluseq.default_config) ?buffer_capacity ?(mine_at = 64) ~a
   if mine_at < 2 then invalid_arg "Online.create: mine_at";
   let buffer_capacity = Option.value ~default:(4 * mine_at) buffer_capacity in
   if buffer_capacity < mine_at then invalid_arg "Online.create: buffer_capacity < mine_at";
+  (* Every mining run would reject the config: reject it before the
+     stream buffers anything. *)
+  Cluseq.validate_config config;
   {
     config;
+    log_t = Similarity.log_of_linear config.Cluseq.t_init;
     alphabet_size;
     buffer_capacity;
     mine_at;
@@ -58,8 +63,6 @@ let create ?(config = Cluseq.default_config) ?buffer_capacity ?(mine_at = 64) ~a
     mined_clusters = 0;
     dropped_outliers = 0;
   }
-
-let log_t t = Similarity.log_of_linear t.config.Cluseq.t_init
 
 let background t =
   if t.background_stale then begin
@@ -139,7 +142,7 @@ let feed t s =
   observe_symbols t s;
   let scored = score_against t s in
   let joined =
-    List.filter (fun (_, (r : Similarity.result)) -> r.log_sim >= log_t t) scored
+    List.filter (fun (_, (r : Similarity.result)) -> r.log_sim >= t.log_t) scored
   in
   match joined with
   | [] ->
@@ -190,7 +193,7 @@ let classify t s =
             if rb.Similarity.log_sim > ra.log_sim then b else a)
           (List.hd scored) (List.tl scored)
       in
-      if r.log_sim >= log_t t then Some (Cluster.id cl, r.log_sim) else None
+      if r.log_sim >= t.log_t then Some (Cluster.id cl, r.log_sim) else None
 
 let stats t =
   {

@@ -52,7 +52,9 @@ val create :
     oldest sequences beyond it are evicted as outliers. [config] controls
     both feed-time thresholds and the mining runs (its [t_init] is the
     decision threshold; threshold auto-adjustment applies within mining
-    runs only). *)
+    runs only). Raises [Invalid_argument] on an [alphabet_size] below 1,
+    a [mine_at] below 2, a [buffer_capacity] below [mine_at], or a
+    [config] {!Cluseq.validate_config} rejects (with its message). *)
 
 val feed : t -> Sequence.t -> int option
 (** [feed t s] processes one arriving sequence: [Some cluster_id] when it

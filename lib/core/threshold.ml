@@ -13,8 +13,9 @@ let linear_t t = Similarity.linear_of_log t.log_t
 let frozen t = t.frozen
 
 let freeze_epsilon = 0.01
+let n_buckets = 50
 
-let adjust ?(n_buckets = 50) t log_sims =
+let adjust t log_sims =
   if not t.frozen then begin
     let count = Array.fold_left (fun k x -> if Float.is_finite x then k + 1 else k) 0 log_sims in
     if count >= 10 then begin

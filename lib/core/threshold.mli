@@ -29,8 +29,8 @@ val linear_t : t -> float
 val frozen : t -> bool
 (** Whether the 1% convergence criterion has been met. *)
 
-val adjust : ?n_buckets:int -> t -> float array -> unit
+val adjust : t -> float array -> unit
 (** [adjust t log_sims] performs one adjustment step from the iteration's
-    log-similarity samples (finite values only are used; default 50
-    buckets). No-op when frozen or when fewer than 10 finite samples
+    log-similarity samples (finite values only are used, in a histogram
+    of 50 buckets). No-op when frozen or when fewer than 10 finite samples
     exist. *)

@@ -6,6 +6,9 @@ commands with two CLI binaries, each in its own scratch directory, and
 compares what they leave behind:
 
   * exit status and stdout (with the wall-clock `time: ...s` stripped);
+    every `cluster` run has `-v`, so its stdout also holds each
+    iteration's statistics: new, consolidated, clusters, unclustered,
+    t, changes, and the scan's pairs, joins, rescores and waste;
   * `-o` assignment files, model files and `classify` output;
   * journals, with each record's `"ts_ns":N` stripped.
 
@@ -195,11 +198,11 @@ def main():
             for opts in CLUSTER_OPTIONS:
                 for domains in ("1", "4"):
                     for sig in SIGNIFICANCES:
-                        args = ["cluster", inp] + opts + ["--domains", domains] + sig
+                        args = ["cluster", inp, "-v"] + opts + ["--domains", domains] + sig
                         m.case("cluster", [(args + ["-o", "out.tsv"] + obs, ["out.tsv"], ["j.jsonl"], "m.json")])
             for opts in TAIL_OPTIONS:
                 for domains in ("1", "4"):
-                    args = ["cluster", inp] + opts + ["--domains", domains]
+                    args = ["cluster", inp, "-v"] + opts + ["--domains", domains]
                     m.case("cluster", [(args + ["-o", "out.tsv"] + obs, ["out.tsv"], ["j.jsonl"], "m.json")])
         for inp in INPUTS:
             for shards in ([], ["--shards", "3"]):

@@ -102,22 +102,32 @@ let test_auditor_passes_on_real_run () =
 
 (* A deciding score moved by one ulp flips no join, yet it moves [best]
    and the threshold samples: the replay must still report it, and only
-   it. The engine's own columns must pass unchanged. *)
+   it. The engine's own columns must pass unchanged; the perturbed one
+   is a copy, since a clean cluster keeps its column as its cache. *)
 let test_auditor_catches_perturbed_score () =
   let db, _ = Lazy.force Gen_common.small_db_and_truth in
   let clean_passes = ref 0 and reports = ref [] in
   let perturb_first_finite decided =
-    let decided = Array.map Array.copy decided in
+    let decided =
+      Array.map
+        (fun (c : Similarity.column) ->
+          {
+            Similarity.log_sims = Array.copy c.log_sims;
+            seg_los = Array.copy c.seg_los;
+            seg_his = Array.copy c.seg_his;
+          })
+        decided
+    in
     (try
        Array.iter
-         (fun column ->
+         (fun (column : Similarity.column) ->
            Array.iteri
-             (fun sid (r : Similarity.result) ->
-               if Float.is_finite r.log_sim then begin
-                 column.(sid) <- { r with log_sim = Float.succ r.log_sim };
+             (fun sid log_sim ->
+               if Float.is_finite log_sim then begin
+                 column.log_sims.(sid) <- Float.succ log_sim;
                  raise Exit
                end)
-             column)
+             column.log_sims)
          decided
      with Exit -> ());
     decided
@@ -126,14 +136,12 @@ let test_auditor_catches_perturbed_score () =
     (Some
        {
          Cluseq.on_recluster =
-           (fun snap ~after ~assignments ~decided ->
-             if Check.recluster_matches snap ~after ~assignments ~decided = [] then
-               incr clean_passes;
+           (fun snap ~after ~decided ->
+             if Check.recluster_matches snap ~after ~decided = [] then incr clean_passes;
              if !reports = [] then
                reports :=
-                 Check.recluster_matches snap ~after ~assignments
-                   ~decided:(perturb_first_finite decided));
-         on_iteration = (fun ~iteration:_ ~clusters:_ ~assignments:_ -> ());
+                 Check.recluster_matches snap ~after ~decided:(perturb_first_finite decided));
+         on_iteration = (fun ~iteration:_ ~n:_ ~clusters:_ -> ());
        });
   let r =
     Fun.protect ~finally:Check.uninstall_auditor (fun () ->

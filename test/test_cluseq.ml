@@ -290,7 +290,7 @@ let test_empty_database () =
 let test_drift_kl_matches_tree_walk () =
   let w = small_workload ~n:120 () in
   let expected = ref [] in
-  let on_iteration ~iteration:_ ~clusters ~assignments:_ =
+  let on_iteration ~iteration:_ ~n:_ ~clusters =
     let panel = List.filteri (fun i _ -> i < 8) clusters in
     let rec pairs = function
       | [] -> []
@@ -309,7 +309,7 @@ let test_drift_kl_matches_tree_walk () =
   Obs.Metrics.enable ();
   Cluseq.set_auditor
     (Some
-       { Cluseq.on_recluster = (fun _ ~after:_ ~assignments:_ ~decided:_ -> ()); on_iteration });
+       { Cluseq.on_recluster = (fun _ ~after:_ ~decided:_ -> ()); on_iteration });
   let res =
     Fun.protect
       ~finally:(fun () ->
@@ -328,6 +328,50 @@ let test_drift_kl_matches_tree_walk () =
             (Int64.bits_of_float want)
             (Int64.bits_of_float d.mean_intercluster_kl))
     res.history (List.rev !expected)
+
+(* Each iteration's [membership_changes] counts the sequences whose set
+   of clusters after consolidation differs from the previous
+   iteration's (the first iteration starts from none), and
+   [unclustered] those in no cluster. The audit hook records the sets;
+   the run dismisses a cluster that held members, all of which count as
+   changed. *)
+let test_membership_changes_counted () =
+  let w = small_workload ~seed:11 ~k:6 () in
+  let records = ref [] in
+  let on_iteration ~iteration:_ ~n ~clusters =
+    let sets = Array.make n [] in
+    List.iter
+      (fun cl ->
+        Bitset.iter (fun i -> sets.(i) <- Cluster.id cl :: sets.(i)) (Cluster.members cl))
+      clusters;
+    records :=
+      (List.map (fun cl -> (Cluster.id cl, Cluster.size cl)) clusters, sets) :: !records
+  in
+  Cluseq.set_auditor
+    (Some { Cluseq.on_recluster = (fun _ ~after:_ ~decided:_ -> ()); on_iteration });
+  let res =
+    Fun.protect
+      ~finally:(fun () -> Cluseq.set_auditor None)
+      (fun () -> Cluseq.run ~config:small_config w.db)
+  in
+  Alcotest.(check int) "one record per iteration" res.iterations (List.length !records);
+  let n = Seq_database.n_sequences w.db in
+  let prev = ref ([], Array.make n []) and dismissed_members = ref false in
+  List.iter2
+    (fun (h : Cluseq.iteration_stats) ((sizes, sets) as now) ->
+      let prev_sizes, prev_sets = !prev in
+      let count p = Array.fold_left (fun acc x -> if p x then acc + 1 else acc) 0 in
+      let changed = count Fun.id (Array.map2 ( <> ) prev_sets sets) in
+      Alcotest.(check int) (Printf.sprintf "iteration %d changes" h.iteration) changed
+        h.membership_changes;
+      Alcotest.(check int)
+        (Printf.sprintf "iteration %d unclustered" h.iteration)
+        (count (( = ) []) sets) h.unclustered;
+      if List.exists (fun (id, size) -> size > 0 && not (List.mem_assoc id sizes)) prev_sizes
+      then dismissed_members := true;
+      prev := now)
+    res.history (List.rev !records);
+  Alcotest.(check bool) "a cluster holding members was dismissed" true !dismissed_members
 
 let test_hard_labels () =
   let w, res = run_small () in
@@ -433,6 +477,7 @@ let () =
           Alcotest.test_case "cache invisible" `Slow test_cache_invisible;
           Alcotest.test_case "drift KL matches the tree walk" `Slow
             test_drift_kl_matches_tree_walk;
+          Alcotest.test_case "membership changes counted" `Slow test_membership_changes_counted;
         ] );
       ("property", qcheck_tests);
       ( "edge-cases",

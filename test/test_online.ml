@@ -34,7 +34,21 @@ let test_create_validation () =
      with Invalid_argument _ -> true);
   Alcotest.(check bool) "buffer < mine_at" true
     (try ignore (Online.create ~mine_at:10 ~buffer_capacity:5 ~alphabet_size:4 ()); false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  (* A config every mining run would reject fails at creation, with
+     the batch run's own message. *)
+  List.iter
+    (fun (name, config, msg) ->
+      Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+          ignore (Online.create ~config ~alphabet_size:4 ())))
+    [
+      ( "t_init below 1",
+        { Cluseq.default_config with t_init = 0.5 },
+        "Cluseq.run: t_init must be a finite value >= 1" );
+      ( "k_init 0",
+        { Cluseq.default_config with k_init = 0 },
+        "Cluseq.run: k_init must be >= 1" );
+    ]
 
 let test_initial_state () =
   let t = mk_state () in
