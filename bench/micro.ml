@@ -53,18 +53,18 @@ let tests () =
       (let psa = Psa.compile trained in
        Staged.stage (fun () ->
            ignore (Similarity.score_psa psa ~log_background:lbg (next_seq ()))));
-    (* The batched kernel over the whole 64-sequence block (~12.8k
-       symbols per run), reusing one scratch — the shape of one
-       (cluster, block) task of Cluster.score_columns. Compare per
-       symbol against similarity-psa-200sym × 64. The lanes are all of
-       about one length, so the kernel's lane pairs rarely run a tail
-       alone; the mixed row beside it has an odd lane count and lengths
-       from 0 to 200, as blocks of real inputs do. *)
+    (* The block scan over the whole 64-sequence block (~12.8k symbols
+       per run) into one column — the shape of one (cluster, block)
+       task of Cluster.score_columns. Compare per symbol against
+       psa-segment-200sym × 64. The lanes are all of about one length,
+       so the four slots finish together; the mixed row beside it has
+       lengths from 0 to 200, as blocks of real inputs do, so slots are
+       refilled mid-round and empty lanes skipped. *)
     Test.make ~name:"psa-batch-scan"
       (let psa = Psa.compile trained in
-       let batch = Psa.batch_create ~capacity:(Array.length seqs) () in
+       let column = Similarity.column (Array.length seqs) in
        Staged.stage (fun () ->
-           ignore (Similarity.score_batch psa ~log_background:lbg ~batch seqs)));
+           Similarity.score_block psa ~log_background:lbg column ~at:0 seqs));
     Test.make ~name:"psa-batch-scan-mixed"
       (let psa = Psa.compile trained in
        let lengths = [| 0; 1; 200; 13; 120; 64; 180; 7; 95 |] in
@@ -72,9 +72,17 @@ let tests () =
          Array.init (Array.length seqs - 1) (fun i ->
              Array.sub seqs.(i) 0 (min (Array.length seqs.(i)) lengths.(i mod 9)))
        in
-       let batch = Psa.batch_create ~capacity:(Array.length mixed) () in
+       let column = Similarity.column (Array.length mixed) in
        Staged.stage (fun () ->
-           ignore (Similarity.score_batch psa ~log_background:lbg ~batch mixed)));
+           Similarity.score_block psa ~log_background:lbg column ~at:0 mixed));
+    (* The segment loop alone, on one 200-symbol lane: the scan an absorb
+       runs for its segment's bounds. *)
+    Test.make ~name:"psa-segment-200sym"
+      (let psa = Psa.compile trained in
+       let log_sim = [| 0.0 |] and seg_lo = [| 0 |] and seg_hi = [| 0 |] in
+       Staged.stage (fun () ->
+           Psa.segment_into psa ~log_background:lbg (next_seq ()) ~at:0 ~log_sim ~seg_lo
+             ~seg_hi));
     Test.make ~name:"psa-compile"
       (Staged.stage (fun () -> ignore (Psa.compile trained)));
     Test.make ~name:"edit-distance-200x200"
@@ -90,9 +98,9 @@ let tests () =
 
 (* Direct minor-allocation measurement of the two scan shapes, in words
    per scored symbol: the per-sequence score_psa loop (each call one
-   lane of the batch kernel on its per-domain scratch, plus one result
-   record — the dirty-rescore shape) against score_batch over the whole
-   block with a reused scratch. Bechamel measures time; Gc.minor_words deltas
+   segment lane on its per-domain scratch, plus one result record — the
+   absorb's shape) against the block scan over the whole block into one
+   column. Bechamel measures time; Gc.minor_words deltas
    are the honest unit for the off-heap claim. Reported as extra rows so
    `bench --record` folds them into the micro block (they are words, not
    ns — the name says so; the micro compare's 10 ns floor skips them, the
@@ -120,10 +128,10 @@ let alloc_rows () =
     words_per_symbol (fun () ->
         Array.iter (fun s -> ignore (Similarity.score_psa psa ~log_background:lbg s)) seqs)
   in
-  let batch_scratch = Psa.batch_create ~capacity:(Array.length seqs) () in
+  let column = Similarity.column (Array.length seqs) in
   let batched =
     words_per_symbol (fun () ->
-        ignore (Similarity.score_batch psa ~log_background:lbg ~batch:batch_scratch seqs))
+        Similarity.score_block psa ~log_background:lbg column ~at:0 seqs)
   in
   (* Absorb into a grown tree: another cluster's members inserted into a
      fresh copy of the trained model, so most of their contexts are new

@@ -116,7 +116,10 @@ let compare_experiment ~threshold ~quality_threshold (b : Bench_report.experimen
       [
         count "census.pairs_scored" b.census.pairs_scored c.census.pairs_scored;
         count "census.dirty_rescores" b.census.dirty_rescores c.census.dirty_rescores;
-        judge ~threshold:census_threshold_pct ~direction:Lower_better ~min_base:0.01
+        (* A base recorded before [scored_joins] existed holds 0 there
+           and divided by another base: no verdict. *)
+        judge ~threshold:census_threshold_pct ~direction:Lower_better
+          ~min_base:(if b.census.scored_joins = 0 then infinity else 0.01)
           ~experiment:b.id ~metric:"census.wasted_pair_ratio"
           ~base:(Bench_report.wasted_pair_ratio b.census)
           ~candidate:(Bench_report.wasted_pair_ratio c.census);

@@ -6,8 +6,8 @@ let schema_name = "cluseq-bench"
 (* v2: added the reclustering scan-census block (pairs scored / joined,
    dirty rescores, assignments changed, wasted-pair ratio), then the
    clustering-quality drift block (per-iteration means of the
-   cluseq.drift.* gauges). Readers default missing numerics to 0, so
-   the drift addition stays within v2. *)
+   cluseq.drift.* gauges) and the census's scored joins. Readers
+   default missing numerics to 0, so those additions stay within v2. *)
 let schema_version = 2
 
 type env = {
@@ -24,6 +24,7 @@ type env = {
 type census = {
   pairs_scored : int;
   pairs_joined : int;
+  scored_joins : int;
   dirty_rescores : int;
   assignments_changed : int;
   pairs_reused : int;
@@ -31,7 +32,7 @@ type census = {
 
 let wasted_pair_ratio c =
   if c.pairs_scored = 0 then 0.0
-  else float_of_int (c.pairs_scored - c.pairs_joined) /. float_of_int c.pairs_scored
+  else float_of_int (c.pairs_scored - c.scored_joins) /. float_of_int c.pairs_scored
 
 type drift = {
   churn_rate : float;
@@ -159,6 +160,7 @@ let capture ~id ~wall_s ~gc ~peak_heap_words ~quality =
       {
         pairs_scored = counter "cluseq.scan.pairs_scored";
         pairs_joined = counter "cluseq.scan.pairs_joined";
+        scored_joins = counter "cluseq.scan.scored_joins";
         dirty_rescores = counter "cluseq.scan.dirty_rescores";
         assignments_changed = counter "cluseq.scan.assignments_changed";
         pairs_reused = counter "cluseq.scan.pairs_reused";
@@ -242,6 +244,7 @@ let experiment_to_json (e : experiment) =
           [
             ("pairs_scored", num_i e.census.pairs_scored);
             ("pairs_joined", num_i e.census.pairs_joined);
+            ("scored_joins", num_i e.census.scored_joins);
             ("dirty_rescores", num_i e.census.dirty_rescores);
             ("assignments_changed", num_i e.census.assignments_changed);
             ("pairs_reused", num_i e.census.pairs_reused);
@@ -336,6 +339,7 @@ let experiment_of_json id json =
       {
         pairs_scored = get_i [ "census"; "pairs_scored" ] json;
         pairs_joined = get_i [ "census"; "pairs_joined" ] json;
+        scored_joins = get_i [ "census"; "scored_joins" ] json;
         dirty_rescores = get_i [ "census"; "dirty_rescores" ] json;
         assignments_changed = get_i [ "census"; "assignments_changed" ] json;
         pairs_reused = get_i [ "census"; "pairs_reused" ] json;

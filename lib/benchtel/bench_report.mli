@@ -39,7 +39,12 @@ type census = {
   pairs_scored : int;
       (** (sequence, cluster) similarity evaluations in reclustering,
           summed over all iterations of all runs. *)
-  pairs_joined : int;  (** Evaluations that produced a join. *)
+  pairs_joined : int;  (** Pairs that joined, evaluated or reused. *)
+  scored_joins : int;
+      (** The joins a fresh evaluation decided
+          ([cluseq.scan.scored_joins]), at most [pairs_scored]; 0 in
+          records written before it existed, whose wasted-pair ratio
+          comparisons skip. *)
   dirty_rescores : int;  (** Serial rescores against mutated clusters. *)
   assignments_changed : int;  (** Membership changes, summed. *)
   pairs_reused : int;
@@ -53,7 +58,7 @@ type census = {
     floor. *)
 
 val wasted_pair_ratio : census -> float
-(** [(pairs_scored - pairs_joined) / pairs_scored]; 0 when nothing was
+(** [(pairs_scored - scored_joins) / pairs_scored]; 0 when nothing was
     scored. *)
 
 type drift = {

@@ -178,10 +178,6 @@ let same_result (a : Similarity.result) (b : Similarity.result) =
 (* Reclustering replay oracle                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Filler for the replay's deciding-score matrix; the examination order
-   visits every sequence, so the replay overwrites every slot. *)
-let unscored : Similarity.result = { log_sim = Float.nan; seg_lo = -1; seg_hi = -1 }
-
 let reference_recluster (snap : Cluseq.recluster_snapshot) =
   let db = snap.snap_db in
   let n = Seq_database.n_sequences db in
@@ -192,14 +188,16 @@ let reference_recluster (snap : Cluseq.recluster_snapshot) =
      always against the same counts the engine saw. *)
   let psts = Array.map (fun (_, pst, _) -> Pst.copy pst) snap.snap_before in
   let members = Array.init k (fun _ -> Bitset.create n) in
-  let decided = Array.init k (fun _ -> Array.make n unscored) in
+  (* NaN until scored; the examination order visits every sequence, so
+     the replay overwrites every cell. *)
+  let decided = Array.init k (fun _ -> Array.make n Float.nan) in
   Array.iter
     (fun sid ->
       let s = Seq_database.get db sid in
       Array.iteri
         (fun ci (_, _, before) ->
           let r = Similarity.score psts.(ci) ~log_background:lbg s in
-          decided.(ci).(sid) <- r;
+          decided.(ci).(sid) <- r.log_sim;
           if r.log_sim >= snap.snap_log_t then begin
             Bitset.add members.(ci) sid;
             (* Only a fresh joiner's best segment feeds the model; a
@@ -236,26 +234,23 @@ let recluster_matches (snap : Cluseq.recluster_snapshot) ~after ~decided =
   let same_shape =
     Array.length decided = Array.length ref_decided
     && Array.for_all2
-         (fun (c : Similarity.column) r ->
-           List.for_all (( = ) (Array.length r))
-             [ Array.length c.log_sims; Array.length c.seg_los; Array.length c.seg_his ])
+         (fun (c : Similarity.column) r -> Array.length c.log_sims = Array.length r)
          decided ref_decided
   in
   if not same_shape then err "engine reports deciding-score columns of another shape"
   else begin
     let mismatches = ref 0 in
     Array.iteri
-      (fun ci column ->
+      (fun ci (column : Similarity.column) ->
         Array.iteri
           (fun sid w ->
-            let r = Similarity.cell column sid in
-            if not (same_result r w) then begin
+            let r = column.log_sims.(sid) in
+            if not (same_bits r w) then begin
               incr mismatches;
               if !mismatches <= max_score_reports then
                 let id, _, _ = snap.snap_before.(ci) in
-                err "cluster %d, sequence %d: engine decided on %.17g [%d,%d], serial replay on \
-                     %.17g [%d,%d]"
-                  id sid r.log_sim r.seg_lo r.seg_hi w.log_sim w.seg_lo w.seg_hi
+                err "cluster %d, sequence %d: engine decided on %.17g, serial replay on %.17g"
+                  id sid r w
             end)
           ref_decided.(ci))
       decided;
@@ -397,72 +392,85 @@ let crossings_match ~before pst crossings =
     (List.sort_uniq Int.compare reported);
   List.rev !errs
 
-(* Batched scoring oracle: [Psa.score_into] runs the lanes of a block
-   two at a time through one loop and writes them at an offset of
-   columns the caller owns, so what can silently go wrong is a lane
-   leaking into another (starting from the previous lane's
-   accumulators, or stopped with its shorter partner), a longer lane's
-   tail or an odd last lane left unscanned, a write outside the block's
-   cells, or a symbol check that one lane of a pair skips.
-   Each block is scored through one reused scratch and into a column at
-   an offset, between cells holding a sentinel. Both must agree exactly
-   — float bits and segment bounds — with each sequence scored as its
-   own one-lane block ([Similarity.score_psa]), including on empty
-   sequences and after the scratch has been resized by a previous,
-   larger block; the sentinels must survive. Every side runs the same
-   loop, so every lane must also equal the tree walk
-   ([Similarity.score]), which shares no code with it. Then each lane's
-   last symbol in turn becomes -1 and the alphabet size: the block must
+(* Block scoring oracle: [Psa.score_into] keeps four lanes in flight and
+   refills a finished lane's slot from the block, so what can silently go
+   wrong is a lane leaking into another (starting from a previous lane's
+   accumulators or row), a finished lane stored into another lane's
+   cell, an empty lane skipped at a fill, the lanes still in flight when
+   the block runs dry left unscanned, a write outside the block's cells,
+   or a symbol check that one slot skips. Each block is scored into a
+   column at an offset, between cells holding a sentinel that must
+   survive, and every lane must have the log-similarity bits of the
+   segment loop ([Similarity.score_psa]) and of the tree walk
+   ([Similarity.score]), which shares no code with either loop. The
+   segment loop, run on its own and lane by lane through one reused
+   scratch ([Similarity.score_batch]), must give the tree walk's bits
+   and bounds. Then each lane's first and last symbol in turn becomes -1
+   and the alphabet size: the block scan and the segment loop must
    raise. *)
 let batch_scoring_matches pst ~log_background blocks =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errs := m :: !errs) fmt in
   let psa = Psa.compile pst in
   (* One scratch across all blocks, deliberately starting tiny: block
-     boundaries must fully reset every reused column. *)
+     boundaries must fully reset every reused cell. *)
   let batch = Psa.batch_create ~capacity:1 () in
-  let sentinel : Similarity.result = { log_sim = Float.nan; seg_lo = -2; seg_hi = -2 } in
   let at = 3 in
+  let raises f = match f () with () -> false | exception Invalid_argument _ -> true in
   List.iteri
     (fun bi block ->
       let lanes = Array.length block in
-      let batched = Similarity.score_batch psa ~log_background ~batch block in
       let column = Similarity.column (at + lanes + 2) in
-      Array.fill column.log_sims 0 (at + lanes + 2) sentinel.log_sim;
-      Array.fill column.seg_los 0 (at + lanes + 2) sentinel.seg_lo;
-      Array.fill column.seg_his 0 (at + lanes + 2) sentinel.seg_hi;
+      Array.fill column.log_sims 0 (at + lanes + 2) Float.nan;
       Similarity.score_block psa ~log_background column ~at block;
       for i = 0 to at + lanes + 1 do
-        if (i < at || i >= at + lanes) && not (same_result (Similarity.cell column i) sentinel)
-        then err "block %d: cell %d, outside the block's [%d, %d), was written" bi i at (at + lanes)
+        if (i < at || i >= at + lanes) && not (same_bits column.log_sims.(i) Float.nan) then
+          err "block %d: cell %d, outside the block's [%d, %d), was written" bi i at
+            (at + lanes)
       done;
+      let batched = Similarity.score_batch psa ~log_background ~batch block in
       Array.iteri
         (fun j s ->
-          let b = batched.(j) in
+          let l = Array.length s in
+          let walk = Similarity.score pst ~log_background s in
+          let segment = Similarity.score_psa psa ~log_background s in
+          let got = column.log_sims.(at + j) in
+          List.iter
+            (fun (name, want) ->
+              if not (same_bits got want) then
+                err "block %d lane %d (len %d): block scan %.17g, %s %.17g" bi j l got name
+                  want)
+            [ ("segment loop", segment.log_sim); ("tree walk", walk.log_sim) ];
           List.iter
             (fun (name, (r : Similarity.result)) ->
-              if not (same_result r b) then
-                err "block %d lane %d (len %d): %s %.17g [%d,%d], batched %.17g [%d,%d]" bi j
-                  (Array.length s) name r.log_sim r.seg_lo r.seg_hi b.log_sim b.seg_lo b.seg_hi)
-            [
-              ("at an offset", Similarity.cell column (at + j));
-              ("serial", Similarity.score_psa psa ~log_background s);
-              ("tree walk", Similarity.score pst ~log_background s);
-            ])
+              if not (same_result r walk) then
+                err "block %d lane %d (len %d): %s %.17g [%d,%d], tree walk %.17g [%d,%d]" bi
+                  j l name r.log_sim r.seg_lo r.seg_hi walk.log_sim walk.seg_lo walk.seg_hi)
+            [ ("segment loop", segment); ("segment loop through the scratch", batched.(j)) ])
         block;
       Array.iteri
         (fun j s ->
           let l = Array.length s in
-          if l > 0 then
-            List.iter
-              (fun bad ->
-                let corrupt = Array.copy block in
-                corrupt.(j) <- Array.copy s;
-                corrupt.(j).(l - 1) <- bad;
-                match Similarity.score_block psa ~log_background column ~at corrupt with
-                | () -> err "block %d lane %d: symbol %d at %d did not raise" bi j bad (l - 1)
-                | exception Invalid_argument _ -> ())
-              [ -1; Psa.alphabet_size psa ])
+          List.iter
+            (fun pos ->
+              List.iter
+                (fun bad ->
+                  let corrupt = Array.copy block in
+                  corrupt.(j) <- Array.copy s;
+                  corrupt.(j).(pos) <- bad;
+                  let missed loop =
+                    err "block %d lane %d: symbol %d at %d did not raise in the %s" bi j bad pos
+                      loop
+                  in
+                  let block_scan () =
+                    Similarity.score_block psa ~log_background column ~at corrupt
+                  and segment_loop () =
+                    ignore (Similarity.score_psa psa ~log_background corrupt.(j))
+                  in
+                  if not (raises block_scan) then missed "block scan";
+                  if not (raises segment_loop) then missed "segment loop")
+                [ -1; Psa.alphabet_size psa ])
+            (if l = 0 then [] else List.sort_uniq Int.compare [ 0; l - 1 ]))
         block)
     blocks;
   List.rev !errs

@@ -52,14 +52,16 @@ val same_result : Similarity.result -> Similarity.result -> bool
     bounds. *)
 
 val reference_recluster :
-  Cluseq.recluster_snapshot -> (int * Bitset.t) array * Similarity.result array array
+  Cluseq.recluster_snapshot -> (int * Bitset.t) array * float array array
 (** Serial reference replay of one reclustering pass from its frozen
     snapshot: visit sequences in the recorded order and score each
     against every cluster's {e current} (evolving) model copy by the
     tree walk — no parallel score matrix, no dirty tracking, no
     automaton — joining and absorbing with the engine's exact rules.
     Returns the per-cluster memberships and the per-cluster,
-    per-sequence deciding scores the pass must produce. Because scoring
+    per-sequence deciding log-similarities the pass must produce; each
+    absorb inserts the tree walk's segment, so a wrong segment in the
+    engine shows as a later score or member that differs. Because scoring
     is deterministic, the engine's optimized pass (parallel matrix with
     cached score columns + dirty-cluster rescoring on refreshed
     automata) must match this replay bit-for-bit. *)
@@ -71,9 +73,9 @@ val recluster_matches :
   string list
 (** Compare the engine's reclustering outcome — its member sets and its
     score columns — against {!reference_recluster}: every member set,
-    and every deciding score ({!same_result}: [log_sim] bits and
-    segment bounds), so a score that moved without flipping a join (it
-    still moves [best] and the threshold samples) is caught too.
+    and every deciding score ({!same_bits} on [log_sim]; columns hold
+    no bounds), so a score that moved without flipping a join (it still
+    moves [best] and the threshold samples) is caught too.
     Messages name each diverging cluster or (cluster, sequence) pair;
     score mismatches beyond the first 10 of a pass are counted in one
     closing message. *)
@@ -123,22 +125,24 @@ val crossings_match : before:int list -> Pst.t -> Pst.Crossings.t -> string list
 
 val batch_scoring_matches :
   Pst.t -> log_background:float array -> Sequence.t array list -> string list
-(** Differential oracle for the batched kernel: compiles the tree and
-    scores each block twice, with {!Similarity.score_batch} and with
-    {!Similarity.score_block} into a column at an offset, between cells
-    holding a sentinel that must survive; then each lane against
-    {!Similarity.score_psa} (a one-lane block on its own scratch),
-    pinning lane independence within the kernel's lane pairs, and
-    against the tree walk {!Similarity.score}, since every automaton
-    side runs the same loop. It demands {!same_result}: the same
-    log-similarity bits and segment bounds. All blocks share one scratch
-    (created with capacity 1) so lane-reset and resize bugs across block
-    boundaries are exercised too. Last, each nonempty lane in turn gets
-    the symbol -1 and then the alphabet size as its last symbol, and
-    scoring the block must raise [Invalid_argument]. Run by the fuzz
-    harness (check #6) on both the unpruned and a pruned tree, with
-    blocks that include the empty block, singletons, empty sequences,
-    lane pairs of unequal and zero lengths and odd lane counts. *)
+(** Differential oracle for both scans: compiles the tree and scores
+    each block with {!Similarity.score_block}, the block scan (four
+    lanes in flight, refilled from the block), into a column at an
+    offset, between cells holding a sentinel that must survive. Each
+    lane's cell must hold the log-similarity bits ({!same_bits}) of
+    {!Similarity.score_psa}, the segment loop, and of the tree walk
+    {!Similarity.score}; the segment loop, on its own and lane by lane
+    through {!Similarity.score_batch}, must match the tree walk by
+    {!same_result}: bits and segment bounds. All blocks share one
+    scratch (created with capacity 1), so reset and resize bugs across
+    block boundaries are exercised too. Last, each nonempty lane in turn
+    gets the symbol -1 and then the alphabet size as its first and as
+    its last symbol, and the block scan and the segment loop must raise
+    [Invalid_argument]. Run by the fuzz harness (check #6) on both the
+    unpruned and a pruned tree, with blocks of 0 to 9 lanes that mix
+    unequal and zero lengths: an empty lane is met by the first fill
+    and by a refill, and the lanes left when the block runs dry finish
+    alone. *)
 
 val divergence_matches : Pst.t -> Pst.t -> string list
 (** Differential oracle for {!Divergence}'s profiles: for both argument

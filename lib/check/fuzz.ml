@@ -136,37 +136,30 @@ let run_checks case ~errs ~stage =
   stage := "psa";
   add_all "psa" (Check.psa_scoring_matches pst ~log_background:lbg case.probes);
   add_all "psa-pruned" (Check.psa_scoring_matches pruned ~log_background:lbg case.probes);
-  (* Whole blocks vs one-lane blocks and the tree walk (check #6): one
-     automaton over a block must score every lane bit-identically to
-     that sequence scored alone — lanes must not interact — and to the
-     tree walk, since both automaton sides run one loop; a symbol out of
-     the alphabet in any lane must raise. The block list covers the
-     shapes the engine produces — a full block (the training
-     sequences), a small block (probes), the empty block, a block of
-     one, and a block containing an empty sequence — and the kernel's
-     lane pairs: each probe paired with the empty lane and with its own
-     first half, in both orders, with an even and an odd lane count,
-     all through one shared scratch so cross-block reuse is
-     exercised. *)
+  (* The block scan vs the segment loop and the tree walk (check #6): one
+     automaton over a block must give every lane the bits of that
+     sequence scanned alone and of the tree walk, and a symbol out of
+     the alphabet in any lane must raise. Blocks of 0 to 9 lanes cover
+     the scan's four slots: fewer than four lanes run one at a time;
+     more reach the rounds, whose finished slots are refilled, and then
+     the lanes left when the block runs dry. Lanes 1 and 5 are empty,
+     so an empty lane is met by the first fill and, in blocks of six or
+     more, by a refill; the others cycle through the probes, their first
+     halves and the training sequences, of unequal lengths. All go
+     through one shared scratch, so cross-block reuse is exercised. *)
   stage := "batch";
-  let pairs =
+  let lanes =
     Array.concat
-      (List.map
-         (fun p ->
-           let half = Array.sub p 0 (Array.length p / 2) in
-           [| p; [||]; [||]; p; half; p; p; half |])
-         (Array.to_list case.probes))
+      [
+        case.probes;
+        Array.map (fun p -> Array.sub p 0 (Array.length p / 2)) case.probes;
+        case.seqs;
+      ]
   in
   let batch_blocks =
-    [
-      case.seqs;
-      case.probes;
-      [||];
-      [| [||] |];
-      (if Array.length case.probes > 0 then Array.sub case.probes 0 1 else [||]);
-      pairs;
-      (if Array.length pairs > 0 then Array.sub pairs 0 (Array.length pairs - 1) else [||]);
-    ]
+    List.init 10 (fun b ->
+        Array.init b (fun j ->
+            if j = 1 || j = 5 then [||] else lanes.((j + b) mod Array.length lanes)))
   in
   add_all "batch" (Check.batch_scoring_matches pst ~log_background:lbg batch_blocks);
   add_all "batch-pruned" (Check.batch_scoring_matches pruned ~log_background:lbg batch_blocks);

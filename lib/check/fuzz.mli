@@ -13,11 +13,11 @@
       reference on every probe;
     - on the unpruned tree and the pruned copy, scores every probe by
       the compiled automaton and by the tree walk
-      ({!Check.psa_scoring_matches}), and scores blocks batched, and
-      into a column at an offset, against one-lane blocks and the tree
-      walk, among them lane pairs of unequal and zero lengths and odd
-      lane counts, and demands that a symbol out of the alphabet in any
-      lane raise ({!Check.batch_scoring_matches}, check #6);
+      ({!Check.psa_scoring_matches}), and scores blocks of 0 to 9
+      lanes of unequal and zero lengths by the block scan into a column
+      at an offset, against the segment loop and the tree walk, and
+      demands that a symbol out of the alphabet in any lane raise
+      ({!Check.batch_scoring_matches}, check #6);
     - streams segments into two trees, one under a node budget that
       forces pruning and one that never prunes, while one automaton per
       tree is kept current by {!Psa.refresh} or recompile (check #8),

@@ -28,6 +28,7 @@ let g_pst_words = Obs.Metrics.gauge "cluseq.pst.est_words"
    publication below is gated. *)
 let m_pairs_scored = Obs.Metrics.counter "cluseq.scan.pairs_scored"
 let m_pairs_joined = Obs.Metrics.counter "cluseq.scan.pairs_joined"
+let m_scored_joins = Obs.Metrics.counter "cluseq.scan.scored_joins"
 let m_dirty_rescores = Obs.Metrics.counter "cluseq.scan.dirty_rescores"
 let m_assignments_changed = Obs.Metrics.counter "cluseq.scan.assignments_changed"
 let m_pairs_reused = Obs.Metrics.counter "cluseq.scan.pairs_reused"
@@ -129,13 +130,14 @@ let set_auditor a = auditor := a
 type scan_census = {
   pairs_scored : int;
   pairs_joined : int;
+  scored_joins : int;
   dirty_rescores : int;
   pairs_reused : int;
 }
 
 let wasted_pair_ratio c =
   if c.pairs_scored = 0 then 0.0
-  else float_of_int (c.pairs_scored - c.pairs_joined) /. float_of_int c.pairs_scored
+  else float_of_int (c.pairs_scored - c.scored_joins) /. float_of_int c.pairs_scored
 
 type drift = {
   churn_rate : float;
@@ -386,6 +388,7 @@ let hard_labels (r : result) ~n =
 type column = {
   decided : Similarity.column;  (* by sequence id: the deciding score *)
   rescores : int;  (* rescores once the cluster went dirty *)
+  rescored_joins : int;  (* joins those rescores decided *)
   fresh_joins : int;
 }
 
@@ -400,11 +403,19 @@ type column = {
    ("dirty"); every later pair is rescored into its cell against the
    grown model, whose automaton [Cluster.rescore] refreshes (or
    recompiles) in place first. A column taken from the score cache can
-   be overwritten so because that first absorb dropped the cache. [cl]
-   is mutated by this task only. *)
+   be overwritten so because that first absorb dropped the cache.
+
+   The column holds log-similarities only. A fresh joiner's segment is
+   scanned right before its absorb, by [Cluster.similarity] on the
+   cluster's automaton as it stands, which is the one that produced the
+   deciding score: the pass-start compile while the cluster is clean
+   (its cached column, if any, was scored on that same unchanged tree),
+   and the one the rescore just brought current once it is dirty. So
+   the segment is the one that score's scan found. [cl] is mutated by
+   this task only. *)
 let apply_column db ~log_background ~log_t ~order ~prev (scores : Similarity.column) cl =
   let dirty = ref false in
-  let rescores = ref 0 and fresh_joins = ref 0 in
+  let rescores = ref 0 and rescored_joins = ref 0 and fresh_joins = ref 0 in
   Array.iter
     (fun sid ->
       if !dirty then begin
@@ -417,8 +428,10 @@ let apply_column db ~log_background ~log_t ~order ~prev (scores : Similarity.col
          then the threshold valley) grow without bound. *)
       if scores.log_sims.(sid) >= log_t then begin
         Cluster.add_member cl sid;
+        if !dirty then incr rescored_joins;
         if not (Bitset.mem prev sid) then begin
-          Cluster.absorb cl (Seq_database.get db sid) (Similarity.cell scores sid);
+          let s = Seq_database.get db sid in
+          Cluster.absorb cl s (Cluster.similarity cl ~log_background s);
           dirty := true;
           incr fresh_joins
         end
@@ -428,7 +441,12 @@ let apply_column db ~log_background ~log_t ~order ~prev (scores : Similarity.col
      scored against, so the next pass can reuse the column. A dirty
      cluster already dropped its cache inside [absorb]. *)
   if not !dirty then Cluster.set_score_cache cl scores;
-  { decided = scores; rescores = !rescores; fresh_joins = !fresh_joins }
+  {
+    decided = scores;
+    rescores = !rescores;
+    rescored_joins = !rescored_joins;
+    fresh_joins = !fresh_joins;
+  }
 
 (* A cluster a reclustering pass began with, as the pass hands it on:
    its iteration-start members, and its joins' scores (latest first)
@@ -552,11 +570,14 @@ let recluster cfg db rng ~log_t ~best clusters =
   (* Census tallies: the matrix evaluated every pair of the clusters
      without a cached column and reused the cached columns whole; the
      apply tasks' rescores against dirty clusters add to that, and every
-     join left its sequence in the cluster's member set. Plain int
+     join left its sequence in the cluster's member set. A fresh
+     evaluation decided every join of a column the matrix scored, but of
+     a reused column only the joins its rescores decided. Plain int
      arithmetic — deterministic for any domain count, maintained whether
      or not metrics are enabled. *)
   let total f = Array.fold_left ( + ) 0 (Array.init k f) in
-  let total_evaluated = total (fun ci -> if Option.is_some caches.(ci) then 0 else n) in
+  let cached ci = Option.is_some caches.(ci) in
+  let total_evaluated = total (fun ci -> if cached ci then 0 else n) in
   let total_rescores = total (fun ci -> columns.(ci).rescores) in
   {
     new_best;
@@ -566,6 +587,10 @@ let recluster cfg db rng ~log_t ~best clusters =
       {
         pairs_scored = total_evaluated + total_rescores;
         pairs_joined = total (fun ci -> Cluster.size clusters_arr.(ci));
+        scored_joins =
+          total (fun ci ->
+              if cached ci then columns.(ci).rescored_joins
+              else Cluster.size clusters_arr.(ci));
         dirty_rescores = total_rescores;
         pairs_reused = (n * k) - total_evaluated;
       };
@@ -929,6 +954,7 @@ let run ?(config = default_config) db =
     let census = pass.census in
     Obs.Metrics.incr ~by:census.pairs_scored m_pairs_scored;
     Obs.Metrics.incr ~by:census.pairs_joined m_pairs_joined;
+    Obs.Metrics.incr ~by:census.scored_joins m_scored_joins;
     Obs.Metrics.incr ~by:census.dirty_rescores m_dirty_rescores;
     Obs.Metrics.incr ~by:changes m_assignments_changed;
     Obs.Metrics.incr ~by:census.pairs_reused m_pairs_reused;

@@ -114,7 +114,16 @@ type scan_census = {
           reclustering pass: the n×k parallel matrix less the columns
           reused from the score-column cache, plus the apply tasks'
           rescores against clusters whose PST absorbed a joiner. *)
-  pairs_joined : int;  (** Evaluations at or above the join threshold. *)
+  pairs_joined : int;
+      (** Pairs at or above the join threshold, whether their deciding
+          score was evaluated afresh or reused: at most [pairs_scored +
+          pairs_reused]. *)
+  scored_joins : int;
+      (** The joins among [pairs_scored]: those a fresh evaluation
+          decided. Every join of a column the matrix scored counts; of a
+          reused column, only the joins after the cluster's first absorb,
+          which its rescores decided. At most [pairs_scored] and
+          [pairs_joined]. *)
   dirty_rescores : int;
       (** Re-evaluations against mutated ("dirty") clusters, run inside
           each cluster's apply task on its in-place refreshed (or
@@ -138,9 +147,11 @@ type scan_census = {
 
 val wasted_pair_ratio : scan_census -> float
 (** Fraction of scored pairs that did not produce a join:
-    [(pairs_scored - pairs_joined) / pairs_scored] (0 when nothing was
-    scored). High values mean the all-pairs scan is mostly wasted work
-    — the quantity index-first pruning (SEQR) targets. *)
+    [(pairs_scored - scored_joins) / pairs_scored] (0 when nothing was
+    scored), so joins and evaluations are counted over one set of pairs
+    and the ratio lies in [\[0, 1\]]. High values mean the all-pairs
+    scan is mostly wasted work — the quantity index-first pruning (SEQR)
+    targets. *)
 
 type drift = {
   churn_rate : float;

@@ -98,25 +98,28 @@ val profile : t -> Divergence.profile
 
 val similarity : t -> log_background:float array -> Sequence.t -> Similarity.result
 (** {!Similarity.score} against this cluster's PST, computed on its
-    compiled automaton ({!Similarity.score_psa}, bit-for-bit equal to
-    the tree walk). An automaton left stale by {!absorb} is first
+    compiled automaton ({!Similarity.score_psa}, the segment loop,
+    bit-for-bit equal to the tree walk): the one score with the best
+    segment, which the batch loop takes for a fresh joiner right before
+    its {!absorb}. An automaton left stale by {!absorb} is first
     brought current as by {!compile}, minus its journal record, so only
     the task that owns the cluster may call this after an absorb; after
     {!compile} it only reads. *)
 
 val rescore : t -> log_background:float array -> Similarity.column -> int -> Sequence.t -> unit
-(** [rescore t ~log_background column i s] writes [similarity t
-    ~log_background s] into cell [i] of [column], with no record
-    ({!Similarity.score_cell}): a dirty rescore of the batch loop's
-    apply pass. The owner rule of {!similarity} applies. *)
+(** [rescore t ~log_background column i s] writes the log-similarity
+    of [similarity t ~log_background s] into cell [i] of [column], with
+    no record and no segment ({!Similarity.score_cell}, the block scan):
+    a dirty rescore of the batch loop's apply pass. The owner rule of
+    {!similarity} applies. *)
 
 val score_columns :
   log_background:float array -> t array -> Sequence.t array -> Similarity.column array
 (** [score_columns ~log_background clusters seqs] scores every sequence
     against every cluster on the {!Par} global pool and returns one
     column per cluster: cell [i] of [(score_columns ~log_background
-    clusters seqs).(c)] is bit-for-bit [similarity clusters.(c)
-    ~log_background seqs.(i)]. The sequences are cut into blocks of 64,
+    clusters seqs).(c)] is bit-for-bit the log-similarity of
+    [similarity clusters.(c) ~log_background seqs.(i)]. The sequences are cut into blocks of 64,
     one pool task each; a task scores its block cluster-major, one
     {!Similarity.score_block} pass per (cluster, block), writing straight
     into each column at the block's offset, so no per-sequence record

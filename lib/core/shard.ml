@@ -396,7 +396,7 @@ let run ?(config = Cluseq.default_config) ?(shards = 1) db =
            {
              (List.hd lasts) with
              pairs_scored = sum (fun c -> c.pairs_scored);
-             pairs_joined = sum (fun c -> c.pairs_joined);
+             scored_joins = sum (fun c -> c.scored_joins);
            });
     Log.info (fun m ->
         m "merged %d shard clusters into %d (threshold %.3g, %d rescored)" (Array.length gs)

@@ -60,15 +60,13 @@ let score pst ~log_background s =
     { log_sim = !z; seg_lo = !best_lo; seg_hi = !best_hi }
   end
 
-type column = { log_sims : float array; seg_los : int array; seg_his : int array }
+type column = { log_sims : float array }
 
-let column n =
-  { log_sims = Array.make n neg_infinity; seg_los = Array.make n (-1); seg_his = Array.make n (-1) }
+let column n = { log_sims = Array.make n neg_infinity }
 
-let cell c i = { log_sim = c.log_sims.(i); seg_lo = c.seg_los.(i); seg_hi = c.seg_his.(i) }
-
-(* The front ends over [Psa.score_into], the one Kadane scan over a
-   compiled automaton. The emission table stores the very floats
+(* The front ends over [Psa]'s two scans: [Psa.score_into], the block
+   scan, for log-similarities, and [Psa.segment_into], one lane, where
+   the segment is wanted too. The emission table stores the very floats
    [Pst.next_log_prob] computes and each X_i is formed with the
    identical subtraction, so every lane is bit-for-bit equal to [score]
    on the source tree — the fuzz oracle and the qcheck properties assert
@@ -82,8 +80,7 @@ let count_block seqs =
 
 let score_block psa ~log_background c ~at seqs =
   count_block seqs;
-  Psa.score_into psa ~log_background seqs ~at ~log_sim:c.log_sims ~seg_lo:c.seg_los
-    ~seg_hi:c.seg_his
+  Psa.score_into psa ~log_background seqs ~at ~log_sim:c.log_sims
 
 let score_batch psa ~log_background ~batch seqs =
   count_block seqs;
@@ -95,24 +92,30 @@ let score_batch psa ~log_background ~batch seqs =
         seg_hi = Psa.batch_seg_hi batch j;
       })
 
-(* One sequence is a one-lane block. The lane array and the one-cell
-   column [score_psa] reads back are per domain, as [Psa.compile]'s
-   trie is: dirty rescores run in apply tasks on every domain of the
-   pool. *)
-let lane_scratch = Domain.DLS.new_key (fun () -> ([| [||] |], column 1))
+(* One sequence is a one-lane block, or one segment lane. The lane array
+   and the one-cell columns [score_psa] reads back are per domain, as
+   [Psa.compile]'s trie is: dirty rescores and absorbs run in apply
+   tasks on every domain of the pool. *)
+let lane_scratch = Domain.DLS.new_key (fun () -> [| [||] |])
+
+let segment_scratch =
+  Domain.DLS.new_key (fun () -> ([| neg_infinity |], [| -1 |], [| -1 |]))
+
+let count_lane s =
+  Obs.Metrics.incr m_calls;
+  Obs.Metrics.incr ~by:(Array.length s) m_symbols_scanned
 
 let score_cell psa ~log_background c i s =
-  Obs.Metrics.incr m_calls;
-  Obs.Metrics.incr ~by:(Array.length s) m_symbols_scanned;
-  let lane, _ = Domain.DLS.get lane_scratch in
+  count_lane s;
+  let lane = Domain.DLS.get lane_scratch in
   lane.(0) <- s;
-  Psa.score_into psa ~log_background lane ~at:i ~log_sim:c.log_sims ~seg_lo:c.seg_los
-    ~seg_hi:c.seg_his
+  Psa.score_into psa ~log_background lane ~at:i ~log_sim:c.log_sims
 
 let score_psa psa ~log_background s =
-  let _, c = Domain.DLS.get lane_scratch in
-  score_cell psa ~log_background c 0 s;
-  cell c 0
+  count_lane s;
+  let log_sim, seg_lo, seg_hi = Domain.DLS.get segment_scratch in
+  Psa.segment_into psa ~log_background s ~at:0 ~log_sim ~seg_lo ~seg_hi;
+  { log_sim = log_sim.(0); seg_lo = seg_lo.(0); seg_hi = seg_hi.(0) }
 
 (* Per position, X_i and the depth of the context the automaton
    predicted symbol i from, in one walk of its states. Only the explain

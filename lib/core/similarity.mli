@@ -12,7 +12,21 @@
     {m Y_i = \max(Y_{i-1} + X_i,\; X_i)}, {m Z_i = \max(Z_{i-1}, Y_i)}
     — a single left-to-right scan (Kadane's maximum-subarray scheme). The
     conditional probabilities are retrieved from the cluster's PST via its
-    prediction nodes, exactly the procedure of paper Sec. 3. *)
+    prediction nodes, exactly the procedure of paper Sec. 3.
+
+    {!score} walks the tree, as the reference. The production scores run
+    on a compiled automaton ({!Psa}), in one of two C loops chosen by
+    what the caller reads. Joins and verdicts read {m \log SIM} alone, so
+    columns are filled by the block scan ({!score_block},
+    {!score_cell}): four lanes in flight, a finished lane's slot
+    refilled from the block, over a transition table of row offsets.
+    Best-segment insertion (paper Sec. 4.4) also needs the maximizing
+    segment, so {!score_psa} runs the one-lane segment loop. Both loops
+    perform the same float operations in the same order, so a sequence
+    scanned by the segment loop on the automaton that produced its
+    deciding column cell gets that cell's bits, and the segment the tree
+    walk finds: the batch loop scans a joiner's segment right before its
+    absorb, on the cluster's automaton as it stands. *)
 
 type result = {
   log_sim : float;  (** {m \log SIM_S(σ)}; [neg_infinity] for an empty σ. *)
@@ -28,63 +42,61 @@ val score : Pst.t -> log_background:float array -> Sequence.t -> result
     ({!Seq_database.log_background}). O(l · L) where L is the PST's max
     context depth. *)
 
-type column = {
-  log_sims : float array;  (** Cell [i]: sequence [i]'s {!result.log_sim}. *)
-  seg_los : int array;  (** Cell [i]: its {!result.seg_lo}. *)
-  seg_his : int array;  (** Cell [i]: its {!result.seg_hi}. *)
-}
-(** One model's scores over a sequence array, held as three unboxed
-    columns instead of one boxed {!result} per sequence: what
+type column = { log_sims : float array  (** Cell [i]: sequence [i]'s {!result.log_sim}. *) }
+(** One model's log-similarities over a sequence array, held unboxed
+    instead of one boxed {!result} per sequence: what
     [Cluster.score_columns] fills block by block and the batch loop,
-    its score cache and [Classifier.classify_all] read. *)
+    its score cache and [Classifier.classify_all] read. A column holds
+    no segment bounds: joins and verdicts read the log-similarity alone,
+    and the one caller that needs a segment, an absorb, scans its lane
+    with {!score_psa}. *)
 
 val column : int -> column
 (** [column n] is a column of [n] cells, each holding the empty
-    sequence's result ([neg_infinity], bounds [-1,-1]) until scored. *)
-
-val cell : column -> int -> result
-(** [cell c i] is cell [i] boxed as a {!result}. *)
+    sequence's log-similarity ([neg_infinity]) until scored. *)
 
 val score_psa : Psa.t -> log_background:float array -> Sequence.t -> result
 (** [score_psa psa ~log_background s]: the same measure over a compiled
-    automaton ({!Psa.compile} of the same tree) — [s] scored as a
-    one-lane block of {!Psa.score_into} on a per-domain scratch: one
-    O(l) pass of its C loop, one transition and one table read per
-    symbol, no per-symbol allocation or [log], and no branch on the
-    scores. Bit-for-bit equal to {!score} on the tree the automaton was
-    compiled from, the sign of a zero included ([Check.same_result];
-    enforced by the property tests and the fuzz oracles), whenever
-    [log_background] passes {!validate_log_background}, as the
-    backgrounds of runs, classifiers and [Online] do; with a NaN or
-    [-inf] entry the two may differ ({!Psa.score_into}).
-    Raises [Invalid_argument] on a symbol outside the compiled
-    alphabet. *)
+    automaton ({!Psa.compile} of the same tree), with the best segment —
+    [s] scanned by {!Psa.segment_into}, the one loop that tracks
+    bounds, into a per-domain scratch: one O(l) pass, one transition
+    and one table read per symbol, no per-symbol allocation or [log],
+    and no branch on the scores. Bit-for-bit equal to {!score} on the
+    tree the automaton was compiled from, the sign of a zero and the
+    segment included ([Check.same_result]; enforced by the property
+    tests and the fuzz oracles), whenever [log_background] passes
+    {!validate_log_background}, as the backgrounds of runs, classifiers
+    and [Online] do; with a NaN or [-inf] entry the two may differ
+    ({!Psa.score_into}). Raises [Invalid_argument] on a symbol outside
+    the compiled alphabet. *)
 
 val score_cell : Psa.t -> log_background:float array -> column -> int -> Sequence.t -> unit
-(** [score_cell psa ~log_background c i s] writes [score_psa psa
-    ~log_background s] into cell [i] of [c], with no record: a one-lane
-    block at offset [i]. Raises [Invalid_argument] as {!score_psa}
-    does, or when [i] is outside [c]. *)
+(** [score_cell psa ~log_background c i s] writes [s]'s log-similarity
+    into cell [i] of [c]: a one-lane block of {!Psa.score_into} at
+    offset [i], with the bits of [(score_psa psa ~log_background
+    s).log_sim]. Raises [Invalid_argument] as {!score_psa} does, or
+    when [i] is outside [c]. *)
 
 val score_block :
   Psa.t -> log_background:float array -> column -> at:int -> Sequence.t array -> unit
 (** [score_block psa ~log_background c ~at seqs] scores the whole block
-    in one lane-major pass over the automaton ({!Psa.score_into}) and
-    writes sequence [j]'s result into cell [at + j] of [c], touching no
-    other cell, so tasks on disjoint ranges may fill one column at once.
-    Every cell is bit-for-bit what {!score_cell} writes, and so
-    {!score_psa}'s result, whatever the block around it. Raises
-    [Invalid_argument] as {!Psa.score_into} does. *)
+    in one pass of the block scan ({!Psa.score_into}, four lanes in
+    flight) and writes sequence [j]'s log-similarity into cell [at + j]
+    of [c], touching no other cell, so tasks on disjoint ranges may
+    fill one column at once. Every cell is bit-for-bit what
+    {!score_cell} writes, and so {!score_psa}'s log-similarity, whatever
+    the block around it. Raises [Invalid_argument] as {!Psa.score_into}
+    does. *)
 
 val score_batch :
   Psa.t -> log_background:float array -> batch:Psa.batch -> Sequence.t array -> result array
-(** [score_batch psa ~log_background ~batch seqs] scores the block
-    through [batch], a reusable scratch ({!Psa.score_batch}), and
-    returns one {!result} per sequence, in input order: bit-for-bit
-    [Array.map (score_psa psa ~log_background) seqs], boxed. For timing
-    probes and oracles; the batch loop scores into columns
-    ({!score_block}). Raises [Invalid_argument] on a symbol outside the
-    compiled alphabet. *)
+(** [score_batch psa ~log_background ~batch seqs] scores the block lane
+    by lane through [batch], a reusable scratch ({!Psa.score_batch},
+    the segment loop), and returns one {!result} per sequence, in input
+    order: bit-for-bit [Array.map (score_psa psa ~log_background) seqs],
+    boxed. For timing probes and oracles; the batch loop scores into
+    columns ({!score_block}). Raises [Invalid_argument] on a symbol
+    outside the compiled alphabet. *)
 
 val xs_psa : Psa.t -> log_background:float array -> Sequence.t -> float array
 (** The per-position {m X_i} profile via the automaton; bit-for-bit equal

@@ -68,6 +68,11 @@
    then [refresh] refuses, as it does after a significant node was
    pruned, and the caller recompiles.
 
+   A transition entry holds the next state's row offset, state * n, not
+   its number, so a scan's state chain is one add and one load per
+   symbol (psa_stubs.c); [compile] and [patch] write offsets, and [step]
+   divides.
+
    The finished tables live in Bigarrays, i.e. off the OCaml heap: the
    GC neither scans nor moves them, a compiled automaton is one flat
    malloc'd block per table, and Par worker domains read them without
@@ -92,7 +97,7 @@ type emit_table = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Arra
 type t = {
   alphabet_size : int;
   mutable n_states : int;
-  mutable trans : trans_table; (* state * n + sym -> next state *)
+  mutable trans : trans_table; (* state * n + sym -> next state * n *)
   mutable emit : emit_table; (* state * n + sym -> log P(sym | prediction ctx) *)
   mutable pred : Pst.node array; (* state -> its prediction node's id (an int) *)
   mutable pred_total : int array; (* state -> that node's next_total when its row was written *)
@@ -117,7 +122,7 @@ let cell t state sym =
   if sym < 0 || sym >= t.alphabet_size then invalid_arg "Psa: symbol out of range";
   (state * t.alphabet_size) + sym
 
-let step t state sym = Bigarray.Array1.get t.trans (cell t state sym)
+let step t state sym = Bigarray.Array1.get t.trans (cell t state sym) / t.alphabet_size
 let emission t state sym = Bigarray.Array1.get t.emit (cell t state sym)
 
 (* 8 bytes per cell of both tables (int and float64 elements) and per
@@ -209,7 +214,7 @@ let compile pst =
     let c = children.(a) in
     if c >= 0 then begin
       discover c 0;
-      Bigarray.Array1.set trans a c
+      Bigarray.Array1.set trans a (c * n)
     end
   done;
   while not (Queue.is_empty q) do
@@ -218,8 +223,8 @@ let compile pst =
     for a = 0 to n - 1 do
       let c = children.(base + a) in
       if c >= 0 then begin
-        discover c (Bigarray.Array1.get trans (fbase + a));
-        Bigarray.Array1.set trans (base + a) c
+        discover c (Bigarray.Array1.get trans (fbase + a) / n);
+        Bigarray.Array1.set trans (base + a) (c * n)
       end
       else Bigarray.Array1.set trans (base + a) (Bigarray.Array1.get trans (fbase + a))
     done
@@ -348,7 +353,7 @@ let patch t pst crossings =
          let rec sweep nd =
            let v = state.(slot nd) in
            if v >= 0 then begin
-             Bigarray.Array1.set trans ((v * n) + newest) u;
+             Bigarray.Array1.set trans ((v * n) + newest) (u * n);
              Pst.iter_children pst nd (fun _ c -> if Pst.node_count pst c >= sigma then sweep c)
            end
          in
@@ -418,9 +423,10 @@ let batch_log_sim b j = b.log_sim.(j)
 let batch_seg_lo b j = b.lo.(j)
 let batch_seg_hi b j = b.hi.(j)
 
-(* The lane loop of [score_into], in psa_stubs.c: it writes lane j's
-   results at index [at + j] of the three columns, two lanes per loop,
-   and returns [false] if some lane holds a symbol outside [0, n). *)
+(* The two scans of psa_stubs.c. [scan] writes lane j's log-similarity
+   at index [at + j], four lanes in flight; [segment] writes one lane's
+   log-similarity and best segment bounds at index [at]. Both return
+   [false] on a symbol outside [0, n). *)
 external scan :
   trans_table ->
   emit_table ->
@@ -429,42 +435,66 @@ external scan :
   Sequence.t array ->
   int ->
   float array ->
-  int array ->
-  int array ->
   bool = "cluseq_psa_scan_bytecode" "cluseq_psa_scan"
 [@@noalloc]
 
-(* One automaton over a block of sequences, lane-major: each lane is
-   scanned to completion with the automaton state and the Kadane
-   accumulators in registers, so the block costs zero heap words per
-   symbol while each sequence streams through cache linearly. Lanes go
-   in pairs through one loop, so two independent dependency chains
-   overlap (four lanes measured no better than two). (A position-major
-   variant — all lanes advancing one symbol per step against a state
-   column — was measured ~25% slower: automaton states diverge across
-   lanes within a few symbols, so interleaving buys no table-row reuse
-   and pays a lane gather per symbol.)
+external segment :
+  trans_table ->
+  emit_table ->
+  int ->
+  float array ->
+  Sequence.t ->
+  int ->
+  float array ->
+  int array ->
+  int array ->
+  bool = "cluseq_psa_segment_bytecode" "cluseq_psa_segment"
+[@@noalloc]
 
-   This is the only Kadane scan over an automaton: [score_batch] is a
-   block written at offset 0 of a scratch, and [Similarity.score_psa]
-   one lane. Per lane, the stub's float operations give the bits of the
-   tree walk's ([Similarity.score]), on the same values in the same
-   order (see psa_stubs.c for why its selects equal the walk's
-   branches), and lanes never interact — so every output is bit-for-bit
-   the tree walk's, whatever the block around it or the lane it is
-   paired with (the QCheck properties and the fuzz oracles enforce
-   exact equality). The stub writes inside [at, at + lanes) only, which
-   the checks below guarantee lie in all three columns. *)
-let score_into t ~log_background seqs ~at ~log_sim ~seg_lo ~seg_hi =
-  let last = at + Array.length seqs in
-  if at < 0 || last > Array.length log_sim || last > Array.length seg_lo
-     || last > Array.length seg_hi
-  then invalid_arg "Psa.score_into: columns shorter than at + lanes";
+let check_background t log_background =
   if Array.length log_background < t.alphabet_size then
-    invalid_arg "Psa.score_batch: log_background shorter than the alphabet";
-  if not (scan t.trans t.emit t.alphabet_size log_background seqs at log_sim seg_lo seg_hi)
-  then invalid_arg "Psa.score_batch: symbol outside the compiled alphabet"
+    invalid_arg "Psa.score_batch: log_background shorter than the alphabet"
+
+let symbol_outside () = invalid_arg "Psa.score_batch: symbol outside the compiled alphabet"
+
+(* One automaton over a block of sequences, lane-major: each lane streams
+   through cache linearly with the automaton state and the Kadane
+   accumulators in registers, so the block costs zero heap words per
+   symbol. Four lanes are in flight at once, a finished lane's slot
+   refilled from the block, so four independent dependency chains
+   overlap whatever the lanes' lengths. (A position-major variant — all
+   lanes advancing one symbol per step against a state column — was
+   measured ~25% slower: automaton states diverge across lanes within a
+   few symbols, so interleaving buys no table-row reuse and pays a lane
+   gather per symbol.)
+
+   Per lane, either stub's float operations give the bits of the tree
+   walk's ([Similarity.score]), on the same values in the same order
+   (see psa_stubs.c for why its selects equal the walk's branches), and
+   lanes never interact — so every log-similarity is bit-for-bit the
+   tree walk's, whatever the block around it, its slot or the lanes it
+   shares rounds with (the QCheck properties and the fuzz oracles
+   enforce exact equality). The stubs write inside [at, at + lanes)
+   only, which the checks below guarantee lie in the columns. *)
+let score_into t ~log_background seqs ~at ~log_sim =
+  if at < 0 || at + Array.length seqs > Array.length log_sim then
+    invalid_arg "Psa.score_into: columns shorter than at + lanes";
+  check_background t log_background;
+  if not (scan t.trans t.emit t.alphabet_size log_background seqs at log_sim) then
+    symbol_outside ()
+
+let segment_into t ~log_background s ~at ~log_sim ~seg_lo ~seg_hi =
+  if at < 0 || at >= Array.length log_sim || at >= Array.length seg_lo
+     || at >= Array.length seg_hi
+  then invalid_arg "Psa.segment_into: cell outside the columns";
+  check_background t log_background;
+  if not (segment t.trans t.emit t.alphabet_size log_background s at log_sim seg_lo seg_hi)
+  then symbol_outside ()
 
 let score_batch t ~log_background ~batch seqs =
   ensure_capacity batch (Array.length seqs);
-  score_into t ~log_background seqs ~at:0 ~log_sim:batch.log_sim ~seg_lo:batch.lo ~seg_hi:batch.hi
+  Array.iteri
+    (fun j s ->
+      segment_into t ~log_background s ~at:j ~log_sim:batch.log_sim ~seg_lo:batch.lo
+        ~seg_hi:batch.hi)
+    seqs

@@ -10,11 +10,16 @@
     automaton is the Aho–Corasick machine of the active labels written
     oldest-symbol-first — active nodes plus the prefix-closure states a
     pruned tree needs — with failure links resolved into a dense
-    [state × symbol → state] transition table and the smoothed
+    [state × symbol → state] transition table (each entry the next
+    state's row offset, [state * |Σ|]) and the smoothed
     log-probabilities of each state's prediction node precomputed with
     the formula {!Pst.next_log_prob} itself applies
     ({!Pst.smoothed_log_prob}). Scoring then advances one state and
-    reads one float per symbol, with no allocation and no [log].
+    reads one float per symbol, with no allocation and no [log], in one
+    of two scans: {!score_into}, a block scan that computes
+    log-similarities only, four lanes in flight and refilled from the
+    block, and {!segment_into}, one lane that also tracks the best
+    segment's bounds, for absorbs (see Batch scoring below).
 
     The tables are {!Bigarray.Array1} blocks, i.e. {e off the OCaml
     heap}: the GC neither scans nor moves them, so a compiled automaton
@@ -103,10 +108,12 @@ val n_states : t -> int
 val transitions : t -> trans_table
 (** The dense transition table over the [n_states] states in use, as a
     view of the automaton's table (a patched table carries spare rows),
-    row-major: entry [state * n + sym] is the state reached after
-    emitting [sym] — the prediction state for the context extended by
-    [sym]. Read-only; exposed for the table-shape tests — scans go
-    through {!score_into}. *)
+    row-major: entry [state * n + sym] is the row offset [next * n] of
+    the state [next] reached after emitting [sym] — the prediction state
+    for the context extended by [sym]. Premultiplied offsets make the
+    scans' state chain one add and one load per symbol. Read-only;
+    exposed for the table-shape tests — scans go through {!score_into}
+    and {!segment_into}, and {!step} reads states. *)
 
 val emissions : t -> emit_table
 (** The precomputed emission table over the states in use, a view like
@@ -119,9 +126,10 @@ val emissions : t -> emit_table
 
 val step : t -> int -> int -> int
 (** [step t state sym] is the bounds-checked ([Invalid_argument] outside
-    [n_states] or the alphabet) single transition
-    [transitions t].{[state * n + sym]} — the convenience read for tests
-    and oracles that re-walk the automaton one symbol at a time. *)
+    [n_states] or the alphabet) single transition: the state whose row
+    offset [transitions t].{[state * n + sym]} holds — the convenience
+    read for tests and oracles that re-walk the automaton one symbol at
+    a time. *)
 
 val emission : t -> int -> int -> float
 (** [emission t state sym] is the bounds-checked emission table read at
@@ -140,44 +148,59 @@ val table_bytes : t -> int
     (prediction node, and its next-symbol total when the row was
     written). Spare rows a patch left are not counted. *)
 
-(** {1 Batch scoring} *)
+(** {1 Batch scoring}
+
+    Two Kadane scans run over an automaton, both C loops
+    ([psa_stubs.c]) that keep the state and the accumulators in
+    registers, replace the scan's two branches by selects and allocate
+    nothing: {!score_into}, the block scan, computes log-similarities
+    only, and {!segment_into}, one lane at a time, also tracks the best
+    segment's bounds. They perform the same float operations in the same
+    order, so a lane's log-similarity is bit-for-bit the same in both,
+    and both are the tree walk's ([Similarity.score]) on the same
+    sequence, signed zeros included, whenever [log_background] passes
+    [Similarity.validate_log_background] (DESIGN.md §13): a NaN X_i,
+    which only an invalid background can produce, sticks in the running
+    sum here where the tree walk resets past it. Clustering decides joins
+    and classifiers verdicts on log-similarities alone; only an absorb
+    needs the segment, so it scans the one lane it inserts. *)
 
 val score_into :
+  t -> log_background:float array -> Sequence.t array -> at:int -> log_sim:float array -> unit
+(** [score_into t ~log_background seqs ~at ~log_sim] runs the automaton
+    over every sequence of the block and writes lane [j]'s
+    log-similarity at index [at + j] of [log_sim], a column the caller
+    owns, touching no other index. Four lanes are in flight at once, and
+    a lane that finishes hands its slot to the block's next lane, so
+    four dependency chains overlap whatever the lanes' lengths; once
+    fewer than four remain, each runs to its end alone. Every lane
+    performs its own operations in the one-lane order, so its result
+    does not depend on its offset, slot or block. Empty lanes yield
+    [neg_infinity]. Disjoint offsets may be written from several domains
+    at once.
+
+    Raises [Invalid_argument] if [at < 0] or [log_sim] is shorter than
+    [at + Array.length seqs] (before any write), if [log_background] is
+    shorter than the alphabet, or if any symbol lies outside
+    [\[0, alphabet_size)] (the column is then written only in part). *)
+
+val segment_into :
   t ->
   log_background:float array ->
-  Sequence.t array ->
+  Sequence.t ->
   at:int ->
   log_sim:float array ->
   seg_lo:int array ->
   seg_hi:int array ->
   unit
-(** [score_into t ~log_background seqs ~at ~log_sim ~seg_lo ~seg_hi]
-    runs the automaton over every sequence of the block and writes lane
-    [j]'s log-similarity and winning segment bounds at index [at + j] of
-    the three columns the caller owns, touching no other index. Each
-    lane is scanned to completion by one C loop ([psa_stubs.c]) that
-    keeps the state and the Kadane accumulators in registers and
-    replaces the scan's two branches by selects, so the block costs zero
-    heap words and no branch on the scores per symbol while every
-    sequence streams through cache linearly; lanes go two at a time
-    through one loop, so that their dependency chains overlap, each
-    with its own operations in the one-lane order. This is the only
-    Kadane scan over an automaton ({!score_batch} and
-    [Similarity.score_psa] run through it), and lanes never interact,
-    so every lane's result is bit-for-bit the tree walk's
-    ([Similarity.score]) on the same sequence, signed zeros included,
-    whatever its offset, block or partner lane, whenever
-    [log_background] passes [Similarity.validate_log_background]
-    (DESIGN.md §13): a NaN X_i, which only an invalid background can
-    produce, sticks in the running sum here where the tree walk resets
-    past it. Empty lanes yield [neg_infinity] with bounds [-1,-1].
-    Disjoint offsets may be written from several domains at once.
-
-    Raises [Invalid_argument] if [at < 0] or a column is shorter than
-    [at + Array.length seqs] (before any write), if [log_background] is
-    shorter than the alphabet, or if any symbol lies outside
-    [\[0, alphabet_size)] (the columns are then written only in
-    part). *)
+(** [segment_into t ~log_background s ~at ~log_sim ~seg_lo ~seg_hi]
+    scans the one lane [s] and writes its log-similarity and its best
+    segment's bounds at index [at] of the three columns, the only place
+    bounds are computed. The log-similarity has {!score_into}'s bits; an
+    empty lane yields [neg_infinity] with bounds [-1,-1]. Raises
+    [Invalid_argument], writing nothing, if [at] is outside a column, if
+    [log_background] is shorter than the alphabet, or if a symbol lies
+    outside [\[0, alphabet_size)]. *)
 
 type batch
 (** A reusable scratch for {!score_batch}: per lane, the log-similarity
@@ -193,11 +216,12 @@ val batch_capacity : batch -> int
 (** Current lane capacity (for tests). *)
 
 val score_batch : t -> log_background:float array -> batch:batch -> Sequence.t array -> unit
-(** [score_batch t ~log_background ~batch seqs] is {!score_into} at
-    offset 0 of [batch], grown first to the block's size if needed.
-    Results are read back with {!batch_log_sim} / {!batch_seg_lo} /
-    {!batch_seg_hi} at the lane's index in [seqs]. Raises
-    [Invalid_argument] as {!score_into} does. *)
+(** [score_batch t ~log_background ~batch seqs] runs {!segment_into} on
+    every lane, lane [j] at index [j] of [batch], grown first to the
+    block's size if needed. Results are read back with {!batch_log_sim}
+    / {!batch_seg_lo} / {!batch_seg_hi} at the lane's index in [seqs].
+    Raises [Invalid_argument] as {!segment_into} does (the lanes before
+    a bad one are then written). *)
 
 val batch_log_sim : batch -> int -> float
 (** [batch_log_sim b j] is the log-similarity of lane [j] from the last

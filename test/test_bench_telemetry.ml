@@ -106,6 +106,7 @@ let experiment ?(id = "table2") ?(wall = 10.0) ?(cluseq_s = 8.0) ?drift:(dr = dr
       {
         Bench_report.pairs_scored = 10_000;
         pairs_joined = 800;
+        scored_joins = 700;
         dirty_rescores = 150;
         assignments_changed = 420;
         pairs_reused = 2_500;
@@ -460,6 +461,22 @@ let test_compare_skips_empty_drift () =
               && String.sub v.Bench_compare.metric 0 6 = "drift."))
        verdicts)
 
+(* A base recorded before the census counted its scored joins reads 0
+   there, and its ratio divided by another base: the ratio gets no
+   verdict, and the other census counts still do. *)
+let test_compare_skips_old_census_ratio () =
+  let e = experiment () in
+  let old = { e with census = { e.census with scored_joins = 0 } } in
+  let base = report ~experiments:[ old ] () in
+  let candidate = report ~experiments:[ experiment () ] () in
+  let status metric =
+    (List.find (fun v -> v.Bench_compare.metric = metric) (compare_ok base candidate)).status
+  in
+  Alcotest.(check bool) "ratio skipped" true (status "census.wasted_pair_ratio" = `Skipped);
+  Alcotest.(check bool) "counts judged" true (status "census.pairs_scored" = `Ok);
+  Alcotest.(check (float 1e-12)) "ratio over scored joins" 0.93
+    (Bench_report.wasted_pair_ratio e.census)
+
 let test_compare_noise_floor () =
   (* Tiny timings double but stay under the 50 ms floor: skipped, not
      flagged. *)
@@ -605,6 +622,8 @@ let () =
           Alcotest.test_case "quality drop flagged" `Quick test_compare_flags_quality_drop;
           Alcotest.test_case "drift shift flagged" `Quick test_compare_flags_drift_shift;
           Alcotest.test_case "empty drift base skipped" `Quick test_compare_skips_empty_drift;
+          Alcotest.test_case "census ratio of an old base skipped" `Quick
+            test_compare_skips_old_census_ratio;
           Alcotest.test_case "noise floor respected" `Quick test_compare_noise_floor;
           Alcotest.test_case "added/removed experiments tolerated" `Quick
             test_compare_tolerates_experiment_sets;

@@ -110,12 +110,7 @@ let test_auditor_catches_perturbed_score () =
   let perturb_first_finite decided =
     let decided =
       Array.map
-        (fun (c : Similarity.column) ->
-          {
-            Similarity.log_sims = Array.copy c.log_sims;
-            seg_los = Array.copy c.seg_los;
-            seg_his = Array.copy c.seg_his;
-          })
+        (fun (c : Similarity.column) -> { Similarity.log_sims = Array.copy c.log_sims })
         decided
     in
     (try

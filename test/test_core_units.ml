@@ -98,8 +98,10 @@ let test_cluster_scores_follow_absorbs () =
   Cluster.compile cl;
   let column = (Cluster.score_columns ~log_background:lbg [| cl |] block).(0) in
   Alcotest.(check bool) "fan-out after compile = tree walk" true
-    (Array.init (Array.length block) (Similarity.cell column)
-    = Array.map (Similarity.score (Cluster.pst cl) ~log_background:lbg) block)
+    (Array.for_all2 Check.same_bits column.log_sims
+       (Array.map
+          (fun s -> (Similarity.score (Cluster.pst cl) ~log_background:lbg s).log_sim)
+          block))
 
 (* [Cluster.score_columns] against the per-sequence path: clusters grown
    by absorbs and then compiled, sequence arrays on either side of the
@@ -149,9 +151,10 @@ let prop_score_columns_match_similarity =
           Array.length got = Array.length clusters
           && Array.for_all2
                (fun e (g : Similarity.column) ->
-                 Array.length g.log_sims = n && Array.length g.seg_los = n
-                 && Array.length g.seg_his = n
-                 && Array.for_all2 Check.same_result e (Array.init n (Similarity.cell g)))
+                 Array.length g.log_sims = n
+                 && Array.for_all2
+                      (fun (r : Similarity.result) -> Check.same_bits r.log_sim)
+                      e g.log_sims)
                expected got)
         [ 1; 4 ])
 
@@ -203,14 +206,14 @@ let test_cache_dropped_on_absorb () =
   let cl, s, column = cached_cluster () in
   Cluster.set_score_cache cl column;
   Alcotest.(check bool) "cache installed" true (Cluster.score_cache cl <> None);
-  Cluster.absorb cl s (Similarity.cell column 0);
+  Cluster.absorb cl s (Cluster.similarity cl ~log_background:(Array.make 26 (-.log 26.0)) s);
   Alcotest.(check bool) "absorb drops the cache" true (Cluster.score_cache cl = None)
 
 (* The divergence profile is cached until an absorb grows the tree; the
    one built after it describes the grown tree. *)
 let test_profile_dropped_on_absorb () =
   let cl, s, column = cached_cluster () in
-  let r = Similarity.cell column 0 in
+  let r : Similarity.result = { log_sim = column.log_sims.(0); seg_lo = 0; seg_hi = 0 } in
   let other = Pst.create pst_cfg in
   Pst.insert_sequence other (Sequence.of_string alpha "abcbcbca");
   let kl () = Divergence.kl_profiles (Cluster.profile cl) (Divergence.profile other) in

@@ -1,8 +1,8 @@
 (* Tests for the compiled scoring automaton (Psa): structural units plus
    QCheck properties asserting *exact* float equality between the
-   compiled scan and the tree walk — the bit-for-bit contract the fuzz
+   compiled scans and the tree walk — the bit-for-bit contract the fuzz
    oracle (Check.psa_scoring_matches) also enforces — and between the
-   batched kernel and the serial scan (Check.batch_scoring_matches). *)
+   block scan and the segment loop (Check.batch_scoring_matches). *)
 
 open Gen_common
 
@@ -27,10 +27,12 @@ let test_transitions_in_range () =
   let psa = Psa.compile pst in
   let ns = Psa.n_states psa in
   Alcotest.(check bool) "has non-root states" true (ns > 1);
+  (* Entries are row offsets, next state * n. *)
   let trans = Psa.transitions psa in
   for i = 0 to Bigarray.Array1.dim trans - 1 do
     let q = Bigarray.Array1.get trans i in
-    Alcotest.(check bool) "state in range" true (q >= 0 && q < ns)
+    Alcotest.(check bool) "a multiple of n" true (q mod 26 = 0);
+    Alcotest.(check bool) "row in range" true (q >= 0 && q < ns * 26)
   done;
   Alcotest.(check int) "table shape" (ns * 26) (Bigarray.Array1.dim (Psa.transitions psa));
   Alcotest.(check int) "emit shape" (ns * 26) (Bigarray.Array1.dim (Psa.emissions psa));
@@ -50,47 +52,63 @@ let test_symbol_out_of_alphabet () =
   let pst = build_pst ~alphabet_size:4 [ "abab" ] in
   let psa = Psa.compile pst in
   let lbg = Array.make 26 (log (1.0 /. 26.0)) in
-  Alcotest.check_raises "symbol 25 vs alphabet 4"
-    (Invalid_argument "Psa.score_batch: symbol outside the compiled alphabet")
-    (fun () -> ignore (Similarity.score_psa psa ~log_background:lbg (seq_of "abz")));
+  let outside = Invalid_argument "Psa.score_batch: symbol outside the compiled alphabet" in
+  Alcotest.check_raises "symbol 25 vs alphabet 4" outside (fun () ->
+      ignore (Similarity.score_psa psa ~log_background:lbg (seq_of "abz")));
   let batch = Psa.batch_create () in
-  Alcotest.check_raises "batched symbol 25 vs alphabet 4"
-    (Invalid_argument "Psa.score_batch: symbol outside the compiled alphabet")
-    (fun () ->
+  Alcotest.check_raises "batched symbol 25 vs alphabet 4" outside (fun () ->
       ignore (Similarity.score_batch psa ~log_background:lbg ~batch [| seq_of "abz" |]));
-  (* Symbols just outside [0, n) on either side, in each lane of a
-     block whose other lanes are valid: either lane of the pair the
-     kernel scans together (inside their common length, and in the
-     longer lane's tail) and the odd last lane, which runs alone. *)
-  let valid = [| [| 0; 1; 2 |]; [| 3; 2 |]; [| 1; 3; 0 |] |] in
+  (* Symbols just outside [0, n) on either side, first and last in each
+     lane of a block whose other lanes are valid, for both loops. The
+     block scan fills its four slots with lanes 0-3, refills lanes 4-6
+     as the shorter lanes finish, and runs the last lanes alone; the
+     segment loop scans each lane on its own. *)
+  let valid =
+    [| [| 0; 1; 2 |]; [| 3; 2 |]; [| 1; 3; 0; 2; 1 |]; [| 2 |]; [| 0; 0; 1; 1; 2; 2 |]; [| 3 |];
+       [| 1; 2; 3 |] |]
+  in
+  let column = Similarity.column (Array.length valid) in
   List.iter
     (fun bad ->
-      List.iter
-        (fun (lane, pos) ->
-          let block = Array.map Array.copy valid in
-          block.(lane).(pos) <- bad;
-          Alcotest.check_raises
-            (Printf.sprintf "symbol %d in lane %d at %d" bad lane pos)
-            (Invalid_argument "Psa.score_batch: symbol outside the compiled alphabet")
-            (fun () -> Psa.score_batch psa ~log_background:lbg ~batch block))
-        [ (0, 0); (0, 2); (1, 1); (2, 1) ])
+      Array.iteri
+        (fun lane s ->
+          List.iter
+            (fun pos ->
+              let block = Array.map Array.copy valid in
+              block.(lane).(pos) <- bad;
+              let name loop =
+                Printf.sprintf "%s: symbol %d in lane %d at %d" loop bad lane pos
+              in
+              Alcotest.check_raises (name "block scan") outside (fun () ->
+                  Similarity.score_block psa ~log_background:lbg column ~at:0 block);
+              Alcotest.check_raises (name "segment loop") outside (fun () ->
+                  Psa.score_batch psa ~log_background:lbg ~batch block))
+            [ 0; Array.length s - 1 ])
+        valid)
     [ -1; 4 ];
-  (* The columns must hold the block at its offset, checked before any
-     write. *)
-  let column n = (Array.make n 0.0, Array.make n 0, Array.make n 0) in
+  (* The columns must hold the block at its offset, or the lane's cell,
+     checked before any write. *)
+  List.iter
+    (fun (at, size) ->
+      Alcotest.check_raises
+        (Printf.sprintf "two lanes at %d of %d cells" at size)
+        (Invalid_argument "Psa.score_into: columns shorter than at + lanes")
+        (fun () ->
+          Psa.score_into psa ~log_background:lbg (Array.sub valid 0 2) ~at
+            ~log_sim:(Array.make size 0.0)))
+    [ (-1, 4); (3, 4); (0, 1) ];
   List.iter
     (fun (at, (log_sim, seg_lo, seg_hi)) ->
       Alcotest.check_raises
-        (Printf.sprintf "two lanes at %d of %d cells" at (Array.length log_sim))
-        (Invalid_argument "Psa.score_into: columns shorter than at + lanes")
+        (Printf.sprintf "a segment at %d" at)
+        (Invalid_argument "Psa.segment_into: cell outside the columns")
         (fun () ->
-          Psa.score_into psa ~log_background:lbg (Array.sub valid 0 2) ~at ~log_sim ~seg_lo
-            ~seg_hi))
+          Psa.segment_into psa ~log_background:lbg valid.(0) ~at ~log_sim ~seg_lo ~seg_hi))
     [
-      (-1, column 4);
-      (3, column 4);
-      (0, (Array.make 1 0.0, Array.make 2 0, Array.make 2 0));
-      (0, (Array.make 2 0.0, Array.make 2 0, Array.make 1 0));
+      (-1, (Array.make 2 0.0, Array.make 2 0, Array.make 2 0));
+      (2, (Array.make 2 0.0, Array.make 2 0, Array.make 2 0));
+      (1, (Array.make 2 0.0, Array.make 1 0, Array.make 2 0));
+      (1, (Array.make 2 0.0, Array.make 2 0, Array.make 1 0));
     ]
 
 let test_validate_log_background () =
@@ -139,8 +157,26 @@ let one_symbol_lbg = [| 0.0 |]
 let bits = Alcotest.testable (fun ppf x -> Format.fprintf ppf "%h" x) Check.same_bits
 let check_bits name want got = Alcotest.check bits name want got
 
+(* The block scan over the prefixes of [s] of lengths 0, 1, 2, 3, 4, 0
+   and 1, scored into a column of NaN: an empty lane meets the first fill
+   (lane 0) and a refill (lane 5), a short lane finishes a round, and
+   lanes 3 and 4 finish alone. Every nonempty lane's cell must hold
+   [want]'s bits, an empty lane's -inf. *)
+let check_block_bits name psa s want =
+  let block = Array.init 7 (fun j -> Array.sub s 0 (min (Array.length s) (j mod 5))) in
+  let column = Similarity.column 7 in
+  Array.fill column.log_sims 0 7 Float.nan;
+  Similarity.score_block psa ~log_background:one_symbol_lbg column ~at:0 block;
+  Array.iteri
+    (fun j lane ->
+      check_bits
+        (Printf.sprintf "%s, block lane %d" name j)
+        (if Array.length lane = 0 then neg_infinity else want)
+        column.log_sims.(j))
+    block
+
 (* An empty tree emits log_uniform = -. log 1 = -0.0 for the one
-   symbol. The first X_i starts the segment: the scan must add it to
+   symbol. The first X_i starts the segment: both loops must add it to
    an identity that keeps its sign, and -0.0 + -0.0 = -0.0 after it. *)
 let test_kernel_negative_zero () =
   let pst = build_pst ~alphabet_size:1 [] in
@@ -150,7 +186,8 @@ let test_kernel_negative_zero () =
   check_bits "log_sim" (-0.0) r.log_sim;
   Alcotest.(check (pair int int)) "segment" (0, 0) (r.seg_lo, r.seg_hi);
   Alcotest.(check bool) "= tree walk" true
-    (Check.same_result r (Similarity.score pst ~log_background:one_symbol_lbg s))
+    (Check.same_result r (Similarity.score pst ~log_background:one_symbol_lbg s));
+  check_block_bits "log_sim" psa s (-0.0)
 
 (* Trained at p_min 0, every context predicts its one symbol with
    probability 1, so every X_i is +0.0: the running segment only ties
@@ -163,15 +200,17 @@ let test_kernel_tie () =
   check_bits "log_sim" 0.0 r.log_sim;
   Alcotest.(check (pair int int)) "segment" (0, 0) (r.seg_lo, r.seg_hi);
   Alcotest.(check bool) "= tree walk" true
-    (Check.same_result r (Similarity.score pst ~log_background:one_symbol_lbg s))
+    (Check.same_result r (Similarity.score pst ~log_background:one_symbol_lbg s));
+  check_block_bits "log_sim" psa s 0.0
 
 (* --- the kernel at an offset --- *)
 
-(* A block of 0-9 lanes (odd counts included), each of 0-40 symbols over
-   an alphabet of 1-6, scored into columns at a random offset: lane j
-   must land at [at + j] bit for bit as the lane scanned alone (and as
-   the tree walk), and every index outside [at, at + lanes) must keep
-   its sentinel. *)
+(* A block of 0-9 lanes, each of 0-40 symbols over an alphabet of 1-6,
+   scored into a column at a random offset: fewer than four lanes run
+   alone, more fill the block scan's four slots and refill them. Lane j
+   must land at [at + j] bit for bit as the lane's log-similarity by the
+   segment loop (and by the tree walk), and every index outside
+   [at, at + lanes) must keep its sentinel. *)
 let offset_block_arb =
   let open QCheck.Gen in
   let gen =
@@ -199,21 +238,16 @@ let prop_offset_block =
       let lbg = Array.make k (log (1.0 /. float_of_int k)) in
       let lanes = Array.length block in
       let size = at + lanes + pad in
-      let sentinel : Similarity.result = { log_sim = Float.nan; seg_lo = -2; seg_hi = -2 } in
-      let log_sim = Array.make size sentinel.log_sim
-      and seg_lo = Array.make size sentinel.seg_lo
-      and seg_hi = Array.make size sentinel.seg_hi in
-      Psa.score_into psa ~log_background:lbg block ~at ~log_sim ~seg_lo ~seg_hi;
+      let log_sim = Array.make size Float.nan in
+      Psa.score_into psa ~log_background:lbg block ~at ~log_sim;
       List.for_all
         (fun i ->
-          let got : Similarity.result =
-            { log_sim = log_sim.(i); seg_lo = seg_lo.(i); seg_hi = seg_hi.(i) }
-          in
-          if i < at || i >= at + lanes then Check.same_result got sentinel
+          let got = log_sim.(i) in
+          if i < at || i >= at + lanes then Check.same_bits got Float.nan
           else
             let s = block.(i - at) in
-            Check.same_result got (Similarity.score_psa psa ~log_background:lbg s)
-            && Check.same_result got (Similarity.score pst ~log_background:lbg s))
+            Check.same_bits got (Similarity.score_psa psa ~log_background:lbg s).log_sim
+            && Check.same_bits got (Similarity.score pst ~log_background:lbg s).log_sim)
         (List.init size Fun.id))
 
 (* --- refresh: in place while the active contexts hold still --- *)
@@ -379,9 +413,10 @@ let exact_match pst probes =
            (Similarity.score_psa psa ~log_background:uniform_lbg s))
     probes
 
-(* The whole probe list scored as ONE block must reproduce both the
-   serial compiled scan and the tree walk, record for record, to the
-   bit: [=] would take -0.0 for +0.0. *)
+(* The whole probe list scored as ONE block must reproduce the tree
+   walk to the bit ([=] would take -0.0 for +0.0): the block scan's
+   log-similarities, and the segment loop's records, through a scratch
+   and one sequence at a time. *)
 let exact_batch_match pst probes =
   let psa = Psa.compile pst in
   let block = Array.of_list (List.map seq_of probes) in
@@ -389,7 +424,13 @@ let exact_batch_match pst probes =
   let batched = Similarity.score_batch psa ~log_background:uniform_lbg ~batch block in
   let serial = Array.map (Similarity.score_psa psa ~log_background:uniform_lbg) block in
   let tree = Array.map (Similarity.score pst ~log_background:uniform_lbg) block in
-  Array.for_all2 Check.same_result batched serial && Array.for_all2 Check.same_result batched tree
+  let column = Similarity.column (Array.length block) in
+  Similarity.score_block psa ~log_background:uniform_lbg column ~at:0 block;
+  Array.for_all2 Check.same_result batched serial
+  && Array.for_all2 Check.same_result batched tree
+  && Array.for_all2
+       (fun x (r : Similarity.result) -> Check.same_bits x r.log_sim)
+       column.log_sims tree
 
 let arb_texts_and_probes ?last () =
   QCheck.pair (texts_gen ~max_seqs:4 ()) (texts_gen ~min_seqs:1 ~max_seqs:3 ?last ())
