@@ -10,6 +10,8 @@ let m_node_creations = Obs.Metrics.counter "pst.node_creations"
 let m_prunings = Obs.Metrics.counter "pst.prunings"
 let m_nodes_pruned = Obs.Metrics.counter "pst.nodes_pruned"
 let m_prediction_lookups = Obs.Metrics.counter "pst.prediction_lookups"
+let m_store_words_fresh = Obs.Metrics.counter "pst.store_words_fresh"
+let m_store_words_reused = Obs.Metrics.counter "pst.store_words_reused"
 let h_insert_seconds = Obs.Metrics.histogram "pst.insert_seconds"
 let h_prune_seconds = Obs.Metrics.histogram "pst.prune_seconds"
 
@@ -181,19 +183,93 @@ let node_id_bound t = t.used
 (* Slot storage                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* A loop rather than [Array.blit]: the fresh array lives in the major
-   heap, where a blit goes through the write barrier for every element,
-   ints included. *)
-let grown (a : int array) size fill =
-  let b = Array.make size fill in
-  for i = 0 to Array.length a - 1 do
-    Array.unsafe_set b i (Array.unsafe_get a i)
-  done;
-  b
-
 (* Geometric growth by half: a finished model carries at most 50% (on
    average about 25%) spare slots. *)
 let grown_size len = max initial_slots (len * 3 / 2)
+
+(* Spare arrays. A run builds a tree for every cluster it seeds and
+   drops most of them, and a tree grows by replacing its arrays with
+   longer ones, so an array a tree outgrows goes onto its domain's
+   spare list, and a later growth that asks for exactly its length
+   takes it instead of fresh memory. Growth asks only for the lengths
+   of one ladder, [initial_slots] and then [grown_size] of each ([copy]
+   and [merge] leave other lengths, which no growth asks for), so only
+   those are kept, and at most one tree's worth of each: nine node
+   arrays, two entry arrays and the pool. An array on a list belongs to
+   no tree, and the next growth overwrites it: nothing may keep a store
+   array outside its tree. The lists are per domain because trees grow
+   on every domain (apply tasks). *)
+let ladder =
+  let rec go len acc =
+    if len > Sys.max_array_length then Array.of_list (List.rev acc)
+    else go (grown_size len) (len :: acc)
+  in
+  go initial_slots []
+
+(* [len]'s index on the ladder, or -1. *)
+let rung len =
+  let r = ref 0 in
+  while !r < Array.length ladder && ladder.(!r) < len do
+    incr r
+  done;
+  if !r < Array.length ladder && ladder.(!r) = len then !r else -1
+
+let spares_per_rung = 12
+
+(* Rung [r]'s spares are [arrays.(r * spares_per_rung + i)], [i] below
+   [held.(r)]. *)
+type spares = { arrays : int array array; held : int array }
+
+let spares =
+  Domain.DLS.new_key (fun () ->
+      {
+        arrays = Array.make (Array.length ladder * spares_per_rung) [||];
+        held = Array.make (Array.length ladder) 0;
+      })
+
+(* An array of [size] words whose words from [from] on hold [fill], as
+   [Array.make] would leave them: a spare one if its length has one,
+   else a fresh one. *)
+let take size ~from fill =
+  let r = rung size and s = Domain.DLS.get spares in
+  if r >= 0 && s.held.(r) > 0 then begin
+    let k = (r * spares_per_rung) + s.held.(r) - 1 in
+    let a = s.arrays.(k) in
+    s.arrays.(k) <- [||];
+    s.held.(r) <- s.held.(r) - 1;
+    for i = from to size - 1 do
+      Array.unsafe_set a i fill
+    done;
+    Obs.Metrics.incr ~by:size m_store_words_reused;
+    a
+  end
+  else begin
+    Obs.Metrics.incr ~by:size m_store_words_fresh;
+    Array.make size fill
+  end
+
+(* Put [a], which its tree has just replaced, on this domain's list. *)
+let give (a : int array) =
+  let r = rung (Array.length a) in
+  if r >= 0 then begin
+    let s = Domain.DLS.get spares in
+    if s.held.(r) < spares_per_rung then begin
+      s.arrays.((r * spares_per_rung) + s.held.(r)) <- a;
+      s.held.(r) <- s.held.(r) + 1
+    end
+  end
+
+(* [a]'s words, then [fill] up to [size]; [a] becomes a spare. A loop
+   rather than [Array.blit]: the array lives in the major heap, where a
+   blit goes through the write barrier for every element, ints
+   included. *)
+let grown (a : int array) size fill =
+  let b = take size ~from:(Array.length a) fill in
+  for i = 0 to Array.length a - 1 do
+    Array.unsafe_set b i (Array.unsafe_get a i)
+  done;
+  give a;
+  b
 
 (* The slots whose count reached [significance] during the insertions
    given the buffer, in the order they crossed. Its array is made at the
@@ -279,9 +355,9 @@ let free_run t off len =
     t.free_runs.(k) <- off
   end
 
-(* Copy every live tail to the front of a fresh pool of [size] words. *)
+(* Copy every live tail to the front of a pool of [size] words. *)
 let compact_pool t size =
-  let pool = Array.make size 0 and used = ref 0 in
+  let pool = take size ~from:0 0 and used = ref 0 in
   for h = 1 to t.used - 1 do
     if t.parent.(h) <> released && is_head t h then begin
       let off = tail_off t h in
@@ -293,6 +369,7 @@ let compact_pool t size =
       used := !used + len + 1
     end
   done;
+  give t.pool;
   t.pool <- pool;
   t.pool_used <- !used;
   t.pool_garbage <- 0
@@ -558,12 +635,12 @@ let prune_key t =
   | Pruning.Expected_vector_first ->
       fun c d -> if c < sig_ then by_count c d else by_count sig_ 0
 
-(* One reverse-preorder walk writing each position's node to [node] and
-   its packed key to [packed]. [go n d i] writes the nodes below [n], at
-   depth [d], at the positions below [i] and returns the lowest it
-   wrote. A tail node has its head's count and is [k] deeper than the
-   head. *)
-let prune_walk t ~bits node packed =
+(* One reverse-preorder walk writing each of the [m] positions' node to
+   [node] and its packed key to [packed]. [go n d i] writes the nodes
+   below [n], at depth [d], at the positions below [i] and returns the
+   lowest it wrote. A tail node has its head's count and is [k] deeper
+   than the head. *)
+let prune_walk t ~bits node packed m =
   let key = prune_key t in
   let rec go n d i =
     let c = t.child.(n) in
@@ -585,7 +662,7 @@ let prune_walk t ~bits node packed =
       siblings t.sibling.(c) d (go c d i)
     end
   in
-  let i = go 0 0 (Array.length node) in
+  let i = go 0 0 m in
   assert (i = 0)
 
 let median3 (a : int) b c =
@@ -594,11 +671,12 @@ let median3 (a : int) b c =
   else if b < c then c
   else b
 
-(* Hoare's FIND: rearrange the distinct values of [a] so that [a.(k)] is
-   the one sorting would put there, with every smaller value before it
-   and every larger one after it. Expected O(n), in place. *)
-let select (a : int array) k =
-  let lo = ref 0 and hi = ref (Array.length a - 1) in
+(* Hoare's FIND: rearrange the distinct values of [a.(0 .. len - 1)] so
+   that [a.(k)] is the one sorting would put there, with every smaller
+   value before it and every larger one after it. Expected O(n), in
+   place. *)
+let select (a : int array) ~len k =
+  let lo = ref 0 and hi = ref (len - 1) in
   while !lo < !hi do
     let x = median3 a.(!lo) a.((!lo + !hi) / 2) a.(!hi) in
     let i = ref !lo and j = ref !hi in
@@ -621,15 +699,28 @@ let select (a : int array) k =
     if k < !i then hi := !j
   done
 
+(* Each position's node and packed key, kept per domain like the spare
+   lists, so a pruning allocates nothing; either may be longer than a
+   pruning needs. *)
+type prune_scratch = { mutable node : int array; mutable packed : int array }
+
+let prune_scratch = Domain.DLS.new_key (fun () -> { node = [||]; packed = [||] })
+
 (* Remove the first [n_nodes - target] nodes of the order: select them,
    mark their positions, and detach them by ascending position, which
    puts descendants first. *)
 let prune_ordered t target =
   let m = t.n_nodes - 1 and victims = t.n_nodes - target in
   let bits = run_class m in
-  let node = Array.make m 0 and packed = Array.make m 0 in
-  prune_walk t ~bits node packed;
-  select packed (victims - 1);
+  let s = Domain.DLS.get prune_scratch in
+  if Array.length s.node < m then begin
+    let len = max m (2 * Array.length s.node) in
+    s.node <- Array.make len 0;
+    s.packed <- Array.make len 0
+  end;
+  let node = s.node and packed = s.packed in
+  prune_walk t ~bits node packed m;
+  select packed ~len:m (victims - 1);
   let mask = (1 lsl bits) - 1 in
   for j = 0 to victims - 1 do
     let i = packed.(j) land mask in

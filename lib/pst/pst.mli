@@ -35,7 +35,10 @@ val default_config : alphabet_size:int -> config
     [pruning = Smallest_count_first]. *)
 
 type t
-(** A mutable probabilistic suffix tree. *)
+(** A mutable probabilistic suffix tree. Its storage grows into arrays
+    that trees on the same domain outgrew, when one of the length it
+    needs is spare, and into fresh ones otherwise; the tree's capacities
+    and contents are the same either way. *)
 
 type node = private int
 (** A node's id, valid only with the tree it came from (obtained from

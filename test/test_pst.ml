@@ -643,6 +643,28 @@ let test_merge_reprunes_over_budget () =
     (Printf.sprintf "budget held (%d <= 40)" (Pst.n_nodes m))
     true (Pst.n_nodes m <= 40)
 
+let test_prune_large_then_small () =
+  (* Pruning keeps its position arrays in a per-domain scratch, which a
+     large tree leaves longer than a smaller one needs and full of the
+     large tree's keys. A small tree pruned next on the same domain
+     must still follow the reference order, whether those keys sort
+     above its own (smallest-count after smallest-count) or below them
+     (a deep longest-label tree, then a small tree of high counts). *)
+  let rng = Random.State.make [| 11 |] in
+  List.iter
+    (fun (what, alphabet_size, max_depth, pruning, len, target) ->
+      let t = Pst.create (cfg ~alphabet_size ~max_depth ~pruning ()) in
+      Pst.insert_sequence t (Array.init len (fun _ -> Random.State.int rng alphabet_size));
+      let want = Ref_prune.prune (Pst.to_string t) ~target in
+      Pst.prune_to t target;
+      Alcotest.(check string) what want (Pst.to_string t))
+    [
+      ("large tree", 4, 8, Pruning.Smallest_count_first, 3000, 500);
+      ("small tree", 4, 8, Pruning.Smallest_count_first, 40, 10);
+      ("large longest-label tree", 4, 8, Pruning.Longest_label_first, 3000, 500);
+      ("small tree of high counts", 2, 2, Pruning.Smallest_count_first, 2000, 3);
+    ]
+
 (* Every pruning is timed into [pst.prune_seconds] once, those inside
    insertions and merges included. *)
 let test_prune_timed_once_per_prune () =
@@ -701,6 +723,7 @@ let () =
             test_longest_label_pruning_removes_deep_first;
           Alcotest.test_case "timed once per prune" `Quick test_prune_timed_once_per_prune;
           Alcotest.test_case "ties: later lines first" `Quick test_pruning_ties_later_lines_first;
+          Alcotest.test_case "large then small, one domain" `Quick test_prune_large_then_small;
           QCheck_alcotest.to_alcotest
             (QCheck.Test.make ~name:"pruned = the reference order" ~count:500
                (QCheck.make ~print:print_prune_case prune_case_gen)

@@ -167,6 +167,87 @@ let model seqs =
     seqs;
   (counts, next)
 
+(* --- Spare arrays: a tree grown from another tree's outgrown arrays --- *)
+
+let random_texts ~seed ~alphabet n =
+  let rng = Random.State.make [| seed |] in
+  List.init n (fun _ -> Array.init 40 (fun _ -> Random.State.int rng alphabet))
+
+let test_spares_same_tree () =
+  (* Growth takes an array another tree outgrew on the same domain
+     whenever one of the length it asks for is spare. A bigger tree
+     first leaves its arrays, full of its own words, at every length
+     the test tree asks for. Two trees then built on this domain from
+     the same texts must match the counts of the texts and equal a tree
+     built on a fresh domain: in serialization and stats (capacity
+     included) and, compared as values, word for word in every array,
+     spare capacity included. *)
+  let texts = random_texts ~seed:3 ~alphabet:20 60 in
+  let fresh = Domain.join (Domain.spawn (fun () -> tree ~alphabet_size:41 texts)) in
+  ignore (tree ~alphabet_size:41 (random_texts ~seed:4 ~alphabet:41 200));
+  let first = tree ~alphabet_size:41 texts in
+  let second = tree ~alphabet_size:41 texts in
+  let counts, _ = model texts in
+  List.iter
+    (fun (what, t) ->
+      Alcotest.(check int) (what ^ ": nodes = contexts") (Hashtbl.length counts) (Pst.n_nodes t);
+      Hashtbl.iter
+        (fun label c ->
+          if count_of t (Array.of_list label) <> c then
+            Alcotest.failf "%s: a context's count is %d, not %d" what
+              (count_of t (Array.of_list label)) c)
+        counts;
+      Alcotest.(check string) (what ^ ": serialization") (Pst.to_string fresh) (Pst.to_string t);
+      Alcotest.(check bool) (what ^ ": stats") true (Pst.stats t = Pst.stats fresh);
+      Alcotest.(check int) (what ^ ": approx_bytes") (Pst.stats fresh).approx_bytes
+        (Pst.stats t).approx_bytes;
+      Alcotest.(check bool) (what ^ ": every array, word for word") true (t = fresh))
+    [ ("first", first); ("second", second) ];
+  Alcotest.(check bool) "grew past several lengths" true ((Pst.stats fresh).approx_bytes > 20_000)
+
+(* Two or three trees, each with its own node budget and texts over 8
+   symbols, and an order in which they take their texts. *)
+let interleaved_gen =
+  let open QCheck.Gen in
+  let texts = list_size (int_range 1 12) (array_size (int_range 1 40) (int_range 0 7)) in
+  pair (list_size (int_range 2 3) (pair (int_range 8 120) texts)) (list_size (int_range 0 40) nat)
+
+(* After each of [texts] in turn, the tree's serialization, node count
+   and [active_changes]. *)
+let grow_trace t texts =
+  List.map
+    (fun s ->
+      Pst.insert_sequence t s;
+      (Pst.to_string t, Pst.n_nodes t, Pst.active_changes t))
+    texts
+
+let interleaved_equals_alone (specs, order) =
+  let fresh (budget, _) =
+    Pst.create
+      { Pst.alphabet_size = 8; max_depth = 4; significance = 2; max_nodes = budget; p_min = 0.0;
+        pruning = Pruning.Smallest_count_first }
+  in
+  let alone = List.map (fun ((_, texts) as spec) -> grow_trace (fresh spec) texts) specs in
+  (* The same trees again, one text at a time, each turn going to the
+     tree [order] names (the rest in turn once [order] runs out), so
+     they grow and prune between each other's growths. *)
+  let specs = Array.of_list specs in
+  let k = Array.length specs in
+  let trees = Array.map fresh specs and pending = Array.map snd specs in
+  let traces = Array.make k [] in
+  let turn i =
+    match pending.(i) with
+    | [] -> ()
+    | s :: rest ->
+        pending.(i) <- rest;
+        traces.(i) <- grow_trace trees.(i) [ s ] @ traces.(i)
+  in
+  List.iter (fun i -> turn (i mod k)) order;
+  while Array.exists (( <> ) []) pending do
+    Array.iteri (fun i _ -> turn i) trees
+  done;
+  List.equal ( = ) alone (Array.to_list (Array.map List.rev traces))
+
 let qcheck_tests =
   [
     QCheck_alcotest.to_alcotest
@@ -228,6 +309,9 @@ let qcheck_tests =
                    done);
                !ok && !visited = Pst.n_nodes t)
              ops));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"trees grown interleaved on one domain = each grown alone"
+         ~count:300 (QCheck.make interleaved_gen) interleaved_equals_alone);
   ]
 
 let () =
@@ -243,6 +327,7 @@ let () =
           Alcotest.test_case "int helpers" `Quick test_int_helpers;
           Alcotest.test_case "iter/fold" `Quick test_iter_fold;
           Alcotest.test_case "negative keys" `Quick test_negative_keys;
+          Alcotest.test_case "spares: same tree as a fresh domain's" `Quick test_spares_same_tree;
         ] );
       ("property", qcheck_tests);
     ]
