@@ -229,7 +229,10 @@ check: build test fuzz fmt-check bench-smoke trace-smoke shard-smoke suite-smoke
 # runs with both CLIs and exits 1 if any exit status, stdout (less its `time:`),
 # -o file, model, classify output or journal (less its timestamps)
 # differs. Differing --metrics counters and gauges are printed as notes
-# (gc.*, par.domain_busy_ratio* and histograms are not compared).
+# (gc.*, par.domain_busy_ratio* and histograms are not compared;
+# pst.store_words_fresh/_reused depend on which domain's spare list
+# serves a growth, so their split is compared only in --domains 1 runs
+# and their sum in every run).
 identity: build
 	@[ -n "$(PARENT)" ] || { echo "identity: set PARENT=DIR, a built parent checkout"; exit 1; }
 	python3 scripts/identity.py "$(PARENT)"

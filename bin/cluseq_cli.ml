@@ -401,8 +401,9 @@ let cluster_cmd =
             h.iteration h.new_clusters h.consolidated h.clusters h.unclustered h.threshold
             h.membership_changes;
           Printf.printf
-            "           scan: pairs=%d joined=%d rescores=%d wasted=%.1f%%\n"
-            h.census.pairs_scored h.census.pairs_joined h.census.dirty_rescores
+            "           scan: pairs=%d joined=%d scored_joins=%d rescores=%d wasted=%.1f%%\n"
+            h.census.pairs_scored h.census.pairs_joined h.census.scored_joins
+            h.census.dirty_rescores
             (100.0 *. Cluseq.wasted_pair_ratio h.census))
         result.history;
     Array.iter
@@ -673,7 +674,7 @@ let explain_cmd =
                  the attribution. *)
               let pick acc (id, pst) =
                 let psa = Psa.compile pst in
-                let v = (Similarity.score_psa psa ~log_background:lbg s).log_sim in
+                let v = Similarity.score_lane psa ~log_background:lbg s in
                 match acc with Some (best, _, _) when best >= v -> acc | _ -> Some (v, id, psa)
               in
               match Array.fold_left pick None result.models with

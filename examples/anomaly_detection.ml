@@ -58,7 +58,7 @@ let () =
   in
   let best_logsim s =
     Array.fold_left
-      (fun acc cl -> Float.max acc (Cluster.similarity cl ~log_background:lbg s).log_sim)
+      (fun acc cl -> Float.max acc (Cluster.log_similarity cl ~log_background:lbg s))
       neg_infinity clusters
   in
   Format.printf "@.sample similarity margins (log SIM of best cluster):@.";

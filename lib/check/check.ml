@@ -440,7 +440,8 @@ let batch_scoring_matches pst ~log_background blocks =
               if not (same_bits got want) then
                 err "block %d lane %d (len %d): block scan %.17g, %s %.17g" bi j l got name
                   want)
-            [ ("segment loop", segment.log_sim); ("tree walk", walk.log_sim) ];
+            [ ("lane alone", Similarity.score_lane psa ~log_background s);
+              ("segment loop", segment.log_sim); ("tree walk", walk.log_sim) ];
           List.iter
             (fun (name, (r : Similarity.result)) ->
               if not (same_result r walk) then
@@ -464,10 +465,13 @@ let batch_scoring_matches pst ~log_background blocks =
                   in
                   let block_scan () =
                     Similarity.score_block psa ~log_background column ~at corrupt
+                  and lane_alone () =
+                    ignore (Similarity.score_lane psa ~log_background corrupt.(j))
                   and segment_loop () =
                     ignore (Similarity.score_psa psa ~log_background corrupt.(j))
                   in
                   if not (raises block_scan) then missed "block scan";
+                  if not (raises lane_alone) then missed "lane alone";
                   if not (raises segment_loop) then missed "segment loop")
                 [ -1; Psa.alphabet_size psa ])
             (if l = 0 then [] else List.sort_uniq Int.compare [ 0; l - 1 ]))

@@ -129,7 +129,8 @@ val batch_scoring_matches :
     each block with {!Similarity.score_block}, the block scan (four
     lanes in flight, refilled from the block), into a column at an
     offset, between cells holding a sentinel that must survive. Each
-    lane's cell must hold the log-similarity bits ({!same_bits}) of
+    lane's cell must hold the log-similarity bits ({!same_bits}) of the
+    lane scanned alone ({!Similarity.score_lane}), of
     {!Similarity.score_psa}, the segment loop, and of the tree walk
     {!Similarity.score}; the segment loop, on its own and lane by lane
     through {!Similarity.score_batch}, must match the tree walk by
@@ -137,8 +138,8 @@ val batch_scoring_matches :
     scratch (created with capacity 1), so reset and resize bugs across
     block boundaries are exercised too. Last, each nonempty lane in turn
     gets the symbol -1 and then the alphabet size as its first and as
-    its last symbol, and the block scan and the segment loop must raise
-    [Invalid_argument]. Run by the fuzz harness (check #6) on both the
+    its last symbol, and the block scan, the lane alone and the segment
+    loop must raise [Invalid_argument]. Run by the fuzz harness (check #6) on both the
     unpruned and a pruned tree, with blocks of 0 to 9 lanes that mix
     unequal and zero lengths: an empty lane is met by the first fill
     and by a refill, and the lanes left when the block runs dry finish

@@ -15,7 +15,8 @@
       the compiled automaton and by the tree walk
       ({!Check.psa_scoring_matches}), and scores blocks of 0 to 9
       lanes of unequal and zero lengths by the block scan into a column
-      at an offset, against the segment loop and the tree walk, and
+      at an offset, against each lane scanned alone, the segment loop
+      and the tree walk, and
       demands that a symbol out of the alphabet in any lane raise
       ({!Check.batch_scoring_matches}, check #6);
     - streams segments into two trees, one under a node budget that

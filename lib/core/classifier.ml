@@ -47,14 +47,10 @@ let verdict t scores =
   | (best, score) :: _ as scores ->
       { cluster = (if score >= t.log_t then Some best else None); log_sim = score; scores }
 
-(* A verdict reads no segment, so each model scores [s] with the block
-   scan into a one-cell column ({!Cluster.rescore}). *)
+(* A verdict reads no segment, so each model scores [s] with one lane
+   of the block scan ({!Cluster.log_similarity}). *)
 let classify t s =
-  let cell = Similarity.column 1 in
-  let score cl =
-    Cluster.rescore cl ~log_background:t.log_background cell 0 s;
-    (Cluster.id cl, cell.Similarity.log_sims.(0))
-  in
+  let score cl = (Cluster.id cl, Cluster.log_similarity cl ~log_background:t.log_background s) in
   verdict t (Array.to_list (Array.map score t.models))
 
 (* Batch scoring is read-only against the stored models, so the scores

@@ -401,18 +401,15 @@ type column = {
    — so the task walks [order] and absorbs each fresh joiner before the
    next sequence is scored. The first absorb leaves the column stale
    ("dirty"); every later pair is rescored into its cell against the
-   grown model, whose automaton [Cluster.rescore] refreshes (or
+   grown model, whose automaton [Cluster.log_similarity] refreshes (or
    recompiles) in place first. A column taken from the score cache can
    be overwritten so because that first absorb dropped the cache.
 
-   The column holds log-similarities only. A fresh joiner's segment is
-   scanned right before its absorb, by [Cluster.similarity] on the
-   cluster's automaton as it stands, which is the one that produced the
-   deciding score: the pass-start compile while the cluster is clean
-   (its cached column, if any, was scored on that same unchanged tree),
-   and the one the rescore just brought current once it is dirty. So
-   the segment is the one that score's scan found. [cl] is mutated by
-   this task only. *)
+   The column holds log-similarities only: [Cluster.absorb] scans a
+   fresh joiner's segment itself, on the automaton that produced the
+   deciding score (the pass-start compile while the cluster is clean,
+   the one the rescore just brought current once it is dirty). [cl] is
+   mutated by this task only. *)
 let apply_column db ~log_background ~log_t ~order ~prev (scores : Similarity.column) cl =
   let dirty = ref false in
   let rescores = ref 0 and rescored_joins = ref 0 and fresh_joins = ref 0 in
@@ -420,7 +417,8 @@ let apply_column db ~log_background ~log_t ~order ~prev (scores : Similarity.col
     (fun sid ->
       if !dirty then begin
         incr rescores;
-        Cluster.rescore cl ~log_background scores sid (Seq_database.get db sid)
+        scores.log_sims.(sid) <-
+          Cluster.log_similarity cl ~log_background (Seq_database.get db sid)
       end;
       (* A segment updates the PST only when the sequence joins afresh:
          re-inserting stable members every iteration would inflate
@@ -430,8 +428,7 @@ let apply_column db ~log_background ~log_t ~order ~prev (scores : Similarity.col
         Cluster.add_member cl sid;
         if !dirty then incr rescored_joins;
         if not (Bitset.mem prev sid) then begin
-          let s = Seq_database.get db sid in
-          Cluster.absorb cl s (Cluster.similarity cl ~log_background s);
+          Cluster.absorb cl ~log_background (Seq_database.get db sid);
           dirty := true;
           incr fresh_joins
         end
@@ -966,10 +963,10 @@ let run ?(config = default_config) db =
     Log.debug (fun m ->
         m
           "iter %d: new=%d consolidated=%d clusters=%d unclustered=%d t=%.4g changes=%d \
-           scored=%d joined=%d wasted=%.3f"
+           scored=%d joined=%d scored_joins=%d wasted=%.3f"
           iter (List.length fresh) dropped (List.length !clusters) unclustered_now
           (Threshold.linear_t threshold) changes census.pairs_scored census.pairs_joined
-          (wasted_pair_ratio census));
+          census.scored_joins (wasted_pair_ratio census));
     history :=
       {
         iteration = iter;

@@ -100,9 +100,7 @@ let profile t =
       t.profile <- Some p;
       p
 
-let similarity t ~log_background s = Similarity.score_psa (automaton t) ~log_background s
-let rescore t ~log_background column i s =
-  Similarity.score_cell (automaton t) ~log_background column i s
+let log_similarity t ~log_background s = Similarity.score_lane (automaton t) ~log_background s
 
 (* Scoring fan-out granularity: sequences are scored in blocks of this
    many lanes so one automaton streams over a whole block per call
@@ -131,8 +129,9 @@ let score_columns ~log_background clusters seqs =
           clusters);
   columns
 
-let absorb t s (r : Similarity.result) =
+let absorb t ~log_background s =
   Obs.Metrics.incr m_absorbs;
+  let r = Similarity.score_psa (automaton t) ~log_background s in
   if r.seg_lo >= 0 && r.seg_hi >= r.seg_lo then begin
     let crossings = match t.crossings with Some b -> b | None -> Pst.Crossings.create () in
     Pst.insert_segment ~crossings t.pst s ~lo:r.seg_lo ~hi:r.seg_hi;

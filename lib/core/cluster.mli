@@ -51,16 +51,17 @@ val compile : t -> unit
     rows that moved, and add a state for each context that turned
     significant, as reported by the absorbs' insertions) or, once a
     significant context was pruned, recompile it. Either way the
-    cluster's buffer of reported crossings is emptied. Called on the submitting domain at the start of every read-only
-    scoring sweep, so the sweep's workers only ever read a current
-    automaton ({!score_columns} checks). Idempotent and cheap when
-    nothing changed. The first call after creation or after the tree
+    cluster's buffer of reported crossings is emptied. Called on the
+    submitting domain at the start of every read-only scoring sweep, so
+    the sweep's workers only ever read a current automaton
+    ({!score_columns} checks). Idempotent and cheap when nothing
+    changed. The first call after creation or after the tree
     grew journals a [cluster.froze] event (with the automaton's state
     count) when {!Obs.Journal} is enabled. *)
 
 val automaton : t -> Psa.t
 (** The cluster's scoring automaton, brought current as by {!compile}
-    minus its journal record: the same owner rule as {!similarity}
+    minus its journal record: the same owner rule as {!log_similarity}
     applies. For tests and oracles that compare it with a fresh
     {!Psa.compile} of {!pst}. *)
 
@@ -96,30 +97,22 @@ val profile : t -> Divergence.profile
     rebuilt. Like the score column, the cache is a plain field: only the
     domain that owns the cluster may call this. *)
 
-val similarity : t -> log_background:float array -> Sequence.t -> Similarity.result
-(** {!Similarity.score} against this cluster's PST, computed on its
-    compiled automaton ({!Similarity.score_psa}, the segment loop,
-    bit-for-bit equal to the tree walk): the one score with the best
-    segment, which the batch loop takes for a fresh joiner right before
-    its {!absorb}. An automaton left stale by {!absorb} is first
+val log_similarity : t -> log_background:float array -> Sequence.t -> float
+(** [log_similarity t ~log_background s] is {m \log SIM} of [s] against
+    this cluster's PST, with no segment: one lane of the block scan
+    ({!Similarity.score_lane}) on the compiled automaton, bit-for-bit
+    the tree walk's. An automaton left stale by {!absorb} is first
     brought current as by {!compile}, minus its journal record, so only
     the task that owns the cluster may call this after an absorb; after
     {!compile} it only reads. *)
-
-val rescore : t -> log_background:float array -> Similarity.column -> int -> Sequence.t -> unit
-(** [rescore t ~log_background column i s] writes the log-similarity
-    of [similarity t ~log_background s] into cell [i] of [column], with
-    no record and no segment ({!Similarity.score_cell}, the block scan):
-    a dirty rescore of the batch loop's apply pass. The owner rule of
-    {!similarity} applies. *)
 
 val score_columns :
   log_background:float array -> t array -> Sequence.t array -> Similarity.column array
 (** [score_columns ~log_background clusters seqs] scores every sequence
     against every cluster on the {!Par} global pool and returns one
     column per cluster: cell [i] of [(score_columns ~log_background
-    clusters seqs).(c)] is bit-for-bit the log-similarity of
-    [similarity clusters.(c) ~log_background seqs.(i)]. The sequences are cut into blocks of 64,
+    clusters seqs).(c)] is bit-for-bit [log_similarity clusters.(c)
+    ~log_background seqs.(i)]. The sequences are cut into blocks of 64,
     one pool task each; a task scores its block cluster-major, one
     {!Similarity.score_block} pass per (cluster, block), writing straight
     into each column at the block's offset, so no per-sequence record
@@ -130,13 +123,15 @@ val score_columns :
     [Invalid_argument], before any scoring, when an {!absorb} has left
     an automaton stale: call {!compile} first. *)
 
-val absorb : t -> Sequence.t -> Similarity.result -> unit
-(** [absorb t s r] inserts the maximizing segment [r.seg_lo .. r.seg_hi]
-    of [s] into the PST (paper Sec. 4.2/4.4: only the best segment
-    updates the tree); membership is the caller's ({!add_member}). The
-    insertion reports the contexts it makes significant to a buffer the
-    cluster keeps until its automaton is current again (a cluster with
-    no crossing pending holds none). The automaton is kept but marked stale —
-    the next {!similarity} or {!compile} brings it up to date, patching
-    those contexts in — while the score cache and the divergence
-    {!profile} are dropped. *)
+val absorb : t -> log_background:float array -> Sequence.t -> unit
+(** [absorb t ~log_background s] inserts the maximizing segment of [s]
+    into the PST (paper Sec. 4.2/4.4: only the best segment updates the
+    tree), found by the segment loop ({!Similarity.score_psa}) on the
+    automaton brought current as by {!log_similarity}: the one any score
+    read since the last absorb came from, so the segment is that score's
+    and the tree walk's. Membership is the caller's ({!add_member}); the
+    owner rule of {!log_similarity} applies. The insertion reports the
+    contexts it makes significant to a buffer the cluster keeps until
+    its automaton is current again (a cluster with no crossing pending
+    holds none). The automaton is kept but marked stale, while the score
+    cache and the divergence {!profile} are dropped. *)

@@ -84,11 +84,10 @@ let observe_symbols t s =
   t.total_symbols <- t.total_symbols + Array.length s;
   t.background_stale <- true
 
-(* [Cluster.similarity] brings a stale automaton current; emissions do
-   not fold in the background, so its lazy rebuilds never stale one. *)
-let score_against t s =
-  let lbg = background t in
-  List.map (fun ((cl, _) as c) -> (c, Cluster.similarity cl ~log_background:lbg s)) t.clusters
+(* [Cluster.log_similarity] brings a stale automaton current; emissions
+   do not fold in the background, so its lazy rebuilds never stale one. *)
+let score_against t ~log_background s =
+  List.map (fun ((cl, _) as c) -> (c, Cluster.log_similarity cl ~log_background s)) t.clusters
 
 (* Mining: run batch CLUSEQ over the buffered sequences; each discovered
    cluster becomes a live cluster, and its members leave the buffer. *)
@@ -140,10 +139,8 @@ let feed t s =
   t.fed <- t.fed + 1;
   Obs.Metrics.incr m_fed;
   observe_symbols t s;
-  let scored = score_against t s in
-  let joined =
-    List.filter (fun (_, (r : Similarity.result)) -> r.log_sim >= t.log_t) scored
-  in
+  let log_background = background t in
+  let joined = List.filter (fun (_, v) -> v >= t.log_t) (score_against t ~log_background s) in
   match joined with
   | [] ->
       Queue.add s t.buffer;
@@ -161,15 +158,16 @@ let feed t s =
       t.assigned <- t.assigned + 1;
       Obs.Metrics.incr m_assigned;
       (* Update every matching cluster (overlap, Sec. 4.2); report the
-         best. *)
+         best. Each absorb scans its segment on the automaton its score
+         came from: no other cluster's absorb touches it. *)
       let best = ref None in
       List.iter
-        (fun ((cl, absorbed), (r : Similarity.result)) ->
+        (fun ((cl, absorbed), v) ->
           incr absorbed;
-          Cluster.absorb cl s r;
+          Cluster.absorb cl ~log_background s;
           match !best with
-          | Some (_, b) when b >= r.log_sim -> ()
-          | _ -> best := Some (Cluster.id cl, r.log_sim))
+          | Some (_, b) when b >= v -> ()
+          | _ -> best := Some (Cluster.id cl, v))
         joined;
       (match (!best, Obs.Journal.is_enabled ()) with
       | Some (id, score), true ->
@@ -184,16 +182,13 @@ let feed t s =
       Option.map fst !best
 
 let classify t s =
-  match score_against t s with
+  match score_against t ~log_background:(background t) s with
   | [] -> None
-  | scored ->
-      let (cl, _), (r : Similarity.result) =
-        List.fold_left
-          (fun ((_, (ra : Similarity.result)) as a) ((_, rb) as b) ->
-            if rb.Similarity.log_sim > ra.log_sim then b else a)
-          (List.hd scored) (List.tl scored)
+  | first :: rest ->
+      let (cl, _), v =
+        List.fold_left (fun ((_, va) as a) ((_, vb) as b) -> if vb > va then b else a) first rest
       in
-      if r.log_sim >= t.log_t then Some (Cluster.id cl, r.log_sim) else None
+      if v >= t.log_t then Some (Cluster.id cl, v) else None
 
 let stats t =
   {

@@ -226,8 +226,8 @@ let run ?(config = Cluseq.default_config) ?(shards = 1) db =
       let ok = ref 0 in
       for q = 0 to take - 1 do
         let id = members.(q * len / take) in
-        let r = Cluster.similarity gs.(a).g_cl ~log_background:lbg (Seq_database.get db id) in
-        if r.Similarity.log_sim >= lt then incr ok
+        if Cluster.log_similarity gs.(a).g_cl ~log_background:lbg (Seq_database.get db id) >= lt
+        then incr ok
       done;
       2 * !ok >= take
     in
@@ -305,7 +305,7 @@ let run ?(config = Cluseq.default_config) ?(shards = 1) db =
                 comp;
               let cl = Cluster.of_pst ~id:s ~capacity:n pst in
               let score id =
-                Cluster.similarity cl ~log_background:lbg (Seq_database.get db id)
+                Cluster.log_similarity cl ~log_background:lbg (Seq_database.get db id)
               in
               Some (cl, log_t, List.map (fun id -> (id, score id)) (Bitset.to_list cand))
           | _ -> None)
@@ -321,14 +321,14 @@ let run ?(config = Cluseq.default_config) ?(shards = 1) db =
       | _, None -> ()
       | _, Some (cl, log_t, scored) ->
           List.iter
-            (fun (id, (r : Similarity.result)) ->
+            (fun (id, v) ->
               Obs.Metrics.incr m_fixup_rescored;
-              if r.log_sim >= log_t then Cluster.add_member cl id;
-              if Float.is_finite r.log_sim then
+              if v >= log_t then Cluster.add_member cl id;
+              if Float.is_finite v then
                 best.(id) <-
                   (match best.(id) with
-                  | Some (b, _) when canon b = s -> Some (s, r.log_sim)
-                  | Some (_, bs) when r.log_sim > bs -> Some (s, r.log_sim)
+                  | Some (b, _) when canon b = s -> Some (s, v)
+                  | Some (_, bs) when v > bs -> Some (s, v)
                   | other -> other))
             scored;
           if Cluster.size cl > 0 then final := (cl, log_t) :: !final
@@ -353,14 +353,13 @@ let run ?(config = Cluseq.default_config) ?(shards = 1) db =
         Array.iter
           (fun (cl, log_t) ->
             Obs.Metrics.incr m_fixup_rescored;
-            let r = Cluster.similarity cl ~log_background:lbg seq in
-            if r.Similarity.log_sim >= log_t then Cluster.add_member cl id;
-            if Float.is_finite r.Similarity.log_sim then
+            let v = Cluster.log_similarity cl ~log_background:lbg seq in
+            if v >= log_t then Cluster.add_member cl id;
+            if Float.is_finite v then
               best.(id) <-
                 (match best.(id) with
-                | Some (_, bs) when r.Similarity.log_sim > bs ->
-                    Some (Cluster.id cl, r.Similarity.log_sim)
-                | None -> Some (Cluster.id cl, r.Similarity.log_sim)
+                | Some (_, bs) when v > bs -> Some (Cluster.id cl, v)
+                | None -> Some (Cluster.id cl, v)
                 | other -> other))
           final
       end

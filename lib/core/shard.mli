@@ -14,8 +14,9 @@
     model, lifted to the global numbering with its members, and each
     merged component's model. Each lifted cluster builds its
     {!Cluster.profile} once for the divergences (the [shard.prefilter]
-    span), and every score is {!Cluster.similarity} on its automaton,
-    bit-identical to the tree walk. The merge is
+    span), and every score is one lane of the block scan on its
+    automaton ({!Cluster.log_similarity}), bit-identical to the tree
+    walk. The merge is
     model-to-model: cross-shard cluster pairs are consolidated when
     they are symmetrized-KL nearest neighbours under a saturation cap
     {e and} each side's members clear the other's retention threshold

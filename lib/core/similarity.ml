@@ -93,10 +93,10 @@ let score_batch psa ~log_background ~batch seqs =
       })
 
 (* One sequence is a one-lane block, or one segment lane. The lane array
-   and the one-cell columns [score_psa] reads back are per domain, as
+   and the one-cell columns both read back are per domain, as
    [Psa.compile]'s trie is: dirty rescores and absorbs run in apply
    tasks on every domain of the pool. *)
-let lane_scratch = Domain.DLS.new_key (fun () -> [| [||] |])
+let lane_scratch = Domain.DLS.new_key (fun () -> ([| [||] |], [| neg_infinity |]))
 
 let segment_scratch =
   Domain.DLS.new_key (fun () -> ([| neg_infinity |], [| -1 |], [| -1 |]))
@@ -105,11 +105,12 @@ let count_lane s =
   Obs.Metrics.incr m_calls;
   Obs.Metrics.incr ~by:(Array.length s) m_symbols_scanned
 
-let score_cell psa ~log_background c i s =
+let score_lane psa ~log_background s =
   count_lane s;
-  let lane = Domain.DLS.get lane_scratch in
+  let lane, cell = Domain.DLS.get lane_scratch in
   lane.(0) <- s;
-  Psa.score_into psa ~log_background lane ~at:i ~log_sim:c.log_sims
+  Psa.score_into psa ~log_background lane ~at:0 ~log_sim:cell;
+  cell.(0)
 
 let score_psa psa ~log_background s =
   count_lane s;

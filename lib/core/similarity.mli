@@ -17,16 +17,16 @@
     {!score} walks the tree, as the reference. The production scores run
     on a compiled automaton ({!Psa}), in one of two C loops chosen by
     what the caller reads. Joins and verdicts read {m \log SIM} alone, so
-    columns are filled by the block scan ({!score_block},
-    {!score_cell}): four lanes in flight, a finished lane's slot
+    they take the block scan ({!score_block} for a block, {!score_lane}
+    for one sequence): four lanes in flight, a finished lane's slot
     refilled from the block, over a transition table of row offsets.
     Best-segment insertion (paper Sec. 4.4) also needs the maximizing
     segment, so {!score_psa} runs the one-lane segment loop. Both loops
     perform the same float operations in the same order, so a sequence
     scanned by the segment loop on the automaton that produced its
-    deciding column cell gets that cell's bits, and the segment the tree
-    walk finds: the batch loop scans a joiner's segment right before its
-    absorb, on the cluster's automaton as it stands. *)
+    deciding score gets that score's bits, and the segment the tree walk
+    finds: [Cluster.absorb] scans its joiner's segment so, on the
+    cluster's automaton as it stands. *)
 
 type result = {
   log_sim : float;  (** {m \log SIM_S(σ)}; [neg_infinity] for an empty σ. *)
@@ -48,8 +48,8 @@ type column = { log_sims : float array  (** Cell [i]: sequence [i]'s {!result.lo
     [Cluster.score_columns] fills block by block and the batch loop,
     its score cache and [Classifier.classify_all] read. A column holds
     no segment bounds: joins and verdicts read the log-similarity alone,
-    and the one caller that needs a segment, an absorb, scans its lane
-    with {!score_psa}. *)
+    and the one caller that needs a segment, [Cluster.absorb], scans its
+    lane with {!score_psa}. *)
 
 val column : int -> column
 (** [column n] is a column of [n] cells, each holding the empty
@@ -70,12 +70,11 @@ val score_psa : Psa.t -> log_background:float array -> Sequence.t -> result
     ({!Psa.score_into}). Raises [Invalid_argument] on a symbol outside
     the compiled alphabet. *)
 
-val score_cell : Psa.t -> log_background:float array -> column -> int -> Sequence.t -> unit
-(** [score_cell psa ~log_background c i s] writes [s]'s log-similarity
-    into cell [i] of [c]: a one-lane block of {!Psa.score_into} at
-    offset [i], with the bits of [(score_psa psa ~log_background
-    s).log_sim]. Raises [Invalid_argument] as {!score_psa} does, or
-    when [i] is outside [c]. *)
+val score_lane : Psa.t -> log_background:float array -> Sequence.t -> float
+(** [score_lane psa ~log_background s] is [s]'s log-similarity alone: a
+    one-lane block of {!Psa.score_into} into a per-domain scratch cell,
+    with the bits of [(score_psa psa ~log_background s).log_sim] and no
+    record or bounds. Raises [Invalid_argument] as {!score_psa} does. *)
 
 val score_block :
   Psa.t -> log_background:float array -> column -> at:int -> Sequence.t array -> unit
@@ -84,7 +83,7 @@ val score_block :
     flight) and writes sequence [j]'s log-similarity into cell [at + j]
     of [c], touching no other cell, so tasks on disjoint ranges may
     fill one column at once. Every cell is bit-for-bit what
-    {!score_cell} writes, and so {!score_psa}'s log-similarity, whatever
+    {!score_lane} returns, and so {!score_psa}'s log-similarity, whatever
     the block around it. Raises [Invalid_argument] as {!Psa.score_into}
     does. *)
 

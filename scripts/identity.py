@@ -8,14 +8,19 @@ compares what they leave behind:
   * exit status and stdout (with the wall-clock `time: ...s` stripped);
     every `cluster` run has `-v`, so its stdout also holds each
     iteration's statistics: new, consolidated, clusters, unclustered,
-    t, changes, and the scan's pairs, joins, rescores and waste;
+    t, changes, and the scan's pairs, joins, scored joins, rescores and
+    waste (waste = (pairs - scored joins) / pairs);
   * `-o` assignment files, model files and `classify` output;
   * journals, with each record's `"ts_ns":N` stripped.
 
 Any difference there is a failure (exit 1). `--metrics` counters and
 gauges that differ are printed as notes only, because a change may
 legitimately do less work; histograms are timings and are skipped, as
-are the `gc.*` and `par.domain_busy_ratio*` gauges.
+are the `gc.*` and `par.domain_busy_ratio*` gauges. Which domain's spare
+list serves a PST growth depends on scheduling, so above one domain
+`pst.store_words_fresh` and `pst.store_words_reused` differ between two
+runs of one binary while their sum does not: their sum is compared in
+every run, the split itself only in `--domains 1` runs.
 
 Each difference line ends with the parent's `pst.prunings` for its run
 (summed over the run's commands that write metrics), and the last line
@@ -89,6 +94,20 @@ EXPLAIN_IDS = ["0", "45", "99", "150", "239"]
 
 def skipped_metric(name):
     return name.startswith("gc.") or name.startswith("par.domain_busy_ratio")
+
+
+STORE_SPLIT = ("pst.store_words_fresh", "pst.store_words_reused")
+
+
+def one_domain(args):
+    return "--domains" in args and args[args.index("--domains") + 1] == "1"
+
+
+def fold_store_split(flat):
+    """[flat] with the scheduling-dependent fresh/reused split replaced by its sum."""
+    if any(k in flat for k in STORE_SPLIT):
+        flat["pst.store_words (fresh + reused)"] = sum(flat.pop(k, 0) for k in STORE_SPLIT)
+    return flat
 
 
 class Side:
@@ -165,6 +184,8 @@ class Matrix:
             if metrics:
                 pm, cm = self.parent.metrics(metrics), self.change.metrics(metrics)
                 prunings += pm.get("pst.prunings", 0)
+                if not one_domain(args):
+                    pm, cm = fold_store_split(pm), fold_store_split(cm)
                 for k in sorted(set(pm) | set(cm)):
                     if pm.get(k) != cm.get(k):
                         self.notes.append(f"{label}: {k} {pm.get(k)} -> {cm.get(k)}")

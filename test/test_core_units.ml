@@ -6,6 +6,16 @@ let alpha = Alphabet.lowercase
 let pst_cfg : Pst.config =
   { (Pst.default_config ~alphabet_size:26) with significance = 2; p_min = 0.0 }
 
+(* [Cluster.absorb] inserts the best segment its own scan finds. Where
+   a test means to grow a tree by whole sequences, its clusters use
+   [whole_cfg], under which no symbol has probability zero, and absorb
+   under [whole_lbg], a background so low that every symbol argues for
+   the cluster (each X_i > 0): the best segment is then the whole
+   sequence. *)
+let whole_cfg = { pst_cfg with p_min = 1e-3 }
+let whole_lbg = Array.make 26 (-1000.0)
+let absorb_whole cl s = Cluster.absorb cl ~log_background:whole_lbg s
+
 (* --- Cluster --------------------------------------------------------- *)
 
 let test_cluster_create () =
@@ -27,8 +37,9 @@ let test_cluster_create_from_many () =
   Array.iter
     (fun p ->
       Alcotest.(check bool) "automaton = tree walk" true
-        (Cluster.similarity cl ~log_background:lbg p
-        = Similarity.score tree ~log_background:lbg p))
+        (Check.same_bits
+           (Cluster.log_similarity cl ~log_background:lbg p)
+           (Similarity.score tree ~log_background:lbg p).log_sim))
     (Array.append seqs [| Sequence.of_string alpha "abcbcab"; [||] |])
 
 let test_cluster_membership () =
@@ -45,8 +56,9 @@ let test_cluster_absorb_updates_pst () =
   let cl = Cluster.create ~id:0 ~capacity:10 pst_cfg [| Sequence.of_string alpha "ababab" |] in
   let before = Pst.total_count (Cluster.pst cl) in
   let s = Sequence.of_string alpha "ccababcc" in
-  (* Pretend the best segment is positions 2..5 ("abab"). *)
-  Cluster.absorb cl s { Similarity.log_sim = 1.0; seg_lo = 2; seg_hi = 5 };
+  (* The cluster has never seen a "c", so the best segment is positions
+     2..5 ("abab"). *)
+  Cluster.absorb cl ~log_background:(Array.make 26 (log (1.0 /. 26.0))) s;
   Alcotest.(check bool) "records no member" false (Cluster.mem cl 1);
   Alcotest.(check int) "only the segment inserted" (before + 4)
     (Pst.total_count (Cluster.pst cl))
@@ -56,9 +68,9 @@ let test_cluster_similarity_prefers_own_style () =
   let cl =
     Cluster.create ~id:0 ~capacity:10 pst_cfg [| Sequence.of_string alpha "abababababab" |]
   in
-  let like = Cluster.similarity cl ~log_background:lbg (Sequence.of_string alpha "abab") in
-  let unlike = Cluster.similarity cl ~log_background:lbg (Sequence.of_string alpha "zqvk") in
-  Alcotest.(check bool) "own style wins" true (like.log_sim > unlike.log_sim)
+  let like = Cluster.log_similarity cl ~log_background:lbg (Sequence.of_string alpha "abab") in
+  let unlike = Cluster.log_similarity cl ~log_background:lbg (Sequence.of_string alpha "zqvk") in
+  Alcotest.(check bool) "own style wins" true (like > unlike)
 
 (* The cluster's automaton follows its tree across absorbs — refreshed
    in place, with states patched in once a context turns significant —
@@ -67,7 +79,7 @@ let test_cluster_similarity_prefers_own_style () =
    stale, and the compile that ends the pass makes it current again. *)
 let test_cluster_scores_follow_absorbs () =
   let lbg = Array.make 26 (log (1.0 /. 26.0)) in
-  let cl = Cluster.create ~id:0 ~capacity:10 pst_cfg [| Sequence.of_string alpha "abcd" |] in
+  let cl = Cluster.create ~id:0 ~capacity:10 whole_cfg [| Sequence.of_string alpha "abcd" |] in
   Cluster.compile cl;
   let probes = List.map (Sequence.of_string alpha) [ "abcabc"; "dcba"; "aabbccdd"; "q" ] in
   let block = Array.of_list probes in
@@ -77,13 +89,13 @@ let test_cluster_scores_follow_absorbs () =
         Alcotest.(check bool)
           (Printf.sprintf "%s: automaton = tree walk" when_)
           true
-          (Cluster.similarity cl ~log_background:lbg p
-          = Similarity.score (Cluster.pst cl) ~log_background:lbg p))
+          (Check.same_bits
+             (Cluster.log_similarity cl ~log_background:lbg p)
+             (Similarity.score (Cluster.pst cl) ~log_background:lbg p).log_sim))
       probes
   in
   let absorb i text =
-    let s = Sequence.of_string alpha text in
-    Cluster.absorb cl s { Similarity.log_sim = 1.0; seg_lo = 0; seg_hi = Array.length s - 1 };
+    absorb_whole cl (Sequence.of_string alpha text);
     Alcotest.check_raises
       (Printf.sprintf "fan-out after absorb %d refuses the stale automaton" i)
       (Invalid_argument "Cluster.score_columns: stale automaton; compile first")
@@ -106,7 +118,7 @@ let test_cluster_scores_follow_absorbs () =
 (* [Cluster.score_columns] against the per-sequence path: clusters grown
    by absorbs and then compiled, sequence arrays on either side of the
    64-lane block split with empty sequences mixed in, and pool sizes 1
-   and 4. Every cell must be [Cluster.similarity] bit for bit. *)
+   and 4. Every cell must be [Cluster.log_similarity] bit for bit. *)
 let score_columns_arb =
   let open QCheck.Gen in
   let text = string_size ~gen:(char_range 'a' 'd') (int_range 1 30) in
@@ -119,18 +131,13 @@ let score_columns_arb =
     (pair (list_size (int_range 1 3) cluster) lanes)
 
 let prop_score_columns_match_similarity =
-  QCheck.Test.make ~name:"score_columns = similarity, cell by cell" ~count:60 score_columns_arb
-    (fun (specs, texts) ->
+  QCheck.Test.make ~name:"score_columns = similarity, cell by cell" ~count:60
+    score_columns_arb (fun (specs, texts) ->
       let lbg = Gen_common.uniform_lbg in
       let seq = Sequence.of_string alpha in
       let grow id (seeds, absorbs) =
-        let cl = Cluster.create ~id ~capacity:0 pst_cfg (Array.of_list (List.map seq seeds)) in
-        List.iter
-          (fun t ->
-            let s = seq t in
-            Cluster.absorb cl s
-              { Similarity.log_sim = 1.0; seg_lo = 0; seg_hi = Array.length s - 1 })
-          absorbs;
+        let cl = Cluster.create ~id ~capacity:0 whole_cfg (Array.of_list (List.map seq seeds)) in
+        List.iter (fun t -> absorb_whole cl (seq t)) absorbs;
         Cluster.compile cl;
         cl
       in
@@ -138,7 +145,7 @@ let prop_score_columns_match_similarity =
       let seqs = Array.map seq texts in
       let expected =
         Array.map
-          (fun cl -> Array.map (Cluster.similarity cl ~log_background:lbg) seqs)
+          (fun cl -> Array.map (Cluster.log_similarity cl ~log_background:lbg) seqs)
           clusters
       in
       let n = Array.length seqs in
@@ -152,11 +159,36 @@ let prop_score_columns_match_similarity =
           && Array.for_all2
                (fun e (g : Similarity.column) ->
                  Array.length g.log_sims = n
-                 && Array.for_all2
-                      (fun (r : Similarity.result) -> Check.same_bits r.log_sim)
-                      e g.log_sims)
+                 && Array.for_all2 Check.same_bits e g.log_sims)
                expected got)
         [ 1; 4 ])
+
+(* The absorb contract: each absorb inserts the best segment of the
+   tree as it stands, the one the tree walk finds on it, even when the
+   absorb before it left the automaton stale and nothing scored in
+   between. A shadow copy of the tree takes that segment by hand. *)
+let absorb_arb =
+  let open QCheck.Gen in
+  let text = string_size ~gen:(char_range 'a' 'd') (int_range 1 30) in
+  QCheck.make
+    ~print:(fun (seeds, absorbs) -> String.concat " | " seeds ^ " <- " ^ String.concat " " absorbs)
+    (pair (list_size (int_range 1 3) text) (list_size (int_range 1 8) text))
+
+let prop_absorb_inserts_tree_walk_segment =
+  QCheck.Test.make ~name:"absorb inserts the tree walk's segment" ~count:200 absorb_arb
+    (fun (seeds, absorbs) ->
+      let lbg = Gen_common.uniform_lbg in
+      let seq = Sequence.of_string alpha in
+      let cl = Cluster.create ~id:0 ~capacity:0 pst_cfg (Array.of_list (List.map seq seeds)) in
+      List.for_all
+        (fun t ->
+          let s = seq t in
+          let shadow = Pst.copy (Cluster.pst cl) in
+          let r = Similarity.score shadow ~log_background:lbg s in
+          Pst.insert_segment shadow s ~lo:r.seg_lo ~hi:r.seg_hi;
+          Cluster.absorb cl ~log_background:lbg s;
+          Pst.equal_structure shadow (Cluster.pst cl))
+        absorbs)
 
 (* A significant node pruned between an absorb and the refresh: the
    refresh refuses and the cluster recompiles, spending the crossings
@@ -167,11 +199,8 @@ let test_cluster_recompile_empties_crossings () =
   let compilations = Obs.Metrics.counter "pst.compilations"
   and patches = Obs.Metrics.counter "pst.patches" in
   let seq = Sequence.of_string alpha in
-  let cl = Cluster.create ~id:0 ~capacity:0 pst_cfg [| seq "abcabc" |] in
-  let absorb text =
-    let s = seq text in
-    Cluster.absorb cl s { Similarity.log_sim = 1.0; seg_lo = 0; seg_hi = Array.length s - 1 }
-  in
+  let cl = Cluster.create ~id:0 ~capacity:0 whole_cfg [| seq "abcabc" |] in
+  let absorb text = absorb_whole cl (seq text) in
   let tables_equal_fresh name =
     Alcotest.(check (list string)) name []
       (Check.psa_tables_match ~fresh:(Psa.compile (Cluster.pst cl)) (Cluster.automaton cl))
@@ -197,32 +226,30 @@ let test_cluster_recompile_empties_crossings () =
    holds nothing while switched off. *)
 let cached_cluster () =
   let s = Sequence.of_string alpha "abcabcabcabc" in
-  let cl = Cluster.create ~id:0 ~capacity:4 pst_cfg [| s |] in
+  let cl = Cluster.create ~id:0 ~capacity:4 whole_cfg [| s |] in
   let column = Similarity.column 1 in
-  Cluster.rescore cl ~log_background:(Array.make 26 (-.log 26.0)) column 0 s;
+  column.log_sims.(0) <- Cluster.log_similarity cl ~log_background:(Array.make 26 (-.log 26.0)) s;
   (cl, s, column)
 
 let test_cache_dropped_on_absorb () =
   let cl, s, column = cached_cluster () in
   Cluster.set_score_cache cl column;
   Alcotest.(check bool) "cache installed" true (Cluster.score_cache cl <> None);
-  Cluster.absorb cl s (Cluster.similarity cl ~log_background:(Array.make 26 (-.log 26.0)) s);
+  Cluster.absorb cl ~log_background:(Array.make 26 (-.log 26.0)) s;
   Alcotest.(check bool) "absorb drops the cache" true (Cluster.score_cache cl = None)
 
 (* The divergence profile is cached until an absorb grows the tree; the
    one built after it describes the grown tree. *)
 let test_profile_dropped_on_absorb () =
-  let cl, s, column = cached_cluster () in
-  let r : Similarity.result = { log_sim = column.log_sims.(0); seg_lo = 0; seg_hi = 0 } in
+  let cl, s, _ = cached_cluster () in
   let other = Pst.create pst_cfg in
   Pst.insert_sequence other (Sequence.of_string alpha "abcbcbca");
   let kl () = Divergence.kl_profiles (Cluster.profile cl) (Divergence.profile other) in
   let before = Cluster.profile cl in
   Alcotest.(check bool) "profile cached" true (Cluster.profile cl == before);
   let kl_before = kl () in
-  Cluster.absorb cl s { r with seg_lo = 0; seg_hi = 5 };
-  Cluster.absorb cl (Sequence.of_string alpha "cbcbcbcb")
-    { r with seg_lo = 0; seg_hi = 7 };
+  absorb_whole cl (Array.sub s 0 6);
+  absorb_whole cl (Sequence.of_string alpha "cbcbcbcb");
   Alcotest.(check bool) "absorb drops the profile" true (Cluster.profile cl != before);
   Alcotest.(check (float 0.0)) "the new profile is the grown tree's"
     (Divergence.kl_symmetric (Cluster.pst cl) other) (kl ());
@@ -377,6 +404,7 @@ let () =
           Alcotest.test_case "a recompile empties the crossings" `Quick
             test_cluster_recompile_empties_crossings;
           QCheck_alcotest.to_alcotest prop_score_columns_match_similarity;
+          QCheck_alcotest.to_alcotest prop_absorb_inserts_tree_walk_segment;
         ] );
       ( "cache",
         [
