@@ -210,6 +210,8 @@ check: build test fuzz fmt-check bench-smoke trace-smoke shard-smoke suite-smoke
 	  && grep -q '"pst.prune_seconds"' $$tmp/smoke.json \
 	  && grep -q '"pst.store_words_fresh"' $$tmp/smoke.json \
 	  && grep -q '"pst.store_words_reused"' $$tmp/smoke.json \
+	  && grep -q '"pst.tail_retraces"' $$tmp/smoke.json \
+	  && grep -q '"pst.head_splits"' $$tmp/smoke.json \
 	  && grep -q '"cluseq.scan.pairs_reused"' $$tmp/smoke.json \
 	  && grep -q '"cluseq.iter.reclustering_seconds"' $$tmp/smoke.json \
 	  && grep -q '"cluseq.drift_seconds"' $$tmp/smoke.json \

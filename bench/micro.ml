@@ -39,6 +39,14 @@ let tests () =
       (Staged.stage (fun () ->
            let t = Pst.create pst_cfg in
            Pst.insert_sequence t (next_seq ())));
+    (* A seed's own re-insertion: a tree built from one sequence takes
+       that same sequence again, whose walks retrace the tails the first
+       insertion hung. Less pst-insert-200sym, the re-insertion alone. *)
+    Test.make ~name:"pst-retrace-200sym"
+      (Staged.stage (fun () ->
+           let t = Pst.create pst_cfg and s = next_seq () in
+           Pst.insert_sequence t s;
+           Pst.insert_sequence t s));
     Test.make ~name:"pst-prediction-walk"
       (Staged.stage (fun () -> ignore (Pst.prediction_node trained probe ~lo:0 ~pos:mid)));
     Test.make ~name:"pst-log-prob"

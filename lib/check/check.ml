@@ -56,6 +56,19 @@ let pst_invariants pst =
             err "%s: P(%d) = %.17g outside smoothed range [%.17g, %.17g]" where sym p lo hi)
         dist
     end;
+    (* A tail node shares its parent's occurrences, and no tail reaches
+       significance. *)
+    if (node :> int) >= Pst.node_id_bound pst then begin
+      if count >= cfg.significance then
+        err "%s: tail node at or above significance %d" where cfg.significance;
+      let p = Pst.parent pst node in
+      let same_next = ref (Pst.next_total pst p = nt) in
+      for sym = 0 to n - 1 do
+        if Pst.next_count pst p sym <> Pst.next_count pst node sym then same_next := false
+      done;
+      if Pst.node_count pst p <> count || not !same_next then
+        err "%s: tail node's counts differ from its parent's" where
+    end;
     let child_sum = ref 0 in
     let prev_sym = ref (-1) in
     Pst.iter_children pst node (fun sym child ->

@@ -24,6 +24,9 @@ val pst_invariants : Pst.t -> string list
       at most one child per node);
     - [next_total] equals the sum of the next-symbol counters and never
       exceeds the node count;
+    - a tail node (an id at or past [Pst.node_id_bound]) has a count
+      below significance, and the same count and next counters as its
+      parent;
     - the smoothed distribution sums to 1 (±1e-9) with every entry in
       [[p_min, 1 - (n-1)·p_min]] when smoothing is on, and is exactly
       uniform at nodes with no observations. *)

@@ -248,12 +248,13 @@ let run_checks case ~errs ~stage =
         trees)
     trees;
   (* Tails against slots (check #10): a tree built from random segments
-     under a node budget small enough to prune keeps the contexts seen
-     once as tails, while its reload from the serialization holds every
-     node as a slot. Fed the same segments, and merged both ways with a
-     third tree, the two must stay one tree: the same serialization, the
-     same node count and the same moves of [active_changes]. The
-     significance is at least 2, where tails exist. *)
+     under a node budget small enough to prune keeps chains of contexts
+     seen alike as tails, while its reload from the serialization holds
+     every node as a slot. Fed the same segments, and merged both ways
+     with a third tree, the two must stay one tree: the same
+     serialization, the same node count and the same moves of
+     [active_changes]. The significance is at least 2, where tails
+     exist. *)
   stage := "tails";
   let nonempty = Array.of_list (List.filter (fun s -> s <> [||]) (Array.to_list case.seqs)) in
   if nonempty <> [||] then begin
@@ -265,11 +266,15 @@ let run_checks case ~errs ~stage =
       }
     in
     let rng = Rng.create case.case_seed in
+    (* Each segment twice: the second insertion retraces the tails the
+       first one hung, or splits them where that would reach
+       significance. *)
     let segments k =
       List.init k (fun _ ->
           let s = Rng.pick rng nonempty in
           let lo = Rng.int rng (Array.length s) in
           (s, lo, lo + Rng.int rng (Array.length s - lo)))
+      |> List.concat_map (fun seg -> [ seg; seg ])
     in
     let insert t (s, lo, hi) = Pst.insert_segment t s ~lo ~hi in
     let build segs =

@@ -34,11 +34,12 @@
       trees with {!Divergence}'s profiles and demands the tree-walk
       reference's floats bit for bit ({!Check.divergence_matches},
       check #9);
-    - builds a tree from random segments under a node budget that
-      forces pruning, with significance at least 2 so that contexts
-      seen once are kept as tails, and reloads it from its
-      serialization, which holds every node as a slot; fed the same
-      segments and merged both ways with a third tree, the two must
+    - builds a tree from random segments, each inserted twice, under a
+      node budget that forces pruning, with significance at least 2 so
+      that chains of contexts seen alike are kept as tails (the second
+      insertion retraces them), and reloads it from its serialization,
+      which holds every node as a slot; fed the same segments and
+      merged both ways with a third tree, the two must
       keep the same serialization, node count and [active_changes]
       moves (check #10);
     - runs {!Cluseq.run} at 1 and at 4 domains with the

@@ -12,6 +12,8 @@ let m_nodes_pruned = Obs.Metrics.counter "pst.nodes_pruned"
 let m_prediction_lookups = Obs.Metrics.counter "pst.prediction_lookups"
 let m_store_words_fresh = Obs.Metrics.counter "pst.store_words_fresh"
 let m_store_words_reused = Obs.Metrics.counter "pst.store_words_reused"
+let m_tail_retraces = Obs.Metrics.counter "pst.tail_retraces"
+let m_head_splits = Obs.Metrics.counter "pst.head_splits"
 let h_insert_seconds = Obs.Metrics.histogram "pst.insert_seconds"
 let h_prune_seconds = Obs.Metrics.histogram "pst.prune_seconds"
 
@@ -37,19 +39,23 @@ type config = {
    Every walk starts at the root, which has a child for nearly every
    symbol, so the root's children are also indexed by symbol.
 
-   A node seen once has a subtree that is one chain, the rest of that
-   one occurrence, every node of it with count 1 and the occurrence's
-   next symbol. Insertion keeps such a chain as a tail (a suffix tree's
+   A chain of nodes, each the only child of the one above, whose nodes
+   share one set of occurrences has the same count and next counts at
+   every node. Insertion keeps such a chain as a tail (a suffix tree's
    leaf edge): its first node, the head, is a slot whose [child] is
    [-2 - off], where [pool.(off)] is the tail's length L and
    [pool.(off + 1 .. off + L)] its edge symbols, newest first (the
    order the insertion walk reads them). The tail's nodes share the
-   head's count and next counters, and each has an id past every slot:
+   head's count and next run, and each has an id past every slot:
    [used + head * max_depth + (k - 1)] for the node k edges below the
-   head, valid until the tree next changes. A second occurrence splits
-   the tail one node at a time as its walk goes down the shared part.
-   Tails are made only when significance is at least 2, so no tail node
-   is significant and the prediction walk and its automaton never enter
+   head, valid until the tree next changes. A walk that creates a node
+   hangs the rest of its occurrence from it as a tail. A walk that
+   retraces a whole tail, to its end, adds the same occurrence to every
+   node of it, so it bumps the head alone while the head stays below
+   significance; any other walk splits the tail one node at a time as
+   it goes down the shared part. Tails are made only when significance
+   is at least 2, and a head's count stays below it, so no tail node is
+   significant and the prediction walk and its automaton never enter
    one. [n_nodes] counts tail nodes, so every observable — the node
    budget, pruning, serialization — is that of the tree of slots. *)
 type node = int
@@ -523,16 +529,24 @@ let find_child t p s =
   end
 
 (* Make the first node of head [h]'s tail a slot — the head of the rest
-   of the tail, if any — so that [h] can take another occurrence. The
-   new slot gets [h]'s count and its next entry (a head has count 1, so
-   it has at most one); the rest of the tail stays where it was. *)
+   of the tail, if any — so that [h] can take an occurrence the tail
+   does not. The new slot gets [h]'s count and a copy of its whole next
+   run; the rest of the tail stays where it was. *)
 let split_head t h =
+  Obs.Metrics.incr m_head_splits;
   let off = tail_off t h in
   let len = t.pool.(off) in
   let c = new_slot t ~parent:h ~sym:t.pool.(off + 1) in
   t.child.(h) <- c;
   t.count.(c) <- t.count.(h);
-  if t.run_len.(h) > 0 then add_next t c t.entry_sym.(t.run.(h)) t.entry_count.(t.run.(h));
+  let entries = t.run_len.(h) in
+  if entries > 0 then begin
+    let r = alloc_run t (run_class entries) in
+    move_entries t ~src:t.run.(h) ~dst:r entries;
+    t.run.(c) <- r;
+    t.run_len.(c) <- entries;
+    t.next_total.(c) <- t.next_total.(h)
+  end;
   if len > 1 then begin
     t.pool.(off + 1) <- len - 1;
     t.child.(c) <- -2 - (off + 1);
@@ -756,34 +770,55 @@ let bump t n next_sym =
   t.count.(n) <- t.count.(n) + 1;
   if next_sym >= 0 then add_next t n next_sym 1
 
-(* The insertion walk below the slot [node], which has just taken this
-   occurrence: [len] more edges, the k-th (from 0) along
-   [arr.(i + k * step)], each node bumped with [next_sym] and its
-   crossing counted, and reported to [crossings] if given. A head met on
-   the way is split first, so the node that crosses is always a slot; a
-   node the walk creates takes the rest of the walk as its tail
-   (significance 2 and up). Returns the number of nodes created. *)
-let descend t crossings node arr i step len next_sym =
+(* Whether the [rest] edges [s.(e)], [s.(e - 1)], ... spell head [h]'s
+   whole tail. *)
+let retraces t h s e rest =
+  let off = tail_off t h in
+  t.pool.(off) = rest
+  &&
+  let j = ref 1 in
+  while !j <= rest && t.pool.(off + !j) = s.(e + 1 - !j) do
+    incr j
+  done;
+  !j > rest
+
+(* The insertion walk below the root, which has just taken this
+   occurrence: [len] edges along the reversed context [s.(e)],
+   [s.(e - 1)], ..., each node bumped with [next_sym] and its crossing
+   counted, and reported to [crossings] if given. A head whose tail is
+   the rest of the walk, and whose count stays below significance,
+   takes the occurrence for its whole tail and ends the walk. Any other
+   head met on the way is split first, so the node that crosses is
+   always a slot; a node the walk creates takes the rest of the walk as
+   its tail (significance 2 and up). Returns the number of nodes
+   created. *)
+let descend t crossings s e len next_sym =
   let sig_ = t.cfg.significance in
-  let node = ref node and k = ref 0 and created = ref 0 in
+  let node = ref 0 and k = ref 0 and created = ref 0 in
   while !k < len do
-    let s = arr.(i + (!k * step)) in
-    let c = slot_child t !node s in
+    let sym = s.(e - !k) in
+    let c = slot_child t !node sym in
     let fresh = c = none in
-    let c = if fresh then link_child t !node s else c in
-    if is_head t c then split_head t c;
+    let c = if fresh then link_child t !node sym else c in
+    incr k;
+    if is_head t c then begin
+      if t.count.(c) + 1 < sig_ && retraces t c s (e - !k) (len - !k) then begin
+        Obs.Metrics.incr m_tail_retraces;
+        k := len
+      end
+      else split_head t c
+    end;
     bump t c next_sym;
     if t.count.(c) = sig_ then begin
       t.active_changes <- t.active_changes + 1;
       match crossings with Some b -> Crossings.push b c | None -> ()
     end;
     node := c;
-    incr k;
     if fresh then begin
       incr created;
       let rest = len - !k in
       if sig_ >= 2 && rest > 0 then begin
-        hang_tail t c arr (i + (!k * step)) step rest;
+        hang_tail t c s (e - !k) (-1) rest;
         t.n_nodes <- t.n_nodes + rest;
         created := !created + rest;
         k := len
@@ -809,7 +844,7 @@ let insert_segment ?crossings t s ~lo ~hi =
     bump t 0 next_sym;
     (* Walk the reversed context s.(e), s.(e-1), ... down to [max_depth]. *)
     created :=
-      !created + descend t crossings 0 s e (-1) (min t.cfg.max_depth (e - lo + 1)) next_sym
+      !created + descend t crossings s e (min t.cfg.max_depth (e - lo + 1)) next_sym
   done;
   Obs.Metrics.incr ~by:!created m_node_creations;
   maybe_prune t
@@ -965,11 +1000,12 @@ let copy t =
    commutative and associative under [equal_structure] as long as
    neither side has pruned.
 
-   A head of [b] and its tail are one occurrence: below a node new to
-   the merge the tail is copied as it is, below any other node it is
-   walked in like an insertion. A head of [a]'s copy splits before it
-   takes counts. Merged counts are not crossings: [active_changes] is
-   [a]'s until the merged tree prunes, and the walk reports none. *)
+   [b]'s nodes are added one by one, tail nodes too; a node new to the
+   merge takes the rest of [b]'s tail below it whole, which then has
+   that node's count and next counts. A head of [a]'s copy splits
+   before it takes counts. Merged counts are not crossings:
+   [active_changes] is [a]'s until the merged tree prunes, and the walk
+   reports none. *)
 let merge a b =
   if a.cfg <> b.cfg then invalid_arg "Pst.merge: configs differ";
   let t = copy a in
@@ -977,19 +1013,15 @@ let merge a b =
   let rec add dst src =
     let fresh = t.count.(dst) = 0 && t.run_len.(dst) = 0 && t.child.(dst) = none in
     if is_head t dst then split_head t dst;
-    t.count.(dst) <- t.count.(dst) + b.count.(src);
+    t.count.(dst) <- t.count.(dst) + node_count b src;
     iter_next_counts b src (add_next t dst);
-    if is_head b src then begin
-      let off = tail_off b src and len = tail_len b src in
-      if fresh then begin
-        hang_tail t dst b.pool (off + 1) 1 len;
-        t.n_nodes <- t.n_nodes + len;
-        created := !created + len
-      end
-      else begin
-        let next_sym = if b.run_len.(src) > 0 then b.entry_sym.(b.run.(src)) else -1 in
-        created := !created + descend t None dst b.pool (off + 1) 1 len next_sym
-      end
+    (* The [rest] edges of [b]'s tail below [src], [k] edges below its head [h]. *)
+    let h = slot_of b src and k = if src < b.used then 0 else pos_of b src in
+    let rest = if is_head b h then tail_len b h - k else 0 in
+    if fresh && rest > 0 then begin
+      hang_tail t dst b.pool (tail_off b h + 1 + k) 1 rest;
+      t.n_nodes <- t.n_nodes + rest;
+      created := !created + rest
     end
     else iter_children b src (fun s c -> add (child_or_create ~counted:true t dst s) c)
   in

@@ -44,14 +44,16 @@ type node = private int
 (** A node's id, valid only with the tree it came from (obtained from
     walks or lookups). Most nodes are slots of the tree's storage: a slot
     keeps its id for as long as it stays in the tree, and pruning hands
-    the slots of the nodes it removes to later insertions. A context seen
-    once is kept with the rest of its occurrence as one {e tail} hanging
-    from a slot (its head), and a node on a tail has an id past every
-    slot, derived from its head and its place below it: such an id is
-    valid only until the tree next changes. Tails exist only when
-    [significance >= 2], so a significant node, and with it every node
-    {!prediction_node} returns or an automaton predicts from, is always a
-    slot. Every accessor answers for both kinds alike. *)
+    the slots of the nodes it removes to later insertions. A chain of
+    contexts that share one set of occurrences, below significance, is
+    kept as one {e tail} hanging from a slot (its head), which holds the
+    chain's one count and next counters; a node on a tail has an id past
+    every slot, derived from its head and its place below it: such an id
+    is valid only until the tree next changes. Tails exist only when
+    [significance >= 2], and no tail node reaches it, so a significant
+    node, and with it every node {!prediction_node} returns or an
+    automaton predicts from, is always a slot. Every accessor answers for
+    both kinds alike. *)
 
 val create : config -> t
 (** An empty tree (root only, count 0). Raises [Invalid_argument] on
@@ -76,9 +78,9 @@ val insert_sequence : t -> Sequence.t -> unit
 (** A buffer of {e crossings}, owned by the caller of {!insert_segment}:
     the nodes whose count reached [significance] during the insertions it
     was given to, in the order they crossed, each once. Every one is a
-    slot (a walk splits a head before it bumps it, so the node that
-    crosses may be a slot the split has just made; no tail node is ever
-    significant). An id stays valid while {!grew_only} holds since the
+    slot (a walk bumps a head without splitting it only while the head
+    stays below significance, so the node that crosses may be a slot a
+    split has just made; no tail node is ever significant). An id stays valid while {!grew_only} holds since the
     buffer was last emptied: a crossed node is significant, and only
     pruning a significant node can release it. The buffer grows its
     storage at the first crossing, so one that saw none holds none.
@@ -108,8 +110,10 @@ val insert_segment : ?crossings:Crossings.t -> t -> Sequence.t -> lo:int -> hi:i
     (inclusive) as if it were a standalone sequence — the cluster-update
     primitive of paper Sec. 4.4 (only the best-matching segment of a joining
     sequence is inserted). Allocates nothing per symbol (a walk that
-    creates a node keeps the rest of the walk as a tail, and one that
-    meets a tail splits it only along the part it shares); records the
+    creates a node keeps the rest of the walk as a tail; one that
+    retraces a whole tail, while its count stays below significance,
+    bumps its head, and any other splits it only along the part it
+    shares); records the
     [pst.insert_seconds] histogram (pruning included), and counts every
     node it creates, tail nodes included, in [pst.node_creations]. Each
     node whose count reaches [significance] bumps {!active_changes} and,
@@ -232,8 +236,9 @@ val merge : t -> t -> t
     symbol order, so the result is independent of argument order: merge
     is commutative and associative under {!equal_structure} when no
     pruning fires. The merged tree re-prunes itself if the union exceeds
-    [max_nodes]. A tail of [b] is copied whole below a node the merge
-    creates, and walked in like an insertion elsewhere. Merged counts
+    [max_nodes]. [b]'s tail nodes are added one by one like any other
+    node, until a node the merge creates takes the rest of the tail
+    whole, with its count and next counters. Merged counts
     are not crossings: the result's {!active_changes} is [a]'s until it
     prunes, and no {!Crossings} buffer hears of them (compile the result
     afresh). Raises [Invalid_argument] when the configs differ. *)

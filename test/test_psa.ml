@@ -317,8 +317,9 @@ let insert_checked pst psa crossings text =
     (Check.crossings_match ~before pst crossings);
   (states, before)
 
-(* At c = 2 a context seen once is a tail node. Its second occurrence
-   splits the tail one node at a time as the walk goes down, so the
+(* At c = 2 a context seen once is a tail node, and its second
+   occurrence takes it to significance, so the walk splits the tail one
+   node at a time as it goes down instead of retracing it; the
    node that crosses is a slot the split has just made, and that slot's
    id is the one reported. *)
 let test_crossing_on_split_slot () =

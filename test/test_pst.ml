@@ -360,9 +360,34 @@ let test_insert_allocates_nothing_per_symbol () =
         true (words < 0.1))
     [ 1; 2 ]
 
+(* A seed's own re-insertion, pinned by hand: "abcd" at depth 3 and
+   significance 3 hangs the tails "a" below "b", "ba" below "c" and
+   "cb" below "d". Inserted again, the walks of "b", "c" and "d"
+   retrace them whole and bump their heads: no split, no new node, and
+   every node at count 2. A third insertion would take the heads to
+   significance, so it splits every tail and all nine nodes cross. *)
+let test_reinsertion_retraces_tails () =
+  let t = Pst.create (cfg ~alphabet_size:4 ~significance:3 ~max_depth:3 ()) in
+  let s = [| 0; 1; 2; 3 |] in
+  let counted name f = snd (Gen_common.counting (Obs.Metrics.counter name) f) in
+  let insert () = Pst.insert_sequence t s in
+  insert ();
+  let slots = Pst.node_id_bound t in
+  Alcotest.(check int) "retraces" 3 (counted "pst.tail_retraces" insert);
+  Alcotest.(check int) "slots unchanged" slots (Pst.node_id_bound t);
+  Alcotest.(check int) "nodes" 10 (Pst.n_nodes t);
+  Pst.iter_nodes t (fun n ->
+      if Pst.node_depth t n > 0 then Alcotest.(check int) "count 2" 2 (Pst.node_count t n));
+  let crossings = Pst.Crossings.create () in
+  Alcotest.(check int) "splits" 5
+    (counted "pst.head_splits" (fun () -> Pst.insert_segment ~crossings t s ~lo:0 ~hi:3));
+  Alcotest.(check int) "every node crossed" 9 (Pst.Crossings.length crossings);
+  Pst.iter_nodes t (fun n ->
+      Alcotest.(check bool) "a slot" true ((n :> int) < Pst.node_id_bound t))
+
 (* Tails against slots: a tree reloaded from its serialization holds
-   every node as a slot, while the tree itself keeps the contexts seen
-   once as tails. Fed the same insertions — under a node budget small
+   every node as a slot, while the tree itself keeps chains of contexts
+   seen alike as tails. Fed the same insertions — under a node budget small
    enough to prune, with every strategy — and merged both ways with a
    third tree, the two must stay the same tree: same serialization, same
    node count, and the same moves of [active_changes]. *)
@@ -452,6 +477,92 @@ let crossings_match_walk ((significance, max_depth, max_nodes), pruning, segment
 let print_crossings_case ((significance, max_depth, max_nodes), pruning, segments) =
   print_tails_case ((significance, max_depth, max_nodes), pruning, (segments, []), ([], []))
 
+(* Retraced tails against slots: a walk that retraces a whole tail bumps
+   its head, and a head may then hold any count below significance and
+   several next entries. Random texts over 3 or 4 symbols take random
+   segments, each re-inserted 1 to 3 times, then each text whole after
+   a segment of it (a seed's own re-insertion), under budgets that
+   sometimes prune, with every strategy. Before each insertion the tree
+   is reloaded from its serialization, every node a slot; fed the same
+   segment, the two must serialize alike, hold as many nodes, move
+   [active_changes] alike and report crossings along the same labels.
+   Merged both ways with a third such tree, the tree and its reload must
+   give one tree, and stay one under the third tree's insertions. *)
+let retrace_case_gen =
+  let open QCheck.Gen in
+  let text = array_size (int_range 1 30) (int_range 0 3) in
+  tup4
+    (quad (int_range 3 4) (int_range 3 6) (int_range 3 8)
+       (oneof [ int_range 8 120; return 100_000 ]))
+    (oneofl Pruning.all)
+    (list_size (int_range 1 4) text)
+    (pair
+       (list_size (int_range 0 6) (quad nat nat nat (int_range 1 3)))
+       (list_size (int_range 0 6) (quad nat nat nat (int_range 1 3))))
+
+(* The insertions of a plan over [texts] (symbols taken mod [a]): each
+   segment [(i, x, y, r)] 1 + [r] times, then each text whole after
+   its segment [(x, y)]. *)
+let retrace_insertions a texts plan =
+  let texts = Array.of_list (List.map (Array.map (fun c -> c mod a)) texts) in
+  let segment s x y =
+    let lo = x mod Array.length s in
+    (s, lo, lo + (y mod (Array.length s - lo)))
+  in
+  let repeated (i, x, y, r) =
+    List.init (1 + r) (fun _ -> segment texts.(i mod Array.length texts) x y)
+  in
+  let seeded s =
+    [ segment s (Array.length s / 3) (Array.length s / 2); (s, 0, Array.length s - 1) ]
+  in
+  List.concat_map repeated plan @ List.concat_map seeded (Array.to_list texts)
+
+let retraced_tails_match_slots
+    ((a, significance, max_depth, max_nodes), pruning, texts, (plan, other)) =
+  let cfg = cfg ~alphabet_size:a ~significance ~max_depth ~max_nodes ~pruning () in
+  let labels t b =
+    List.init (Pst.Crossings.length b) (fun i -> Pst.node_label t (Pst.Crossings.get b i))
+  in
+  (* [t] and [r] take one insertion and must stay one tree. *)
+  let step t r (s, lo, hi) =
+    let t0 = Pst.active_changes t and r0 = Pst.active_changes r in
+    let bt = Pst.Crossings.create () and br = Pst.Crossings.create () in
+    Pst.insert_segment ~crossings:bt t s ~lo ~hi;
+    Pst.insert_segment ~crossings:br r s ~lo ~hi;
+    Pst.to_string t = Pst.to_string r
+    && Pst.n_nodes t = Pst.n_nodes r
+    && Pst.active_changes t - t0 = Pst.active_changes r - r0
+    && Pst.Crossings.length bt = Pst.Crossings.length br
+    && ((not (Pst.grew_only t ~since:t0)) || labels t bt = labels r br)
+    && Check.pst_invariants t = []
+  in
+  let reload t = Pst.of_string (Pst.to_string t) in
+  let build plan =
+    let t = Pst.create cfg in
+    (List.for_all (fun ins -> step t (reload t) ins) (retrace_insertions a texts plan), t)
+  in
+  let ok, t = build plan in
+  let ok_x, x = build other in
+  let one_tree (mt, mr) =
+    Pst.to_string mt = Pst.to_string mr
+    && Pst.n_nodes mt = Pst.n_nodes mr
+    && List.for_all (step mt mr) (retrace_insertions a texts other)
+  in
+  ok && ok_x
+  && List.for_all one_tree
+       [ (Pst.merge t x, Pst.merge (reload t) x); (Pst.merge x t, Pst.merge x (reload t)) ]
+
+let print_retrace_case ((a, significance, max_depth, max_nodes), pruning, texts, (plan, other)) =
+  let ints l = String.concat "," (List.map string_of_int l) in
+  let plan_s p =
+    String.concat "; " (List.map (fun (i, x, y, r) -> Printf.sprintf "(%d %d %d %d)" i x y r) p)
+  in
+  Printf.sprintf "alphabet %d, significance %d, max_depth %d, max_nodes %d, %s\n\
+                  texts: %s\nplan: %s\nother: %s"
+    a significance max_depth max_nodes (Pruning.to_string pruning)
+    (String.concat "; " (List.map (fun s -> "[" ^ ints (Array.to_list s) ^ "]") texts))
+    (plan_s plan) (plan_s other)
+
 let print_prune_case (params, pruning, segments, target) =
   Printf.sprintf "%s\ntarget (mod n_nodes, + 1): %d"
     (print_tails_case (params, pruning, (segments, []), ([], [])))
@@ -479,6 +590,11 @@ let storage_qcheck_tests =
       (QCheck.Test.make ~name:"tails = slots: a tree and its reload stay one tree" ~count:300
          (QCheck.make ~print:print_tails_case tails_case_gen)
          tails_match_slots);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"retraced tails = slots: each insertion as into the reload"
+         ~count:200
+         (QCheck.make ~print:print_retrace_case retrace_case_gen)
+         retraced_tails_match_slots);
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"crossings reported = nodes turned active" ~count:300
          (QCheck.make ~print:print_crossings_case crossings_case_gen)
@@ -704,6 +820,7 @@ let () =
         Alcotest.test_case "golden serialization" `Quick test_golden_serialization
         :: Alcotest.test_case "insertion allocates nothing per symbol" `Quick
              test_insert_allocates_nothing_per_symbol
+        :: Alcotest.test_case "re-insertion retraces tails" `Quick test_reinsertion_retraces_tails
         :: storage_qcheck_tests );
       ( "prediction",
         [
